@@ -2,7 +2,7 @@
 
 from .gf2 import RankError, SingularError
 from .rmcode import RmCode, build
-from .decoder import decode_closest, punctured_syndrome_decode, syndrome_to_coset_leader
+from .decoder import coset_leaders, decode_closest, punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
 from .scheme import (
     KeyPair,
@@ -33,8 +33,8 @@ __all__ = [
     "RmCode",
     "build",
     "decode_closest",
-    "syndrome_to_coset_leader",
-    "punctured_syndrome_decode",
+    "coset_leaders",
+    "punctured_coset_leaders",
     "ModifiedCode",
     "puncture_plan",
     "align_information_set",

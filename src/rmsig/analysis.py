@@ -19,10 +19,11 @@ from typing import Union
 import numpy as np
 
 from . import gf2
-from .decoder import coset_leaders, punctured_coset_leaders
+from .decoder import coset_leaders
 from .modcode import ModifiedCode
 from .rmcode import RmCode
 from .scheme import PublicKey, Signature, SigningParams, hash_to_syndrome, verify
+from .scheme import _modified_coset_leaders
 
 _CHUNK = 1024
 
@@ -68,12 +69,8 @@ class SecurityEstimate:
 def _decode_weights(code: Union[RmCode, ModifiedCode], syndromes: np.ndarray) -> np.ndarray:
     """Decoded error weight per syndrome row, via the full signing path
     for a modified code and the plain coset-leader path otherwise."""
-    if isinstance(code, ModifiedCode):
-        top = code.n - code.k - code.p
-        e_nps = punctured_coset_leaders(code, syndromes[:, :top])
-        e_ps = syndromes[:, top:] ^ gf2.mat_mul(e_nps, code.R.T)
-        return e_nps.sum(axis=1, dtype=np.int64) + e_ps.sum(axis=1, dtype=np.int64)
-    return coset_leaders(code, syndromes).sum(axis=1, dtype=np.int64)
+    decode = _modified_coset_leaders if isinstance(code, ModifiedCode) else coset_leaders
+    return decode(code, syndromes).sum(axis=1, dtype=np.int64)
 
 
 def _calibrate_chunk(code, seed: int, count: int) -> np.ndarray:
@@ -98,8 +95,8 @@ def calibrate(
 ) -> WeightDistribution:
     """Decode random (or, exhaustively, all) syndromes and tally weights.
 
-    A plain code goes through syndrome_to_coset_leader; a modified code
-    goes through the full signing path including the inserted block.
+    A plain code goes through coset_leaders; a modified code goes
+    through the signing path's decode, inserted block included.
     Chunk seeds are drawn once from rng, so the histogram is identical
     for any worker count.
     """
@@ -218,7 +215,7 @@ def naive_forgery_attack(
     for _ in range(trials):
         i = int(rng.integers(1, 2**62))
         s = hash_to_syndrome(message, i, n_k)
-        z_red = gf2.mat_vec(transform, s)
+        z_red = gf2.mat_mul(transform, s)
         if gf2.weight(z_red) <= pub.params.w:
             z = np.zeros(pub.n, dtype=np.uint8)
             z[cols] = z_red

@@ -31,13 +31,7 @@ def _read(path: str) -> bytes:
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
-    if not 0 <= args.r <= args.m or args.m > rmcode.MAX_M:
-        print(
-            f"error: need 0 <= r <= m <= {rmcode.MAX_M}, got m={args.m}, r={args.r}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    t = ((1 << (args.m - args.r)) - 1) // 2
+    _n, _k, t = rmcode.code_dims(args.m, args.r)
     params = scheme.SigningParams(w=args.w, N=args.n_trials, t=t)
     kp = scheme.keygen(args.m, args.r, params, _rng(args.seed))
     pub_path, sec_path = formats.save_keypair(kp, args.out_prefix)

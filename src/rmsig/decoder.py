@@ -105,11 +105,18 @@ def _decode(m: int, r: int, soft: np.ndarray) -> np.ndarray:
 def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     """Closest-coset decode soft word(s) against RM(r, m).
 
-    Accepts one word or a batch (rows).  Returns codeword(s) in
-    evaluation order, for any input (including all-erased).  Exact ML
-    whenever r <= 1 or r == m.
+    Accepts one word or a batch (rows) of soft values in {-1, 0, +1}.
+    Returns codeword(s) in evaluation order, for any such input
+    (including all-erased).  Exact ML whenever r <= 1 or r == m.
+
+    Raises:
+        ValueError: on a wrong length or a soft value outside {-1, 0, +1}
+            (larger reliabilities would wrap int8 inside the soft blocks).
     """
-    soft = np.asarray(soft, dtype=np.int8)
+    soft = np.asarray(soft)
+    if not np.isin(soft, (-1, 0, 1)).all():
+        raise ValueError("soft values must lie in {-1, 0, +1}")
+    soft = soft.astype(np.int8)
     single = soft.ndim == 1
     if single:
         soft = soft[None, :]
@@ -119,67 +126,53 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+def _closest_errors(code: RmCode, v: np.ndarray, erased) -> np.ndarray:
+    """v + c per row, c the codeword decoded from v (systematic order)
+    with the columns in erased marked as erasures."""
+    soft = to_soft(v)
+    soft[:, erased] = 0
+    soft_eval = np.empty_like(soft)
+    soft_eval[:, code.info_perm] = soft
+    return v ^ _decode(code.m, code.r, soft_eval)[:, code.info_perm]
+
+
 def coset_leaders(code: RmCode, syndromes: np.ndarray) -> np.ndarray:
-    """Batch form of syndrome_to_coset_leader: one syndrome per row."""
-    syndromes = np.atleast_2d(np.asarray(syndromes, dtype=np.uint8))
-    if syndromes.shape[1] != code.n - code.k:
-        raise ValueError(
-            f"syndrome length {syndromes.shape[1]} != n-k = {code.n - code.k}"
-        )
-    v = np.zeros((syndromes.shape[0], code.n), dtype=np.uint8)
-    v[:, code.k :] = syndromes
-    soft_eval = np.empty((syndromes.shape[0], code.n), dtype=np.int8)
-    soft_eval[:, code.info_perm] = to_soft(v)
-    cw = _decode(code.m, code.r, soft_eval)[:, code.info_perm]
-    return v ^ cw
+    """Minimum-weight error for each syndrome, as found by the decoder.
 
-
-def syndrome_to_coset_leader(code: RmCode, s: np.ndarray) -> np.ndarray:
-    """Minimum-weight error for syndrome s, as found by the decoder.
-
+    Accepts one syndrome or a batch (rows) and returns the same shape.
     Starts from v = [0_k | s], which satisfies H v = s in systematic
     form, decodes v against the code and returns e = v + c.  The result
     always satisfies H e = s; the weight is exactly minimal whenever
     the decoder is ML for the code.
     """
-    s = np.asarray(s, dtype=np.uint8)
-    if s.ndim != 1:
-        raise ValueError("expected a single syndrome; use coset_leaders for batches")
-    return coset_leaders(code, s[None, :])[0]
+    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    rows = np.atleast_2d(syndromes)
+    if rows.ndim != 2 or rows.shape[1] != code.n - code.k:
+        raise ValueError(f"syndrome length {rows.shape[-1]} != n-k = {code.n - code.k}")
+    v = np.zeros((rows.shape[0], code.n), dtype=np.uint8)
+    v[:, code.k :] = rows
+    err = _closest_errors(code, v, [])
+    return err[0] if syndromes.ndim == 1 else err
 
 
 def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray:
-    """Batch form of punctured_syndrome_decode: one syndrome per row."""
-    base = mod.base
-    s_tops = np.atleast_2d(np.asarray(s_tops, dtype=np.uint8))
-    top = base.n - base.k - mod.p
-    if s_tops.shape[1] != top:
-        raise ValueError(f"syndrome length {s_tops.shape[1]} != n-k-p = {top}")
-    rows = s_tops.shape[0]
-    v = np.zeros((rows, base.n), dtype=np.uint8)
-    v[:, mod.kept_cols] = s_tops
-    soft = to_soft(v)
-    soft[:, mod.deleted] = 0
-    soft_eval = np.empty((rows, base.n), dtype=np.int8)
-    soft_eval[:, base.info_perm] = soft
-    cw = _decode(base.m, base.r, soft_eval)[:, base.info_perm]
-    unp = mod.unpunctured_cols
-    err = v[:, unp] ^ cw[:, unp]
-    check = gf2.mat_mul(err[:, : base.k], mod.P_kept) ^ err[:, base.k :]
-    if not np.array_equal(check, s_tops):
-        raise AssertionError("punctured decode violated H_p e = s_top")
-    return err
-
-
-def punctured_syndrome_decode(mod: ModifiedCode, s_top: np.ndarray) -> np.ndarray:
     """Decode the punctured code through its parent with erasures.
 
-    s_top is the syndrome of the punctured parity check [P'^T | I].
-    The deleted positions enter the parent decode as erasures; the
-    returned error covers the n-p unpunctured positions and satisfies
-    H_p e = s_top exactly (checked).
+    Each s_top (one, or a batch of rows) is a syndrome of the punctured
+    parity check [P'^T | I].  The deleted positions enter the parent
+    decode as erasures; each returned error covers the n-p unpunctured
+    positions and satisfies H_p e = s_top exactly (checked).
     """
-    s_top = np.asarray(s_top, dtype=np.uint8)
-    if s_top.ndim != 1:
-        raise ValueError("expected a single syndrome; use punctured_coset_leaders")
-    return punctured_coset_leaders(mod, s_top[None, :])[0]
+    base = mod.base
+    s_tops = np.asarray(s_tops, dtype=np.uint8)
+    rows = np.atleast_2d(s_tops)
+    top = base.n - base.k - mod.p
+    if rows.ndim != 2 or rows.shape[1] != top:
+        raise ValueError(f"syndrome length {rows.shape[-1]} != n-k-p = {top}")
+    v = np.zeros((rows.shape[0], base.n), dtype=np.uint8)
+    v[:, mod.kept_cols] = rows
+    err = _closest_errors(base, v, mod.deleted)[:, mod.unpunctured_cols]
+    check = gf2.mat_mul(err[:, : base.k], mod.P_kept) ^ err[:, base.k :]
+    if not np.array_equal(check, rows):
+        raise AssertionError("punctured decode violated H_p e = s_top")
+    return err[0] if s_tops.ndim == 1 else err

@@ -30,13 +30,12 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from math import comb
 
 import numpy as np
 
 from . import gf2
-from .modcode import ModifiedCode
-from .rmcode import build_with_perm
+from .modcode import assemble_modified
+from .rmcode import build_with_perm, code_dims
 from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams
 
 KEY_MAGIC = b"RMSG"
@@ -113,6 +112,11 @@ def save_private_key(priv: PrivateKey) -> bytes:
 
 
 def _parse_header(rd: _Reader, expect_role: int):
+    """Read and check the header; returns (m, r, n, k, p, params, deleted).
+
+    m and r are checked against the supported range before anything is
+    sized from them.
+    """
     magic, version, role, m, r, p, w, n_trials = _HEADER.unpack(rd.take(_HEADER.size))
     if magic != KEY_MAGIC:
         raise FormatError("not a key file (bad magic)")
@@ -120,41 +124,37 @@ def _parse_header(rd: _Reader, expect_role: int):
         raise FormatError(f"unsupported key file version {version}")
     if role != expect_role:
         raise FormatError("key file has the wrong role for this operation")
+    try:
+        n, k, t = code_dims(m, r)
+        params = SigningParams(w=w, N=n_trials, t=t)
+    except ValueError as err:
+        raise FormatError(f"invalid key header: {err}") from None
     (count,) = struct.unpack("<I", rd.take(4))
     deleted = np.frombuffer(rd.take(4 * count), dtype="<u4").astype(np.int64)
-    return m, r, p, w, n_trials, deleted
-
-
-def _code_dims(m: int, r: int) -> tuple[int, int]:
-    n = 1 << m
-    k = sum(comb(m, i) for i in range(r + 1))
-    return n, k
+    return m, r, n, k, p, params, deleted
 
 
 def load_public_key(raw: bytes) -> PublicKey:
     rd = _Reader(_check_crc(raw, "public key"), "public key")
-    m, r, _p, w, n_trials, _deleted = _parse_header(rd, ROLE_PUBLIC)
-    n, k = _code_dims(m, r)
+    m, r, n, k, _p, params, _deleted = _parse_header(rd, ROLE_PUBLIC)
     h_pub = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n)), n - k, n)
     rd.done()
-    params = SigningParams(w=w, N=n_trials, t=((1 << (m - r)) - 1) // 2)
     h_pub.flags.writeable = False
     return PublicKey(m=m, r=r, H=h_pub, params=params)
 
 
 def load_private_key(raw: bytes) -> PrivateKey:
     rd = _Reader(_check_crc(raw, "private key"), "private key")
-    m, r, p, w, n_trials, deleted = _parse_header(rd, ROLE_PRIVATE)
-    n, k = _code_dims(m, r)
+    m, r, n, k, p, params, deleted = _parse_header(rd, ROLE_PRIVATE)
     if deleted.size != p:
         raise FormatError("deleted column list does not match p")
+    if p and (deleted[0] < k or deleted[-1] >= n or (np.diff(deleted) <= 0).any()):
+        raise FormatError(f"deleted columns must increase strictly within [{k}, {n})")
     scramble = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n - k)), n - k, n - k)
     sigma = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
-    r_block = (
-        gf2.unpack_matrix(rd.take(gf2.packed_size(p, n - p)), p, n - p)
-        if p
-        else np.zeros((0, n), dtype=np.uint8)
-    )
+    if not np.array_equal(np.sort(sigma), np.arange(n)):
+        raise FormatError("sigma is not a permutation of the column indices")
+    r_block = gf2.unpack_matrix(rd.take(gf2.packed_size(p, n - p)), p, n - p)
     p_kept = gf2.unpack_matrix(
         rd.take(gf2.packed_size(k, n - k - p)), k, n - k - p
     )
@@ -162,26 +162,17 @@ def load_private_key(raw: bytes) -> PrivateKey:
     stored_digest = rd.take(32)
     rd.done()
 
-    base = build_with_perm(m, r, info_perm)
-    if not np.array_equal(base.P[:, np.setdiff1d(np.arange(n - k), deleted - k)], p_kept):
+    try:
+        base = build_with_perm(m, r, info_perm)
+    except ValueError as err:
+        raise FormatError(f"stored info_perm is invalid: {err}") from None
+    mod = assemble_modified(base, deleted, r_block)
+    if not np.array_equal(mod.P_kept, p_kept):
         raise FormatError("stored P' disagrees with the reconstructed code")
-
-    h_mod = np.zeros((n - k, n), dtype=np.uint8)
-    h_mod[: n - k - p, :k] = p_kept.T
-    h_mod[: n - k - p, k : n - p] = gf2.identity(n - k - p)
-    h_mod[n - k - p :, : n - p] = r_block
-    h_mod[n - k - p :, n - p :] = gf2.identity(p)
-    if hashlib.sha256(gf2.pack_bits(h_mod)).digest() != stored_digest:
+    if hashlib.sha256(gf2.pack_bits(mod.H)).digest() != stored_digest:
         raise FormatError("reassembled H_m digest mismatch")
-
-    inserted = r_block[:, :k].T ^ gf2.mat_mul(p_kept, r_block[:, k:].T)
-    g_mod = np.concatenate([gf2.identity(k), p_kept, inserted], axis=1)
-    for arr in (deleted, p_kept, r_block, h_mod, g_mod, scramble, sigma):
+    for arr in (scramble, sigma):
         arr.flags.writeable = False
-    mod = ModifiedCode(
-        base=base, p=p, deleted=deleted, P_kept=p_kept, R=r_block, H=h_mod, G=g_mod
-    )
-    params = SigningParams(w=w, N=n_trials, t=base.t)
     return PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
 
 

@@ -4,7 +4,9 @@ Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination runs on bit-packed rows, so the
 largest generator matrices in this package (2510 x 4096) reduce in well
 under a second.  Matrix products go through float64 BLAS, which is exact
-for the inner dimensions used here (sums stay far below 2**52).
+for the inner dimensions used here (sums stay far below 2**52); a
+matrix-vector product instead adds up the columns the vector selects,
+so it never copies the whole matrix.
 
 Bit packing convention, fixed for all serialized forms: row-major, each
 row padded to a whole number of bytes, MSB-first within a byte (bit j of
@@ -34,22 +36,16 @@ def weight(v: np.ndarray) -> int:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2) matrix product a @ b."""
+    """GF(2) product a @ b; a 1-D b gives the matrix-vector product."""
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {b.shape}")
+    if b.ndim == 1:
+        # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
+        picked = np.take(a, np.flatnonzero(b & 1), axis=1)
+        return picked.sum(axis=1, dtype=np.uint8) & 1
     prod = a.astype(np.float64) @ b.astype(np.float64)
-    return (prod.astype(np.int64) & 1).astype(np.uint8)
-
-
-def mat_vec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """GF(2) matrix-vector product a @ v for a 1-D vector."""
-    a = np.asarray(a, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8)
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {v.shape}")
-    prod = a.astype(np.float64) @ v.astype(np.float64)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
@@ -161,21 +157,6 @@ def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
     lo = np.tril(random_bits((n, n), rng), -1) | identity(n)
     up = np.triu(random_bits((n, n), rng), 1) | identity(n)
     return mat_mul(lo, up)
-
-
-def perm_matrix(sigma: np.ndarray) -> np.ndarray:
-    """Permutation matrix Q with Q[i, sigma[i]] = 1, so (Q v)[i] = v[sigma[i]]."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    n = sigma.shape[0]
-    q = np.zeros((n, n), dtype=np.uint8)
-    q[np.arange(n), sigma] = 1
-    return q
-
-
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return perm_matrix(rng.permutation(n))
 
 
 def pack_bits(a: np.ndarray) -> bytes:

@@ -132,8 +132,9 @@ def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
     return new_code, np.sort(inv[deleted])
 
 
-def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedCode:
-    """Assemble the modified pair for an aligned code and deletion set."""
+def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCode:
+    """Assemble H_m and G_m from an aligned code, its deletion set and the
+    p x (n-p) block R."""
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k
     p = deleted.size
@@ -141,7 +142,6 @@ def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedC
         raise ValueError("deletion set must lie in the parity part; align first")
     parity_keep = np.setdiff1d(np.arange(n - k), deleted - k)
     p_kept = code.P[:, parity_keep].copy()
-    r_block = gf2.random_bits((p, n - p), rng)
 
     h_mod = np.zeros((n - k, n), dtype=np.uint8)
     h_mod[: n - k - p, :k] = p_kept.T
@@ -158,3 +158,9 @@ def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedC
     return ModifiedCode(
         base=code, p=int(p), deleted=deleted, P_kept=p_kept, R=r_block, H=h_mod, G=g_mod
     )
+
+
+def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedCode:
+    """Draw a uniform R and assemble the modified pair for an aligned code."""
+    p = len(deleted)
+    return assemble_modified(code, deleted, gf2.random_bits((p, code.n - p), rng))

@@ -106,11 +106,20 @@ def _check_params(m: int, r: int) -> None:
         raise ValueError(f"m={m} exceeds the supported maximum {MAX_M}")
 
 
+def code_dims(m: int, r: int) -> tuple[int, int, int]:
+    """(n, k, t) of RM(r, m): 2**m, sum_{i<=r} C(m, i) and (2**(m-r) - 1) // 2.
+
+    Raises:
+        ValueError: unless 0 <= r <= m <= MAX_M, checked before any sizing.
+    """
+    _check_params(m, r)
+    return 1 << m, sum(comb(m, i) for i in range(r + 1)), ((1 << (m - r)) - 1) // 2
+
+
 def build(m: int, r: int) -> RmCode:
     """Construct RM(r, m) with n = 2**m, k = sum_i C(m, i), d = 2**(m-r)."""
-    _check_params(m, r)
+    _n, k, _t = code_dims(m, r)
     raw = monomial_generator(m, r)
-    k = sum(comb(m, i) for i in range(r + 1))
     assert raw.shape[0] == k
     _, pivots = gf2.rref(raw)
     g_sys, perm = gf2.systematize(raw, pivots)

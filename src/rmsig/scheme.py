@@ -13,13 +13,14 @@ big-endian), bits taken MSB-first within each byte.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
 from . import gf2
-from .decoder import punctured_coset_leaders, punctured_syndrome_decode
+from .decoder import punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
 from .rmcode import build
 
@@ -72,10 +73,6 @@ class PrivateKey:
         if "S_inv" not in self._cache:
             self._cache["S_inv"] = gf2.invert(self.S)
         return self._cache["S_inv"]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return gf2.perm_matrix(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -147,48 +144,35 @@ def keygen(
     return KeyPair(public=public, private=private)
 
 
-def signing_trials(
-    priv: PrivateKey, message: bytes, limit: int | None = None, xof: str = "shake256"
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i, s_prime, e_prime) for successive counters.
-
-    Each e_prime satisfies H_m @ e_prime = s_prime regardless of its
-    weight; sign() keeps the first one within the weight bound.  This
-    is the one-counter-at-a-time reference; sign() evaluates the same
-    trials in batches.
-    """
-    mod = priv.mod
-    n, k, p = mod.n, mod.k, mod.p
-    top = n - k - p
-    inner = _XOFS[xof](message).digest(_INNER_DIGEST_BYTES)
-    s_inv = priv.S_inv
-    limit = priv.params.N if limit is None else limit
-    for i in range(1, limit + 1):
-        s = _syndrome_from_digest(inner, i, n - k, xof)
-        s_prime = gf2.mat_vec(s_inv, s)
-        e_np = punctured_syndrome_decode(mod, s_prime[:top])
-        e_p = s_prime[top:] ^ gf2.mat_vec(mod.R, e_np)
-        yield i, s_prime, np.concatenate([e_np, e_p])
-
-
 SIGN_BATCH = 64
 
 
-def _trial_weights_batch(
-    priv: PrivateKey, inner: bytes, first: int, count: int, xof: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate counters first..first+count-1; return (e_primes, weights)."""
-    mod = priv.mod
-    n, k, p = mod.n, mod.k, mod.p
-    top = n - k - p
-    synd = np.stack(
-        [_syndrome_from_digest(inner, i, n - k, xof) for i in range(first, first + count)]
-    )
-    s_primes = gf2.mat_mul(synd, priv.S_inv.T)
+def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:
+    """Rows e' = [e_np | e_p] with H_m e' = s' for each row s' of s_primes.
+
+    e_np is the punctured coset leader of the top n-k-p syndrome bits;
+    the inserted block then fixes e_p = s'_bot + R e_np.
+    """
+    top = mod.n - mod.k - mod.p
     e_nps = punctured_coset_leaders(mod, s_primes[:, :top])
     e_ps = s_primes[:, top:] ^ gf2.mat_mul(e_nps, mod.R.T)
-    e_primes = np.concatenate([e_nps, e_ps], axis=1)
-    return e_primes, e_primes.sum(axis=1, dtype=np.int64)
+    return np.concatenate([e_nps, e_ps], axis=1)
+
+
+def _trials(
+    priv: PrivateKey, inner: bytes, first: int, count: int, xof: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (s', e') for counters first..first+count-1 of one message.
+
+    s' = S^-1 h(h(M)|i) and H_m e' = s' on every row, whatever the
+    weight; inner is h(M).
+    """
+    n_k = priv.mod.n - priv.mod.k
+    synd = np.stack(
+        [_syndrome_from_digest(inner, i, n_k, xof) for i in range(first, first + count)]
+    )
+    s_primes = gf2.mat_mul(synd, priv.S_inv.T)
+    return s_primes, _modified_coset_leaders(priv.mod, s_primes)
 
 
 def sign(
@@ -204,7 +188,8 @@ def sign(
     best = priv.mod.n + 1
     for first in range(1, limit + 1, SIGN_BATCH):
         count = min(SIGN_BATCH, limit + 1 - first)
-        e_primes, weights = _trial_weights_batch(priv, inner, first, count, xof)
+        _s_primes, e_primes = _trials(priv, inner, first, count, xof)
+        weights = e_primes.sum(axis=1, dtype=np.int64)
         hits = np.nonzero(weights <= priv.params.w)[0]
         if hits.size:
             e_prime = e_primes[hits[0]]
@@ -216,11 +201,20 @@ def sign(
 
 
 def verify(pub: PublicKey, message: bytes, sig: Signature, xof: str = "shake256") -> bool:
-    """ACCEPT iff wt(e) <= w and H' e = h(h(M)|i).  Never raises on bad shapes."""
-    e = np.asarray(sig.e, dtype=np.uint8)
-    if e.ndim != 1 or e.shape[0] != pub.n or sig.i < 1:
+    """ACCEPT iff e is binary of length n, wt(e) <= w and H' e = h(h(M)|i).
+
+    Total over signatures: e must be an integer or bool 1-D vector with
+    entries in {0, 1} and i an integer with 1 <= i < 2**64; anything
+    else is REJECT, never an exception.
+    """
+    try:
+        e = np.asarray(sig.e)
+        i = operator.index(sig.i)
+    except (TypeError, ValueError):
         return False
-    if gf2.weight(e) > pub.params.w:
+    if e.dtype.kind not in "biu" or e.shape != (pub.n,) or not 1 <= i < 1 << 64:
         return False
-    expected = hash_to_syndrome(message, sig.i, pub.H.shape[0], xof)
-    return bool(np.array_equal(gf2.mat_vec(pub.H, e), expected))
+    if e.min() < 0 or e.max() > 1 or gf2.weight(e) > pub.params.w:
+        return False
+    expected = hash_to_syndrome(message, i, pub.H.shape[0], xof)
+    return bool(np.array_equal(gf2.mat_mul(pub.H, e), expected))

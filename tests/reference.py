@@ -85,3 +85,12 @@ def int_to_bits(value, n):
 
 def min_distance(gen):
     return min(int(w.sum()) for w in enumerate_codewords(gen) if w.any())
+
+
+def perm_matrix(sigma):
+    """Permutation matrix Q with Q[i, sigma[i]] = 1, so (Q v)[i] = v[sigma[i]]."""
+    n = len(sigma)
+    q = np.zeros((n, n), dtype=np.uint8)
+    for i, j in enumerate(sigma):
+        q[i, int(j)] = 1
+    return q

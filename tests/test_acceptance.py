@@ -6,6 +6,7 @@ deep the decoder's weight tail must reach (see the sizing note on the
 test).
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from rmsig import analysis, decoder, gf2, rmcode, scheme
 
-from reference import coset_leader_weights, int_to_bits
+from reference import coset_leader_weights, int_to_bits, perm_matrix
 
 CLI = [sys.executable, "-m", "rmsig"]
 
@@ -87,6 +88,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_algebraic_identities():
     combos = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]
+    c4_inner = hashlib.shake_256(b"c4").digest(32)  # h(M) of the trial message
     keygens = 0
     for m, r in combos:
         t = ((1 << (m - r)) - 1) // 2
@@ -96,10 +98,12 @@ def test_criterion_4_algebraic_identities():
             keygens += 1
             mod = kp.private.mod
             assert not gf2.mat_mul(mod.G, mod.H.T).any()
-            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), kp.private.Q)
+            q = perm_matrix(kp.private.sigma)
+            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), q)
             assert np.array_equal(recomputed, kp.public.H)
-            for _i, s_prime, e_prime in scheme.signing_trials(kp.private, b"c4", limit=5):
-                assert np.array_equal(gf2.mat_vec(mod.H, e_prime), s_prime)
+            s_primes, e_primes = scheme._trials(kp.private, c4_inner, 1, 5, "shake256")
+            for s_prime, e_prime in zip(s_primes, e_primes):
+                assert np.array_equal(gf2.mat_mul(mod.H, e_prime), s_prime)
     assert keygens >= 50
     print(f"criterion 4: PASS identities hold over {keygens} keygens, 5 trials each")
 

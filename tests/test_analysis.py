@@ -19,9 +19,9 @@ class TestCalibrate:
         assert dist.histogram == {w: int(c) for w, c in enumerate(expected) if c}
 
     def test_zero_syndrome_gives_weight_zero(self, rm41):
-        from rmsig.decoder import syndrome_to_coset_leader
+        from rmsig.decoder import coset_leaders
 
-        e = syndrome_to_coset_leader(rm41, np.zeros(11, dtype=np.uint8))
+        e = coset_leaders(rm41, np.zeros(11, dtype=np.uint8))
         assert int(e.sum()) == 0
 
     def test_histogram_sums_to_samples(self, rm41):

@@ -88,6 +88,31 @@ class TestSignVerifyCommands:
         out = run_cli("verify", "--pubkey", pub, "--message-file", msg, "--sig", sig_path)
         assert out.returncode == 2
 
+    def test_hostile_key_files_exit_2(self, keyfiles, tmp_path):
+        # Header m=60000, r=30000 with a recomputed CRC: both loaders must
+        # refuse it as a format error instead of sizing the body from it.
+        import struct, zlib
+
+        pub, sec, _ = keyfiles
+        msg = tmp_path / "h.bin"
+        msg.write_bytes(b"hostile")
+        sig_path = tmp_path / "h.sig"
+        assert run_cli("sign", "--key", sec, "--message-file", msg, "--out", sig_path).returncode == 0
+        hostile = {}
+        for path in (pub, sec):
+            body = bytearray(path.read_bytes()[:-4])
+            body[7:11] = struct.pack("<HH", 60000, 30000)
+            hostile[path.suffix] = tmp_path / f"hostile{path.suffix}"
+            hostile[path.suffix].write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        out = run_cli(
+            "verify", "--pubkey", hostile[".pub"], "--message-file", msg, "--sig", sig_path
+        )
+        assert out.returncode == 2 and "error" in out.stderr
+        out = run_cli(
+            "sign", "--key", hostile[".sec"], "--message-file", msg, "--out", tmp_path / "x.sig"
+        )
+        assert out.returncode == 2 and "error" in out.stderr
+
     def test_wrong_message_exits_1(self, keyfiles, tmp_path):
         pub, sec, _ = keyfiles
         msg = tmp_path / "w.bin"

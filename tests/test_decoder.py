@@ -25,7 +25,7 @@ class TestDecodeClosest:
         rng = np.random.default_rng(m * 10 + r)
         for _ in range(20):
             msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-            word_sys = gf2.mat_vec(code.G.T, msg)
+            word_sys = gf2.mat_mul(code.G.T, msg)
             word_eval = code.to_eval_order(word_sys)
             got = decoder.decode_closest(m, r, decoder.to_soft(word_eval))
             assert np.array_equal(got, word_eval)
@@ -46,13 +46,13 @@ class TestDecodeClosest:
         for _ in range(25):
             soft = rng.integers(-1, 2, size=1 << m).astype(np.int8)
             word = decoder.decode_closest(m, r, soft)
-            assert not gf2.mat_vec(code.H, code.to_sys_order(word)).any()
+            assert not gf2.mat_mul(code.H, code.to_sys_order(word)).any()
 
     def test_all_erased_gives_codeword(self):
         for m, r in [(3, 1), (5, 2), (4, 4), (3, 0)]:
             code = rmcode.build(m, r)
             word = decoder.decode_closest(m, r, np.zeros(1 << m, dtype=np.int8))
-            assert not gf2.mat_vec(code.H, code.to_sys_order(word)).any()
+            assert not gf2.mat_mul(code.H, code.to_sys_order(word)).any()
 
     def test_majority_base_case(self):
         soft = np.array([-1, -1, -1, 1, 0, 0, 0, 0], dtype=np.int8)
@@ -64,6 +64,10 @@ class TestDecodeClosest:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             decoder.decode_closest(3, 1, np.ones(7, dtype=np.int8))
+        # Right length, but reliabilities of 16 would wrap int8 in the soft
+        # block and decode the zero word to all-ones; rejected instead.
+        with pytest.raises(ValueError):
+            decoder.decode_closest(5, 2, np.full(32, 16, dtype=np.int8))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -75,7 +79,7 @@ class TestDecodeClosest:
 
 class TestSyndromeToCosetLeader:
     def test_zero_syndrome(self, rm31):
-        e = decoder.syndrome_to_coset_leader(rm31, np.zeros(4, dtype=np.uint8))
+        e = decoder.coset_leaders(rm31, np.zeros(4, dtype=np.uint8))
         assert not e.any()
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -84,8 +88,8 @@ class TestSyndromeToCosetLeader:
         oracle = coset_leader_weights(code.H)
         shifts = 1 << np.arange(code.n - code.k, dtype=np.int64)
         for s_int, s in all_syndromes(code):
-            e = decoder.syndrome_to_coset_leader(code, s)
-            assert np.array_equal(gf2.mat_vec(code.H, e), s)
+            e = decoder.coset_leaders(code, s)
+            assert np.array_equal(gf2.mat_mul(code.H, e), s)
             assert int(e.sum()) == oracle[s_int]
 
     @pytest.mark.parametrize("m,r", [(4, 2), (5, 2)])
@@ -94,19 +98,19 @@ class TestSyndromeToCosetLeader:
         rng = np.random.default_rng(23)
         for _ in range(50):
             s = rng.integers(0, 2, size=code.n - code.k, dtype=np.uint8)
-            e = decoder.syndrome_to_coset_leader(code, s)
-            assert np.array_equal(gf2.mat_vec(code.H, e), s)
+            e = decoder.coset_leaders(code, s)
+            assert np.array_equal(gf2.mat_mul(code.H, e), s)
 
     def test_never_below_exhaustive_minimum(self):
         code = rmcode.build(4, 2)
         oracle = coset_leader_weights(code.H)
         for s_int, s in all_syndromes(code):
-            e = decoder.syndrome_to_coset_leader(code, s)
+            e = decoder.coset_leaders(code, s)
             assert int(e.sum()) >= oracle[s_int]
 
     def test_length_check(self, rm31):
         with pytest.raises(ValueError):
-            decoder.syndrome_to_coset_leader(rm31, np.zeros(5, dtype=np.uint8))
+            decoder.coset_leaders(rm31, np.zeros(5, dtype=np.uint8))
 
 
 def modified_rm41_with_p4():
@@ -124,7 +128,7 @@ class TestPuncturedSyndromeDecode:
     def test_zero_syndrome(self):
         mod = modified_rm41_with_p4()
         top = mod.n - mod.k - mod.p
-        e = decoder.punctured_syndrome_decode(mod, np.zeros(top, dtype=np.uint8))
+        e = decoder.punctured_coset_leaders(mod, np.zeros(top, dtype=np.uint8))
         assert not e.any()
 
     def test_degenerate_no_puncture_matches_plain(self, rm41):
@@ -133,8 +137,8 @@ class TestPuncturedSyndromeDecode:
         for _ in range(30):
             s = rng.integers(0, 2, size=rm41.n - rm41.k, dtype=np.uint8)
             assert np.array_equal(
-                decoder.punctured_syndrome_decode(mod, s),
-                decoder.syndrome_to_coset_leader(rm41, s),
+                decoder.punctured_coset_leaders(mod, s),
+                decoder.coset_leaders(rm41, s),
             )
 
     def test_all_syndromes_satisfy_check(self):
@@ -144,14 +148,14 @@ class TestPuncturedSyndromeDecode:
         h_p = mod.H_top
         for s_int in range(1 << top):
             s = int_to_bits(s_int, top)
-            e = decoder.punctured_syndrome_decode(mod, s)
+            e = decoder.punctured_coset_leaders(mod, s)
             assert e.shape == (mod.n - mod.p,)
-            assert np.array_equal(gf2.mat_vec(h_p, e), s)
+            assert np.array_equal(gf2.mat_mul(h_p, e), s)
 
     def test_length_check(self):
         mod = modified_rm41_with_p4()
         with pytest.raises(ValueError):
-            decoder.punctured_syndrome_decode(mod, np.zeros(3, dtype=np.uint8))
+            decoder.punctured_coset_leaders(mod, np.zeros(3, dtype=np.uint8))
 
 
 def test_soft_hard_round_trip():
@@ -167,7 +171,7 @@ def test_batch_equals_scalar(m, r):
     synd = rng.integers(0, 2, size=(24, code.n - code.k), dtype=np.uint8)
     batch = decoder.coset_leaders(code, synd)
     for row in range(synd.shape[0]):
-        assert np.array_equal(batch[row], decoder.syndrome_to_coset_leader(code, synd[row]))
+        assert np.array_equal(batch[row], decoder.coset_leaders(code, synd[row]))
 
 
 def test_punctured_batch_equals_scalar():
@@ -177,4 +181,4 @@ def test_punctured_batch_equals_scalar():
     synd = rng.integers(0, 2, size=(16, top), dtype=np.uint8)
     batch = decoder.punctured_coset_leaders(mod, synd)
     for row in range(synd.shape[0]):
-        assert np.array_equal(batch[row], decoder.punctured_syndrome_decode(mod, synd[row]))
+        assert np.array_equal(batch[row], decoder.punctured_coset_leaders(mod, synd[row]))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,73 @@ class TestSignatureFile:
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
             formats.save_signature(scheme.Signature(e=np.zeros(8, dtype=np.uint8), i=1), 16)
+
+
+def _patched(raw: bytes, offset: int, data: bytes) -> bytes:
+    """Overwrite bytes at offset, then recompute the CRC so only the content is wrong."""
+    import struct, zlib
+
+    body = bytearray(raw[:-4])
+    body[offset : offset + len(data)] = data
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+# Header layout: magic 0, version 4, role 6, m 7, r 9, p 11, w 15, N 19,
+# deleted count 23, deleted list 27; the private body follows the list.
+HUGE_CODE = (7, b"\x60\xea\x30\x75")  # m=60000, r=30000: sizes nothing could allocate
+
+
+def _hostile_private_keys(keypair):
+    import struct
+
+    raw = formats.save_private_key(keypair.private)
+    mod = keypair.private.mod
+    n, k, p = mod.n, mod.k, mod.p
+    deleted_at = 27
+    sigma_at = deleted_at + 4 * p + (n - k) * ((n - k + 7) // 8)
+    sigma = keypair.private.sigma
+    return {
+        "huge m and r": _patched(raw, *HUGE_CODE),
+        "r above m": _patched(raw, 7, struct.pack("<HH", 5, 6)),
+        "w below t": _patched(raw, 15, struct.pack("<I", 1)),
+        "N of zero": _patched(raw, 19, struct.pack("<I", 0)),
+        "deleted column in the information part": _patched(
+            raw, deleted_at, struct.pack("<I", k - 1)),
+        "deleted columns out of order": _patched(
+            raw, deleted_at, struct.pack("<II", mod.deleted[1], mod.deleted[0])),
+        "deleted column past n": _patched(
+            raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
+        "sigma repeats an index": _patched(raw, sigma_at + 4, struct.pack("<I", sigma[0])),
+    }
+
+
+class TestHostileFiles:
+    """Valid CRC, invalid content: every loader raises FormatError, at once."""
+
+    def test_public_key_with_huge_dimensions(self, keypair):
+        raw = _patched(formats.save_public_key(keypair.public), *HUGE_CODE)
+        start = time.monotonic()
+        with pytest.raises(formats.FormatError):
+            formats.load_public_key(raw)
+        assert time.monotonic() - start < 1.0
+
+    def test_public_key_with_invalid_params(self, keypair):
+        raw = _patched(formats.save_public_key(keypair.public), 15, b"\x01\x00\x00\x00")
+        with pytest.raises(formats.FormatError):
+            formats.load_public_key(raw)
+
+    def test_private_keys(self, keypair):
+        assert keypair.private.mod.p >= 2
+        for label, raw in _hostile_private_keys(keypair).items():
+            start = time.monotonic()
+            with pytest.raises(formats.FormatError):
+                formats.load_private_key(raw)
+            assert time.monotonic() - start < 1.0, label
+
+    def test_signature_with_huge_length(self, keypair):
+        sig = scheme.sign(keypair.private, b"message")
+        raw = _patched(formats.save_signature(sig, keypair.public.n), 6, b"\xff\xff\xff\xff")
+        start = time.monotonic()
+        with pytest.raises(formats.FormatError):
+            formats.load_signature(raw)
+        assert time.monotonic() - start < 1.0

@@ -36,6 +36,8 @@ class TestMatMul:
             a = rand_mat(rng, rng.integers(1, 8), rng.integers(1, 8))
             b = rand_mat(rng, a.shape[1], rng.integers(1, 8))
             assert np.array_equal(gf2.mat_mul(a, b), naive_mat_mul(a, b))
+            # A 1-D right operand gives the matrix-vector product.
+            assert np.array_equal(gf2.mat_mul(a, b[:, 0]), naive_mat_mul(a, b[:, :1])[:, 0])
 
     def test_associative(self):
         rng = np.random.default_rng(3)
@@ -154,21 +156,6 @@ class TestRandomMatrices:
         for seed in range(20):
             a = gf2.random_invertible(8, np.random.default_rng(seed))
             gf2.invert(a)  # must not raise
-
-    def test_permutation_n1(self):
-        assert np.array_equal(gf2.random_permutation(1, np.random.default_rng(0)), [[1]])
-
-    def test_permutation_preserves_weight(self):
-        rng = np.random.default_rng(10)
-        q = gf2.random_permutation(12, rng)
-        assert (q.sum(axis=0) == 1).all() and (q.sum(axis=1) == 1).all()
-        for _ in range(100):
-            v = rng.integers(0, 2, size=12, dtype=np.uint8)
-            assert gf2.weight(gf2.mat_vec(q.T, v)) == gf2.weight(v)
-
-    def test_permutation_orthogonal(self):
-        q = gf2.random_permutation(9, np.random.default_rng(11))
-        assert np.array_equal(gf2.mat_mul(q, q.T), gf2.identity(9))
 
 
 class TestPacking:

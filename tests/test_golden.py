@@ -1,0 +1,74 @@
+"""Golden bytes: keys, signatures and calibration CSVs for fixed seeds.
+
+Criterion 9 compares two runs of the same program.  These digests were
+recorded once and pin the outputs across refactors: a change that moves
+any of them changes what the scheme produces for a given seed, and must
+say so.  The weight bounds sit near t so that signing takes several
+trials; the first RM(3,6) signature takes 347, past five signing
+batches.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rmsig import analysis, formats, rmcode, scheme
+
+MESSAGES = [b"golden message %d" % j for j in range(5)]
+CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
+
+# (m, r, w, N, key seed) -> SHA-256 of: public key, private key, the five
+# signature files, the plain-code CSV and the modified-code CSV.
+GOLDEN = {
+    (4, 1, 3, 2000, 11): {
+        "public": "299bea355158dd6c6952e059ba484d7290ac2458c1c9bcd007b476a9bb6f1aee",
+        "private": "7cced4e40f71f1b5ffee90db101ba4a08c0919fc958f4656c2074f41d015b41d",
+        "sig0": "03eb9073aa3dd27e14736e684b7da28c99bfa8756f31bde378e5f9f0c0f3d6c0",
+        "sig1": "bc16a056347d7ee126fca25299489f9eb296a4f05dfe3a2b4b386a886e6ea47d",
+        "sig2": "3c8599f9351ffd319d5106dc3c78ec0ef3823cadfc4c28b4356b7cea376e0f53",
+        "sig3": "e5c07b04907eba79b7ac7973182dab5c7fdd8307c01435b1cd117e01c3626d3e",
+        "sig4": "3b216c4e2e25915b991c14a62a465503869bb1718dae8ebe32057f2f2824bd8a",
+        "csv_plain": "e5db25e23ee07d69e77994d485fe57892f761fbe4223dbfec79e71399935ac49",
+        "csv_modified": "efec3482ec6a78240fa8e981a8e9d8ed15b2bfde799587cc20dc95d1c05c94b0",
+    },
+    (6, 3, 3, 4000, 13): {
+        "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
+        "private": "209fc861c5007a53b35b0038521cbbadb8cf46e3985cb0c69a4560cc9bbd4229",
+        "sig0": "e2bada91308d9f6cf4b5fc07e7d844ae0ba1943e84bbb4a8257846f14a0cd563",
+        "sig1": "611f64b353d6df1911101b57c18c7b1a21ff0c9124faea657a0e0276390dfb50",
+        "sig2": "1635372eb0bf35b3b8cb975c96686b23904ba293acc9ac1773be3162fe938f44",
+        "sig3": "c2b735e4e4dd19d625f8fd3429fbafd0bbc7ba12ad5e81b11aca31ff873aaca3",
+        "sig4": "98f35fe72dd6a476eac3959893ac86fbb019f58344142572dacf27e3b646fa59",
+        "csv_plain": "95903d71a4b3e9fa39f74804cc5094f0ca38eeb23dac47b6b373c06f9fe05045",
+        "csv_modified": "12d0c3eb131efb82e171a2ea1f58d545439548250936b75917e01267240ae31a",
+    },
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def _artifacts(m, r, w, n_trials, seed):
+    code = rmcode.build(m, r)
+    params = scheme.SigningParams(w=w, N=n_trials, t=code.t)
+    kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
+    out = {
+        "public": _sha(formats.save_public_key(kp.public)),
+        "private": _sha(formats.save_private_key(kp.private)),
+    }
+    for j, msg in enumerate(MESSAGES):
+        sig = scheme.sign(kp.private, msg)
+        assert isinstance(sig, scheme.Signature), sig
+        out[f"sig{j}"] = _sha(formats.save_signature(sig, code.n))
+    plain = analysis.calibrate(code, CALIB_SAMPLES, np.random.default_rng(seed + 1))
+    modified = analysis.calibrate(kp.private.mod, CALIB_SAMPLES, np.random.default_rng(seed + 2))
+    out["csv_plain"] = _sha(plain.to_csv())
+    out["csv_modified"] = _sha(modified.to_csv())
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"RM({c[1]},{c[0]})")
+def test_golden_bytes(case):
+    assert _artifacts(*case) == GOLDEN[case]

@@ -79,7 +79,7 @@ class TestMinWeightCodeword:
         for seed in range(10):
             x = rmcode.min_weight_codeword(code, np.random.default_rng(seed))
             assert int(x.sum()) == 4
-            assert not gf2.mat_vec(code.H, x).any()
+            assert not gf2.mat_mul(code.H, x).any()
 
     def test_deterministic(self, rm41):
         a = rmcode.min_weight_codeword(rm41, np.random.default_rng(5))
@@ -170,7 +170,7 @@ class TestMinWeightInRowspace:
     def test_result_in_rowspace(self, rm31):
         y = rmcode.min_weight_in_rowspace(rm31.G, np.random.default_rng(8))
         assert int(y.sum()) == rm31.d
-        assert not gf2.mat_vec(rm31.H, y).any()
+        assert not gf2.mat_mul(rm31.H, y).any()
 
 
 def test_build_with_perm_round_trip():

@@ -1,7 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rmsig import gf2, scheme
+
+from reference import perm_matrix
+
+
+def trials(priv, message, limit):
+    """Yield (i, s', e') for counters 1..limit, one signing trial per call."""
+    inner = hashlib.shake_256(message).digest(32)
+    for i in range(1, limit + 1):
+        s_primes, e_primes = scheme._trials(priv, inner, i, 1, "shake256")
+        yield i, s_primes[0], e_primes[0]
 
 
 class TestHashToSyndrome:
@@ -61,7 +73,8 @@ class TestKeygen:
         params = scheme.SigningParams(w=8, N=50, t=3)
         kp = scheme.keygen(4, 1, params, np.random.default_rng(7))
         assert kp.public.H.shape == (11, 16)
-        recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, kp.private.mod.H), kp.private.Q)
+        q = perm_matrix(kp.private.sigma)
+        recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, kp.private.mod.H), q)
         assert np.array_equal(recomputed, kp.public.H)
 
     def test_deterministic(self):
@@ -90,7 +103,8 @@ class TestKeygen:
             kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
             mod = kp.private.mod
             assert not gf2.mat_mul(mod.G, mod.H.T).any()
-            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), kp.private.Q)
+            q = perm_matrix(kp.private.sigma)
+            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), q)
             assert np.array_equal(recomputed, kp.public.H)
 
 
@@ -114,19 +128,19 @@ class TestSignVerify:
         pub = toy_keypair.public
         sig = scheme.sign(toy_keypair.private, b"check me")
         s = scheme.hash_to_syndrome(b"check me", sig.i, pub.H.shape[0])
-        assert np.array_equal(gf2.mat_vec(pub.H, sig.e), s)
+        assert np.array_equal(gf2.mat_mul(pub.H, sig.e), s)
 
     def test_trial_identity_h_mod_e_equals_s(self, toy_keypair):
         # Every trial, successful or not, satisfies H_m e' = s'.
         priv = toy_keypair.private
-        for i, s_prime, e_prime in scheme.signing_trials(priv, b"trials", limit=20):
-            assert np.array_equal(gf2.mat_vec(priv.mod.H, e_prime), s_prime)
+        for i, s_prime, e_prime in trials(priv, b"trials", 20):
+            assert np.array_equal(gf2.mat_mul(priv.mod.H, e_prime), s_prime)
 
     def test_batch_matches_reference_trials(self, toy_keypair):
         priv = toy_keypair.private
         inner_sig = scheme.sign(priv, b"batch equivalence")
         w = priv.params.w
-        for i, _s, e_prime in scheme.signing_trials(priv, b"batch equivalence"):
+        for i, _s, e_prime in trials(priv, b"batch equivalence", priv.params.N):
             if int(e_prime.sum()) <= w:
                 assert inner_sig.i == i
                 e = np.empty_like(e_prime)
@@ -137,7 +151,7 @@ class TestSignVerify:
     def test_weight_preserved_by_permutation(self, toy_keypair):
         priv = toy_keypair.private
         sig = scheme.sign(priv, b"weights")
-        for i, _s, e_prime in scheme.signing_trials(priv, b"weights", limit=sig.i):
+        for i, _s, e_prime in trials(priv, b"weights", sig.i):
             if i == sig.i:
                 assert int(e_prime.sum()) == int(sig.e.sum())
 
@@ -145,7 +159,7 @@ class TestSignVerify:
         priv = toy_keypair.private
         sig = scheme.sign(priv, b"minimal counter")
         w = priv.params.w
-        for i, _s, e_prime in scheme.signing_trials(priv, b"minimal counter", limit=sig.i):
+        for i, _s, e_prime in trials(priv, b"minimal counter", sig.i):
             if i < sig.i:
                 assert int(e_prime.sum()) > w
 
@@ -189,3 +203,23 @@ class TestSignVerify:
     def test_wrong_message_rejects(self, toy_keypair):
         sig = scheme.sign(toy_keypair.private, b"right message")
         assert not scheme.verify(toy_keypair.public, b"wrong message", sig)
+
+    @pytest.mark.parametrize(
+        "form",
+        ["one 1 stored as 257 in int64", "float vector plus 0.5", "counter 2**64"],
+    )
+    def test_verify_rejects_non_binary_or_out_of_range(self, toy_keypair, form):
+        # Each form wraps back to the valid signature under a uint8 cast or
+        # rounding, so only a strict check rejects it; none may raise.
+        pub = toy_keypair.public
+        sig = scheme.sign(toy_keypair.private, b"strict")
+        assert scheme.verify(pub, b"strict", sig)
+        e, i = sig.e, sig.i
+        if form == "one 1 stored as 257 in int64":
+            e = sig.e.astype(np.int64)
+            e[np.flatnonzero(e)[0]] = 257
+        elif form == "float vector plus 0.5":
+            e = sig.e + 0.5
+        else:
+            i = 2**64
+        assert scheme.verify(pub, b"strict", scheme.Signature(e=e, i=i)) is False
