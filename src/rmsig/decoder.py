@@ -8,27 +8,34 @@ systematic column order.
 The recursion follows the (u | u+v) split over the last variable.  The
 v half is decoded first from the componentwise product of the two
 halves (sign = XOR estimate, zero propagates erasure), then the u half
-from the componentwise sum of the first half and the v-corrected second
-half.  Above length SOFT_BLOCK the u-branch sum is quantized back to
-{-1, 0, +1} (hard decision, a zero sum becomes an erasure), so every
-sub-block of length SOFT_BLOCK receives values in {-1, 0, +1}.  Inside
-such a sub-block the u sums and v products are passed down exact in
-int8; their magnitude stays at most 16 (see SOFT_BLOCK).  Base cases:
-order 0 decodes by a signed sum (majority vote weighted by the soft
-magnitudes, erasures count nothing), order m by componentwise hard
-decision, and order 1 by exact maximum likelihood using a fast Hadamard
-transform of the soft values.
+from the componentwise sum y1 + y2 (1 - 2v) of the first half and the
+v-corrected second half.  Above length SOFT_BLOCK the u-branch sum is
+quantized back to {-1, 0, +1} (hard decision, a zero sum becomes an
+erasure), so every sub-block of length SOFT_BLOCK receives values in
+{-1, 0, +1}.  Inside such a sub-block the u sums and v products are
+passed down exact in int8; their magnitude stays at most 16 (see
+SOFT_BLOCK).  Base cases: order 0 decodes by a signed sum (majority vote
+weighted by the soft magnitudes, erasures count nothing), order m by
+componentwise hard decision, and order 1 by exact maximum likelihood:
+up to length 2**LEAF_TABLE_M by one float32 product with a cached
++h_a/-h_a Hadamard matrix and a lookup in a cached codeword table,
+above it by a fast Hadamard transform.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
 peaks go to the zero codeword, equal Hadamard magnitudes go to the
-smallest coefficient index, and erasures harden to bit 0.
+smallest coefficient index (h_a before -h_a), and erasures harden to
+bit 0.
 
-All routines run on whole batches (rows = independent words); every
-step is componentwise per row, so batched and one-at-a-time decoding
-give identical answers.
+All routines run on whole batches (independent words); every step is
+componentwise per word, so batched and one-at-a-time decoding give
+identical answers.  Internally a batch is held one word per column, so
+that each half of every split is one contiguous block, and the
+recursion writes the codewords into one preallocated output.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -57,49 +64,88 @@ def to_hard(soft: np.ndarray) -> np.ndarray:
     return (np.asarray(soft) < 0).astype(np.uint8)
 
 
-def _hadamard_rows(soft: np.ndarray) -> np.ndarray:
+LEAF_TABLE_M = 7
+"""Largest m whose RM(1, m) leaves are decoded by table.
+
+Such a leaf costs one float32 product with the 2**m x 2**(m+1) matrix of
+_leaf_tables (128 KB at m = 7), one argmax and one table lookup; longer
+leaves use the fast Hadamard transform, whose work grows as m 2**m
+instead of 4**m.
+"""
+
+
+@functools.cache
+def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, words) for RM(1, m).  Column 2a of words is the linear
+    form <a, x> over the evaluation points x and column 2a+1 its
+    complement; signs = (-1)**words, so soft @ signs correlates a soft
+    word with every codeword, h_a before -h_a."""
+    points = np.arange(1 << m, dtype=np.uint32)
+    linear = (np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.uint8)
+    words = np.empty((1 << m, 2 << m), dtype=np.uint8)
+    words[:, 0::2] = linear
+    words[:, 1::2] = linear ^ 1
+    signs = 1 - 2 * words.astype(np.float32)
+    for arr in (signs, words):
+        arr.flags.writeable = False
+    return signs, words
+
+
+def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
+    # ML for RM(1, m): the codeword of largest correlation.  The first
+    # maximum wins, which is the smallest a of largest |<soft, h_a>|,
+    # taken as h_a before its complement; all-zero gives the zero word.
+    if m <= LEAF_TABLE_M:
+        # float32 sums of at most 128 terms of magnitude <= 16 are exact.
+        signs, words = _leaf_tables(m)
+        best = (soft.T.astype(np.float32) @ signs).argmax(axis=1)
+        # mode="clip" writes straight into out; the default mode buffers.
+        np.take(words, best, axis=1, out=out, mode="clip")
+        return
+    # Fast Hadamard transform, exact in int32, with the same tie-breaks.
+    n, rows = soft.shape
     y = soft.astype(np.int32)
-    rows, n = y.shape
     h = 1
     while h < n:
-        y = y.reshape(rows, -1, 2 * h)
-        left = y[:, :, :h].copy()
-        right = y[:, :, h:]
-        y[:, :, :h] = left + right
-        y[:, :, h:] = left - right
-        y = y.reshape(rows, n)
+        y = y.reshape(-1, 2 * h, rows)
+        left = y[:, :h].copy()
+        y[:, :h] += y[:, h:]
+        y[:, h:] = left - y[:, h:]
         h *= 2
-    return y
+    y = y.reshape(n, rows)
+    peak_at = np.argmax(np.abs(y), axis=0)
+    negative = y[peak_at, np.arange(rows)] < 0
+    points = np.arange(n, dtype=np.uint32)
+    words = np.bitwise_count(points[:, None] & peak_at.astype(np.uint32)) & 1
+    np.bitwise_xor(words, negative, out=out)
 
 
-def _decode_order1(m: int, soft: np.ndarray) -> np.ndarray:
-    # ML for RM(1, m): correlate against every affine form via Hadamard.
-    spectrum = _hadamard_rows(soft)
-    peak_at = np.argmax(np.abs(spectrum), axis=1)
-    peak = spectrum[np.arange(soft.shape[0]), peak_at]
-    points = np.arange(1 << m, dtype=np.uint32)
-    words = (np.bitwise_count(points[None, :] & peak_at[:, None].astype(np.uint32)) & 1)
-    return (words ^ (peak < 0)[:, None]).astype(np.uint8)
-
-
-def _decode(m: int, r: int, soft: np.ndarray) -> np.ndarray:
+def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
+    """Decode RM(r, m) words held column-wise: soft is int8 of shape
+    (2**m, rows), one word per column, and the codewords go to out
+    (uint8, same shape).  Both halves of the (u | u+v) split are then
+    contiguous slices, whatever the number of rows."""
     if r == 0:
-        totals = soft.sum(axis=1, dtype=np.int64)
-        bits = (totals < 0).astype(np.uint8)
-        return np.repeat(bits[:, None], 1 << m, axis=1)
-    if r == m:
-        return to_hard(soft)
-    if r == 1:
-        return _decode_order1(m, soft)
-    half = 1 << (m - 1)
-    y1, y2 = soft[:, :half], soft[:, half:]
-    v = _decode(m - 1, r - 1, y1 * y2)
-    flip = (1 - 2 * v).astype(np.int8)
-    u_soft = y1 + y2 * flip
-    if half >= SOFT_BLOCK:
-        u_soft = np.sign(u_soft)
-    u = _decode(m - 1, r, u_soft)
-    return np.concatenate([u, u ^ v], axis=1)
+        out[...] = soft.sum(axis=0, dtype=np.int64) < 0
+    elif r == m:
+        np.less(soft, 0, out=out)
+    elif r == 1:
+        _decode_order1(m, soft, out)
+    else:
+        half = 1 << (m - 1)
+        y1, y2 = soft[:half], soft[half:]
+        u, v = out[:half], out[half:]
+        work = y1 * y2
+        _decode(m - 1, r - 1, work, v)
+        # u-branch input y1 + y2 (1 - 2v), built in the v input's memory.
+        np.multiply(v.view(np.int8), -2, out=work)
+        work += 1
+        work *= y2
+        work += y1
+        if half >= SOFT_BLOCK:
+            np.sign(work, out=work)
+        _decode(m - 1, r, work, u)
+        v ^= u
 
 
 def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
@@ -110,30 +156,46 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     (including all-erased).  Exact ML whenever r <= 1 or r == m.
 
     Raises:
-        ValueError: on a wrong length or a soft value outside {-1, 0, +1}
-            (larger reliabilities would wrap int8 inside the soft blocks).
+        ValueError: on a shape other than (2**m,) or (rows, 2**m), or a
+            soft value outside {-1, 0, +1} (larger reliabilities would
+            wrap int8 inside the soft blocks).
     """
     soft = np.asarray(soft)
+    if soft.ndim not in (1, 2) or soft.shape[-1] != 1 << m:
+        raise ValueError(f"soft words of shape {soft.shape}, need (2**{m},) or (rows, 2**{m})")
     if not np.isin(soft, (-1, 0, 1)).all():
         raise ValueError("soft values must lie in {-1, 0, +1}")
-    soft = soft.astype(np.int8)
-    single = soft.ndim == 1
-    if single:
-        soft = soft[None, :]
-    if soft.ndim != 2 or soft.shape[1] != 1 << m:
-        raise ValueError(f"soft word length {soft.shape[-1]} != 2**{m}")
-    out = _decode(m, r, soft)
-    return out[0] if single else out
+    columns = np.ascontiguousarray(np.atleast_2d(soft).T, dtype=np.int8)
+    words = np.empty(columns.shape, dtype=np.uint8)
+    _decode(m, r, columns, words)
+    return words[:, 0] if soft.ndim == 1 else words.T
 
 
-def _closest_errors(code: RmCode, v: np.ndarray, erased) -> np.ndarray:
-    """v + c per row, c the codeword decoded from v (systematic order)
-    with the columns in erased marked as erasures."""
-    soft = to_soft(v)
-    soft[:, erased] = 0
-    soft_eval = np.empty_like(soft)
-    soft_eval[:, code.info_perm] = soft
-    return v ^ _decode(code.m, code.r, soft_eval)[:, code.info_perm]
+def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
+    """Coset leaders of the syndrome rows placed on the parity columns cols.
+
+    v holds each syndrome on cols (systematic order) and zeros elsewhere;
+    c is the codeword decoded from v with the columns in erased marked as
+    erasures.  Returns the rows of e = v + c on the columns [0, k) + cols.
+    """
+    perm = code.info_perm
+    soft = np.ones((code.n, syndromes.shape[0]), dtype=np.int8)
+    soft[perm[cols]] = to_soft(syndromes.T)
+    soft[perm[erased]] = 0
+    word = np.empty(soft.shape, dtype=np.uint8)
+    _decode(code.m, code.r, soft, word)
+    err = word[np.concatenate([perm[: code.k], perm[cols]])]
+    err[code.k :] ^= syndromes.T
+    return err.T
+
+
+def _syndrome_rows(syndromes: np.ndarray, length: int, name: str) -> np.ndarray:
+    if syndromes.ndim not in (1, 2) or syndromes.shape[-1] != length:
+        raise ValueError(
+            f"syndromes of shape {syndromes.shape}, need ({name},) or (rows, {name}) "
+            f"with {name} = {length}"
+        )
+    return np.atleast_2d(syndromes)
 
 
 def coset_leaders(code: RmCode, syndromes: np.ndarray) -> np.ndarray:
@@ -146,12 +208,8 @@ def coset_leaders(code: RmCode, syndromes: np.ndarray) -> np.ndarray:
     the decoder is ML for the code.
     """
     syndromes = np.asarray(syndromes, dtype=np.uint8)
-    rows = np.atleast_2d(syndromes)
-    if rows.ndim != 2 or rows.shape[1] != code.n - code.k:
-        raise ValueError(f"syndrome length {rows.shape[-1]} != n-k = {code.n - code.k}")
-    v = np.zeros((rows.shape[0], code.n), dtype=np.uint8)
-    v[:, code.k :] = rows
-    err = _closest_errors(code, v, [])
+    rows = _syndrome_rows(syndromes, code.n - code.k, "n-k")
+    err = _closest_errors(code, rows, np.arange(code.k, code.n), [])
     return err[0] if syndromes.ndim == 1 else err
 
 
@@ -165,14 +223,9 @@ def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray
     """
     base = mod.base
     s_tops = np.asarray(s_tops, dtype=np.uint8)
-    rows = np.atleast_2d(s_tops)
-    top = base.n - base.k - mod.p
-    if rows.ndim != 2 or rows.shape[1] != top:
-        raise ValueError(f"syndrome length {rows.shape[-1]} != n-k-p = {top}")
-    v = np.zeros((rows.shape[0], base.n), dtype=np.uint8)
-    v[:, mod.kept_cols] = rows
-    err = _closest_errors(base, v, mod.deleted)[:, mod.unpunctured_cols]
-    check = gf2.mat_mul(err[:, : base.k], mod.P_kept) ^ err[:, base.k :]
+    rows = _syndrome_rows(s_tops, base.n - base.k - mod.p, "n-k-p")
+    err = _closest_errors(base, rows, mod.kept_cols, mod.deleted)
+    check = gf2.mat_mul(err[:, : base.k], mod.P_kept, mod.P_kept_table) ^ err[:, base.k :]
     if not np.array_equal(check, rows):
         raise AssertionError("punctured decode violated H_p e = s_top")
     return err[0] if s_tops.ndim == 1 else err

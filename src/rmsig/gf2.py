@@ -3,10 +3,12 @@
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination runs on bit-packed rows, so the
 largest generator matrices in this package (2510 x 4096) reduce in well
-under a second.  Matrix products go through float64 BLAS, which is exact
-for the inner dimensions used here (sums stay far below 2**52); a
-matrix-vector product instead adds up the columns the vector selects,
-so it never copies the whole matrix.
+under a second.  A matrix-vector product adds up the columns the vector
+selects, so it never copies the whole matrix.  Products by a matrix that
+is used many times (the signing path's S^-1 and P') read a precomputed
+Four-Russians table of packed uint64 rows (ProductTable); any other
+matrix product goes through float64 BLAS, which is exact for the inner
+dimensions used here (sums stay far below 2**52).
 
 Bit packing convention, fixed for all serialized forms: row-major, each
 row padded to a whole number of bytes, MSB-first within a byte (bit j of
@@ -35,8 +37,64 @@ def weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2) product a @ b; a 1-D b gives the matrix-vector product."""
+_GATHER_WORDS = 1 << 17
+"""Largest temporary of a table product, in uint64 words (1 MB)."""
+
+
+class ProductTable:
+    """Four-Russians table for products a @ b by one fixed matrix b.
+
+    The k rows of b are packed into uint64 words and split into groups
+    of four; the table holds, for every group, the XOR of each of its 16
+    row subsets.  A product then reads one table row per group of four
+    bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod and
+    Faradzev; Albrecht and Bard's M4RI).  The table takes
+    16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b.
+    """
+
+    def __init__(self, b: np.ndarray) -> None:
+        b = np.asarray(b, dtype=np.uint8)
+        if b.ndim != 2:
+            raise ValueError(f"product table needs a matrix, got shape {b.shape}")
+        k, c = b.shape
+        k_bytes, words = (k + 7) // 8, (c + 63) // 64
+        packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
+        packed[:k, : (c + 7) // 8] = np.packbits(b, axis=1, bitorder="little")
+        quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
+        subset = np.arange(16)
+        table = np.zeros((2 * k_bytes, 16, words), dtype=np.uint64)
+        for j in range(4):
+            table[:, (subset >> j) & 1 == 1] ^= quads[:, j, None, :]
+        table.flags.writeable = False
+        self.shape = (k, c)
+        self._table = table.reshape(-1, words)
+        self._group_base = np.arange(0, 32 * k_bytes, 16)[:, None]
+
+    def product(self, a: np.ndarray) -> np.ndarray:
+        """a @ b for the rows of a (binary, rows x k)."""
+        rows = a.shape[0]
+        # packbits along a strided axis is an order of magnitude slower
+        # than copying to rows first.
+        packed = np.packbits(np.ascontiguousarray(a), axis=1, bitorder="little").T
+        # Table row per (group of four columns of a, row of a): group 2j
+        # reads the low nibble of packed byte j, group 2j+1 the high one.
+        picks = np.empty((packed.shape[0], 2, rows), dtype=np.intp)
+        np.bitwise_and(packed, 15, out=picks[:, 0])
+        np.right_shift(packed, 4, out=picks[:, 1])
+        picks = picks.reshape(-1, rows) + self._group_base
+        step = max(1, _GATHER_WORDS // max(1, rows * self._table.shape[1]))
+        acc = np.bitwise_xor.reduce(self._table[picks[:step]], axis=0)
+        for g in range(step, picks.shape[0], step):
+            acc ^= np.bitwise_xor.reduce(self._table[picks[g : g + step]], axis=0)
+        return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1], bitorder="little")
+
+
+def mat_mul(a: np.ndarray, b: np.ndarray, table: ProductTable | None = None) -> np.ndarray:
+    """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
+
+    With table (a ProductTable built from b), a matrix product reads
+    the table instead of multiplying.
+    """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
@@ -45,6 +103,10 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
         return picked.sum(axis=1, dtype=np.uint8) & 1
+    if table is not None:
+        if table.shape != b.shape:
+            raise ValueError(f"product table of shape {table.shape} used for {b.shape}")
+        return table.product(a)
     prod = a.astype(np.float64) @ b.astype(np.float64)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 

@@ -17,6 +17,7 @@ that G_m @ H_m.T = 0 holds exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,16 +64,17 @@ class ModifiedCode:
     def k(self) -> int:
         return self.base.k
 
-    @property
+    @cached_property
     def kept_cols(self) -> np.ndarray:
         """Parent systematic columns that survive the puncturing (parity part)."""
         keep = np.ones(self.n, dtype=bool)
         keep[self.deleted] = False
         return np.nonzero(keep[self.base.k :])[0] + self.base.k
 
-    @property
-    def unpunctured_cols(self) -> np.ndarray:
-        return np.concatenate([np.arange(self.base.k), self.kept_cols])
+    @cached_property
+    def P_kept_table(self) -> gf2.ProductTable:
+        """Four-Russians table of P', for the punctured decode's check."""
+        return gf2.ProductTable(self.P_kept)
 
     @property
     def H_top(self) -> np.ndarray:

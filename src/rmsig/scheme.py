@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -66,13 +67,14 @@ class PrivateKey:
     sigma: np.ndarray  # permutation indices; Q[i, sigma[i]] = 1
     mod: ModifiedCode
     params: SigningParams
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def S_inv(self) -> np.ndarray:
-        if "S_inv" not in self._cache:
-            self._cache["S_inv"] = gf2.invert(self.S)
-        return self._cache["S_inv"]
+        return gf2.invert(self.S)
+
+    @cached_property
+    def _S_inv_T_table(self) -> gf2.ProductTable:
+        return gf2.ProductTable(self.S_inv.T)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,13 @@ class SigningExhausted:
 def hash_to_syndrome(
     message: bytes, i: int, out_bits: int, xof: str = "shake256"
 ) -> np.ndarray:
-    """Map (message, counter) to a syndrome of exactly out_bits bits."""
-    if i < 1:
-        raise ValueError("counter must be >= 1")
+    """Map (message, counter) to a syndrome of exactly out_bits bits.
+
+    Raises:
+        ValueError: unless 1 <= i < 2**64 (the counter is hashed as 8 bytes).
+    """
+    if not 1 <= i < 1 << 64:
+        raise ValueError("counter must satisfy 1 <= i < 2**64")
     inner = _XOFS[xof](message).digest(_INNER_DIGEST_BYTES)
     return _syndrome_from_digest(inner, i, out_bits, xof)
 
@@ -145,6 +151,11 @@ def keygen(
 
 
 SIGN_BATCH = 64
+SIGN_BATCH_MAX = 256
+"""sign tries SIGN_BATCH counters first and doubles the batch after each
+miss up to SIGN_BATCH_MAX: a signature that succeeds early evaluates few
+spare trials, and a long one spreads the decoder's fixed per-call cost
+over more rows."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:
@@ -171,7 +182,7 @@ def _trials(
     synd = np.stack(
         [_syndrome_from_digest(inner, i, n_k, xof) for i in range(first, first + count)]
     )
-    s_primes = gf2.mat_mul(synd, priv.S_inv.T)
+    s_primes = gf2.mat_mul(synd, priv.S_inv.T, priv._S_inv_T_table)
     return s_primes, _modified_coset_leaders(priv.mod, s_primes)
 
 
@@ -186,8 +197,9 @@ def sign(
     inner = _XOFS[xof](message).digest(_INNER_DIGEST_BYTES)
     limit = priv.params.N
     best = priv.mod.n + 1
-    for first in range(1, limit + 1, SIGN_BATCH):
-        count = min(SIGN_BATCH, limit + 1 - first)
+    first, batch = 1, SIGN_BATCH
+    while first <= limit:
+        count = min(batch, limit + 1 - first)
         _s_primes, e_primes = _trials(priv, inner, first, count, xof)
         weights = e_primes.sum(axis=1, dtype=np.int64)
         hits = np.nonzero(weights <= priv.params.w)[0]
@@ -197,6 +209,8 @@ def sign(
             e[priv.sigma] = e_prime
             return Signature(e=e, i=first + int(hits[0]))
         best = min(best, int(weights.min()))
+        first += count
+        batch = min(2 * batch, SIGN_BATCH_MAX)
     return SigningExhausted(trials=limit, best_weight=best)
 
 

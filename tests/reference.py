@@ -94,3 +94,55 @@ def perm_matrix(sigma):
     for i, j in enumerate(sigma):
         q[i, int(j)] = 1
     return q
+
+
+# The recursive decoder as it stood before its table-driven leaves and
+# preallocated output: (u | u+v) recursion with concatenated halves and
+# an int32 fast Hadamard transform at every RM(1, m) leaf.  The decoder
+# must give the same codeword for every input, ties included.
+REF_SOFT_BLOCK = 32
+
+
+def hadamard_rows(soft):
+    y = soft.astype(np.int32)
+    rows, n = y.shape
+    h = 1
+    while h < n:
+        y = y.reshape(rows, -1, 2 * h)
+        left = y[:, :, :h].copy()
+        right = y[:, :, h:]
+        y[:, :, :h] = left + right
+        y[:, :, h:] = left - right
+        y = y.reshape(rows, n)
+        h *= 2
+    return y
+
+
+def _decode_order1(m, soft):
+    spectrum = hadamard_rows(soft)
+    peak_at = np.argmax(np.abs(spectrum), axis=1)
+    peak = spectrum[np.arange(soft.shape[0]), peak_at]
+    points = np.arange(1 << m, dtype=np.uint32)
+    words = np.bitwise_count(points[None, :] & peak_at[:, None].astype(np.uint32)) & 1
+    return (words ^ (peak < 0)[:, None]).astype(np.uint8)
+
+
+def reference_decode(m, r, soft):
+    """Codewords (evaluation order) for the int8 soft rows, RM(r, m)."""
+    if r == 0:
+        totals = soft.sum(axis=1, dtype=np.int64)
+        bits = (totals < 0).astype(np.uint8)
+        return np.repeat(bits[:, None], 1 << m, axis=1)
+    if r == m:
+        return (soft < 0).astype(np.uint8)
+    if r == 1:
+        return _decode_order1(m, soft)
+    half = 1 << (m - 1)
+    y1, y2 = soft[:, :half], soft[:, half:]
+    v = reference_decode(m - 1, r - 1, y1 * y2)
+    flip = (1 - 2 * v).astype(np.int8)
+    u_soft = y1 + y2 * flip
+    if half >= REF_SOFT_BLOCK:
+        u_soft = np.sign(u_soft)
+    u = reference_decode(m - 1, r, u_soft)
+    return np.concatenate([u, u ^ v], axis=1)

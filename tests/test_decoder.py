@@ -3,7 +3,7 @@ import pytest
 
 from rmsig import decoder, gf2, modcode, rmcode
 
-from reference import coset_leader_weights, enumerate_codewords, int_to_bits
+from reference import coset_leader_weights, enumerate_codewords, int_to_bits, reference_decode
 
 
 def all_syndromes(code):
@@ -68,6 +68,13 @@ class TestDecodeClosest:
         # block and decode the zero word to all-ones; rejected instead.
         with pytest.raises(ValueError):
             decoder.decode_closest(5, 2, np.full(32, 16, dtype=np.int8))
+        # Neither one word nor a batch of words: the message names the shape.
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            decoder.decode_closest(3, 1, np.int8(1))
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 8\)"):
+            decoder.decode_closest(3, 1, np.ones((1, 1, 8), dtype=np.int8))
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 4\)"):
+            decoder.coset_leaders(rmcode.build(3, 1), np.zeros((1, 1, 4), dtype=np.uint8))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -75,6 +82,50 @@ class TestDecodeClosest:
         a = decoder.decode_closest(5, 2, soft)
         b = decoder.decode_closest(5, 2, soft.copy())
         assert np.array_equal(a, b)
+
+
+def soft_words_with_ties(m, rows, rng):
+    """Random soft rows in {-1, 0, +1} (about a third erased), led by
+    forced ties: the all-zero word, and (h_a - h_b) / 2 for Hadamard rows
+    a != b, whose correlations with h_a and h_b are equal and opposite."""
+    n = 1 << m
+    soft = rng.integers(-1, 2, size=(rows, n)).astype(np.int8)
+    soft[0] = 0
+    points = np.arange(n)
+    for row in range(1, min(rows, 4)):
+        a, b = rng.choice(n, size=2, replace=False)
+        h_a = 1 - 2 * (np.bitwise_count(points & a) & 1).astype(np.int8)
+        h_b = 1 - 2 * (np.bitwise_count(points & b) & 1).astype(np.int8)
+        soft[row] = (h_a - h_b) // 2
+    return soft
+
+
+class TestMatchesReferenceDecoder:
+    """The table-driven leaves and in-place recursion give the same words
+    as the plain recursion with an FHT at every RM(1, m) leaf, ties
+    included, on both sides of the table/FHT split."""
+
+    @staticmethod
+    def check(m, r, rows, seed):
+        soft = soft_words_with_ties(m, rows, np.random.default_rng(seed))
+        got = decoder.decode_closest(m, r, soft)
+        assert np.array_equal(got, reference_decode(m, r, soft))
+        assert np.array_equal(decoder.decode_closest(m, r, soft[-1]), got[-1])
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_every_small_code(self, m):
+        for r in range(1, m):
+            self.check(m, r, 40, seed=100 * m + r)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, 256])
+    @pytest.mark.parametrize("m,r", [(10, 5), (12, 6)])
+    def test_signing_codes(self, m, r, rows):
+        self.check(m, r, rows, seed=rows)
+
+    # RM(1, m) up to the largest code: tables up to LEAF_TABLE_M, FHT above.
+    @pytest.mark.parametrize("m", range(2, rmcode.MAX_M + 1))
+    def test_first_order(self, m):
+        self.check(m, 1, 16, seed=m)
 
 
 class TestSyndromeToCosetLeader:

@@ -61,6 +61,45 @@ class TestMatMul:
             gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
 
 
+class TestProductTable:
+    """Four-Russians products against the naive triple loop."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 9])
+    @pytest.mark.parametrize("k,c", [(1, 1), (5, 63), (13, 64), (70, 65), (21, 130)])
+    def test_vs_naive(self, rows, k, c):
+        rng = np.random.default_rng(rows * 1000 + k * 10 + c)
+        a, b = rand_mat(rng, rows, k), rand_mat(rng, k, c)
+        table = gf2.ProductTable(b)
+        expected = naive_mat_mul(a, b)
+        assert np.array_equal(gf2.mat_mul(a, b, table), expected)
+        # Column-major and strided operands give the same product.
+        assert np.array_equal(gf2.mat_mul(np.asfortranarray(a), b, table), expected)
+        wide = np.repeat(a, 2, axis=1)
+        assert np.array_equal(gf2.mat_mul(wide[:, ::2], b, table), expected)
+
+    @pytest.mark.parametrize("k,c", [(7, 9), (67, 129)])
+    def test_all_ones(self, k, c):
+        a = np.ones((4, k), dtype=np.uint8)
+        b = np.ones((k, c), dtype=np.uint8)
+        got = gf2.mat_mul(a, b, gf2.ProductTable(b))
+        assert np.array_equal(got, np.full((4, c), k & 1, dtype=np.uint8))
+        assert np.array_equal(got, naive_mat_mul(a, b))
+
+    def test_chunked_gather_vs_blas(self):
+        # 300 rows x 100 groups x 10 words exceeds one gather, so the XOR
+        # runs over several group chunks.
+        rng = np.random.default_rng(5)
+        a, b = rand_mat(rng, 300, 397), rand_mat(rng, 397, 630)
+        assert 300 * 100 * 10 > gf2._GATHER_WORDS
+        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), gf2.mat_mul(a, b))
+
+    def test_wrong_table_rejected(self):
+        rng = np.random.default_rng(6)
+        a, b = rand_mat(rng, 2, 5), rand_mat(rng, 5, 4)
+        with pytest.raises(ValueError):
+            gf2.mat_mul(a, b, gf2.ProductTable(b[:, :3]))
+
+
 class TestXorGroupLaws:
     def test_self_inverse_and_identity(self):
         rng = np.random.default_rng(5)

@@ -4,8 +4,11 @@ Criterion 9 compares two runs of the same program.  These digests were
 recorded once and pin the outputs across refactors: a change that moves
 any of them changes what the scheme produces for a given seed, and must
 say so.  The weight bounds sit near t so that signing takes several
-trials; the first RM(3,6) signature takes 347, past five signing
-batches.
+trials.  The signing counters are pinned too: `sign` tries counters in
+batches of 64, 128, 256, 256, ..., so the boundaries fall after 64, 192
+and 448 trials, and the RM(5,10) case (m = 10, r = 5) signs inside the
+first batch (24), the second (133), the third (223) and past all three
+(897, 4494).
 """
 
 import hashlib
@@ -19,7 +22,8 @@ MESSAGES = [b"golden message %d" % j for j in range(5)]
 CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
 
 # (m, r, w, N, key seed) -> SHA-256 of: public key, private key, the five
-# signature files, the plain-code CSV and the modified-code CSV.
+# signature files, the plain-code CSV and the modified-code CSV; and the
+# five signing counters.
 GOLDEN = {
     (4, 1, 3, 2000, 11): {
         "public": "299bea355158dd6c6952e059ba484d7290ac2458c1c9bcd007b476a9bb6f1aee",
@@ -31,6 +35,7 @@ GOLDEN = {
         "sig4": "3b216c4e2e25915b991c14a62a465503869bb1718dae8ebe32057f2f2824bd8a",
         "csv_plain": "e5db25e23ee07d69e77994d485fe57892f761fbe4223dbfec79e71399935ac49",
         "csv_modified": "efec3482ec6a78240fa8e981a8e9d8ed15b2bfde799587cc20dc95d1c05c94b0",
+        "counters": [8, 9, 1, 6, 2],
     },
     (6, 3, 3, 4000, 13): {
         "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
@@ -42,6 +47,19 @@ GOLDEN = {
         "sig4": "98f35fe72dd6a476eac3959893ac86fbb019f58344142572dacf27e3b646fa59",
         "csv_plain": "95903d71a4b3e9fa39f74804cc5094f0ca38eeb23dac47b6b373c06f9fe05045",
         "csv_modified": "12d0c3eb131efb82e171a2ea1f58d545439548250936b75917e01267240ae31a",
+        "counters": [347, 1, 48, 21, 37],
+    },
+    (10, 5, 99, 30000, 23): {
+        "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
+        "private": "e570a929ef64dc31b7ae9381295793c1276653aef8d0e34ae8808c963f3bdd0f",
+        "sig0": "8da156b238af1c4ac844ed7ba4102e8b1045d1a0c1752fb109aa80df4540c4d4",
+        "sig1": "c6605c6dfc5df2c809f01e865670cad104258451190125b32955c11960077a06",
+        "sig2": "9ece8d8aeff589c248d2c8eaf2457275dfaf9cc8b18017409f7400db9fb295e5",
+        "sig3": "3cabea2c85c63ca7e31f974214c252d84c886da921eead82694095c57fac32d0",
+        "sig4": "b961eaa8e2d8799eb337684c1651cfd479ee292c2d1920bdc7b7028762a3cbe2",
+        "csv_plain": "d2f91b6a3c569c936cefaa065966d23e23602916d0efa31da5959a7075fe768d",
+        "csv_modified": "003ac7f481793cc7178c9b6c7ee0b9cc92f0d1d9d303641480a38ad36078bc2e",
+        "counters": [897, 223, 133, 4494, 24],
     },
 }
 
@@ -58,10 +76,12 @@ def _artifacts(m, r, w, n_trials, seed):
         "public": _sha(formats.save_public_key(kp.public)),
         "private": _sha(formats.save_private_key(kp.private)),
     }
+    out["counters"] = []
     for j, msg in enumerate(MESSAGES):
         sig = scheme.sign(kp.private, msg)
         assert isinstance(sig, scheme.Signature), sig
         out[f"sig{j}"] = _sha(formats.save_signature(sig, code.n))
+        out["counters"].append(sig.i)
     plain = analysis.calibrate(code, CALIB_SAMPLES, np.random.default_rng(seed + 1))
     modified = analysis.calibrate(kp.private.mod, CALIB_SAMPLES, np.random.default_rng(seed + 2))
     out["csv_plain"] = _sha(plain.to_csv())

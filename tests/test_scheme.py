@@ -47,6 +47,9 @@ class TestHashToSyndrome:
     def test_counter_must_be_positive(self):
         with pytest.raises(ValueError):
             scheme.hash_to_syndrome(b"m", 0, 16)
+        # The counter is hashed as 8 bytes, so 2**64 is out of range too.
+        with pytest.raises(ValueError):
+            scheme.hash_to_syndrome(b"m", 2**64, 16)
 
     def test_alternate_xof(self):
         a = scheme.hash_to_syndrome(b"m", 1, 32, xof="shake128")
@@ -171,6 +174,18 @@ class TestSignVerify:
         assert isinstance(out, scheme.SigningExhausted)
         assert out.trials == 8
         assert out.best_weight > 7
+
+    def test_exhausted_after_uneven_batches(self):
+        # 509 trials run as batches of 64, 128, 256 and a cut-short 61, so
+        # the count and the best weight must not depend on the batch sizes;
+        # the best trial is counter 211, in the third batch, not the last.
+        params = scheme.SigningParams(w=7, N=509, t=7)
+        kp = scheme.keygen(6, 2, params, np.random.default_rng(9))
+        out = scheme.sign(kp.private, b"no luck")
+        assert isinstance(out, scheme.SigningExhausted)
+        assert out.trials == 509
+        weights = [int(e.sum()) for _i, _s, e in trials(kp.private, b"no luck", 509)]
+        assert out.best_weight == min(weights) < min(weights[448:])
 
     def test_verify_rejects_tampered_bit(self, toy_keypair):
         rng = np.random.default_rng(13)
