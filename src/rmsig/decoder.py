@@ -163,7 +163,12 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     soft = np.asarray(soft)
     if soft.ndim not in (1, 2) or soft.shape[-1] != 1 << m:
         raise ValueError(f"soft words of shape {soft.shape}, need (2**{m},) or (rows, 2**{m})")
-    if not np.isin(soft, (-1, 0, 1)).all():
+    if soft.dtype.kind in "biu":
+        # For integers, membership in {-1, 0, +1} is a range test.
+        outside = soft.size > 0 and (soft.min() < -1 or soft.max() > 1)
+    else:
+        outside = not np.isin(soft, (-1, 0, 1)).all()
+    if outside:
         raise ValueError("soft values must lie in {-1, 0, +1}")
     columns = np.ascontiguousarray(np.atleast_2d(soft).T, dtype=np.int8)
     words = np.empty(columns.shape, dtype=np.uint8)

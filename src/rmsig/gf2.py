@@ -4,8 +4,10 @@ Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination runs on bit-packed rows, so the
 largest generator matrices in this package (2510 x 4096) reduce in well
 under a second.  A matrix-vector product adds up the columns the vector
-selects, so it never copies the whole matrix.  Products by a matrix that
-is used many times (the signing path's S^-1 and P') read a precomputed
+selects, so it never copies the whole matrix; verification, which
+multiplies by the same public matrix every time, XORs its columns packed
+into uint64 words instead (ColumnTable).  Products by a matrix that is
+used many times (the signing path's S^-1 and P') read a precomputed
 Four-Russians table of packed uint64 rows (ProductTable); any other
 matrix product goes through float64 BLAS, which is exact for the inner
 dimensions used here (sums stay far below 2**52).
@@ -89,24 +91,69 @@ class ProductTable:
         return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1], bitorder="little")
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, table: ProductTable | None = None) -> np.ndarray:
+_TILE = 256
+
+
+class ColumnTable:
+    """The columns of one fixed matrix a, packed for products a @ v.
+
+    Column j of a is row j of the table, ceil(rows/64) uint64 words with
+    bit i in word i // 64; a @ v is then the XOR of the table rows at the
+    support of v.  The table takes cols * ceil(rows/64) words: 57 KB for
+    a 386 x 1024 a.
+    """
+
+    def __init__(self, a: np.ndarray) -> None:
+        a = np.asarray(a, dtype=np.uint8)
+        if a.ndim != 2:
+            raise ValueError(f"column table needs a matrix, got shape {a.shape}")
+        rows, cols = a.shape
+        packed = np.zeros((cols, 8 * ((rows + 63) // 64)), dtype=np.uint8)
+        # Transpose one square tile at a time: a strided copy of the whole
+        # of a 1586 x 4096 matrix reads a cache line per byte and takes
+        # four times as long.
+        block = np.empty((_TILE, rows), dtype=np.uint8)
+        for c in range(0, cols, _TILE):
+            width = min(_TILE, cols - c)
+            for r in range(0, rows, _TILE):
+                block[:width, r : r + _TILE] = a[r : r + _TILE, c : c + width].T
+            packed[c : c + width, : (rows + 7) // 8] = np.packbits(
+                block[:width], axis=1, bitorder="little"
+            )
+        packed.flags.writeable = False
+        self.shape = (rows, cols)
+        self._columns = packed.view(np.uint64)
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """a @ v for a binary vector v of length cols."""
+        picked = self._columns.take(np.flatnonzero(v & 1), axis=0)
+        acc = np.bitwise_xor.reduce(picked, axis=0)
+        return np.unpackbits(acc.view(np.uint8), count=self.shape[0], bitorder="little")
+
+
+def mat_mul(
+    a: np.ndarray, b: np.ndarray, table: ProductTable | ColumnTable | None = None
+) -> np.ndarray:
     """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
 
-    With table (a ProductTable built from b), a matrix product reads
-    the table instead of multiplying.
+    With table, the product reads the table instead of multiplying: a
+    ColumnTable built from a for a 1-D b, a ProductTable built from b
+    for a matrix b.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {b.shape}")
+    if table is not None:
+        kind, built_from = (ColumnTable, a) if b.ndim == 1 else (ProductTable, b)
+        if not isinstance(table, kind) or table.shape != built_from.shape:
+            name = type(table).__name__
+            raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
+        return table.product(b if b.ndim == 1 else a)
     if b.ndim == 1:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
         return picked.sum(axis=1, dtype=np.uint8) & 1
-    if table is not None:
-        if table.shape != b.shape:
-            raise ValueError(f"product table of shape {table.shape} used for {b.shape}")
-        return table.product(a)
     prod = a.astype(np.float64) @ b.astype(np.float64)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 

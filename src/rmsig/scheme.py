@@ -25,7 +25,6 @@ from .decoder import punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
 from .rmcode import build
 
-_XOFS = {"shake256": hashlib.shake_256, "shake128": hashlib.shake_128}
 _INNER_DIGEST_BYTES = 32
 KEYGEN_PLAN_RETRIES = 32
 
@@ -59,6 +58,10 @@ class PublicKey:
     @property
     def n(self) -> int:
         return self.H.shape[1]
+
+    @cached_property
+    def _H_table(self) -> gf2.ColumnTable:
+        return gf2.ColumnTable(self.H)
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,7 @@ class SigningExhausted:
     best_weight: int
 
 
-def hash_to_syndrome(
-    message: bytes, i: int, out_bits: int, xof: str = "shake256"
-) -> np.ndarray:
+def hash_to_syndrome(message: bytes, i: int, out_bits: int) -> np.ndarray:
     """Map (message, counter) to a syndrome of exactly out_bits bits.
 
     Raises:
@@ -107,14 +108,19 @@ def hash_to_syndrome(
     """
     if not 1 <= i < 1 << 64:
         raise ValueError("counter must satisfy 1 <= i < 2**64")
-    inner = _XOFS[xof](message).digest(_INNER_DIGEST_BYTES)
-    return _syndrome_from_digest(inner, i, out_bits, xof)
+    inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
+    return _syndrome_from_digest(inner, i, 1, out_bits)[0]
 
 
-def _syndrome_from_digest(inner: bytes, i: int, out_bits: int, xof: str) -> np.ndarray:
-    stream = _XOFS[xof](inner + i.to_bytes(8, "big")).digest((out_bits + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
-    return bits[:out_bits].copy()
+def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -> np.ndarray:
+    """Syndrome rows h(inner|i) for the counters first..first+count-1."""
+    nbytes = (out_bits + 7) // 8
+    stream = b"".join(
+        hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(nbytes)
+        for i in range(first, first + count)
+    )
+    rows = np.frombuffer(stream, dtype=np.uint8).reshape(count, nbytes)
+    return np.unpackbits(rows, axis=1, count=out_bits)
 
 
 def keygen(
@@ -171,36 +177,31 @@ def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarr
 
 
 def _trials(
-    priv: PrivateKey, inner: bytes, first: int, count: int, xof: str
+    priv: PrivateKey, inner: bytes, first: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (s', e') for counters first..first+count-1 of one message.
 
     s' = S^-1 h(h(M)|i) and H_m e' = s' on every row, whatever the
     weight; inner is h(M).
     """
-    n_k = priv.mod.n - priv.mod.k
-    synd = np.stack(
-        [_syndrome_from_digest(inner, i, n_k, xof) for i in range(first, first + count)]
-    )
+    synd = _syndrome_from_digest(inner, first, count, priv.mod.n - priv.mod.k)
     s_primes = gf2.mat_mul(synd, priv.S_inv.T, priv._S_inv_T_table)
     return s_primes, _modified_coset_leaders(priv.mod, s_primes)
 
 
-def sign(
-    priv: PrivateKey, message: bytes, xof: str = "shake256"
-) -> Union[Signature, SigningExhausted]:
+def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]:
     """Sign a message, returning the smallest successful counter.
 
     Returns SigningExhausted when none of the N trials stays within the
     weight bound.
     """
-    inner = _XOFS[xof](message).digest(_INNER_DIGEST_BYTES)
+    inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
     limit = priv.params.N
     best = priv.mod.n + 1
     first, batch = 1, SIGN_BATCH
     while first <= limit:
         count = min(batch, limit + 1 - first)
-        _s_primes, e_primes = _trials(priv, inner, first, count, xof)
+        _s_primes, e_primes = _trials(priv, inner, first, count)
         weights = e_primes.sum(axis=1, dtype=np.int64)
         hits = np.nonzero(weights <= priv.params.w)[0]
         if hits.size:
@@ -214,7 +215,7 @@ def sign(
     return SigningExhausted(trials=limit, best_weight=best)
 
 
-def verify(pub: PublicKey, message: bytes, sig: Signature, xof: str = "shake256") -> bool:
+def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     """ACCEPT iff e is binary of length n, wt(e) <= w and H' e = h(h(M)|i).
 
     Total over signatures: e must be an integer or bool 1-D vector with
@@ -230,5 +231,5 @@ def verify(pub: PublicKey, message: bytes, sig: Signature, xof: str = "shake256"
         return False
     if e.min() < 0 or e.max() > 1 or gf2.weight(e) > pub.params.w:
         return False
-    expected = hash_to_syndrome(message, i, pub.H.shape[0], xof)
-    return bool(np.array_equal(gf2.mat_mul(pub.H, e), expected))
+    expected = hash_to_syndrome(message, i, pub.H.shape[0])
+    return bool(np.array_equal(gf2.mat_mul(pub.H, e, pub._H_table), expected))

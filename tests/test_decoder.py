@@ -75,6 +75,32 @@ class TestDecodeClosest:
             decoder.decode_closest(3, 1, np.ones((1, 1, 8), dtype=np.int8))
         with pytest.raises(ValueError, match=r"shape \(1, 1, 4\)"):
             decoder.coset_leaders(rmcode.build(3, 1), np.zeros((1, 1, 4), dtype=np.uint8))
+        # Values outside {-1, 0, +1} in any dtype, including ones that an
+        # int8 cast would wrap (256 -> 0, 255 -> -1) or truncate (0.5 -> 0).
+        soft = np.array([1, -1, 0, 1, 1, -1, 0, 1])
+        for dtype, bad in [
+            (np.int16, 256), (np.int16, -2), (np.uint8, 255), (np.int8, -128),
+            (np.int64, 2), (np.float64, 0.5), (np.float32, -1.5), (np.float64, np.nan),
+        ]:
+            word = soft.astype(dtype)
+            word[3] = bad
+            with pytest.raises(ValueError, match="soft values"):
+                decoder.decode_closest(3, 1, word)
+            with pytest.raises(ValueError, match="soft values"):
+                decoder.decode_closest(3, 1, np.stack([soft.astype(dtype), word]))
+        # Float, bool and wider integer words with values in {-1, 0, +1}
+        # decode as their int8 form does.
+        rng = np.random.default_rng(8)
+        batch = rng.integers(-1, 2, size=(5, 32)).astype(np.int8)
+        expected = decoder.decode_closest(5, 2, batch)
+        for dtype in (np.float64, np.float32, np.int16, np.int64):
+            assert np.array_equal(decoder.decode_closest(5, 2, batch.astype(dtype)), expected)
+            assert np.array_equal(decoder.decode_closest(5, 2, batch[0].astype(dtype)), expected[0])
+        ones = batch >= 0
+        expected = decoder.decode_closest(5, 2, ones.astype(np.int8))
+        assert np.array_equal(decoder.decode_closest(5, 2, ones), expected)
+        # An empty batch passes the check and decodes to no words.
+        assert decoder.decode_closest(5, 2, np.zeros((0, 32), dtype=np.int8)).shape == (0, 32)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

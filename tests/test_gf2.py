@@ -100,6 +100,52 @@ class TestProductTable:
             gf2.mat_mul(a, b, gf2.ProductTable(b[:, :3]))
 
 
+class TestColumnTable:
+    """Packed-column matrix-vector products against the naive triple loop."""
+
+    @pytest.mark.parametrize("rows,cols", [(11, 9), (64, 70), (65, 33), (386, 130)])
+    def test_vs_naive(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        a = rand_mat(rng, rows, cols)
+        table = gf2.ColumnTable(a)
+        vectors = [np.zeros(cols, dtype=np.uint8), np.ones(cols, dtype=np.uint8)]
+        for j in (0, cols // 2, cols - 1):
+            one_hot = np.zeros(cols, dtype=np.uint8)
+            one_hot[j] = 1
+            vectors.append(one_hot)
+        vectors += [rand_mat(rng, 1, cols)[0] for _ in range(3)]
+        for v in vectors:
+            expected = naive_mat_mul(a, v[:, None])[:, 0]
+            for form in (v, v.astype(bool), v.astype(np.int64)):
+                got = gf2.mat_mul(a, form, table)
+                assert got.shape == (rows,) and got.dtype == np.uint8
+                assert np.array_equal(got, expected)
+                assert np.array_equal(gf2.mat_mul(a, form), expected)
+
+    def test_spans_several_transpose_tiles(self):
+        rng = np.random.default_rng(8)
+        a = rand_mat(rng, 300, 520)
+        assert a.shape[0] > gf2._TILE and a.shape[1] > 2 * gf2._TILE
+        table = gf2.ColumnTable(a)
+        for _ in range(5):
+            v = rand_mat(rng, 1, 520)[0]
+            assert np.array_equal(gf2.mat_mul(a, v, table), gf2.mat_mul(a, v))
+
+    def test_wrong_table_rejected(self):
+        rng = np.random.default_rng(7)
+        a, v = rand_mat(rng, 65, 9), rand_mat(rng, 1, 9)[0]
+        for wrong in (gf2.ColumnTable(a[:64]), gf2.ColumnTable(a.T), gf2.ProductTable(a)):
+            with pytest.raises(ValueError):
+                gf2.mat_mul(a, v, wrong)
+        # A column table of a is not a product table for a matrix operand.
+        with pytest.raises(ValueError):
+            gf2.mat_mul(a, rand_mat(rng, 9, 2), gf2.ColumnTable(a))
+
+    def test_table_is_read_only(self):
+        table = gf2.ColumnTable(np.ones((3, 4), dtype=np.uint8))
+        assert not table._columns.flags.writeable
+
+
 class TestXorGroupLaws:
     def test_self_inverse_and_identity(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rmsig import gf2, scheme
 
@@ -12,7 +14,7 @@ def trials(priv, message, limit):
     """Yield (i, s', e') for counters 1..limit, one signing trial per call."""
     inner = hashlib.shake_256(message).digest(32)
     for i in range(1, limit + 1):
-        s_primes, e_primes = scheme._trials(priv, inner, i, 1, "shake256")
+        s_primes, e_primes = scheme._trials(priv, inner, i, 1)
         yield i, s_primes[0], e_primes[0]
 
 
@@ -51,10 +53,17 @@ class TestHashToSyndrome:
         with pytest.raises(ValueError):
             scheme.hash_to_syndrome(b"m", 2**64, 16)
 
-    def test_alternate_xof(self):
-        a = scheme.hash_to_syndrome(b"m", 1, 32, xof="shake128")
-        b = scheme.hash_to_syndrome(b"m", 1, 32, xof="shake256")
-        assert not np.array_equal(a, b)
+    @pytest.mark.parametrize("out_bits", [1, 12, 64, 386])
+    def test_counter_range_matches_one_at_a_time(self, out_bits):
+        inner = hashlib.shake_256(b"range").digest(32)
+        rows = scheme._syndrome_from_digest(inner, 5, 300, out_bits)
+        assert rows.shape == (300, out_bits) and rows.dtype == np.uint8
+        for j, i in enumerate(range(5, 305)):
+            stream = hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(2 + out_bits // 8)
+            expect = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:out_bits]
+            assert np.array_equal(rows[j], expect)
+            if j < 3:
+                assert np.array_equal(scheme.hash_to_syndrome(b"range", i, out_bits), expect)
 
 
 class TestSigningParams:
@@ -238,3 +247,137 @@ class TestSignVerify:
         else:
             i = 2**64
         assert scheme.verify(pub, b"strict", scheme.Signature(e=e, i=i)) is False
+
+
+def naive_verify(pub, message, e, i):
+    """The verify predicate written out: e a bool or integer vector of
+    length n with entries in {0, 1} and weight <= w, i an integer in
+    [1, 2**64), and H' e = h(h(M)|i) by the plain column-sum product."""
+    if not isinstance(i, (int, np.integer)) or not 1 <= int(i) < 2**64:
+        return False
+    if e.dtype.kind not in "biu" or e.shape != (pub.n,):
+        return False
+    if not set(np.unique(e).tolist()) <= {0, 1} or int(e.sum()) > pub.params.w:
+        return False
+    expected = scheme.hash_to_syndrome(message, int(i), pub.H.shape[0])
+    return bool(np.array_equal(gf2.mat_mul(pub.H, e.astype(np.uint8)), expected))
+
+
+@pytest.fixture(scope="module")
+def rm36_keypair():
+    """RM(3,6) key that signs in one to three trials."""
+    params = scheme.SigningParams(w=7, N=100, t=3)
+    return scheme.keygen(6, 3, params, np.random.default_rng(5))
+
+
+class TestVerifyMatchesNaivePredicate:
+    @pytest.mark.parametrize("key", ["toy_keypair", "rm36_keypair"])
+    def test_valid_flipped_and_random(self, key, request):
+        kp = request.getfixturevalue(key)
+        pub, n, w = kp.public, kp.public.n, kp.public.params.w
+        rng = np.random.default_rng(n)
+        verdicts = {True: 0, False: 0}
+        for j in range(20):
+            msg = b"naive %d" % j
+            sig = scheme.sign(kp.private, msg)
+            candidates = [sig.e]
+            for pos in rng.choice(n, size=8, replace=False):
+                flipped = sig.e.copy()
+                flipped[pos] ^= 1
+                candidates.append(flipped)
+            for weight in (0, 1, w, w + 1, n // 2):
+                e = np.zeros(n, dtype=np.uint8)
+                e[rng.choice(n, size=weight, replace=False)] = 1
+                candidates.append(e)
+            for e in candidates:
+                for i in (sig.i, sig.i + 1):
+                    got = scheme.verify(pub, msg, scheme.Signature(e=e, i=i))
+                    assert got is naive_verify(pub, msg, e, i)
+                    verdicts[got] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+
+HYP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+VERIFY_MESSAGE = b"property"
+
+ANY_DTYPE = st.one_of(
+    hnp.boolean_dtypes(), hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
+    hnp.floating_dtypes(), st.just(np.dtype(object)),
+)
+ANY_SHAPE = st.one_of(st.just((16,)), hnp.array_shapes(min_dims=0, max_dims=3, max_side=17))
+ANY_COUNTER = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63, 2**64 - 1, 2**64, True, False]),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.booleans().map(np.bool_),
+    st.floats(allow_nan=True),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+def _any_array(dtype, shape):
+    if dtype == object:
+        elems = st.one_of(st.integers(-2, 2), st.none(), st.floats(), st.text(max_size=2))
+        return hnp.arrays(dtype, shape, elements=elems)
+    return hnp.arrays(dtype, shape)
+
+
+def _binary_array(dtype, shape):
+    return hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)).map(lambda a: a.astype(dtype))
+
+
+@st.composite
+def any_signature_vector(draw):
+    """Arrays of every dtype and shape, arbitrary or with binary entries."""
+    dtype, shape = draw(ANY_DTYPE), draw(ANY_SHAPE)
+    return draw(st.one_of(_any_array(dtype, shape), _binary_array(dtype, shape)))
+
+
+@pytest.fixture(scope="module")
+def property_sig(toy_keypair):
+    sig = scheme.sign(toy_keypair.private, VERIFY_MESSAGE)
+    assert isinstance(sig, scheme.Signature)
+    return sig
+
+
+class TestVerifyProperties:
+    """verify is total: no input makes it raise, and its verdict is the
+    naive predicate's on every dtype, shape and counter."""
+
+    @HYP
+    @given(e=any_signature_vector(), i=ANY_COUNTER)
+    def test_any_vector_and_counter(self, toy_keypair, e, i):
+        got = scheme.verify(toy_keypair.public, VERIFY_MESSAGE, scheme.Signature(e=e, i=i))
+        assert got is naive_verify(toy_keypair.public, VERIFY_MESSAGE, e, i)
+
+    @HYP
+    @given(i=ANY_COUNTER, near=st.integers(-2, 2))
+    def test_valid_vector_any_counter(self, toy_keypair, property_sig, i, near):
+        # Counters at and around the signing counter, in every form, next
+        # to the hostile ones.
+        pub = toy_keypair.public
+        c = property_sig.i + near
+        for counter in (i, c, np.int64(c), np.uint64(max(c, 0)), float(c), str(c), c == 1):
+            sig = scheme.Signature(e=property_sig.e, i=counter)
+            assert scheme.verify(pub, VERIFY_MESSAGE, sig) is naive_verify(
+                pub, VERIFY_MESSAGE, property_sig.e, counter
+            )
+
+    @HYP
+    @given(
+        flips=st.sets(st.integers(0, 15), max_size=4),
+        dtype=st.sampled_from([np.uint8, np.int8, np.int64, np.uint64, bool, np.float64, object]),
+        message=st.sampled_from([VERIFY_MESSAGE, b"other"]),
+    )
+    def test_binary_vectors_near_a_signature(self, toy_keypair, property_sig, flips, dtype, message):
+        pub = toy_keypair.public
+        e = property_sig.e.copy()
+        e[list(flips)] ^= 1
+        e = e.astype(dtype)
+        got = scheme.verify(pub, message, scheme.Signature(e=e, i=property_sig.i))
+        assert got is naive_verify(pub, message, e, property_sig.i)
+        binary_dtype = np.dtype(dtype).kind in "biu"
+        assert got is (binary_dtype and not flips and message == VERIFY_MESSAGE)
