@@ -10,7 +10,6 @@ precision underflow.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -66,19 +65,6 @@ class SecurityEstimate:
     log2_prob: float
 
 
-def _decode_weights(code: Union[RmCode, ModifiedCode], syndromes: np.ndarray) -> np.ndarray:
-    """Decoded error weight per syndrome row, via the full signing path
-    for a modified code and the plain coset-leader path otherwise."""
-    decode = _modified_coset_leaders if isinstance(code, ModifiedCode) else coset_leaders
-    return decode(code, syndromes).sum(axis=1, dtype=np.int64)
-
-
-def _calibrate_chunk(code, seed: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n_k = code.n - code.k
-    return _decode_weights(code, rng.integers(0, 2, size=(count, n_k), dtype=np.uint8))
-
-
 def _code_id(code: Union[RmCode, ModifiedCode]) -> str:
     if isinstance(code, ModifiedCode):
         base = code.base
@@ -91,41 +77,39 @@ def calibrate(
     samples: int,
     rng: np.random.Generator,
     exhaustive: bool = False,
-    workers: int = 1,
 ) -> WeightDistribution:
     """Decode random (or, exhaustively, all) syndromes and tally weights.
 
     A plain code goes through coset_leaders; a modified code goes
-    through the signing path's decode, inserted block included.
-    Chunk seeds are drawn once from rng, so the histogram is identical
-    for any worker count.
+    through the signing path's decode, inserted block included.  Either
+    way the syndromes are decoded _CHUNK rows at a time: a sampled chunk
+    draws its rows from its own seed, drawn once from rng, and an
+    exhaustive chunk enumerates its own index range, so memory stays
+    bounded however many syndromes there are.
     """
     base = code.base if isinstance(code, ModifiedCode) else code
+    decode = _modified_coset_leaders if isinstance(code, ModifiedCode) else coset_leaders
+    n_k = code.n - code.k
     if exhaustive:
-        n_k = code.n - code.k
         if n_k > 24:
             raise ValueError("exhaustive calibration is limited to n-k <= 24")
-        shifts = np.arange(n_k, dtype=np.uint32)
-        all_synd = ((np.arange(1 << n_k, dtype=np.uint32)[:, None] >> shifts) & 1).astype(
-            np.uint8
-        )
-        hist_arr = np.bincount(_decode_weights(code, all_synd))
         samples = 1 << n_k
+        shifts = np.arange(n_k, dtype=np.uint32)
+    elif samples < 1:
+        raise ValueError("samples must be >= 1")
     else:
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        counts = [
-            min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)
-        ]
-        seeds = rng.integers(0, 2**63, size=len(counts))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(_calibrate_chunk, [code] * len(counts), seeds, counts)
-                )
+        seeds = rng.integers(0, 2**63, size=-(-samples // _CHUNK))
+    hist_arr = np.zeros(code.n + 1, dtype=np.int64)
+    for j, start in enumerate(range(0, samples, _CHUNK)):
+        count = min(_CHUNK, samples - start)
+        if exhaustive:
+            index = np.arange(start, start + count, dtype=np.uint32)
+            synd = ((index[:, None] >> shifts) & 1).astype(np.uint8)
         else:
-            parts = [_calibrate_chunk(code, s, c) for s, c in zip(seeds, counts)]
-        hist_arr = np.bincount(np.concatenate(parts))
+            chunk_rng = np.random.default_rng(seeds[j])
+            synd = chunk_rng.integers(0, 2, size=(count, n_k), dtype=np.uint8)
+        weights = decode(code, synd).sum(axis=1, dtype=np.int64)
+        hist_arr += np.bincount(weights, minlength=code.n + 1)
     histogram = {int(w): int(c) for w, c in enumerate(hist_arr) if c}
     return WeightDistribution(
         code_id=_code_id(code), samples=samples, histogram=histogram, t=base.t

@@ -59,11 +59,6 @@ def to_soft(bits: np.ndarray) -> np.ndarray:
     return (1 - 2 * np.asarray(bits, dtype=np.int8)).astype(np.int8)
 
 
-def to_hard(soft: np.ndarray) -> np.ndarray:
-    """Hard decision; erasures become bit 0."""
-    return (np.asarray(soft) < 0).astype(np.uint8)
-
-
 LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 

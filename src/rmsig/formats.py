@@ -136,7 +136,9 @@ def _parse_header(rd: _Reader, expect_role: int):
 
 def load_public_key(raw: bytes) -> PublicKey:
     rd = _Reader(_check_crc(raw, "public key"), "public key")
-    m, r, n, k, _p, params, _deleted = _parse_header(rd, ROLE_PUBLIC)
+    m, r, n, k, p, params, deleted = _parse_header(rd, ROLE_PUBLIC)
+    if p or deleted.size:
+        raise FormatError("a public key stores p = 0 and no deleted columns")
     h_pub = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n)), n - k, n)
     rd.done()
     h_pub.flags.writeable = False
@@ -173,7 +175,12 @@ def load_private_key(raw: bytes) -> PrivateKey:
         raise FormatError("reassembled H_m digest mismatch")
     for arr in (scramble, sigma):
         arr.flags.writeable = False
-    return PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
+    priv = PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
+    try:
+        priv.S_inv  # cached for signing
+    except gf2.SingularError:
+        raise FormatError("S is not invertible") from None
+    return priv
 
 
 def save_keypair(kp: KeyPair, out_prefix: str) -> tuple[str, str]:

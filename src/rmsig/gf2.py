@@ -69,7 +69,7 @@ class ProductTable:
             table[:, (subset >> j) & 1 == 1] ^= quads[:, j, None, :]
         table.flags.writeable = False
         self.shape = (k, c)
-        self._table = table.reshape(-1, words)
+        self._table = table.reshape(32 * k_bytes, words)
         self._group_base = np.arange(0, 32 * k_bytes, 16)[:, None]
 
     def product(self, a: np.ndarray) -> np.ndarray:

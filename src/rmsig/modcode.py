@@ -76,21 +76,14 @@ class ModifiedCode:
         """Four-Russians table of P', for the punctured decode's check."""
         return gf2.ProductTable(self.P_kept)
 
-    @property
-    def H_top(self) -> np.ndarray:
-        """Parity check [P'^T | I] of the plain punctured code."""
-        return self.H[: self.n - self.k - self.p, : self.n - self.p]
 
-
-def puncture_plan(
-    code: RmCode, rng: np.random.Generator, search_budget: int = 48
-) -> PuncturePlan:
+def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     """Choose the deletion set for a code of order r >= 1."""
     if code.r < 1:
         raise ValueError("puncturing needs r >= 1")
     x = min_weight_codeword(code, rng)
     sx = supp(x)
-    y_proj = min_weight_in_rowspace(proj(code, sx), rng, budget=search_budget)
+    y_proj = min_weight_in_rowspace(proj(code, sx), rng)
     y = np.zeros(code.n, dtype=np.uint8)
     y[sx[supp(y_proj)]] = 1
     wy = gf2.weight(y)

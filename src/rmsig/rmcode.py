@@ -54,11 +54,6 @@ class RmCode:
     def P(self) -> np.ndarray:
         return self.G[:, self.k :]
 
-    def to_eval_order(self, word_sys: np.ndarray) -> np.ndarray:
-        out = np.empty_like(word_sys)
-        out[self.info_perm] = word_sys
-        return out
-
     def to_sys_order(self, word_eval: np.ndarray) -> np.ndarray:
         return word_eval[self.info_perm]
 

@@ -43,10 +43,6 @@ class SigningParams:
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
-    @property
-    def delta(self) -> int:
-        return self.w - self.t
-
 
 @dataclass(frozen=True)
 class PublicKey:

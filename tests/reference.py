@@ -79,6 +79,24 @@ def coset_leader_weights(h):
     return out
 
 
+def to_eval_order(code, word_sys):
+    """A word in systematic column order, moved to evaluation order."""
+    out = np.empty_like(word_sys)
+    out[code.info_perm] = word_sys
+    return out
+
+
+def punctured_check(mod):
+    """Parity check [P'^T | I] of the plain punctured code under mod."""
+    top = mod.n - mod.k - mod.p
+    return mod.H[:top, : mod.n - mod.p]
+
+
+def to_hard(soft):
+    """Hard decision on soft values; erasures become bit 0."""
+    return (np.asarray(soft) < 0).astype(np.uint8)
+
+
 def int_to_bits(value, n):
     return ((int(value) >> np.arange(n)) & 1).astype(np.uint8)
 

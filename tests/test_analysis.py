@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rmsig import analysis, gf2, scheme
+from rmsig import analysis, gf2, rmcode, scheme
+from rmsig.decoder import coset_leaders
 
 from reference import coset_leader_weights
 
@@ -19,8 +21,6 @@ class TestCalibrate:
         assert dist.histogram == {w: int(c) for w, c in enumerate(expected) if c}
 
     def test_zero_syndrome_gives_weight_zero(self, rm41):
-        from rmsig.decoder import coset_leaders
-
         e = coset_leaders(rm41, np.zeros(11, dtype=np.uint8))
         assert int(e.sum()) == 0
 
@@ -34,10 +34,30 @@ class TestCalibrate:
         assert a.histogram == b.histogram
         assert a.to_csv() == b.to_csv()
 
-    def test_worker_count_does_not_change_result(self, rm41):
-        serial = analysis.calibrate(rm41, 2500, np.random.default_rng(7), workers=1)
-        parallel = analysis.calibrate(rm41, 2500, np.random.default_rng(7), workers=2)
-        assert serial.histogram == parallel.histogram
+    def test_exhaustive_chunks_match_one_decode(self):
+        # RM(2,5) has 2^16 syndromes, so the exhaustive run spans 64 chunks.
+        code = rmcode.build(5, 2)
+        n_k = code.n - code.k
+        assert (1 << n_k) // analysis._CHUNK == 64
+        dist = analysis.calibrate(code, 0, np.random.default_rng(0), exhaustive=True)
+        assert dist.samples == 2**16
+        every = np.arange(1 << n_k, dtype=np.uint32)
+        synd = ((every[:, None] >> np.arange(n_k, dtype=np.uint32)) & 1).astype(np.uint8)
+        weights = coset_leaders(code, synd).sum(axis=1)
+        expected = {w: int(c) for w, c in enumerate(np.bincount(weights)) if c}
+        assert dist.histogram == expected
+
+    def test_exhaustive_memory_is_bounded(self):
+        # Decoding chunk by chunk keeps the 2^16-row syndrome array and its
+        # decoded words from ever being formed at once.
+        code = rmcode.build(5, 2)
+        tracemalloc.start()
+        try:
+            analysis.calibrate(code, 0, np.random.default_rng(0), exhaustive=True)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_modified_code_uses_signing_path(self):
         params = scheme.SigningParams(w=10, N=10, t=3)

@@ -1,9 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rmsig import decoder, gf2, modcode, rmcode
+from rmsig import decoder, gf2, modcode, rmcode, scheme
 
-from reference import coset_leader_weights, enumerate_codewords, int_to_bits, reference_decode
+from reference import (
+    coset_leader_weights,
+    enumerate_codewords,
+    int_to_bits,
+    punctured_check,
+    reference_decode,
+    to_eval_order,
+    to_hard,
+)
 
 
 def all_syndromes(code):
@@ -26,13 +38,13 @@ class TestDecodeClosest:
         for _ in range(20):
             msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
             word_sys = gf2.mat_mul(code.G.T, msg)
-            word_eval = code.to_eval_order(word_sys)
+            word_eval = to_eval_order(code, word_sys)
             got = decoder.decode_closest(m, r, decoder.to_soft(word_eval))
             assert np.array_equal(got, word_eval)
 
     def test_rm31_all_hard_inputs_are_ml(self, rm31):
         # Brute force: distance to the nearest of the 16 codewords.
-        eval_words = [rm31.to_eval_order(c) for c in enumerate_codewords(rm31.G)]
+        eval_words = [to_eval_order(rm31, c) for c in enumerate_codewords(rm31.G)]
         for v_int in range(256):
             v = int_to_bits(v_int, 8)
             got = decoder.decode_closest(3, 1, decoder.to_soft(v))
@@ -222,7 +234,7 @@ class TestPuncturedSyndromeDecode:
         mod = modified_rm41_with_p4()
         top = mod.n - mod.k - mod.p
         assert top == 7
-        h_p = mod.H_top
+        h_p = punctured_check(mod)
         for s_int in range(1 << top):
             s = int_to_bits(s_int, top)
             e = decoder.punctured_coset_leaders(mod, s)
@@ -238,7 +250,7 @@ class TestPuncturedSyndromeDecode:
 def test_soft_hard_round_trip():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-    assert np.array_equal(decoder.to_hard(decoder.to_soft(bits)), bits)
+    assert np.array_equal(to_hard(decoder.to_soft(bits)), bits)
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 3)])
@@ -259,3 +271,72 @@ def test_punctured_batch_equals_scalar():
     batch = decoder.punctured_coset_leaders(mod, synd)
     for row in range(synd.shape[0]):
         assert np.array_equal(batch[row], decoder.punctured_coset_leaders(mod, synd[row]))
+
+
+# Decoder properties over drawn syndrome batches.  derandomize and no
+# example database keep the suite deterministic.
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+# (m, r, key seed) of fixed small keys; RM(2,3) punctures its only
+# parity column, so its punctured syndromes are empty.
+MODIFIED_KEYS = [(3, 2, 0), (4, 1, 7), (5, 2, 21), (6, 3, 13)]
+
+
+@functools.cache
+def _code(m, r):
+    return rmcode.build(m, r)
+
+
+@functools.cache
+def _modified(m, r, seed):
+    t = _code(m, r).t
+    params = scheme.SigningParams(w=t, N=1, t=t)
+    return scheme.keygen(m, r, params, np.random.default_rng(seed)).private.mod
+
+
+def _syndromes(draw, width):
+    rows = draw(st.integers(1, 64))
+    return draw(hnp.arrays(np.uint8, (rows, width), elements=st.integers(0, 1)))
+
+
+def _times_transpose(e, h):
+    """e @ h.T over GF(2), in plain integer arithmetic."""
+    return ((e.astype(np.int64) @ h.T.astype(np.int64)) & 1).astype(np.uint8)
+
+
+@st.composite
+def plain_batches(draw):
+    m = draw(st.integers(2, 6))
+    code = _code(m, draw(st.integers(1, m - 1)))
+    return code, _syndromes(draw, code.n - code.k)
+
+
+@st.composite
+def modified_batches(draw, part):
+    mod = _modified(*draw(st.sampled_from(MODIFIED_KEYS)))
+    width = mod.n - mod.k - (mod.p if part == "top" else 0)
+    return mod, _syndromes(draw, width)
+
+
+class TestDecoderProperties:
+    @PROPERTY
+    @given(batch=plain_batches())
+    def test_coset_leaders_meet_syndrome(self, batch):
+        code, synd = batch
+        e = decoder.coset_leaders(code, synd)
+        assert np.array_equal(_times_transpose(e, code.H), synd)
+
+    @PROPERTY
+    @given(batch=modified_batches("top"))
+    def test_punctured_coset_leaders_meet_syndrome(self, batch):
+        mod, s_tops = batch
+        e = decoder.punctured_coset_leaders(mod, s_tops)
+        assert e.shape == (s_tops.shape[0], mod.n - mod.p)
+        assert np.array_equal(_times_transpose(e, punctured_check(mod)), s_tops)
+
+    @PROPERTY
+    @given(batch=modified_batches("full"))
+    def test_modified_coset_leaders_meet_syndrome(self, batch):
+        mod, s_primes = batch
+        e_primes = scheme._modified_coset_leaders(mod, s_primes)
+        assert np.array_equal(_times_transpose(e_primes, mod.H), s_primes)

@@ -147,7 +147,9 @@ def _hostile_private_keys(keypair):
     mod = keypair.private.mod
     n, k, p = mod.n, mod.k, mod.p
     deleted_at = 27
-    sigma_at = deleted_at + 4 * p + (n - k) * ((n - k + 7) // 8)
+    s_at = deleted_at + 4 * p
+    s_row = (n - k + 7) // 8
+    sigma_at = s_at + (n - k) * s_row
     sigma = keypair.private.sigma
     return {
         "huge m and r": _patched(raw, *HUGE_CODE),
@@ -161,6 +163,7 @@ def _hostile_private_keys(keypair):
         "deleted column past n": _patched(
             raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
         "sigma repeats an index": _patched(raw, sigma_at + 4, struct.pack("<I", sigma[0])),
+        "S has two equal rows": _patched(raw, s_at + s_row, raw[s_at : s_at + s_row]),
     }
 
 
@@ -178,6 +181,20 @@ class TestHostileFiles:
         raw = _patched(formats.save_public_key(keypair.public), 15, b"\x01\x00\x00\x00")
         with pytest.raises(formats.FormatError):
             formats.load_public_key(raw)
+
+    def test_public_key_with_puncture_fields(self, keypair):
+        import struct
+
+        raw = formats.save_public_key(keypair.public)
+        # A public file stores p = 0 and an empty deleted list; a nonzero
+        # p, or one deleted entry inserted after the count, is rejected.
+        # (_patched with no data only recomputes the CRC.)
+        with_p = _patched(raw, 11, struct.pack("<I", 5))
+        entry = struct.pack("<II", 1, keypair.public.n - 1)
+        with_deleted = _patched(raw[:23] + entry + raw[27:], 0, b"")
+        for hostile in (with_p, with_deleted):
+            with pytest.raises(formats.FormatError):
+                formats.load_public_key(hostile)
 
     def test_private_keys(self, keypair):
         assert keypair.private.mod.p >= 2

@@ -85,6 +85,13 @@ class TestProductTable:
         assert np.array_equal(got, np.full((4, c), k & 1, dtype=np.uint8))
         assert np.array_equal(got, naive_mat_mul(a, b))
 
+    @pytest.mark.parametrize("k", [1, 8, 21])
+    def test_no_columns(self, k):
+        # An RM(m-1, m) key punctures its only parity column, so P' is k x 0.
+        rng = np.random.default_rng(k)
+        a, b = rand_mat(rng, 3, k), np.zeros((k, 0), dtype=np.uint8)
+        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), naive_mat_mul(a, b))
+
     def test_chunked_gather_vs_blas(self):
         # 300 rows x 100 groups x 10 words exceeds one gather, so the XOR
         # runs over several group chunks.

@@ -63,6 +63,17 @@ GOLDEN = {
     },
 }
 
+# SHA-256 of exhaustive calibration CSVs (every syndrome once, so no
+# seed enters): plain RM(r, m) codes by (m, r), and the modified code of
+# the RM(1,4) key above.  RM(2,5) spans 64 decode chunks.
+EXHAUSTIVE = {
+    (3, 1): "7f9f6f3adcc1e1a8d4eef32fd3b4fd42f1fb18814a60f2e1a40778b009605f65",
+    (4, 1): "68c72ff59ff29b831ec236f9a0fee9192856256213bb44d847df5907366dacc5",
+    (4, 2): "8fa3b5d2be79b2296e6435c092b618ca34b17adc9e0b7e1d57eaec127d2c5a51",
+    (5, 2): "9013fa53c47c7d841b68034070f811c3ede791c2bbc2981efd7b2b304db1eeed",
+}
+EXHAUSTIVE_MODIFIED_RM41 = "aada76271338db4ca8fd6c356a5a8e43167f47e6a3039b0a4586f315bb4e3e22"
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
@@ -92,3 +103,18 @@ def _artifacts(m, r, w, n_trials, seed):
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"RM({c[1]},{c[0]})")
 def test_golden_bytes(case):
     assert _artifacts(*case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("m,r", sorted(EXHAUSTIVE), ids=lambda v: str(v))
+def test_exhaustive_csv(m, r):
+    dist = analysis.calibrate(rmcode.build(m, r), 0, np.random.default_rng(0), exhaustive=True)
+    assert _sha(dist.to_csv()) == EXHAUSTIVE[(m, r)]
+
+
+def test_exhaustive_csv_modified():
+    code = rmcode.build(4, 1)
+    params = scheme.SigningParams(w=3, N=2000, t=code.t)
+    kp = scheme.keygen(4, 1, params, np.random.default_rng(11))
+    dist = analysis.calibrate(kp.private.mod, 0, np.random.default_rng(0), exhaustive=True)
+    assert dist.samples == 1 << 11
+    assert _sha(dist.to_csv()) == EXHAUSTIVE_MODIFIED_RM41

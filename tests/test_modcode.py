@@ -3,7 +3,7 @@ import pytest
 
 from rmsig import gf2, modcode, rmcode
 
-from reference import enumerate_codewords, same_row_space
+from reference import enumerate_codewords, punctured_check, same_row_space
 
 
 class TestPuncturePlan:
@@ -127,7 +127,7 @@ class TestBuildModified:
             assert not gf2.mat_mul(mod.G, mod.H.T).any()
             # Punctured pair of the plain deletion is orthogonal too.
             g_p = np.concatenate([gf2.identity(mod.k), mod.P_kept], axis=1)
-            assert not gf2.mat_mul(g_p, mod.H_top.T).any()
+            assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
     def test_unaligned_deletions_rejected(self, rm31):

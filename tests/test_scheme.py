@@ -67,10 +67,6 @@ class TestHashToSyndrome:
 
 
 class TestSigningParams:
-    def test_delta(self):
-        p = scheme.SigningParams(w=97, N=10000, t=15)
-        assert p.delta == 82
-
     def test_w_below_t_rejected(self):
         with pytest.raises(ValueError):
             scheme.SigningParams(w=2, N=10, t=3)
@@ -129,6 +125,17 @@ class TestSignVerify:
             assert isinstance(sig, scheme.Signature)
             assert int(sig.e.sum()) <= toy_keypair.public.params.w
             assert scheme.verify(toy_keypair.public, msg, sig)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_rm_m_minus_1_round_trip(self, m):
+        # RM(m-1, m) has n-k = 1 and punctures that one parity column.
+        params = scheme.SigningParams(w=1, N=50, t=0)
+        for seed in range(3):
+            kp = scheme.keygen(m, m - 1, params, np.random.default_rng(seed))
+            assert kp.private.mod.P_kept.shape[1] == 0
+            sig = scheme.sign(kp.private, b"one parity bit")
+            assert isinstance(sig, scheme.Signature)
+            assert scheme.verify(kp.public, b"one parity bit", sig)
 
     def test_vacuous_weight_bound_succeeds_at_i1(self):
         params = scheme.SigningParams(w=16, N=5, t=3)
