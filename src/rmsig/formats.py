@@ -36,7 +36,7 @@ import numpy as np
 from . import gf2
 from .modcode import assemble_modified
 from .rmcode import build_with_perm, code_dims
-from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams
+from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams, check_signature
 
 KEY_MAGIC = b"RMSG"
 SIG_MAGIC = b"RMSS"
@@ -193,11 +193,12 @@ def save_keypair(kp: KeyPair, out_prefix: str) -> tuple[str, str]:
 
 
 def save_signature(sig: Signature, n: int) -> bytes:
-    if sig.e.shape != (n,):
-        raise ValueError(f"signature vector length {sig.e.size} != n = {n}")
+    """Raises ValueError unless sig lies in the domain verify accepts
+    (scheme.check_signature); the file then holds sig exactly."""
+    e, i = check_signature(sig, n)
     body = SIG_MAGIC + struct.pack("<HI", VERSION, n)
-    body += struct.pack(">Q", sig.i)
-    body += gf2.pack_bits(sig.e)
+    body += struct.pack(">Q", i)
+    body += gf2.pack_bits(e)
     return _with_crc(body)
 
 

@@ -217,38 +217,37 @@ def invert(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(red[:, n:])
 
 
-def systematize(g: np.ndarray, info_set) -> tuple[np.ndarray, np.ndarray]:
+def systematize(g: np.ndarray, excluded=()) -> tuple[np.ndarray, np.ndarray]:
     """Put a full-row-rank generator into systematic form [I_k | P].
 
-    Columns listed in info_set are moved to the front (in the given
-    order), all remaining columns follow in ascending index order, and
-    the result is row reduced.
+    The one rule for choosing an information set: one row reduction of
+    g, with the excluded columns moved behind the others, takes the
+    first k independent columns.  They go to the front in ascending
+    order, and all remaining columns follow in ascending order.  (For a
+    fixed column order the systematic form is unique.)
 
     Args:
-        g: k x n binary matrix of full row rank k.
-        info_set: k column indices to use as the information set.
+        g: k x n binary matrix.
+        excluded: column indices that must stay out of the information set.
 
     Returns:
         (sys, perm): sys = [I_k | P]; perm maps new column position to
         old column index (new column j is old column perm[j]).
 
     Raises:
-        RankError: if the info_set columns are dependent (or g itself
-        is rank deficient).
+        RankError: if the non-excluded columns have rank below k.
     """
     g = np.asarray(g, dtype=np.uint8)
     k, n = g.shape
-    info = np.asarray(list(info_set), dtype=np.int64)
-    if info.size != k:
-        raise ValueError(f"info_set has {info.size} columns, need k={k}")
-    mask = np.zeros(n, dtype=bool)
-    mask[info] = True
-    rest = np.nonzero(~mask)[0]
-    perm = np.concatenate([info, rest])
-    red, pivots = rref(g[:, perm])
-    if pivots != list(range(k)):
-        raise RankError("information set columns are linearly dependent")
-    return red, perm
+    banned = np.zeros(n, dtype=bool)
+    banned[np.asarray(excluded, dtype=np.int64)] = True
+    order = np.argsort(banned, kind="stable")
+    red, pivots = rref(np.take(g, order, axis=1))
+    info = order[pivots]
+    if info.size < k or banned[info].any():
+        raise RankError(f"the non-excluded columns have rank below k={k}")
+    perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
+    return np.take(red, np.argsort(order)[perm], axis=1), perm
 
 
 def random_bits(shape, rng: np.random.Generator) -> np.ndarray:

@@ -4,14 +4,16 @@ The plan picks a minimum-weight codeword x, a minimum-weight word y of
 the code projected onto supp(x), a puncture count p between wt(y) and
 2*wt(y), and a deletion set of p columns containing supp(y) (extras
 drawn from supp(x)).  After re-aligning the information set so every
-deleted column sits in the parity part, the modified pair is
+deleted column sits in the parity part, the modified parity check is
 
-    H_m = [ P'^T  I_{n-k-p}  0   ]      G_m = [ I_k | P'' ]
+    H_m = [ P'^T  I_{n-k-p}  0   ]
           [ R               I_p ]
 
-where P' is P minus the deleted columns, R is a uniform random p x
-(n-p) block, and the p inserted columns of P'' are derived from R so
-that G_m @ H_m.T = 0 holds exactly.
+where P' is P minus the deleted columns and R is a uniform random p x
+(n-p) block.  Signing and verification need only H_m.  Its generator
+G_m = [I_k | P' | R_1^T + P' R_2^T], with R = [R_1 | R_2] split after
+column k, is derived by the test oracle (tests/reference.py), which
+checks G_m @ H_m.T = 0.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class ModifiedCode:
     P_kept: np.ndarray  # parent P minus deleted columns, k x (n-k-p)
     R: np.ndarray  # random inserted rows' left block, p x (n-p)
     H: np.ndarray  # modified parity check, (n-k) x n
-    G: np.ndarray  # modified generator [I_k | P''], k x n
 
     @property
     def n(self) -> int:
@@ -103,23 +104,19 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
 def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
     """Re-systematize so every deleted column lands in the parity part.
 
-    Keeps the current column order wherever possible: the information
-    set is chosen greedily from the non-deleted columns in ascending
-    order, so a deletion set already inside the parity part leaves the
-    code unchanged.  Returns the aligned code and the deletion set
-    re-expressed in its column order.
+    Keeps the current column order wherever possible: gf2.systematize
+    excludes the deleted columns and picks the information set greedily
+    from the others in ascending order, so a deletion set already inside
+    the parity part leaves the code unchanged.  Returns the aligned code
+    and the deletion set re-expressed in its column order.
+
+    Raises:
+        gf2.RankError: if the non-deleted columns hold no information set.
     """
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
-    if code.n - deleted.size < code.k:
-        raise gf2.RankError("too many deleted columns to keep a full information set")
     if deleted.size == 0 or deleted.min() >= code.k:
         return code, deleted
-    allowed = np.setdiff1d(np.arange(code.n), deleted)
-    _, piv = gf2.rref(code.G[:, allowed])
-    if len(piv) < code.k:
-        raise gf2.RankError("non-deleted columns do not contain an information set")
-    info = allowed[piv]
-    g_new, order = gf2.systematize(code.G, info)
+    g_new, order = gf2.systematize(code.G, excluded=deleted)
     # Positions of the old columns inside the new order.
     inv = np.empty(code.n, dtype=np.int64)
     inv[order] = np.arange(code.n)
@@ -128,8 +125,8 @@ def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
 
 
 def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCode:
-    """Assemble H_m and G_m from an aligned code, its deletion set and the
-    p x (n-p) block R."""
+    """Assemble H_m from an aligned code, its deletion set and the p x (n-p)
+    block R."""
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k
     p = deleted.size
@@ -144,15 +141,9 @@ def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCod
     h_mod[n - k - p :, : n - p] = r_block
     h_mod[n - k - p :, n - p :] = gf2.identity(p)
 
-    # Inserted generator columns are forced by orthogonality with the R rows.
-    inserted = r_block[:, :k].T ^ gf2.mat_mul(p_kept, r_block[:, k:].T)
-    g_mod = np.concatenate([gf2.identity(k), p_kept, inserted], axis=1)
-
-    for arr in (deleted, p_kept, r_block, h_mod, g_mod):
+    for arr in (deleted, p_kept, r_block, h_mod):
         arr.flags.writeable = False
-    return ModifiedCode(
-        base=code, p=int(p), deleted=deleted, P_kept=p_kept, R=r_block, H=h_mod, G=g_mod
-    )
+    return ModifiedCode(base=code, p=int(p), deleted=deleted, P_kept=p_kept, R=r_block, H=h_mod)
 
 
 def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedCode:

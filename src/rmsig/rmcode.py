@@ -4,7 +4,8 @@ Evaluation points are the integers 0..2**m-1 read little-endian, so
 variable j of point t is bit (t >> j) & 1.  Monomial rows are listed by
 degree, then lexicographically within a degree.  That fixes the raw
 evaluation generator bit-exactly; the systematic form [I_k | P] is then
-obtained by moving a greedily chosen information set to the front.
+obtained by moving the first information set in column order to the
+front (gf2.systematize).
 
 A code keeps both views: G/H live in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
@@ -61,11 +62,6 @@ class RmCode:
         return f"RmCode(m={self.m}, r={self.r}, n={self.n}, k={self.k}, d={self.d})"
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def variable_table(m: int) -> np.ndarray:
     """m x 2**m table of variable values at every evaluation point."""
     points = np.arange(1 << m, dtype=np.uint32)
@@ -86,11 +82,10 @@ def monomial_generator(m: int, r: int) -> np.ndarray:
 def _assemble(m: int, r: int, g_sys: np.ndarray, perm: np.ndarray) -> RmCode:
     n = 1 << m
     k = g_sys.shape[0]
-    p = g_sys[:, k:]
-    h = np.concatenate([p.T.copy(), gf2.identity(n - k)], axis=1)
-    g_sys = np.ascontiguousarray(g_sys)
+    h = np.concatenate([g_sys[:, k:].T, gf2.identity(n - k)], axis=1)
     perm = np.ascontiguousarray(perm, dtype=np.int64)
-    _freeze(g_sys, h, perm)
+    for a in (g_sys, h, perm):
+        a.flags.writeable = False
     return RmCode(m=m, r=r, n=n, k=k, d=1 << (m - r), G=g_sys, H=h, info_perm=perm)
 
 
@@ -113,11 +108,8 @@ def code_dims(m: int, r: int) -> tuple[int, int, int]:
 
 def build(m: int, r: int) -> RmCode:
     """Construct RM(r, m) with n = 2**m, k = sum_i C(m, i), d = 2**(m-r)."""
-    _n, k, _t = code_dims(m, r)
-    raw = monomial_generator(m, r)
-    assert raw.shape[0] == k
-    _, pivots = gf2.rref(raw)
-    g_sys, perm = gf2.systematize(raw, pivots)
+    _check_params(m, r)
+    g_sys, perm = gf2.systematize(monomial_generator(m, r))
     return _assemble(m, r, g_sys, perm)
 
 
@@ -125,18 +117,17 @@ def build_with_perm(m: int, r: int, info_perm: np.ndarray) -> RmCode:
     """Rebuild a code whose systematic column order is already known.
 
     Used when loading stored keys: the stored permutation reproduces the
-    exact G the key was generated with.
+    exact G the key was generated with.  Its first k columns must be an
+    information set (gf2.RankError otherwise).
     """
     _check_params(m, r)
     raw = monomial_generator(m, r)
-    k = raw.shape[0]
+    k, n = raw.shape
     perm = np.asarray(info_perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(1 << m)):
+    if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("info_perm is not a permutation of the column indices")
-    red, pivots = gf2.rref(raw[:, perm])
-    if pivots != list(range(k)):
-        raise gf2.RankError("stored permutation does not yield a systematic form")
-    return _assemble(m, r, red, perm)
+    g_sys, _ = gf2.systematize(np.take(raw, perm, axis=1), excluded=range(k, n))
+    return _assemble(m, r, g_sys, perm)
 
 
 def supp(c: np.ndarray) -> np.ndarray:

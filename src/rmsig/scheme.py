@@ -211,21 +211,35 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     return SigningExhausted(trials=limit, best_weight=best)
 
 
+def check_signature(sig: Signature, n: int) -> tuple[np.ndarray, int]:
+    """(e, i) of sig, if it lies in the domain verify accepts.
+
+    Raises:
+        ValueError: unless e is an integer or bool 1-D vector of length n
+            with entries in {0, 1} and i an integer with 1 <= i < 2**64.
+    """
+    try:
+        e, i = np.asarray(sig.e), operator.index(sig.i)
+    except TypeError:
+        raise ValueError("a signature needs a vector e and an integer counter i") from None
+    if e.dtype.kind not in "biu" or e.shape != (n,) or not 1 <= i < 1 << 64:
+        raise ValueError(f"signature needs an integer vector of length {n} and 1 <= i < 2**64")
+    if e.min() < 0 or e.max() > 1:
+        raise ValueError("signature vector has entries outside {0, 1}")
+    return e, i
+
+
 def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     """ACCEPT iff e is binary of length n, wt(e) <= w and H' e = h(h(M)|i).
 
-    Total over signatures: e must be an integer or bool 1-D vector with
-    entries in {0, 1} and i an integer with 1 <= i < 2**64; anything
-    else is REJECT, never an exception.
+    Total over signatures: a signature outside the domain of
+    check_signature is REJECT, never an exception.
     """
     try:
-        e = np.asarray(sig.e)
-        i = operator.index(sig.i)
-    except (TypeError, ValueError):
+        e, i = check_signature(sig, pub.n)
+    except ValueError:
         return False
-    if e.dtype.kind not in "biu" or e.shape != (pub.n,) or not 1 <= i < 1 << 64:
-        return False
-    if e.min() < 0 or e.max() > 1 or gf2.weight(e) > pub.params.w:
+    if gf2.weight(e) > pub.params.w:
         return False
     expected = hash_to_syndrome(message, i, pub.H.shape[0])
     return bool(np.array_equal(gf2.mat_mul(pub.H, e, pub._H_table), expected))

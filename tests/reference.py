@@ -40,6 +40,32 @@ def naive_rref(a):
     return np.array(m, dtype=np.uint8)
 
 
+def naive_rank(a):
+    return sum(1 for row in naive_rref(a) if row.any())
+
+
+def systematic_form(g, excluded=()):
+    """[I_k | P] of g, or None when no information set avoids excluded.
+
+    The information set is grown greedily: the non-excluded columns in
+    ascending order, then the excluded ones, each kept if it raises the
+    rank.  The information set goes first in that order, the other
+    columns follow in ascending order.  Returns (sys, perm) with new
+    column j = old column perm[j].
+    """
+    g = np.asarray(g, dtype=np.uint8)
+    k, n = g.shape
+    banned = set(int(j) for j in excluded)
+    info = []
+    for col in [j for j in range(n) if j not in banned] + sorted(banned):
+        if len(info) < k and naive_rank(g[:, info + [col]]) > len(info):
+            info.append(col)
+    if len(info) < k or banned & set(info):
+        return None
+    perm = info + [j for j in range(n) if j not in info]
+    return naive_rref(g[:, perm]), np.array(perm)
+
+
 def same_row_space(a, b):
     """Row spaces match iff the canonical RREFs (nonzero rows) agree."""
     ra, rb = naive_rref(a), naive_rref(b)
@@ -84,6 +110,20 @@ def to_eval_order(code, word_sys):
     out = np.empty_like(word_sys)
     out[code.info_perm] = word_sys
     return out
+
+
+def modified_generator(mod):
+    """G_m = [I_k | P' | R_1^T + P' R_2^T] of a modified code, R = [R_1 | R_2].
+
+    The inserted columns are the ones orthogonality with the R rows of
+    H_m forces; integer arithmetic, then reduction mod 2.
+    """
+    k = mod.k
+    p_kept = mod.P_kept.astype(np.int64)
+    r1, r2 = mod.R[:, :k].astype(np.int64), mod.R[:, k:].astype(np.int64)
+    inserted = (r1.T + p_kept @ r2.T) & 1
+    eye = np.eye(k, dtype=np.int64)
+    return np.concatenate([eye, p_kept, inserted], axis=1).astype(np.uint8)
 
 
 def punctured_check(mod):

@@ -318,7 +318,44 @@ def modified_batches(draw, part):
     return mod, _syndromes(draw, width)
 
 
+@st.composite
+def soft_words(draw, m_min, m_max, r_of):
+    """(m, r, soft rows in {-1, 0, +1}); a 0 is an erasure."""
+    m = draw(st.integers(m_min, m_max))
+    r = draw(r_of(m))
+    rows = draw(st.integers(1, 16))
+    return m, r, draw(hnp.arrays(np.int8, (rows, 1 << m), elements=st.integers(-1, 1)))
+
+
+@functools.cache
+def _order_le1_words(m, r):
+    """Every codeword of RM(r, m), r <= 1, in evaluation order: the
+    constants, and for r = 1 each linear form <a, x> and its complement."""
+    points = range(1 << m)
+    coeffs = range(1 << m) if r == 1 else [0]
+    forms = [[bin(a & x).count("1") & 1 for x in points] for a in coeffs]
+    return np.array([[bit ^ c for bit in f] for f in forms for c in (0, 1)], dtype=np.int64)
+
+
 class TestDecoderProperties:
+    @PROPERTY
+    @given(batch=soft_words(2, 6, lambda m: st.integers(1, m - 1)))
+    def test_decode_closest_returns_codewords(self, batch):
+        m, r, soft = batch
+        code = _code(m, r)
+        words = decoder.decode_closest(m, r, soft)
+        assert words.shape == soft.shape
+        assert not _times_transpose(words[:, code.info_perm], code.H).any()
+
+    @PROPERTY
+    @given(batch=soft_words(1, 5, lambda m: st.integers(0, 1)))
+    def test_decode_closest_is_ml_up_to_order_1(self, batch):
+        m, r, soft = batch
+        words = decoder.decode_closest(m, r, soft).astype(np.int64)
+        got = (soft * (1 - 2 * words)).sum(axis=1)
+        best = (soft.astype(np.int64) @ (1 - 2 * _order_le1_words(m, r)).T).max(axis=1)
+        assert (got >= best).all()
+
     @PROPERTY
     @given(batch=plain_batches())
     def test_coset_leaders_meet_syndrome(self, batch):

@@ -5,6 +5,8 @@ import pytest
 
 from rmsig import formats, scheme
 
+from reference import modified_generator
+
 
 @pytest.fixture(scope="module")
 def keypair():
@@ -61,7 +63,7 @@ class TestPrivateKeyFile:
         assert np.array_equal(priv.mod.R, keypair.private.mod.R)
         assert np.array_equal(priv.mod.deleted, keypair.private.mod.deleted)
         assert np.array_equal(priv.mod.H, keypair.private.mod.H)
-        assert np.array_equal(priv.mod.G, keypair.private.mod.G)
+        assert np.array_equal(modified_generator(priv.mod), modified_generator(keypair.private.mod))
         assert np.array_equal(priv.mod.base.G, keypair.private.mod.base.G)
         assert priv.params == keypair.private.params
 
@@ -124,6 +126,34 @@ class TestSignatureFile:
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
             formats.save_signature(scheme.Signature(e=np.zeros(8, dtype=np.uint8), i=1), 16)
+
+    @pytest.mark.parametrize(
+        "e,i",
+        [
+            (np.zeros(16, dtype=np.uint8), 2**64),
+            (np.zeros(16, dtype=np.uint8), 0),
+            (np.zeros(16, dtype=np.uint8), -1),
+            (np.zeros(16, dtype=np.uint8), 1.0),
+            (np.array([2] + [0] * 15, dtype=np.uint8), 1),
+            (np.array([-1] + [0] * 15, dtype=np.int8), 1),
+            (np.zeros(16, dtype=np.float64), 1),
+            (np.zeros((1, 16), dtype=np.uint8), 1),
+        ],
+        ids=["i=2**64", "i=0", "i=-1", "float i", "entry 2", "entry -1", "float e", "2-D e"],
+    )
+    def test_outside_verify_domain_rejected(self, e, i):
+        sig = scheme.Signature(e=e, i=i)
+        with pytest.raises(ValueError):
+            formats.save_signature(sig, 16)
+
+    def test_bool_and_wide_vectors_saved_exactly(self):
+        e = np.zeros(16, dtype=bool)
+        e[[1, 9]] = True
+        for vec in (e, e.astype(np.int64)):
+            raw = formats.save_signature(scheme.Signature(e=vec, i=2**64 - 1), 16)
+            back = formats.load_signature(raw)
+            assert back.i == 2**64 - 1
+            assert np.array_equal(back.e, e)
 
 
 def _patched(raw: bytes, offset: int, data: bytes) -> bytes:
@@ -211,3 +241,37 @@ class TestHostileFiles:
         with pytest.raises(formats.FormatError):
             formats.load_signature(raw)
         assert time.monotonic() - start < 1.0
+
+
+def _mutants(raw: bytes, seed: int):
+    """(offset, file) with each byte before the CRC XORed by two distinct
+    seeded masks in turn; the CRC is recomputed, so only the content checks
+    can reject it."""
+    rng = np.random.default_rng(seed)
+    for offset in range(len(raw) - 4):
+        for mask in rng.choice(np.arange(1, 256), size=2, replace=False):
+            yield offset, _patched(raw, offset, bytes([raw[offset] ^ int(mask)]))
+
+
+class TestMutationFuzz:
+    """Every loader either loads a mutated file or raises FormatError, fast."""
+
+    @pytest.mark.parametrize("kind", ["public", "private", "signature"])
+    def test_every_byte(self, toy_keypair, kind):
+        pub, priv = toy_keypair.public, toy_keypair.private
+        sig = scheme.sign(priv, b"fuzz")
+        saved, load = {
+            "public": (formats.save_public_key(pub), formats.load_public_key),
+            "private": (formats.save_private_key(priv), formats.load_private_key),
+            "signature": (formats.save_signature(sig, pub.n), formats.load_signature),
+        }[kind]
+        mutants = 0
+        for offset, raw in _mutants(saved, seed=7):
+            start = time.monotonic()
+            try:
+                load(raw)
+            except formats.FormatError:  # any other exception fails the test
+                pass
+            assert time.monotonic() - start < 1.0, (kind, offset)
+            mutants += 1
+        assert mutants == 2 * (len(saved) - 4)

@@ -3,7 +3,7 @@ import pytest
 
 from rmsig import gf2
 
-from reference import naive_mat_mul, naive_rref, same_row_space
+from reference import naive_mat_mul, naive_rank, naive_rref, same_row_space, systematic_form
 
 
 def rand_mat(rng, rows, cols):
@@ -199,39 +199,108 @@ class TestRref:
             assert np.array_equal(red, naive_rref(a))
 
 
+def _rm31_raw():
+    # Raw evaluation generator of the (8, 4) first-order code.
+    pts = np.arange(8)
+    return np.array(
+        [np.ones(8, dtype=np.uint8), pts & 1, (pts >> 1) & 1, (pts >> 2) & 1],
+        dtype=np.uint8,
+    )
+
+
+def _already_systematic():
+    p = rand_mat(np.random.default_rng(8), 4, 3)
+    return np.concatenate([gf2.identity(4), p], axis=1)
+
+
+def assert_matches_oracle(g, excluded):
+    expected = systematic_form(g, excluded)
+    if expected is None:
+        with pytest.raises(gf2.RankError):
+            gf2.systematize(g, excluded)
+        return
+    sys, perm = gf2.systematize(g, excluded)
+    assert np.array_equal(sys, expected[0])
+    assert np.array_equal(perm, expected[1])
+
+
 class TestSystematize:
     def test_already_systematic(self):
-        rng = np.random.default_rng(8)
-        p = rand_mat(rng, 4, 3)
-        g = np.concatenate([gf2.identity(4), p], axis=1)
-        sys, perm = gf2.systematize(g, range(4))
+        g = _already_systematic()
+        sys, perm = gf2.systematize(g)
         assert np.array_equal(sys, g)
         assert np.array_equal(perm, np.arange(7))
 
     def test_rm31_info_set(self):
-        # Raw evaluation generator of the (8, 4) first-order code.
-        pts = np.arange(8)
-        g = np.array(
-            [np.ones(8, dtype=np.uint8), pts & 1, (pts >> 1) & 1, (pts >> 2) & 1],
-            dtype=np.uint8,
-        )
-        sys, perm = gf2.systematize(g, [0, 1, 2, 4])
+        g = _rm31_raw()
+        # Excluding column 3 makes [0, 1, 2, 4] the information set.
+        sys, perm = gf2.systematize(g, excluded=[3])
+        assert np.array_equal(perm[:4], [0, 1, 2, 4])
         assert np.array_equal(sys[:, :4], gf2.identity(4))
         assert same_row_space(sys, g[:, perm])
 
     def test_dependent_info_set(self):
-        pts = np.arange(8)
-        g = np.array(
-            [np.ones(8, dtype=np.uint8), pts & 1, (pts >> 1) & 1, (pts >> 2) & 1],
-            dtype=np.uint8,
-        )
+        g = _rm31_raw()
         # Columns 0..3 only span three dimensions of the column space.
         with pytest.raises(gf2.RankError):
-            gf2.systematize(g, [0, 1, 2, 3])
+            gf2.systematize(g, excluded=[4, 5, 6, 7])
 
     def test_wrong_info_size(self):
+        # Two non-excluded columns cannot hold an information set for k = 3.
         with pytest.raises(ValueError):
-            gf2.systematize(gf2.identity(3), [0, 1])
+            gf2.systematize(gf2.identity(3), excluded=[2])
+
+    @pytest.mark.parametrize(
+        "make,excluded",
+        [
+            (_already_systematic, ()),
+            (_already_systematic, [0]),
+            (_already_systematic, [0, 1, 2]),
+            (_already_systematic, [4, 5, 6]),
+            (_rm31_raw, ()),
+            (_rm31_raw, [3]),
+            (_rm31_raw, [0, 1, 2]),
+            (_rm31_raw, [4, 5, 6, 7]),
+            (_rm31_raw, [0, 3, 5, 6]),
+        ],
+    )
+    def test_fixed_matrices_match_oracle(self, make, excluded):
+        assert_matches_oracle(make(), excluded)
+
+    def test_random_full_rank_match_oracle(self):
+        rng = np.random.default_rng(12)
+        checked = {True: 0, False: 0}
+        for _ in range(200):
+            k = int(rng.integers(1, 7))
+            n = int(rng.integers(k, 13))
+            g = rand_mat(rng, k, n)
+            if naive_rank(g) < k:
+                continue
+            excluded = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            assert_matches_oracle(g, excluded)
+            checked[systematic_form(g, excluded) is not None] += 1
+        # Both outcomes are exercised.
+        assert checked[True] >= 50 and checked[False] >= 20
+
+    def test_rank_deficient_g(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            g = rand_mat(rng, 4, 9)
+            g[3] = g[0] ^ g[1]
+            with pytest.raises(gf2.RankError):
+                gf2.systematize(g)
+            with pytest.raises(gf2.RankError):
+                gf2.systematize(g, excluded=[0, 5])
+
+    def test_non_excluded_rank_deficient(self):
+        # The non-excluded columns 0, 1 and 2 repeat one column.
+        g = np.array([[1, 1, 1, 0, 1], [0, 0, 0, 1, 1]], dtype=np.uint8)
+        assert systematic_form(g, [3, 4]) is None
+        with pytest.raises(gf2.RankError):
+            gf2.systematize(g, excluded=[3, 4])
+        sys, perm = gf2.systematize(g, excluded=[4])
+        assert np.array_equal(perm, [0, 3, 1, 2, 4])
+        assert np.array_equal(sys[:, :2], gf2.identity(2))
 
 
 class TestRandomMatrices:

@@ -3,7 +3,7 @@ import pytest
 
 from rmsig import gf2, modcode, rmcode
 
-from reference import enumerate_codewords, punctured_check, same_row_space
+from reference import enumerate_codewords, modified_generator, punctured_check, same_row_space
 
 
 class TestPuncturePlan:
@@ -76,6 +76,14 @@ class TestAlignInformationSet:
         assert not gf2.mat_mul(aligned.G, aligned.H.T).any()
         assert np.array_equal(aligned.G[:, : aligned.k], gf2.identity(aligned.k))
 
+    def test_moving_columns_reduces_once(self, rref_shapes):
+        code = rmcode.build(8, 4)
+        rref_shapes.clear()
+        deleted = [0, 5, code.k + 3]
+        aligned, _ = modcode.align_information_set(code, deleted)
+        assert not np.array_equal(aligned.info_perm, code.info_perm)
+        assert rref_shapes == [(code.k, code.n)]
+
     def test_max_deletion_still_aligns(self, rm31):
         # Delete as many columns as the parity part can hold.
         deleted = list(range(rm31.n - rm31.k))
@@ -93,7 +101,7 @@ class TestBuildModified:
         mod = modcode.build_modified(rm41, [], np.random.default_rng(0))
         assert mod.p == 0
         assert np.array_equal(mod.H, rm41.H)
-        assert np.array_equal(mod.G, rm41.G)
+        assert np.array_equal(modified_generator(mod), rm41.G)
 
     def test_block_shapes(self):
         code = rmcode.build(4, 1)
@@ -103,7 +111,7 @@ class TestBuildModified:
         mod = modcode.build_modified(aligned, deleted, rng)
         n, k, p = mod.n, mod.k, mod.p
         assert mod.H.shape == (n - k, n)
-        assert mod.G.shape == (k, n)
+        assert modified_generator(mod).shape == (k, n)
         assert mod.R.shape == (p, n - p)
         assert mod.P_kept.shape == (k, n - k - p)
         assert np.array_equal(mod.H[: n - k - p, :k], mod.P_kept.T)
@@ -124,7 +132,7 @@ class TestBuildModified:
                 continue
             mod = modcode.build_modified(aligned, deleted, rng)
             built += 1
-            assert not gf2.mat_mul(mod.G, mod.H.T).any()
+            assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # Punctured pair of the plain deletion is orthogonal too.
             g_p = np.concatenate([gf2.identity(mod.k), mod.P_kept], axis=1)
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()

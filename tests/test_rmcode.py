@@ -180,6 +180,27 @@ def test_build_with_perm_round_trip():
     assert np.array_equal(again.info_perm, code.info_perm)
 
 
+@pytest.mark.parametrize("m,r", [(4, 1), (6, 3), (8, 4)])
+def test_build_reduces_once(m, r, rref_shapes):
+    code = rmcode.build(m, r)
+    assert rref_shapes == [(code.k, code.n)]
+
+
+def test_build_with_perm_reduces_once(rref_shapes):
+    code = rmcode.build(6, 3)
+    rref_shapes.clear()
+    rmcode.build_with_perm(6, 3, code.info_perm)
+    assert rref_shapes == [(code.k, code.n)]
+
+
+def test_build_with_perm_rejects_dependent_front():
+    # Points 0..3 of RM(1, 3) lie on an affine plane: no information set.
+    with pytest.raises(gf2.RankError):
+        rmcode.build_with_perm(3, 1, np.arange(8))
+    with pytest.raises(ValueError):
+        rmcode.build_with_perm(3, 1, np.zeros(8, dtype=np.int64))
+
+
 def test_eval_order_round_trip(rm41):
     rng = np.random.default_rng(9)
     v = rng.integers(0, 2, size=rm41.n, dtype=np.uint8)
