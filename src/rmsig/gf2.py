@@ -8,9 +8,12 @@ selects, so it never copies the whole matrix; verification, which
 multiplies by the same public matrix every time, XORs its columns packed
 into uint64 words instead (ColumnTable).  Products by a matrix that is
 used many times (the signing path's S^-1 and P') read a precomputed
-Four-Russians table of packed uint64 rows (ProductTable); any other
-matrix product goes through float64 BLAS, which is exact for the inner
-dimensions used here (sums stay far below 2**52).
+Four-Russians table of packed uint64 rows (ProductTable), and so do key
+generation's two wide products, whose float64 copies would otherwise
+set the process's peak memory.  Any other matrix product goes through
+float64 BLAS, which is exact for the inner dimensions used here (sums
+stay far below 2**52) and beats a table on narrow products such as the
+one- or two-column R block.
 
 Bit packing convention, fixed for all serialized forms: row-major, each
 row padded to a whole number of bytes, MSB-first within a byte (bit j of
@@ -264,7 +267,7 @@ def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("n must be >= 1")
     lo = np.tril(random_bits((n, n), rng), -1) | identity(n)
     up = np.triu(random_bits((n, n), rng), 1) | identity(n)
-    return mat_mul(lo, up)
+    return mat_mul(lo, up, ProductTable(up))
 
 
 def pack_bits(a: np.ndarray) -> bytes:

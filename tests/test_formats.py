@@ -275,3 +275,58 @@ class TestMutationFuzz:
             assert time.monotonic() - start < 1.0, (kind, offset)
             mutants += 1
         assert mutants == 2 * (len(saved) - 4)
+
+
+@pytest.fixture(scope="module")
+def rm10_files():
+    """(file, loader, header length) of each file of the RM(10,5) key seed 1."""
+    params = scheme.SigningParams(w=99, N=10_000, t=15)
+    kp = scheme.keygen(10, 5, params, np.random.default_rng(1))
+    sig = scheme.sign(kp.private, b"fuzz")
+    # Fixed fields, then the count of deleted columns and their indices.
+    key_header = formats._HEADER.size + 4
+    return {
+        "public": (formats.save_public_key(kp.public), formats.load_public_key, key_header),
+        "private": (
+            formats.save_private_key(kp.private),
+            formats.load_private_key,
+            key_header + 4 * kp.private.mod.p,
+        ),
+        "signature": (formats.save_signature(sig, kp.public.n), formats.load_signature, 18),
+    }
+
+
+def _sampled_mutants(raw: bytes, header: int, seed: int):
+    """(offset, file) for every header byte, 64 seeded offsets after it and
+    the four CRC bytes, each byte XORed by a seeded mask.  The CRC is
+    recomputed unless the mutated byte is part of it."""
+    rng = np.random.default_rng(seed)
+    crc = len(raw) - 4
+    sampled = np.sort(rng.choice(np.arange(header, crc), size=64, replace=False))
+    for offset in [*range(header), *sampled.tolist(), *range(crc, len(raw))]:
+        mask = int(rng.integers(1, 256))
+        if offset < crc:
+            yield offset, _patched(raw, offset, bytes([raw[offset] ^ mask]))
+        else:
+            yield offset, raw[:offset] + bytes([raw[offset] ^ mask]) + raw[offset + 1 :]
+
+
+class TestMutationFuzzRm10:
+    """The mutation fuzz on full-size files, at sampled offsets: a private
+    load takes tens of milliseconds, too long to visit all 58 KB."""
+
+    @pytest.mark.parametrize("kind", ["public", "private", "signature"])
+    def test_sampled_offsets(self, rm10_files, kind):
+        saved, load, header = rm10_files[kind]
+        offsets = []
+        for offset, raw in _sampled_mutants(saved, header, seed=10):
+            start = time.monotonic()
+            try:
+                load(raw)
+            except formats.FormatError:  # any other exception fails the test
+                pass
+            else:
+                assert offset < len(saved) - 4, "a file with a broken CRC loaded"
+            assert time.monotonic() - start < 1.0, (kind, offset)
+            offsets.append(offset)
+        assert len(set(offsets)) == header + 64 + 4

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -275,6 +276,111 @@ def rm36_keypair():
     """RM(3,6) key that signs in one to three trials."""
     params = scheme.SigningParams(w=7, N=100, t=3)
     return scheme.keygen(6, 3, params, np.random.default_rng(5))
+
+
+# (m, r, w, t) at N = 300: mean counters of about 110 and 90, so 40
+# messages meet counters below 16 and above 256, and an exhausted run.
+BATCH_KEYS = {"rm36": (6, 3, 3, 3), "rm48": (8, 4, 20, 7)}
+BATCH_MESSAGES = [b"first batch %d" % j for j in range(40)]
+
+
+@pytest.fixture(scope="module", params=sorted(BATCH_KEYS))
+def batch_key(request):
+    m, r, w, t = BATCH_KEYS[request.param]
+    params = scheme.SigningParams(w=w, N=300, t=t)
+    return scheme.keygen(m, r, params, np.random.default_rng(1)).private
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The count of every scheme._trials call while the test runs."""
+    counts = []
+    real = scheme._trials
+
+    def recording(priv, inner, first, count):
+        counts.append(count)
+        return real(priv, inner, first, count)
+
+    monkeypatch.setattr(scheme, "_trials", recording)
+    return counts
+
+
+def fresh(priv):
+    """The same key, in the state of one that has not signed yet."""
+    return dataclasses.replace(priv)
+
+
+def next_first_batch(previous):
+    """The first batch of the signature after the result `previous`."""
+    if isinstance(previous, scheme.SigningExhausted):
+        return 256
+    size = 16
+    while size < min(previous.i, 256):
+        size *= 2
+    return size
+
+
+def same_result(a, b):
+    if isinstance(a, scheme.Signature):
+        return (
+            isinstance(b, scheme.Signature)
+            and a.i == b.i
+            and a.e.dtype == b.e.dtype
+            and a.e.tobytes() == b.e.tobytes()
+        )
+    return a == b
+
+
+class TestFirstBatch:
+    """sign starts with the batch the key's previous signature needed."""
+
+    def test_fresh_key_starts_at_64(self, batch_key, batches):
+        scheme.sign(fresh(batch_key), BATCH_MESSAGES[0])
+        assert batches[0] == 64
+
+    def test_first_batch_follows_previous_counter(self, batch_key, batches):
+        priv = fresh(batch_key)
+        start, starts = 64, set()
+        for msg in BATCH_MESSAGES:
+            batches.clear()
+            res = scheme.sign(priv, msg)
+            starts.add(start)
+            # The batch doubles after each miss; N cuts the last one short.
+            last = res.i if isinstance(res, scheme.Signature) else 300
+            plan = []
+            while sum(plan) < last:
+                plan.append(min(start << len(plan), 256, 300 - sum(plan)))
+            assert batches == plan, msg
+            start = next_first_batch(res)
+        assert {16, 32, 64, 128, 256} <= starts
+
+    def test_exhausted_sets_256(self, batch_key, batches):
+        priv = fresh(batch_key)
+        results = dict(zip(BATCH_MESSAGES, (scheme.sign(priv, msg) for msg in BATCH_MESSAGES)))
+        small = next(msg for msg, res in results.items() if getattr(res, "i", 300) <= 16)
+        lost = next(msg for msg, res in results.items() if isinstance(res, scheme.SigningExhausted))
+        scheme.sign(priv, small)
+        batches.clear()
+        scheme.sign(priv, lost)
+        assert batches[0] == 16
+        batches.clear()
+        scheme.sign(priv, small)
+        assert batches[0] == 256
+
+    def test_results_do_not_depend_on_start(self, batch_key, batches):
+        # Each message signed by a key that has just signed the message
+        # before it, in both orders, and by a fresh key.
+        priv = fresh(batch_key)
+        starts, exhausted = set(), 0
+        for order in (BATCH_MESSAGES, BATCH_MESSAGES[::-1]):
+            for msg in order:
+                batches.clear()
+                warm = scheme.sign(priv, msg)
+                starts.add(batches[0])
+                ref = scheme.sign(fresh(batch_key), msg)
+                assert same_result(warm, ref), msg
+                exhausted += isinstance(ref, scheme.SigningExhausted)
+        assert {16, 64, 256} <= starts and exhausted >= 2
 
 
 class TestVerifyMatchesNaivePredicate:
