@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -27,20 +27,6 @@ from .rmcode import build
 
 _INNER_DIGEST_BYTES = 32
 KEYGEN_PLAN_RETRIES = 32
-
-SIGN_BATCH = 64
-SIGN_BATCH_MIN = 16
-SIGN_BATCH_MAX = 256
-"""sign evaluates its trials in batches and doubles the batch after each
-miss, up to SIGN_BATCH_MAX.  A key's first signature starts at
-SIGN_BATCH; every later one starts at the batch its predecessor needed,
-the smallest power of two >= that signature's counter, clamped to
-[SIGN_BATCH_MIN, SIGN_BATCH_MAX] (SIGN_BATCH_MAX after an exhausted
-run).  The expected counter ranges from a few trials to thousands over
-the parameter table, so a key whose signatures succeed early evaluates
-few spare trials, while a long one spreads the decoder's fixed per-call
-cost over many rows.  The batch sizes change only the work, never the
-result."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +66,6 @@ class PrivateKey:
     sigma: np.ndarray  # permutation indices; Q[i, sigma[i]] = 1
     mod: ModifiedCode
     params: SigningParams
-    # First batch of the next signature (see SIGN_BATCH); written only by sign.
-    _first_batch: int = field(default=SIGN_BATCH, init=False, compare=False, repr=False)
 
     @cached_property
     def S_inv(self) -> np.ndarray:
@@ -159,14 +143,24 @@ def keygen(
     scramble = gf2.random_invertible(n - k, rng)
     sigma = rng.permutation(n)
     sigma_inv = np.argsort(sigma)
-    h_mod = gf2.mat_mul(scramble, mod.H, gf2.ProductTable(mod.H))
-    h_pub = np.ascontiguousarray(h_mod[:, sigma_inv])
+    h_pub = np.ascontiguousarray(gf2.mat_mul(scramble, mod.H)[:, sigma_inv])
     for arr in (scramble, sigma, h_pub):
         arr.flags.writeable = False
 
     public = PublicKey(m=m, r=r, H=h_pub, params=params)
     private = PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
     return KeyPair(public=public, private=private)
+
+
+SIGN_BATCH = 16
+SIGN_BATCH_MAX = 256
+"""sign tries SIGN_BATCH counters first and quadruples the batch after
+each miss, up to SIGN_BATCH_MAX.  The expected counter ranges from about
+six (RM(12,6) at w = 530) to about a thousand (RM(10,5) at w = 99) over
+the parameter table, so a short signature evaluates few spare trials,
+and a long one reaches the widest batch, which spreads the decoder's
+fixed per-call cost over the most rows, within three calls.  The batch
+sizes change only the work, never the result."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:
@@ -198,32 +192,25 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     """Sign a message, returning the smallest successful counter.
 
     Returns SigningExhausted when none of the N trials stays within the
-    weight bound.  Records on priv the first batch of its next signature
-    (see SIGN_BATCH); that changes the work, never a result.
+    weight bound.
     """
     inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
     limit = priv.params.N
     best = priv.mod.n + 1
-    first, batch = 1, priv._first_batch
+    first, batch = 1, SIGN_BATCH
     while first <= limit:
         count = min(batch, limit + 1 - first)
         _s_primes, e_primes = _trials(priv, inner, first, count)
         weights = e_primes.sum(axis=1, dtype=np.int64)
         hits = np.nonzero(weights <= priv.params.w)[0]
         if hits.size:
-            i = first + int(hits[0])
-            needed = 1 << (i - 1).bit_length()  # smallest power of two >= i
-            object.__setattr__(
-                priv, "_first_batch", min(max(needed, SIGN_BATCH_MIN), SIGN_BATCH_MAX)
-            )
             e_prime = e_primes[hits[0]]
             e = np.empty_like(e_prime)
             e[priv.sigma] = e_prime
-            return Signature(e=e, i=i)
+            return Signature(e=e, i=first + int(hits[0]))
         best = min(best, int(weights.min()))
         first += count
-        batch = min(2 * batch, SIGN_BATCH_MAX)
-    object.__setattr__(priv, "_first_batch", SIGN_BATCH_MAX)
+        batch = min(4 * batch, SIGN_BATCH_MAX)
     return SigningExhausted(trials=limit, best_weight=best)
 
 

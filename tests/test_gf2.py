@@ -10,6 +10,11 @@ def rand_mat(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
+def blas_mat_mul(a, b):
+    """a @ b mod 2 through float64 BLAS, exact while sums stay below 2**52."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1
+
+
 class TestMatMul:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -60,6 +65,22 @@ class TestMatMul:
         with pytest.raises(ValueError):
             gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
 
+    @pytest.mark.parametrize("rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255)])
+    def test_table_only_for_large_products(self, monkeypatch, rows, cols):
+        built = []
+
+        class Recording(gf2.ProductTable):
+            def __init__(self, b):
+                built.append(b.shape)
+                super().__init__(b)
+
+        monkeypatch.setattr(gf2, "ProductTable", Recording)
+        rng = np.random.default_rng(rows + cols)
+        a, b = rand_mat(rng, rows, 301), rand_mat(rng, 301, cols)
+        assert np.array_equal(gf2.mat_mul(a, b), blas_mat_mul(a, b))
+        large = rows >= gf2._TABLE_MIN and cols >= gf2._TABLE_MIN
+        assert built == ([(301, cols)] if large else [])
+
 
 class TestProductTable:
     """Four-Russians products against the naive triple loop."""
@@ -98,7 +119,7 @@ class TestProductTable:
         rng = np.random.default_rng(5)
         a, b = rand_mat(rng, 300, 397), rand_mat(rng, 397, 630)
         assert 300 * 100 * 10 > gf2._GATHER_WORDS
-        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), gf2.mat_mul(a, b))
+        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
 
     def test_wrong_table_rejected(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -305,19 +304,14 @@ def batches(monkeypatch):
     return counts
 
 
-def fresh(priv):
-    """The same key, in the state of one that has not signed yet."""
-    return dataclasses.replace(priv)
-
-
-def next_first_batch(previous):
-    """The first batch of the signature after the result `previous`."""
-    if isinstance(previous, scheme.SigningExhausted):
-        return 256
-    size = 16
-    while size < min(previous.i, 256):
-        size *= 2
-    return size
+def planned_batches(res, limit=300):
+    """The batch counts sign evaluates to reach res: 16, 64, then 256
+    each, the last one cut short at the trial limit."""
+    last = res.i if isinstance(res, scheme.Signature) else limit
+    plan = []
+    while sum(plan) < last:
+        plan.append(min(16 << 2 * len(plan), 256, limit - sum(plan)))
+    return plan
 
 
 def same_result(a, b):
@@ -331,56 +325,32 @@ def same_result(a, b):
     return a == b
 
 
-class TestFirstBatch:
-    """sign starts with the batch the key's previous signature needed."""
+class TestSignBatches:
+    """sign evaluates batches of 16, 64, 256, 256, ..., whatever it signed before."""
 
-    def test_fresh_key_starts_at_64(self, batch_key, batches):
-        scheme.sign(fresh(batch_key), BATCH_MESSAGES[0])
-        assert batches[0] == 64
-
-    def test_first_batch_follows_previous_counter(self, batch_key, batches):
-        priv = fresh(batch_key)
-        start, starts = 64, set()
+    def test_batches_grow_from_16(self, batch_key, batches):
+        # One key signs all the messages in turn, so a signature that
+        # follows a long or an exhausted one must start at 16 as well.
+        lengths, exhausted = set(), 0
         for msg in BATCH_MESSAGES:
             batches.clear()
-            res = scheme.sign(priv, msg)
-            starts.add(start)
-            # The batch doubles after each miss; N cuts the last one short.
-            last = res.i if isinstance(res, scheme.Signature) else 300
-            plan = []
-            while sum(plan) < last:
-                plan.append(min(start << len(plan), 256, 300 - sum(plan)))
-            assert batches == plan, msg
-            start = next_first_batch(res)
-        assert {16, 32, 64, 128, 256} <= starts
+            res = scheme.sign(batch_key, msg)
+            assert batches == planned_batches(res), msg
+            lengths.add(len(batches))
+            exhausted += isinstance(res, scheme.SigningExhausted)
+        # Counters within each of the three batches that N = 300 allows occur.
+        assert lengths == {1, 2, 3} and exhausted >= 1
 
-    def test_exhausted_sets_256(self, batch_key, batches):
-        priv = fresh(batch_key)
-        results = dict(zip(BATCH_MESSAGES, (scheme.sign(priv, msg) for msg in BATCH_MESSAGES)))
-        small = next(msg for msg, res in results.items() if getattr(res, "i", 300) <= 16)
-        lost = next(msg for msg, res in results.items() if isinstance(res, scheme.SigningExhausted))
-        scheme.sign(priv, small)
-        batches.clear()
-        scheme.sign(priv, lost)
-        assert batches[0] == 16
-        batches.clear()
-        scheme.sign(priv, small)
-        assert batches[0] == 256
-
-    def test_results_do_not_depend_on_start(self, batch_key, batches):
-        # Each message signed by a key that has just signed the message
-        # before it, in both orders, and by a fresh key.
-        priv = fresh(batch_key)
-        starts, exhausted = set(), 0
-        for order in (BATCH_MESSAGES, BATCH_MESSAGES[::-1]):
-            for msg in order:
-                batches.clear()
-                warm = scheme.sign(priv, msg)
-                starts.add(batches[0])
-                ref = scheme.sign(fresh(batch_key), msg)
-                assert same_result(warm, ref), msg
-                exhausted += isinstance(ref, scheme.SigningExhausted)
-        assert {16, 64, 256} <= starts and exhausted >= 2
+    @pytest.mark.parametrize("start, cap", [(1, 4), (7, 7), (64, 256), (300, 300)])
+    def test_results_do_not_depend_on_batches(self, batch_key, monkeypatch, start, cap):
+        reference = [scheme.sign(batch_key, msg) for msg in BATCH_MESSAGES]
+        monkeypatch.setattr(scheme, "SIGN_BATCH", start)
+        monkeypatch.setattr(scheme, "SIGN_BATCH_MAX", cap)
+        for msg, ref in zip(BATCH_MESSAGES, reference):
+            assert same_result(scheme.sign(batch_key, msg), ref), msg
+        counters = [getattr(ref, "i", None) for ref in reference]
+        assert None in counters
+        assert min(i for i in counters if i) <= 16 and max(i for i in counters if i) > 256
 
 
 class TestVerifyMatchesNaivePredicate:
