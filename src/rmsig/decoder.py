@@ -29,8 +29,24 @@ bit 0.
 All routines run on whole batches (independent words); every step is
 componentwise per word, so batched and one-at-a-time decoding give
 identical answers.  Internally a batch is held one word per column, so
-that each half of every split is one contiguous block, and the
-recursion writes the codewords into one preallocated output.
+that each half of every split is one contiguous block.
+
+The kernel's cost is the number of numpy calls per Plotkin node, not
+arithmetic, so each node is kept to a few calls on int8 operands:
+
+* Codewords are held as int8 +-1 words (+1 for bit 0) in one output
+  array, so the u-branch input is y1 + y2 v, the right half u + v is
+  the product u v, and no call casts or views the output; the entry
+  points turn the words into bits once, at the end.
+* A node calls its children directly: an order-1 child goes straight
+  to the leaf, and an order-m child (the u half of RM(m-1, m)) is
+  folded into its parent as a hard decision, without a call of its own.
+* Each decode allocates one scratch array per node length for the
+  children's inputs, which every node of that length reuses; nothing
+  is kept between calls, so decoding stays a pure, thread-safe
+  function.
+* The kernel only reads soft: the entry points may pass a view of the
+  caller's array.
 """
 
 from __future__ import annotations
@@ -59,6 +75,11 @@ def to_soft(bits: np.ndarray) -> np.ndarray:
     return (1 - 2 * np.asarray(bits, dtype=np.int8)).astype(np.int8)
 
 
+# A read-only int8 operand: a Python int costs a scalar conversion on
+# every call.
+_ONE = np.ones((), dtype=np.int8)
+_ONE.flags.writeable = False
+
 LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 
@@ -71,19 +92,21 @@ instead of 4**m.
 
 @functools.cache
 def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, words) for RM(1, m).  Column 2a of words is the linear
-    form <a, x> over the evaluation points x and column 2a+1 its
-    complement; signs = (-1)**words, so soft @ signs correlates a soft
-    word with every codeword, h_a before -h_a."""
+    """(correlators, words) for RM(1, m), as +-1 words (+1 for bit 0).
+    Column 2a of correlators is the linear form <a, x> over the
+    evaluation points x and column 2a+1 its complement, in float32, so
+    soft @ correlators correlates a soft word with every codeword, h_a
+    before -h_a; row j of words is the int8 codeword of column j."""
     points = np.arange(1 << m, dtype=np.uint32)
-    linear = (np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.uint8)
-    words = np.empty((1 << m, 2 << m), dtype=np.uint8)
+    linear = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.int8)
+    words = np.empty((1 << m, 2 << m), dtype=np.int8)
     words[:, 0::2] = linear
-    words[:, 1::2] = linear ^ 1
-    signs = 1 - 2 * words.astype(np.float32)
-    for arr in (signs, words):
+    words[:, 1::2] = -linear
+    correlators = words.astype(np.float32)
+    words = np.ascontiguousarray(words.T)
+    for arr in (correlators, words):
         arr.flags.writeable = False
-    return signs, words
+    return correlators, words
 
 
 def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
@@ -92,10 +115,9 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # taken as h_a before its complement; all-zero gives the zero word.
     if m <= LEAF_TABLE_M:
         # float32 sums of at most 128 terms of magnitude <= 16 are exact.
-        signs, words = _leaf_tables(m)
-        best = (soft.T.astype(np.float32) @ signs).argmax(axis=1)
-        # mode="clip" writes straight into out; the default mode buffers.
-        np.take(words, best, axis=1, out=out, mode="clip")
+        correlators, words = _leaf_tables(m)
+        best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)
+        np.copyto(out, words.take(best, axis=0).T)
         return
     # Fast Hadamard transform, exact in int32, with the same tie-breaks.
     n, rows = soft.shape
@@ -111,36 +133,59 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     peak_at = np.argmax(np.abs(y), axis=0)
     negative = y[peak_at, np.arange(rows)] < 0
     points = np.arange(n, dtype=np.uint32)
-    words = np.bitwise_count(points[:, None] & peak_at.astype(np.uint32)) & 1
-    np.bitwise_xor(words, negative, out=out)
+    parity = np.bitwise_count(points[:, None] & peak_at.astype(np.uint32)) & 1
+    np.copyto(out, np.where(parity ^ negative, -1, 1))
+
+
+def _harden(soft: np.ndarray, out: np.ndarray) -> None:
+    # Hard decision to a +-1 word: the sign, with an erasure going to +1.
+    np.sign(soft, out)
+    out |= _ONE
+
+
+def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, levels: list) -> None:
+    """One (u | u+v) node of RM(r, m), 1 < r < m, on the halves y1, y2 of
+    its input; the +-1 codewords go to out.  levels[m] holds the node's
+    scratch for its children's inputs and that scratch's two halves."""
+    half = 1 << (m - 1)
+    u, v = out[:half], out[half:]
+    work, w1, w2 = levels[m]
+    np.multiply(y1, y2, work)
+    if r == 2:  # the order-1 leaf, called directly
+        _decode_order1(m - 1, work, v)
+    else:
+        _plotkin(m - 1, r - 1, w1, w2, v, levels)
+    # u-branch input y1 + y2 v, in the v input's memory.
+    np.multiply(y2, v, work)
+    work += y1
+    if r == m - 1:  # RM(m-1, m-1), folded in: a hard decision
+        _harden(work, u)
+    else:
+        if half >= SOFT_BLOCK:
+            np.sign(work, work)
+        _plotkin(m - 1, r, w1, w2, u, levels)
+    v *= u  # the right half u + v
 
 
 def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
     """Decode RM(r, m) words held column-wise: soft is int8 of shape
-    (2**m, rows), one word per column, and the codewords go to out
-    (uint8, same shape).  Both halves of the (u | u+v) split are then
-    contiguous slices, whatever the number of rows."""
+    (2**m, rows), one word per column, and the codewords go to out as
+    +-1 int8 words of the same shape.  Both halves of every (u | u+v)
+    split are then contiguous slices, whatever the number of rows.
+    soft is only read."""
     if r == 0:
-        out[...] = soft.sum(axis=0, dtype=np.int64) < 0
+        out[...] = np.where(soft.sum(axis=0, dtype=np.int64) < 0, -1, 1)
     elif r == m:
-        np.less(soft, 0, out=out)
+        _harden(soft, out)
     elif r == 1:
         _decode_order1(m, soft, out)
     else:
+        levels = [None] * (m + 1)
+        for k in range(3, m + 1):
+            work = np.empty((1 << (k - 1), soft.shape[1]), dtype=np.int8)
+            levels[k] = (work, work[: 1 << (k - 2)], work[1 << (k - 2) :])
         half = 1 << (m - 1)
-        y1, y2 = soft[:half], soft[half:]
-        u, v = out[:half], out[half:]
-        work = y1 * y2
-        _decode(m - 1, r - 1, work, v)
-        # u-branch input y1 + y2 (1 - 2v), built in the v input's memory.
-        np.multiply(v.view(np.int8), -2, out=work)
-        work += 1
-        work *= y2
-        work += y1
-        if half >= SOFT_BLOCK:
-            np.sign(work, out=work)
-        _decode(m - 1, r, work, u)
-        v ^= u
+        _plotkin(m, r, soft[:half], soft[half:], out, levels)
 
 
 def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
@@ -166,9 +211,10 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     if outside:
         raise ValueError("soft values must lie in {-1, 0, +1}")
     columns = np.ascontiguousarray(np.atleast_2d(soft).T, dtype=np.int8)
-    words = np.empty(columns.shape, dtype=np.uint8)
+    words = np.empty(columns.shape, dtype=np.int8)
     _decode(m, r, columns, words)
-    return words[:, 0] if soft.ndim == 1 else words.T
+    bits = (words < 0).view(np.uint8)
+    return bits[:, 0] if soft.ndim == 1 else bits.T
 
 
 def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
@@ -182,9 +228,9 @@ def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erase
     soft = np.ones((code.n, syndromes.shape[0]), dtype=np.int8)
     soft[perm[cols]] = to_soft(syndromes.T)
     soft[perm[erased]] = 0
-    word = np.empty(soft.shape, dtype=np.uint8)
+    word = np.empty(soft.shape, dtype=np.int8)
     _decode(code.m, code.r, soft, word)
-    err = word[np.concatenate([perm[: code.k], perm[cols]])]
+    err = (word[np.concatenate([perm[: code.k], perm[cols]])] < 0).view(np.uint8)
     err[code.k :] ^= syndromes.T
     return err.T
 

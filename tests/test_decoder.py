@@ -1,4 +1,7 @@
 import functools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -150,9 +153,11 @@ class TestMatchesReferenceDecoder:
         assert np.array_equal(got, reference_decode(m, r, soft))
         assert np.array_equal(decoder.decode_closest(m, r, soft[-1]), got[-1])
 
+    # Orders 0 and m included: the majority vote, and the hard decision
+    # that inside the recursion only runs folded into a parent.
     @pytest.mark.parametrize("m", range(2, 9))
     def test_every_small_code(self, m):
-        for r in range(1, m):
+        for r in range(m + 1):
             self.check(m, r, 40, seed=100 * m + r)
 
     @pytest.mark.parametrize("rows", [1, 7, 64, 256])
@@ -160,10 +165,98 @@ class TestMatchesReferenceDecoder:
     def test_signing_codes(self, m, r, rows):
         self.check(m, r, rows, seed=rows)
 
+    # The rest of the parameter table; (12, 5) reaches RM(1, 8) leaves,
+    # which take the FHT inside the recursion.
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("m,r", [(10, 4), (11, 5), (12, 5)])
+    def test_other_table_codes(self, m, r, rows):
+        self.check(m, r, rows, seed=rows)
+
     # RM(1, m) up to the largest code: tables up to LEAF_TABLE_M, FHT above.
     @pytest.mark.parametrize("m", range(2, rmcode.MAX_M + 1))
     def test_first_order(self, m):
         self.check(m, 1, 16, seed=m)
+
+
+def read_only(arr):
+    arr = np.array(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+class TestEntryPointsOnlyReadInputs:
+    """Every decoding entry point leaves its input as it was.  The inputs
+    are read-only, so a write raises, and are compared with a copy."""
+
+    @pytest.mark.parametrize("shape", [(32,), (1, 32), (5, 32)])
+    def test_decode_closest(self, shape, monkeypatch):
+        # A 1-D or one-row int8 word reaches the kernel as a view of the
+        # caller's array, so a kernel that wrote over its soft input
+        # would change the caller's data there.
+        shared = []
+        kernel = decoder._decode
+
+        def spy(m, r, soft, out):
+            shared.append(np.shares_memory(soft, word))
+            kernel(m, r, soft, out)
+
+        monkeypatch.setattr(decoder, "_decode", spy)
+        rng = np.random.default_rng(61)
+        for r in range(6):
+            word = read_only(rng.integers(-1, 2, size=shape).astype(np.int8))
+            before = word.copy()
+            got = decoder.decode_closest(5, r, word)
+            assert np.array_equal(word, before)
+            assert np.array_equal(np.atleast_2d(got), reference_decode(5, r, np.atleast_2d(before)))
+        assert shared == [len(shape) == 1 or shape[0] == 1] * 6
+
+    def test_coset_leaders(self):
+        code = rmcode.build(6, 3)
+        rng = np.random.default_rng(62)
+        synd = read_only(rng.integers(0, 2, size=(9, code.n - code.k), dtype=np.uint8))
+        before = synd.copy()
+        for s in (synd, synd[0]):
+            decoder.coset_leaders(code, s)
+        assert np.array_equal(synd, before)
+
+    def test_punctured_and_modified_coset_leaders(self):
+        mod = _modified(6, 3, 13)
+        rng = np.random.default_rng(63)
+        top = read_only(rng.integers(0, 2, size=(9, mod.n - mod.k - mod.p), dtype=np.uint8))
+        full = read_only(rng.integers(0, 2, size=(9, mod.n - mod.k), dtype=np.uint8))
+        before = top.copy(), full.copy()
+        for s in (top, top[0]):
+            decoder.punctured_coset_leaders(mod, s)
+        scheme._modified_coset_leaders(mod, full)
+        assert np.array_equal(top, before[0]) and np.array_equal(full, before[1])
+
+
+def test_concurrent_decoding_matches_serial():
+    # The README promises that decoding is a pure, thread-safe function:
+    # threads decoding same-shaped batches at once must see what a serial
+    # run sees, so the kernel may keep no scratch between calls.  More
+    # threads than cores, and a short switch interval, make them overlap.
+    rng = np.random.default_rng(64)
+    batches = rng.integers(-1, 2, size=(12, 16, 1024)).astype(np.int8)
+    serial = [decoder.decode_closest(10, 5, b) for b in batches]
+    orders = [np.roll(np.arange(len(batches)), 4 * t) for t in range(3)]
+    start = threading.Barrier(len(orders), timeout=60)
+
+    def decode_all(order):
+        start.wait()
+        return [decoder.decode_closest(10, 5, batches[j]) for j in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(decode_all, order) for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for order, words in zip(orders, results):
+        for j, got in zip(order, words):
+            assert np.array_equal(got, serial[j])
 
 
 class TestSyndromeToCosetLeader:
