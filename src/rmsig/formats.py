@@ -2,7 +2,7 @@
 
 Key file ("RMSG"):
     magic      4s   "RMSG"
-    version    u16  format version, currently 1
+    version    u16  1 for a public key, 2 for a private key
     role       u8   0 = public, 1 = private
     m, r       u16, u16
     p          u32  punctured column count
@@ -14,9 +14,10 @@ Key file ("RMSG"):
     crc32      u32  zlib CRC of every preceding byte
 
 Public body:  packed H', (n-k) rows of ceil(n/8) bytes.
-Private body: packed S, sigma as n * u32, packed R, packed P',
-              info_perm as n * u32, then a 32-byte SHA-256 digest of the
-              packed reassembled H_m (integrity check of the assembly).
+Private body: packed S, sigma as n * u32, packed R, info_perm as n * u32,
+              then the 32-byte SHA-256 of every preceding byte (header
+              included) followed by the packed H_m rebuilt from info_perm,
+              the deleted columns and R.  P' is not stored (version 1 did).
 
 All header integers are little-endian.  The signature file ("RMSS")
 stores the counter big-endian, mirroring its role as hash input:
@@ -43,6 +44,7 @@ SIG_MAGIC = b"RMSS"
 VERSION = 1
 ROLE_PUBLIC = 0
 ROLE_PRIVATE = 1
+_KEY_VERSION = {ROLE_PUBLIC: VERSION, ROLE_PRIVATE: 2}
 
 _HEADER = struct.Struct("<4sHBHHIII")
 
@@ -83,7 +85,7 @@ class _Reader:
 
 
 def _header(role: int, m: int, r: int, p: int, params: SigningParams) -> bytes:
-    return _HEADER.pack(KEY_MAGIC, VERSION, role, m, r, p, params.w, params.N)
+    return _HEADER.pack(KEY_MAGIC, _KEY_VERSION[role], role, m, r, p, params.w, params.N)
 
 
 def _u32_list(values: np.ndarray) -> bytes:
@@ -105,9 +107,8 @@ def save_private_key(priv: PrivateKey) -> bytes:
     body += gf2.pack_bits(priv.S)
     body += _u32_list(priv.sigma)
     body += gf2.pack_bits(mod.R) if mod.p else b""
-    body += gf2.pack_bits(mod.P_kept)
     body += _u32_list(base.info_perm)
-    body += hashlib.sha256(gf2.pack_bits(mod.H)).digest()
+    body += hashlib.sha256(body + gf2.pack_bits(mod.H)).digest()
     return _with_crc(body)
 
 
@@ -120,10 +121,10 @@ def _parse_header(rd: _Reader, expect_role: int):
     magic, version, role, m, r, p, w, n_trials = _HEADER.unpack(rd.take(_HEADER.size))
     if magic != KEY_MAGIC:
         raise FormatError("not a key file (bad magic)")
-    if version != VERSION:
-        raise FormatError(f"unsupported key file version {version}")
     if role != expect_role:
         raise FormatError("key file has the wrong role for this operation")
+    if version != _KEY_VERSION[role]:
+        raise FormatError(f"unsupported {rd.kind} file version {version}")
     try:
         n, k, t = code_dims(m, r)
         params = SigningParams(w=w, N=n_trials, t=t)
@@ -157,9 +158,6 @@ def load_private_key(raw: bytes) -> PrivateKey:
     if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise FormatError("sigma is not a permutation of the column indices")
     r_block = gf2.unpack_matrix(rd.take(gf2.packed_size(p, n - p)), p, n - p)
-    p_kept = gf2.unpack_matrix(
-        rd.take(gf2.packed_size(k, n - k - p)), k, n - k - p
-    )
     info_perm = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     stored_digest = rd.take(32)
     rd.done()
@@ -169,10 +167,8 @@ def load_private_key(raw: bytes) -> PrivateKey:
     except ValueError as err:
         raise FormatError(f"stored info_perm is invalid: {err}") from None
     mod = assemble_modified(base, deleted, r_block)
-    if not np.array_equal(mod.P_kept, p_kept):
-        raise FormatError("stored P' disagrees with the reconstructed code")
-    if hashlib.sha256(gf2.pack_bits(mod.H)).digest() != stored_digest:
-        raise FormatError("reassembled H_m digest mismatch")
+    if hashlib.sha256(rd.buf[:-32] + gf2.pack_bits(mod.H)).digest() != stored_digest:
+        raise FormatError("private key digest mismatch")
     for arr in (scramble, sigma):
         arr.flags.writeable = False
     priv = PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)

@@ -86,6 +86,21 @@ class TestPrivateKeyFile:
         with pytest.raises(formats.FormatError):
             formats.load_private_key(raw)
 
+    def test_layout(self, keypair):
+        # Header and deleted list, S, sigma, R, info_perm, digest, CRC; no P'.
+        mod = keypair.private.mod
+        n, k, p = mod.n, mod.k, mod.p
+        raw = formats.save_private_key(keypair.private)
+        rows = (n - k) * ((n - k + 7) // 8) + p * ((n - p + 7) // 8)
+        assert len(raw) == 27 + 4 * p + rows + 4 * n + 4 * n + 32 + 4
+        assert raw[4:6] == b"\x02\x00"
+
+    def test_version_1_rejected_by_name(self, keypair):
+        # Version 1 stored P' and digested H_m alone; there is no v1 loader.
+        raw = _patched(formats.save_private_key(keypair.private), 4, b"\x01\x00")
+        with pytest.raises(formats.FormatError, match="private key file version 1"):
+            formats.load_private_key(raw)
+
     def test_save_keypair_writes_two_files(self, keypair, tmp_path):
         prefix = str(tmp_path / "toy")
         pub_path, sec_path = formats.save_keypair(keypair, prefix)
@@ -254,7 +269,9 @@ def _mutants(raw: bytes, seed: int):
 
 
 class TestMutationFuzz:
-    """Every loader either loads a mutated file or raises FormatError, fast."""
+    """Every loader either loads a mutated file or raises FormatError, fast.
+    The private key's digest covers every byte before it, so a mutated
+    private file never loads."""
 
     @pytest.mark.parametrize("kind", ["public", "private", "signature"])
     def test_every_byte(self, toy_keypair, kind):
@@ -272,6 +289,8 @@ class TestMutationFuzz:
                 load(raw)
             except formats.FormatError:  # any other exception fails the test
                 pass
+            else:
+                assert kind != "private", ("a mutated private key loaded", offset)
             assert time.monotonic() - start < 1.0, (kind, offset)
             mutants += 1
         assert mutants == 2 * (len(saved) - 4)
@@ -313,7 +332,7 @@ def _sampled_mutants(raw: bytes, header: int, seed: int):
 
 class TestMutationFuzzRm10:
     """The mutation fuzz on full-size files, at sampled offsets: a private
-    load takes tens of milliseconds, too long to visit all 58 KB."""
+    load takes tens of milliseconds, too long to visit all 27 KB."""
 
     @pytest.mark.parametrize("kind", ["public", "private", "signature"])
     def test_sampled_offsets(self, rm10_files, kind):
@@ -327,6 +346,17 @@ class TestMutationFuzzRm10:
                 pass
             else:
                 assert offset < len(saved) - 4, "a file with a broken CRC loaded"
+                assert kind != "private", ("a mutated private key loaded", offset)
             assert time.monotonic() - start < 1.0, (kind, offset)
             offsets.append(offset)
         assert len(set(offsets)) == header + 64 + 4
+
+    def test_edited_s_rejected(self, rm10_files):
+        """Bit 0x10 of the sixth byte of S flipped, CRC recomputed.  S stays
+        invertible, so a digest of H_m alone let this file load, and 3 of 8
+        of its signatures then failed verify."""
+        saved, load, header = rm10_files["private"]
+        s_byte = header + 5  # S follows the deleted columns
+        raw = _patched(saved, s_byte, bytes([saved[s_byte] ^ 0x10]))
+        with pytest.raises(formats.FormatError, match="digest"):
+            load(raw)

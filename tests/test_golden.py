@@ -5,9 +5,11 @@ recorded once and pin the outputs across refactors: a change that moves
 any of them changes what the scheme produces for a given seed, and must
 say so.  The weight bounds sit near t so that signing takes several
 trials.  The signing counters are pinned too: `sign` tries counters in
-batches of 64, 128, 256, 256, ..., so the boundaries fall after 64, 192
-and 448 trials, and the RM(5,10) case (m = 10, r = 5) signs inside the
-first batch (24), the second (133), the third (223) and past all three
+batches of 16, 64, 256, 256, ..., so the boundaries fall after 16, 80
+and 336 trials.  The RM(1,4) case signs all five messages inside the
+first batch; RM(3,6) signs inside the first (1), the second (21, 37,
+48) and past all three (347); and the RM(5,10) case (m = 10, r = 5)
+signs inside the second (24), the third (133, 223) and past all three
 (897, 4494).
 """
 
@@ -27,7 +29,7 @@ CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
 GOLDEN = {
     (4, 1, 3, 2000, 11): {
         "public": "299bea355158dd6c6952e059ba484d7290ac2458c1c9bcd007b476a9bb6f1aee",
-        "private": "7cced4e40f71f1b5ffee90db101ba4a08c0919fc958f4656c2074f41d015b41d",
+        "private": "490bc39d76a42e98bc1ef8f0e25693c8d1ad3171878517765e90294ad27e5034",
         "sig0": "03eb9073aa3dd27e14736e684b7da28c99bfa8756f31bde378e5f9f0c0f3d6c0",
         "sig1": "bc16a056347d7ee126fca25299489f9eb296a4f05dfe3a2b4b386a886e6ea47d",
         "sig2": "3c8599f9351ffd319d5106dc3c78ec0ef3823cadfc4c28b4356b7cea376e0f53",
@@ -39,7 +41,7 @@ GOLDEN = {
     },
     (6, 3, 3, 4000, 13): {
         "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
-        "private": "209fc861c5007a53b35b0038521cbbadb8cf46e3985cb0c69a4560cc9bbd4229",
+        "private": "24ae29084473c323d2952c9f56edc6d56a65dfc5649bef9be75db13f5a631f91",
         "sig0": "e2bada91308d9f6cf4b5fc07e7d844ae0ba1943e84bbb4a8257846f14a0cd563",
         "sig1": "611f64b353d6df1911101b57c18c7b1a21ff0c9124faea657a0e0276390dfb50",
         "sig2": "1635372eb0bf35b3b8cb975c96686b23904ba293acc9ac1773be3162fe938f44",
@@ -51,7 +53,7 @@ GOLDEN = {
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
-        "private": "e570a929ef64dc31b7ae9381295793c1276653aef8d0e34ae8808c963f3bdd0f",
+        "private": "e734b75a12c4441d3f55fcb59dcb53b8964a5b3a8572ef845680e7c3a3cd2113",
         "sig0": "8da156b238af1c4ac844ed7ba4102e8b1045d1a0c1752fb109aa80df4540c4d4",
         "sig1": "c6605c6dfc5df2c809f01e865670cad104258451190125b32955c11960077a06",
         "sig2": "9ece8d8aeff589c248d2c8eaf2457275dfaf9cc8b18017409f7400db9fb295e5",
