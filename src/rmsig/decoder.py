@@ -9,22 +9,29 @@ The recursion follows the (u | u+v) split over the last variable.  The
 v half is decoded first from the componentwise product of the two
 halves (sign = XOR estimate, zero propagates erasure), then the u half
 from the componentwise sum y1 + y2 (1 - 2v) of the first half and the
-v-corrected second half.  Above length SOFT_BLOCK the u-branch sum is
-quantized back to {-1, 0, +1} (hard decision, a zero sum becomes an
-erasure), so every sub-block of length SOFT_BLOCK receives values in
-{-1, 0, +1}.  Inside such a sub-block the u sums and v products are
-passed down exact in int8; their magnitude stays at most 16 (see
-SOFT_BLOCK).  Base cases: order 0 decodes by a signed sum (majority vote
-weighted by the soft magnitudes, erasures count nothing), order m by
-componentwise hard decision, and order 1 by exact maximum likelihood:
-up to length 2**LEAF_TABLE_M by one float32 product with a cached
-+h_a/-h_a Hadamard matrix and a lookup in a cached codeword table,
-above it by a fast Hadamard transform.
+v-corrected second half.  A u-branch sum that goes into a further
+split of length SOFT_BLOCK or more is quantized back to {-1, 0, +1}
+(hard decision, a zero sum becomes an erasure), so every sub-block of
+length SOFT_BLOCK receives values in {-1, 0, +1}.  Inside such a
+sub-block the u sums and v products are passed down exact in int8, and
+so are the u sums that go into a leaf; their magnitude stays at most 4
+(see SOFT_BLOCK).  Base cases, checked in this order: order 0 decodes by a
+signed sum (majority vote weighted by the soft magnitudes, erasures
+count nothing), order m by componentwise hard decision, and order 1 and
+order m-1 by exact maximum likelihood.  Order 1 takes, up to length
+2**LEAF_TABLE_M, one float32 product with a cached +h_a/-h_a Hadamard
+matrix and a lookup in a cached codeword table, above it a fast
+Hadamard transform.  Order m-1, the even-weight code, takes Wagner's
+rule (the single-parity-check node of fast polar decoders): the hard
+decision, with the least reliable position flipped in each word of odd
+weight.  Every Plotkin node therefore has 1 < r < m-1, and none has an
+order-m child.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
 peaks go to the zero codeword, equal Hadamard magnitudes go to the
-smallest coefficient index (h_a before -h_a), and erasures harden to
-bit 0.
+smallest coefficient index (h_a before -h_a), the least reliable
+position is the one of smallest |y| and then of smallest index, and
+erasures harden to bit 0.
 
 All routines run on whole batches (independent words); every step is
 componentwise per word, so batched and one-at-a-time decoding give
@@ -38,9 +45,9 @@ arithmetic, so each node is kept to a few calls on int8 operands:
   array, so the u-branch input is y1 + y2 v, the right half u + v is
   the product u v, and no call casts or views the output; the entry
   points turn the words into bits once, at the end.
-* A node calls its children directly: an order-1 child goes straight
-  to the leaf, and an order-m child (the u half of RM(m-1, m)) is
-  folded into its parent as a hard decision, without a call of its own.
+* A node calls its children directly: an order-1 child (the v half of
+  RM(2, m)) and an order m-2 child (the u half of RM(m-2, m)) go
+  straight to their leaves.
 * Each decode allocates one scratch array per node length for the
   children's inputs, which every node of that length reuses; nothing
   is kept between calls, so decoding stays a pure, thread-safe
@@ -63,10 +70,13 @@ SOFT_BLOCK = 32
 """Largest sub-block length whose decode keeps exact int8 reliabilities.
 
 A node of length 32 receives values in {-1, 0, +1}.  Below it each u
-sum at most doubles the bound and each v product squares it, so the
-largest magnitude is 16: the v product passed down by a length-8 node
-whose inputs reach 4 (1 -> 2 -> 4 along the u branches).  A length-64
-block would reach 256 at the same place and wrap int8, hence 32.
+sum at most doubles the bound and each v product squares it.  The
+smallest nodes have length 16, since RM(1, 3) and RM(2, 3) are leaves,
+so the largest magnitude is 4: what a length-16 node whose inputs reach
+2 passes to its two length-8 leaves.  A leaf longer than 16 receives at
+most 2, the u sum of a node whose inputs reach 1.  A length-64 block
+would reach 16 at the same place, and a length-128 block 256, which
+wraps int8.
 """
 
 
@@ -143,8 +153,50 @@ def _harden(soft: np.ndarray, out: np.ndarray) -> None:
     out |= _ONE
 
 
+_SPC_KEYS_ROWS = 128
+"""Batch width from which _decode_spc finds the weakest positions by keys.
+
+Narrower batches take an argmin over each word and flip one element per
+word by index.  numpy runs that argmin word by word, so its cost grows
+fastest with the width; the keys form makes a few more numpy calls, all
+of them vectorised.  Whole decodes, one thread, best of 9, argmin form
+-> keys form: RM(10,5) 0.58 -> 0.62 ms at 64 rows, 0.70 -> 0.70 at 96,
+0.82 -> 0.79 at 128 and 1.03 -> 0.92 at 192; RM(12,6) 2.27 -> 2.38,
+2.67 -> 2.70, 3.20 -> 3.09 and 4.03 -> 3.66 ms.
+"""
+
+
+@functools.cache
+def _positions(n: int) -> np.ndarray:
+    """The int16 column 0, 1, ..., n-1, read-only."""
+    index = np.arange(n, dtype=np.int16)[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
+    # ML for RM(k-1, k), the even-weight code, by Wagner's rule: the hard
+    # decision, with the least reliable position of each odd-weight word
+    # flipped, the smallest |y| and then the smallest index.
+    _harden(soft, out)
+    parity = out.prod(axis=0, dtype=np.int8)  # -1 for an odd weight
+    n, rows = soft.shape
+    if rows < _SPC_KEYS_ROWS:
+        weakest = np.abs(soft).argmin(axis=0)  # the first minimum
+        out[weakest, np.arange(rows)] *= parity
+        return
+    # The keys |y| n + index are distinct within a word, so each column's
+    # minimum marks exactly its weakest position.  |y| n is at most 32 up
+    # to length 16 and 2n above (see SOFT_BLOCK), so int16 holds the keys.
+    keys = np.abs(soft, dtype=np.int16)
+    keys *= n
+    keys |= _positions(n)
+    parity -= _ONE  # 0 for an even weight, -2 = (+1) ^ (-1) for an odd one
+    out ^= (keys == keys.min(axis=0)) * parity
+
+
 def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, levels: list) -> None:
-    """One (u | u+v) node of RM(r, m), 1 < r < m, on the halves y1, y2 of
+    """One (u | u+v) node of RM(r, m), 1 < r < m - 1, on the halves y1, y2 of
     its input; the +-1 codewords go to out.  levels[m] holds the node's
     scratch for its children's inputs and that scratch's two halves."""
     half = 1 << (m - 1)
@@ -158,8 +210,8 @@ def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, le
     # u-branch input y1 + y2 v, in the v input's memory.
     np.multiply(y2, v, work)
     work += y1
-    if r == m - 1:  # RM(m-1, m-1), folded in: a hard decision
-        _harden(work, u)
+    if r == m - 2:  # the single-parity-check leaf, fed the exact sums
+        _decode_spc(work, u)
     else:
         if half >= SOFT_BLOCK:
             np.sign(work, work)
@@ -179,9 +231,11 @@ def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
         _harden(soft, out)
     elif r == 1:
         _decode_order1(m, soft, out)
+    elif r == m - 1:
+        _decode_spc(soft, out)
     else:
         levels = [None] * (m + 1)
-        for k in range(3, m + 1):
+        for k in range(4, m + 1):
             work = np.empty((1 << (k - 1), soft.shape[1]), dtype=np.int8)
             levels[k] = (work, work[: 1 << (k - 2)], work[1 << (k - 2) :])
         half = 1 << (m - 1)
@@ -193,7 +247,7 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
 
     Accepts one word or a batch (rows) of soft values in {-1, 0, +1}.
     Returns codeword(s) in evaluation order, for any such input
-    (including all-erased).  Exact ML whenever r <= 1 or r == m.
+    (including all-erased).  Exact ML whenever r <= 1, r = m-1 or r = m.
 
     Raises:
         ValueError: on a shape other than (2**m,) or (rows, 2**m), or a

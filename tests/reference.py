@@ -154,10 +154,10 @@ def perm_matrix(sigma):
     return q
 
 
-# The recursive decoder as it stood before its table-driven leaves and
-# preallocated output: (u | u+v) recursion with concatenated halves and
-# an int32 fast Hadamard transform at every RM(1, m) leaf.  The decoder
-# must give the same codeword for every input, ties included.
+# The recursive decoder, stated plainly: (u | u+v) recursion with
+# concatenated halves, an int32 fast Hadamard transform at every RM(1, m)
+# leaf and Wagner's rule at every RM(m-1, m) leaf.  The decoder must give
+# the same codeword for every input, ties included.
 REF_SOFT_BLOCK = 32
 
 
@@ -185,6 +185,18 @@ def _decode_order1(m, soft):
     return (words ^ (peak < 0)[:, None]).astype(np.uint8)
 
 
+def wagner_decode(soft):
+    """Even-weight words: the hard decision (erasures to bit 0), and in a
+    word of odd weight the bit at the smallest |y| flipped, the first
+    such position on a tie."""
+    words = to_hard(soft)
+    for row, word in zip(np.asarray(soft, dtype=np.int64), words):
+        if word.sum() % 2:
+            weakest = min(range(len(row)), key=lambda j: (abs(row[j]), j))
+            word[weakest] ^= 1
+    return words
+
+
 def reference_decode(m, r, soft):
     """Codewords (evaluation order) for the int8 soft rows, RM(r, m)."""
     if r == 0:
@@ -192,15 +204,18 @@ def reference_decode(m, r, soft):
         bits = (totals < 0).astype(np.uint8)
         return np.repeat(bits[:, None], 1 << m, axis=1)
     if r == m:
-        return (soft < 0).astype(np.uint8)
+        return to_hard(soft)
     if r == 1:
         return _decode_order1(m, soft)
+    if r == m - 1:
+        return wagner_decode(soft)
+    # A (u | u+v) node of length REF_SOFT_BLOCK or more decodes the sign of
+    # its input; a leaf decodes its input as it is.
+    if (1 << m) >= REF_SOFT_BLOCK:
+        soft = np.sign(soft)
     half = 1 << (m - 1)
     y1, y2 = soft[:, :half], soft[:, half:]
     v = reference_decode(m - 1, r - 1, y1 * y2)
     flip = (1 - 2 * v).astype(np.int8)
-    u_soft = y1 + y2 * flip
-    if half >= REF_SOFT_BLOCK:
-        u_soft = np.sign(u_soft)
-    u = reference_decode(m - 1, r, u_soft)
+    u = reference_decode(m - 1, r, y1 + y2 * flip)
     return np.concatenate([u, u ^ v], axis=1)

@@ -143,8 +143,9 @@ def soft_words_with_ties(m, rows, rng):
 
 class TestMatchesReferenceDecoder:
     """The table-driven leaves and in-place recursion give the same words
-    as the plain recursion with an FHT at every RM(1, m) leaf, ties
-    included, on both sides of the table/FHT split."""
+    as the plain recursion with an FHT at every RM(1, m) leaf and Wagner's
+    rule at every RM(m-1, m) leaf, ties included, on both sides of the
+    table/FHT split and of _SPC_KEYS_ROWS."""
 
     @staticmethod
     def check(m, r, rows, seed):
@@ -153,8 +154,8 @@ class TestMatchesReferenceDecoder:
         assert np.array_equal(got, reference_decode(m, r, soft))
         assert np.array_equal(decoder.decode_closest(m, r, soft[-1]), got[-1])
 
-    # Orders 0 and m included: the majority vote, and the hard decision
-    # that inside the recursion only runs folded into a parent.
+    # Orders 0 and m included: the majority vote and the hard decision,
+    # which run only at the top of a decode.
     @pytest.mark.parametrize("m", range(2, 9))
     def test_every_small_code(self, m):
         for r in range(m + 1):
@@ -176,6 +177,80 @@ class TestMatchesReferenceDecoder:
     @pytest.mark.parametrize("m", range(2, rmcode.MAX_M + 1))
     def test_first_order(self, m):
         self.check(m, 1, 16, seed=m)
+
+
+@functools.cache
+def _even_weight_words(n):
+    """Every word of even weight and length n, as int64 +-1 rows (+1 for
+    bit 0): the codewords of RM(m-1, m) for n = 2**m."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return 1 - 2 * bits[bits.sum(axis=1) % 2 == 0]
+
+
+class TestSpcLeaf:
+    """The RM(k-1, k) leaf, called directly so that its input may carry the
+    magnitudes {1, 4, 16} met inside the soft blocks: ML against every
+    even-weight word, and the stated tie rule.  Erasures harden to bit 0,
+    and a word of odd weight flips the bit at its smallest |y|, the first
+    such position on a tie.  Batches of at least _SPC_KEYS_ROWS words and
+    slices of 16 and of one word take the two forms of the leaf."""
+
+    @staticmethod
+    def soft_words(k, rng):
+        n = 1 << k
+        values = np.array([0, 1, -1, 4, -4, 16, -16], dtype=np.int8)
+        if k == 2:  # every word over the seven values
+            codes = np.arange(len(values) ** n)[:, None] // len(values) ** np.arange(n)
+            return values[codes % len(values)]
+        soft = values[rng.integers(0, len(values), size=(400, n))]
+        soft[0] = 0
+        for row in range(1, 100):
+            signs = np.where(rng.integers(0, 2, size=n) == 1, -1, 1).astype(np.int8)
+            if row < 40:  # one magnitude, 1, 4 or 16, everywhere
+                soft[row] = signs * values[1 + 2 * (row % 3)]
+            else:  # two to four positions share the smallest magnitude
+                soft[row] = signs * 16
+                ties = rng.choice(n, size=2 + row % 3, replace=False)
+                soft[row, ties] = signs[ties]
+        return soft
+
+    @staticmethod
+    def leaf(soft):
+        out = np.empty((soft.shape[1], soft.shape[0]), dtype=np.int8)
+        decoder._decode_spc(np.ascontiguousarray(soft.T), out)
+        return (out.T < 0).view(np.uint8)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ml_and_tie_rule(self, k):
+        soft = self.soft_words(k, np.random.default_rng(k))
+        assert len(soft) >= decoder._SPC_KEYS_ROWS > 16
+        hard = to_hard(soft)
+        odd = hard.sum(axis=1) % 2 == 1
+        weakest = np.abs(soft.astype(np.int64)).argmin(axis=1)  # the first minimum
+        expected = hard.copy()
+        expected[odd, weakest[odd]] ^= 1
+        best = (soft.astype(np.int64) @ _even_weight_words(1 << k).T).max(axis=1)
+        got_wide = self.leaf(soft)
+        got_narrow = np.concatenate([self.leaf(part) for part in np.array_split(soft, len(soft) // 16)])
+        got_single = np.concatenate([self.leaf(soft[row : row + 1]) for row in range(0, len(soft), 37)])
+        for got in (got_wide, got_narrow):
+            assert np.array_equal(got, expected)
+            assert np.array_equal((soft * (1 - 2 * got.astype(np.int64))).sum(axis=1), best)
+        assert np.array_equal(got_single, expected[::37])
+
+    def test_tie_examples(self):
+        cases = [
+            ([1, -1, 1, 1], [1, 1, 0, 0]),  # equal magnitudes: index 0 flips
+            ([4, -4, 1, 1], [0, 1, 1, 0]),  # the first of two weakest
+            ([-16, 0, 0, 4], [1, 1, 0, 0]),  # the first erasure
+            ([0, 0, 0, 0], [0, 0, 0, 0]),  # erasures harden to bit 0
+            ([-1, -16, 4, 16], [1, 1, 0, 0]),  # even weight: kept
+        ]
+        soft = np.array([c[0] for c in cases], dtype=np.int8)
+        expected = np.array([c[1] for c in cases], dtype=np.uint8)
+        assert np.array_equal(self.leaf(soft), expected)
+        wide = np.repeat(soft, decoder._SPC_KEYS_ROWS, axis=0)
+        assert np.array_equal(self.leaf(wide), np.repeat(expected, decoder._SPC_KEYS_ROWS, axis=0))
 
 
 def read_only(arr):
@@ -356,6 +431,19 @@ def test_batch_equals_scalar(m, r):
         assert np.array_equal(batch[row], decoder.coset_leaders(code, synd[row]))
 
 
+# Widths on both sides of decoder._SPC_KEYS_ROWS; RM(4,5) takes the
+# single-parity-check leaf at the top, RM(5,10) at lengths 8 to 64.
+@pytest.mark.parametrize("rows", [1, 16, 256, 1024])
+@pytest.mark.parametrize("m,r", [(5, 2), (5, 4), (10, 5)])
+def test_batch_equals_scalar_at_widths(m, r, rows):
+    code = rmcode.build(m, r)
+    rng = np.random.default_rng(rows)
+    synd = rng.integers(0, 2, size=(rows, code.n - code.k), dtype=np.uint8)
+    batch = decoder.coset_leaders(code, synd)
+    for row in range(rows):
+        assert np.array_equal(batch[row], decoder.coset_leaders(code, synd[row]))
+
+
 def test_punctured_batch_equals_scalar():
     mod = modified_rm41_with_p4()
     rng = np.random.default_rng(43)
@@ -447,6 +535,15 @@ class TestDecoderProperties:
         words = decoder.decode_closest(m, r, soft).astype(np.int64)
         got = (soft * (1 - 2 * words)).sum(axis=1)
         best = (soft.astype(np.int64) @ (1 - 2 * _order_le1_words(m, r)).T).max(axis=1)
+        assert (got >= best).all()
+
+    @PROPERTY
+    @given(batch=soft_words(2, 4, lambda m: st.just(m - 1)))
+    def test_decode_closest_is_ml_at_order_m_minus_1(self, batch):
+        m, r, soft = batch
+        words = decoder.decode_closest(m, r, soft).astype(np.int64)
+        got = (soft * (1 - 2 * words)).sum(axis=1)
+        best = (soft.astype(np.int64) @ _even_weight_words(1 << m).T).max(axis=1)
         assert (got >= best).all()
 
     @PROPERTY

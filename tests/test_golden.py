@@ -5,12 +5,11 @@ recorded once and pin the outputs across refactors: a change that moves
 any of them changes what the scheme produces for a given seed, and must
 say so.  The weight bounds sit near t so that signing takes several
 trials.  The signing counters are pinned too: `sign` tries counters in
-batches of 16, 64, 256, 256, ..., so the boundaries fall after 16, 80
-and 336 trials.  The RM(1,4) case signs all five messages inside the
-first batch; RM(3,6) signs inside the first (1), the second (21, 37,
-48) and past all three (347); and the RM(5,10) case (m = 10, r = 5)
-signs inside the second (24), the third (133, 223) and past all three
-(897, 4494).
+batches of 16, 64, 256, 256, ..., so the boundaries fall after 16, 80,
+336 and 592 trials.  The RM(1,4) case signs all five messages inside
+the first batch; RM(3,6) signs inside the first (1), the second (21,
+37, 48) and past the first three (347); and the RM(5,10) case (m = 10,
+r = 5) signs inside the third (92, 252) and the fourth (452, 482, 573).
 """
 
 import hashlib
@@ -48,20 +47,20 @@ GOLDEN = {
         "sig3": "c2b735e4e4dd19d625f8fd3429fbafd0bbc7ba12ad5e81b11aca31ff873aaca3",
         "sig4": "98f35fe72dd6a476eac3959893ac86fbb019f58344142572dacf27e3b646fa59",
         "csv_plain": "95903d71a4b3e9fa39f74804cc5094f0ca38eeb23dac47b6b373c06f9fe05045",
-        "csv_modified": "12d0c3eb131efb82e171a2ea1f58d545439548250936b75917e01267240ae31a",
+        "csv_modified": "e031de55a16b671c31b54304b3e0e91c98516f25860c5c2fa920260598af7672",
         "counters": [347, 1, 48, 21, 37],
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
         "private": "e734b75a12c4441d3f55fcb59dcb53b8964a5b3a8572ef845680e7c3a3cd2113",
-        "sig0": "8da156b238af1c4ac844ed7ba4102e8b1045d1a0c1752fb109aa80df4540c4d4",
-        "sig1": "c6605c6dfc5df2c809f01e865670cad104258451190125b32955c11960077a06",
-        "sig2": "9ece8d8aeff589c248d2c8eaf2457275dfaf9cc8b18017409f7400db9fb295e5",
-        "sig3": "3cabea2c85c63ca7e31f974214c252d84c886da921eead82694095c57fac32d0",
-        "sig4": "b961eaa8e2d8799eb337684c1651cfd479ee292c2d1920bdc7b7028762a3cbe2",
-        "csv_plain": "d2f91b6a3c569c936cefaa065966d23e23602916d0efa31da5959a7075fe768d",
-        "csv_modified": "003ac7f481793cc7178c9b6c7ee0b9cc92f0d1d9d303641480a38ad36078bc2e",
-        "counters": [897, 223, 133, 4494, 24],
+        "sig0": "0b7ac641f94443d52df84deb5e829bdf94184623f50b0b8ab8698958d0f44df1",
+        "sig1": "6a7e29dc5d98fd3f8c407430553ad121a3578d7b61384d649d0262eadd55f032",
+        "sig2": "e90c54291e98f11b746769bf656bf1db4352b131004de8ebfc293b3b642808b0",
+        "sig3": "298ef387687423ec2785a1f96e7f5fcf1f5fb65beb5b039502285cc1864ab3e8",
+        "sig4": "0c20cb0e2e51392dc9826d71e7845d8d5e730028fa77bfe0652945eddef32547",
+        "csv_plain": "f7f8dacca5fa118e79c7afbf1366cc78a9a54dbb54df5b8590d7690ffa352253",
+        "csv_modified": "861a9bdaeee3a5d74e8b33487ed2519dd14de4f864b7a3b67a86a9c046922e76",
+        "counters": [92, 482, 252, 573, 452],
     },
 }
 
