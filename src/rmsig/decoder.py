@@ -166,14 +166,6 @@ of them vectorised.  Whole decodes, one thread, best of 9, argmin form
 """
 
 
-@functools.cache
-def _positions(n: int) -> np.ndarray:
-    """The int16 column 0, 1, ..., n-1, read-only."""
-    index = np.arange(n, dtype=np.int16)[:, None]
-    index.flags.writeable = False
-    return index
-
-
 def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(k-1, k), the even-weight code, by Wagner's rule: the hard
     # decision, with the least reliable position of each odd-weight word
@@ -190,7 +182,7 @@ def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
     # to length 16 and 2n above (see SOFT_BLOCK), so int16 holds the keys.
     keys = np.abs(soft, dtype=np.int16)
     keys *= n
-    keys |= _positions(n)
+    keys |= np.arange(n, dtype=np.int16)[:, None]
     parity -= _ONE  # 0 for an even weight, -2 = (+1) ^ (-1) for an odd one
     out ^= (keys == keys.min(axis=0)) * parity
 
