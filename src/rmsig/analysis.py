@@ -108,7 +108,7 @@ def calibrate(
         else:
             chunk_rng = np.random.default_rng(seeds[j])
             synd = chunk_rng.integers(0, 2, size=(count, n_k), dtype=np.uint8)
-        weights = decode(code, synd).sum(axis=1, dtype=np.int64)
+        weights = decode(code, synd).sum(axis=1, dtype=np.min_scalar_type(code.n))
         hist_arr += np.bincount(weights, minlength=code.n + 1)
     histogram = {int(w): int(c) for w, c in enumerate(hist_arr) if c}
     return WeightDistribution(

@@ -317,6 +317,8 @@ def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray
     s_tops = np.asarray(s_tops, dtype=np.uint8)
     rows = _syndrome_rows(s_tops, base.n - base.k - mod.p, "n-k-p")
     err = _closest_errors(base, rows, mod.kept_cols, mod.deleted)
+    # err[:, :k] is a transposed view of the decode's (n, rows) columns,
+    # which the table product packs where it lies.
     check = gf2.mat_mul(err[:, : base.k], mod.P_kept, mod.P_kept_table) ^ err[:, base.k :]
     if not np.array_equal(check, rows):
         raise AssertionError("punctured decode violated H_p e = s_top")

@@ -201,7 +201,7 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     while first <= limit:
         count = min(batch, limit + 1 - first)
         _s_primes, e_primes = _trials(priv, inner, first, count)
-        weights = e_primes.sum(axis=1, dtype=np.int64)
+        weights = e_primes.sum(axis=1, dtype=np.min_scalar_type(priv.mod.n))
         hits = np.nonzero(weights <= priv.params.w)[0]
         if hits.size:
             e_prime = e_primes[hits[0]]

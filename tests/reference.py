@@ -198,7 +198,12 @@ def wagner_decode(soft):
 
 
 def reference_decode(m, r, soft):
-    """Codewords (evaluation order) for the int8 soft rows, RM(r, m)."""
+    """Codewords (evaluation order) for the soft rows, RM(r, m).
+
+    The arithmetic runs in int64, wider than the kernel's int8, so an
+    int8 wrap in the kernel shows up as a mismatch instead of repeating
+    here."""
+    soft = np.asarray(soft, dtype=np.int64)
     if r == 0:
         totals = soft.sum(axis=1, dtype=np.int64)
         bits = (totals < 0).astype(np.uint8)
@@ -216,6 +221,6 @@ def reference_decode(m, r, soft):
     half = 1 << (m - 1)
     y1, y2 = soft[:, :half], soft[:, half:]
     v = reference_decode(m - 1, r - 1, y1 * y2)
-    flip = (1 - 2 * v).astype(np.int8)
+    flip = 1 - 2 * v.astype(np.int64)
     u = reference_decode(m - 1, r, y1 + y2 * flip)
     return np.concatenate([u, u ^ v], axis=1)

@@ -179,6 +179,28 @@ class TestMatchesReferenceDecoder:
         self.check(m, 1, 16, seed=m)
 
 
+@pytest.mark.parametrize("m,r", [(10, 5), (12, 6)])
+def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
+    """On an all-(+1) batch every u sum doubles, so the largest |input|
+    that reaches a leaf is the bound of 4 stated in SOFT_BLOCK's docstring:
+    a length-16 node whose inputs reach 2 passes 4 to both its leaves."""
+    peaks = {}
+
+    def spy(name, leaf):
+        def wrapped(*args):
+            soft = args[-2]  # both leaves take (..., soft, out)
+            peaks[name] = max(peaks.get(name, 0), int(np.abs(soft.astype(np.int64)).max()))
+            leaf(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(decoder, "_decode_order1", spy("order1", decoder._decode_order1))
+    monkeypatch.setattr(decoder, "_decode_spc", spy("spc", decoder._decode_spc))
+    words = decoder.decode_closest(m, r, np.ones((16, 1 << m), dtype=np.int8))
+    assert not words.any()
+    assert peaks == {"order1": 4, "spc": 4}
+
+
 @functools.cache
 def _even_weight_words(n):
     """Every word of even weight and length n, as int64 +-1 rows (+1 for

@@ -121,6 +121,47 @@ class TestProductTable:
         assert 300 * 100 * 10 > gf2._GATHER_WORDS
         assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
 
+    @pytest.mark.parametrize("rows", [1, 6, 12, 16, 256])
+    @pytest.mark.parametrize("k", [61, 64, 638])
+    def test_operand_layouts_vs_blas(self, rows, k):
+        # The punctured decode's check multiplies a column slice of the
+        # transposed (n, rows) column layout the decoder writes.
+        rng = np.random.default_rng(rows * 1000 + k)
+        b = rand_mat(rng, k, 385)
+        table = gf2.ProductTable(b)
+        columns = rand_mat(rng, k + 11, rows)
+        operands = {
+            "c_contiguous": np.ascontiguousarray(columns[3 : 3 + k].T),
+            "transposed": np.ascontiguousarray(columns[3 : 3 + k]).T,
+            "column_slice": columns.T[:, 3 : 3 + k],
+        }
+        assert operands["c_contiguous"].flags.c_contiguous
+        expected = blas_mat_mul(operands["c_contiguous"], b)
+        for name, a in operands.items():
+            assert np.array_equal(a, operands["c_contiguous"]), name
+            assert np.array_equal(gf2.mat_mul(a, b, table), expected), name
+
+    @pytest.mark.parametrize("gather_words", [1, 500, 5000])
+    @pytest.mark.parametrize("rows", [16, 256])
+    def test_gather_in_chunks_vs_blas(self, monkeypatch, gather_words, rows):
+        # 638 columns of a make 160 groups; a small _GATHER_WORDS splits
+        # them into one group per chunk, or into chunks with a short last one.
+        monkeypatch.setattr(gf2, "_GATHER_WORDS", gather_words)
+        rng = np.random.default_rng(gather_words + rows)
+        b = rand_mat(rng, 638, 385)
+        columns = rand_mat(rng, 1023, rows)
+        for a in (columns.T[:, :638], np.ascontiguousarray(columns.T[:, :638])):
+            assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
+
+    def test_packbits_axis0_vs_packbits(self):
+        # Every word width (rows modulo 8) and every remainder of k modulo 8.
+        rng = np.random.default_rng(7)
+        for rows in range(1, 18):
+            for k in range(0, 18):
+                at = rand_mat(rng, k, rows)
+                got = gf2._packbits_axis0(at)
+                assert np.array_equal(got, np.packbits(at, axis=0, bitorder="little")), (k, rows)
+
     def test_wrong_table_rejected(self):
         rng = np.random.default_rng(6)
         a, b = rand_mat(rng, 2, 5), rand_mat(rng, 5, 4)
