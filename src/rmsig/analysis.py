@@ -85,7 +85,9 @@ def calibrate(
     way the syndromes are decoded _CHUNK rows at a time: a sampled chunk
     draws its rows from its own seed, drawn once from rng, and an
     exhaustive chunk enumerates its own index range, so memory stays
-    bounded however many syndromes there are.
+    bounded however many syndromes there are.  A sampled bit is the top
+    bit of a random byte: the bit integers(0, 2, dtype=np.uint8) draws,
+    at twice its speed.
     """
     base = code.base if isinstance(code, ModifiedCode) else code
     decode = _modified_coset_leaders if isinstance(code, ModifiedCode) else coset_leaders
@@ -106,8 +108,11 @@ def calibrate(
             index = np.arange(start, start + count, dtype=np.uint32)
             synd = ((index[:, None] >> shifts) & 1).astype(np.uint8)
         else:
+            # numpy draws a bounded uint8 by Lemire's method, which takes
+            # a bit in [0, 2) as the top bit of one random byte.
             chunk_rng = np.random.default_rng(seeds[j])
-            synd = chunk_rng.integers(0, 2, size=(count, n_k), dtype=np.uint8)
+            synd = chunk_rng.integers(0, 256, size=(count, n_k), dtype=np.uint8)
+            synd >>= 7
         weights = decode(code, synd).sum(axis=1, dtype=np.min_scalar_type(code.n))
         hist_arr += np.bincount(weights, minlength=code.n + 1)
     histogram = {int(w): int(c) for w, c in enumerate(hist_arr) if c}

@@ -21,11 +21,13 @@ count nothing), order m by componentwise hard decision, and order 1 and
 order m-1 by exact maximum likelihood.  Order 1 takes, up to length
 2**LEAF_TABLE_M, one float32 product with a cached +h_a/-h_a Hadamard
 matrix and a lookup in a cached codeword table, above it a fast
-Hadamard transform.  Order m-1, the even-weight code, takes Wagner's
-rule (the single-parity-check node of fast polar decoders): the hard
-decision, with the least reliable position flipped in each word of odd
-weight.  Every Plotkin node therefore has 1 < r < m-1, and none has an
-order-m child.
+Hadamard transform.  A table leaf of _ORDER1_KEYS_ROWS words or more
+finds each word's codeword by a column maximum of keys that carry the
+codeword's index, instead of numpy's word-by-word argmax.  Order m-1,
+the even-weight code, takes Wagner's rule (the single-parity-check node
+of fast polar decoders): the hard decision, with the least reliable
+position flipped in each word of odd weight.  Every Plotkin node
+therefore has 1 < r < m-1, and none has an order-m child.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
 peaks go to the zero codeword, equal Hadamard magnitudes go to the
@@ -82,7 +84,7 @@ wraps int8.
 
 def to_soft(bits: np.ndarray) -> np.ndarray:
     """Map hard bits to soft values (+1 for 0, -1 for 1)."""
-    return (1 - 2 * np.asarray(bits, dtype=np.int8)).astype(np.int8)
+    return 1 - 2 * np.asarray(bits, dtype=np.int8)
 
 
 # A read-only int8 operand: a Python int costs a scalar conversion on
@@ -94,9 +96,9 @@ LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 
 Such a leaf costs one float32 product with the 2**m x 2**(m+1) matrix of
-_leaf_tables (128 KB at m = 7), one argmax and one table lookup; longer
-leaves use the fast Hadamard transform, whose work grows as m 2**m
-instead of 4**m.
+_leaf_tables (128 KB at m = 7), or the half as wide one of _leaf_keys,
+one maximum and one table lookup; longer leaves use the fast Hadamard
+transform, whose work grows as m 2**m instead of 4**m.
 """
 
 
@@ -119,10 +121,66 @@ def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return correlators, words
 
 
+_ORDER1_KEYS_ROWS = 384
+"""Batch width from which _decode_order1 picks the codeword by keys.
+
+Narrower batches take an argmax over each word's correlations.  numpy
+runs that argmax word by word, so its cost grows fastest with the width;
+the keys form makes a few more numpy calls, all of them vectorised, on a
+product half as wide.  Whole decodes, one thread, best of 31 (RM(10,5))
+and 21 (RM(12,6)) with the forms interleaved, argmax form -> keys form:
+RM(10,5) 1.64 -> 1.76 ms at 128 rows, 2.19 -> 2.20 at 256, 2.74 -> 2.52
+at 384, 3.43 -> 2.96 at 512 and 5.98 -> 4.53 at 1024; RM(12,6) 9.73 ->
+9.31 at 256, 9.30 -> 7.99 at 384, 15.5 -> 12.7 at 512 and 27.3 -> 20.9
+at 1024.  The forms tie at 256 rows, the widest signing batch, which
+therefore keeps the argmax form.
+"""
+
+
+@functools.cache
+def _leaf_keys(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hadamard, flip, words) for the keys form of the RM(1, m) leaf.
+
+    With n = 2**m, row a of hadamard is [2n h_a | 2n-1-2a] in float32, so
+    hadamard @ [soft; 1] is the key 2n <soft, h_a> + 2n-1-j of codeword
+    column j = 2a (h_a), and flip - key, flip_a = 4n-3-4a, the key of
+    column 2a+1 (-h_a).  Row 2n-1-j of words is the int8 codeword of
+    column j, so a key's low m+1 bits index its codeword."""
+    correlators, words = _leaf_tables(m)
+    n = 1 << m
+    a = np.arange(n)
+    hadamard = np.empty((n, n + 1), dtype=np.float32)
+    hadamard[:, :n] = correlators[:, 0::2].T * (2 * n)
+    hadamard[:, n] = 2 * n - 1 - 2 * a
+    flip = (4 * n - 3 - 4 * a).astype(np.float32)[:, None]
+    words = np.ascontiguousarray(words[::-1])
+    for arr in (hadamard, flip, words):
+        arr.flags.writeable = False
+    return hadamard, flip, words
+
+
 def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(1, m): the codeword of largest correlation.  The first
     # maximum wins, which is the smallest a of largest |<soft, h_a>|,
     # taken as h_a before its complement; all-zero gives the zero word.
+    # A wide batch takes the keys 2n <soft, +-h_a> + 2n-1-j of codeword
+    # column j (see _leaf_keys): distinct within a word, larger for a
+    # larger correlation and then for a smaller j, so each column's
+    # largest key is its first maximum, found without a word-by-word
+    # argmax.  They stay exact in float32: |key| <= 2n (128 x 16) + 2n.
+    n, rows = soft.shape
+    if m <= LEAF_TABLE_M and rows >= _ORDER1_KEYS_ROWS:
+        hadamard, flip, words = _leaf_keys(m)
+        augmented = np.empty((n + 1, rows), dtype=np.float32)
+        augmented[:n] = soft
+        augmented[n] = 1
+        keys = hadamard @ augmented  # the h_a keys
+        best = keys.max(axis=0)
+        np.subtract(flip, keys, out=keys)  # the -h_a keys
+        np.maximum(best, keys.max(axis=0), out=best)
+        low = best.astype(np.int32) & (2 * n - 1)
+        np.copyto(out, words.take(low, axis=0).T)
+        return
     if m <= LEAF_TABLE_M:
         # float32 sums of at most 128 terms of magnitude <= 16 are exact.
         correlators, words = _leaf_tables(m)
@@ -130,7 +188,6 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
         np.copyto(out, words.take(best, axis=0).T)
         return
     # Fast Hadamard transform, exact in int32, with the same tie-breaks.
-    n, rows = soft.shape
     y = soft.astype(np.int32)
     h = 1
     while h < n:
@@ -276,9 +333,10 @@ def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erase
     soft[perm[erased]] = 0
     word = np.empty(soft.shape, dtype=np.int8)
     _decode(code.m, code.r, soft, word)
-    err = (word[np.concatenate([perm[: code.k], perm[cols]])] < 0).view(np.uint8)
-    err[code.k :] ^= syndromes.T
-    return err.T
+    # e = v + c is 1 where the +-1 words differ.  An erased column differs
+    # everywhere, but it is never gathered.
+    err = np.not_equal(word, soft, out=word.view(bool)).view(np.uint8)
+    return err[np.concatenate([perm[: code.k], perm[cols]])].T
 
 
 def _syndrome_rows(syndromes: np.ndarray, length: int, name: str) -> np.ndarray:

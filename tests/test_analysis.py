@@ -34,6 +34,18 @@ class TestCalibrate:
         assert a.histogram == b.histogram
         assert a.to_csv() == b.to_csv()
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7])
+    @pytest.mark.parametrize("shape", [(1024, 386), (999, 197), (3, 5), (13,)])
+    def test_byte_draw_gives_integers_bits(self, seed, shape):
+        # calibrate draws its syndrome bits as the top bits of random bytes.
+        bytes_ = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+        bits = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
+        assert np.array_equal(bytes_ >> 7, bits), (
+            "numpy's bounded uint8 draw (Lemire's method) no longer returns the "
+            "top bit of one random byte for the range [0, 2); calibrate's "
+            "syndromes would change"
+        )
+
     def test_exhaustive_chunks_match_one_decode(self):
         # RM(2,5) has 2^16 syndromes, so the exhaustive run spans 64 chunks.
         code = rmcode.build(5, 2)
@@ -217,3 +229,36 @@ class TestNaiveForgeryAttack:
         transform, cols = analysis.systematic_attack_transform(toy_attack_key.public.H)
         sub = gf2.mat_mul(transform, toy_attack_key.public.H[:, cols])
         assert np.array_equal(sub, gf2.identity(5))
+
+
+@pytest.mark.slow
+def test_calibration_predicts_signing():
+    """Calibrating the signing path predicts the counters that signing
+    reaches.  Each counter is an independent trial that succeeds with the
+    calibrated p = P(wt <= w), so a signature's counter i is geometric:
+    mean 1/p and P(i > t) = (1 - p)**t.  Key seed 1 of RM(10,5) at
+    w = 99, 1M calibrated syndromes and 2000 signatures.  The allowance
+    is 4 standard deviations: the binomial (or, for the mean, geometric)
+    spread of the signatures, plus the binomial spread of the calibrated
+    p carried through the prediction."""
+    samples, signatures = 1_000_000, 2000
+    code = rmcode.build(10, 5)
+    params = scheme.SigningParams(w=99, N=30_000, t=code.t)
+    priv = scheme.keygen(10, 5, params, np.random.default_rng(1)).private
+    dist = analysis.calibrate(priv.mod, samples, np.random.default_rng(2))
+    p = 1 - dist.prob_gt(params.w)
+    var_p = p * (1 - p) / samples
+    counters = []
+    for j in range(signatures):
+        sig = scheme.sign(priv, b"calibration check %d" % j)
+        assert isinstance(sig, scheme.Signature)
+        counters.append(sig.i)
+    counters = np.array(counters)
+
+    mean_sd = np.sqrt((1 - p) / p**2 / signatures + var_p / p**4)
+    assert abs(counters.mean() - 1 / p) <= 4 * mean_sd, (counters.mean(), 1 / p)
+    for t in (1000, 2000, 3000):
+        q = (1 - p) ** t
+        share = (counters > t).mean()
+        sd = np.sqrt(q * (1 - q) / signatures + (t * q / (1 - p)) ** 2 * var_p)
+        assert abs(share - q) <= 4 * sd, (t, share, q)

@@ -166,6 +166,13 @@ class TestMatchesReferenceDecoder:
     def test_signing_codes(self, m, r, rows):
         self.check(m, r, rows, seed=rows)
 
+    # Calibration's batch width, and both sides of _ORDER1_KEYS_ROWS.
+    @pytest.mark.parametrize(
+        "rows", [decoder._ORDER1_KEYS_ROWS - 1, decoder._ORDER1_KEYS_ROWS, 1024]
+    )
+    def test_calibration_widths(self, rows):
+        self.check(10, 5, rows, seed=rows)
+
     # The rest of the parameter table; (12, 5) reaches RM(1, 8) leaves,
     # which take the FHT inside the recursion.
     @pytest.mark.parametrize("rows", [1, 16])
@@ -199,6 +206,49 @@ def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
     words = decoder.decode_closest(m, r, np.ones((16, 1 << m), dtype=np.int8))
     assert not words.any()
     assert peaks == {"order1": 4, "spc": 4}
+
+
+class TestOrder1Leaf:
+    """The RM(1, m) leaf, called directly on tie-laden words whose values
+    reach the bound of 4 met inside the soft blocks.  A batch of
+    _ORDER1_KEYS_ROWS words takes the keys form, its 16-word slices the
+    argmax form; both give the reference's words."""
+
+    @staticmethod
+    def soft_words(m, rng):
+        n = 1 << m
+        points = np.arange(n)
+        h = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1)
+        soft = rng.integers(-4, 5, size=(decoder._ORDER1_KEYS_ROWS, n))
+        soft[:8] = 0  # all-zero words: every correlation ties at 0
+        for row in range(8, 200):
+            a, b = rng.choice(n, size=2, replace=False)
+            scale = (1, 2, 4)[row % 3]
+            kind = row % 4
+            if kind == 0:  # h_a and h_b tie, both positive
+                soft[row] = (h[a] + h[b]) // 2 * scale
+            elif kind == 1:  # -h_a and -h_b tie
+                soft[row] = -(h[a] + h[b]) // 2 * scale
+            elif kind == 2:  # h_a ties with -h_b
+                soft[row] = (h[a] - h[b]) // 2 * scale
+            else:  # one magnitude everywhere
+                soft[row] = scale * np.where(rng.integers(0, 2, size=n) == 1, -1, 1)
+        return soft.astype(np.int8)
+
+    @staticmethod
+    def leaf(m, soft):
+        out = np.empty((soft.shape[1], soft.shape[0]), dtype=np.int8)
+        decoder._decode_order1(m, np.ascontiguousarray(soft.T), out)
+        return (out.T < 0).view(np.uint8)
+
+    @pytest.mark.parametrize("m", range(3, decoder.LEAF_TABLE_M + 1))
+    def test_forms_agree_on_ties(self, m):
+        soft = self.soft_words(m, np.random.default_rng(m))
+        keys_form = self.leaf(m, soft)
+        argmax_form = np.concatenate([self.leaf(m, part) for part in np.split(soft, len(soft) // 16)])
+        assert np.array_equal(keys_form, argmax_form)
+        assert np.array_equal(keys_form, reference_decode(m, 1, soft))
+        assert not keys_form[:8].any()
 
 
 @functools.cache
@@ -471,6 +521,18 @@ def test_punctured_batch_equals_scalar():
     rng = np.random.default_rng(43)
     top = mod.n - mod.k - mod.p
     synd = rng.integers(0, 2, size=(16, top), dtype=np.uint8)
+    batch = decoder.punctured_coset_leaders(mod, synd)
+    for row in range(synd.shape[0]):
+        assert np.array_equal(batch[row], decoder.punctured_coset_leaders(mod, synd[row]))
+
+
+# Calibration's width on the signing path: every row of the exit formed
+# at once, and keys-form leaves fed erasures.  test_batch_equals_scalar_at_widths
+# covers the plain code at this width.
+def test_punctured_batch_equals_scalar_at_1024_rows():
+    mod = _modified(10, 5, 1)
+    rng = np.random.default_rng(47)
+    synd = rng.integers(0, 2, size=(1024, mod.n - mod.k - mod.p), dtype=np.uint8)
     batch = decoder.punctured_coset_leaders(mod, synd)
     for row in range(synd.shape[0]):
         assert np.array_equal(batch[row], decoder.punctured_coset_leaders(mod, synd[row]))
