@@ -21,12 +21,12 @@ count nothing), order m by componentwise hard decision, and order 1 and
 order m-1 by exact maximum likelihood.  Order 1 takes, up to length
 2**LEAF_TABLE_M, one float32 product with a cached +h_a/-h_a Hadamard
 matrix and a lookup in a cached codeword table, above it a fast
-Hadamard transform.  A table leaf of _ORDER1_KEYS_ROWS words or more
-finds each word's codeword by a column maximum of keys that carry the
-codeword's index, instead of numpy's word-by-word argmax.  Order m-1,
-the even-weight code, takes Wagner's rule (the single-parity-check node
-of fast polar decoders): the hard decision, with the least reliable
-position flipped in each word of odd weight.  Every Plotkin node
+Hadamard transform.  Order m-1, the even-weight code, takes Wagner's
+rule (the single-parity-check node of fast polar decoders): the hard
+decision, with the least reliable position flipped in each word of odd
+weight.  From _KEYS_ROWS words, both leaves find each word's codeword
+or weakest position by a column minimum of keys that carry its index,
+instead of numpy's word-by-word argmax or argmin.  Every Plotkin node
 therefore has 1 < r < m-1, and none has an order-m child.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
@@ -97,8 +97,26 @@ LEAF_TABLE_M = 7
 
 Such a leaf costs one float32 product with the 2**m x 2**(m+1) matrix of
 _leaf_tables (128 KB at m = 7), or the half as wide one of _leaf_keys,
-one maximum and one table lookup; longer leaves use the fast Hadamard
-transform, whose work grows as m 2**m instead of 4**m.
+one maximum or minimum and one lookup in the codeword table of
+_leaf_tables; longer leaves use the fast Hadamard transform, whose work
+grows as m 2**m instead of 4**m.
+"""
+
+_KEYS_ROWS = 256
+"""Batch width from which both kinds of leaf take their keys form.
+
+A narrower batch finds each word's codeword (order 1) or weakest
+position (order m-1) by an argmax or argmin that numpy runs word by
+word, so its cost grows fastest with the width; the keys form makes a
+few more numpy calls, all of them vectorised.  Both leaves cross over
+between 128 and 256 rows.  Whole decodes of random words, one thread,
+medians of 41 runs with the forms interleaved, one leaf's other form
+-> its keys form at 128, 256 and 1024 rows: order 1 on RM(10,5) 1.90
+-> 2.06, 2.66 -> 2.56 and 6.68 -> 5.09 ms, on RM(12,6) 7.24 -> 7.80,
+10.6 -> 10.2 and 31.4 -> 22.5 ms; order m-1 on RM(10,5) 1.96 -> 2.04,
+2.86 -> 2.66 and 6.73 -> 5.04 ms, on RM(12,6) 7.62 -> 7.78, 11.9 ->
+10.8 and 31.6 -> 24.5 ms.  Signing batches have 16, 64 or 256 rows and
+calibration chunks 1024, or fewer when fewer syndromes are asked for.
 """
 
 
@@ -121,70 +139,52 @@ def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return correlators, words
 
 
-_ORDER1_KEYS_ROWS = 384
-"""Batch width from which _decode_order1 picks the codeword by keys.
-
-Narrower batches take an argmax over each word's correlations.  numpy
-runs that argmax word by word, so its cost grows fastest with the width;
-the keys form makes a few more numpy calls, all of them vectorised, on a
-product half as wide.  Whole decodes, one thread, best of 31 (RM(10,5))
-and 21 (RM(12,6)) with the forms interleaved, argmax form -> keys form:
-RM(10,5) 1.64 -> 1.76 ms at 128 rows, 2.19 -> 2.20 at 256, 2.74 -> 2.52
-at 384, 3.43 -> 2.96 at 512 and 5.98 -> 4.53 at 1024; RM(12,6) 9.73 ->
-9.31 at 256, 9.30 -> 7.99 at 384, 15.5 -> 12.7 at 512 and 27.3 -> 20.9
-at 1024.  The forms tie at 256 rows, the widest signing batch, which
-therefore keeps the argmax form.
-"""
-
-
 @functools.cache
-def _leaf_keys(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hadamard, flip, words) for the keys form of the RM(1, m) leaf.
+def _leaf_keys(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hadamard, flip) for the keys form of the RM(1, m) leaf.
 
-    With n = 2**m, row a of hadamard is [2n h_a | 2n-1-2a] in float32, so
-    hadamard @ [soft; 1] is the key 2n <soft, h_a> + 2n-1-j of codeword
-    column j = 2a (h_a), and flip - key, flip_a = 4n-3-4a, the key of
-    column 2a+1 (-h_a).  Row 2n-1-j of words is the int8 codeword of
-    column j, so a key's low m+1 bits index its codeword."""
-    correlators, words = _leaf_tables(m)
+    With n = 2**m, row a of hadamard is [-2n h_a | 2a] in float32, so
+    hadamard @ [soft; 1] is the key -2n <soft, h_a> + j of codeword
+    column j = 2a (h_a), and flip - key, flip_a = 4a+1, the key of
+    column 2a+1 (-h_a).  A key's low m+1 bits are j, also for a negative
+    key in two's complement, so they index the words of _leaf_tables."""
+    correlators, _ = _leaf_tables(m)
     n = 1 << m
     a = np.arange(n)
     hadamard = np.empty((n, n + 1), dtype=np.float32)
-    hadamard[:, :n] = correlators[:, 0::2].T * (2 * n)
-    hadamard[:, n] = 2 * n - 1 - 2 * a
-    flip = (4 * n - 3 - 4 * a).astype(np.float32)[:, None]
-    words = np.ascontiguousarray(words[::-1])
-    for arr in (hadamard, flip, words):
+    hadamard[:, :n] = correlators[:, 0::2].T * (-2 * n)
+    hadamard[:, n] = 2 * a
+    flip = (4 * a + 1).astype(np.float32)[:, None]
+    for arr in (hadamard, flip):
         arr.flags.writeable = False
-    return hadamard, flip, words
+    return hadamard, flip
 
 
 def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(1, m): the codeword of largest correlation.  The first
     # maximum wins, which is the smallest a of largest |<soft, h_a>|,
     # taken as h_a before its complement; all-zero gives the zero word.
-    # A wide batch takes the keys 2n <soft, +-h_a> + 2n-1-j of codeword
-    # column j (see _leaf_keys): distinct within a word, larger for a
+    # A wide batch takes the keys -2n <soft, +-h_a> + j of codeword
+    # column j (see _leaf_keys): distinct within a word, smaller for a
     # larger correlation and then for a smaller j, so each column's
-    # largest key is its first maximum, found without a word-by-word
+    # smallest key is its first maximum, found without a word-by-word
     # argmax.  They stay exact in float32: |key| <= 2n (128 x 16) + 2n.
     n, rows = soft.shape
-    if m <= LEAF_TABLE_M and rows >= _ORDER1_KEYS_ROWS:
-        hadamard, flip, words = _leaf_keys(m)
-        augmented = np.empty((n + 1, rows), dtype=np.float32)
-        augmented[:n] = soft
-        augmented[n] = 1
-        keys = hadamard @ augmented  # the h_a keys
-        best = keys.max(axis=0)
-        np.subtract(flip, keys, out=keys)  # the -h_a keys
-        np.maximum(best, keys.max(axis=0), out=best)
-        low = best.astype(np.int32) & (2 * n - 1)
-        np.copyto(out, words.take(low, axis=0).T)
-        return
     if m <= LEAF_TABLE_M:
-        # float32 sums of at most 128 terms of magnitude <= 16 are exact.
         correlators, words = _leaf_tables(m)
-        best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)
+        if rows >= _KEYS_ROWS:
+            hadamard, flip = _leaf_keys(m)
+            augmented = np.empty((n + 1, rows), dtype=np.float32)
+            augmented[:n] = soft
+            augmented[n] = 1
+            keys = hadamard @ augmented  # the h_a keys
+            best = keys.min(axis=0)
+            np.subtract(flip, keys, out=keys)  # the -h_a keys
+            np.minimum(best, keys.min(axis=0), out=best)
+            best = best.astype(np.int32) & (2 * n - 1)
+        else:
+            # float32 sums of at most 128 terms of magnitude <= 16 are exact.
+            best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)
         np.copyto(out, words.take(best, axis=0).T)
         return
     # Fast Hadamard transform, exact in int32, with the same tie-breaks.
@@ -210,19 +210,6 @@ def _harden(soft: np.ndarray, out: np.ndarray) -> None:
     out |= _ONE
 
 
-_SPC_KEYS_ROWS = 128
-"""Batch width from which _decode_spc finds the weakest positions by keys.
-
-Narrower batches take an argmin over each word and flip one element per
-word by index.  numpy runs that argmin word by word, so its cost grows
-fastest with the width; the keys form makes a few more numpy calls, all
-of them vectorised.  Whole decodes, one thread, best of 9, argmin form
--> keys form: RM(10,5) 0.58 -> 0.62 ms at 64 rows, 0.70 -> 0.70 at 96,
-0.82 -> 0.79 at 128 and 1.03 -> 0.92 at 192; RM(12,6) 2.27 -> 2.38,
-2.67 -> 2.70, 3.20 -> 3.09 and 4.03 -> 3.66 ms.
-"""
-
-
 def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(k-1, k), the even-weight code, by Wagner's rule: the hard
     # decision, with the least reliable position of each odd-weight word
@@ -230,7 +217,7 @@ def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
     _harden(soft, out)
     parity = out.prod(axis=0, dtype=np.int8)  # -1 for an odd weight
     n, rows = soft.shape
-    if rows < _SPC_KEYS_ROWS:
+    if rows < _KEYS_ROWS:
         weakest = np.abs(soft).argmin(axis=0)  # the first minimum
         out[weakest, np.arange(rows)] *= parity
         return

@@ -226,9 +226,13 @@ class TestNaiveForgeryAttack:
         assert rate == 1.0
 
     def test_transform_reduces_to_identity_block(self, toy_attack_key):
-        transform, cols = analysis.systematic_attack_transform(toy_attack_key.public.H)
-        sub = gf2.mat_mul(transform, toy_attack_key.public.H[:, cols])
+        h_pub = toy_attack_key.public.H
+        transform, cols = analysis.systematic_attack_transform(h_pub)
+        sub = gf2.mat_mul(transform, h_pub[:, cols])
         assert np.array_equal(sub, gf2.identity(5))
+        # This key's last n-k columns are rank deficient, so the transform
+        # takes its fallback: one identity column lies left of them.
+        assert np.count_nonzero(cols < h_pub.shape[1] - 5) == 1
 
 
 @pytest.mark.slow

@@ -145,7 +145,7 @@ class TestMatchesReferenceDecoder:
     """The table-driven leaves and in-place recursion give the same words
     as the plain recursion with an FHT at every RM(1, m) leaf and Wagner's
     rule at every RM(m-1, m) leaf, ties included, on both sides of the
-    table/FHT split and of _SPC_KEYS_ROWS."""
+    table/FHT split and of _KEYS_ROWS."""
 
     @staticmethod
     def check(m, r, rows, seed):
@@ -166,10 +166,8 @@ class TestMatchesReferenceDecoder:
     def test_signing_codes(self, m, r, rows):
         self.check(m, r, rows, seed=rows)
 
-    # Calibration's batch width, and both sides of _ORDER1_KEYS_ROWS.
-    @pytest.mark.parametrize(
-        "rows", [decoder._ORDER1_KEYS_ROWS - 1, decoder._ORDER1_KEYS_ROWS, 1024]
-    )
+    # Calibration's batch width, and both sides of _KEYS_ROWS.
+    @pytest.mark.parametrize("rows", [decoder._KEYS_ROWS - 1, decoder._KEYS_ROWS, 1024])
     def test_calibration_widths(self, rows):
         self.check(10, 5, rows, seed=rows)
 
@@ -211,15 +209,15 @@ def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
 class TestOrder1Leaf:
     """The RM(1, m) leaf, called directly on tie-laden words whose values
     reach the bound of 4 met inside the soft blocks.  A batch of
-    _ORDER1_KEYS_ROWS words takes the keys form, its 16-word slices the
-    argmax form; both give the reference's words."""
+    _KEYS_ROWS words takes the keys form, its 16-word slices the argmax
+    form; both give the reference's words."""
 
     @staticmethod
     def soft_words(m, rng):
         n = 1 << m
         points = np.arange(n)
         h = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1)
-        soft = rng.integers(-4, 5, size=(decoder._ORDER1_KEYS_ROWS, n))
+        soft = rng.integers(-4, 5, size=(decoder._KEYS_ROWS, n))
         soft[:8] = 0  # all-zero words: every correlation ties at 0
         for row in range(8, 200):
             a, b = rng.choice(n, size=2, replace=False)
@@ -264,7 +262,7 @@ class TestSpcLeaf:
     magnitudes {1, 4, 16} met inside the soft blocks: ML against every
     even-weight word, and the stated tie rule.  Erasures harden to bit 0,
     and a word of odd weight flips the bit at its smallest |y|, the first
-    such position on a tie.  Batches of at least _SPC_KEYS_ROWS words and
+    such position on a tie.  Batches of at least _KEYS_ROWS words and
     slices of 16 and of one word take the two forms of the leaf."""
 
     @staticmethod
@@ -295,7 +293,7 @@ class TestSpcLeaf:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_ml_and_tie_rule(self, k):
         soft = self.soft_words(k, np.random.default_rng(k))
-        assert len(soft) >= decoder._SPC_KEYS_ROWS > 16
+        assert len(soft) >= decoder._KEYS_ROWS > 16
         hard = to_hard(soft)
         odd = hard.sum(axis=1) % 2 == 1
         weakest = np.abs(soft.astype(np.int64)).argmin(axis=1)  # the first minimum
@@ -321,8 +319,8 @@ class TestSpcLeaf:
         soft = np.array([c[0] for c in cases], dtype=np.int8)
         expected = np.array([c[1] for c in cases], dtype=np.uint8)
         assert np.array_equal(self.leaf(soft), expected)
-        wide = np.repeat(soft, decoder._SPC_KEYS_ROWS, axis=0)
-        assert np.array_equal(self.leaf(wide), np.repeat(expected, decoder._SPC_KEYS_ROWS, axis=0))
+        wide = np.repeat(soft, decoder._KEYS_ROWS, axis=0)
+        assert np.array_equal(self.leaf(wide), np.repeat(expected, decoder._KEYS_ROWS, axis=0))
 
 
 def read_only(arr):
@@ -503,8 +501,10 @@ def test_batch_equals_scalar(m, r):
         assert np.array_equal(batch[row], decoder.coset_leaders(code, synd[row]))
 
 
-# Widths on both sides of decoder._SPC_KEYS_ROWS; RM(4,5) takes the
-# single-parity-check leaf at the top, RM(5,10) at lengths 8 to 64.
+# Widths below decoder._KEYS_ROWS (1, 16), at it (256) and above it (1024),
+# where both kinds of leaf change form.  (m, r) = (5, 2) and (10, 5) reach
+# both kinds inside the recursion; (5, 4) is the single-parity-check leaf
+# at the top.
 @pytest.mark.parametrize("rows", [1, 16, 256, 1024])
 @pytest.mark.parametrize("m,r", [(5, 2), (5, 4), (10, 5)])
 def test_batch_equals_scalar_at_widths(m, r, rows):

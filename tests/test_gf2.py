@@ -172,7 +172,11 @@ class TestProductTable:
 class TestColumnTable:
     """Packed-column matrix-vector products against the naive triple loop."""
 
-    @pytest.mark.parametrize("rows,cols", [(11, 9), (64, 70), (65, 33), (386, 130)])
+    # The column counts reach every word size of _packbits_axis0: odd ones
+    # uint8, 70 and 130 uint16, 12 and 20 uint32 (test_large_matrix uint64).
+    @pytest.mark.parametrize(
+        "rows,cols", [(11, 9), (64, 70), (65, 33), (386, 130), (13, 12), (66, 20)]
+    )
     def test_vs_naive(self, rows, cols):
         rng = np.random.default_rng(rows * 1000 + cols)
         a = rand_mat(rng, rows, cols)
@@ -191,14 +195,24 @@ class TestColumnTable:
                 assert np.array_equal(got, expected)
                 assert np.array_equal(gf2.mat_mul(a, form), expected)
 
-    def test_spans_several_transpose_tiles(self):
+    def test_large_matrix(self):
         rng = np.random.default_rng(8)
         a = rand_mat(rng, 300, 520)
-        assert a.shape[0] > gf2._TILE and a.shape[1] > 2 * gf2._TILE
         table = gf2.ColumnTable(a)
         for _ in range(5):
             v = rand_mat(rng, 1, 520)[0]
             assert np.array_equal(gf2.mat_mul(a, v, table), gf2.mat_mul(a, v))
+
+    def test_transposed_view(self):
+        # A non-contiguous a: the table is that of its contiguous copy.
+        rng = np.random.default_rng(9)
+        a = rand_mat(rng, 70, 45).T
+        assert not a.flags.c_contiguous
+        table = gf2.ColumnTable(a)
+        assert np.array_equal(table._columns, gf2.ColumnTable(np.ascontiguousarray(a))._columns)
+        for _ in range(5):
+            v = rand_mat(rng, 1, 70)[0]
+            assert np.array_equal(gf2.mat_mul(a, v, table), naive_mat_mul(a, v[:, None])[:, 0])
 
     def test_wrong_table_rejected(self):
         rng = np.random.default_rng(7)
