@@ -68,7 +68,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    code = rmcode.build(args.m, args.r)
+    if args.key is not None:
+        if args.m is not None or args.r is not None:
+            raise ValueError("calibrate takes --key or --m/--r, not both")
+        # The key's modified code: the signing path's decode and weights.
+        code = formats.load_private_key(_read(args.key)).mod
+    elif args.m is None or args.r is None:
+        raise ValueError("calibrate needs --key, or both --m and --r")
+    else:
+        code = rmcode.build(args.m, args.r)
     if args.samples == "exhaustive":
         dist = analysis.calibrate(code, 0, _rng(args.seed), exhaustive=True)
     else:
@@ -128,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf.set_defaults(func=cmd_verify)
 
     cal = sub.add_parser("calibrate", help="coset-leader weight histogram as CSV")
-    cal.add_argument("--m", type=int, required=True)
-    cal.add_argument("--r", type=int, required=True)
+    cal.add_argument("--m", type=int, help="plain RM(r, m) code")
+    cal.add_argument("--r", type=int)
+    cal.add_argument("--key", default=None, help="private key file: calibrate its signing path")
     cal.add_argument("--samples", required=True, help="sample count or 'exhaustive'")
     cal.add_argument("--seed", type=int, default=None)
     cal.add_argument("--csv", default=None, help="output path (default stdout)")

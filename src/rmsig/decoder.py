@@ -9,13 +9,24 @@ The recursion follows the (u | u+v) split over the last variable.  The
 v half is decoded first from the componentwise product of the two
 halves (sign = XOR estimate, zero propagates erasure), then the u half
 from the componentwise sum y1 + y2 (1 - 2v) of the first half and the
-v-corrected second half.  A u-branch sum that goes into a further
-split of length SOFT_BLOCK or more is quantized back to {-1, 0, +1}
-(hard decision, a zero sum becomes an erasure), so every sub-block of
-length SOFT_BLOCK receives values in {-1, 0, +1}.  Inside such a
-sub-block the u sums and v products are passed down exact in int8, and
-so are the u sums that go into a leaf; their magnitude stays at most 4
-(see SOFT_BLOCK).  Base cases, checked in this order: order 0 decodes by a
+v-corrected second half.  Two rules quantize an input back to its
+sign, {-1, 0, +1} (hard decision, a zero becomes an erasure): a u-branch
+sum that goes into a further split of length SOFT_BLOCK or more, and the
+input of both leaves of a length-32 node, RM(1, 4) and RM(3, 4).  Every
+sub-block of length SOFT_BLOCK therefore receives values in {-1, 0, +1}.
+Every other u sum and v product is passed down exact in int8, and its
+magnitude stays at most 16 (see SOFT_BLOCK).
+
+Where the decoder quantizes sets its tail, and one schedule serves both
+the signing path and the plain code.  On RM(10, 5) this one gives a
+signing-path P(weight <= 99) of 2.2e-3 (key seed 1) and a plain-code
+P(weight <= 97) of about 7.5e-4, under the 1e-3 that acceptance
+criterion 6 allows.  A soft block of 64 that kept the length-16 leaf
+inputs exact would reach 5.1e-3 on the signing path but 1.9e-3 on the
+plain code, and a soft block of 32 with exact length-16 leaf inputs
+1.4e-3 and 5.3e-4.
+
+Base cases, checked in this order: order 0 decodes by a
 signed sum (majority vote weighted by the soft magnitudes, erasures
 count nothing), order m by componentwise hard decision, and order 1 and
 order m-1 by exact maximum likelihood.  Order 1 takes, up to length
@@ -68,17 +79,19 @@ from . import gf2
 from .modcode import ModifiedCode
 from .rmcode import RmCode
 
-SOFT_BLOCK = 32
+SOFT_BLOCK = 64
 """Largest sub-block length whose decode keeps exact int8 reliabilities.
 
-A node of length 32 receives values in {-1, 0, +1}.  Below it each u
-sum at most doubles the bound and each v product squares it.  The
-smallest nodes have length 16, since RM(1, 3) and RM(2, 3) are leaves,
-so the largest magnitude is 4: what a length-16 node whose inputs reach
-2 passes to its two length-8 leaves.  A leaf longer than 16 receives at
-most 2, the u sum of a node whose inputs reach 1.  A length-64 block
-would reach 16 at the same place, and a length-128 block 256, which
-wraps int8.
+A node of length 64 receives values in {-1, 0, +1}.  Below it each u
+sum at most doubles the bound and each v product squares it, so a
+length-32 node receives at most 2.  Both leaves of a length-32 node,
+RM(1, 4) and RM(3, 4), decode the sign of their input, and its other
+child, the length-16 node RM(2, 4), receives at most 4.  That node
+passes 16 to its order-1 leaf RM(1, 3) and 8 to its single-parity-check
+leaf RM(2, 3): the largest magnitudes of a decode.  A leaf of length 32
+or more receives at most 2, the u sum of a node whose inputs reach 1.
+A length-128 block would pass 4 to its length-32 nodes and so 256 to
+the length-8 order-1 leaves, which wraps int8.
 """
 
 
@@ -168,7 +181,9 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # column j (see _leaf_keys): distinct within a word, smaller for a
     # larger correlation and then for a smaller j, so each column's
     # smallest key is its first maximum, found without a word-by-word
-    # argmax.  They stay exact in float32: |key| <= 2n (128 x 16) + 2n.
+    # argmax.  They stay exact in float32: |<soft, h_a>| is at most 128
+    # (8 terms of at most 16 at length 8, n terms of at most 1 above; see
+    # SOFT_BLOCK), so |key| <= 2n 128 + 2n.
     n, rows = soft.shape
     if m <= LEAF_TABLE_M:
         correlators, words = _leaf_tables(m)
@@ -183,7 +198,7 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
             np.minimum(best, keys.min(axis=0), out=best)
             best = best.astype(np.int32) & (2 * n - 1)
         else:
-            # float32 sums of at most 128 terms of magnitude <= 16 are exact.
+            # The correlations, at most 128 in magnitude, are exact in float32.
             best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)
         np.copyto(out, words.take(best, axis=0).T)
         return
@@ -222,8 +237,9 @@ def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
         out[weakest, np.arange(rows)] *= parity
         return
     # The keys |y| n + index are distinct within a word, so each column's
-    # minimum marks exactly its weakest position.  |y| n is at most 32 up
-    # to length 16 and 2n above (see SOFT_BLOCK), so int16 holds the keys.
+    # minimum marks exactly its weakest position.  |y| n is at most 64 at
+    # length 8, n at length 16 and 2n above (see SOFT_BLOCK), so int16
+    # holds the keys.
     keys = np.abs(soft, dtype=np.int16)
     keys *= n
     keys |= np.arange(n, dtype=np.int16)[:, None]
@@ -240,13 +256,17 @@ def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, le
     work, w1, w2 = levels[m]
     np.multiply(y1, y2, work)
     if r == 2:  # the order-1 leaf, called directly
+        if half == 16:  # RM(1, 4) decodes signs
+            np.sign(work, work)
         _decode_order1(m - 1, work, v)
     else:
         _plotkin(m - 1, r - 1, w1, w2, v, levels)
     # u-branch input y1 + y2 v, in the v input's memory.
     np.multiply(y2, v, work)
     work += y1
-    if r == m - 2:  # the single-parity-check leaf, fed the exact sums
+    if r == m - 2:  # the single-parity-check leaf
+        if half == 16:  # RM(3, 4) decodes signs
+            np.sign(work, work)
         _decode_spc(work, u)
     else:
         if half >= SOFT_BLOCK:

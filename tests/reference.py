@@ -158,7 +158,7 @@ def perm_matrix(sigma):
 # concatenated halves, an int32 fast Hadamard transform at every RM(1, m)
 # leaf and Wagner's rule at every RM(m-1, m) leaf.  The decoder must give
 # the same codeword for every input, ties included.
-REF_SOFT_BLOCK = 32
+REF_SOFT_BLOCK = 64
 
 
 def hadamard_rows(soft):
@@ -176,7 +176,10 @@ def hadamard_rows(soft):
     return y
 
 
-def _decode_order1(m, soft):
+def hadamard_decode(m, soft):
+    """RM(1, m) words: the codeword of largest correlation, the smallest
+    coefficient index of largest |correlation| on a tie, h_a before -h_a,
+    and the zero word when every correlation is 0."""
     spectrum = hadamard_rows(soft)
     peak_at = np.argmax(np.abs(spectrum), axis=1)
     peak = spectrum[np.arange(soft.shape[0]), peak_at]
@@ -204,6 +207,11 @@ def reference_decode(m, r, soft):
     int8 wrap in the kernel shows up as a mismatch instead of repeating
     here."""
     soft = np.asarray(soft, dtype=np.int64)
+    # Two kinds of step decode the sign of their input: a (u | u+v) node
+    # of length REF_SOFT_BLOCK or more, and a length-16 leaf, RM(1, 4) or
+    # RM(3, 4).  Every other step decodes its input as it is.
+    if (m == 4 and r in (1, 3)) or (1 < r < m - 1 and (1 << m) >= REF_SOFT_BLOCK):
+        soft = np.sign(soft)
     if r == 0:
         totals = soft.sum(axis=1, dtype=np.int64)
         bits = (totals < 0).astype(np.uint8)
@@ -211,13 +219,9 @@ def reference_decode(m, r, soft):
     if r == m:
         return to_hard(soft)
     if r == 1:
-        return _decode_order1(m, soft)
+        return hadamard_decode(m, soft)
     if r == m - 1:
         return wagner_decode(soft)
-    # A (u | u+v) node of length REF_SOFT_BLOCK or more decodes the sign of
-    # its input; a leaf decodes its input as it is.
-    if (1 << m) >= REF_SOFT_BLOCK:
-        soft = np.sign(soft)
     half = 1 << (m - 1)
     y1, y2 = soft[:, :half], soft[:, half:]
     v = reference_decode(m - 1, r - 1, y1 * y2)

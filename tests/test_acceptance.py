@@ -131,10 +131,11 @@ def signing_session():
 def test_criterion_5_signing_success_rate(signing_session):
     # Sizing note: at (w=99, N=10000) the success floor of 95/100 needs a
     # per-trial P(weight <= 99) of at least 3.0e-4.  With exact int8
-    # reliabilities inside the decoder's length-32 sub-blocks and Wagner's
-    # rule at its RM(k-1, k) leaves the signing path measures about 1.5e-3
-    # (key seed 1, 1M syndromes); a decoder that clips every u-branch sum
-    # to sign measures about 1.5e-4 and signs only about 76 of 100.
+    # reliabilities inside the decoder's length-64 sub-blocks (signs into
+    # its length-16 leaves) and Wagner's rule at its RM(k-1, k) leaves the
+    # signing path measures about 2.2e-3 (key seed 1, 1M syndromes); a
+    # decoder that clips every u-branch sum to sign measures about 1.5e-4
+    # and signs only about 76 of 100.
     _kp, _messages, results, _ = signing_session
     successes = sum(isinstance(s, scheme.Signature) for s in results)
     print(f"criterion 5 (rate): {successes}/{N_MESSAGES} signed at w=99, N=10000")

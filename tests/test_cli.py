@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "rmsig"]
@@ -151,6 +152,32 @@ class TestAnalysisCommands:
             )
             assert out.returncode == 0
         assert a.read_text() == b.read_text()
+
+    def test_calibrate_signing_path(self, keyfiles, tmp_path):
+        from rmsig import analysis, formats
+
+        _, sec, _ = keyfiles
+        csv = tmp_path / "signing.csv"
+        out = run_cli("calibrate", "--key", sec, "--samples", 300, "--seed", 4, "--csv", csv)
+        assert out.returncode == 0, out.stderr
+        priv = formats.load_private_key(sec.read_bytes())
+        dist = analysis.calibrate(priv.mod, 300, np.random.default_rng(4))
+        assert csv.read_text() == dist.to_csv()
+        # The plain code's histogram is another one.
+        plain = analysis.calibrate(priv.mod.base, 300, np.random.default_rng(4))
+        assert csv.read_text() != plain.to_csv()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--key", "K", "--m", 5], ["--key", "K", "--r", 2], ["--m", 5], ["--r", 2], []],
+        ids=["key+m", "key+r", "m only", "r only", "neither"],
+    )
+    def test_calibrate_code_choice_exits_2(self, keyfiles, args):
+        _, sec, _ = keyfiles
+        args = [sec if a == "K" else a for a in args]
+        out = run_cli("calibrate", *args, "--samples", 10, "--seed", 0)
+        assert out.returncode == 2
+        assert "--key" in out.stderr and "--m" in out.stderr and not out.stdout
 
     def test_attack_vacuous_bound_rate_1(self, tmp_path):
         prefix = tmp_path / "atk"

@@ -13,6 +13,7 @@ from rmsig import decoder, gf2, modcode, rmcode, scheme
 from reference import (
     coset_leader_weights,
     enumerate_codewords,
+    hadamard_decode,
     int_to_bits,
     punctured_check,
     reference_decode,
@@ -32,9 +33,10 @@ class TestDecodeClosest:
             c = decoder.decode_closest(m, r, np.ones(1 << m, dtype=np.int8))
             assert not c.any()
 
-    # (6, 3), (8, 4) and (10, 5) are longer than decoder.SOFT_BLOCK, so an
-    # int8 wrap inside the soft sub-blocks would mis-decode codewords here.
-    @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (5, 3), (6, 3), (8, 4), (10, 5)])
+    # (7, 3), (8, 4) and (10, 5) are longer than decoder.SOFT_BLOCK and
+    # (6, 3) is one soft block, so an int8 wrap inside the soft sub-blocks
+    # would mis-decode codewords here.
+    @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 4), (10, 5)])
     def test_zero_distance_round_trip(self, m, r):
         code = rmcode.build(m, r)
         rng = np.random.default_rng(m * 10 + r)
@@ -82,7 +84,7 @@ class TestDecodeClosest:
         # Right length, but reliabilities of 16 would wrap int8 in the soft
         # block and decode the zero word to all-ones; rejected instead.
         with pytest.raises(ValueError):
-            decoder.decode_closest(5, 2, np.full(32, 16, dtype=np.int8))
+            decoder.decode_closest(6, 2, np.full(64, 16, dtype=np.int8))
         # Neither one word nor a batch of words: the message names the shape.
         with pytest.raises(ValueError, match=r"shape \(\)"):
             decoder.decode_closest(3, 1, np.int8(1))
@@ -186,15 +188,18 @@ class TestMatchesReferenceDecoder:
 
 @pytest.mark.parametrize("m,r", [(10, 5), (12, 6)])
 def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
-    """On an all-(+1) batch every u sum doubles, so the largest |input|
-    that reaches a leaf is the bound of 4 stated in SOFT_BLOCK's docstring:
-    a length-16 node whose inputs reach 2 passes 4 to both its leaves."""
+    """On an all-(+1) batch every u sum doubles and every v product
+    squares, so the leaves meet the bounds stated in SOFT_BLOCK's
+    docstring: a length-16 node whose inputs reach 4 passes 16 to its
+    order-1 leaf and 8 to its single-parity-check leaf, the length-16
+    leaves decode signs, and a longer leaf receives at most 2."""
     peaks = {}
 
     def spy(name, leaf):
         def wrapped(*args):
             soft = args[-2]  # both leaves take (..., soft, out)
-            peaks[name] = max(peaks.get(name, 0), int(np.abs(soft.astype(np.int64)).max()))
+            key = (name, min(soft.shape[0], 32))  # 32: any longer leaf
+            peaks[key] = max(peaks.get(key, 0), int(np.abs(soft.astype(np.int64)).max()))
             leaf(*args)
 
         return wrapped
@@ -203,25 +208,29 @@ def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
     monkeypatch.setattr(decoder, "_decode_spc", spy("spc", decoder._decode_spc))
     words = decoder.decode_closest(m, r, np.ones((16, 1 << m), dtype=np.int8))
     assert not words.any()
-    assert peaks == {"order1": 4, "spc": 4}
+    assert peaks == {
+        ("order1", 8): 16, ("spc", 8): 8,
+        ("order1", 16): 1, ("spc", 16): 1,
+        ("order1", 32): 1, ("spc", 32): 2,
+    }
 
 
 class TestOrder1Leaf:
     """The RM(1, m) leaf, called directly on tie-laden words whose values
-    reach the bound of 4 met inside the soft blocks.  A batch of
+    reach the bound of 16 met inside the soft blocks.  A batch of
     _KEYS_ROWS words takes the keys form, its 16-word slices the argmax
-    form; both give the reference's words."""
+    form; both give the reference's Hadamard-transform words."""
 
     @staticmethod
     def soft_words(m, rng):
         n = 1 << m
         points = np.arange(n)
         h = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1)
-        soft = rng.integers(-4, 5, size=(decoder._KEYS_ROWS, n))
+        soft = rng.integers(-16, 17, size=(decoder._KEYS_ROWS, n))
         soft[:8] = 0  # all-zero words: every correlation ties at 0
         for row in range(8, 200):
             a, b = rng.choice(n, size=2, replace=False)
-            scale = (1, 2, 4)[row % 3]
+            scale = (1, 4, 16)[row % 3]
             kind = row % 4
             if kind == 0:  # h_a and h_b tie, both positive
                 soft[row] = (h[a] + h[b]) // 2 * scale
@@ -245,7 +254,7 @@ class TestOrder1Leaf:
         keys_form = self.leaf(m, soft)
         argmax_form = np.concatenate([self.leaf(m, part) for part in np.split(soft, len(soft) // 16)])
         assert np.array_equal(keys_form, argmax_form)
-        assert np.array_equal(keys_form, reference_decode(m, 1, soft))
+        assert np.array_equal(keys_form, hadamard_decode(m, soft))
         assert not keys_form[:8].any()
 
 
@@ -259,7 +268,7 @@ def _even_weight_words(n):
 
 class TestSpcLeaf:
     """The RM(k-1, k) leaf, called directly so that its input may carry the
-    magnitudes {1, 4, 16} met inside the soft blocks: ML against every
+    magnitudes {1, 4, 8} met inside the soft blocks: ML against every
     even-weight word, and the stated tie rule.  Erasures harden to bit 0,
     and a word of odd weight flips the bit at its smallest |y|, the first
     such position on a tie.  Batches of at least _KEYS_ROWS words and
@@ -268,7 +277,7 @@ class TestSpcLeaf:
     @staticmethod
     def soft_words(k, rng):
         n = 1 << k
-        values = np.array([0, 1, -1, 4, -4, 16, -16], dtype=np.int8)
+        values = np.array([0, 1, -1, 4, -4, 8, -8], dtype=np.int8)
         if k == 2:  # every word over the seven values
             codes = np.arange(len(values) ** n)[:, None] // len(values) ** np.arange(n)
             return values[codes % len(values)]
@@ -276,10 +285,10 @@ class TestSpcLeaf:
         soft[0] = 0
         for row in range(1, 100):
             signs = np.where(rng.integers(0, 2, size=n) == 1, -1, 1).astype(np.int8)
-            if row < 40:  # one magnitude, 1, 4 or 16, everywhere
+            if row < 40:  # one magnitude, 1, 4 or 8, everywhere
                 soft[row] = signs * values[1 + 2 * (row % 3)]
             else:  # two to four positions share the smallest magnitude
-                soft[row] = signs * 16
+                soft[row] = signs * 8
                 ties = rng.choice(n, size=2 + row % 3, replace=False)
                 soft[row, ties] = signs[ties]
         return soft

@@ -9,7 +9,7 @@ batches of 16, 64, 256, 256, ..., so the boundaries fall after 16, 80,
 336 and 592 trials.  The RM(1,4) case signs all five messages inside
 the first batch; RM(3,6) signs inside the first (1), the second (21,
 37, 48) and past the first three (347); and the RM(5,10) case (m = 10,
-r = 5) signs inside the third (92, 252) and the fourth (452, 482, 573).
+r = 5) signs inside the second (30, 38) and the third (206, 232, 258).
 """
 
 import hashlib
@@ -46,21 +46,21 @@ GOLDEN = {
         "sig2": "1635372eb0bf35b3b8cb975c96686b23904ba293acc9ac1773be3162fe938f44",
         "sig3": "c2b735e4e4dd19d625f8fd3429fbafd0bbc7ba12ad5e81b11aca31ff873aaca3",
         "sig4": "98f35fe72dd6a476eac3959893ac86fbb019f58344142572dacf27e3b646fa59",
-        "csv_plain": "95903d71a4b3e9fa39f74804cc5094f0ca38eeb23dac47b6b373c06f9fe05045",
-        "csv_modified": "e031de55a16b671c31b54304b3e0e91c98516f25860c5c2fa920260598af7672",
+        "csv_plain": "ef0aa1ad663bf820e0867c7b1f3e603e0215cf10d187760db459854f4d91a0cf",
+        "csv_modified": "d27e300b8808708790b9b7ef55435cd470e6c3505c31b881451b5eacd7933a18",
         "counters": [347, 1, 48, 21, 37],
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
         "private": "e734b75a12c4441d3f55fcb59dcb53b8964a5b3a8572ef845680e7c3a3cd2113",
-        "sig0": "0b7ac641f94443d52df84deb5e829bdf94184623f50b0b8ab8698958d0f44df1",
-        "sig1": "6a7e29dc5d98fd3f8c407430553ad121a3578d7b61384d649d0262eadd55f032",
-        "sig2": "e90c54291e98f11b746769bf656bf1db4352b131004de8ebfc293b3b642808b0",
-        "sig3": "298ef387687423ec2785a1f96e7f5fcf1f5fb65beb5b039502285cc1864ab3e8",
-        "sig4": "0c20cb0e2e51392dc9826d71e7845d8d5e730028fa77bfe0652945eddef32547",
-        "csv_plain": "f7f8dacca5fa118e79c7afbf1366cc78a9a54dbb54df5b8590d7690ffa352253",
-        "csv_modified": "861a9bdaeee3a5d74e8b33487ed2519dd14de4f864b7a3b67a86a9c046922e76",
-        "counters": [92, 482, 252, 573, 452],
+        "sig0": "b9be0986202fbe8103cc7f44744f1cd0aa37ea76aaf5d0593842e168ce5a3b61",
+        "sig1": "7d044d59a06d961b3b88aef9260c05ff453f6b165bb2f132e418807b38e5987c",
+        "sig2": "b84ff4b2cd07833ba6e6ccb38d2444ce34a66f9563bf06ac35e52ea6258301e2",
+        "sig3": "a84abeb9192cf042ef212d9d32d41d4242b038f3acbb45a1320c6d6f06ee8f20",
+        "sig4": "966a9a4b9d032b3cbde8b385e5096eeb7d2fd8147674c423612611f0bbfe9216",
+        "csv_plain": "2109ad1b0876b9b89dabb104a6ed0741f6b9a656665169969e7d17819dba5b2c",
+        "csv_modified": "b04dabbfe70903d96d39ffd9258b71b59cc596824fe9829cd4dfecb4cba1d572",
+        "counters": [38, 206, 258, 232, 30],
     },
 }
 
