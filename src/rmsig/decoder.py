@@ -31,7 +31,7 @@ signed sum (majority vote weighted by the soft magnitudes, erasures
 count nothing), order m by componentwise hard decision, and order 1 and
 order m-1 by exact maximum likelihood.  Order 1 takes, up to length
 2**LEAF_TABLE_M, one float32 product with a cached +h_a/-h_a Hadamard
-matrix and a lookup in a cached codeword table, above it a fast
+matrix and a lookup in its cached codeword table, above it a fast
 Hadamard transform.  Order m-1, the even-weight code, takes Wagner's
 rule (the single-parity-check node of fast polar decoders): the hard
 decision, with the least reliable position flipped in each word of odd
@@ -108,11 +108,10 @@ _ONE.flags.writeable = False
 LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 
-Such a leaf costs one float32 product with the 2**m x 2**(m+1) matrix of
-_leaf_tables (128 KB at m = 7), or the half as wide one of _leaf_keys,
-one maximum or minimum and one lookup in the codeword table of
-_leaf_tables; longer leaves use the fast Hadamard transform, whose work
-grows as m 2**m instead of 4**m.
+Such a leaf costs one float32 product with the 2**m x 2**(m+1)
+correlators of _leaf_tables (128 KB at m = 7) or its half as wide keys
+matrix, one maximum or minimum and one codeword lookup; longer leaves use
+the fast Hadamard transform, whose work grows as m 2**m instead of 4**m.
 """
 
 _KEYS_ROWS = 256
@@ -134,43 +133,34 @@ calibration chunks 1024, or fewer when fewer syndromes are asked for.
 
 
 @functools.cache
-def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(correlators, words) for RM(1, m), as +-1 words (+1 for bit 0).
+def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(correlators, words, hadamard, flip) for RM(1, m), as +-1 words
+    (+1 for bit 0), with n = 2**m.
     Column 2a of correlators is the linear form <a, x> over the
     evaluation points x and column 2a+1 its complement, in float32, so
     soft @ correlators correlates a soft word with every codeword, h_a
-    before -h_a; row j of words is the int8 codeword of column j."""
-    points = np.arange(1 << m, dtype=np.uint32)
+    before -h_a; row j of words is the int8 codeword of column j.
+    For the keys form, row a of hadamard is [-2n h_a | 2a] in float32 and
+    flip_a = 4a+1, so hadamard @ [soft; 1] and flip minus it are the keys
+    -2n <soft, +-h_a> + j of codeword columns j = 2a (h_a) and 2a+1 (-h_a).
+    A key's low m+1 bits are j, also for a negative key in two's
+    complement, so they index words."""
+    n = 1 << m
+    points = np.arange(n, dtype=np.uint32)
     linear = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.int8)
-    words = np.empty((1 << m, 2 << m), dtype=np.int8)
+    words = np.empty((n, 2 * n), dtype=np.int8)
     words[:, 0::2] = linear
     words[:, 1::2] = -linear
     correlators = words.astype(np.float32)
     words = np.ascontiguousarray(words.T)
-    for arr in (correlators, words):
-        arr.flags.writeable = False
-    return correlators, words
-
-
-@functools.cache
-def _leaf_keys(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hadamard, flip) for the keys form of the RM(1, m) leaf.
-
-    With n = 2**m, row a of hadamard is [-2n h_a | 2a] in float32, so
-    hadamard @ [soft; 1] is the key -2n <soft, h_a> + j of codeword
-    column j = 2a (h_a), and flip - key, flip_a = 4a+1, the key of
-    column 2a+1 (-h_a).  A key's low m+1 bits are j, also for a negative
-    key in two's complement, so they index the words of _leaf_tables."""
-    correlators, _ = _leaf_tables(m)
-    n = 1 << m
-    a = np.arange(n)
     hadamard = np.empty((n, n + 1), dtype=np.float32)
     hadamard[:, :n] = correlators[:, 0::2].T * (-2 * n)
-    hadamard[:, n] = 2 * a
-    flip = (4 * a + 1).astype(np.float32)[:, None]
-    for arr in (hadamard, flip):
+    hadamard[:, n] = 2 * points
+    flip = (4 * points + 1).astype(np.float32)[:, None]
+    tables = (correlators, words, hadamard, flip)
+    for arr in tables:
         arr.flags.writeable = False
-    return hadamard, flip
+    return tables
 
 
 def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
@@ -178,7 +168,7 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # maximum wins, which is the smallest a of largest |<soft, h_a>|,
     # taken as h_a before its complement; all-zero gives the zero word.
     # A wide batch takes the keys -2n <soft, +-h_a> + j of codeword
-    # column j (see _leaf_keys): distinct within a word, smaller for a
+    # column j (see _leaf_tables): distinct within a word, smaller for a
     # larger correlation and then for a smaller j, so each column's
     # smallest key is its first maximum, found without a word-by-word
     # argmax.  They stay exact in float32: |<soft, h_a>| is at most 128
@@ -186,9 +176,8 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # SOFT_BLOCK), so |key| <= 2n 128 + 2n.
     n, rows = soft.shape
     if m <= LEAF_TABLE_M:
-        correlators, words = _leaf_tables(m)
+        correlators, words, hadamard, flip = _leaf_tables(m)
         if rows >= _KEYS_ROWS:
-            hadamard, flip = _leaf_keys(m)
             augmented = np.empty((n + 1, rows), dtype=np.float32)
             augmented[:n] = soft
             augmented[n] = 1
@@ -298,33 +287,43 @@ def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
         _plotkin(m, r, soft[:half], soft[half:], out, levels)
 
 
+def _input_rows(values, length: int, name: str, low: int) -> np.ndarray:
+    """One row or a batch of rows of the given length, as a batch, with
+    every entry in {low, ..., 1}: soft words (low = -1) or syndromes
+    (low = 0).  Raises ValueError otherwise, testing the values before a
+    cast could wrap or truncate them."""
+    what, allowed = ("soft", "{-1, 0, +1}") if low else ("syndrome", "{0, 1}")
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.shape[-1] != length:
+        need = f"need ({name},) or (rows, {name}) with {name} = {length}"
+        raise ValueError(f"{what} input of shape {values.shape}, {need}")
+    if values.dtype.kind in "biu":
+        # For integers, membership is a range test, and only a signed one
+        # can lie below 0: one reduction for the unsigned syndromes.
+        outside = values.size > 0 and (
+            values.max() > 1 or (values.dtype.kind == "i" and values.min() < low)
+        )
+    else:
+        outside = not np.isin(values, np.arange(low, 2)).all()
+    if outside:
+        raise ValueError(f"{what} values must lie in {allowed}")
+    return np.atleast_2d(values)
+
+
 def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     """Closest-coset decode soft word(s) against RM(r, m).
 
-    Accepts one word or a batch (rows) of soft values in {-1, 0, +1}.
-    Returns codeword(s) in evaluation order, for any such input
-    (including all-erased).  Exact ML whenever r <= 1, r = m-1 or r = m.
-
-    Raises:
-        ValueError: on a shape other than (2**m,) or (rows, 2**m), or a
-            soft value outside {-1, 0, +1} (larger reliabilities would
-            wrap int8 inside the soft blocks).
+    Accepts one word or a batch (rows) of soft values in {-1, 0, +1};
+    raises ValueError on any other shape or value (larger reliabilities
+    would wrap int8 inside the soft blocks).  Returns codeword(s) in
+    evaluation order, for any such input (including all-erased).  Exact
+    ML whenever r <= 1, r = m-1 or r = m.
     """
-    soft = np.asarray(soft)
-    if soft.ndim not in (1, 2) or soft.shape[-1] != 1 << m:
-        raise ValueError(f"soft words of shape {soft.shape}, need (2**{m},) or (rows, 2**{m})")
-    if soft.dtype.kind in "biu":
-        # For integers, membership in {-1, 0, +1} is a range test.
-        outside = soft.size > 0 and (soft.min() < -1 or soft.max() > 1)
-    else:
-        outside = not np.isin(soft, (-1, 0, 1)).all()
-    if outside:
-        raise ValueError("soft values must lie in {-1, 0, +1}")
-    columns = np.ascontiguousarray(np.atleast_2d(soft).T, dtype=np.int8)
+    columns = np.ascontiguousarray(_input_rows(soft, 1 << m, "2**m", -1).T, dtype=np.int8)
     words = np.empty(columns.shape, dtype=np.int8)
     _decode(m, r, columns, words)
     bits = (words < 0).view(np.uint8)
-    return bits[:, 0] if soft.ndim == 1 else bits.T
+    return bits[:, 0] if np.ndim(soft) == 1 else bits.T
 
 
 def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
@@ -346,45 +345,37 @@ def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erase
     return err[np.concatenate([perm[: code.k], perm[cols]])].T
 
 
-def _syndrome_rows(syndromes: np.ndarray, length: int, name: str) -> np.ndarray:
-    if syndromes.ndim not in (1, 2) or syndromes.shape[-1] != length:
-        raise ValueError(
-            f"syndromes of shape {syndromes.shape}, need ({name},) or (rows, {name}) "
-            f"with {name} = {length}"
-        )
-    return np.atleast_2d(syndromes)
-
-
 def coset_leaders(code: RmCode, syndromes: np.ndarray) -> np.ndarray:
     """Minimum-weight error for each syndrome, as found by the decoder.
 
-    Accepts one syndrome or a batch (rows) and returns the same shape.
+    Accepts one syndrome or a batch (rows) and returns the same shape;
+    raises ValueError on any other shape or on a value outside {0, 1}.
     Starts from v = [0_k | s], which satisfies H v = s in systematic
     form, decodes v against the code and returns e = v + c.  The result
     always satisfies H e = s; the weight is exactly minimal whenever
     the decoder is ML for the code.
     """
-    syndromes = np.asarray(syndromes, dtype=np.uint8)
-    rows = _syndrome_rows(syndromes, code.n - code.k, "n-k")
+    rows = _input_rows(syndromes, code.n - code.k, "n-k", 0)
     err = _closest_errors(code, rows, np.arange(code.k, code.n), [])
-    return err[0] if syndromes.ndim == 1 else err
+    return err[0] if np.ndim(syndromes) == 1 else err
 
 
 def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray:
     """Decode the punctured code through its parent with erasures.
 
     Each s_top (one, or a batch of rows) is a syndrome of the punctured
-    parity check [P'^T | I].  The deleted positions enter the parent
-    decode as erasures; each returned error covers the n-p unpunctured
-    positions and satisfies H_p e = s_top exactly (checked).
+    parity check [P'^T | I]; any other shape, or a value outside {0, 1},
+    raises ValueError.  The deleted positions enter the parent decode as
+    erasures; each returned error covers the n-p unpunctured positions
+    and satisfies H_p e = s_top exactly (checked).
     """
     base = mod.base
-    s_tops = np.asarray(s_tops, dtype=np.uint8)
-    rows = _syndrome_rows(s_tops, base.n - base.k - mod.p, "n-k-p")
+    rows = _input_rows(s_tops, base.n - base.k - mod.p, "n-k-p", 0)
     err = _closest_errors(base, rows, mod.kept_cols, mod.deleted)
     # err[:, :k] is a transposed view of the decode's (n, rows) columns,
-    # which the table product packs where it lies.
+    # which the table product packs where it lies.  The benchmark's trace
+    # reads this product as the self-check (see scheme._trials).
     check = gf2.mat_mul(err[:, : base.k], mod.P_kept, mod.P_kept_table) ^ err[:, base.k :]
     if not np.array_equal(check, rows):
         raise AssertionError("punctured decode violated H_p e = s_top")
-    return err[0] if s_tops.ndim == 1 else err
+    return err[0] if np.ndim(s_tops) == 1 else err

@@ -155,12 +155,12 @@ def keygen(
 SIGN_BATCH = 16
 SIGN_BATCH_MAX = 256
 """sign tries SIGN_BATCH counters first and quadruples the batch after
-each miss, up to SIGN_BATCH_MAX.  The expected counter ranges from about
-six (RM(12,6) at w = 530) to about a thousand (RM(10,5) at w = 99) over
-the parameter table, so a short signature evaluates few spare trials,
-and a long one reaches the widest batch, which spreads the decoder's
-fixed per-call cost over the most rows, within three calls.  The batch
-sizes change only the work, never the result."""
+each miss, up to SIGN_BATCH_MAX.  The mean counter ranges from about 1.2
+(RM(12,6) at w = 530) to about 460 (RM(10,5) at w = 99) over the
+parameter table, so a long signature reaches the widest batch, which
+spreads the decoder's fixed per-call cost over the most rows, within
+three calls, and a short one evaluates spare trials: about 15 of a
+16-row first batch on RM(12,6).  Batch sizes never change a result."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:
@@ -171,6 +171,7 @@ def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarr
     """
     top = mod.n - mod.k - mod.p
     e_nps = punctured_coset_leaders(mod, s_primes[:, :top])
+    # The benchmark's trace reads this product as the R block (see _trials).
     e_ps = s_primes[:, top:] ^ gf2.mat_mul(e_nps, mod.R.T)
     return np.concatenate([e_nps, e_ps], axis=1)
 
@@ -183,6 +184,13 @@ def _trials(
     s' = S^-1 h(h(M)|i) and H_m e' = s' on every row, whatever the
     weight; inner is h(M).
     """
+    # perfbench/tracer.py wraps public functions and _syndrome_from_digest,
+    # charging a call to its nearest wrapped caller.  Trials are the rows
+    # sign hands punctured_coset_leaders; a gf2.mat_mul under a decoder
+    # function is the self-check, one under sign this S^-1 product if an
+    # operand is square, else the R block.  Plain calibration must call
+    # decoder.coset_leaders.  Moving one of these calls makes a per-layer
+    # metric read None, and tests/test_perfbench.py then fails.
     synd = _syndrome_from_digest(inner, first, count, priv.mod.n - priv.mod.k)
     s_primes = gf2.mat_mul(synd, priv.S_inv.T, priv._S_inv_T_table)
     return s_primes, _modified_coset_leaders(priv.mod, s_primes)

@@ -493,6 +493,40 @@ class TestPuncturedSyndromeDecode:
         with pytest.raises(ValueError):
             decoder.punctured_coset_leaders(mod, np.zeros(3, dtype=np.uint8))
 
+    def test_self_check_rejects_a_non_codeword(self, monkeypatch):
+        # A decode that returns a non-codeword yields an e with H_p e !=
+        # s_top.  Flipping a kept parity position changes that bit of
+        # H_p e whatever the rest of the word.
+        mod = _modified(6, 3, 13)
+        flipped = mod.base.info_perm[mod.kept_cols[0]]
+        kernel = decoder._decode
+
+        def broken(m, r, soft, out):
+            kernel(m, r, soft, out)
+            out[flipped] *= -1
+
+        monkeypatch.setattr(decoder, "_decode", broken)
+        s_tops = np.zeros((2, mod.n - mod.k - mod.p), dtype=np.uint8)
+        with pytest.raises(AssertionError, match="H_p e = s_top"):
+            decoder.punctured_coset_leaders(mod, s_tops)
+
+
+# A uint8 cast would keep 2 (an error that misses its syndrome), wrap -1
+# to 255 and truncate 0.5 to 0; each is rejected before any cast.
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("dtype,bad", [(np.uint8, 2), (np.int64, -1), (np.float64, 0.5)])
+@pytest.mark.parametrize("entry", ["coset_leaders", "punctured_coset_leaders"])
+def test_syndrome_entry_points_reject_non_binary_values(entry, dtype, bad, ndim):
+    mod = _modified(6, 3, 13)
+    if entry == "coset_leaders":
+        decode, width = functools.partial(decoder.coset_leaders, mod.base), mod.base.n - mod.base.k
+    else:
+        decode, width = functools.partial(decoder.punctured_coset_leaders, mod), mod.n - mod.k - mod.p
+    s = np.zeros((3, width), dtype=dtype)
+    s[1, ::2] = bad
+    with pytest.raises(ValueError, match="syndrome values"):
+        decode(s if ndim == 2 else s[1])
+
 
 def test_soft_hard_round_trip():
     rng = np.random.default_rng(5)
