@@ -77,7 +77,7 @@ class ProductTable:
     """
 
     def __init__(self, b: np.ndarray) -> None:
-        b = np.asarray(b, dtype=np.uint8)
+        b = np.ascontiguousarray(b, dtype=np.uint8)
         if b.ndim != 2:
             raise ValueError(f"product table needs a matrix, got shape {b.shape}")
         k, c = b.shape

@@ -7,15 +7,19 @@ evaluation generator bit-exactly; the systematic form [I_k | P] is then
 obtained by moving the first information set in column order to the
 front (gf2.systematize).
 
-A code keeps both views: G/H live in the systematic column order, and
+A code stores its generator G in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
-came from, which is what the recursive decoder needs.
+came from, which is what the recursive decoder needs.  The parity check
+H is derived from G on first read; only tests and the benchmark's
+oracle read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -25,16 +29,18 @@ from . import gf2
 MAX_M = 12
 
 # Exhaustive minimum-weight search is used up to this row-space dimension;
-# above it a randomized information-set search takes over.
+# above it a randomized information-set search over SEARCH_BUDGET column
+# orders takes over.
 EXHAUSTIVE_DIM = 20
+SEARCH_BUDGET = 48
 
 
 @dataclass(frozen=True)
 class RmCode:
     """A systematic RM(r, m) code.
 
-    G = [I_k | P] and H = [P^T | I_{n-k}] satisfy G @ H.T = 0.  Column j
-    of G is evaluation position info_perm[j] of the raw monomial code.
+    Only G = [I_k | P] is stored; column j of G is evaluation position
+    info_perm[j] of the raw monomial code.
     """
 
     m: int
@@ -43,7 +49,6 @@ class RmCode:
     k: int
     d: int
     G: np.ndarray
-    H: np.ndarray
     info_perm: np.ndarray
 
     @property
@@ -54,6 +59,13 @@ class RmCode:
     @property
     def P(self) -> np.ndarray:
         return self.G[:, self.k :]
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """H = [P^T | I_{n-k}], so G @ H.T = 0; built from G on first read."""
+        h = np.concatenate([self.P.T, gf2.identity(self.n - self.k)], axis=1)
+        h.flags.writeable = False
+        return h
 
     def to_sys_order(self, word_eval: np.ndarray) -> np.ndarray:
         return word_eval[self.info_perm]
@@ -80,13 +92,10 @@ def monomial_generator(m: int, r: int) -> np.ndarray:
 
 
 def _assemble(m: int, r: int, g_sys: np.ndarray, perm: np.ndarray) -> RmCode:
-    n = 1 << m
-    k = g_sys.shape[0]
-    h = np.concatenate([g_sys[:, k:].T, gf2.identity(n - k)], axis=1)
     perm = np.ascontiguousarray(perm, dtype=np.int64)
-    for a in (g_sys, h, perm):
+    for a in (g_sys, perm):
         a.flags.writeable = False
-    return RmCode(m=m, r=r, n=n, k=k, d=1 << (m - r), G=g_sys, H=h, info_perm=perm)
+    return RmCode(m=m, r=r, n=1 << m, k=g_sys.shape[0], d=1 << (m - r), G=g_sys, info_perm=perm)
 
 
 def _check_params(m: int, r: int) -> None:
@@ -164,60 +173,46 @@ def proj(code: RmCode, positions) -> np.ndarray:
     return code.G[:, pos].copy()
 
 
-def _exhaustive_min_weight(basis: np.ndarray) -> np.ndarray:
+def _candidate_words(basis: np.ndarray, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Batches of nonzero words in the row space of a reduced basis.
+
+    Up to EXHAUSTIVE_DIM rows: every nonzero word, 2**14 at a time.
+    Above it: the reduced rows of SEARCH_BUDGET column orders, the
+    identity first and then orders drawn from rng one batch at a time.
+    """
     dim, length = basis.shape
-    best = None
-    best_w = length + 1
-    shifts = np.arange(dim, dtype=np.uint32)
-    chunk = 1 << 14
-    for start in range(1, 1 << dim, chunk):
-        msgs = np.arange(start, min(start + chunk, 1 << dim), dtype=np.uint32)
-        bits = ((msgs[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        words = gf2.mat_mul(bits, basis)
-        weights = words.sum(axis=1)
-        idx = int(np.argmin(weights))
-        if int(weights[idx]) < best_w:
-            best_w = int(weights[idx])
-            best = words[idx].copy()
-            if best_w == 1:
-                break
-    return best
+    if dim <= EXHAUSTIVE_DIM:
+        shifts = np.arange(dim, dtype=np.uint32)
+        chunk = 1 << 14
+        for start in range(1, 1 << dim, chunk):
+            msgs = np.arange(start, min(start + chunk, 1 << dim), dtype=np.uint32)
+            yield gf2.mat_mul(((msgs[:, None] >> shifts) & 1).astype(np.uint8), basis)
+        return
+    for trial in range(SEARCH_BUDGET):
+        perm = np.arange(length) if trial == 0 else rng.permutation(length)
+        red, pivots = gf2.rref(basis[:, perm])
+        words = np.empty((len(pivots), length), dtype=np.uint8)
+        words[:, perm] = red[: len(pivots)]
+        yield words
 
 
-def min_weight_in_rowspace(
-    g: np.ndarray, rng: np.random.Generator, budget: int = 48
-) -> np.ndarray:
+def min_weight_in_rowspace(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Lowest-weight nonzero word found in the row space of g.
 
     Exhaustive (hence exact) when the row-space dimension is at most
-    EXHAUSTIVE_DIM; otherwise a randomized information-set search with
-    ``budget`` rounds returns the best word seen.
+    EXHAUSTIVE_DIM; otherwise a randomized information-set search over
+    SEARCH_BUDGET column orders.  The first lightest word of the first
+    batch that holds it is returned, and a weight-1 word ends the search.
     """
-    g = np.asarray(g, dtype=np.uint8)
-    red, pivots = gf2.rref(g)
-    dim = len(pivots)
-    if dim == 0:
+    red, pivots = gf2.rref(np.asarray(g, dtype=np.uint8))
+    if len(pivots) == 0:
         raise ValueError("row space is zero")
-    basis = red[:dim]
-    length = basis.shape[1]
-    if dim <= EXHAUSTIVE_DIM:
-        return _exhaustive_min_weight(basis)
-    best = None
-    best_w = length + 1
-    for trial in range(budget):
-        if trial == 0:
-            perm = np.arange(length)
-        else:
-            perm = rng.permutation(length)
-        red_t, piv_t = gf2.rref(basis[:, perm])
-        rows = red_t[: len(piv_t)]
-        weights = rows.sum(axis=1)
+    best, best_w = None, red.shape[1] + 1
+    for words in _candidate_words(red[: len(pivots)], rng):
+        weights = words.sum(axis=1)
         idx = int(np.argmin(weights))
-        if int(weights[idx]) < best_w:
-            best_w = int(weights[idx])
-            word = np.empty(length, dtype=np.uint8)
-            word[perm] = rows[idx]
-            best = word
+        if weights[idx] < best_w:
+            best, best_w = words[idx].copy(), int(weights[idx])
             if best_w == 1:
                 break
     return best

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -248,6 +249,31 @@ class TestHostileFiles:
             with pytest.raises(formats.FormatError):
                 formats.load_private_key(raw)
             assert time.monotonic() - start < 1.0, label
+
+    def test_public_key_shorter_than_its_crc(self, keypair):
+        raw = formats.save_public_key(keypair.public)[:3]
+        with pytest.raises(formats.FormatError, match="truncated"):
+            formats.load_public_key(raw)
+
+    def test_trailing_byte(self, keypair):
+        sig = scheme.sign(keypair.private, b"message")
+        for saved, load in (
+            (formats.save_public_key(keypair.public), formats.load_public_key),
+            (formats.save_signature(sig, keypair.public.n), formats.load_signature),
+        ):
+            # One byte appended before the CRC, which _patched recomputes.
+            raw = _patched(saved[:-4] + b"\x00" + saved[-4:], 0, b"")
+            with pytest.raises(formats.FormatError, match="trailing bytes"):
+                load(raw)
+
+    def test_private_key_with_singular_s(self, keypair):
+        """Two equal rows of S, saved through save_private_key so the
+        digest and CRC are valid: only the inversion can reject it."""
+        s = keypair.private.S.copy()
+        s[1] = s[0]
+        raw = formats.save_private_key(dataclasses.replace(keypair.private, S=s))
+        with pytest.raises(formats.FormatError, match="S is not invertible"):
+            formats.load_private_key(raw)
 
     def test_signature_with_huge_length(self, keypair):
         sig = scheme.sign(keypair.private, b"message")

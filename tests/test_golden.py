@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from rmsig import analysis, formats, rmcode, scheme
+from rmsig.modcode import puncture_plan
 
 MESSAGES = [b"golden message %d" % j for j in range(5)]
 CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
@@ -75,6 +76,17 @@ EXHAUSTIVE = {
 }
 EXHAUSTIVE_MODIFIED_RM41 = "aada76271338db4ca8fd6c356a5a8e43167f47e6a3039b0a4586f315bb4e3e22"
 
+# SHA-256 of the puncture plans (y, p, deleted) of key seeds 0-4, by
+# (m, r).  The golden keys above take the exhaustive minimum-weight
+# search or stop at a weight-1 word on its first column order; these
+# projections have dimension 22 and 64 and lightest word 16, so every
+# plan runs the randomized search through all its column orders and
+# pins its draws from rng.
+PLANS = {
+    (8, 2): "577d52cc0922156a02c42ffe8492c80eda5c511fa1094df8145c47924e09bc20",
+    (10, 3): "5b3769aad5b1d247cffb5afb95407160606eafdb8b71e276dbaee4c349456dca",
+}
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
@@ -110,6 +122,19 @@ def test_golden_bytes(case):
 def test_exhaustive_csv(m, r):
     dist = analysis.calibrate(rmcode.build(m, r), 0, np.random.default_rng(0), exhaustive=True)
     assert _sha(dist.to_csv()) == EXHAUSTIVE[(m, r)]
+
+
+@pytest.mark.parametrize("m,r", sorted(PLANS), ids=lambda v: str(v))
+def test_randomized_puncture_plans(m, r):
+    code = rmcode.build(m, r)
+    digest = hashlib.sha256()
+    for seed in range(5):
+        plan = puncture_plan(code, np.random.default_rng(seed))
+        assert int(plan.y.sum()) == 16
+        digest.update(plan.y.tobytes())
+        digest.update(np.int64(plan.p).tobytes())
+        digest.update(plan.deleted.astype("<i8").tobytes())
+    assert digest.hexdigest() == PLANS[(m, r)]
 
 
 def test_exhaustive_csv_modified():

@@ -152,15 +152,16 @@ class TestMinWeightInRowspace:
         y = rmcode.min_weight_in_rowspace(g, np.random.default_rng(0))
         assert int(y.sum()) == 4
 
-    def test_randomized_path_finds_min(self):
+    def test_randomized_path_finds_min(self, monkeypatch):
         # Dimension 22 forces the information-set search; planted min weight 2.
+        monkeypatch.setattr(rmcode, "SEARCH_BUDGET", 64)
         rng = np.random.default_rng(6)
         g = np.zeros((22, 40), dtype=np.uint8)
         g[:, :22] = gf2.identity(22)
         g[:, 22:] = gf2.random_bits((22, 18), rng)
         g[0] = 0
         g[0, 38] = g[0, 39] = 1
-        found = rmcode.min_weight_in_rowspace(g, np.random.default_rng(7), budget=64)
+        found = rmcode.min_weight_in_rowspace(g, np.random.default_rng(7))
         assert int(found.sum()) <= 3
 
     def test_zero_rowspace_rejected(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rmsig import gf2, scheme
+from rmsig import analysis, formats, gf2, rmcode, scheme
 
 from reference import modified_generator, perm_matrix
 
@@ -114,6 +114,25 @@ class TestKeygen:
             q = perm_matrix(kp.private.sigma)
             recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), q)
             assert np.array_equal(recomputed, kp.public.H)
+
+
+def test_no_program_path_builds_the_parity_check():
+    """RmCode.H is built from G on first read.  Keygen, save/load, sign,
+    verify and calibrate never read it; only tests and the benchmark's
+    oracle do."""
+    params = scheme.SigningParams(w=12, N=100, t=3)
+    kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
+    pub = formats.load_public_key(formats.save_public_key(kp.public))
+    loaded = formats.load_private_key(formats.save_private_key(kp.private))
+    plain = rmcode.build(5, 2)
+    for priv in (kp.private, loaded):
+        sig = scheme.sign(priv, b"no parity check")
+        assert scheme.verify(pub, b"no parity check", sig)
+        analysis.calibrate(priv.mod, 2000, np.random.default_rng(0))
+    analysis.calibrate(plain, 2000, np.random.default_rng(1))
+    codes = (kp.private.mod.base, loaded.mod.base, plain)
+    assert not any("H" in vars(code) for code in codes)
+    assert plain.H is plain.H and "H" in vars(plain)
 
 
 class TestSignVerify:
