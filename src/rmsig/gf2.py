@@ -1,22 +1,23 @@
 """Dense GF(2) linear algebra on numpy uint8 arrays.
 
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
-addition is XOR.  Gaussian elimination runs on bit-packed rows, so the
-largest generator matrices in this package (2510 x 4096) reduce in well
-under a second.  A matrix-vector product adds up the columns the vector
-selects, so it never copies the whole matrix; verification, which
-multiplies by the same public matrix every time, XORs its columns packed
-into uint64 words instead (ColumnTable).  Products by a matrix that is
-used many times (the signing path's S^-1 and P') read a precomputed
-Four-Russians table of packed uint64 rows (ProductTable).  Such a
-product packs its operand where it lies, by rows or, for a transposed
-view such as the decoder's column layout, by columns, so it makes no
-transposing copy; it then gathers the table rows with take into one
-reused buffer.  One routine, _packbits_axis0, packs by columns, for
-these operands and for the matrix of a ColumnTable.  mat_mul builds a
-product table for a one-off product too when both matrices are large
-(see mat_mul), and sends any other matrix product through float32 BLAS,
-which is exact below 2**24 terms.
+addition is XOR.  Gaussian elimination runs on bit-packed rows; it
+inverts the scrambler S, reduces the few rows of a generator whose
+information columns move, and searches projected codes for light words
+(no generator is row-reduced whole: see rmcode).  A matrix-vector
+product adds up the columns the vector selects, so it never copies the
+whole matrix; verification, which multiplies by the same public matrix
+every time, XORs its columns packed into uint64 words instead
+(ColumnTable).  Products by a matrix that is used many times (the
+signing path's S^-1 and P') read a precomputed Four-Russians table of
+packed uint64 rows (ProductTable).  Such a product packs its operand
+where it lies, by rows or, for a transposed view such as the decoder's
+column layout, by columns, so it makes no transposing copy; it then
+gathers the table rows with take into one reused buffer.  One routine,
+_packbits_axis0, packs by columns, for these operands and for the matrix
+of a ColumnTable.  mat_mul builds a product table for a one-off product
+too when both matrices are large (see mat_mul), and sends any other
+matrix product through float32 BLAS, which is exact below 2**24 terms.
 
 Bit packing convention, fixed for all serialized forms: row-major, each
 row padded to a whole number of bytes, MSB-first within a byte (bit j of
@@ -278,39 +279,6 @@ def invert(a: np.ndarray) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise SingularError(f"{n}x{n} matrix is singular over GF(2)")
     return np.ascontiguousarray(red[:, n:])
-
-
-def systematize(g: np.ndarray, excluded=()) -> tuple[np.ndarray, np.ndarray]:
-    """Put a full-row-rank generator into systematic form [I_k | P].
-
-    The one rule for choosing an information set: one row reduction of
-    g, with the excluded columns moved behind the others, takes the
-    first k independent columns.  They go to the front in ascending
-    order, and all remaining columns follow in ascending order.  (For a
-    fixed column order the systematic form is unique.)
-
-    Args:
-        g: k x n binary matrix.
-        excluded: column indices that must stay out of the information set.
-
-    Returns:
-        (sys, perm): sys = [I_k | P]; perm maps new column position to
-        old column index (new column j is old column perm[j]).
-
-    Raises:
-        RankError: if the non-excluded columns have rank below k.
-    """
-    g = np.asarray(g, dtype=np.uint8)
-    k, n = g.shape
-    banned = np.zeros(n, dtype=bool)
-    banned[np.asarray(excluded, dtype=np.int64)] = True
-    order = np.argsort(banned, kind="stable")
-    red, pivots = rref(np.take(g, order, axis=1))
-    info = order[pivots]
-    if info.size < k or banned[info].any():
-        raise RankError(f"the non-excluded columns have rank below k={k}")
-    perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
-    return np.take(red, np.argsort(order)[perm], axis=1), perm
 
 
 def random_bits(shape, rng: np.random.Generator) -> np.ndarray:

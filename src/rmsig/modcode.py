@@ -28,6 +28,7 @@ from . import gf2
 from .rmcode import (
     RmCode,
     _assemble,
+    _move_information_set,
     min_weight_codeword,
     min_weight_in_rowspace,
     proj,
@@ -102,13 +103,14 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
 
 
 def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
-    """Re-systematize so every deleted column lands in the parity part.
+    """Move the information set so every deleted column lands in the parity part.
 
-    Keeps the current column order wherever possible: gf2.systematize
-    excludes the deleted columns and picks the information set greedily
-    from the others in ascending order, so a deletion set already inside
-    the parity part leaves the code unchanged.  Returns the aligned code
-    and the deletion set re-expressed in its column order.
+    Keeps the current column order wherever possible: the deleted
+    information columns leave, and the first as many non-deleted parity
+    columns in ascending order that complete an information set enter
+    (rmcode._move_information_set), so a deletion set already inside the
+    parity part leaves the code unchanged.  Returns the aligned code and
+    the deletion set re-expressed in its column order.
 
     Raises:
         gf2.RankError: if the non-deleted columns hold no information set.
@@ -116,7 +118,11 @@ def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     if deleted.size == 0 or deleted.min() >= code.k:
         return code, deleted
-    g_new, order = gf2.systematize(code.G, excluded=deleted)
+    allowed = np.ones(code.n, dtype=bool)
+    allowed[: code.k] = False
+    allowed[deleted] = False
+    leaving = np.unique(deleted[deleted < code.k])
+    g_new, order = _move_information_set(code.G, leaving, np.flatnonzero(allowed))
     # Positions of the old columns inside the new order.
     inv = np.empty(code.n, dtype=np.int64)
     inv[order] = np.arange(code.n)
@@ -133,7 +139,7 @@ def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCod
     if p and deleted.min() < k:
         raise ValueError("deletion set must lie in the parity part; align first")
     parity_keep = np.setdiff1d(np.arange(n - k), deleted - k)
-    p_kept = code.P[:, parity_keep].copy()
+    p_kept = np.take(code.P, parity_keep, axis=1)
 
     h_mod = np.zeros((n - k, n), dtype=np.uint8)
     h_mod[: n - k - p, :k] = p_kept.T

@@ -1,22 +1,45 @@
 """Reed-Muller codes RM(r, m) in systematic form.
 
 Evaluation points are the integers 0..2**m-1 read little-endian, so
-variable j of point t is bit (t >> j) & 1.  Monomial rows are listed by
-degree, then lexicographically within a degree.  That fixes the raw
-evaluation generator bit-exactly; the systematic form [I_k | P] is then
-obtained by moving the first information set in column order to the
-front (gf2.systematize).
+variable j of point t is bit (t >> j) & 1, and the code is spanned by
+the evaluations of the monomials of degree <= r.  A point is identified
+with its set of variables, a monomial with the set it multiplies; |x|
+is the weight of x and y <= x means inclusion.
+
+The systematic form [I_k | P] has a closed form, so no row reduction
+builds a code.  For a point x let c_x be its column, the values
+[S <= x] of the monomials S with |S| <= r.  Mobius inversion on the
+Boolean lattice (MacWilliams and Sloane, ch. 13) gives
+
+    sum over y <= x of c_y = (the [S = x] column) = 0   when |x| > r,
+
+so the column of a point of weight above r is a sum of columns of its
+proper subsets, all smaller integers, and the columns of the k points
+of weight <= r are independent.  The first k independent columns in
+ascending order are therefore exactly the points of weight <= r, and
+
+    c_x = sum over y <= x, |y| <= r of C(|x| - |y| - 1, r - |y|) c_y,
+
+because for S <= x with |S| = s, Vandermonde's identity (with upper
+negation, mod 2) sums the coefficients of the y with S <= y <= x to
+C(r - s, r - s) = 1.  By Lucas' theorem, C(a, b) is odd iff b & ~a == 0.
+So P[y, x] = 1 iff y <= x and (r - |y|) & ~(|x| - |y| - 1) == 0: the
+information set is the points of weight <= r in ascending order, the
+parity part the others in ascending order.  For a given information set
+and column order the systematic form is unique, so this is the form a
+row reduction of the monomial generator would give.
 
 A code stores its generator G in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
-came from, which is what the recursive decoder needs.  The parity check
+came from, which is what the recursive decoder needs.  Moving the
+information set (a stored column order, a punctured column) eliminates
+only the columns that change (_move_information_set).  The parity check
 H is derived from G on first read; only tests and the benchmark's
 oracle read it.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,17 +103,6 @@ def variable_table(m: int) -> np.ndarray:
     return ((points[None, :] >> np.arange(m, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
 
 
-def monomial_generator(m: int, r: int) -> np.ndarray:
-    """Raw k x n generator: one row per monomial of degree <= r."""
-    n = 1 << m
-    table = variable_table(m)
-    rows = [np.ones(n, dtype=np.uint8)]
-    for deg in range(1, r + 1):
-        for combo in itertools.combinations(range(m), deg):
-            rows.append(np.bitwise_and.reduce(table[list(combo)], axis=0))
-    return np.array(rows, dtype=np.uint8)
-
-
 def _assemble(m: int, r: int, g_sys: np.ndarray, perm: np.ndarray) -> RmCode:
     perm = np.ascontiguousarray(perm, dtype=np.int64)
     for a in (g_sys, perm):
@@ -115,28 +127,131 @@ def code_dims(m: int, r: int) -> tuple[int, int, int]:
     return 1 << m, sum(comb(m, i) for i in range(r + 1)), ((1 << (m - r)) - 1) // 2
 
 
+_CLOSED_FORM_CELLS = 1 << 18
+"""Largest temporary of the closed form, in uint32 cells (1 MB)."""
+
+
+def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = [I_k | P] and info_perm of RM(r, m), from the closed form in the
+    module docstring, written row block by row block."""
+    n = 1 << m
+    points = np.arange(n, dtype=np.uint32)
+    weights = np.bitwise_count(points).astype(np.int64)
+    low = weights <= r
+    info_perm = np.concatenate([np.flatnonzero(low), np.flatnonzero(~low)])
+    k = int(low.sum())
+    # P[y, x] = 1 iff key[y] & mask[x] == 0.  The low m bits test y <= x;
+    # bit m + |y| of mask[x] is set when C(|x| - |y| - 1, r - |y|) is even.
+    s = np.arange(r + 1)[:, None]
+    w = np.arange(r + 1, m + 1)[None, :]
+    even_bits = ((((r - s) & ~(w - s - 1)) != 0) << s).sum(axis=0)  # at |x| - r - 1
+    key = (points[low] | (1 << (m + weights[low]))).astype(np.uint32)
+    mask = (~points[~low] & (n - 1)) | (even_bits[weights[~low] - r - 1] << m)
+    mask = mask.astype(np.uint32)
+    g = np.zeros((k, n), dtype=np.uint8)
+    np.fill_diagonal(g, 1)
+    if k < n:
+        rows = max(1, _CLOSED_FORM_CELLS // (n - k))
+        cells = np.empty((min(rows, k), n - k), dtype=np.uint32)
+        for start in range(0, k, rows):
+            block = cells[: min(rows, k - start)]
+            np.bitwise_and(key[start : start + rows, None], mask, out=block)
+            np.equal(block, 0, out=g[start : start + rows, k:].view(np.bool_))
+    return g, info_perm
+
+
+def _move_information_set(
+    g: np.ndarray, leaving: np.ndarray, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Move the information set of a systematic g = [I_k | P] off the
+    (ascending) columns `leaving`.
+
+    The first q = len(leaving) of the ascending parity columns
+    `candidates` that are independent on the leaving rows enter.  A q x n
+    Gauss-Jordan elimination makes those rows the identity on the
+    entering columns, and each is XORed into every kept row with a 1 in
+    its entering column; the rows are XORed bit-packed.  Returns
+    (g', order): g' is the systematic form for the column order `order`
+    (column j of g' is column order[j] of g), which lists the kept
+    information columns, the entering, the leaving and the other parity
+    columns, each ascending.
+
+    Raises:
+        gf2.RankError: if fewer than q candidates are independent on the
+        leaving rows, so no information set avoids the leaving columns.
+    """
+    k, n = g.shape
+    q = leaving.size
+    if q == 0:
+        return g, np.arange(n)
+    others = np.ones(n, dtype=bool)
+    others[candidates] = False
+    cols = np.concatenate([candidates, np.flatnonzero(others)])
+    red, pivots = gf2.rref(np.take(g[leaving], cols, axis=1))
+    if pivots[-1] >= candidates.size:
+        raise gf2.RankError(
+            f"the candidate columns do not complete an information set of size k={k}"
+        )
+    entering = cols[pivots]
+    back = np.empty(n, dtype=np.int64)
+    back[cols] = np.arange(n)
+    new_rows = np.packbits(np.take(red, back, axis=1), axis=1)
+    kept = np.ones(k, dtype=bool)
+    kept[leaving] = False
+    rows = np.packbits(g, axis=1)[kept]
+    hits = np.take(g, entering, axis=1)[kept].T == 1
+    for row, hit in zip(new_rows, hits):
+        rows[hit] ^= row
+    moved = np.unpackbits(np.concatenate([rows, new_rows]), axis=1, count=n)
+    # The first k columns in the new order are the identity; copy the
+    # leaving columns, then the other parity columns run by run.
+    out = np.zeros((k, n), dtype=np.uint8)
+    np.fill_diagonal(out, 1)
+    out[:, k : k + q] = np.take(moved, leaving, axis=1)
+    at = k + q
+    for lo, hi in zip(np.concatenate([[k], entering + 1]), np.concatenate([entering, [n]])):
+        out[:, at : at + hi - lo] = moved[:, lo:hi]
+        at += hi - lo
+    parity = np.ones(n, dtype=bool)
+    parity[:k] = False
+    parity[entering] = False
+    order = np.concatenate([np.flatnonzero(kept), entering, leaving, np.flatnonzero(parity)])
+    return out, order
+
+
 def build(m: int, r: int) -> RmCode:
     """Construct RM(r, m) with n = 2**m, k = sum_i C(m, i), d = 2**(m-r)."""
     _check_params(m, r)
-    g_sys, perm = gf2.systematize(monomial_generator(m, r))
-    return _assemble(m, r, g_sys, perm)
+    return _assemble(m, r, *_systematic(m, r))
 
 
 def build_with_perm(m: int, r: int, info_perm: np.ndarray) -> RmCode:
     """Rebuild a code whose systematic column order is already known.
 
     Used when loading stored keys: the stored permutation reproduces the
-    exact G the key was generated with.  Its first k columns must be an
-    information set (gf2.RankError otherwise).
+    exact G the key was generated with.  The closed-form code's
+    information set is moved onto the stored order's first k columns,
+    which must be an information set (gf2.RankError otherwise); G's rows
+    and columns then follow the stored order.
     """
     _check_params(m, r)
-    raw = monomial_generator(m, r)
-    k, n = raw.shape
+    n = 1 << m
     perm = np.asarray(info_perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(n)):
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("info_perm is not a permutation of the column indices")
-    g_sys, _ = gf2.systematize(np.take(raw, perm, axis=1), excluded=range(k, n))
-    return _assemble(m, r, g_sys, perm)
+    g, base = _systematic(m, r)
+    k = g.shape[0]
+    col = np.empty(n, dtype=np.int64)
+    col[base] = np.arange(n)
+    target = col[perm]  # the stored order, as columns of the closed form
+    head = np.zeros(n, dtype=bool)
+    head[target[:k]] = True
+    g, order = _move_information_set(g, np.flatnonzero(~head[:k]), np.flatnonzero(head[k:]) + k)
+    if not np.array_equal(order, target):  # an order keygen does not write
+        col[order] = np.arange(n)
+        g = np.take(g, col[target[:k]], axis=0)
+        g = np.take(g, col[target], axis=1)
+    return _assemble(m, r, g, perm)
 
 
 def supp(c: np.ndarray) -> np.ndarray:

@@ -143,7 +143,7 @@ def keygen(
     scramble = gf2.random_invertible(n - k, rng)
     sigma = rng.permutation(n)
     sigma_inv = np.argsort(sigma)
-    h_pub = np.ascontiguousarray(gf2.mat_mul(scramble, mod.H)[:, sigma_inv])
+    h_pub = np.take(gf2.mat_mul(scramble, mod.H), sigma_inv, axis=1)
     for arr in (scramble, sigma, h_pub):
         arr.flags.writeable = False
 

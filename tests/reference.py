@@ -2,10 +2,17 @@
 
 Everything here is written from the definitions (triple loops, textbook
 row reduction, full enumeration) and deliberately shares no code with
-the package internals it checks.
+the package internals it checks.  The one exception is the elimination
+oracle for whole RM generators (systematize and the functions built on
+it), which reduces with gf2.rref because a 2510 x 4096 generator is out
+of reach of python loops; gf2.rref is itself checked against naive_rref.
 """
 
+import itertools
+
 import numpy as np
+
+from rmsig import gf2
 
 
 def naive_mat_mul(a, b):
@@ -64,6 +71,70 @@ def systematic_form(g, excluded=()):
         return None
     perm = info + [j for j in range(n) if j not in info]
     return naive_rref(g[:, perm]), np.array(perm)
+
+
+def systematize(g, excluded=()):
+    """[I_k | P] of a full-row-rank g by one row reduction, and its perm.
+
+    The excluded columns are moved behind the others and the first k
+    independent columns become the information set: they go to the
+    front in ascending order, the other columns follow in ascending
+    order (new column j is old column perm[j]).  This is the rule
+    systematic_form states column by column.
+
+    Raises:
+        gf2.RankError: if the non-excluded columns have rank below k.
+    """
+    g = np.asarray(g, dtype=np.uint8)
+    k, n = g.shape
+    banned = np.zeros(n, dtype=bool)
+    banned[np.asarray(excluded, dtype=np.int64)] = True
+    order = np.argsort(banned, kind="stable")
+    red, pivots = gf2.rref(np.take(g, order, axis=1))
+    info = order[pivots]
+    if info.size < k or banned[info].any():
+        raise gf2.RankError(f"the non-excluded columns have rank below k={k}")
+    perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
+    return np.take(red, np.argsort(order)[perm], axis=1), perm
+
+
+def monomial_generator(m, r):
+    """Raw k x 2**m generator of RM(r, m): one row per monomial of degree
+    <= r, by degree and then lexicographically, evaluated at the points
+    0..2**m-1 read little-endian (variable j of point t is bit j of t)."""
+    points = np.arange(1 << m)
+    rows = []
+    for deg in range(r + 1):
+        for combo in itertools.combinations(range(m), deg):
+            mask = sum(1 << j for j in combo)
+            rows.append((points & mask) == mask)
+    return np.array(rows, dtype=np.uint8)
+
+
+def eliminated_code(m, r):
+    """(G, info_perm) of RM(r, m) by eliminating the monomial generator."""
+    return systematize(monomial_generator(m, r))
+
+
+def eliminated_with_perm(m, r, info_perm):
+    """G of RM(r, m) in a stored column order whose first k columns must be
+    an information set, by one elimination (gf2.RankError otherwise)."""
+    raw = monomial_generator(m, r)
+    k, n = raw.shape
+    perm = np.asarray(info_perm, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(n)):
+        raise ValueError("info_perm is not a permutation of the column indices")
+    return systematize(np.take(raw, perm, axis=1), excluded=range(k, n))[0]
+
+
+def eliminated_alignment(code, deleted):
+    """(G, info_perm, deleted) of a code re-systematized with the deleted
+    columns excluded from the information set, by one elimination."""
+    deleted = np.asarray(sorted(deleted), dtype=np.int64)
+    g_new, order = systematize(code.G, excluded=deleted)
+    inv = np.empty(code.n, dtype=np.int64)
+    inv[order] = np.arange(code.n)
+    return g_new, code.info_perm[order], np.sort(inv[deleted])
 
 
 def same_row_space(a, b):

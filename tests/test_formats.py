@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from rmsig import formats, scheme
+from rmsig import formats, gf2, modcode, rmcode, scheme
 
 from reference import modified_generator
 
@@ -197,6 +197,8 @@ def _hostile_private_keys(keypair):
     s_row = (n - k + 7) // 8
     sigma_at = s_at + (n - k) * s_row
     sigma = keypair.private.sigma
+    perm_at = sigma_at + 4 * n + p * ((n - p + 7) // 8)
+    info_perm = keypair.private.mod.base.info_perm
     return {
         "huge m and r": _patched(raw, *HUGE_CODE),
         "r above m": _patched(raw, 7, struct.pack("<HH", 5, 6)),
@@ -210,6 +212,10 @@ def _hostile_private_keys(keypair):
             raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
         "sigma repeats an index": _patched(raw, sigma_at + 4, struct.pack("<I", sigma[0])),
         "S has two equal rows": _patched(raw, s_at + s_row, raw[s_at : s_at + s_row]),
+        "info_perm repeats an index": _patched(raw, perm_at + 4, struct.pack("<I", info_perm[0])),
+        # On RM(2,5) the first k = 16 points span only RM(2,4), of dimension 11.
+        "info_perm head is no information set": _patched(
+            raw, perm_at, np.arange(n, dtype="<u4").tobytes()),
     }
 
 
@@ -274,6 +280,29 @@ class TestHostileFiles:
         raw = formats.save_private_key(dataclasses.replace(keypair.private, S=s))
         with pytest.raises(formats.FormatError, match="S is not invertible"):
             formats.load_private_key(raw)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_private_key_in_a_random_column_order(self, seed):
+        """An RM(10,5) key stored in a random column order moves about half
+        the information set.  Its digest is valid, so it loads, or is
+        rejected for a head that is no information set, within a second."""
+        params = scheme.SigningParams(w=99, N=100, t=15)
+        priv = scheme.keygen(10, 5, params, np.random.default_rng(3)).private
+        order = np.random.default_rng(seed).permutation(priv.mod.n)
+        try:
+            base = rmcode.build_with_perm(10, 5, order)
+        except gf2.RankError:
+            base = dataclasses.replace(priv.mod.base, info_perm=order)  # saved as is
+        mod = modcode.assemble_modified(base, priv.mod.deleted, priv.mod.R)
+        raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
+        start = time.monotonic()
+        try:
+            loaded = formats.load_private_key(raw)
+        except formats.FormatError as err:
+            assert "info_perm" in str(err)
+        else:
+            assert np.array_equal(loaded.mod.H, mod.H)
+        assert time.monotonic() - start < 1.0
 
     def test_signature_with_huge_length(self, keypair):
         sig = scheme.sign(keypair.private, b"message")

@@ -87,6 +87,16 @@ PLANS = {
     (10, 3): "5b3769aad5b1d247cffb5afb95407160606eafdb8b71e276dbaee4c349456dca",
 }
 
+# SHA-256 of the public and private key files of the benchmark's
+# largest key: m = 12, r = 6, w = 530, N = 30000, key seed 1.  Building
+# it moves the information set of the largest code, and loading the
+# private key rebuilds it from the stored column order.
+LARGEST = (12, 6, 530, 30000, 1)
+LARGEST_KEYS = {
+    "public": "a76dfd67cc8b90eb236b5dc58bb3adc4a3f98c16387137411a494842dd055327",
+    "private": "7dece668cfa5f76a161c0cf9f35b0b59a18b3073233174e096a2b9093b50aae5",
+}
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
@@ -144,3 +154,12 @@ def test_exhaustive_csv_modified():
     dist = analysis.calibrate(kp.private.mod, 0, np.random.default_rng(0), exhaustive=True)
     assert dist.samples == 1 << 11
     assert _sha(dist.to_csv()) == EXHAUSTIVE_MODIFIED_RM41
+
+
+def test_largest_keys():
+    m, r, w, n_trials, seed = LARGEST
+    params = scheme.SigningParams(w=w, N=n_trials, t=rmcode.build(m, r).t)
+    kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
+    pub, sec = formats.save_public_key(kp.public), formats.save_private_key(kp.private)
+    assert {"public": _sha(pub), "private": _sha(sec)} == LARGEST_KEYS
+    assert formats.save_private_key(formats.load_private_key(sec)) == sec

@@ -3,7 +3,14 @@ import pytest
 
 from rmsig import gf2, modcode, rmcode
 
-from reference import enumerate_codewords, modified_generator, punctured_check, same_row_space
+from reference import (
+    eliminated_alignment,
+    enumerate_codewords,
+    modified_generator,
+    monomial_generator,
+    punctured_check,
+    same_row_space,
+)
 
 
 class TestPuncturePlan:
@@ -68,7 +75,7 @@ class TestAlignInformationSet:
         assert (new_deleted >= aligned.k).all()
         assert new_deleted.size == 2
         assert same_row_space(unpermuted_rows(aligned), unpermuted_rows(rm31))
-        assert same_row_space(unpermuted_rows(aligned), rmcode.monomial_generator(3, 1))
+        assert same_row_space(unpermuted_rows(aligned), monomial_generator(3, 1))
 
     def test_aligned_code_is_consistent(self, rm41):
         deleted = [0, 1, rm41.k + 1]
@@ -76,13 +83,37 @@ class TestAlignInformationSet:
         assert not gf2.mat_mul(aligned.G, aligned.H.T).any()
         assert np.array_equal(aligned.G[:, : aligned.k], gf2.identity(aligned.k))
 
-    def test_moving_columns_reduces_once(self, rref_shapes):
+    def test_moving_columns_reduces_only_leaving_rows(self, rref_shapes):
         code = rmcode.build(8, 4)
-        rref_shapes.clear()
         deleted = [0, 5, code.k + 3]
         aligned, _ = modcode.align_information_set(code, deleted)
         assert not np.array_equal(aligned.info_perm, code.info_perm)
-        assert rref_shapes == [(code.k, code.n)]
+        assert rref_shapes == [(2, code.n)]
+
+    @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 3)])
+    def test_random_deletions_match_elimination(self, m, r):
+        """Both raise RankError or give the same code and deletion set."""
+        code = rmcode.build(m, r)
+        rng = np.random.default_rng(10 * m + r)
+        outcomes = set()
+        for trial in range(40):
+            size = int(rng.integers(1, code.n - code.k + 1))
+            deleted = rng.choice(code.n, size=size, replace=False)
+            if trial % 4 == 0:  # many information columns at once
+                deleted = np.union1d(deleted, rng.choice(code.k, size=code.k // 2, replace=False))
+            try:
+                g, perm, expected = eliminated_alignment(code, deleted)
+            except gf2.RankError:
+                with pytest.raises(gf2.RankError):
+                    modcode.align_information_set(code, deleted)
+                outcomes.add("raise")
+                continue
+            aligned, new_deleted = modcode.align_information_set(code, deleted)
+            assert np.array_equal(aligned.G, g)
+            assert np.array_equal(aligned.info_perm, perm)
+            assert np.array_equal(new_deleted, expected)
+            outcomes.add("equal")
+        assert outcomes == {"raise", "equal"}
 
     def test_max_deletion_still_aligns(self, rm31):
         # Delete as many columns as the parity part can hold.
