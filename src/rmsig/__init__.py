@@ -1,6 +1,6 @@
 """Signatures from punctured Reed-Muller codes with random insertion."""
 
-from .gf2 import RankError, SingularError
+from .gf2 import RankError
 from .rmcode import RmCode, build
 from .decoder import coset_leaders, decode_closest, punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
@@ -29,7 +29,6 @@ from .analysis import (
 
 __all__ = [
     "RankError",
-    "SingularError",
     "RmCode",
     "build",
     "decode_closest",

@@ -2,7 +2,7 @@
 
 Key file ("RMSG"):
     magic      4s   "RMSG"
-    version    u16  1 for a public key, 2 for a private key
+    version    u16  1 for a public key, 3 for a private key
     role       u8   0 = public, 1 = private
     m, r       u16, u16
     p          u32  punctured column count
@@ -14,10 +14,15 @@ Key file ("RMSG"):
     crc32      u32  zlib CRC of every preceding byte
 
 Public body:  packed H', (n-k) rows of ceil(n/8) bytes.
-Private body: packed S, sigma as n * u32, packed R, info_perm as n * u32,
+Private body: packed F, sigma as n * u32, packed R, info_perm as n * u32,
               then the 32-byte SHA-256 of every preceding byte (header
               included) followed by the packed H_m rebuilt from info_perm,
-              the deleted columns and R.  P' is not stored (version 1 did).
+              the deleted columns and R.
+              F is the (n-k) x (n-k) matrix of the scrambler's inverse
+              factors, S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), and
+              its diagonal must be zero; any such F is a valid scrambler.
+              Version 2 stored S instead, which a load had to invert;
+              version 1 also stored P'.
 
 All header integers are little-endian.  The signature file ("RMSS")
 stores the counter big-endian, mirroring its role as hash input:
@@ -44,7 +49,7 @@ SIG_MAGIC = b"RMSS"
 VERSION = 1
 ROLE_PUBLIC = 0
 ROLE_PRIVATE = 1
-_KEY_VERSION = {ROLE_PUBLIC: VERSION, ROLE_PRIVATE: 2}
+_KEY_VERSION = {ROLE_PUBLIC: VERSION, ROLE_PRIVATE: 3}
 
 _HEADER = struct.Struct("<4sHBHHIII")
 
@@ -104,7 +109,7 @@ def save_private_key(priv: PrivateKey) -> bytes:
     base = mod.base
     body = _header(ROLE_PRIVATE, base.m, base.r, mod.p, priv.params)
     body += struct.pack("<I", mod.p) + _u32_list(mod.deleted)
-    body += gf2.pack_bits(priv.S)
+    body += gf2.pack_bits(priv.S_inv_factors)
     body += _u32_list(priv.sigma)
     body += gf2.pack_bits(mod.R) if mod.p else b""
     body += _u32_list(base.info_perm)
@@ -153,7 +158,9 @@ def load_private_key(raw: bytes) -> PrivateKey:
         raise FormatError("deleted column list does not match p")
     if p and (deleted[0] < k or deleted[-1] >= n or (np.diff(deleted) <= 0).any()):
         raise FormatError(f"deleted columns must increase strictly within [{k}, {n})")
-    scramble = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n - k)), n - k, n - k)
+    factors = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n - k)), n - k, n - k)
+    if np.diagonal(factors).any():
+        raise FormatError("the S^-1 factor matrix has a nonzero diagonal")
     sigma = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise FormatError("sigma is not a permutation of the column indices")
@@ -169,14 +176,9 @@ def load_private_key(raw: bytes) -> PrivateKey:
     mod = assemble_modified(base, deleted, r_block)
     if hashlib.sha256(rd.buf[:-32] + gf2.pack_bits(mod.H)).digest() != stored_digest:
         raise FormatError("private key digest mismatch")
-    for arr in (scramble, sigma):
+    for arr in (factors, sigma):
         arr.flags.writeable = False
-    priv = PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
-    try:
-        priv.S_inv  # cached for signing
-    except gf2.SingularError:
-        raise FormatError("S is not invertible") from None
-    return priv
+    return PrivateKey(S_inv_factors=factors, sigma=sigma, mod=mod, params=params)
 
 
 def save_keypair(kp: KeyPair, out_prefix: str) -> tuple[str, str]:

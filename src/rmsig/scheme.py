@@ -1,9 +1,11 @@
 """Key generation, signing and verification over the modified code.
 
-The private side holds a scrambling matrix S, a permutation (stored as
-an index vector sigma, meaning row i of the matrix form has its 1 in
-column sigma[i]) and the modified code.  The public check matrix is
-H' = S @ H_m @ Q.
+The private side holds the inverse of a scrambling matrix S, a
+permutation (stored as an index vector sigma, meaning row i of the
+matrix form has its 1 in column sigma[i]) and the modified code.  The
+public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
+unit lower- and upper-triangular factors and keeps only their inverses,
+so signing, which reads S^-1 = U^-1 @ L^-1 alone, never inverts S.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(SHAKE256(M, 32 bytes) || i as 8-byte
@@ -62,14 +64,19 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    S: np.ndarray  # (n-k) x (n-k) invertible scrambler
+    # S^-1 = U^-1 @ L^-1 in one (n-k) x (n-k) matrix F with a zero
+    # diagonal: L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1).
+    S_inv_factors: np.ndarray
     sigma: np.ndarray  # permutation indices; Q[i, sigma[i]] = 1
     mod: ModifiedCode
     params: SigningParams
 
     @cached_property
     def S_inv(self) -> np.ndarray:
-        return gf2.invert(self.S)
+        upper_inv, lower_inv = np.triu(self.S_inv_factors), np.tril(self.S_inv_factors)
+        np.fill_diagonal(upper_inv, 1)
+        np.fill_diagonal(lower_inv, 1)
+        return gf2.mat_mul(upper_inv, lower_inv)
 
     @cached_property
     def _S_inv_T_table(self) -> gf2.ProductTable:
@@ -140,15 +147,16 @@ def keygen(
     mod = build_modified(aligned, deleted, rng)
 
     n, k = mod.n, mod.k
-    scramble = gf2.random_invertible(n - k, rng)
+    lower, upper = gf2.random_unit_triangular(n - k, rng)
     sigma = rng.permutation(n)
     sigma_inv = np.argsort(sigma)
-    h_pub = np.take(gf2.mat_mul(scramble, mod.H), sigma_inv, axis=1)
-    for arr in (scramble, sigma, h_pub):
+    h_pub = np.take(mod.left_product(gf2.mat_mul(lower, upper)), sigma_inv, axis=1)
+    factors = gf2.invert(lower) ^ gf2.invert(upper)  # the unit diagonals cancel
+    for arr in (factors, sigma, h_pub):
         arr.flags.writeable = False
 
     public = PublicKey(m=m, r=r, H=h_pub, params=params)
-    private = PrivateKey(S=scramble, sigma=sigma, mod=mod, params=params)
+    private = PrivateKey(S_inv_factors=factors, sigma=sigma, mod=mod, params=params)
     return KeyPair(public=public, private=private)
 
 

@@ -2,10 +2,12 @@
 
 Everything here is written from the definitions (triple loops, textbook
 row reduction, full enumeration) and deliberately shares no code with
-the package internals it checks.  The one exception is the elimination
+the package internals it checks.  The exceptions are the elimination
 oracle for whole RM generators (systematize and the functions built on
-it), which reduces with gf2.rref because a 2510 x 4096 generator is out
-of reach of python loops; gf2.rref is itself checked against naive_rref.
+it) and the Gauss-Jordan inverse (invert), which reduce with gf2.rref
+because a 2510 x 4096 generator, or a few hundred rows of an inverse,
+is out of reach of python loops; gf2.rref is itself checked against
+naive_rref.
 """
 
 import itertools
@@ -96,6 +98,28 @@ def systematize(g, excluded=()):
         raise gf2.RankError(f"the non-excluded columns have rank below k={k}")
     perm = np.concatenate([info, np.setdiff1d(np.arange(n), info)])
     return np.take(red, np.argsort(order)[perm], axis=1), perm
+
+
+def invert(a):
+    """Inverse of any square GF(2) matrix, by Gauss-Jordan elimination of
+    [a | I].
+
+    Raises:
+        ValueError: if a is not square or has no inverse.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix is not square: {a.shape}")
+    n = a.shape[0]
+    red, pivots = gf2.rref(np.concatenate([a, gf2.identity(n)], axis=1))
+    if pivots[:n] != list(range(n)):
+        raise ValueError(f"{n}x{n} matrix is singular over GF(2)")
+    return np.ascontiguousarray(red[:, n:])
+
+
+def random_invertible(n, rng):
+    """A random invertible n x n matrix: the product of keygen's factors."""
+    return gf2.mat_mul(*gf2.random_unit_triangular(n, rng))
 
 
 def monomial_generator(m, r):

@@ -99,8 +99,8 @@ def test_criterion_4_algebraic_identities():
             mod = kp.private.mod
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             q = perm_matrix(kp.private.sigma)
-            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), q)
-            assert np.array_equal(recomputed, kp.public.H)
+            descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
+            assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
             s_primes, e_primes = scheme._trials(kp.private, c4_inner, 1, 5)
             for s_prime, e_prime in zip(s_primes, e_primes):
                 assert np.array_equal(gf2.mat_mul(mod.H, e_prime), s_prime)

@@ -6,7 +6,7 @@ import pytest
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
-from reference import modified_generator
+from reference import modified_generator, perm_matrix
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,11 @@ class TestPrivateKeyFile:
     def test_round_trip_bit_exact(self, keypair):
         raw = formats.save_private_key(keypair.private)
         priv = formats.load_private_key(raw)
-        assert np.array_equal(priv.S, keypair.private.S)
+        assert np.array_equal(priv.S_inv_factors, keypair.private.S_inv_factors)
+        # The loaded S^-1 undoes keygen's S: S^-1 @ H' = H_m @ Q.
+        q = perm_matrix(priv.sigma)
+        descrambled = gf2.mat_mul(priv.S_inv, keypair.public.H)
+        assert np.array_equal(descrambled, gf2.mat_mul(priv.mod.H, q))
         assert np.array_equal(priv.sigma, keypair.private.sigma)
         assert np.array_equal(priv.mod.R, keypair.private.mod.R)
         assert np.array_equal(priv.mod.deleted, keypair.private.mod.deleted)
@@ -88,18 +92,24 @@ class TestPrivateKeyFile:
             formats.load_private_key(raw)
 
     def test_layout(self, keypair):
-        # Header and deleted list, S, sigma, R, info_perm, digest, CRC; no P'.
+        # Header and deleted list, F, sigma, R, info_perm, digest, CRC; no P'.
         mod = keypair.private.mod
         n, k, p = mod.n, mod.k, mod.p
         raw = formats.save_private_key(keypair.private)
         rows = (n - k) * ((n - k + 7) // 8) + p * ((n - p + 7) // 8)
         assert len(raw) == 27 + 4 * p + rows + 4 * n + 4 * n + 32 + 4
-        assert raw[4:6] == b"\x02\x00"
+        assert raw[4:6] == b"\x03\x00"
 
     def test_version_1_rejected_by_name(self, keypair):
         # Version 1 stored P' and digested H_m alone; there is no v1 loader.
         raw = _patched(formats.save_private_key(keypair.private), 4, b"\x01\x00")
         with pytest.raises(formats.FormatError, match="private key file version 1"):
+            formats.load_private_key(raw)
+
+    def test_version_2_rejected_by_name(self, keypair):
+        # Version 2 stored S, which a load inverted; there is no v2 loader.
+        raw = _patched(formats.save_private_key(keypair.private), 4, b"\x02\x00")
+        with pytest.raises(formats.FormatError, match="private key file version 2"):
             formats.load_private_key(raw)
 
     def test_save_keypair_writes_two_files(self, keypair, tmp_path):
@@ -193,9 +203,9 @@ def _hostile_private_keys(keypair):
     mod = keypair.private.mod
     n, k, p = mod.n, mod.k, mod.p
     deleted_at = 27
-    s_at = deleted_at + 4 * p
-    s_row = (n - k + 7) // 8
-    sigma_at = s_at + (n - k) * s_row
+    f_at = deleted_at + 4 * p
+    f_row = (n - k + 7) // 8
+    sigma_at = f_at + (n - k) * f_row
     sigma = keypair.private.sigma
     perm_at = sigma_at + 4 * n + p * ((n - p + 7) // 8)
     info_perm = keypair.private.mod.base.info_perm
@@ -211,7 +221,8 @@ def _hostile_private_keys(keypair):
         "deleted column past n": _patched(
             raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
         "sigma repeats an index": _patched(raw, sigma_at + 4, struct.pack("<I", sigma[0])),
-        "S has two equal rows": _patched(raw, s_at + s_row, raw[s_at : s_at + s_row]),
+        "F has two equal rows": _patched(raw, f_at + f_row, raw[f_at : f_at + f_row]),
+        "F has a diagonal bit set": _patched(raw, f_at, bytes([raw[f_at] | 0x80])),
         "info_perm repeats an index": _patched(raw, perm_at + 4, struct.pack("<I", info_perm[0])),
         # On RM(2,5) the first k = 16 points span only RM(2,4), of dimension 11.
         "info_perm head is no information set": _patched(
@@ -273,12 +284,14 @@ class TestHostileFiles:
                 load(raw)
 
     def test_private_key_with_singular_s(self, keypair):
-        """Two equal rows of S, saved through save_private_key so the
-        digest and CRC are valid: only the inversion can reject it."""
-        s = keypair.private.S.copy()
-        s[1] = s[0]
-        raw = formats.save_private_key(dataclasses.replace(keypair.private, S=s))
-        with pytest.raises(formats.FormatError, match="S is not invertible"):
+        """Every F with a zero diagonal stores an invertible S^-1, so a
+        singular S cannot be written.  The nearest file sets one diagonal
+        bit of F, saved through save_private_key so the digest and CRC
+        are valid: only the diagonal check can reject it."""
+        f = keypair.private.S_inv_factors.copy()
+        f[1, 1] = 1
+        raw = formats.save_private_key(dataclasses.replace(keypair.private, S_inv_factors=f))
+        with pytest.raises(formats.FormatError, match="nonzero diagonal"):
             formats.load_private_key(raw)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -407,11 +420,13 @@ class TestMutationFuzzRm10:
         assert len(set(offsets)) == header + 64 + 4
 
     def test_edited_s_rejected(self, rm10_files):
-        """Bit 0x10 of the sixth byte of S flipped, CRC recomputed.  S stays
-        invertible, so a digest of H_m alone let this file load, and 3 of 8
+        """Bit 0x10 of the sixth byte of the S^-1 factors F flipped, CRC
+        recomputed.  That bit lies off the diagonal, so F still stores an
+        invertible S^-1; in version 2, where the same edit to S left it
+        invertible, a digest of H_m alone let such a file load, and 3 of 8
         of its signatures then failed verify."""
         saved, load, header = rm10_files["private"]
-        s_byte = header + 5  # S follows the deleted columns
+        s_byte = header + 5  # F follows the deleted columns
         raw = _patched(saved, s_byte, bytes([saved[s_byte] ^ 0x10]))
         with pytest.raises(formats.FormatError, match="digest"):
             load(raw)

@@ -3,6 +3,7 @@ import pytest
 
 from rmsig import gf2
 
+import reference
 from reference import (
     naive_mat_mul,
     naive_rank,
@@ -254,23 +255,70 @@ class TestXorGroupLaws:
 
 
 class TestInvert:
+    """gf2.invert takes unit triangular matrices only; the Gauss-Jordan
+    oracle (reference.invert) takes any square one and checks it."""
+
     def test_identity(self):
+        assert np.array_equal(reference.invert(gf2.identity(4)), gf2.identity(4))
         assert np.array_equal(gf2.invert(gf2.identity(4)), gf2.identity(4))
 
     def test_singular(self):
-        with pytest.raises(gf2.SingularError):
-            gf2.invert(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+        with pytest.raises(ValueError, match="singular"):
+            reference.invert(np.array([[1, 1], [1, 1]], dtype=np.uint8))
 
     def test_round_trip_100_seeds(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 65))
-            a = gf2.random_invertible(n, rng)
-            assert np.array_equal(gf2.mat_mul(a, gf2.invert(a)), gf2.identity(n))
+            a = reference.random_invertible(n, rng)
+            assert np.array_equal(gf2.mat_mul(a, reference.invert(a)), gf2.identity(n))
 
     def test_not_square(self):
+        for invert in (reference.invert, gf2.invert):
+            with pytest.raises(ValueError):
+                invert(np.zeros((2, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 163, 386])
+    def test_unit_triangular_matches_oracle(self, n):
+        lower, upper = gf2.random_unit_triangular(n, np.random.default_rng(n))
+        for a in (lower, upper):
+            inv = gf2.invert(a)
+            assert inv.dtype == np.uint8 and inv.flags.c_contiguous
+            assert np.array_equal(inv, reference.invert(a))
+
+    def test_dense_triangles_and_views(self):
+        """All-ones triangles, and a transposed view of each factor."""
+        ones = np.ones((130, 130), np.uint8)
+        lower, upper = np.tril(ones), np.triu(ones)
+        for a in (lower, upper, lower.T, upper.T):
+            assert np.array_equal(gf2.invert(a), reference.invert(a))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[1, 1], [1, 1]]),  # 1s on both sides of the diagonal
+            np.array([[1, 0], [1, 0]]),  # lower, but a 0 on the diagonal
+            np.array([[0, 1], [0, 1]]),  # upper, but a 0 on the diagonal
+            np.array([[1, 0], [2, 1]]),  # not binary
+            np.zeros((0, 0)),
+        ],
+        ids=["both-sides", "lower-zero-diagonal", "upper-zero-diagonal", "non-binary", "empty"],
+    )
+    def test_other_matrices_rejected(self, a):
         with pytest.raises(ValueError):
-            gf2.invert(np.zeros((2, 3), dtype=np.uint8))
+            gf2.invert(a)
+
+    def test_one_entry_off_the_triangle_rejected(self):
+        """A 130-row unit lower matrix plus one 1 above the diagonal, in
+        each diagonal block, the block above them, and its transpose."""
+        base = np.tril(np.random.default_rng(4).integers(0, 2, (130, 130), dtype=np.uint8), -1)
+        base |= gf2.identity(130)
+        for i, j in [(0, 1), (62, 63), (64, 65), (128, 129), (0, 129), (63, 64)]:
+            a = base.copy()
+            a[i, j] = 1
+            for bad in (a, a.T):
+                with pytest.raises(ValueError, match="triangular"):
+                    gf2.invert(bad)
 
 
 class TestRref:
@@ -392,17 +440,21 @@ class TestSystematize:
 class TestRandomMatrices:
     def test_invertible_n1(self):
         rng = np.random.default_rng(9)
-        assert np.array_equal(gf2.random_invertible(1, rng), [[1]])
+        lower, upper = gf2.random_unit_triangular(1, rng)
+        assert np.array_equal(lower, [[1]]) and np.array_equal(upper, [[1]])
 
     def test_invertible_deterministic(self):
-        a = gf2.random_invertible(8, np.random.default_rng(42))
-        b = gf2.random_invertible(8, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        a = gf2.random_unit_triangular(8, np.random.default_rng(42))
+        b = gf2.random_unit_triangular(8, np.random.default_rng(42))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_invertible_any_seed(self):
         for seed in range(20):
-            a = gf2.random_invertible(8, np.random.default_rng(seed))
-            gf2.invert(a)  # must not raise
+            lower, upper = gf2.random_unit_triangular(8, np.random.default_rng(seed))
+            assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
+            # S = L @ U is invertible, with inverse U^-1 @ L^-1.
+            s_inv = gf2.mat_mul(gf2.invert(upper), gf2.invert(lower))
+            assert np.array_equal(gf2.mat_mul(gf2.mat_mul(lower, upper), s_inv), gf2.identity(8))
 
 
 class TestPacking:

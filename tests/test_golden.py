@@ -23,13 +23,14 @@ from rmsig.modcode import puncture_plan
 MESSAGES = [b"golden message %d" % j for j in range(5)]
 CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
 
-# (m, r, w, N, key seed) -> SHA-256 of: public key, private key, the five
-# signature files, the plain-code CSV and the modified-code CSV; and the
-# five signing counters.
+# (m, r, w, N, key seed) -> SHA-256 of: public key, private key (file
+# version 3, which stores the inverse factors of S), the five signature
+# files, the plain-code CSV and the modified-code CSV; and the five
+# signing counters.
 GOLDEN = {
     (4, 1, 3, 2000, 11): {
         "public": "299bea355158dd6c6952e059ba484d7290ac2458c1c9bcd007b476a9bb6f1aee",
-        "private": "490bc39d76a42e98bc1ef8f0e25693c8d1ad3171878517765e90294ad27e5034",
+        "private": "faadea349ade2c3d7f1092191bb2ac975f0fb71f6f36dedc638f973906424537",
         "sig0": "03eb9073aa3dd27e14736e684b7da28c99bfa8756f31bde378e5f9f0c0f3d6c0",
         "sig1": "bc16a056347d7ee126fca25299489f9eb296a4f05dfe3a2b4b386a886e6ea47d",
         "sig2": "3c8599f9351ffd319d5106dc3c78ec0ef3823cadfc4c28b4356b7cea376e0f53",
@@ -41,7 +42,7 @@ GOLDEN = {
     },
     (6, 3, 3, 4000, 13): {
         "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
-        "private": "24ae29084473c323d2952c9f56edc6d56a65dfc5649bef9be75db13f5a631f91",
+        "private": "96b4e24562275bda108c676e6fcdccf8197025ad3eacd0d9de3bbaa46f05af3c",
         "sig0": "e2bada91308d9f6cf4b5fc07e7d844ae0ba1943e84bbb4a8257846f14a0cd563",
         "sig1": "611f64b353d6df1911101b57c18c7b1a21ff0c9124faea657a0e0276390dfb50",
         "sig2": "1635372eb0bf35b3b8cb975c96686b23904ba293acc9ac1773be3162fe938f44",
@@ -53,7 +54,7 @@ GOLDEN = {
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
-        "private": "e734b75a12c4441d3f55fcb59dcb53b8964a5b3a8572ef845680e7c3a3cd2113",
+        "private": "5e127e0b92affc4706305f8135289c189e7dba2982fbf1bd343bfab25d3175ac",
         "sig0": "b9be0986202fbe8103cc7f44744f1cd0aa37ea76aaf5d0593842e168ce5a3b61",
         "sig1": "7d044d59a06d961b3b88aef9260c05ff453f6b165bb2f132e418807b38e5987c",
         "sig2": "b84ff4b2cd07833ba6e6ccb38d2444ce34a66f9563bf06ac35e52ea6258301e2",
@@ -94,7 +95,7 @@ PLANS = {
 LARGEST = (12, 6, 530, 30000, 1)
 LARGEST_KEYS = {
     "public": "a76dfd67cc8b90eb236b5dc58bb3adc4a3f98c16387137411a494842dd055327",
-    "private": "7dece668cfa5f76a161c0cf9f35b0b59a18b3073233174e096a2b9093b50aae5",
+    "private": "02b095612367b5c7ff4f9059c0dac9e73241cbde3199164e096e42b4f6e190cb",
 }
 
 

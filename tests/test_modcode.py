@@ -169,6 +169,25 @@ class TestBuildModified:
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
+    @pytest.mark.parametrize("m,r,seed", [(4, 1, 1), (5, 2, 0), (6, 3, 2), (8, 4, 1), (10, 5, 1)])
+    def test_left_product_matches_mat_mul(self, m, r, seed):
+        """keygen's S @ H_m, read from H_m's identity columns, against the
+        plain product; for rows of S and for a rectangular block."""
+        code = rmcode.build(m, r)
+        rng = np.random.default_rng(seed)
+        plan = modcode.puncture_plan(code, rng)
+        aligned, deleted = modcode.align_information_set(code, plan.deleted)
+        mod = modcode.build_modified(aligned, deleted, rng)
+        assert mod.p >= 1
+        for rows in (mod.n - mod.k, 3):
+            s = rng.integers(0, 2, size=(rows, mod.n - mod.k), dtype=np.uint8)
+            assert np.array_equal(mod.left_product(s), gf2.mat_mul(s, mod.H))
+
+    def test_left_product_without_inserted_rows(self, rm41):
+        mod = modcode.build_modified(rm41, [], np.random.default_rng(0))
+        s = np.random.default_rng(1).integers(0, 2, size=(11, 11), dtype=np.uint8)
+        assert np.array_equal(mod.left_product(s), gf2.mat_mul(s, mod.H))
+
     def test_unaligned_deletions_rejected(self, rm31):
         with pytest.raises(ValueError):
             modcode.build_modified(rm31, [0], np.random.default_rng(0))

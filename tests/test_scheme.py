@@ -82,15 +82,16 @@ class TestKeygen:
         kp = scheme.keygen(4, 1, params, np.random.default_rng(7))
         assert kp.public.H.shape == (11, 16)
         q = perm_matrix(kp.private.sigma)
-        recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, kp.private.mod.H), q)
-        assert np.array_equal(recomputed, kp.public.H)
+        # H' = S @ H_m @ Q, checked as S^-1 @ H' = H_m @ Q.
+        descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
+        assert np.array_equal(descrambled, gf2.mat_mul(kp.private.mod.H, q))
 
     def test_deterministic(self):
         params = scheme.SigningParams(w=8, N=50, t=3)
         a = scheme.keygen(4, 1, params, np.random.default_rng(3))
         b = scheme.keygen(4, 1, params, np.random.default_rng(3))
         assert np.array_equal(a.public.H, b.public.H)
-        assert np.array_equal(a.private.S, b.private.S)
+        assert np.array_equal(a.private.S_inv_factors, b.private.S_inv_factors)
         assert np.array_equal(a.private.sigma, b.private.sigma)
         assert np.array_equal(a.private.mod.R, b.private.mod.R)
 
@@ -112,8 +113,8 @@ class TestKeygen:
             mod = kp.private.mod
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             q = perm_matrix(kp.private.sigma)
-            recomputed = gf2.mat_mul(gf2.mat_mul(kp.private.S, mod.H), q)
-            assert np.array_equal(recomputed, kp.public.H)
+            descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
+            assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
 
 
 def test_no_program_path_builds_the_parity_check():
