@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from . import gf2
-from .decoder import coset_leaders
+from .decoder import check_leaders, coset_leaders
 from .modcode import ModifiedCode
 from .rmcode import RmCode
 from .scheme import PublicKey, Signature, SigningParams, hash_to_syndrome, verify
@@ -81,7 +81,9 @@ def calibrate(
     """Decode random (or, exhaustively, all) syndromes and tally weights.
 
     A plain code goes through coset_leaders; a modified code goes
-    through the signing path's decode, inserted block included.  Either
+    through the signing path's decode, inserted block included, and
+    every chunk it tallies is checked against H_m e' = s'
+    (check_leaders), which raises AssertionError on a mismatch.  Either
     way the syndromes are decoded _CHUNK rows at a time: a sampled chunk
     draws its rows from its own seed, drawn once from rng, and an
     exhaustive chunk enumerates its own index range, so memory stays
@@ -89,8 +91,9 @@ def calibrate(
     bit of a random byte: the bit integers(0, 2, dtype=np.uint8) draws,
     at twice its speed.
     """
-    base = code.base if isinstance(code, ModifiedCode) else code
-    decode = _modified_coset_leaders if isinstance(code, ModifiedCode) else coset_leaders
+    modified = isinstance(code, ModifiedCode)
+    base = code.base if modified else code
+    decode = _modified_coset_leaders if modified else coset_leaders
     n_k = code.n - code.k
     if exhaustive:
         if n_k > 24:
@@ -113,7 +116,10 @@ def calibrate(
             chunk_rng = np.random.default_rng(seeds[j])
             synd = chunk_rng.integers(0, 256, size=(count, n_k), dtype=np.uint8)
             synd >>= 7
-        weights = decode(code, synd).sum(axis=1, dtype=np.min_scalar_type(code.n))
+        errors = decode(code, synd)
+        if modified:
+            check_leaders(code, errors, synd)
+        weights = errors.sum(axis=1, dtype=np.min_scalar_type(code.n))
         hist_arr += np.bincount(weights, minlength=code.n + 1)
     histogram = {int(w): int(c) for w, c in enumerate(hist_arr) if c}
     return WeightDistribution(

@@ -9,13 +9,14 @@ keygen's unit triangular factors of the scrambler S, is a block
 recursion on products instead (invert).  A matrix-vector
 product adds up the columns the vector selects, so it never copies the
 whole matrix; verification, which multiplies by the same public matrix
-every time, XORs its columns packed into uint64 words instead
-(ColumnTable).  Products by a matrix that is used many times (the
-signing path's S^-1 and P') read a precomputed Four-Russians table of
-packed uint64 rows (ProductTable).  Such a product packs its operand
-where it lies, by rows or, for a transposed view such as the decoder's
-column layout, by columns, so it makes no transposing copy; it then
-gathers the table rows with take into one reused buffer.  One routine,
+every time, and the check of each signature's error by H_m XOR their
+columns packed into uint64 words instead (ColumnTable).  Products by a
+matrix that is used many times (the signing path's S^-1) read a
+precomputed Four-Russians table of packed uint64 rows (ProductTable).
+Such a product packs its operand where it lies, by rows or, for a
+transposed view such as a column-major batch of errors, by columns, so
+it makes no transposing copy; it then gathers the table rows with take
+into one reused buffer.  One routine,
 _packbits_axis0, packs by columns, for these operands and for the matrix
 of a ColumnTable.  mat_mul builds a product table for a one-off product
 too when both matrices are large (see mat_mul), and sends any other
@@ -60,19 +61,20 @@ class ProductTable:
     Faradzev; Albrecht and Bard's M4RI).  The table takes
     16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b.
 
-    A product packs a where it lies: a transposed view (the punctured
-    decode's check multiplies a column slice of the decoder's (n, rows)
-    layout) by columns with _packbits_axis0, anything else by rows with
-    packbits.  For 256 rows of 638 columns the first takes 20 us against
-    232 us for the transposing copy and packbits it replaces, and 6.2
-    against 6.9 us at 16 rows.  The table rows are then gathered with
-    take, into one buffer of at most _GATHER_WORDS words that every
-    chunk of groups reuses, and XORed chunk by chunk: 201 us against
-    564 us by fancy indexing for 160 groups of 256 rows of 7 words.  In
-    RM(10,5) signing (key seed 1, one BLAS thread, best of 3 x 41 runs)
-    the check product takes 257 us instead of 864 us at 256 rows and
-    33 us instead of 56 us at 16; the S^-1 product 170 us instead of
-    390 us and 24 us instead of 37 us.
+    A product packs a where it lies: a transposed view by columns with
+    _packbits_axis0, anything else by rows with packbits.  Calibration's
+    check of a modified code (decoder.check_leaders) multiplies a column
+    slice of the signing path's errors, which numpy lays out column-major
+    for a key with p = 1, such as RM(10,5) at key seed 1.  For 256 rows
+    of 638 columns the first takes 20 us against 232 us for the
+    transposing copy and packbits it replaces, and 6.2 against 6.9 us at
+    16 rows.  The table rows are then gathered with take, into one
+    buffer of at most _GATHER_WORDS words that every chunk of groups
+    reuses, and XORed chunk by chunk: 201 us against 564 us by fancy
+    indexing for 160 groups of 256 rows of 7 words.  In RM(10,5)
+    signing (key seed 1, one BLAS thread, best of 3 x 41 runs) the S^-1
+    product takes 170 us instead of 390 us at 256 rows and 24 us instead
+    of 37 us at 16.
     """
 
     def __init__(self, b: np.ndarray) -> None:
@@ -146,7 +148,8 @@ def _packbits_axis0(at: np.ndarray) -> np.ndarray:
 
 
 class ColumnTable:
-    """The columns of one fixed matrix a, packed for products a @ v.
+    """The columns of one fixed matrix a, packed for products a @ v: the
+    public key's H' for verification and H_m for a signature's check.
 
     Column j of a is row j of the table, ceil(rows/64) uint64 words with
     bit i in word i // 64; a @ v is then the XOR of the table rows at the

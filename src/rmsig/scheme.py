@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from . import gf2
-from .decoder import punctured_coset_leaders
+from .decoder import check_leaders, punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
 from .rmcode import build
 
@@ -195,10 +195,12 @@ def _trials(
     # perfbench/tracer.py wraps public functions and _syndrome_from_digest,
     # charging a call to its nearest wrapped caller.  Trials are the rows
     # sign hands punctured_coset_leaders; a gf2.mat_mul under a decoder
-    # function is the self-check, one under sign this S^-1 product if an
-    # operand is square, else the R block.  Plain calibration must call
-    # decoder.coset_leaders.  Moving one of these calls makes a per-layer
-    # metric read None, and tests/test_perfbench.py then fails.
+    # function is the self-check, which sign makes once per signature in
+    # decoder.check_leaders, so spread over every trial; one under sign
+    # is this S^-1 product if an operand is square, else the R block.
+    # Plain calibration must call decoder.coset_leaders.  Moving one of
+    # these calls makes a per-layer metric read None, and
+    # tests/test_perfbench.py then fails.
     synd = _syndrome_from_digest(inner, first, count, priv.mod.n - priv.mod.k)
     s_primes = gf2.mat_mul(synd, priv.S_inv.T, priv._S_inv_T_table)
     return s_primes, _modified_coset_leaders(priv.mod, s_primes)
@@ -208,7 +210,9 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     """Sign a message, returning the smallest successful counter.
 
     Returns SigningExhausted when none of the N trials stays within the
-    weight bound.
+    weight bound.  Only the returned error is checked against H_m e' = s'
+    (decoder.check_leaders), which raises AssertionError on a mismatch;
+    the discarded trials are not.
     """
     inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
     limit = priv.params.N
@@ -216,11 +220,12 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     first, batch = 1, SIGN_BATCH
     while first <= limit:
         count = min(batch, limit + 1 - first)
-        _s_primes, e_primes = _trials(priv, inner, first, count)
+        s_primes, e_primes = _trials(priv, inner, first, count)
         weights = e_primes.sum(axis=1, dtype=np.min_scalar_type(priv.mod.n))
         hits = np.nonzero(weights <= priv.params.w)[0]
         if hits.size:
             e_prime = e_primes[hits[0]]
+            check_leaders(priv.mod, e_prime, s_primes[hits[0]])
             e = np.empty_like(e_prime)
             e[priv.sigma] = e_prime
             return Signature(e=e, i=first + int(hits[0]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rmsig import decoder, gf2, modcode, rmcode, scheme
+from rmsig import analysis, decoder, gf2, modcode, rmcode, scheme
 
 from reference import (
     coset_leader_weights,
@@ -496,8 +496,13 @@ class TestPuncturedSyndromeDecode:
     def test_self_check_rejects_a_non_codeword(self, monkeypatch):
         # A decode that returns a non-codeword yields an e with H_p e !=
         # s_top.  Flipping a kept parity position changes that bit of
-        # H_p e whatever the rest of the word.
-        mod = _modified(6, 3, 13)
+        # H_p e whatever the rest of the word.  The punctured decode does
+        # not check its rows: sign checks the error it outputs, and
+        # calibration of a modified code every row it tallies.
+        t = _code(6, 3).t
+        params = scheme.SigningParams(w=64, N=1, t=t)  # the first trial signs
+        priv = scheme.keygen(6, 3, params, np.random.default_rng(13)).private
+        mod = priv.mod
         flipped = mod.base.info_perm[mod.kept_cols[0]]
         kernel = decoder._decode
 
@@ -506,9 +511,58 @@ class TestPuncturedSyndromeDecode:
             out[flipped] *= -1
 
         monkeypatch.setattr(decoder, "_decode", broken)
-        s_tops = np.zeros((2, mod.n - mod.k - mod.p), dtype=np.uint8)
-        with pytest.raises(AssertionError, match="H_p e = s_top"):
-            decoder.punctured_coset_leaders(mod, s_tops)
+        with pytest.raises(AssertionError, match="H_m e' = s'"):
+            scheme.sign(priv, b"a non-codeword")
+        with pytest.raises(AssertionError, match="H_m e' = s'"):
+            analysis.calibrate(mod, 2, np.random.default_rng(0))
+
+
+class TestCheckLeaders:
+    """decoder.check_leaders: H_m e' = s' on one row or a batch."""
+
+    @pytest.mark.parametrize("key", ["rm41_p4", "rm63"])
+    def test_rejects_a_flipped_inserted_bit(self, key):
+        mod = modified_rm41_with_p4() if key == "rm41_p4" else _modified(6, 3, 13)
+        rng = np.random.default_rng(3)
+        s_primes = rng.integers(0, 2, size=(6, mod.n - mod.k), dtype=np.uint8)
+        e_primes = scheme._modified_coset_leaders(mod, s_primes)
+        decoder.check_leaders(mod, e_primes, s_primes)
+        assert mod.p >= 1
+        for j in range(mod.n - mod.p, mod.n):
+            bad = e_primes.copy()
+            bad[4, j] ^= 1
+            with pytest.raises(AssertionError, match="H_m e' = s'"):
+                decoder.check_leaders(mod, bad[4], s_primes[4])
+            with pytest.raises(AssertionError, match="H_m e' = s'"):
+                decoder.check_leaders(mod, bad, s_primes)
+
+    def test_accepts_every_syndrome_of_a_small_key(self):
+        # All 2**11 syndromes s' of the p = 4 RM(1, 4) key: every top
+        # syndrome with every inserted one.
+        mod = modified_rm41_with_p4()
+        width = mod.n - mod.k
+        assert width == 11
+        s_primes = np.array([int_to_bits(s, width) for s in range(1 << width)], dtype=np.uint8)
+        e_primes = scheme._modified_coset_leaders(mod, s_primes)
+        assert np.array_equal(_times_transpose(e_primes, mod.H), s_primes)
+        decoder.check_leaders(mod, e_primes, s_primes)
+        for e_prime, s_prime in zip(e_primes, s_primes):
+            decoder.check_leaders(mod, e_prime, s_prime)
+
+    def test_rejects_a_flipped_kept_parity_bit(self):
+        # An identity column of H_m: the flip changes exactly that bit of
+        # H_m e'.
+        mod = _modified(6, 3, 13)
+        rng = np.random.default_rng(4)
+        s_primes = rng.integers(0, 2, size=(3, mod.n - mod.k), dtype=np.uint8)
+        e_primes = scheme._modified_coset_leaders(mod, s_primes)
+        for j in (mod.k, mod.n - mod.p - 1):
+            bad = e_primes.copy()
+            bad[0, j] ^= 1
+            with pytest.raises(AssertionError, match="H_m e' = s'"):
+                decoder.check_leaders(mod, bad[0], s_primes[0])
+            with pytest.raises(AssertionError, match="H_m e' = s'"):
+                decoder.check_leaders(mod, bad, s_primes)
 
 
 # A uint8 cast would keep 2 (an error that misses its syndrome), wrap -1

@@ -132,8 +132,8 @@ class TestProductTable:
     @pytest.mark.parametrize("rows", [1, 6, 12, 16, 256])
     @pytest.mark.parametrize("k", [61, 64, 638])
     def test_operand_layouts_vs_blas(self, rows, k):
-        # The punctured decode's check multiplies a column slice of the
-        # transposed (n, rows) column layout the decoder writes.
+        # Calibration's check of a modified code multiplies a column
+        # slice of the signing path's errors, column-major for p = 1.
         rng = np.random.default_rng(rows * 1000 + k)
         b = rand_mat(rng, k, 385)
         table = gf2.ProductTable(b)

@@ -373,6 +373,51 @@ class TestSignBatches:
         assert min(i for i in counters if i) <= 16 and max(i for i in counters if i) > 256
 
 
+class TestSignChecksItsOutput:
+    """sign checks H_m e' = s' on the row it outputs, and on no other."""
+
+    def test_one_check_per_signature(self, batch_key, monkeypatch):
+        calls = []
+        real = scheme.check_leaders
+
+        def counting(mod, e_primes, s_primes):
+            calls.append(np.array(e_primes))
+            return real(mod, e_primes, s_primes)
+
+        monkeypatch.setattr(scheme, "check_leaders", counting)
+        exhausted = 0
+        for msg in BATCH_MESSAGES:
+            calls.clear()
+            res = scheme.sign(batch_key, msg)
+            if isinstance(res, scheme.Signature):
+                assert len(calls) == 1, msg
+                assert calls[0].ndim == 1
+                assert np.array_equal(calls[0], res.e[batch_key.sigma]), msg
+            else:
+                assert calls == [], msg
+                exhausted += 1
+        assert exhausted >= 1
+
+    def test_rejects_a_wrong_inserted_block(self, monkeypatch):
+        # An inserted bit e_p that misses s'_bot: nothing in the decode
+        # checks the R block, so only sign's check can catch it.
+        params = scheme.SigningParams(w=64, N=1, t=3)  # the first trial signs
+        priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
+        real = scheme._modified_coset_leaders
+
+        def wrong_block(mod, s_primes):
+            e_primes = real(mod, s_primes)
+            e_primes[:, -1] ^= 1
+            return e_primes
+
+        monkeypatch.setattr(scheme, "_modified_coset_leaders", wrong_block)
+        with pytest.raises(AssertionError, match="H_m e' = s'"):
+            scheme.sign(priv, b"inserted block")
+        monkeypatch.setattr(analysis, "_modified_coset_leaders", wrong_block)
+        with pytest.raises(AssertionError, match="H_m e' = s'"):
+            analysis.calibrate(priv.mod, 3, np.random.default_rng(0))
+
+
 class TestVerifyMatchesNaivePredicate:
     @pytest.mark.parametrize("key", ["toy_keypair", "rm36_keypair"])
     def test_valid_flipped_and_random(self, key, request):
