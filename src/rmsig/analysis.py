@@ -66,10 +66,8 @@ class SecurityEstimate:
 
 
 def _code_id(code: Union[RmCode, ModifiedCode]) -> str:
-    if isinstance(code, ModifiedCode):
-        base = code.base
-        return f"RM(m={base.m},r={base.r})/p={code.p}"
-    return f"RM(m={code.m},r={code.r})"
+    name = f"RM(m={code.m},r={code.r})"
+    return f"{name}/p={code.p}" if isinstance(code, ModifiedCode) else name
 
 
 def calibrate(
@@ -92,7 +90,6 @@ def calibrate(
     at twice its speed.
     """
     modified = isinstance(code, ModifiedCode)
-    base = code.base if modified else code
     decode = _modified_coset_leaders if modified else coset_leaders
     n_k = code.n - code.k
     if exhaustive:
@@ -123,7 +120,7 @@ def calibrate(
         hist_arr += np.bincount(weights, minlength=code.n + 1)
     histogram = {int(w): int(c) for w, c in enumerate(hist_arr) if c}
     return WeightDistribution(
-        code_id=_code_id(code), samples=samples, histogram=histogram, t=base.t
+        code_id=_code_id(code), samples=samples, histogram=histogram, t=code.t
     )
 
 

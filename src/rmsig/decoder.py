@@ -326,8 +326,9 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     return bits[:, 0] if np.ndim(soft) == 1 else bits.T
 
 
-def _closest_errors(code: RmCode, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
-    """Coset leaders of the syndrome rows placed on the parity columns cols.
+def _closest_errors(code, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
+    """Coset leaders of the syndrome rows placed on the parity columns cols
+    of an RmCode, or of a ModifiedCode's parent.
 
     v holds each syndrome on cols (systematic order) and zeros elsewhere;
     c is the codeword decoded from v with the columns in erased marked as
@@ -371,9 +372,8 @@ def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray
     carries s_top and c is a parent codeword.  Nothing here checks it;
     the rows a caller outputs go through check_leaders instead.
     """
-    base = mod.base
-    rows = _input_rows(s_tops, base.n - base.k - mod.p, "n-k-p", 0)
-    err = _closest_errors(base, rows, mod.kept_cols, mod.deleted)
+    rows = _input_rows(s_tops, mod.n - mod.k - mod.p, "n-k-p", 0)
+    err = _closest_errors(mod, rows, mod.kept_cols, mod.deleted)
     return err[0] if np.ndim(s_tops) == 1 else err
 
 
@@ -384,21 +384,23 @@ def check_leaders(mod: ModifiedCode, e_primes: np.ndarray, s_primes: np.ndarray)
     This checks the whole modified code: the punctured decode's top
     block, P'^T e_info + e_kept = s_top, and the inserted block, R e_np +
     e_p = s_bot, which no other step checks.  One row, the error sign
-    outputs, XORs the columns of H_m at its support (mod.H_table): 34 us
-    on RM(10,5) and 71 us on RM(12,6) (key seed 1, one BLAS thread).  A
-    batch, as calibration tallies, multiplies by the two blocks, with a
-    product table of P' built for the call: 5.3 ms for 1024 rows of
-    RM(10,5) and 47 ms of RM(12,6), against 6.8 and 113 ms for a table
-    of all of H_m^T, which gathers n/4 groups of bits instead of k/4 and
-    copies H_m transposed.  The benchmark's trace counts a gf2 product
-    made under a public decoder function as this check, so it stays one
-    (see scheme._trials).
+    outputs, XORs the columns of H_m at its support (mod.H_table): 20-30
+    us on RM(10,5) and 40-50 us on RM(12,6) (key seed 1, one BLAS
+    thread).  A batch, as calibration tallies, multiplies by the two
+    blocks, with a product table of P' built for the call from the view
+    H_m[:n-k-p, :k].T, packed by columns: 3.1-3.3 ms for 1024 rows of
+    RM(10,5) and 28-29 ms of RM(12,6), against 3.2-3.6 and 32-37 ms for
+    a table of all of H_m^T, which gathers n/4 groups of bits instead of
+    k/4.  The benchmark's trace counts a gf2 product made under a public
+    decoder function as this check, so it stays one (see
+    scheme._trials).
     """
     if np.ndim(e_primes) == 1:
         got = gf2.mat_mul(mod.H, e_primes, mod.H_table)
     else:
         k, kept = mod.k, mod.n - mod.p
-        top = gf2.mat_mul(e_primes[:, :k], mod.P_kept, gf2.ProductTable(mod.P_kept))
+        p_kept = mod.H[: kept - k, :k].T
+        top = gf2.mat_mul(e_primes[:, :k], p_kept, gf2.ProductTable(p_kept))
         bottom = gf2.mat_mul(e_primes[:, :kept], mod.R.T)
         got = np.concatenate([top ^ e_primes[:, k:kept], bottom ^ e_primes[:, kept:]], axis=1)
     if not np.array_equal(got, s_primes):

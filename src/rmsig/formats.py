@@ -106,13 +106,12 @@ def save_public_key(pub: PublicKey) -> bytes:
 
 def save_private_key(priv: PrivateKey) -> bytes:
     mod = priv.mod
-    base = mod.base
-    body = _header(ROLE_PRIVATE, base.m, base.r, mod.p, priv.params)
+    body = _header(ROLE_PRIVATE, mod.m, mod.r, mod.p, priv.params)
     body += struct.pack("<I", mod.p) + _u32_list(mod.deleted)
     body += gf2.pack_bits(priv.S_inv_factors)
     body += _u32_list(priv.sigma)
     body += gf2.pack_bits(mod.R) if mod.p else b""
-    body += _u32_list(base.info_perm)
+    body += _u32_list(mod.info_perm)
     body += hashlib.sha256(body + gf2.pack_bits(mod.H)).digest()
     return _with_crc(body)
 

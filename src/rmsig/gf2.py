@@ -13,14 +13,15 @@ every time, and the check of each signature's error by H_m XOR their
 columns packed into uint64 words instead (ColumnTable).  Products by a
 matrix that is used many times (the signing path's S^-1) read a
 precomputed Four-Russians table of packed uint64 rows (ProductTable).
-Such a product packs its operand where it lies, by rows or, for a
-transposed view such as a column-major batch of errors, by columns, so
-it makes no transposing copy; it then gathers the table rows with take
-into one reused buffer.  One routine,
-_packbits_axis0, packs by columns, for these operands and for the matrix
-of a ColumnTable.  mat_mul builds a product table for a one-off product
-too when both matrices are large (see mat_mul), and sends any other
-matrix product through float32 BLAS, which is exact below 2**24 terms.
+Such a table packs its matrix, and a product its operand, where it
+lies: by rows or, for a transposed view such as S^-1.T, P' read from
+H_m or a column-major batch of errors, by columns, so neither makes a
+transposing copy (_packed_rows); a product then gathers the table rows
+with take into one reused buffer.  One routine, _packbits_axis0, packs
+by columns, for these and for the matrix of a ColumnTable.  mat_mul
+builds a product table for a one-off product too when both matrices
+are large (see mat_mul), and sends any other matrix product through
+float32 BLAS, which is exact below 2**24 terms.
 
 Bit packing convention, fixed for all serialized forms: row-major, each
 row padded to a whole number of bytes, MSB-first within a byte (bit j of
@@ -61,30 +62,31 @@ class ProductTable:
     Faradzev; Albrecht and Bard's M4RI).  The table takes
     16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b.
 
-    A product packs a where it lies: a transposed view by columns with
-    _packbits_axis0, anything else by rows with packbits.  Calibration's
-    check of a modified code (decoder.check_leaders) multiplies a column
-    slice of the signing path's errors, which numpy lays out column-major
-    for a key with p = 1, such as RM(10,5) at key seed 1.  For 256 rows
-    of 638 columns the first takes 20 us against 232 us for the
-    transposing copy and packbits it replaces, and 6.2 against 6.9 us at
-    16 rows.  The table rows are then gathered with take, into one
-    buffer of at most _GATHER_WORDS words that every chunk of groups
+    The table packs b, and a product packs a, where it lies
+    (_packed_rows): a transposed view by columns, anything else by rows.
+    b is such a view for the signing path's S^-1.T and for the check of
+    a modified code (decoder.check_leaders), which reads P' from H_m,
+    and a for that check's errors on a key with p = 1, such as RM(10,5)
+    at key seed 1.  On RM(12,6) the two tables take 2.4-2.8 and 3.0 ms,
+    against 3.3-6.8 and 33 ms after a transposing copy (key seed 1, one
+    BLAS thread, best of 11); 256 rows of 638 columns of a pack in 20 us
+    against 232 us.  The table rows are then gathered with take, into
+    one buffer of at most _GATHER_WORDS words that every chunk of groups
     reuses, and XORed chunk by chunk: 201 us against 564 us by fancy
-    indexing for 160 groups of 256 rows of 7 words.  In RM(10,5)
-    signing (key seed 1, one BLAS thread, best of 3 x 41 runs) the S^-1
-    product takes 170 us instead of 390 us at 256 rows and 24 us instead
-    of 37 us at 16.
+    indexing for 160 groups of 256 rows of 7 words.  In RM(10,5) signing
+    (key seed 1, one BLAS thread, best of 3 x 41 runs) the S^-1 product
+    takes 170 us instead of 390 us at 256 rows and 24 us instead of 37
+    us at 16.
     """
 
     def __init__(self, b: np.ndarray) -> None:
-        b = np.ascontiguousarray(b, dtype=np.uint8)
+        b = np.asarray(b, dtype=np.uint8)
         if b.ndim != 2:
             raise ValueError(f"product table needs a matrix, got shape {b.shape}")
         k, c = b.shape
         k_bytes, words = (k + 7) // 8, (c + 63) // 64
         packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
-        packed[:k, : (c + 7) // 8] = np.packbits(b, axis=1, bitorder="little")
+        packed[:k, : (c + 7) // 8] = _packed_rows(b)
         quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
         subset = np.arange(16)
         table = np.zeros((2 * k_bytes, 16, words), dtype=np.uint64)
@@ -98,10 +100,7 @@ class ProductTable:
     def product(self, a: np.ndarray) -> np.ndarray:
         """a @ b for the rows of a (binary, rows x k)."""
         rows = a.shape[0]
-        if a.flags.f_contiguous and not a.flags.c_contiguous:  # a transposed view
-            packed = _packbits_axis0(a.T)
-        else:
-            packed = np.packbits(np.ascontiguousarray(a), axis=1, bitorder="little").T
+        packed = _packed_rows(a).T
         # Table row per (group of four columns of a, row of a): group 2j
         # reads the low nibble of packed byte j, group 2j+1 the high one.
         picks = np.empty((packed.shape[0], 2, rows), dtype=np.intp)
@@ -126,25 +125,36 @@ _BIT_WEIGHTS = {size: np.left_shift(1, np.arange(8)).astype(f"u{size}") for size
 
 
 def _packbits_axis0(at: np.ndarray) -> np.ndarray:
-    """np.packbits(at, axis=0, bitorder="little") for a C-contiguous binary
-    (k, rows) array, without packbits' strided reads along axis 0.
+    """np.packbits(at, axis=0, bitorder="little") for a binary (k, rows)
+    array with contiguous rows, without packbits' strided reads along
+    axis 0.
 
     Byte j of column r is the sum of at[8j + i, r] << i over i < 8.  A
-    bit shifted by i < 8 stays inside its byte, so words of the widest
-    size that divides rows (uint64 when rows is a multiple of 8) carry
-    several columns at once, and one integer matmul by the weights 1, 2,
-    ..., 128 packs them all.
+    bit shifted by i < 8 stays inside its byte, so uint64 words carry 8
+    columns at once, and one integer matmul by the weights 1, 2, ...,
+    128 packs them all; the last rows % 8 columns take the widest word
+    that divides their number.  RM(12,6)'s 1584 x 2510 P'^T block of H_m
+    packs in 0.86 ms, against 2.8 ms in uint16 words throughout.
     """
     k, rows = at.shape
-    size = math.gcd(rows, 8)
-    word, weights = np.dtype(f"u{size}"), _BIT_WEIGHTS[size]
+    full, wide = k // 8, rows - rows % 8
     packed = np.empty(((k + 7) // 8, rows), dtype=np.uint8)
-    src, dst = at.view(word), packed.view(word)
-    full = k // 8
-    np.matmul(weights, src[: 8 * full].reshape(full, 8, src.shape[1]), out=dst[:full])
-    if full < dst.shape[0]:
-        np.matmul(weights[: k - 8 * full], src[8 * full :], out=dst[full])
+    for lo, hi in ((0, wide), (wide, rows)):
+        size = math.gcd(hi - lo, 8)
+        word, weights = np.dtype(f"u{size}"), _BIT_WEIGHTS[size]
+        src, dst = at[:, lo:hi].view(word), packed[:, lo:hi].view(word)
+        np.matmul(weights, src[: 8 * full].reshape(full, 8, src.shape[1]), out=dst[:full])
+        if full < dst.shape[0]:
+            np.matmul(weights[: k - 8 * full], src[8 * full :], out=dst[full])
     return packed
+
+
+def _packed_rows(a: np.ndarray) -> np.ndarray:
+    """np.packbits(a, axis=1, bitorder="little"), without a transposing
+    copy of a transposed view a, whose columns _packbits_axis0 packs."""
+    if a.strides[0] == 1 and not a.flags.c_contiguous:
+        return _packbits_axis0(a.T).T
+    return np.packbits(a, axis=1, bitorder="little")
 
 
 class ColumnTable:

@@ -10,10 +10,12 @@ deleted column sits in the parity part, the modified parity check is
           [ R               I_p ]
 
 where P' is P minus the deleted columns and R is a uniform random p x
-(n-p) block.  Signing and verification need only H_m.  Its generator
-G_m = [I_k | P' | R_1^T + P' R_2^T], with R = [R_1 | R_2] split after
-column k, is derived by the test oracle (tests/reference.py), which
-checks G_m @ H_m.T = 0.
+(n-p) block.  Signing and verification need only H_m, so a
+ModifiedCode keeps only H_m, with P'^T and R as views of its blocks,
+and of the parent only the column order the decoder reads.  Its
+generator G_m = [I_k | P' | R_1^T + P' R_2^T], with R = [R_1 | R_2]
+split after column k, is derived by the test oracle
+(tests/reference.py), which checks G_m @ H_m.T = 0.
 """
 
 from __future__ import annotations
@@ -48,30 +50,42 @@ class ModifiedCode:
     """Punctured-plus-inserted code built over an aligned parent.
 
     Column order: k information positions, then the n-k-p kept parity
-    positions of the parent, then the p inserted positions.
+    positions of the parent, then the p inserted positions.  H_m is the
+    only matrix stored; n, k, p and t follow from the fields.
     """
 
-    base: RmCode
-    p: int
+    m: int
+    r: int
+    info_perm: np.ndarray  # the aligned parent's systematic column order
     deleted: np.ndarray  # parent parity columns removed, sorted, all >= k
-    P_kept: np.ndarray  # parent P minus deleted columns, k x (n-k-p)
-    R: np.ndarray  # random inserted rows' left block, p x (n-p)
     H: np.ndarray  # modified parity check, (n-k) x n
 
     @property
     def n(self) -> int:
-        return self.base.n
+        return self.H.shape[1]
 
     @property
     def k(self) -> int:
-        return self.base.k
+        return self.H.shape[1] - self.H.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.deleted.size
+
+    @property
+    def t(self) -> int:
+        """The parent's error correctability floor((d-1)/2)."""
+        return ((1 << (self.m - self.r)) - 1) // 2
+
+    @property
+    def R(self) -> np.ndarray:
+        """The inserted rows' left block, p x (n-p): a view of H_m."""
+        return self.H[self.n - self.k - self.p :, : self.n - self.p]
 
     @cached_property
     def kept_cols(self) -> np.ndarray:
         """Parent systematic columns that survive the puncturing (parity part)."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[self.deleted] = False
-        return np.nonzero(keep[self.base.k :])[0] + self.base.k
+        return np.delete(np.arange(self.k, self.n), self.deleted - self.k)
 
     @cached_property
     def H_table(self) -> gf2.ColumnTable:
@@ -150,35 +164,31 @@ def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCod
     block R.
 
     H_m is [P'^T 0; R] plus an identity on its last n-k columns.  It is
-    written bit-packed and unpacked once: P' packed by columns gives the
-    rows of P'^T packed, so no strided copy transposes P' itself, and P'
-    is copied from G run by run between the deleted columns.  On
-    RM(12,6) (key seed 1, one BLAS thread, best to median of 41 calls in
-    two runs) this takes 3.4-4.8 ms, against 10.0-16.2 ms for np.take
-    of the kept columns and a transposing copy into H_m.
+    written bit-packed and unpacked once: G packed by columns gives, at
+    the kept columns, the rows of P'^T packed, so no strided copy
+    transposes P' and none is kept.  On RM(12,6) (key seed 1, one BLAS
+    thread, best to median of 41, three runs) this takes 3.2-5.1 ms, and
+    3.4-5.1 ms with P' first copied from G run by run between the
+    deleted columns; on RM(10,5) 0.2-0.4 against 0.3-0.7 ms.
     """
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k
     p = deleted.size
     if p and deleted.min() < k:
         raise ValueError("deletion set must lie in the parity part; align first")
-    p_kept = np.empty((k, n - k - p), dtype=np.uint8)
-    at = 0
-    for lo, hi in zip(np.concatenate([[k], deleted + 1]), np.concatenate([deleted, [n]])):
-        p_kept[:, at : at + hi - lo] = code.G[:, lo:hi]
-        at += hi - lo
+    kept = np.delete(np.arange(k, n), deleted - k)
 
     top = n - k - p
     packed = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)  # little-endian bit order
-    packed[:top, : (k + 7) // 8] = gf2._packbits_axis0(p_kept).T
+    packed[:top, : (k + 7) // 8] = gf2._packbits_axis0(code.G).T[kept]
     packed[top:, : (n - p + 7) // 8] = np.packbits(r_block, axis=1, bitorder="little")
     diag = np.arange(k, n)
     packed[diag - k, diag >> 3] |= np.left_shift(1, diag & 7).astype(np.uint8)
     h_mod = np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
-    for arr in (deleted, p_kept, r_block, h_mod):
+    for arr in (deleted, h_mod):
         arr.flags.writeable = False
-    return ModifiedCode(base=code, p=int(p), deleted=deleted, P_kept=p_kept, R=r_block, H=h_mod)
+    return ModifiedCode(m=code.m, r=code.r, info_perm=code.info_perm, deleted=deleted, H=h_mod)
 
 
 def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedCode:

@@ -175,7 +175,11 @@ def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarr
     """Rows e' = [e_np | e_p] with H_m e' = s' for each row s' of s_primes.
 
     e_np is the punctured coset leader of the top n-k-p syndrome bits;
-    the inserted block then fixes e_p = s'_bot + R e_np.
+    the inserted block then fixes e_p = s'_bot + R e_np.  The batch's
+    layout follows p, as np.concatenate follows its inputs: column-major
+    for p = 1, row-major for p >= 2.  A row-major batch for p = 1 is no
+    faster: 3.0-4.8 against 2.8-3.0 ms for 256 rows of _trials on the
+    RM(10,5) key of seed 1.
     """
     top = mod.n - mod.k - mod.p
     e_nps = punctured_coset_leaders(mod, s_primes[:, :top])

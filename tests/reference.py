@@ -210,11 +210,15 @@ def to_eval_order(code, word_sys):
 def modified_generator(mod):
     """G_m = [I_k | P' | R_1^T + P' R_2^T] of a modified code, R = [R_1 | R_2].
 
-    The inserted columns are the ones orthogonality with the R rows of
-    H_m forces; integer arithmetic, then reduction mod 2.
+    P' is the parent's P minus the deleted columns, from the parent
+    eliminated afresh in the stored column order, not read from H_m.  The
+    inserted columns are the ones orthogonality with the R rows of H_m
+    forces; integer arithmetic, then reduction mod 2.
     """
     k = mod.k
-    p_kept = mod.P_kept.astype(np.int64)
+    parent = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
+    kept = np.setdiff1d(np.arange(k, mod.n), mod.deleted)
+    p_kept = parent[:, kept].astype(np.int64)
     r1, r2 = mod.R[:, :k].astype(np.int64), mod.R[:, k:].astype(np.int64)
     inserted = (r1.T + p_kept @ r2.T) & 1
     eye = np.eye(k, dtype=np.int64)

@@ -503,7 +503,7 @@ class TestPuncturedSyndromeDecode:
         params = scheme.SigningParams(w=64, N=1, t=t)  # the first trial signs
         priv = scheme.keygen(6, 3, params, np.random.default_rng(13)).private
         mod = priv.mod
-        flipped = mod.base.info_perm[mod.kept_cols[0]]
+        flipped = mod.info_perm[mod.kept_cols[0]]
         kernel = decoder._decode
 
         def broken(m, r, soft, out):
@@ -518,23 +518,54 @@ class TestPuncturedSyndromeDecode:
 
 
 class TestCheckLeaders:
-    """decoder.check_leaders: H_m e' = s' on one row or a batch."""
+    """decoder.check_leaders: H_m e' = s' on one row or a batch.
 
-    @pytest.mark.parametrize("key", ["rm41_p4", "rm63"])
-    def test_rejects_a_flipped_inserted_bit(self, key):
-        mod = modified_rm41_with_p4() if key == "rm41_p4" else _modified(6, 3, 13)
+    The keys cover p = 0 (the RM(1, 4) code unmodified), p = 1 (RM(3, 6)
+    at key seed 2, whose errors e' are column-major, so the batch check
+    packs a transposed view), p = 2 (RM(3, 6) at key seed 13, row-major
+    errors) and p = 4 (RM(1, 4))."""
+
+    @staticmethod
+    def _key(key):
+        if key == "rm41_p0":
+            return modcode.build_modified(rmcode.build(4, 1), [], np.random.default_rng(0))
+        if key == "rm41_p4":
+            return modified_rm41_with_p4()
+        return _modified(6, 3, 2 if key == "rm63_p1" else 13)
+
+    def _assert_each_flip_rejected(self, mod, columns):
         rng = np.random.default_rng(3)
         s_primes = rng.integers(0, 2, size=(6, mod.n - mod.k), dtype=np.uint8)
         e_primes = scheme._modified_coset_leaders(mod, s_primes)
         decoder.check_leaders(mod, e_primes, s_primes)
-        assert mod.p >= 1
-        for j in range(mod.n - mod.p, mod.n):
-            bad = e_primes.copy()
+        decoder.check_leaders(mod, e_primes[4], s_primes[4])
+        for j in columns:
+            bad = e_primes.copy(order="A")  # a column-major batch stays one
             bad[4, j] ^= 1
             with pytest.raises(AssertionError, match="H_m e' = s'"):
                 decoder.check_leaders(mod, bad[4], s_primes[4])
             with pytest.raises(AssertionError, match="H_m e' = s'"):
                 decoder.check_leaders(mod, bad, s_primes)
+
+    @pytest.mark.parametrize("key", ["rm41_p4", "rm63_p1", "rm63"])
+    def test_rejects_a_flipped_inserted_bit(self, key):
+        mod = self._key(key)
+        assert mod.p == {"rm41_p4": 4, "rm63_p1": 1, "rm63": 2}[key]
+        self._assert_each_flip_rejected(mod, range(mod.n - mod.p, mod.n))
+
+    @pytest.mark.parametrize("key", ["rm41_p0", "rm41_p4", "rm63_p1", "rm63"])
+    def test_rejects_a_flipped_kept_parity_bit(self, key):
+        # The first and last kept parity columns, inside H_m's P'^T block.
+        mod = self._key(key)
+        self._assert_each_flip_rejected(mod, [mod.k, mod.n - mod.p - 1])
+
+    def test_batch_layout_follows_p(self):
+        # For p = 1 the batch check packs a transposed view of e'.
+        for key, column_major in (("rm63_p1", True), ("rm63", False)):
+            mod = self._key(key)
+            s_primes = np.zeros((6, mod.n - mod.k), dtype=np.uint8)
+            e_primes = scheme._modified_coset_leaders(mod, s_primes)
+            assert e_primes[:, : mod.k].flags.f_contiguous == column_major
 
     def test_accepts_every_syndrome_of_a_small_key(self):
         # All 2**11 syndromes s' of the p = 4 RM(1, 4) key: every top
@@ -558,7 +589,8 @@ class TestCheckLeaders:
 def test_syndrome_entry_points_reject_non_binary_values(entry, dtype, bad, ndim):
     mod = _modified(6, 3, 13)
     if entry == "coset_leaders":
-        decode, width = functools.partial(decoder.coset_leaders, mod.base), mod.base.n - mod.base.k
+        parent = rmcode.build_with_perm(mod.m, mod.r, mod.info_perm)
+        decode, width = functools.partial(decoder.coset_leaders, parent), parent.n - parent.k
     else:
         decode, width = functools.partial(decoder.punctured_coset_leaders, mod), mod.n - mod.k - mod.p
     s = np.zeros((3, width), dtype=dtype)

@@ -69,7 +69,7 @@ class TestPrivateKeyFile:
         assert np.array_equal(priv.mod.deleted, keypair.private.mod.deleted)
         assert np.array_equal(priv.mod.H, keypair.private.mod.H)
         assert np.array_equal(modified_generator(priv.mod), modified_generator(keypair.private.mod))
-        assert np.array_equal(priv.mod.base.G, keypair.private.mod.base.G)
+        assert np.array_equal(priv.mod.info_perm, keypair.private.mod.info_perm)
         assert priv.params == keypair.private.params
 
     def test_reloaded_key_signs_identically(self, keypair):
@@ -208,7 +208,7 @@ def _hostile_private_keys(keypair):
     sigma_at = f_at + (n - k) * f_row
     sigma = keypair.private.sigma
     perm_at = sigma_at + 4 * n + p * ((n - p + 7) // 8)
-    info_perm = keypair.private.mod.base.info_perm
+    info_perm = keypair.private.mod.info_perm
     return {
         "huge m and r": _patched(raw, *HUGE_CODE),
         "r above m": _patched(raw, 7, struct.pack("<HH", 5, 6)),
@@ -305,8 +305,9 @@ class TestHostileFiles:
         try:
             base = rmcode.build_with_perm(10, 5, order)
         except gf2.RankError:
-            base = dataclasses.replace(priv.mod.base, info_perm=order)  # saved as is
-        mod = modcode.assemble_modified(base, priv.mod.deleted, priv.mod.R)
+            mod = dataclasses.replace(priv.mod, info_perm=order)  # saved as is
+        else:
+            mod = modcode.assemble_modified(base, priv.mod.deleted, priv.mod.R)
         raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
         start = time.monotonic()
         try:

@@ -101,10 +101,18 @@ class TestProductTable:
         table = gf2.ProductTable(b)
         expected = naive_mat_mul(a, b)
         assert np.array_equal(gf2.mat_mul(a, b, table), expected)
-        # Column-major and strided operands give the same product.
+        # Column-major and strided operands give the same product, and so
+        # do tables of a transposed view of b and of a transposed column
+        # slice (as P' read from H_m); such an operand is packed the same way.
         assert np.array_equal(gf2.mat_mul(np.asfortranarray(a), b, table), expected)
         wide = np.repeat(a, 2, axis=1)
         assert np.array_equal(gf2.mat_mul(wide[:, ::2], b, table), expected)
+        a_slice, b_slice = np.zeros((k, rows + 5), np.uint8), np.zeros((c, k + 5), np.uint8)
+        a_slice[:, 2 : 2 + rows], b_slice[:, 3 : 3 + k] = a.T, b.T
+        a_view, b_view = a_slice[:, 2 : 2 + rows].T, b_slice[:, 3 : 3 + k].T
+        assert np.array_equal(gf2.mat_mul(a_view, b, table), expected)
+        for view in (np.ascontiguousarray(b.T).T, b_view):
+            assert np.array_equal(gf2.mat_mul(a, view, gf2.ProductTable(view)), expected)
 
     @pytest.mark.parametrize("k,c", [(7, 9), (67, 129)])
     def test_all_ones(self, k, c):
@@ -162,13 +170,16 @@ class TestProductTable:
             assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
 
     def test_packbits_axis0_vs_packbits(self):
-        # Every word width (rows modulo 8) and every remainder of k modulo 8.
+        # Every word width (rows modulo 8) and every remainder of k modulo
+        # 8, for a whole array and for a column slice of a wider one.
         rng = np.random.default_rng(7)
         for rows in range(1, 18):
             for k in range(0, 18):
-                at = rand_mat(rng, k, rows)
-                got = gf2._packbits_axis0(at)
-                assert np.array_equal(got, np.packbits(at, axis=0, bitorder="little")), (k, rows)
+                wide = rand_mat(rng, k, rows + 7)
+                for at in (np.ascontiguousarray(wide[:, 3 : 3 + rows]), wide[:, 3 : 3 + rows]):
+                    got = gf2._packbits_axis0(at)
+                    expected = np.packbits(at, axis=0, bitorder="little")
+                    assert np.array_equal(got, expected), (k, rows, at.flags.c_contiguous)
 
     def test_wrong_table_rejected(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,12 @@ class TestBuildModified:
         assert mod.H.shape == (n - k, n)
         assert modified_generator(mod).shape == (k, n)
         assert mod.R.shape == (p, n - p)
-        assert mod.P_kept.shape == (k, n - k - p)
-        assert np.array_equal(mod.H[: n - k - p, :k], mod.P_kept.T)
+        # H_m is the only matrix stored: R and P'^T are views of its blocks,
+        # and no field holds the parent code.
+        assert np.shares_memory(mod.R, mod.H)
+        assert np.shares_memory(punctured_check(mod)[:, :k], mod.H)
+        fields = [getattr(mod, f.name) for f in dataclasses.fields(mod)]
+        assert not any(isinstance(value, rmcode.RmCode) for value in fields)
         assert np.array_equal(mod.H[n - k - p :, n - p :], gf2.identity(p))
         assert not mod.H[: n - k - p, n - p :].any()
 
@@ -164,8 +170,9 @@ class TestBuildModified:
             mod = modcode.build_modified(aligned, deleted, rng)
             built += 1
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
-            # Punctured pair of the plain deletion is orthogonal too.
-            g_p = np.concatenate([gf2.identity(mod.k), mod.P_kept], axis=1)
+            # The parent's generator without the deleted columns is orthogonal
+            # to H_m's punctured block.
+            g_p = np.delete(aligned.G, mod.deleted, axis=1)
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
@@ -201,6 +208,7 @@ class TestBuildModified:
         mod = modcode.build_modified(aligned, deleted, rng)
         keep = np.setdiff1d(np.arange(mod.n), mod.deleted)
         parent = {tuple(c[keep]) for c in enumerate_codewords(aligned.G)}
-        g_p = np.concatenate([gf2.identity(mod.k), mod.P_kept], axis=1)
+        p_kept = punctured_check(mod)[:, : mod.k].T
+        g_p = np.concatenate([gf2.identity(mod.k), p_kept], axis=1)
         punctured = {tuple(c) for c in enumerate_codewords(g_p)}
         assert punctured == parent
