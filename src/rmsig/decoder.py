@@ -383,25 +383,15 @@ def check_leaders(mod: ModifiedCode, e_primes: np.ndarray, s_primes: np.ndarray)
 
     This checks the whole modified code: the punctured decode's top
     block, P'^T e_info + e_kept = s_top, and the inserted block, R e_np +
-    e_p = s_bot, which no other step checks.  One row, the error sign
-    outputs, XORs the columns of H_m at its support (mod.H_table): 20-30
-    us on RM(10,5) and 40-50 us on RM(12,6) (key seed 1, one BLAS
-    thread).  A batch, as calibration tallies, multiplies by the two
-    blocks, with a product table of P' built for the call from the view
-    H_m[:n-k-p, :k].T, packed by columns: 3.1-3.3 ms for 1024 rows of
-    RM(10,5) and 28-29 ms of RM(12,6), against 3.2-3.6 and 32-37 ms for
-    a table of all of H_m^T, which gathers n/4 groups of bits instead of
-    k/4.  The benchmark's trace counts a gf2 product made under a public
-    decoder function as this check, so it stays one (see
-    scheme._trials).
+    e_p = s_bot, which no other step checks.  One row or a batch is one
+    product e' @ H_m^T by the code's cached table (mod.H_T_table), which
+    packs a column-major batch without a copy.  Right after a 16-row
+    signing batch one row takes 40-103 us on RM(10,5) and 164-277 us on
+    RM(12,6); 1024 rows take 3.0-3.7 and 25-35 ms (key seed 1, one BLAS
+    thread, medians in six processes).  The benchmark's trace counts a
+    gf2 product made under a public decoder function as this check, so
+    it stays one (see scheme._trials).
     """
-    if np.ndim(e_primes) == 1:
-        got = gf2.mat_mul(mod.H, e_primes, mod.H_table)
-    else:
-        k, kept = mod.k, mod.n - mod.p
-        p_kept = mod.H[: kept - k, :k].T
-        top = gf2.mat_mul(e_primes[:, :k], p_kept, gf2.ProductTable(p_kept))
-        bottom = gf2.mat_mul(e_primes[:, :kept], mod.R.T)
-        got = np.concatenate([top ^ e_primes[:, k:kept], bottom ^ e_primes[:, kept:]], axis=1)
-    if not np.array_equal(got, s_primes):
+    got = gf2.mat_mul(np.atleast_2d(e_primes), mod.H.T, mod.H_T_table)
+    if not np.array_equal(got, np.atleast_2d(s_primes)):
         raise AssertionError("decoded error violates H_m e' = s'")

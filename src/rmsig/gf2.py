@@ -9,13 +9,13 @@ keygen's unit triangular factors of the scrambler S, is a block
 recursion on products instead (invert).  A matrix-vector
 product adds up the columns the vector selects, so it never copies the
 whole matrix; verification, which multiplies by the same public matrix
-every time, and the check of each signature's error by H_m XOR their
-columns packed into uint64 words instead (ColumnTable).  Products by a
-matrix that is used many times (the signing path's S^-1) read a
+every time, XORs its columns packed into uint64 words instead
+(ColumnTable).  Products by a matrix that is used many times (the
+signing path's S^-1, and H_m^T for the check of decoded errors) read a
 precomputed Four-Russians table of packed uint64 rows (ProductTable).
 Such a table packs its matrix, and a product its operand, where it
-lies: by rows or, for a transposed view such as S^-1.T, P' read from
-H_m or a column-major batch of errors, by columns, so neither makes a
+lies: by rows or, for a transposed view such as S^-1.T, H_m.T or a
+column-major batch of errors, by columns, so neither makes a
 transposing copy (_packed_rows); a product then gathers the table rows
 with take into one reused buffer.  One routine, _packbits_axis0, packs
 by columns, for these and for the matrix of a ColumnTable.  mat_mul
@@ -60,23 +60,24 @@ class ProductTable:
     row subsets.  A product then reads one table row per group of four
     bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod and
     Faradzev; Albrecht and Bard's M4RI).  The table takes
-    16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b.
+    16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b, and
+    3.3 MB for RM(12,6)'s 4096 x 1586 H_m^T.
 
     The table packs b, and a product packs a, where it lies
     (_packed_rows): a transposed view by columns, anything else by rows.
-    b is such a view for the signing path's S^-1.T and for the check of
-    a modified code (decoder.check_leaders), which reads P' from H_m,
-    and a for that check's errors on a key with p = 1, such as RM(10,5)
-    at key seed 1.  On RM(12,6) the two tables take 2.4-2.8 and 3.0 ms,
-    against 3.3-6.8 and 33 ms after a transposing copy (key seed 1, one
-    BLAS thread, best of 11); 256 rows of 638 columns of a pack in 20 us
-    against 232 us.  The table rows are then gathered with take, into
-    one buffer of at most _GATHER_WORDS words that every chunk of groups
-    reuses, and XORed chunk by chunk: 201 us against 564 us by fancy
-    indexing for 160 groups of 256 rows of 7 words.  In RM(10,5) signing
-    (key seed 1, one BLAS thread, best of 3 x 41 runs) the S^-1 product
-    takes 170 us instead of 390 us at 256 rows and 24 us instead of 37
-    us at 16.
+    b is such a view for the signing path's S^-1.T and for H_m.T, by
+    which decoder.check_leaders multiplies decoded errors, and a for
+    every batch of those errors, a view of the decoder's (n, rows)
+    columns.  On RM(12,6) the two tables take 1.8-2.3 and 5.2-5.6 ms,
+    against 3.7-4.7 and 50-55 ms after a transposing copy (key seed 1,
+    one BLAS thread, best and median of 11); 256 rows of 638 columns of
+    a pack in 26-28 us against 146-147 us.  The table rows are then gathered with
+    take, into one buffer of at most _GATHER_WORDS words that every
+    chunk of groups reuses, and XORed chunk by chunk: 202-205 us against
+    560-601 us by fancy indexing for 160 groups of 256 rows of 7 words.
+    In RM(10,5) signing (key seed 1, one BLAS thread, best and median of
+    41) the S^-1 product takes 200-207 us instead of 821-838 us in
+    float32 BLAS at 256 rows and 27 us instead of 162-167 us at 16.
     """
 
     def __init__(self, b: np.ndarray) -> None:
@@ -133,8 +134,9 @@ def _packbits_axis0(at: np.ndarray) -> np.ndarray:
     bit shifted by i < 8 stays inside its byte, so uint64 words carry 8
     columns at once, and one integer matmul by the weights 1, 2, ...,
     128 packs them all; the last rows % 8 columns take the widest word
-    that divides their number.  RM(12,6)'s 1584 x 2510 P'^T block of H_m
-    packs in 0.86 ms, against 2.8 ms in uint16 words throughout.
+    that divides their number.  RM(12,6)'s 1586 x 4096 H_m, for the table
+    of H_m^T, packs in 0.69-0.75 ms, against 2.7-3.0 ms in uint16 words
+    throughout (best and median of 21).
     """
     k, rows = at.shape
     full, wide = k // 8, rows - rows % 8
@@ -159,15 +161,16 @@ def _packed_rows(a: np.ndarray) -> np.ndarray:
 
 class ColumnTable:
     """The columns of one fixed matrix a, packed for products a @ v: the
-    public key's H' for verification and H_m for a signature's check.
+    public key's H', by which verification multiplies.
 
     Column j of a is row j of the table, ceil(rows/64) uint64 words with
     bit i in word i // 64; a @ v is then the XOR of the table rows at the
     support of v.  The table takes cols * ceil(rows/64) words: 57 KB for
     a 386 x 1024 a.  It is built by packing a by columns with
     _packbits_axis0 and transposing the packed bytes, an eighth as many
-    as a's.  On one thread that takes 0.13-0.15 ms for RM(10,5)'s
-    386 x 1024 H' and 2.6 ms for RM(12,6)'s 1586 x 4096 (medians of 21).
+    as a's.  On one thread that takes 0.07-0.08 ms for RM(10,5)'s
+    386 x 1024 H' and 1.4-1.6 ms for RM(12,6)'s 1586 x 4096 (best and
+    median of 21).
     """
 
     def __init__(self, a: np.ndarray) -> None:

@@ -51,7 +51,8 @@ class ModifiedCode:
 
     Column order: k information positions, then the n-k-p kept parity
     positions of the parent, then the p inserted positions.  H_m is the
-    only matrix stored; n, k, p and t follow from the fields.
+    only matrix stored; n, k, p and t follow from the fields.  The check
+    of decoded errors caches a product table of H_m^T on first use.
     """
 
     m: int
@@ -88,10 +89,10 @@ class ModifiedCode:
         return np.delete(np.arange(self.k, self.n), self.deleted - self.k)
 
     @cached_property
-    def H_table(self) -> gf2.ColumnTable:
-        """The columns of H packed, for the check of a signature's error
-        (decoder.check_leaders): 820 KB on RM(12,6)."""
-        return gf2.ColumnTable(self.H)
+    def H_T_table(self) -> gf2.ProductTable:
+        """Product table of H.T, for the check e' @ H.T = s' of one
+        error or a batch (decoder.check_leaders): 3.3 MB on RM(12,6)."""
+        return gf2.ProductTable(self.H.T)
 
     def left_product(self, s: np.ndarray) -> np.ndarray:
         """s @ H for a binary s of n-k columns, as keygen's S @ H_m.
@@ -119,12 +120,13 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     y[sx[supp(y_proj)]] = 1
     wy = gf2.weight(y)
     p = int(rng.integers(wy, 2 * wy + 1))
-    pool = np.setdiff1d(sx, supp(y))
+    # supp(y) lies in supp(x), so x > y marks supp(x) \ supp(y).
+    pool = np.flatnonzero(x > y)
     extra = p - wy
     if extra > pool.size:
         # Only reachable when the randomized search returned a word of
         # weight above d/2; top up from the remaining columns.
-        outside = np.setdiff1d(np.arange(code.n), np.union1d(sx, supp(y)))
+        outside = np.flatnonzero(x == 0)
         pool = np.concatenate([pool, rng.permutation(outside)])
     chosen = rng.choice(pool, size=extra, replace=False) if extra else pool[:0]
     deleted = np.sort(np.concatenate([supp(y), chosen.astype(np.int64)]))
@@ -148,9 +150,9 @@ def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
     if deleted.size == 0 or deleted.min() >= code.k:
         return code, deleted
     allowed = np.ones(code.n, dtype=bool)
-    allowed[: code.k] = False
     allowed[deleted] = False
-    leaving = np.unique(deleted[deleted < code.k])
+    leaving = np.flatnonzero(~allowed[: code.k])
+    allowed[: code.k] = False
     g_new, order = _move_information_set(code.G, leaving, np.flatnonzero(allowed))
     # Positions of the old columns inside the new order.
     inv = np.empty(code.n, dtype=np.int64)

@@ -407,6 +407,24 @@ class TestSignChecksItsOutput:
                 exhausted += 1
         assert exhausted >= 1
 
+    def test_checks_build_no_table_after_the_first(self, monkeypatch):
+        # Once a key has signed, neither a signature's check nor a
+        # calibration chunk's builds a product table.
+        params = scheme.SigningParams(w=64, N=1, t=3)
+        priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
+        assert isinstance(scheme.sign(priv, b"warm up"), scheme.Signature)
+        built, real_init = [], gf2.ProductTable.__init__
+
+        def counting(table, b):
+            built.append(np.shape(b))
+            real_init(table, b)
+
+        # Patched in place: the warmed-up tables stay instances of the class.
+        monkeypatch.setattr(gf2.ProductTable, "__init__", counting)
+        assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
+        analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
+        assert built == []
+
     def test_rejects_a_wrong_inserted_block(self, monkeypatch):
         # An inserted bit e_p that misses s'_bot: nothing in the decode
         # checks the R block, so only sign's check can catch it.
