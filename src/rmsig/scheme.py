@@ -250,7 +250,8 @@ def check_signature(sig: Signature, n: int) -> tuple[np.ndarray, int]:
         raise ValueError("a signature needs a vector e and an integer counter i") from None
     if e.dtype.kind not in "biu" or e.shape != (n,) or not 1 <= i < 1 << 64:
         raise ValueError(f"signature needs an integer vector of length {n} and 1 <= i < 2**64")
-    if e.min() < 0 or e.max() > 1:
+    # Only a signed vector can hold a negative entry.
+    if (e.dtype.kind == "i" and e.min() < 0) or e.max() > 1:
         raise ValueError("signature vector has entries outside {0, 1}")
     return e, i
 

@@ -37,13 +37,26 @@ class TestCalibrate:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7])
     @pytest.mark.parametrize("shape", [(1024, 386), (999, 197), (3, 5), (13,)])
     def test_byte_draw_gives_integers_bits(self, seed, shape):
-        # calibrate draws its syndrome bits as the top bits of random bytes.
+        # calibrate takes its syndrome bits as the top bits of the random
+        # bytes that analysis._random_bytes draws (pinned below).
         bytes_ = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
         bits = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
         assert np.array_equal(bytes_ >> 7, bits), (
             "numpy's bounded uint8 draw (Lemire's method) no longer returns the "
             "top bit of one random byte for the range [0, 2); calibrate's "
             "syndromes would change"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7])
+    @pytest.mark.parametrize("shape", [(1024, 386), (999, 197), (3, 5), (13,)])
+    def test_raw_words_give_integers_bytes(self, seed, shape):
+        # calibrate draws its random bytes as PCG64's raw 64-bit words read
+        # as little-endian bytes.
+        raw = analysis._random_bytes(seed, shape)
+        bytes_ = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+        assert np.array_equal(raw, bytes_), (
+            "the little-endian bytes of PCG64's raw words are no longer the bytes "
+            "integers(0, 256, dtype=np.uint8) draws; calibration CSVs would change"
         )
 
     def test_exhaustive_chunks_match_one_decode(self):

@@ -266,11 +266,17 @@ class TestSignVerify:
 
     @pytest.mark.parametrize(
         "form",
-        ["one 1 stored as 257 in int64", "float vector plus 0.5", "counter 2**64"],
+        [
+            "one 1 stored as 257 in int64",
+            "one 1 stored as -1 in int8",
+            "float vector plus 0.5",
+            "counter 2**64",
+        ],
     )
     def test_verify_rejects_non_binary_or_out_of_range(self, toy_keypair, form):
-        # Each form wraps back to the valid signature under a uint8 cast or
-        # rounding, so only a strict check rejects it; none may raise.
+        # Each form wraps back to the valid signature under a uint8 cast,
+        # a reduction mod 2 or rounding, so only a strict check rejects it;
+        # none may raise.
         pub = toy_keypair.public
         sig = scheme.sign(toy_keypair.private, b"strict")
         assert scheme.verify(pub, b"strict", sig)
@@ -278,6 +284,9 @@ class TestSignVerify:
         if form == "one 1 stored as 257 in int64":
             e = sig.e.astype(np.int64)
             e[np.flatnonzero(e)[0]] = 257
+        elif form == "one 1 stored as -1 in int8":
+            e = sig.e.astype(np.int8)
+            e[np.flatnonzero(e)[0]] = -1
         elif form == "float vector plus 0.5":
             e = sig.e + 0.5
         else:
