@@ -143,12 +143,16 @@ def success_probability(dist: WeightDistribution, w: int, n_trials: int) -> floa
 
 
 def choose_params(dist: WeightDistribution, target_success: float, candidates):
-    """Smallest w (then smallest N) whose success probability meets target."""
+    """Smallest w (then smallest N) whose success probability meets target.
+
+    Candidates with w below the code's correctability t, or N below 1,
+    are not valid SigningParams and are skipped.
+    """
     grid = sorted(set((int(w), int(n)) for w, n in candidates))
     if not grid:
         raise NoFeasibleParams("empty candidate grid")
     for w, n in grid:
-        if success_probability(dist, w, n) >= target_success:
+        if w >= dist.t and n >= 1 and success_probability(dist, w, n) >= target_success:
             return SigningParams(w=w, N=n, t=dist.t)
     raise NoFeasibleParams(
         f"no (w, N) in grid reaches success probability {target_success}"

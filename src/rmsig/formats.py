@@ -18,6 +18,10 @@ Private body: packed F, sigma as n * u32, packed R, info_perm as n * u32,
               then the 32-byte SHA-256 of every preceding byte (header
               included) followed by the packed H_m rebuilt from info_perm,
               the deleted columns and R.
+              info_perm is the column order of keygen's aligned parent: a
+              load replays keygen's alignment of the closed-form code off
+              the deleted columns, and rejects any info_perm it does not
+              give.
               F is the (n-k) x (n-k) matrix of the scrambler's inverse
               factors, S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), and
               its diagonal must be zero; any such F is a valid scrambler.
@@ -40,8 +44,8 @@ import zlib
 import numpy as np
 
 from . import gf2
-from .modcode import assemble_modified
-from .rmcode import build_with_perm, code_dims
+from .modcode import align_information_set, assemble_modified
+from .rmcode import build, code_dims
 from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams, check_signature
 
 KEY_MAGIC = b"RMSG"
@@ -168,11 +172,18 @@ def load_private_key(raw: bytes) -> PrivateKey:
     stored_digest = rd.take(32)
     rd.done()
 
+    if not np.array_equal(np.sort(info_perm), np.arange(n)):
+        raise FormatError("info_perm is not a permutation of the column indices")
+    # Replay keygen's alignment: the stored deleted columns, read back as
+    # columns of the closed-form code, are the plan keygen aligned.
+    code = build(m, r)
     try:
-        base = build_with_perm(m, r, info_perm)
-    except ValueError as err:
-        raise FormatError(f"stored info_perm is invalid: {err}") from None
-    mod = assemble_modified(base, deleted, r_block)
+        aligned, _ = align_information_set(code, np.argsort(code.info_perm)[info_perm[deleted]])
+    except gf2.RankError:
+        raise FormatError("info_perm leaves no information set off the deleted columns") from None
+    if not np.array_equal(aligned.info_perm, info_perm):
+        raise FormatError("info_perm is not the column order keygen writes")
+    mod = assemble_modified(aligned, deleted, r_block)
     if hashlib.sha256(rd.buf[:-32] + gf2.pack_bits(mod.H)).digest() != stored_digest:
         raise FormatError("private key digest mismatch")
     for arr in (factors, sigma):

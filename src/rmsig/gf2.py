@@ -274,10 +274,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
-def rank(a: np.ndarray) -> int:
-    return len(rref(a)[1])
-
-
 _INVERT_BLOCK = 64
 
 

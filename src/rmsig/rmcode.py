@@ -32,10 +32,12 @@ row reduction of the monomial generator would give.
 A code stores its generator G in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
 came from, which is what the recursive decoder needs.  Moving the
-information set (a stored column order, a punctured column) eliminates
-only the columns that change (_move_information_set).  The parity check
-H is derived from G on first read; only tests and the benchmark's
-oracle read it.
+information set off punctured columns eliminates only the rows of the
+columns that leave it (_move_information_set); keygen does this once,
+and a private-key load replays the same move from the closed form
+(modcode.align_information_set), so no other order is ever rebuilt.
+The parity check H is derived from G on first read; only tests and the
+benchmark's oracle read it.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _move_information_set(
     g: np.ndarray, leaving: np.ndarray, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Move the information set of a systematic g = [I_k | P] off the
-    (ascending) columns `leaving`.
+    (ascending, nonempty) columns `leaving`.
 
     The first q = len(leaving) of the ascending parity columns
     `candidates` that are independent on the leaving rows enter.  A q x n
@@ -182,8 +184,6 @@ def _move_information_set(
     """
     k, n = g.shape
     q = leaving.size
-    if q == 0:
-        return g, np.arange(n)
     others = np.ones(n, dtype=bool)
     others[candidates] = False
     cols = np.concatenate([candidates, np.flatnonzero(others)])
@@ -225,35 +225,6 @@ def build(m: int, r: int) -> RmCode:
     return _assemble(m, r, *_systematic(m, r))
 
 
-def build_with_perm(m: int, r: int, info_perm: np.ndarray) -> RmCode:
-    """Rebuild a code whose systematic column order is already known.
-
-    Used when loading stored keys: the stored permutation reproduces the
-    exact G the key was generated with.  The closed-form code's
-    information set is moved onto the stored order's first k columns,
-    which must be an information set (gf2.RankError otherwise); G's rows
-    and columns then follow the stored order.
-    """
-    _check_params(m, r)
-    n = 1 << m
-    perm = np.asarray(info_perm, dtype=np.int64)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("info_perm is not a permutation of the column indices")
-    g, base = _systematic(m, r)
-    k = g.shape[0]
-    col = np.empty(n, dtype=np.int64)
-    col[base] = np.arange(n)
-    target = col[perm]  # the stored order, as columns of the closed form
-    head = np.zeros(n, dtype=bool)
-    head[target[:k]] = True
-    g, order = _move_information_set(g, np.flatnonzero(~head[:k]), np.flatnonzero(head[k:]) + k)
-    if not np.array_equal(order, target):  # an order keygen does not write
-        col[order] = np.arange(n)
-        g = np.take(g, col[target[:k]], axis=0)
-        g = np.take(g, col[target], axis=1)
-    return _assemble(m, r, g, perm)
-
-
 def supp(c: np.ndarray) -> np.ndarray:
     """Indices of the nonzero positions, ascending."""
     return np.flatnonzero(np.asarray(c))
@@ -271,7 +242,7 @@ def min_weight_codeword(code: RmCode, rng: np.random.Generator) -> np.ndarray:
         return np.ones(code.n, dtype=np.uint8)
     while True:
         forms = gf2.random_bits((r, m), rng)
-        if gf2.rank(forms) == r:
+        if len(gf2.rref(forms)[1]) == r:
             break
     consts = gf2.random_bits(r, rng)
     vals = gf2.mat_mul(forms, variable_table(m))

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from rmsig import gf2
+from rmsig import gf2, rmcode
 
 
 def naive_mat_mul(a, b):
@@ -149,6 +149,13 @@ def eliminated_with_perm(m, r, info_perm):
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("info_perm is not a permutation of the column indices")
     return systematize(np.take(raw, perm, axis=1), excluded=range(k, n))[0]
+
+
+def aligned_parent(mod):
+    """The parent RmCode of a modified code, eliminated afresh in the
+    code's stored column order."""
+    g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
+    return rmcode._assemble(mod.m, mod.r, g, mod.info_perm)
 
 
 def eliminated_alignment(code, deleted):

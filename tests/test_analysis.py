@@ -164,6 +164,18 @@ class TestChooseParams:
         params = analysis.choose_params(dist, 0.95, grid)
         assert (params.w, params.N) == (1, 30)
 
+    def test_skips_w_below_t(self, rm41):
+        """On RM(4,1), t = 3: w = 1 has a tiny success probability but is
+        no valid SigningParams, so it is skipped, not raised on."""
+        dist = analysis.calibrate(rm41, 4096, np.random.default_rng(0))
+        params = analysis.choose_params(dist, 0.99, [(1, 1000), (3, 100)])
+        assert (params.w, params.N, params.t) == (3, 100, 3)
+
+    def test_skips_n_below_one(self):
+        dist = self.synthetic({2: 1}, t=1)
+        params = analysis.choose_params(dist, 0.0, [(1, 0), (2, 1)])
+        assert (params.w, params.N) == (2, 1)
+
     def test_infeasible(self):
         dist = self.synthetic({9: 1})
         with pytest.raises(analysis.NoFeasibleParams):

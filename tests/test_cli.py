@@ -154,7 +154,9 @@ class TestAnalysisCommands:
         assert a.read_text() == b.read_text()
 
     def test_calibrate_signing_path(self, keyfiles, tmp_path):
-        from rmsig import analysis, formats, rmcode
+        from rmsig import analysis, formats
+
+        from reference import aligned_parent
 
         _, sec, _ = keyfiles
         csv = tmp_path / "signing.csv"
@@ -164,7 +166,7 @@ class TestAnalysisCommands:
         dist = analysis.calibrate(priv.mod, 300, np.random.default_rng(4))
         assert csv.read_text() == dist.to_csv()
         # The plain code's histogram is another one.
-        parent = rmcode.build_with_perm(priv.mod.m, priv.mod.r, priv.mod.info_perm)
+        parent = aligned_parent(priv.mod)
         plain = analysis.calibrate(parent, 300, np.random.default_rng(4))
         assert csv.read_text() != plain.to_csv()
 

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from rmsig import analysis, decoder, gf2, modcode, rmcode, scheme
 
 from reference import (
+    aligned_parent,
     coset_leader_weights,
     enumerate_codewords,
     hadamard_decode,
@@ -587,7 +588,7 @@ class TestCheckLeaders:
 def test_syndrome_entry_points_reject_non_binary_values(entry, dtype, bad, ndim):
     mod = _modified(6, 3, 13)
     if entry == "coset_leaders":
-        parent = rmcode.build_with_perm(mod.m, mod.r, mod.info_perm)
+        parent = aligned_parent(mod)
         decode, width = functools.partial(decoder.coset_leaders, parent), parent.n - parent.k
     else:
         decode, width = functools.partial(decoder.punctured_coset_leaders, mod), mod.n - mod.k - mod.p

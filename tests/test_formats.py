@@ -6,7 +6,7 @@ import pytest
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
-from reference import modified_generator, perm_matrix
+from reference import eliminated_with_perm, modified_generator, perm_matrix
 
 
 @pytest.fixture(scope="module")
@@ -294,30 +294,6 @@ class TestHostileFiles:
         with pytest.raises(formats.FormatError, match="nonzero diagonal"):
             formats.load_private_key(raw)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_private_key_in_a_random_column_order(self, seed):
-        """An RM(10,5) key stored in a random column order moves about half
-        the information set.  Its digest is valid, so it loads, or is
-        rejected for a head that is no information set, within a second."""
-        params = scheme.SigningParams(w=99, N=100, t=15)
-        priv = scheme.keygen(10, 5, params, np.random.default_rng(3)).private
-        order = np.random.default_rng(seed).permutation(priv.mod.n)
-        try:
-            base = rmcode.build_with_perm(10, 5, order)
-        except gf2.RankError:
-            mod = dataclasses.replace(priv.mod, info_perm=order)  # saved as is
-        else:
-            mod = modcode.assemble_modified(base, priv.mod.deleted, priv.mod.R)
-        raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
-        start = time.monotonic()
-        try:
-            loaded = formats.load_private_key(raw)
-        except formats.FormatError as err:
-            assert "info_perm" in str(err)
-        else:
-            assert np.array_equal(loaded.mod.H, mod.H)
-        assert time.monotonic() - start < 1.0
-
     def test_signature_with_huge_length(self, keypair):
         sig = scheme.sign(keypair.private, b"message")
         raw = _patched(formats.save_signature(sig, keypair.public.n), 6, b"\xff\xff\xff\xff")
@@ -325,6 +301,88 @@ class TestHostileFiles:
         with pytest.raises(formats.FormatError):
             formats.load_signature(raw)
         assert time.monotonic() - start < 1.0
+
+
+def _stored_orders(code, rng):
+    """(kind, order) pairs of column orders other than the code's own:
+    random orders, near-systematic ones (a few head and tail columns
+    swapped, the head shuffled or not) and two whose head is no
+    information set.  For m >= r + 2 the points that vanish on every
+    variable above r form the support of a word of the dual code
+    RM(m - r - 1, m), so no head that holds them is one: the first k
+    points, and those points with a shuffled rest."""
+    n, k, r = code.n, code.k, code.r
+    for _ in range(6):
+        yield "random", rng.permutation(n)
+    for swaps in (1, 2, 3, k // 2):
+        for shuffle in (False, True):
+            order = code.info_perm.copy()
+            head = rng.choice(k, size=min(swaps, n - k), replace=False)
+            tail = k + rng.choice(n - k, size=head.size, replace=False)
+            order[head], order[tail] = order[tail], order[head].copy()
+            if shuffle:
+                order[:k] = rng.permutation(order[:k])
+            yield "near-systematic", order
+    yield "first points", np.arange(n)
+    cube = np.arange(1 << (r + 1))
+    order = np.concatenate([cube, rng.permutation(np.arange(cube.size, n))])
+    order[:k] = rng.permutation(order[:k])
+    yield "dependent head", order
+
+
+def _in_order(mod, order):
+    """mod with its parent in another column order: H_m is assembled from
+    the parent eliminated afresh in that order.  An order whose head is no
+    information set has no such parent, so H_m is kept as it was."""
+    try:
+        g = eliminated_with_perm(mod.m, mod.r, order)
+    except gf2.RankError:
+        return dataclasses.replace(mod, info_perm=order)
+    return modcode.assemble_modified(rmcode._assemble(mod.m, mod.r, g, order), mod.deleted, mod.R)
+
+
+def _keygen_private(m, r, seed):
+    t = rmcode.code_dims(m, r)[2]
+    params = scheme.SigningParams(w=t, N=1, t=t)
+    return scheme.keygen(m, r, params, np.random.default_rng(seed)).private
+
+
+class TestColumnOrder:
+    """A load rebuilds the parent by replaying keygen's alignment, so the
+    only column order it accepts is the one keygen writes."""
+
+    @pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 2), (6, 3), (7, 3), (10, 5)])
+    def test_every_other_order_rejected(self, m, r):
+        priv = _keygen_private(m, r, 100 * m + r)
+        rng = np.random.default_rng(m + r)
+        rebuilt = 0
+        for kind, order in _stored_orders(priv.mod, rng):
+            assert not np.array_equal(order, priv.mod.info_perm), kind
+            mod = _in_order(priv.mod, order)
+            rebuilt += mod.H is not priv.mod.H
+            # Saved through save_private_key, so the digest and CRC are valid.
+            raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
+            start = time.monotonic()
+            with pytest.raises(formats.FormatError, match="info_perm"):
+                formats.load_private_key(raw)
+            assert time.monotonic() - start < 1.0, kind
+        assert rebuilt
+
+    @pytest.mark.parametrize("m,r,seed", [(6, 3, 0), (8, 4, 0), (10, 5, 7)])
+    def test_load_makes_keygen_eliminations(self, m, r, seed, rref_shapes):
+        """The eliminations of a load are those of aligning the closed-form
+        code on keygen's own (first) puncture plan."""
+        priv = _keygen_private(m, r, seed)
+        raw = formats.save_private_key(priv)
+        plan = modcode.puncture_plan(rmcode.build(m, r), np.random.default_rng(seed))
+        rref_shapes.clear()
+        aligned, _ = modcode.align_information_set(rmcode.build(m, r), plan.deleted)
+        expected = list(rref_shapes)
+        assert expected and np.array_equal(aligned.info_perm, priv.mod.info_perm)
+        rref_shapes.clear()
+        loaded = formats.load_private_key(raw)
+        assert rref_shapes == expected
+        assert np.array_equal(loaded.mod.H, priv.mod.H)
 
 
 def _mutants(raw: bytes, seed: int):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rmsig import gf2, modcode, rmcode
+from rmsig import gf2, rmcode
 
 from reference import (
     eliminated_code,
-    eliminated_with_perm,
     enumerate_codewords,
     min_distance,
     monomial_generator,
@@ -182,13 +181,6 @@ class TestMinWeightInRowspace:
         assert not gf2.mat_mul(rm31.H, y).any()
 
 
-def test_build_with_perm_round_trip():
-    code = rmcode.build(5, 2)
-    again = rmcode.build_with_perm(5, 2, code.info_perm)
-    assert np.array_equal(again.G, code.G)
-    assert np.array_equal(again.info_perm, code.info_perm)
-
-
 ALL_CODES = [
     pytest.param(m, r, marks=[pytest.mark.slow] if m >= 11 else [])
     for m in range(rmcode.MAX_M + 1)
@@ -210,73 +202,6 @@ def test_build_matches_elimination(m, r):
 def test_build_reduces_nothing(m, r, rref_shapes):
     rmcode.build(m, r)
     assert rref_shapes == []
-
-
-def test_build_with_perm_reduces_only_moved_rows(rref_shapes):
-    """A stored order two columns away from the closed form's information
-    set takes one elimination of two rows."""
-    code = rmcode.build(8, 4)
-    aligned, _ = modcode.align_information_set(code, [0, 5, code.k + 3])
-    rref_shapes.clear()
-    again = rmcode.build_with_perm(8, 4, aligned.info_perm)
-    assert rref_shapes == [(2, code.n)]
-    assert np.array_equal(again.G, aligned.G)
-
-
-def _stored_orders(code, rng):
-    """(kind, order) pairs: random orders, near-systematic ones (a few
-    head and tail columns swapped, the head shuffled or not) and two whose
-    head is no information set.  For m >= r + 2 the points that vanish
-    on every variable above r form the support of a word of the dual
-    code RM(m - r - 1, m), so no head that holds them is one: the first
-    k points, and those points with a shuffled rest."""
-    n, k, r = code.n, code.k, code.r
-    for _ in range(6):
-        yield "random", rng.permutation(n)
-    for swaps in (1, 2, 3, k // 2):
-        for shuffle in (False, True):
-            order = code.info_perm.copy()
-            head = rng.choice(k, size=min(swaps, n - k), replace=False)
-            tail = k + rng.choice(n - k, size=head.size, replace=False)
-            order[head], order[tail] = order[tail], order[head].copy()
-            if shuffle:
-                order[:k] = rng.permutation(order[:k])
-            yield "near-systematic", order
-    yield "first points", np.arange(n)
-    cube = np.arange(1 << (r + 1))
-    order = np.concatenate([cube, rng.permutation(np.arange(cube.size, n))])
-    order[:k] = rng.permutation(order[:k])
-    yield "dependent head", order
-
-
-@pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3)])
-def test_build_with_perm_matches_elimination(m, r):
-    """On every stored order both raise RankError or give the same code."""
-    code = rmcode.build(m, r)
-    rng = np.random.default_rng(100 * m + r)
-    outcomes = set()
-    for kind, order in _stored_orders(code, rng):
-        try:
-            expected = eliminated_with_perm(m, r, order)
-        except gf2.RankError:
-            with pytest.raises(gf2.RankError):
-                rmcode.build_with_perm(m, r, order)
-            outcomes.add(("raise", kind))
-            continue
-        got = rmcode.build_with_perm(m, r, order)
-        assert np.array_equal(got.G, expected), kind
-        assert np.array_equal(got.info_perm, order), kind
-        outcomes.add(("equal", kind))
-    expected = {("equal", "near-systematic"), ("raise", "first points"), ("raise", "dependent head")}
-    assert expected <= outcomes
-
-
-def test_build_with_perm_rejects_dependent_front():
-    # Points 0..3 of RM(1, 3) lie on an affine plane: no information set.
-    with pytest.raises(gf2.RankError):
-        rmcode.build_with_perm(3, 1, np.arange(8))
-    with pytest.raises(ValueError):
-        rmcode.build_with_perm(3, 1, np.zeros(8, dtype=np.int64))
 
 
 def test_eval_order_round_trip(rm41):
