@@ -211,6 +211,13 @@ def save_signature(sig: Signature, n: int) -> bytes:
 
 
 def load_signature(raw: bytes) -> Signature:
+    """The signature save_signature wrote as raw.
+
+    Raises:
+        FormatError: unless raw is a file save_signature can write, so a
+            signature has one file: nonzero padding bits after e, a
+            counter of 0 or n = 0 are rejected.
+    """
     rd = _Reader(_check_crc(raw, "signature"), "signature")
     magic = rd.take(4)
     if magic != SIG_MAGIC:
@@ -219,7 +226,14 @@ def load_signature(raw: bytes) -> Signature:
     if version != VERSION:
         raise FormatError(f"unsupported signature file version {version}")
     (counter,) = struct.unpack(">Q", rd.take(8))
-    e = gf2.unpack_word(rd.take(gf2.packed_size(1, n)), n)
+    packed = rd.take(gf2.packed_size(1, n))
     rd.done()
-    e.flags.writeable = False
-    return Signature(e=e, i=counter)
+    if n % 8 and packed[-1] & (0xFF >> n % 8):
+        raise FormatError("signature vector has nonzero padding bits")
+    sig = Signature(e=gf2.unpack_word(packed, n), i=counter)
+    try:
+        check_signature(sig, n)
+    except ValueError as err:
+        raise FormatError(f"signature outside the domain verify accepts: {err}") from None
+    sig.e.flags.writeable = False
+    return sig

@@ -171,6 +171,13 @@ class ColumnTable:
     as a's.  On one thread that takes 0.07-0.08 ms for RM(10,5)'s
     386 x 1024 H' and 1.4-1.6 ms for RM(12,6)'s 1586 x 4096 (best and
     median of 21).
+
+    A product finds v's support, gathers those table rows with take and
+    XORs them.  For a signature of key seed 1 it takes 12.1 us on
+    RM(10,5) at w = 99 and 25.3 us on RM(12,6) at w = 530, against 17.6
+    and 40.7 us with np.flatnonzero on uint8 and bitwise_xor.reduce
+    (one BLAS thread, medians of 200 rounds alternating with that code
+    in one process).
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -185,9 +192,20 @@ class ColumnTable:
         self._columns = packed.view(np.uint64)
 
     def product(self, v: np.ndarray) -> np.ndarray:
-        """a @ v for a binary vector v of length cols."""
-        picked = self._columns.take(np.flatnonzero(v & 1), axis=0)
-        acc = np.bitwise_xor.reduce(picked, axis=0)
+        """a @ v for a uint8 vector v of length cols, as mat_mul passes it.
+
+        An entry counts by its least significant bit, as in mat_mul's
+        untabled product; v & 1 holds only 0 and 1, so its bool view
+        finds the support, in about half the time np.flatnonzero takes
+        on uint8.
+        """
+        support = (v & 1).view(np.bool_).nonzero()[0]
+        if support.size == 0:  # reduceat below needs a row
+            return np.zeros(self.shape[0], dtype=np.uint8)
+        picked = self._columns.take(support, axis=0)
+        # One segment of reduceat XORs RM(12,6)'s 515 rows of 25 words
+        # in 7.8-13.7 us, reduce in 15.7-18.0 us (best of 9 x 3000).
+        acc = np.bitwise_xor.reduceat(picked, [0], axis=0)[0]
         return np.unpackbits(acc.view(np.uint8), count=self.shape[0], bitorder="little")
 
 

@@ -181,6 +181,49 @@ class TestSignatureFile:
             assert back.i == 2**64 - 1
             assert np.array_equal(back.e, e)
 
+    def test_counter_zero_rejected(self, keypair):
+        sig = scheme.sign(keypair.private, b"message")
+        raw = _patched(formats.save_signature(sig, keypair.public.n), 10, bytes(8))
+        with pytest.raises(formats.FormatError, match="domain"):
+            formats.load_signature(raw)
+
+    def test_nonzero_padding_rejected(self):
+        e = np.zeros(13, dtype=np.uint8)
+        e[[0, 12]] = 1
+        raw = formats.save_signature(scheme.Signature(e=e, i=1), 13)
+        # e fills bytes 18-19; bit 12 is mask 8 of byte 19, and the three
+        # bits below it are padding.
+        assert raw[18:20] == b"\x80\x08"
+        for pad in (1, 2, 4):
+            with pytest.raises(formats.FormatError, match="padding"):
+                formats.load_signature(_patched(raw, 19, bytes([8 | pad])))
+
+    def test_empty_vector_rejected(self):
+        import struct
+
+        body = formats.SIG_MAGIC + struct.pack("<HI", formats.VERSION, 0) + struct.pack(">Q", 1)
+        with pytest.raises(formats.FormatError, match="domain"):
+            formats.load_signature(formats._with_crc(body))
+
+    def test_every_loading_file_saves_back(self):
+        """Each byte of a 13-bit signature file set to each of its 256
+        values, CRC recomputed: the file either raises FormatError or is
+        the one save_signature writes for the signature it loads as."""
+        e = np.zeros(13, dtype=np.uint8)
+        e[[2, 7, 11]] = 1
+        raw = formats.save_signature(scheme.Signature(e=e, i=2**40 + 3), 13)
+        loaded = 0
+        for offset in range(len(raw) - 4):
+            for value in range(256):
+                mutant = _patched(raw, offset, bytes([value]))
+                try:
+                    sig = formats.load_signature(mutant)
+                except formats.FormatError:
+                    continue
+                assert formats.save_signature(sig, sig.e.size) == mutant, (offset, value)
+                loaded += 1
+        assert loaded > len(raw)
+
 
 def _patched(raw: bytes, offset: int, data: bytes) -> bytes:
     """Overwrite bytes at offset, then recompute the CRC so only the content is wrong."""

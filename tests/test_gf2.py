@@ -214,6 +214,19 @@ class TestColumnTable:
                 assert np.array_equal(got, expected)
                 assert np.array_equal(gf2.mat_mul(a, form), expected)
 
+    @pytest.mark.parametrize("rows,cols", [(11, 9), (386, 130)])
+    def test_least_significant_bit_rule(self, rows, cols):
+        """Both products read a uint8 entry by its least significant bit:
+        2 counts as 0, 3 and 255 as 1."""
+        rng = np.random.default_rng(rows + cols)
+        a = rand_mat(rng, rows, cols)
+        table = gf2.ColumnTable(a)
+        for values in ((2,), (3,), (255,), (0, 1, 2, 3, 255)):
+            v = rng.choice(np.array(values, dtype=np.uint8), size=cols)
+            got = gf2.mat_mul(a, v, table)
+            assert np.array_equal(got, gf2.mat_mul(a, v))
+            assert np.array_equal(got, naive_mat_mul(a, (v & 1)[:, None])[:, 0])
+
     def test_large_matrix(self):
         rng = np.random.default_rng(8)
         a = rand_mat(rng, 300, 520)

@@ -53,17 +53,25 @@ class TestHashToSyndrome:
         with pytest.raises(ValueError):
             scheme.hash_to_syndrome(b"m", 2**64, 16)
 
-    @pytest.mark.parametrize("out_bits", [1, 12, 64, 386])
+    # 386 and 1586 are n - k of RM(10,5) and RM(12,6).
+    @pytest.mark.parametrize("out_bits", [1, 12, 64, 386, 1586])
     def test_counter_range_matches_one_at_a_time(self, out_bits):
         inner = hashlib.shake_256(b"range").digest(32)
+
+        def spelled_out(i):
+            stream = hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(2 + out_bits // 8)
+            return np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:out_bits]
+
         rows = scheme._syndrome_from_digest(inner, 5, 300, out_bits)
         assert rows.shape == (300, out_bits) and rows.dtype == np.uint8
         for j, i in enumerate(range(5, 305)):
-            stream = hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(2 + out_bits // 8)
-            expect = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:out_bits]
-            assert np.array_equal(rows[j], expect)
-            if j < 3:
-                assert np.array_equal(scheme.hash_to_syndrome(b"range", i, out_bits), expect)
+            assert np.array_equal(rows[j], spelled_out(i))
+        for i in (5, 6, 7, 2**64 - 1):
+            expect = spelled_out(i)
+            got = scheme.hash_to_syndrome(b"range", i, out_bits)
+            assert got.shape == (out_bits,) and got.dtype == np.uint8
+            assert np.array_equal(got, expect)
+            assert np.array_equal(scheme._syndrome_from_digest(inner, i, 1, out_bits)[0], expect)
 
 
 class TestSigningParams:
