@@ -17,8 +17,11 @@ Such a table packs its matrix, and a product its operand, where it
 lies: by rows or, for a transposed view such as S^-1.T, H_m.T or a
 column-major batch of errors, by columns, so neither makes a
 transposing copy (_packed_rows); a product then gathers the table rows
-with take into one reused buffer.  One routine, _packbits_axis0, packs
-by columns, for these and for the matrix of a ColumnTable.  mat_mul
+with take into one reused buffer, a block of rows at a time, and skips
+the groups that no row of a block selects, such as the zero triangle
+of keygen's and the key load's triangular factors.  One routine,
+_packbits_axis0, packs by columns, for these and for the matrix of a
+ColumnTable.  mat_mul
 builds a product table for a one-off product too when both matrices
 are large (see mat_mul), and sends any other matrix product through
 float32 BLAS, which is exact below 2**24 terms.
@@ -51,15 +54,19 @@ def weight(v: np.ndarray) -> int:
 _GATHER_WORDS = 1 << 17
 """Largest temporary of a table product, in uint64 words (1 MB)."""
 
+_ROW_BLOCK = 128
+"""Rows of a that a table product gathers for at a time (ProductTable)."""
+
 
 class ProductTable:
     """Four-Russians table for products a @ b by one fixed matrix b.
 
     The k rows of b are packed into uint64 words and split into groups
     of four; the table holds, for every group, the XOR of each of its 16
-    row subsets.  A product then reads one table row per group of four
-    bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod and
-    Faradzev; Albrecht and Bard's M4RI).  The table takes
+    row subsets, built by doubling: subset s + 2**j is subset s XOR row
+    j, one XOR per j.  A product then reads one table row per group of
+    four bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod
+    and Faradzev; Albrecht and Bard's M4RI).  The table takes
     16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b, and
     3.3 MB for RM(12,6)'s 4096 x 1586 H_m^T.
 
@@ -68,16 +75,31 @@ class ProductTable:
     b is such a view for the signing path's S^-1.T and for H_m.T, by
     which decoder.check_leaders multiplies decoded errors, and a for
     every batch of those errors, a view of the decoder's (n, rows)
-    columns.  On RM(12,6) the two tables take 1.8-2.3 and 5.2-5.6 ms,
-    against 3.7-4.7 and 50-55 ms after a transposing copy (key seed 1,
-    one BLAS thread, best and median of 11); 256 rows of 638 columns of
-    a pack in 26-28 us against 146-147 us.  The table rows are then gathered with
-    take, into one buffer of at most _GATHER_WORDS words that every
-    chunk of groups reuses, and XORed chunk by chunk: 202-205 us against
-    560-601 us by fancy indexing for 160 groups of 256 rows of 7 words.
-    In RM(10,5) signing (key seed 1, one BLAS thread, best and median of
-    41) the S^-1 product takes 200-207 us instead of 821-838 us in
-    float32 BLAS at 256 rows and 27 us instead of 162-167 us at 16.
+    columns.  256 rows of 638 columns of a pack in 26-28 us against
+    146-147 us after a transposing copy.  On RM(12,6) the tables of
+    S^-1.T and H_m.T take 1.1-1.2 and 2.4-3.0 ms, and that of keygen's 1586 x
+    2510 H_m[:, :k] 0.95-1.6 ms, against 1.6-2.6, 5.1-6.2 and 2.2-2.8 ms
+    when each subset was XORed from its rows (key seed 1, one BLAS
+    thread, best and median in three processes per version).
+
+    A product takes a's rows _ROW_BLOCK at a time.  For each block it
+    gathers only the groups from the block's first to its last nonzero
+    packed byte: any other group reads its zero row in every row of the
+    block.  A dense block spans every group, and a triangular a about
+    half of them, so the products with a triangle on the left (keygen's
+    L @ U, the key load's U^-1 @ L^-1 and invert's joins B^-1 (C A^-1))
+    skip the zero triangle with no flag from their callers.  The table
+    rows are gathered with take, into one buffer of at most _GATHER_WORDS
+    words that every block and chunk of groups reuses, and XORed chunk
+    by chunk.  On RM(12,6) (same runs) L @ U takes 7.9-9.0 ms against
+    17.6-25.0 ms over all rows at once, and keygen's S @ H_m[:, :k]
+    20.6-25.2 ms against 25.5-43.9 ms, since a block of 128 rows fits
+    more groups into one gather.  The signing path's S^-1 product
+    takes 170-184 us at 16 rows and 1.8-2.0 ms at 256 rows against
+    170-285 us and 2.1-3.1 ms; on RM(10,5) the blocks' span tests cost
+    about 6 us a call: 32-34 against 26-28 us at 16 rows, 201-255
+    against 200-221 us at 256, where float32 BLAS took 821-838 and
+    162-167 us.
     """
 
     def __init__(self, b: np.ndarray) -> None:
@@ -89,10 +111,11 @@ class ProductTable:
         packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
         packed[:k, : (c + 7) // 8] = _packed_rows(b)
         quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
-        subset = np.arange(16)
-        table = np.zeros((2 * k_bytes, 16, words), dtype=np.uint64)
+        # Subset s + 2**j of a group is subset s with row j added.
+        table = np.empty((2 * k_bytes, 16, words), dtype=np.uint64)
+        table[:, 0] = 0
         for j in range(4):
-            table[:, (subset >> j) & 1 == 1] ^= quads[:, j, None, :]
+            np.bitwise_xor(table[:, : 1 << j], quads[:, j, None], out=table[:, 1 << j : 2 << j])
         table.flags.writeable = False
         self.shape = (k, c)
         self._table = table.reshape(32 * k_bytes, words)
@@ -102,23 +125,36 @@ class ProductTable:
         """a @ b for the rows of a (binary, rows x k)."""
         rows = a.shape[0]
         packed = _packed_rows(a).T
-        # Table row per (group of four columns of a, row of a): group 2j
-        # reads the low nibble of packed byte j, group 2j+1 the high one.
-        picks = np.empty((packed.shape[0], 2, rows), dtype=np.intp)
-        np.bitwise_and(packed, 15, out=picks[:, 0])
-        np.right_shift(packed, 4, out=picks[:, 1])
-        picks = picks.reshape(-1, rows)
-        picks += self._group_base
-        words = self._table.shape[1]
-        step = max(1, _GATHER_WORDS // max(1, rows * words))
-        gathered = np.empty((min(step, picks.shape[0]), rows, words), dtype=np.uint64)
+        k_bytes, words = packed.shape[0], self._table.shape[1]
+        block = min(rows, _ROW_BLOCK)
+        step = max(1, _GATHER_WORDS // max(1, block * words))
+        picks_buffer = np.empty(2 * k_bytes * block, dtype=np.intp)
+        gathered = np.empty(min(step, 2 * k_bytes) * block * words, dtype=np.uint64)
         acc = np.zeros((rows, words), dtype=np.uint64)
-        for start in range(0, picks.shape[0], step):
-            chunk = picks[start : start + step]
-            got = gathered[: chunk.shape[0]]
-            # Every index is in range; mode="raise" would buffer the output.
-            self._table.take(chunk, axis=0, out=got, mode="clip")
-            acc ^= np.bitwise_xor.reduce(got, axis=0)
+        for lo in range(0, rows, _ROW_BLOCK):
+            part = packed[:, lo : lo + _ROW_BLOCK]
+            # A byte outside [first, last) is zero in every row of the
+            # block, so its two groups would read their zero rows.
+            live = part.any(axis=1)
+            first = int(live.argmax())
+            if not live[first]:
+                continue
+            last = k_bytes - int(live[::-1].argmax())
+            span, count = part[first:last], part.shape[1]
+            # Table row per (group of four columns of a, row of a): group 2j
+            # reads the low nibble of packed byte j, group 2j+1 the high one.
+            picks = picks_buffer[: 2 * span.size].reshape(span.shape[0], 2, count)
+            np.bitwise_and(span, 15, out=picks[:, 0])
+            np.right_shift(span, 4, out=picks[:, 1])
+            picks = picks.reshape(-1, count)
+            picks += self._group_base[2 * first : 2 * last]
+            out = acc[lo : lo + count]
+            for start in range(0, picks.shape[0], step):
+                chunk = picks[start : start + step]
+                got = gathered[: chunk.size * words].reshape(chunk.shape[0], count, words)
+                # Every index is in range; mode="raise" would buffer the output.
+                self._table.take(chunk, axis=0, out=got, mode="clip")
+                out ^= np.bitwise_xor.reduce(got, axis=0)
         return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1], bitorder="little")
 
 
@@ -303,7 +339,9 @@ def invert(a: np.ndarray) -> np.ndarray:
     random_unit_triangular); no program path inverts a general matrix.
     An upper matrix is inverted as the transpose of a lower one.  On one
     BLAS thread both 1586-row factors of an RM(12,6) scrambler take
-    44-48 ms (best and median of 9), against 193-204 ms for a
+    26-28 ms (best and median of 9, in three processes), against 30-43 ms
+    when the join B^-1 (C A^-1) read every group of its triangular B^-1
+    (see ProductTable), and 193-204 ms, when last measured, for a
     Gauss-Jordan inverse of their product.
 
     Raises:
@@ -371,7 +409,16 @@ def _fill_below(a: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
 
 
 def random_bits(shape, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=shape, dtype=np.uint8)
+    """Uniform bits, the ones rng.integers(0, 2, shape, np.uint8) draws.
+
+    That draw (Lemire's method) returns the top bit of one random byte
+    per entry, so the bits are taken from a full-range byte draw, which
+    leaves rng in the same state: 3.1-3.4 against 6.8-7.2 ms for
+    1586 x 1586 bits (best and median of 21).
+    """
+    bits = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    bits >>= 7
+    return bits
 
 
 def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -379,12 +426,24 @@ def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray
     deterministic per rng state.
 
     Their product L @ U is invertible, so no rejection loop is needed,
-    and so are both factors (see invert).
+    and so are both factors (see invert).  Each draw is cut to its
+    triangle in place, row by row, which allocates nothing: both factors
+    of an RM(12,6) scrambler take 10-17 ms against 30-40 ms with np.tril,
+    np.triu and integers(0, 2) (best and median of 21, three runs).  A
+    mask of the strict lower triangle, ANDed in place, was about as fast
+    but raised the benchmark's roundtrip-rm12 peak RSS from 152.2 to
+    155.1 MB (perfbench/run.py), where the row loop reads 151.5 MB.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo = np.tril(random_bits((n, n), rng), -1) | identity(n)
-    up = np.triu(random_bits((n, n), rng), 1) | identity(n)
+    lo = random_bits((n, n), rng)
+    for i in range(n):
+        lo[i, i:] = 0
+    up = random_bits((n, n), rng)
+    for i in range(n):
+        up[i, :i] = 0
+    np.fill_diagonal(lo, 1)
+    np.fill_diagonal(up, 1)
     return lo, up
 
 

@@ -169,6 +169,29 @@ class TestProductTable:
         for a in (columns.T[:, :638], np.ascontiguousarray(columns.T[:, :638])):
             assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
 
+    @pytest.mark.parametrize("rows", [gf2._ROW_BLOCK - 1, gf2._ROW_BLOCK, gf2._ROW_BLOCK + 1])
+    def test_row_block_spans_vs_blas(self, rows):
+        # Each block of _ROW_BLOCK rows gathers only the groups between its
+        # first and last nonzero packed byte: a triangle leaves a different
+        # span per block, and a zero block none.
+        rng = np.random.default_rng(rows)
+        lower, upper = gf2.random_unit_triangular(rows, rng)
+        gapped = rand_mat(rng, 3 * rows, rows)
+        gapped[rows : 2 * rows] = 0
+        b = rand_mat(rng, rows, 200)
+        table = gf2.ProductTable(b)
+        operands = {
+            "lower": lower,
+            "upper": upper,
+            "lower_by_columns": np.ascontiguousarray(lower.T).T,
+            "upper_by_columns": np.ascontiguousarray(upper.T).T,
+            "middle_block_zero": gapped,
+            "middle_block_zero_by_columns": np.ascontiguousarray(gapped.T).T,
+            "zero": np.zeros((rows, rows), dtype=np.uint8),
+        }
+        for name, a in operands.items():
+            assert np.array_equal(gf2.mat_mul(a, b, table), blas_mat_mul(a, b)), name
+
     def test_packbits_axis0_vs_packbits(self):
         # Every word width (rows modulo 8) and every remainder of k modulo
         # 8, for a whole array and for a column slice of a wider one.
@@ -479,6 +502,25 @@ class TestRandomMatrices:
             # S = L @ U is invertible, with inverse U^-1 @ L^-1.
             s_inv = gf2.mat_mul(gf2.invert(upper), gf2.invert(lower))
             assert np.array_equal(gf2.mat_mul(gf2.mat_mul(lower, upper), s_inv), gf2.identity(8))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("shape", [(1586, 1586), (999, 197), (3, 5), (13,), 7, (2, 3, 5)])
+    def test_random_bits_are_integers_bits(self, shape, pending):
+        # A draw of 3 bytes takes one 32-bit half of a 64-bit word and
+        # leaves the other pending for the next draw.
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        if pending:
+            ours.integers(0, 2, size=3, dtype=np.uint8)
+            theirs.integers(0, 2, size=3, dtype=np.uint8)
+        got = gf2.random_bits(shape, ours)
+        expected = theirs.integers(0, 2, size=shape, dtype=np.uint8)
+        why = (
+            "gf2.random_bits no longer draws the bits, or leaves the generator in "
+            "the state, of integers(0, 2, dtype=np.uint8); keys would change"
+        )
+        assert got.dtype == np.uint8 and np.array_equal(got, expected), why
+        assert np.array_equal(ours.permutation(101), theirs.permutation(101)), why
+        assert np.array_equal(gf2.random_bits(9, ours), theirs.integers(0, 2, 9, np.uint8)), why
 
 
 class TestPacking:

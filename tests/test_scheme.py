@@ -535,6 +535,14 @@ def property_sig(toy_keypair):
     return sig
 
 
+class TestCheckSignature:
+    def test_empty_vector_rejected_by_its_own_message(self):
+        # n = 0 passes the shape test; numpy's max has no empty case.
+        sig = scheme.Signature(e=np.zeros(0, dtype=np.uint8), i=1)
+        with pytest.raises(ValueError, match="signature vector is empty"):
+            scheme.check_signature(sig, 0)
+
+
 class TestVerifyProperties:
     """verify is total: no input makes it raise, and its verdict is the
     naive predicate's on every dtype, shape and counter."""
