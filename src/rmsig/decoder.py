@@ -127,8 +127,9 @@ medians of 41 runs with the forms interleaved, one leaf's other form
 -> 2.06, 2.66 -> 2.56 and 6.68 -> 5.09 ms, on RM(12,6) 7.24 -> 7.80,
 10.6 -> 10.2 and 31.4 -> 22.5 ms; order m-1 on RM(10,5) 1.96 -> 2.04,
 2.86 -> 2.66 and 6.73 -> 5.04 ms, on RM(12,6) 7.62 -> 7.78, 11.9 ->
-10.8 and 31.6 -> 24.5 ms.  Signing batches have 16, 64 or 256 rows and
-calibration chunks 1024, or fewer when fewer syndromes are asked for.
+10.8 and 31.6 -> 24.5 ms.  Signing batches have 1, 4, 16, 64 or 256
+rows (scheme.SIGN_BATCH) and calibration chunks 1024, or fewer when
+fewer syndromes are asked for.
 """
 
 

@@ -193,10 +193,13 @@ def load_private_key(raw: bytes) -> PrivateKey:
 
 def save_keypair(kp: KeyPair, out_prefix: str) -> tuple[str, str]:
     pub_path, sec_path = out_prefix + ".pub", out_prefix + ".sec"
+    # Both keys are serialised first, so a key that cannot be written
+    # leaves no file behind.
+    pub_bytes, sec_bytes = save_public_key(kp.public), save_private_key(kp.private)
     with open(pub_path, "wb") as fh:
-        fh.write(save_public_key(kp.public))
+        fh.write(pub_bytes)
     with open(sec_path, "wb") as fh:
-        fh.write(save_private_key(kp.private))
+        fh.write(sec_bytes)
     return pub_path, sec_path
 
 

@@ -29,6 +29,7 @@ from .rmcode import build
 
 _INNER_DIGEST_BYTES = 32
 KEYGEN_PLAN_RETRIES = 32
+_U32_MAX = (1 << 32) - 1  # w and N are u32 fields of a key file (formats)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class SigningParams:
             raise ValueError(f"w={self.w} below error correctability t={self.t}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.w > _U32_MAX or self.N > _U32_MAX:
+            raise ValueError(f"w and N must be at most 2**32 - 1 = {_U32_MAX}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,17 @@ class PrivateKey:
     @cached_property
     def _S_inv_T_table(self) -> gf2.ProductTable:
         return gf2.ProductTable(self.S_inv.T)
+
+    @cached_property
+    def _sign_history(self) -> list[int]:
+        """[signatures, sum of their counters] over this key's past signs,
+        an exhausted one counting as N; sign sizes its first batch from it.
+
+        Not a field, so it is neither compared, printed nor saved.  Two
+        threads signing with one key may lose an update, which can change
+        a batch width but never a result.
+        """
+        return [0, 0]
 
 
 @dataclass(frozen=True)
@@ -176,13 +190,20 @@ def keygen(
 
 SIGN_BATCH = 16
 SIGN_BATCH_MAX = 256
-"""sign tries SIGN_BATCH counters first and quadruples the batch after
-each miss, up to SIGN_BATCH_MAX.  The mean counter ranges from about 1.2
-(RM(12,6) at w = 530) to about 460 (RM(10,5) at w = 99) over the
-parameter table, so a long signature reaches the widest batch, which
-spreads the decoder's fixed per-call cost over the most rows, within
-three calls, and a short one evaluates spare trials: about 15 of a
-16-row first batch on RM(12,6).  Batch sizes never change a result."""
+"""sign's first batch is SIGN_BATCH counters on a key with no signing
+history, else the smallest of 1, 4, 16, ... at least the mean counter of
+the key's past signatures (PrivateKey._sign_history), capped at
+SIGN_BATCH_MAX; the batch quadruples after each miss, up to
+SIGN_BATCH_MAX.  Most of a _trials call is a fixed per-call cost: 4.3,
+4.7 and 5.8 ms at 1, 4 and 16 rows on RM(12,6), 1.4, 1.7, 2.5 and 5.3 ms
+at 1, 16, 64 and 256 rows on RM(10,5) (key seed 1, one BLAS thread,
+medians of 41 calls with the widths interleaved).  The mean counter
+ranges from about 1.2 (RM(12,6) at w = 530) to about 460 (RM(10,5) at
+w = 99), so no fixed first batch suits both ends: RM(12,6) starts at 4
+instead of paying for 16 rows to use about 1.2, and RM(10,5) at w = 99
+at 256 instead of first making a 16- and a 64-row call that succeed 3.5%
+and 13% of the time.  A key with no history (a fresh keygen or a load)
+starts at 16.  Batch sizes never change a result."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:
@@ -228,12 +249,23 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     Returns SigningExhausted when none of the N trials stays within the
     weight bound.  Only the returned error is checked against H_m e' = s'
     (decoder.check_leaders), which raises AssertionError on a mismatch;
-    the discarded trials are not.
+    the discarded trials are not.  The batch widths follow the key's past
+    counters (SIGN_BATCH), and the result is added to them; every counter
+    up to the returned one is evaluated, so the result never depends on
+    them.
     """
     inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
     limit = priv.params.N
     best = priv.mod.n + 1
-    first, batch = 1, SIGN_BATCH
+    history = priv._sign_history
+    signed, counters = history
+    batch = SIGN_BATCH
+    if signed:  # the smallest of 1, 4, 16, ... at least the mean counter
+        batch = 1
+        while batch * signed < counters:
+            batch *= 4
+        batch = min(batch, SIGN_BATCH_MAX)
+    first = 1
     while first <= limit:
         count = min(batch, limit + 1 - first)
         s_primes, e_primes = _trials(priv, inner, first, count)
@@ -244,10 +276,13 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
             check_leaders(priv.mod, e_prime, s_primes[hits[0]])
             e = np.empty_like(e_prime)
             e[priv.sigma] = e_prime
-            return Signature(e=e, i=first + int(hits[0]))
+            i = first + int(hits[0])
+            history[:] = signed + 1, counters + i
+            return Signature(e=e, i=i)
         best = min(best, int(weights.min()))
         first += count
         batch = min(4 * batch, SIGN_BATCH_MAX)
+    history[:] = signed + 1, counters + limit
     return SigningExhausted(trials=limit, best_weight=best)
 
 

@@ -42,6 +42,17 @@ class TestKeygenCommand:
         assert out.returncode == 2
         assert out.stderr
 
+    @pytest.mark.parametrize("w, n_trials", [(3, 2**32), (2**32, 4)])
+    def test_u32_overflow_exits_2_and_writes_nothing(self, tmp_path, w, n_trials):
+        # The key file stores w and N as u32.
+        out = run_cli(
+            "keygen", "--m", 4, "--r", 1, "--w", w, "--n-trials", n_trials,
+            "--seed", 1, "--out-prefix", tmp_path / "k",
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_generated_public_key_loads(self, keyfiles):
         from rmsig import formats
 

@@ -121,6 +121,17 @@ class TestPrivateKeyFile:
         sig = scheme.sign(priv, b"file trip")
         assert scheme.verify(pub, b"file trip", sig)
 
+    def test_save_keypair_writes_nothing_for_a_key_it_cannot_save(
+        self, keypair, tmp_path, monkeypatch
+    ):
+        def unsavable(priv):
+            raise ValueError("cannot serialise")
+
+        monkeypatch.setattr(formats, "save_private_key", unsavable)
+        with pytest.raises(ValueError, match="cannot serialise"):
+            formats.save_keypair(keypair, str(tmp_path / "toy"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSignatureFile:
     def test_round_trip(self, keypair):

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -82,6 +85,16 @@ class TestSigningParams:
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             scheme.SigningParams(w=5, N=0, t=3)
+
+    def test_w_and_n_fit_the_key_files_u32(self):
+        top = 2**32 - 1
+        params = scheme.SigningParams(w=top, N=top, t=3)
+        kp = scheme.keygen(4, 1, params, np.random.default_rng(1))
+        assert formats.load_public_key(formats.save_public_key(kp.public)).params == params
+        assert formats.load_private_key(formats.save_private_key(kp.private)).params == params
+        for w, n in [(top + 1, 10), (5, top + 1)]:
+            with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
+                scheme.SigningParams(w=w, N=n, t=3)
 
 
 class TestKeygen:
@@ -329,11 +342,15 @@ BATCH_KEYS = {"rm36": (6, 3, 3, 3), "rm48": (8, 4, 19, 7)}
 BATCH_MESSAGES = [b"first batch %d" % j for j in range(40)]
 
 
-@pytest.fixture(scope="module", params=sorted(BATCH_KEYS))
-def batch_key(request):
-    m, r, w, t = BATCH_KEYS[request.param]
+def make_batch_key(name):
+    m, r, w, t = BATCH_KEYS[name]
     params = scheme.SigningParams(w=w, N=300, t=t)
     return scheme.keygen(m, r, params, np.random.default_rng(1)).private
+
+
+@pytest.fixture(scope="module", params=sorted(BATCH_KEYS))
+def batch_key(request):
+    return make_batch_key(request.param)
 
 
 @pytest.fixture
@@ -350,14 +367,29 @@ def batches(monkeypatch):
     return counts
 
 
-def planned_batches(res, limit=300):
-    """The batch counts sign evaluates to reach res: 16, 64, then 256
-    each, the last one cut short at the trial limit."""
-    last = res.i if isinstance(res, scheme.Signature) else limit
+def counter(res, limit=300):
+    """The last counter sign evaluates for res: N if exhausted."""
+    return res.i if isinstance(res, scheme.Signature) else limit
+
+
+def planned_batches(res, start, limit=300):
+    """The batch counts sign evaluates to reach res from a first batch of
+    start: quadrupled after each miss up to 256, the last one cut short at
+    the trial limit."""
     plan = []
-    while sum(plan) < last:
-        plan.append(min(16 << 2 * len(plan), 256, limit - sum(plan)))
+    while sum(plan) < counter(res, limit):
+        plan.append(min(start << 2 * len(plan), 256, limit - sum(plan)))
     return plan
+
+
+def ladder(counters):
+    """The smallest of 1, 4, 16, 64, 256 at least the mean of counters, else 256."""
+    return next(b for b in (1, 4, 16, 64, 256) if b * len(counters) >= sum(counters) or b == 256)
+
+
+def fresh(priv):
+    """The same key material with no signing history."""
+    return dataclasses.replace(priv)
 
 
 def same_result(a, b):
@@ -372,20 +404,79 @@ def same_result(a, b):
 
 
 class TestSignBatches:
-    """sign evaluates batches of 16, 64, 256, 256, ..., whatever it signed before."""
+    """sign starts at 16 on a key with no history, else at the ladder value
+    of its past counters' mean, and quadruples up to 256 after each miss."""
 
     def test_batches_grow_from_16(self, batch_key, batches):
-        # One key signs all the messages in turn, so a signature that
-        # follows a long or an exhausted one must start at 16 as well.
-        lengths, exhausted = set(), 0
-        for msg in BATCH_MESSAGES:
-            batches.clear()
-            res = scheme.sign(batch_key, msg)
-            assert batches == planned_batches(res), msg
-            lengths.add(len(batches))
-            exhausted += isinstance(res, scheme.SigningExhausted)
-        # Counters within each of the three batches that N = 300 allows occur.
+        # A bound two above the key's own on the same code gives short
+        # counters, down to 1.
+        params = batch_key.params
+        wider = dataclasses.replace(batch_key, params=dataclasses.replace(params, w=params.w + 2))
+        lengths, exhausted, starts = set(), 0, set()
+        for key in (batch_key, wider):
+            # A fresh key per message: every signature starts at 16.
+            results = []
+            for msg in BATCH_MESSAGES:
+                batches.clear()
+                res = scheme.sign(fresh(key), msg)
+                assert batches == planned_batches(res, 16), msg
+                results.append(res)
+                lengths.add(len(batches))
+                exhausted += isinstance(res, scheme.SigningExhausted)
+
+            # After one signature of known counter, the next starts at the
+            # ladder value of that counter: 256 after an exhausted one.
+            for j, msg in enumerate(BATCH_MESSAGES):
+                one = fresh(key)
+                assert same_result(scheme.sign(one, BATCH_MESSAGES[j - 1]), results[j - 1])
+                batches.clear()
+                res = scheme.sign(one, msg)
+                start = ladder([counter(results[j - 1])])
+                assert batches == planned_batches(res, start), msg
+                assert same_result(res, results[j]), msg
+                starts.add(start)
+                if isinstance(results[j - 1], scheme.SigningExhausted):
+                    assert start == 256
+
+            # One key signing every message in turn starts each at the
+            # ladder value of the mean over all its past signatures.
+            one, past = fresh(key), []
+            for msg, ref in zip(BATCH_MESSAGES, results):
+                batches.clear()
+                res = scheme.sign(one, msg)
+                assert batches == planned_batches(res, ladder(past) if past else 16), msg
+                assert same_result(res, ref), msg
+                past.append(counter(res))
+        # Counters within each of the three batches that N = 300 allows
+        # occur, and an exhausted run, and every ladder value.
         assert lengths == {1, 2, 3} and exhausted >= 1
+        assert starts == {1, 4, 16, 64, 256}
+
+    def test_history_does_not_change_results(self, batch_key):
+        reference = [scheme.sign(fresh(batch_key), msg) for msg in BATCH_MESSAGES]
+        key = fresh(batch_key)
+        for msg in reversed(BATCH_MESSAGES):
+            scheme.sign(key, msg)
+        for msg, ref in zip(BATCH_MESSAGES, reference):
+            assert same_result(scheme.sign(key, msg), ref), msg
+
+    def test_threads_sharing_a_key_sign_as_one(self):
+        # The key's history is the one state sign mutates; a lost update
+        # may change a batch width, never a result.
+        messages = BATCH_MESSAGES[:20]
+        single = make_batch_key("rm36")
+        reference = [scheme.sign(single, msg) for msg in messages]
+        key = make_batch_key("rm36")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(scheme.sign, key, msg) for msg in messages]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for msg, res, ref in zip(messages, results, reference):
+            assert same_result(res, ref), msg
 
     @pytest.mark.parametrize("start, cap", [(1, 4), (7, 7), (64, 256), (300, 300)])
     def test_results_do_not_depend_on_batches(self, batch_key, monkeypatch, start, cap):
