@@ -202,8 +202,11 @@ ranges from about 1.2 (RM(12,6) at w = 530) to about 460 (RM(10,5) at
 w = 99), so no fixed first batch suits both ends: RM(12,6) starts at 4
 instead of paying for 16 rows to use about 1.2, and RM(10,5) at w = 99
 at 256 instead of first making a 16- and a 64-row call that succeed 3.5%
-and 13% of the time.  A key with no history (a fresh keygen or a load)
-starts at 16.  Batch sizes never change a result."""
+and 13% of the time.  A start of 1 lasts only while every past counter
+was 1: once one is 2 or more the mean stays above 1, so RM(10,5) at
+w = 132 (about 1.006 trials per signature) starts at 4 from then on.  A
+key with no history (a fresh keygen or a load, so every one-shot
+`rmsig sign`) starts at 16.  Batch sizes never change a result."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:

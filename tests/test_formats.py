@@ -54,6 +54,18 @@ class TestPublicKeyFile:
         with pytest.raises(formats.FormatError):
             formats.load_public_key(raw)
 
+    def test_header_holds_exactly_the_params_bound(self):
+        # SigningParams bounds w and N by scheme._U32_MAX; the header's
+        # fields must hold that value and no larger one.
+        import struct
+
+        top = scheme._U32_MAX
+        fields = (formats.KEY_MAGIC, 1, 0, 4, 1, 0)
+        formats._HEADER.pack(*fields, top, top)
+        for w, n in [(top + 1, top), (top, top + 1)]:
+            with pytest.raises(struct.error):
+                formats._HEADER.pack(*fields, w, n)
+
 
 class TestPrivateKeyFile:
     def test_round_trip_bit_exact(self, keypair):

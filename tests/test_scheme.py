@@ -484,7 +484,7 @@ class TestSignBatches:
         monkeypatch.setattr(scheme, "SIGN_BATCH", start)
         monkeypatch.setattr(scheme, "SIGN_BATCH_MAX", cap)
         for msg, ref in zip(BATCH_MESSAGES, reference):
-            assert same_result(scheme.sign(batch_key, msg), ref), msg
+            assert same_result(scheme.sign(fresh(batch_key), msg), ref), msg
         counters = [getattr(ref, "i", None) for ref in reference]
         assert None in counters
         assert min(i for i in counters if i) <= 16 and max(i for i in counters if i) > 256
