@@ -184,6 +184,7 @@ def load_private_key(raw: bytes) -> PrivateKey:
     if not np.array_equal(aligned.info_perm, info_perm):
         raise FormatError("info_perm is not the column order keygen writes")
     mod = assemble_modified(aligned, deleted, r_block)
+    del code, aligned  # H_m is all the key keeps of them
     if hashlib.sha256(rd.buf[:-32] + gf2.pack_bits(mod.H)).digest() != stored_digest:
         raise FormatError("private key digest mismatch")
     for arr in (factors, sigma):

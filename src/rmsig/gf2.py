@@ -458,7 +458,7 @@ def unpack_matrix(buf: bytes, rows: int, cols: int) -> np.ndarray:
     if len(buf) != rows * row_bytes:
         raise ValueError(f"expected {rows * row_bytes} packed bytes, got {len(buf)}")
     flat = np.frombuffer(buf, dtype=np.uint8).reshape(rows, row_bytes)
-    return np.unpackbits(flat, axis=1)[:, :cols].copy()
+    return np.unpackbits(flat, axis=1, count=cols)
 
 
 def unpack_word(buf: bytes, n: int) -> np.ndarray:

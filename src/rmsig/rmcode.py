@@ -31,7 +31,8 @@ row reduction of the monomial generator would give.
 
 A code stores its generator G in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
-came from, which is what the recursive decoder needs.  Moving the
+came from, which is what the recursive decoder needs.  build shares one
+read-only code per (m, r) while any reference to it is held.  Moving the
 information set off punctured columns eliminates only the rows of the
 columns that leave it (_move_information_set); keygen does this once,
 and a private-key load replays the same move from the closed form
@@ -42,6 +43,7 @@ benchmark's oracle read it.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,6 +134,9 @@ def code_dims(m: int, r: int) -> tuple[int, int, int]:
 _CLOSED_FORM_CELLS = 1 << 18
 """Largest temporary of the closed form, in uint32 cells (1 MB)."""
 
+_MOVE_BLOCK_BYTES = 1 << 16
+"""Largest block of rows that _move_information_set unpacks at once (64 KB)."""
+
 
 def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """G = [I_k | P] and info_perm of RM(r, m), from the closed form in the
@@ -172,7 +177,9 @@ def _move_information_set(
     `candidates` that are independent on the leaving rows enter.  A q x n
     Gauss-Jordan elimination makes those rows the identity on the
     entering columns, and each is XORed into every kept row with a 1 in
-    its entering column; the rows are XORed bit-packed.  Returns
+    its entering column; the rows are XORed bit-packed and unpacked into
+    g' a block of at most _MOVE_BLOCK_BYTES at a time, so beside g' no
+    other k x n array is formed.  Returns
     (g', order): g' is the systematic form for the column order `order`
     (column j of g' is column order[j] of g), which lists the kept
     information columns, the entering, the leaving and the other parity
@@ -202,16 +209,21 @@ def _move_information_set(
     hits = np.take(g, entering, axis=1)[kept].T == 1
     for row, hit in zip(new_rows, hits):
         rows[hit] ^= row
-    moved = np.unpackbits(np.concatenate([rows, new_rows]), axis=1, count=n)
-    # The first k columns in the new order are the identity; copy the
-    # leaving columns, then the other parity columns run by run.
+    moved = np.concatenate([rows, new_rows])
+    # The first k columns in the new order are the identity; copy each
+    # block's leaving columns, then its other parity columns run by run.
     out = np.zeros((k, n), dtype=np.uint8)
     np.fill_diagonal(out, 1)
-    out[:, k : k + q] = np.take(moved, leaving, axis=1)
-    at = k + q
-    for lo, hi in zip(np.concatenate([[k], entering + 1]), np.concatenate([entering, [n]])):
-        out[:, at : at + hi - lo] = moved[:, lo:hi]
-        at += hi - lo
+    runs = list(zip(np.concatenate([[k], entering + 1]), np.concatenate([entering, [n]])))
+    step = max(1, _MOVE_BLOCK_BYTES // n)
+    for start in range(0, k, step):
+        block = np.unpackbits(moved[start : start + step], axis=1, count=n)
+        dst = out[start : start + step]
+        dst[:, k : k + q] = np.take(block, leaving, axis=1)
+        at = k + q
+        for lo, hi in runs:
+            dst[:, at : at + hi - lo] = block[:, lo:hi]
+            at += hi - lo
     parity = np.ones(n, dtype=bool)
     parity[:k] = False
     parity[entering] = False
@@ -219,10 +231,26 @@ def _move_information_set(
     return out, order
 
 
+_built: weakref.WeakValueDictionary[tuple[int, int], RmCode] = weakref.WeakValueDictionary()
+
+
 def build(m: int, r: int) -> RmCode:
-    """Construct RM(r, m) with n = 2**m, k = sum_i C(m, i), d = 2**(m-r)."""
+    """RM(r, m) with n = 2**m, k = sum_i C(m, i), d = 2**(m-r).
+
+    One code per (m, r) while it is referenced: a build while any
+    reference to RM(r, m) is held returns that object, whose arrays are
+    read-only, and the code is freed with its last reference.  So a
+    caller's code, keygen's parent and a key load's replay are one
+    generator, and key set-up holds at most one other full-size matrix
+    beside it, the aligned generator (modcode.align_information_set).
+    Two threads building one new code may each build it; both results
+    are equal.
+    """
     _check_params(m, r)
-    return _assemble(m, r, *_systematic(m, r))
+    code = _built.get((m, r))
+    if code is None:
+        code = _built[m, r] = _assemble(m, r, *_systematic(m, r))
+    return code
 
 
 def supp(c: np.ndarray) -> np.ndarray:

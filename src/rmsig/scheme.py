@@ -173,13 +173,17 @@ def keygen(
     else:
         raise gf2.RankError(f"no alignable puncture plan found: {last_err}")
     mod = build_modified(aligned, deleted, rng)
+    # H_m is all keygen needs of the codes: the aligned generator goes
+    # before the products below, and the parent with its last reference.
+    del code, aligned
 
     n, k = mod.n, mod.k
     lower, upper = gf2.random_unit_triangular(n - k, rng)
     sigma = rng.permutation(n)
-    sigma_inv = np.argsort(sigma)
-    h_pub = np.take(mod.left_product(gf2.mat_mul(lower, upper)), sigma_inv, axis=1)
     factors = gf2.invert(lower) ^ gf2.invert(upper)  # the unit diagonals cancel
+    scrambler = gf2.mat_mul(lower, upper)
+    del lower, upper
+    h_pub = np.take(mod.left_product(scrambler), np.argsort(sigma), axis=1)
     for arr in (factors, sigma, h_pub):
         arr.flags.writeable = False
 

@@ -1,5 +1,7 @@
 import dataclasses
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,10 +130,32 @@ class TestPrivateKeyFile:
         prefix = str(tmp_path / "toy")
         pub_path, sec_path = formats.save_keypair(keypair, prefix)
         assert pub_path.endswith(".pub") and sec_path.endswith(".sec")
-        pub = formats.load_public_key(open(pub_path, "rb").read())
-        priv = formats.load_private_key(open(sec_path, "rb").read())
+        pub = formats.load_public_key(Path(pub_path).read_bytes())
+        priv = formats.load_private_key(Path(sec_path).read_bytes())
         sig = scheme.sign(priv, b"file trip")
         assert scheme.verify(pub, b"file trip", sig)
+
+    def test_load_holds_one_generator_beside_the_code(self):
+        # With the caller holding RM(10,5), a load shares that code and
+        # holds one more k x n uint8 generator, the aligned one.  Beside
+        # it live H_m, (n-k) x n = 0.61 k n bytes, F, (n-k)^2 = 0.23 k n,
+        # and packed rows and row blocks under 0.2 k n: about 2 k n in
+        # all.  A second generator, a rebuilt parent or the moved rows
+        # unpacked whole, adds k n each, so 3 k n lies between the two.
+        code = rmcode.build(10, 5)
+        params = scheme.SigningParams(w=99, N=10, t=code.t)
+        raw = formats.save_private_key(
+            scheme.keygen(10, 5, params, np.random.default_rng(1)).private
+        )
+        tracemalloc.start()
+        try:
+            priv = formats.load_private_key(raw)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The load moved the information set, so it formed the aligned generator.
+        assert not np.array_equal(priv.mod.info_perm, code.info_perm)
+        assert peak < 3 * code.k * code.n
 
     def test_save_keypair_writes_nothing_for_a_key_it_cannot_save(
         self, keypair, tmp_path, monkeypatch

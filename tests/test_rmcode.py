@@ -1,3 +1,8 @@
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -37,6 +42,38 @@ def test_build_full_space_m2_r2():
 def test_build_rm31(rm31):
     assert (rm31.n, rm31.k, rm31.d) == (8, 4, 4)
     assert rm31.t == 1
+
+
+def test_build_shares_one_read_only_code_while_referenced():
+    # No fixture holds RM(7,2), so this test's references are the only ones.
+    code = rmcode.build(7, 2)
+    assert rmcode.build(7, 2) is code
+    for arr in (code.G, code.info_perm, code.H):
+        assert not arr.flags.writeable
+    g, ref = code.G.copy(), weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
+    again = rmcode.build(7, 2)
+    assert np.array_equal(again.G, g)
+    assert rmcode.build(7, 2) is again
+
+
+def test_threads_building_one_code_get_equal_codes():
+    # Each build drops its code at once, so codes are built and freed
+    # while other threads look them up; two threads may build one code
+    # twice, but never get a wrong or missing one.
+    expected = rmcode.build(8, 3).G.copy()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda: rmcode.build(8, 3).G.copy()) for _ in range(64)]
+            generators = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g in generators:
+        assert np.array_equal(g, expected)
 
 
 def test_build_rejects_bad_params():
