@@ -10,11 +10,14 @@ deleted column sits in the parity part, the modified parity check is
           [ R               I_p ]
 
 where P' is P minus the deleted columns and R is a uniform random p x
-(n-p) block.  Signing and verification need only H_m, so a
-ModifiedCode keeps only H_m, with P'^T and R as views of its blocks,
-and of the parent only the column order the decoder reads.  Its
-generator G_m = [I_k | P' | R_1^T + P' R_2^T], with R = [R_1 | R_2]
-split after column k, is derived by the test oracle
+(n-p) block.  The alignment is kept as a column order and the few
+reduced rows that move (Alignment), and P'^T is written from the
+parent's packed P^T and those rows, so neither keygen nor a key load
+forms the generator of the aligned order.  Signing and verification
+need only H_m, so a ModifiedCode keeps only H_m, with P'^T and R as
+views of its blocks, and of the parent only the column order the
+decoder reads.  Its generator G_m = [I_k | P' | R_1^T + P' R_2^T], with
+R = [R_1 | R_2] split after column k, is derived by the test oracle
 (tests/reference.py), which checks G_m @ H_m.T = 0.
 """
 
@@ -29,8 +32,6 @@ import numpy as np
 from . import gf2
 from .rmcode import (
     RmCode,
-    _assemble,
-    _move_information_set,
     min_weight_codeword,
     min_weight_in_rowspace,
     proj,
@@ -43,6 +44,28 @@ class PuncturePlan(NamedTuple):
     y: np.ndarray  # projected minimum-weight word written back into parent coordinates
     p: int
     deleted: np.ndarray  # sorted column indices, |deleted| = p, supp(y) included
+
+
+class Alignment(NamedTuple):
+    """A parent code's information set moved off some columns, written
+    as the new column order and the q moved rows, not as a generator.
+
+    Column j of the aligned code is column order[j] of the parent: the
+    kept information columns, the q entering ones, the q leaving ones
+    and the other parity columns, each ascending.  Row j of moved is the
+    parent's generator row of the j-th leaving column, reduced to the
+    identity on the entering columns, in the parent's column order.
+    q = 0 leaves the parent's order.
+    """
+
+    code: RmCode
+    order: np.ndarray
+    moved: np.ndarray  # q x n
+
+    @property
+    def info_perm(self) -> np.ndarray:
+        """The aligned code's systematic column order, as evaluation positions."""
+        return self.code.info_perm[self.order]
 
 
 @dataclass(frozen=True)
@@ -94,19 +117,30 @@ class ModifiedCode:
         error or a batch (decoder.check_leaders): 3.3 MB on RM(12,6)."""
         return gf2.ProductTable(self.H.T)
 
-    def left_product(self, s: np.ndarray) -> np.ndarray:
-        """s @ H for a binary s of n-k columns, as keygen's S @ H_m.
+    def left_product(self, out: np.ndarray, columns: np.ndarray) -> None:
+        """Overwrite out, whose last n-k columns hold a binary s, with the
+        columns `columns` of s @ H: keygen's S @ H_m @ Q, in one array.
 
         H's last n-k columns are the identity plus R's right block R_2
         under the kept parity columns, so only the first k columns take
         a full product; the rest are s plus s's last p columns times R_2.
-        On RM(12,6) (key seed 1, one BLAS thread) this takes 56-58 ms
-        against 102-107 ms for gf2.mat_mul(s, H), best and median of 9.
+        The rows are formed a block at a time beside out, then gathered
+        into their own rows of out, which that block's s no longer needs.
         """
         k, top = self.k, self.n - self.k - self.p
-        out = np.concatenate([gf2.mat_mul(s, self.H[:, :k]), s], axis=1)
-        out[:, k : k + top] ^= gf2.mat_mul(s[:, top:], self.R[:, k:])
-        return out
+        table = gf2.ProductTable(self.H[:, :k])
+        block = np.empty((min(_LEFT_BLOCK_ROWS, out.shape[0]), self.n), dtype=np.uint8)
+        for lo in range(0, out.shape[0], _LEFT_BLOCK_ROWS):
+            rows = out[lo : lo + _LEFT_BLOCK_ROWS]
+            s, got = rows[:, k:], block[: rows.shape[0]]
+            got[:, :k] = gf2.mat_mul(s, self.H[:, :k], table)
+            got[:, k:] = s
+            got[:, k : k + top] ^= gf2.mat_mul(s[:, top:], self.R[:, k:])
+            np.take(got, columns, axis=1, out=rows, mode="clip")  # "raise" would buffer
+
+
+_LEFT_BLOCK_ROWS = 256
+"""Rows of keygen's S @ H_m that ModifiedCode.left_product forms at once."""
 
 
 def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
@@ -133,67 +167,107 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     return PuncturePlan(x=x, y=y, p=p, deleted=deleted)
 
 
-def align_information_set(code: RmCode, deleted) -> tuple[RmCode, np.ndarray]:
+def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]:
     """Move the information set so every deleted column lands in the parity part.
 
     Keeps the current column order wherever possible: the deleted
     information columns leave, and the first as many non-deleted parity
-    columns in ascending order that complete an information set enter
-    (rmcode._move_information_set), so a deletion set already inside the
-    parity part leaves the code unchanged.  Returns the aligned code and
-    the deletion set re-expressed in its column order.
+    columns in ascending order that complete an information set enter,
+    so a deletion set already inside the parity part leaves the order
+    unchanged.  One q x n Gauss-Jordan elimination of the q leaving rows
+    finds the entering columns and makes those rows the identity on
+    them; no generator is written for the new order (see Alignment).
+    Returns the alignment and the deletion set re-expressed in its
+    column order.
 
     Raises:
         gf2.RankError: if the non-deleted columns hold no information set.
     """
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
-    if deleted.size == 0 or deleted.min() >= code.k:
-        return code, deleted
-    allowed = np.ones(code.n, dtype=bool)
+    n, k = code.n, code.k
+    allowed = np.ones(n, dtype=bool)
     allowed[deleted] = False
-    leaving = np.flatnonzero(~allowed[: code.k])
-    allowed[: code.k] = False
-    g_new, order = _move_information_set(code.G, leaving, np.flatnonzero(allowed))
+    leaving = np.flatnonzero(~allowed[:k])
+    if leaving.size == 0:
+        return Alignment(code, np.arange(n), np.zeros((0, n), dtype=np.uint8)), deleted
+    allowed[:k] = False
+    candidates = np.flatnonzero(allowed)
+    # The candidates first, so the pivots pick the first independent ones.
+    cols = np.concatenate([candidates, np.flatnonzero(~allowed)])
+    red, pivots = gf2.rref(np.take(code.G[leaving], cols, axis=1))
+    if pivots[-1] >= candidates.size:
+        raise gf2.RankError(
+            f"the candidate columns do not complete an information set of size k={k}"
+        )
+    entering = cols[pivots]
+    moved = np.empty_like(red)
+    moved[:, cols] = red
+    kept = np.ones(k, dtype=bool)
+    kept[leaving] = False
+    parity = np.ones(n, dtype=bool)
+    parity[:k] = False
+    parity[entering] = False
+    order = np.concatenate([np.flatnonzero(kept), entering, leaving, np.flatnonzero(parity)])
     # Positions of the old columns inside the new order.
-    inv = np.empty(code.n, dtype=np.int64)
-    inv[order] = np.arange(code.n)
-    new_code = _assemble(code.m, code.r, g_new, code.info_perm[order])
-    return new_code, np.sort(inv[deleted])
+    inv = np.empty(n, dtype=np.int64)
+    inv[order] = np.arange(n)
+    return Alignment(code, order, moved), np.sort(inv[deleted])
 
 
-def assemble_modified(code: RmCode, deleted, r_block: np.ndarray) -> ModifiedCode:
-    """Assemble H_m from an aligned code, its deletion set and the p x (n-p)
+_UNPACK_BLOCK_BYTES = 1 << 16
+"""Largest block of H_m's top rows that assemble_modified unpacks at once."""
+
+
+def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> ModifiedCode:
+    """Assemble H_m from an alignment, its deletion set and the p x (n-p)
     block R.
 
-    H_m is [P'^T 0; R] plus an identity on its last n-k columns.  It is
-    written bit-packed and unpacked once: G packed by columns gives, at
-    the kept columns, the rows of P'^T packed, so no strided copy
-    transposes P' and none is kept.  On RM(12,6) (key seed 1, one BLAS
-    thread, best to median of 41, three runs) this takes 3.2-5.1 ms, and
-    3.4-5.1 ms with P' first copied from G run by run between the
-    deleted columns; on RM(10,5) 0.2-0.4 against 0.3-0.7 ms.
+    H_m is [P'^T 0; R] plus an identity on its last n-k columns.  The
+    row of P'^T for a kept parity column x is column x of the aligned
+    generator G'.  That column is column x of the parent's G plus column
+    e_j of G for each moved row j with a 1 at x (e_j the j-th entering
+    column), read at G's kept information rows, followed by the moved
+    rows' bits at x.  So the rows are gathered from the parent's packed
+    P^T (RmCode.packed_PT), take one packed XOR per moved row, and are
+    unpacked a block at a time without the leaving rows' bits.
     """
+    code, order, moved = aligned
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k
-    p = deleted.size
+    p, q = deleted.size, moved.shape[0]
     if p and deleted.min() < k:
         raise ValueError("deletion set must lie in the parity part; align first")
-    kept = np.delete(np.arange(k, n), deleted - k)
+    kept = order[np.delete(np.arange(k, n), deleted - k)]
+    if (kept < k).any():
+        raise ValueError("the deletion set does not hold every column the alignment moved")
 
+    rows = code.packed_PT[kept - k]
+    for row, entering in zip(moved, order[k - q : k]):
+        rows[row[kept] == 1] ^= code.packed_PT[entering - k]
     top = n - k - p
-    packed = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)  # little-endian bit order
-    packed[:top, : (k + 7) // 8] = gf2._packbits_axis0(code.G).T[kept]
-    packed[top:, : (n - p + 7) // 8] = np.packbits(r_block, axis=1, bitorder="little")
+    h_mod = np.zeros((n - k, n), dtype=np.uint8)
+    # G's information rows in G' order: the kept ones, run by run
+    # between the leaving rows, then the moved rows.
+    leaving = order[k : k + q]
+    runs = list(zip(np.concatenate([[0], leaving + 1]), np.concatenate([leaving, [k]])))
+    step = max(1, _UNPACK_BLOCK_BYTES // k)
+    for start in range(0, top, step):
+        bits = np.unpackbits(rows[start : start + step], axis=1, count=k, bitorder="little")
+        dst, at = h_mod[start : start + bits.shape[0]], 0
+        for lo, hi in runs:
+            dst[:, at : at + hi - lo] = bits[:, lo:hi]
+            at += hi - lo
+    h_mod[:top, k - q : k] = moved[:, kept].T
+    h_mod[top:, : n - p] = r_block
     diag = np.arange(k, n)
-    packed[diag - k, diag >> 3] |= np.left_shift(1, diag & 7).astype(np.uint8)
-    h_mod = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    h_mod[diag - k, diag] = 1
 
     for arr in (deleted, h_mod):
         arr.flags.writeable = False
-    return ModifiedCode(m=code.m, r=code.r, info_perm=code.info_perm, deleted=deleted, H=h_mod)
+    return ModifiedCode(m=code.m, r=code.r, info_perm=aligned.info_perm, deleted=deleted, H=h_mod)
 
 
-def build_modified(code: RmCode, deleted, rng: np.random.Generator) -> ModifiedCode:
-    """Draw a uniform R and assemble the modified pair for an aligned code."""
+def build_modified(aligned: Alignment, deleted, rng: np.random.Generator) -> ModifiedCode:
+    """Draw a uniform R and assemble the modified pair for an alignment."""
     p = len(deleted)
-    return assemble_modified(code, deleted, gf2.random_bits((p, code.n - p), rng))
+    return assemble_modified(aligned, deleted, gf2.random_bits((p, aligned.code.n - p), rng))

@@ -34,11 +34,12 @@ A code stores its generator G in the systematic column order, and
 came from, which is what the recursive decoder needs.  build shares one
 read-only code per (m, r) while any reference to it is held.  Moving the
 information set off punctured columns eliminates only the rows of the
-columns that leave it (_move_information_set); keygen does this once,
-and a private-key load replays the same move from the closed form
-(modcode.align_information_set), so no other order is ever rebuilt.
-The parity check H is derived from G on first read; only tests and the
-benchmark's oracle read it.
+columns that leave it (modcode.align_information_set); keygen does this
+once, and a private-key load replays the same move from the closed form,
+and neither writes the generator of the new column order: the modified
+parity check is read from the parent's packed parity block (packed_PT)
+and the moved rows.  The parity check H is derived from G on first
+read; only tests and the benchmark's oracle read it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ class RmCode:
         return self.G[:, self.k :]
 
     @cached_property
+    def packed_PT(self) -> np.ndarray:
+        """P^T packed: row j holds column k + j of G, its k bits in
+        ceil(k/8) bytes, bit i of byte b being row 8b + i (little-endian
+        bit order); read-only, built on first read."""
+        packed = np.ascontiguousarray(gf2._packbits_axis0(self.P).T)
+        packed.flags.writeable = False
+        return packed
+
+    @cached_property
     def H(self) -> np.ndarray:
         """H = [P^T | I_{n-k}], so G @ H.T = 0; built from G on first read."""
         h = np.concatenate([self.P.T, gf2.identity(self.n - self.k)], axis=1)
@@ -134,9 +144,6 @@ def code_dims(m: int, r: int) -> tuple[int, int, int]:
 _CLOSED_FORM_CELLS = 1 << 18
 """Largest temporary of the closed form, in uint32 cells (1 MB)."""
 
-_MOVE_BLOCK_BYTES = 1 << 16
-"""Largest block of rows that _move_information_set unpacks at once (64 KB)."""
-
 
 def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """G = [I_k | P] and info_perm of RM(r, m), from the closed form in the
@@ -167,70 +174,6 @@ def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return g, info_perm
 
 
-def _move_information_set(
-    g: np.ndarray, leaving: np.ndarray, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move the information set of a systematic g = [I_k | P] off the
-    (ascending, nonempty) columns `leaving`.
-
-    The first q = len(leaving) of the ascending parity columns
-    `candidates` that are independent on the leaving rows enter.  A q x n
-    Gauss-Jordan elimination makes those rows the identity on the
-    entering columns, and each is XORed into every kept row with a 1 in
-    its entering column; the rows are XORed bit-packed and unpacked into
-    g' a block of at most _MOVE_BLOCK_BYTES at a time, so beside g' no
-    other k x n array is formed.  Returns
-    (g', order): g' is the systematic form for the column order `order`
-    (column j of g' is column order[j] of g), which lists the kept
-    information columns, the entering, the leaving and the other parity
-    columns, each ascending.
-
-    Raises:
-        gf2.RankError: if fewer than q candidates are independent on the
-        leaving rows, so no information set avoids the leaving columns.
-    """
-    k, n = g.shape
-    q = leaving.size
-    others = np.ones(n, dtype=bool)
-    others[candidates] = False
-    cols = np.concatenate([candidates, np.flatnonzero(others)])
-    red, pivots = gf2.rref(np.take(g[leaving], cols, axis=1))
-    if pivots[-1] >= candidates.size:
-        raise gf2.RankError(
-            f"the candidate columns do not complete an information set of size k={k}"
-        )
-    entering = cols[pivots]
-    back = np.empty(n, dtype=np.int64)
-    back[cols] = np.arange(n)
-    new_rows = np.packbits(np.take(red, back, axis=1), axis=1)
-    kept = np.ones(k, dtype=bool)
-    kept[leaving] = False
-    rows = np.packbits(g, axis=1)[kept]
-    hits = np.take(g, entering, axis=1)[kept].T == 1
-    for row, hit in zip(new_rows, hits):
-        rows[hit] ^= row
-    moved = np.concatenate([rows, new_rows])
-    # The first k columns in the new order are the identity; copy each
-    # block's leaving columns, then its other parity columns run by run.
-    out = np.zeros((k, n), dtype=np.uint8)
-    np.fill_diagonal(out, 1)
-    runs = list(zip(np.concatenate([[k], entering + 1]), np.concatenate([entering, [n]])))
-    step = max(1, _MOVE_BLOCK_BYTES // n)
-    for start in range(0, k, step):
-        block = np.unpackbits(moved[start : start + step], axis=1, count=n)
-        dst = out[start : start + step]
-        dst[:, k : k + q] = np.take(block, leaving, axis=1)
-        at = k + q
-        for lo, hi in runs:
-            dst[:, at : at + hi - lo] = block[:, lo:hi]
-            at += hi - lo
-    parity = np.ones(n, dtype=bool)
-    parity[:k] = False
-    parity[entering] = False
-    order = np.concatenate([np.flatnonzero(kept), entering, leaving, np.flatnonzero(parity)])
-    return out, order
-
-
 _built: weakref.WeakValueDictionary[tuple[int, int], RmCode] = weakref.WeakValueDictionary()
 
 
@@ -241,10 +184,10 @@ def build(m: int, r: int) -> RmCode:
     reference to RM(r, m) is held returns that object, whose arrays are
     read-only, and the code is freed with its last reference.  So a
     caller's code, keygen's parent and a key load's replay are one
-    generator, and key set-up holds at most one other full-size matrix
-    beside it, the aligned generator (modcode.align_information_set).
-    Two threads building one new code may each build it; both results
-    are equal.
+    generator, and key set-up holds no other generator beside it: the
+    aligned column order is a permutation and a few moved rows
+    (modcode.align_information_set).  Two threads building one new code
+    may each build it; both results are equal.
     """
     _check_params(m, r)
     code = _built.get((m, r))

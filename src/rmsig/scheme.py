@@ -173,9 +173,7 @@ def keygen(
     else:
         raise gf2.RankError(f"no alignable puncture plan found: {last_err}")
     mod = build_modified(aligned, deleted, rng)
-    # H_m is all keygen needs of the codes: the aligned generator goes
-    # before the products below, and the parent with its last reference.
-    del code, aligned
+    del code, aligned  # H_m is all keygen needs of the codes
 
     n, k = mod.n, mod.k
     lower, upper = gf2.random_unit_triangular(n - k, rng)
@@ -183,7 +181,12 @@ def keygen(
     factors = gf2.invert(lower) ^ gf2.invert(upper)  # the unit diagonals cancel
     scrambler = gf2.mat_mul(lower, upper)
     del lower, upper
-    h_pub = np.take(mod.left_product(scrambler), np.argsort(sigma), axis=1)
+    # H' = S H_m Q is written over S in one array: S goes in its last
+    # n-k columns, and left_product overwrites it row block by row block.
+    h_pub = np.empty((n - k, n), dtype=np.uint8)
+    h_pub[:, k:] = scrambler
+    del scrambler
+    mod.left_product(h_pub, np.argsort(sigma))
     for arr in (factors, sigma, h_pub):
         arr.flags.writeable = False
 

@@ -168,6 +168,23 @@ def eliminated_alignment(code, deleted):
     return g_new, code.info_perm[order], np.sort(inv[deleted])
 
 
+def modified_check(g, deleted, r_block):
+    """H_m = [P'^T I 0; R I_p] of a systematic generator g = [I_k | P],
+    its deletion set (parity columns) and its p x (n-p) block R, written
+    block by block from the definition."""
+    g = np.asarray(g, dtype=np.uint8)
+    k, n = g.shape
+    p = len(deleted)
+    top = n - k - p
+    kept = np.setdiff1d(np.arange(k, n), deleted)
+    h = np.zeros((n - k, n), dtype=np.uint8)
+    h[:top, :k] = g[:, kept].T
+    h[:top, k : k + top] = np.eye(top, dtype=np.uint8)
+    h[top:, : n - p] = r_block
+    h[top:, n - p :] = np.eye(p, dtype=np.uint8)
+    return h
+
+
 def same_row_space(a, b):
     """Row spaces match iff the canonical RREFs (nonzero rows) agree."""
     ra, rb = naive_rref(a), naive_rref(b)

@@ -469,7 +469,8 @@ class TestPuncturedSyndromeDecode:
         assert not e.any()
 
     def test_degenerate_no_puncture_matches_plain(self, rm41):
-        mod = modcode.build_modified(rm41, [], np.random.default_rng(0))
+        unaligned = modcode.align_information_set(rm41, [])
+        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
         rng = np.random.default_rng(31)
         for _ in range(30):
             s = rng.integers(0, 2, size=rm41.n - rm41.k, dtype=np.uint8)
@@ -529,7 +530,8 @@ class TestCheckLeaders:
     @staticmethod
     def _key(key):
         if key == "rm41_p0":
-            return modcode.build_modified(rmcode.build(4, 1), [], np.random.default_rng(0))
+            unaligned = modcode.align_information_set(rmcode.build(4, 1), [])
+            return modcode.build_modified(*unaligned, np.random.default_rng(0))
         if key == "rm41_p4":
             return modified_rm41_with_p4()
         return _modified(6, 3, 2 if key == "rm63_p1" else 13)

@@ -8,7 +8,7 @@ import pytest
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
-from reference import eliminated_with_perm, modified_generator, perm_matrix
+from reference import eliminated_with_perm, modified_check, modified_generator, perm_matrix
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +135,13 @@ class TestPrivateKeyFile:
         sig = scheme.sign(priv, b"file trip")
         assert scheme.verify(pub, b"file trip", sig)
 
-    def test_load_holds_one_generator_beside_the_code(self):
-        # With the caller holding RM(10,5), a load shares that code and
-        # holds one more k x n uint8 generator, the aligned one.  Beside
-        # it live H_m, (n-k) x n = 0.61 k n bytes, F, (n-k)^2 = 0.23 k n,
-        # and packed rows and row blocks under 0.2 k n: about 2 k n in
-        # all.  A second generator, a rebuilt parent or the moved rows
-        # unpacked whole, adds k n each, so 3 k n lies between the two.
-        code = rmcode.build(10, 5)
-        params = scheme.SigningParams(w=99, N=10, t=code.t)
+    @staticmethod
+    def _load_peak(code):
+        """tracemalloc peak of loading a key of code, which the caller
+        holds, so the load shares it."""
+        params = scheme.SigningParams(w=code.t, N=10, t=code.t)
         raw = formats.save_private_key(
-            scheme.keygen(10, 5, params, np.random.default_rng(1)).private
+            scheme.keygen(code.m, code.r, params, np.random.default_rng(1)).private
         )
         tracemalloc.start()
         try:
@@ -153,9 +149,33 @@ class TestPrivateKeyFile:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The load moved the information set, so it formed the aligned generator.
+        # The load moved the information set, so it took the aligning path.
         assert not np.array_equal(priv.mod.info_perm, code.info_perm)
-        assert peak < 3 * code.k * code.n
+        return peak
+
+    def test_load_holds_one_generator_beside_the_code(self):
+        # With the caller holding RM(10,5), a load shares that code, so the
+        # only k x n uint8 generator is the code's own; the aligned order
+        # is a permutation and a few moved rows.  The load holds H_m,
+        # (n-k) x n = 0.61 k n bytes, F, (n-k)^2 = 0.23 k n, and packed
+        # rows and row blocks under 0.4 k n: under 1.3 k n in all.  A
+        # rebuilt parent and an aligned generator add k n each, which
+        # together pass 3 k n.
+        code = rmcode.build(10, 5)
+        assert self._load_peak(code) < 3 * code.k * code.n
+
+    def test_load_forms_no_aligned_generator(self):
+        # H_m and F, which the loaded key keeps, take (n-k) n + (n-k)^2
+        # bytes, 0.84 k n on RM(10,5).  Forming the aligned generator beside
+        # them, even for a moment, adds k n more, past the bound; the
+        # load's other arrays (packed rows, 64 KB row blocks, the digest's
+        # packed H_m) take under 0.5 k n, which stays below it.
+        code = rmcode.build(10, 5)
+        n, k = code.n, code.k
+        bound = 1.7 * k * n
+        kept = (n - k) * n + (n - k) ** 2
+        assert kept + 0.5 * k * n < bound < kept + k * n
+        assert self._load_peak(code) < bound
 
     def test_save_keypair_writes_nothing_for_a_key_it_cannot_save(
         self, keypair, tmp_path, monkeypatch
@@ -428,7 +448,7 @@ def _in_order(mod, order):
         g = eliminated_with_perm(mod.m, mod.r, order)
     except gf2.RankError:
         return dataclasses.replace(mod, info_perm=order)
-    return modcode.assemble_modified(rmcode._assemble(mod.m, mod.r, g, order), mod.deleted, mod.R)
+    return dataclasses.replace(mod, info_perm=order, H=modified_check(g, mod.deleted, mod.R))
 
 
 def _keygen_private(m, r, seed):

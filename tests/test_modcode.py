@@ -6,12 +6,13 @@ import pytest
 from rmsig import gf2, modcode, rmcode
 
 from reference import (
+    aligned_parent,
     eliminated_alignment,
     enumerate_codewords,
+    modified_check,
     modified_generator,
     monomial_generator,
     punctured_check,
-    same_row_space,
 )
 
 
@@ -57,33 +58,59 @@ class TestPuncturePlan:
             modcode.puncture_plan(code, np.random.default_rng(0))
 
 
-def unpermuted_rows(code):
-    """Rows of G written back in evaluation order, for row-space oracles."""
-    out = np.empty_like(code.G)
-    out[:, code.info_perm] = code.G
-    return out
+def assemble_both(code, deleted, seed=0):
+    """H_m assembled from align_information_set, checked against the H_m
+    the oracle assembles from its eliminated generator, with one R; both
+    raise gf2.RankError or neither does.  Returns the modified code."""
+    try:
+        g, perm, expected = eliminated_alignment(code, deleted)
+    except gf2.RankError:
+        with pytest.raises(gf2.RankError):
+            modcode.align_information_set(code, deleted)
+        raise
+    aligned, new_deleted = modcode.align_information_set(code, deleted)
+    assert np.array_equal(new_deleted, expected)
+    assert np.array_equal(aligned.info_perm, perm)
+    p = new_deleted.size
+    r_block = np.random.default_rng(seed).integers(0, 2, size=(p, code.n - p), dtype=np.uint8)
+    mod = modcode.assemble_modified(aligned, new_deleted, r_block)
+    assert np.array_equal(mod.info_perm, perm)
+    assert np.array_equal(mod.H, modified_check(g, expected, r_block))
+    return mod
+
+
+def assert_parent_words_satisfy(mod):
+    """Every parent codeword, without the deleted columns, satisfies the
+    punctured check, and those words span a space of the parent's dimension
+    k: the punctured code is the parent's row space punctured."""
+    raw = monomial_generator(mod.m, mod.r)[:, mod.info_perm]
+    keep = np.setdiff1d(np.arange(mod.n), mod.deleted)
+    assert not gf2.mat_mul(raw[:, keep], punctured_check(mod).T).any()
+    assert len(gf2.rref(raw[:, keep])[1]) == mod.k
 
 
 class TestAlignInformationSet:
     def test_already_parity_is_unchanged(self, rm31):
         deleted = [rm31.k, rm31.k + 2]
         aligned, new_deleted = modcode.align_information_set(rm31, deleted)
-        assert aligned is rm31
+        assert aligned.code is rm31
+        assert np.array_equal(aligned.order, np.arange(rm31.n))
+        assert aligned.moved.shape == (0, rm31.n)
         assert np.array_equal(new_deleted, deleted)
+        assert np.array_equal(assemble_both(rm31, deleted).info_perm, rm31.info_perm)
 
     def test_info_column_moves_row_space_preserved(self, rm31):
         deleted = [0, rm31.k]  # column 0 is in the information part
-        aligned, new_deleted = modcode.align_information_set(rm31, deleted)
-        assert (new_deleted >= aligned.k).all()
-        assert new_deleted.size == 2
-        assert same_row_space(unpermuted_rows(aligned), unpermuted_rows(rm31))
-        assert same_row_space(unpermuted_rows(aligned), monomial_generator(3, 1))
+        mod = assemble_both(rm31, deleted)
+        assert (mod.deleted >= mod.k).all()
+        assert mod.deleted.size == 2
+        assert not np.array_equal(mod.info_perm, rm31.info_perm)
+        assert_parent_words_satisfy(mod)
 
     def test_aligned_code_is_consistent(self, rm41):
-        deleted = [0, 1, rm41.k + 1]
-        aligned, new_deleted = modcode.align_information_set(rm41, deleted)
-        assert not gf2.mat_mul(aligned.G, aligned.H.T).any()
-        assert np.array_equal(aligned.G[:, : aligned.k], gf2.identity(aligned.k))
+        mod = assemble_both(rm41, [0, 1, rm41.k + 1])
+        assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
+        assert_parent_words_satisfy(mod)
 
     def test_moving_columns_reduces_only_leaving_rows(self, rref_shapes):
         code = rmcode.build(8, 4)
@@ -94,7 +121,8 @@ class TestAlignInformationSet:
 
     @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 3)])
     def test_random_deletions_match_elimination(self, m, r):
-        """Both raise RankError or give the same code and deletion set."""
+        """Both raise RankError or give the same H_m, column order and
+        deletion set."""
         code = rmcode.build(m, r)
         rng = np.random.default_rng(10 * m + r)
         outcomes = set()
@@ -104,25 +132,19 @@ class TestAlignInformationSet:
             if trial % 4 == 0:  # many information columns at once
                 deleted = np.union1d(deleted, rng.choice(code.k, size=code.k // 2, replace=False))
             try:
-                g, perm, expected = eliminated_alignment(code, deleted)
+                assemble_both(code, deleted, seed=trial)
             except gf2.RankError:
-                with pytest.raises(gf2.RankError):
-                    modcode.align_information_set(code, deleted)
                 outcomes.add("raise")
                 continue
-            aligned, new_deleted = modcode.align_information_set(code, deleted)
-            assert np.array_equal(aligned.G, g)
-            assert np.array_equal(aligned.info_perm, perm)
-            assert np.array_equal(new_deleted, expected)
             outcomes.add("equal")
         assert outcomes == {"raise", "equal"}
 
     def test_max_deletion_still_aligns(self, rm31):
         # Delete as many columns as the parity part can hold.
-        deleted = list(range(rm31.n - rm31.k))
-        aligned, new_deleted = modcode.align_information_set(rm31, deleted)
-        assert (new_deleted >= aligned.k).all()
-        assert not gf2.mat_mul(aligned.G, aligned.H.T).any()
+        mod = assemble_both(rm31, list(range(rm31.n - rm31.k)))
+        assert (mod.deleted >= mod.k).all()
+        assert mod.n - mod.k - mod.p == 0
+        assert_parent_words_satisfy(mod)
 
     def test_too_many_deletions(self, rm31):
         with pytest.raises(gf2.RankError):
@@ -131,7 +153,8 @@ class TestAlignInformationSet:
 
 class TestBuildModified:
     def test_degenerate_p0(self, rm41):
-        mod = modcode.build_modified(rm41, [], np.random.default_rng(0))
+        unaligned = modcode.align_information_set(rm41, [])
+        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
         assert mod.p == 0
         assert np.array_equal(mod.H, rm41.H)
         assert np.array_equal(modified_generator(mod), rm41.G)
@@ -172,32 +195,53 @@ class TestBuildModified:
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # The parent's generator without the deleted columns is orthogonal
             # to H_m's punctured block.
-            g_p = np.delete(aligned.G, mod.deleted, axis=1)
+            g_p = np.delete(aligned_parent(mod).G, mod.deleted, axis=1)
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
+    @staticmethod
+    def _left_product(mod, s, columns):
+        out = np.zeros((s.shape[0], mod.n), dtype=np.uint8)
+        out[:, mod.k :] = s
+        mod.left_product(out, columns)
+        return out
+
     @pytest.mark.parametrize("m,r,seed", [(4, 1, 1), (5, 2, 0), (6, 3, 2), (8, 4, 1), (10, 5, 1)])
     def test_left_product_matches_mat_mul(self, m, r, seed):
-        """keygen's S @ H_m, read from H_m's identity columns, against the
-        plain product; for rows of S and for a rectangular block."""
+        """keygen's S @ H_m @ Q, read from H_m's identity columns and
+        written over S, against the plain product; for rows of S, for a
+        rectangular block and across row blocks."""
         code = rmcode.build(m, r)
         rng = np.random.default_rng(seed)
         plan = modcode.puncture_plan(code, rng)
         aligned, deleted = modcode.align_information_set(code, plan.deleted)
         mod = modcode.build_modified(aligned, deleted, rng)
         assert mod.p >= 1
-        for rows in (mod.n - mod.k, 3):
+        for rows in (mod.n - mod.k, 3, modcode._LEFT_BLOCK_ROWS + 1):
             s = rng.integers(0, 2, size=(rows, mod.n - mod.k), dtype=np.uint8)
-            assert np.array_equal(mod.left_product(s), gf2.mat_mul(s, mod.H))
+            product = gf2.mat_mul(s, mod.H)
+            assert np.array_equal(self._left_product(mod, s, np.arange(mod.n)), product)
+            columns = rng.permutation(mod.n)
+            assert np.array_equal(self._left_product(mod, s, columns), product[:, columns])
 
     def test_left_product_without_inserted_rows(self, rm41):
-        mod = modcode.build_modified(rm41, [], np.random.default_rng(0))
+        unaligned = modcode.align_information_set(rm41, [])
+        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
         s = np.random.default_rng(1).integers(0, 2, size=(11, 11), dtype=np.uint8)
-        assert np.array_equal(mod.left_product(s), gf2.mat_mul(s, mod.H))
+        columns = np.random.default_rng(2).permutation(mod.n)
+        expected = gf2.mat_mul(s, mod.H)[:, columns]
+        assert np.array_equal(self._left_product(mod, s, columns), expected)
 
     def test_unaligned_deletions_rejected(self, rm31):
+        unaligned, _ = modcode.align_information_set(rm31, [])
         with pytest.raises(ValueError):
-            modcode.build_modified(rm31, [0], np.random.default_rng(0))
+            modcode.build_modified(unaligned, [0], np.random.default_rng(0))
+        # An alignment that moved column 0 out, to position k, needs it in
+        # the deletion set.
+        aligned, deleted = modcode.align_information_set(rm31, [0, rm31.k])
+        assert deleted[0] == rm31.k
+        with pytest.raises(ValueError, match="moved"):
+            modcode.build_modified(aligned, deleted[1:], np.random.default_rng(0))
 
     def test_punctured_row_space(self, rm41):
         # Rows of the punctured generator are parent codewords with the
@@ -207,7 +251,7 @@ class TestBuildModified:
         aligned, deleted = modcode.align_information_set(rm41, plan.deleted)
         mod = modcode.build_modified(aligned, deleted, rng)
         keep = np.setdiff1d(np.arange(mod.n), mod.deleted)
-        parent = {tuple(c[keep]) for c in enumerate_codewords(aligned.G)}
+        parent = {tuple(c[keep]) for c in enumerate_codewords(aligned_parent(mod).G)}
         p_kept = punctured_check(mod)[:, : mod.k].T
         g_p = np.concatenate([gf2.identity(mod.k), p_kept], axis=1)
         punctured = {tuple(c) for c in enumerate_codewords(g_p)}

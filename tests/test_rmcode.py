@@ -59,6 +59,16 @@ def test_build_shares_one_read_only_code_while_referenced():
     assert rmcode.build(7, 2) is again
 
 
+@pytest.mark.parametrize("m,r", [(3, 0), (4, 1), (5, 2), (6, 3), (4, 4), (10, 5)])
+def test_packed_parity_block_unpacks_to_p_transposed(m, r):
+    code = rmcode.build(m, r)
+    packed = code.packed_PT
+    assert packed.shape == (code.n - code.k, (code.k + 7) // 8)
+    assert not packed.flags.writeable and code.packed_PT is packed
+    bits = np.unpackbits(packed, axis=1, count=code.k, bitorder="little")
+    assert np.array_equal(bits, code.G[:, code.k :].T)
+
+
 def test_threads_building_one_code_get_equal_codes():
     # Each build drops its code at once, so codes are built and freed
     # while other threads look them up; two threads may build one code

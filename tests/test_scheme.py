@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rmsig import analysis, formats, gf2, rmcode, scheme
+from rmsig import analysis, formats, gf2, modcode, rmcode, scheme
 
 from reference import modified_generator, perm_matrix
 
@@ -124,6 +124,38 @@ class TestKeygen:
     def test_t_mismatch_rejected(self):
         with pytest.raises(ValueError):
             scheme.keygen(4, 1, scheme.SigningParams(w=8, N=50, t=2), np.random.default_rng(0))
+
+    # SHA-256 of the public and private key files of RM(1,4) keys (w = 3,
+    # N = 100) whose first puncture plans have no information set off
+    # their deleted columns: one plan at key seed 4, three at seed 13.
+    # Recorded when alignment still formed the aligned generator.
+    RESAMPLED = {
+        4: (
+            "f7fa6c883c4d389ccca7844ee2457d05f2511ab4c3901fb0e3f9256225d0a67f",
+            "7905e74bdd82dab953f618ed18f72d40088d90c2613022c0d067239854bf90b7",
+        ),
+        13: (
+            "1f44a1b64764ca60d56d790ceda59b63e00e7b51900fa3468004154a3670a650",
+            "740f9df8efa794ed3e4f205f37d7f195c001af7536ff86bb9687a011ffa31ce7",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed,failures", [(4, 1), (13, 3)])
+    def test_resampled_plan_gives_the_same_key(self, seed, failures):
+        """Keygen draws a new plan after a RankError and draws R only once
+        a plan aligns, so the key files keep their recorded bytes."""
+        code = rmcode.build(4, 1)
+        rng = np.random.default_rng(seed)
+        for _ in range(failures):
+            with pytest.raises(gf2.RankError):
+                modcode.align_information_set(code, modcode.puncture_plan(code, rng).deleted)
+        modcode.align_information_set(code, modcode.puncture_plan(code, rng).deleted)
+        kp = scheme.keygen(4, 1, scheme.SigningParams(w=3, N=100, t=3), np.random.default_rng(seed))
+        digests = tuple(
+            hashlib.sha256(raw).hexdigest()
+            for raw in (formats.save_public_key(kp.public), formats.save_private_key(kp.private))
+        )
+        assert digests == self.RESAMPLED[seed]
 
     @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (6, 3)])
     def test_small_keygens_consistent(self, m, r):
