@@ -3,8 +3,8 @@
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination runs on bit-packed rows; it
 reduces the few rows of a generator whose information columns move,
-and searches projected codes for light words (no generator is
-row-reduced whole: see rmcode).  The one inverse the scheme takes, of
+and tests the rank of a minimum-weight codeword's affine forms (no
+generator is row-reduced whole: see rmcode).  The one inverse the scheme takes, of
 keygen's unit triangular factors of the scrambler S, is a block
 recursion on products instead (invert).  A matrix-vector
 product adds up the columns the vector selects, so it never copies the

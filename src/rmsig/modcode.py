@@ -3,8 +3,10 @@
 The plan picks a minimum-weight codeword x, a minimum-weight word y of
 the code projected onto supp(x), a puncture count p between wt(y) and
 2*wt(y), and a deletion set of p columns containing supp(y) (extras
-drawn from supp(x)).  After re-aligning the information set so every
-deleted column sits in the parity part, the modified parity check is
+drawn from supp(x)).  y is drawn in closed form (see rmcode): the first
+point of supp(x) when 2r >= m, else an (m-2r)-flat inside it.  After
+re-aligning the information set so every deleted column sits in the
+parity part, the modified parity check is
 
     H_m = [ P'^T  I_{n-k-p}  0   ]
           [ R               I_p ]
@@ -30,13 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .rmcode import (
-    RmCode,
-    min_weight_codeword,
-    min_weight_in_rowspace,
-    proj,
-    supp,
-)
+from .rmcode import RmCode, min_weight_codeword, supp, variable_table
 
 
 class PuncturePlan(NamedTuple):
@@ -144,26 +140,37 @@ _LEFT_BLOCK_ROWS = 256
 
 
 def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
-    """Choose the deletion set for a code of order r >= 1."""
-    if code.r < 1:
-        raise ValueError("puncturing needs r >= 1")
+    """Choose the deletion set for a code of order 1 <= r < m.
+
+    When 2r < m, y is supp(x) cut by r more random affine forms and
+    constants, redrawn until they keep exactly 2**(m-2r) of its points,
+    so y is a uniformly random (m-2r)-flat inside supp(x).
+    """
+    m, r = code.m, code.r
+    if not 1 <= r < m:
+        raise ValueError(f"puncturing needs 1 <= r < m, got r={r}, m={m}")
     x = min_weight_codeword(code, rng)
     sx = supp(x)
-    y_proj = min_weight_in_rowspace(proj(code, sx), rng)
+    if 2 * r >= m:
+        keep = sx[:1]
+    else:
+        table = variable_table(m)[:, code.info_perm[sx]]  # supp(x)'s points
+        while True:
+            forms = gf2.random_bits((r, m), rng)
+            consts = gf2.random_bits(r, rng)
+            hit = np.all(gf2.mat_mul(forms, table) == consts[:, None], axis=0)
+            if np.count_nonzero(hit) == 1 << (m - 2 * r):
+                break
+        keep = sx[hit]
     y = np.zeros(code.n, dtype=np.uint8)
-    y[sx[supp(y_proj)]] = 1
-    wy = gf2.weight(y)
+    y[keep] = 1
+    wy = keep.size
     p = int(rng.integers(wy, 2 * wy + 1))
-    # supp(y) lies in supp(x), so x > y marks supp(x) \ supp(y).
+    # supp(y) lies in supp(x), so x > y marks supp(x) \ supp(y), of
+    # 2**(m-r) - wy >= wy columns.
     pool = np.flatnonzero(x > y)
-    extra = p - wy
-    if extra > pool.size:
-        # Only reachable when the randomized search returned a word of
-        # weight above d/2; top up from the remaining columns.
-        outside = np.flatnonzero(x == 0)
-        pool = np.concatenate([pool, rng.permutation(outside)])
-    chosen = rng.choice(pool, size=extra, replace=False) if extra else pool[:0]
-    deleted = np.sort(np.concatenate([supp(y), chosen.astype(np.int64)]))
+    chosen = rng.choice(pool, size=p - wy, replace=False) if p > wy else pool[:0]
+    deleted = np.sort(np.concatenate([keep, chosen]))
     return PuncturePlan(x=x, y=y, p=p, deleted=deleted)
 
 

@@ -29,6 +29,14 @@ parity part the others in ascending order.  For a given information set
 and column order the systematic form is unique, so this is the form a
 row reduction of the monomial generator would give.
 
+The minimum-weight words of RM(r, m) are the indicators of its
+(m-r)-flats (MacWilliams and Sloane, ch. 13), so min_weight_codeword
+draws one as r independent affine forms and their constants.  On an
+(m-r)-flat the code restricts to RM(min(r, m-r), m-r), whose lightest
+words are the single points when 2r >= m and the (m-2r)-subflats
+otherwise, so a puncture plan draws its y in closed form too
+(modcode.puncture_plan); no minimum-weight search is run.
+
 A code stores its generator G in the systematic column order, and
 ``info_perm`` records which evaluation position each systematic column
 came from, which is what the recursive decoder needs.  build shares one
@@ -45,7 +53,6 @@ read; only tests and the benchmark's oracle read it.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -55,12 +62,6 @@ import numpy as np
 from . import gf2
 
 MAX_M = 12
-
-# Exhaustive minimum-weight search is used up to this row-space dimension;
-# above it a randomized information-set search over SEARCH_BUDGET column
-# orders takes over.
-EXHAUSTIVE_DIM = 20
-SEARCH_BUDGET = 48
 
 
 @dataclass(frozen=True)
@@ -219,57 +220,3 @@ def min_weight_codeword(code: RmCode, rng: np.random.Generator) -> np.ndarray:
     vals = gf2.mat_mul(forms, variable_table(m))
     word_eval = np.all(vals == consts[:, None], axis=0).astype(np.uint8)
     return code.to_sys_order(word_eval)
-
-
-def proj(code: RmCode, positions) -> np.ndarray:
-    """Generator of the code projected onto the given positions."""
-    pos = np.asarray(list(positions), dtype=np.int64)
-    if pos.size == 0:
-        raise ValueError("projection index set is empty")
-    pos = np.sort(pos)
-    return code.G[:, pos].copy()
-
-
-def _candidate_words(basis: np.ndarray, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Batches of nonzero words in the row space of a reduced basis.
-
-    Up to EXHAUSTIVE_DIM rows: every nonzero word, 2**14 at a time.
-    Above it: the reduced rows of SEARCH_BUDGET column orders, the
-    identity first and then orders drawn from rng one batch at a time.
-    """
-    dim, length = basis.shape
-    if dim <= EXHAUSTIVE_DIM:
-        shifts = np.arange(dim, dtype=np.uint32)
-        chunk = 1 << 14
-        for start in range(1, 1 << dim, chunk):
-            msgs = np.arange(start, min(start + chunk, 1 << dim), dtype=np.uint32)
-            yield gf2.mat_mul(((msgs[:, None] >> shifts) & 1).astype(np.uint8), basis)
-        return
-    for trial in range(SEARCH_BUDGET):
-        perm = np.arange(length) if trial == 0 else rng.permutation(length)
-        red, pivots = gf2.rref(basis[:, perm])
-        words = np.empty((len(pivots), length), dtype=np.uint8)
-        words[:, perm] = red[: len(pivots)]
-        yield words
-
-
-def min_weight_in_rowspace(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Lowest-weight nonzero word found in the row space of g.
-
-    Exhaustive (hence exact) when the row-space dimension is at most
-    EXHAUSTIVE_DIM; otherwise a randomized information-set search over
-    SEARCH_BUDGET column orders.  The first lightest word of the first
-    batch that holds it is returned, and a weight-1 word ends the search.
-    """
-    red, pivots = gf2.rref(np.asarray(g, dtype=np.uint8))
-    if len(pivots) == 0:
-        raise ValueError("row space is zero")
-    best, best_w = None, red.shape[1] + 1
-    for words in _candidate_words(red[: len(pivots)], rng):
-        weights = words.sum(axis=1)
-        idx = int(np.argmin(weights))
-        if weights[idx] < best_w:
-            best, best_w = words[idx].copy(), int(weights[idx])
-            if best_w == 1:
-                break
-    return best

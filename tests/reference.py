@@ -268,6 +268,17 @@ def min_distance(gen):
     return min(int(w.sum()) for w in enumerate_codewords(gen) if w.any())
 
 
+def min_weight_of_span(g):
+    """Lowest weight of a nonzero word in the row space of g, from every
+    combination of a textbook-reduced basis of at most 16 rows."""
+    basis = np.array([row for row in naive_rref(g) if row.any()], dtype=np.int64)
+    dim = basis.shape[0]
+    if not 1 <= dim <= 16:
+        raise ValueError(f"a row space of dimension {dim} is not enumerated")
+    msgs = (np.arange(1, 1 << dim)[:, None] >> np.arange(dim)) & 1
+    return int(((msgs @ basis) & 1).sum(axis=1).min())
+
+
 def perm_matrix(sigma):
     """Permutation matrix Q with Q[i, sigma[i]] = 1, so (Q v)[i] = v[sigma[i]]."""
     n = len(sigma)

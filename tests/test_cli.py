@@ -42,6 +42,15 @@ class TestKeygenCommand:
         assert out.returncode == 2
         assert out.stderr
 
+    def test_r_equal_to_m_exits_2_and_writes_nothing(self, tmp_path):
+        out = run_cli(
+            "keygen", "--m", 3, "--r", 3, "--w", 1, "--n-trials", 10,
+            "--seed", 0, "--out-prefix", tmp_path / "k",
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "r < m" in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("w, n_trials", [(3, 2**32), (2**32, 4)])
     def test_u32_overflow_exits_2_and_writes_nothing(self, tmp_path, w, n_trials):
         # The key file stores w and N as u32.

@@ -292,6 +292,39 @@ class TestSignatureFile:
         assert loaded > len(raw)
 
 
+# The RM(1,4) key pair of key seed 11 (w = 3, N = 2000) as keygen wrote
+# it while a puncture plan's y was found by a minimum-weight search.  For
+# this 2r < m code keygen now draws another y, so a new key differs, but
+# a load replays the stored deletion set and never draws a plan.
+SEARCHED_RM41_PUBLIC = bytes.fromhex(
+    "524d5347010000040001000000000003000000d00700000000000072ad2c2653671e0935"
+    "f80239c0c5dcc10e70bfd6139de93fad86"
+)
+SEARCHED_RM41_PRIVATE = bytes.fromhex(
+    "524d5347030001040001000700000003000000d007000007000000050000000600000007"
+    "00000008000000090000000b0000000d0000001b809ea00f60062096a0eb002c406c2032"
+    "201fa0e700050000000f000000000000000e00000008000000060000000d0000000b0000"
+    "000c00000001000000040000000200000003000000070000000a00000009000000ca0056"
+    "804080e2807f00b20002800200000003000000060000000a0000000d0000000000000001"
+    "00000004000000080000000500000007000000090000000b0000000c0000000e0000000f"
+    "000000589c92641a31d21a0748f838bae67574524a1955263067f1b063e1f67130c5dce3"
+    "5a0ea5"
+)
+
+
+class TestKeyFromTheSearch:
+    def test_loads_signs_and_saves_back(self):
+        pub = formats.load_public_key(SEARCHED_RM41_PUBLIC)
+        priv = formats.load_private_key(SEARCHED_RM41_PRIVATE)
+        assert formats.save_public_key(pub) == SEARCHED_RM41_PUBLIC
+        assert formats.save_private_key(priv) == SEARCHED_RM41_PRIVATE
+        for j in range(5):
+            message = b"old key %d" % j
+            sig = scheme.sign(priv, message)
+            assert isinstance(sig, scheme.Signature)
+            assert scheme.verify(pub, message, sig)
+
+
 def _patched(raw: bytes, offset: int, data: bytes) -> bytes:
     """Overwrite bytes at offset, then recompute the CRC so only the content is wrong."""
     import struct, zlib

@@ -29,16 +29,16 @@ CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
 # signing counters.
 GOLDEN = {
     (4, 1, 3, 2000, 11): {
-        "public": "299bea355158dd6c6952e059ba484d7290ac2458c1c9bcd007b476a9bb6f1aee",
-        "private": "faadea349ade2c3d7f1092191bb2ac975f0fb71f6f36dedc638f973906424537",
-        "sig0": "03eb9073aa3dd27e14736e684b7da28c99bfa8756f31bde378e5f9f0c0f3d6c0",
-        "sig1": "bc16a056347d7ee126fca25299489f9eb296a4f05dfe3a2b4b386a886e6ea47d",
-        "sig2": "3c8599f9351ffd319d5106dc3c78ec0ef3823cadfc4c28b4356b7cea376e0f53",
-        "sig3": "e5c07b04907eba79b7ac7973182dab5c7fdd8307c01435b1cd117e01c3626d3e",
-        "sig4": "3b216c4e2e25915b991c14a62a465503869bb1718dae8ebe32057f2f2824bd8a",
+        "public": "758b99219582ade06549fe1672eecf5ca1fef9131323eb13e7a787b4954ee7c9",
+        "private": "495e77a04b7781b3f1cd2135602ea98e6b57aa1ba7a74a687b91ff4b6aa18e14",
+        "sig0": "2c47482552d3c100f839aa658cb132d68524d4fcd9f4b4f98a6bd4aac69b37af",
+        "sig1": "eeebe1d8fc07671ac17b8b49e2b9161f8ba7358bf469962b5532736c58fd7b53",
+        "sig2": "44f51b43e7fa7f92ac7aafb7befae5175551b35ce7fbd420423285efec29ecbb",
+        "sig3": "e092188f726a460d160305152c75824d786965e7c62f0e9ffbf7b8bff358d50f",
+        "sig4": "6dd7447b3a7c1fb0f4b2ce55ccb534063e6c86e1a206a5d56a741035dd2fe78f",
         "csv_plain": "e5db25e23ee07d69e77994d485fe57892f761fbe4223dbfec79e71399935ac49",
-        "csv_modified": "efec3482ec6a78240fa8e981a8e9d8ed15b2bfde799587cc20dc95d1c05c94b0",
-        "counters": [8, 9, 1, 6, 2],
+        "csv_modified": "06754bf3d54aa36c310cb110992becdf110400728f449443141fdab886bce77d",
+        "counters": [7, 3, 1, 7, 10],
     },
     (6, 3, 3, 4000, 13): {
         "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
@@ -75,17 +75,17 @@ EXHAUSTIVE = {
     (4, 2): "8fa3b5d2be79b2296e6435c092b618ca34b17adc9e0b7e1d57eaec127d2c5a51",
     (5, 2): "9013fa53c47c7d841b68034070f811c3ede791c2bbc2981efd7b2b304db1eeed",
 }
-EXHAUSTIVE_MODIFIED_RM41 = "aada76271338db4ca8fd6c356a5a8e43167f47e6a3039b0a4586f315bb4e3e22"
+EXHAUSTIVE_MODIFIED_RM41 = "7763588cb1852cff8dcceef1f12e00b26f23ee5486302ad1db10e6853dc7f2cc"
 
 # SHA-256 of the puncture plans (y, p, deleted) of key seeds 0-4, by
-# (m, r).  The golden keys above take the exhaustive minimum-weight
-# search or stop at a weight-1 word on its first column order; these
-# projections have dimension 22 and 64 and lightest word 16, so every
-# plan runs the randomized search through all its column orders and
-# pins its draws from rng.
+# (m, r).  The golden RM(3,6) and RM(5,10) keys have 2r >= m, so their
+# y is the first point of supp(x) and draws nothing from rng; here
+# 2r < m, so y is a 16-point flat cut out of supp(x) by r random affine
+# forms, redrawn until they keep 16 points, and these digests pin those
+# draws.
 PLANS = {
-    (8, 2): "577d52cc0922156a02c42ffe8492c80eda5c511fa1094df8145c47924e09bc20",
-    (10, 3): "5b3769aad5b1d247cffb5afb95407160606eafdb8b71e276dbaee4c349456dca",
+    (8, 2): "cc58094f2901c6d3805214eb528b5caf84de2cb092c78670719d9a9a45fba9a5",
+    (10, 3): "9515614f47da7268dedc01261a92c7aefc40996a19c458206ebfd608ed220084",
 }
 
 # SHA-256 of the public and private key files of the benchmark's

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from reference import (
     aligned_parent,
     eliminated_alignment,
     enumerate_codewords,
+    min_weight_of_span,
     modified_check,
     modified_generator,
     monomial_generator,
@@ -56,6 +59,49 @@ class TestPuncturePlan:
         code = rmcode.build(3, 0)
         with pytest.raises(ValueError):
             modcode.puncture_plan(code, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_r_equal_to_m_rejected(self, m):
+        # RM(m, m) is the whole space: it has no parity part to puncture.
+        with pytest.raises(ValueError, match="r < m"):
+            modcode.puncture_plan(rmcode.build(m, m), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "m,r", [(m, r) for m in range(2, 11) for r in range(1, m)], ids=lambda v: str(v)
+    )
+    def test_y_is_a_minimum_weight_word_of_the_projection(self, m, r):
+        """y lies in supp(x), in the code projected onto supp(x), and has
+        that projection's minimum weight: 2**(m-2r), or 1 when 2r >= m."""
+        code = rmcode.build(m, r)
+        # supp(x) is an (m-r)-flat, so the projection is RM(min(r, m-r), m-r).
+        dim = sum(comb(m - r, i) for i in range(min(r, m - r) + 1))
+        for seed in range(4):
+            plan = modcode.puncture_plan(code, np.random.default_rng(seed))
+            sx = rmcode.supp(plan.x)
+            assert not (plan.y > plan.x).any()
+            assert int(plan.y.sum()) == 1 << max(m - 2 * r, 0)
+            projected = code.G[:, sx]
+            assert len(gf2.rref(projected)[1]) == dim
+            assert len(gf2.rref(np.vstack([projected, plan.y[sx]]))[1]) == dim
+            if dim <= 16:
+                assert int(plan.y.sum()) == min_weight_of_span(projected)
+
+    def test_plans_with_2r_at_least_m_are_pinned(self):
+        """SHA-256 of the plans (y, p, deleted) of key seeds 0-9 on the
+        2r >= m codes RM(3,6), RM(4,8), RM(5,10) and RM(6,12), recorded
+        while y was still found by a minimum-weight search: y is the first
+        point of supp(x), so these plans and their keys keep their bytes."""
+        digest = hashlib.sha256()
+        for m, r in [(6, 3), (8, 4), (10, 5), (12, 6)]:
+            code = rmcode.build(m, r)
+            for seed in range(10):
+                plan = modcode.puncture_plan(code, np.random.default_rng(seed))
+                digest.update(plan.y.tobytes())
+                digest.update(np.int64(plan.p).tobytes())
+                digest.update(plan.deleted.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "d806736f81eee68a66a83c94ed1d54e4b7a59b908a594a9cd6452c2d3f1148d7"
+        )
 
 
 def assemble_both(code, deleted, seed=0):

@@ -154,21 +154,14 @@ class TestSupp:
 
 
 class TestProj:
-    def test_full_projection_is_identity(self, rm31):
-        g = rmcode.proj(rm31, range(rm31.n))
-        assert same_row_space(g, rm31.G)
-
-    def test_empty_rejected(self, rm31):
-        with pytest.raises(ValueError):
-            rmcode.proj(rm31, [])
+    """The code projected onto a minimum-weight support, an (m-r)-flat,
+    is RM(min(r, m-r), m-r), whose lightest words puncture_plan draws."""
 
     def test_rm31_onto_min_weight_support(self, rm31):
         # Enumerating all 16 codewords and projecting them is the oracle.
         x = rmcode.min_weight_codeword(rm31, np.random.default_rng(1))
         sx = rmcode.supp(x)
         projected = {tuple(c[sx]) for c in enumerate_codewords(rm31.G)}
-        g = rmcode.proj(rm31, sx)
-        assert {tuple(c) for c in enumerate_codewords(g)} == projected
         weights = sorted(sum(c) for c in projected if any(c))
         assert weights[0] == 2
         assert np.log2(len(projected)) == 3
@@ -178,54 +171,6 @@ class TestProj:
         sx = rmcode.supp(x)
         projected = {tuple(c[sx]) for c in enumerate_codewords(rm41.G)}
         assert min(sum(c) for c in projected if any(c)) == 4
-
-    def test_projection_composes(self, rm41):
-        # Projecting onto L then onto positions-within-L equals projecting
-        # onto L[inner] directly.
-        L = np.array([0, 2, 5, 7, 9, 12])
-        inner = np.array([1, 3, 4])
-        assert same_row_space(
-            rmcode.proj(rm41, L)[:, inner], rmcode.proj(rm41, L[inner])
-        )
-
-
-class TestMinWeightInRowspace:
-    def test_identity(self):
-        w = rmcode.min_weight_in_rowspace(gf2.identity(2), np.random.default_rng(0))
-        assert int(w.sum()) == 1
-
-    def test_projected_rm31(self, rm31):
-        x = rmcode.min_weight_codeword(rm31, np.random.default_rng(3))
-        g = rmcode.proj(rm31, rmcode.supp(x))
-        y = rmcode.min_weight_in_rowspace(g, np.random.default_rng(0))
-        assert int(y.sum()) == 2
-
-    def test_projected_rm41(self, rm41):
-        x = rmcode.min_weight_codeword(rm41, np.random.default_rng(4))
-        g = rmcode.proj(rm41, rmcode.supp(x))
-        y = rmcode.min_weight_in_rowspace(g, np.random.default_rng(0))
-        assert int(y.sum()) == 4
-
-    def test_randomized_path_finds_min(self, monkeypatch):
-        # Dimension 22 forces the information-set search; planted min weight 2.
-        monkeypatch.setattr(rmcode, "SEARCH_BUDGET", 64)
-        rng = np.random.default_rng(6)
-        g = np.zeros((22, 40), dtype=np.uint8)
-        g[:, :22] = gf2.identity(22)
-        g[:, 22:] = gf2.random_bits((22, 18), rng)
-        g[0] = 0
-        g[0, 38] = g[0, 39] = 1
-        found = rmcode.min_weight_in_rowspace(g, np.random.default_rng(7))
-        assert int(found.sum()) <= 3
-
-    def test_zero_rowspace_rejected(self):
-        with pytest.raises(ValueError):
-            rmcode.min_weight_in_rowspace(np.zeros((3, 5), dtype=np.uint8), np.random.default_rng(0))
-
-    def test_result_in_rowspace(self, rm31):
-        y = rmcode.min_weight_in_rowspace(rm31.G, np.random.default_rng(8))
-        assert int(y.sum()) == rm31.d
-        assert not gf2.mat_mul(rm31.H, y).any()
 
 
 ALL_CODES = [
