@@ -145,15 +145,18 @@ def success_probability(dist: WeightDistribution, w: int, n_trials: int) -> floa
 def choose_params(dist: WeightDistribution, target_success: float, candidates):
     """Smallest w (then smallest N) whose success probability meets target.
 
-    Candidates with w below the code's correctability t, or N below 1,
-    are not valid SigningParams and are skipped.
+    Candidates that SigningParams rejects are skipped.
     """
     grid = sorted(set((int(w), int(n)) for w, n in candidates))
     if not grid:
         raise NoFeasibleParams("empty candidate grid")
     for w, n in grid:
-        if w >= dist.t and n >= 1 and success_probability(dist, w, n) >= target_success:
-            return SigningParams(w=w, N=n, t=dist.t)
+        try:
+            params = SigningParams(w=w, N=n, t=dist.t)
+        except ValueError:
+            continue
+        if success_probability(dist, w, n) >= target_success:
+            return params
     raise NoFeasibleParams(
         f"no (w, N) in grid reaches success probability {target_success}"
     )

@@ -318,8 +318,11 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     raises ValueError on any other shape or value (larger reliabilities
     would wrap int8 inside the soft blocks).  Returns codeword(s) in
     evaluation order, for any such input (including all-erased).  Exact
-    ML whenever r <= 1, r = m-1 or r = m.
+    ML whenever r <= 1, r = m-1 or r = m.  Raises ValueError unless
+    0 <= r <= m.
     """
+    if not 0 <= r <= m:
+        raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     columns = np.ascontiguousarray(_input_rows(soft, 1 << m, "2**m", -1).T, dtype=np.int8)
     words = np.empty(columns.shape, dtype=np.int8)
     _decode(m, r, columns, words)

@@ -49,8 +49,9 @@ class Alignment(NamedTuple):
     Column j of the aligned code is column order[j] of the parent: the
     kept information columns, the q entering ones, the q leaving ones
     and the other parity columns, each ascending.  Row j of moved is the
-    parent's generator row of the j-th leaving column, reduced to the
-    identity on the entering columns, in the parent's column order.
+    parent's generator row of the j-th leaving column (RmCode.rows),
+    reduced to the identity on the entering columns, in the parent's
+    column order.
     q = 0 leaves the parent's order.
     """
 
@@ -201,7 +202,7 @@ def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]
     candidates = np.flatnonzero(allowed)
     # The candidates first, so the pivots pick the first independent ones.
     cols = np.concatenate([candidates, np.flatnonzero(~allowed)])
-    red, pivots = gf2.rref(np.take(code.G[leaving], cols, axis=1))
+    red, pivots = gf2.rref(np.take(code.rows(leaving), cols, axis=1))
     if pivots[-1] >= candidates.size:
         raise gf2.RankError(
             f"the candidate columns do not complete an information set of size k={k}"

@@ -37,17 +37,18 @@ words are the single points when 2r >= m and the (m-2r)-subflats
 otherwise, so a puncture plan draws its y in closed form too
 (modcode.puncture_plan); no minimum-weight search is run.
 
-A code stores its generator G in the systematic column order, and
-``info_perm`` records which evaluation position each systematic column
-came from, which is what the recursive decoder needs.  build shares one
-read-only code per (m, r) while any reference to it is held.  Moving the
-information set off punctured columns eliminates only the rows of the
-columns that leave it (modcode.align_information_set); keygen does this
-once, and a private-key load replays the same move from the closed form,
-and neither writes the generator of the new column order: the modified
-parity check is read from the parent's packed parity block (packed_PT)
-and the moved rows.  The parity check H is derived from G on first
-read; only tests and the benchmark's oracle read it.
+A code stores only its parity block P^T, packed (packed_PT) and
+written straight from the closed form, and ``info_perm``, the
+evaluation position each systematic column came from, which the
+recursive decoder needs; no program path forms a generator.
+build shares one read-only code per (m, r) while any reference to it is
+held.  Moving the information set off punctured columns eliminates only
+the rows of the columns that leave it (modcode.align_information_set),
+read with RmCode.rows; keygen does this once, and a private-key load
+replays the same move from the closed form.  The modified parity check
+is read from packed_PT and the moved rows.  The parity check H is
+unpacked from packed_PT on first read; only tests and the benchmark's
+oracle read it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ MAX_M = 12
 
 @dataclass(frozen=True)
 class RmCode:
-    """A systematic RM(r, m) code.
+    """A systematic RM(r, m) code, generator G = [I_k | P].
 
-    Only G = [I_k | P] is stored; column j of G is evaluation position
+    Only P^T is stored, packed: row j of packed_PT holds column k + j of
+    G, its k bits in ceil(k/8) bytes, bit i of byte b being row 8b + i
+    (little-endian bit order).  Column j of G is evaluation position
     info_perm[j] of the raw monomial code.
     """
 
@@ -77,7 +80,7 @@ class RmCode:
     n: int
     k: int
     d: int
-    G: np.ndarray
+    packed_PT: np.ndarray
     info_perm: np.ndarray
 
     @property
@@ -85,23 +88,20 @@ class RmCode:
         """Guaranteed error correctability floor((d-1)/2)."""
         return (self.d - 1) // 2
 
-    @property
-    def P(self) -> np.ndarray:
-        return self.G[:, self.k :]
-
-    @cached_property
-    def packed_PT(self) -> np.ndarray:
-        """P^T packed: row j holds column k + j of G, its k bits in
-        ceil(k/8) bytes, bit i of byte b being row 8b + i (little-endian
-        bit order); read-only, built on first read."""
-        packed = np.ascontiguousarray(gf2._packbits_axis0(self.P).T)
-        packed.flags.writeable = False
-        return packed
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Rows index of G: the identity bit, and P's bits read out of
+        packed_PT."""
+        index = np.asarray(index, dtype=np.int64)
+        g = np.zeros((index.size, self.n), dtype=np.uint8)
+        g[np.arange(index.size), index] = 1
+        g[:, self.k :] = ((self.packed_PT[:, index >> 3] >> (index & 7)) & 1).T
+        return g
 
     @cached_property
     def H(self) -> np.ndarray:
-        """H = [P^T | I_{n-k}], so G @ H.T = 0; built from G on first read."""
-        h = np.concatenate([self.P.T, gf2.identity(self.n - self.k)], axis=1)
+        """H = [P^T | I_{n-k}], so G @ H.T = 0; unpacked on first read."""
+        bits = np.unpackbits(self.packed_PT, axis=1, count=self.k, bitorder="little")
+        h = np.concatenate([bits, gf2.identity(self.n - self.k)], axis=1)
         h.flags.writeable = False
         return h
 
@@ -116,13 +116,6 @@ def variable_table(m: int) -> np.ndarray:
     """m x 2**m table of variable values at every evaluation point."""
     points = np.arange(1 << m, dtype=np.uint32)
     return ((points[None, :] >> np.arange(m, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
-
-
-def _assemble(m: int, r: int, g_sys: np.ndarray, perm: np.ndarray) -> RmCode:
-    perm = np.ascontiguousarray(perm, dtype=np.int64)
-    for a in (g_sys, perm):
-        a.flags.writeable = False
-    return RmCode(m=m, r=r, n=1 << m, k=g_sys.shape[0], d=1 << (m - r), G=g_sys, info_perm=perm)
 
 
 def _check_params(m: int, r: int) -> None:
@@ -146,9 +139,9 @@ _CLOSED_FORM_CELLS = 1 << 18
 """Largest temporary of the closed form, in uint32 cells (1 MB)."""
 
 
-def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """G = [I_k | P] and info_perm of RM(r, m), from the closed form in the
-    module docstring, written row block by row block."""
+def _systematic(m: int, r: int) -> RmCode:
+    """RM(r, m) from the closed form in the module docstring: packed_PT
+    written a block of its rows at a time, and info_perm."""
     n = 1 << m
     points = np.arange(n, dtype=np.uint32)
     weights = np.bitwise_count(points).astype(np.int64)
@@ -163,16 +156,14 @@ def _systematic(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     key = (points[low] | (1 << (m + weights[low]))).astype(np.uint32)
     mask = (~points[~low] & (n - 1)) | (even_bits[weights[~low] - r - 1] << m)
     mask = mask.astype(np.uint32)
-    g = np.zeros((k, n), dtype=np.uint8)
-    np.fill_diagonal(g, 1)
-    if k < n:
-        rows = max(1, _CLOSED_FORM_CELLS // (n - k))
-        cells = np.empty((min(rows, k), n - k), dtype=np.uint32)
-        for start in range(0, k, rows):
-            block = cells[: min(rows, k - start)]
-            np.bitwise_and(key[start : start + rows, None], mask, out=block)
-            np.equal(block, 0, out=g[start : start + rows, k:].view(np.bool_))
-    return g, info_perm
+    packed = np.empty((n - k, (k + 7) // 8), dtype=np.uint8)
+    rows = max(1, _CLOSED_FORM_CELLS // k)
+    for start in range(0, n - k, rows):
+        cells = mask[start : start + rows, None] & key
+        packed[start : start + rows] = np.packbits(cells == 0, axis=1, bitorder="little")
+    for a in (packed, info_perm):
+        a.flags.writeable = False
+    return RmCode(m=m, r=r, n=n, k=k, d=1 << (m - r), packed_PT=packed, info_perm=info_perm)
 
 
 _built: weakref.WeakValueDictionary[tuple[int, int], RmCode] = weakref.WeakValueDictionary()
@@ -185,15 +176,15 @@ def build(m: int, r: int) -> RmCode:
     reference to RM(r, m) is held returns that object, whose arrays are
     read-only, and the code is freed with its last reference.  So a
     caller's code, keygen's parent and a key load's replay are one
-    generator, and key set-up holds no other generator beside it: the
-    aligned column order is a permutation and a few moved rows
-    (modcode.align_information_set).  Two threads building one new code
-    may each build it; both results are equal.
+    packed parity block, and key set-up holds no other matrix of the
+    code beside it: the aligned column order is a permutation and a few
+    moved rows (modcode.align_information_set).  Two threads building
+    one new code may each build it; both results are equal.
     """
     _check_params(m, r)
     code = _built.get((m, r))
     if code is None:
-        code = _built[m, r] = _assemble(m, r, *_systematic(m, r))
+        code = _built[m, r] = _systematic(m, r)
     return code
 
 

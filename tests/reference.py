@@ -151,18 +151,25 @@ def eliminated_with_perm(m, r, info_perm):
     return systematize(np.take(raw, perm, axis=1), excluded=range(k, n))[0]
 
 
+def generator(code):
+    """The systematic generator [I_k | P] of an RmCode, read row by row."""
+    return code.rows(np.arange(code.k))
+
+
 def aligned_parent(mod):
     """The parent RmCode of a modified code, eliminated afresh in the
-    code's stored column order."""
+    code's stored column order: the eliminated generator's P^T, packed."""
     g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
-    return rmcode._assemble(mod.m, mod.r, g, mod.info_perm)
+    k, n = g.shape
+    packed = np.packbits(g[:, k:].T, axis=1, bitorder="little")
+    return rmcode.RmCode(mod.m, mod.r, n, k, 1 << (mod.m - mod.r), packed, mod.info_perm)
 
 
 def eliminated_alignment(code, deleted):
     """(G, info_perm, deleted) of a code re-systematized with the deleted
     columns excluded from the information set, by one elimination."""
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
-    g_new, order = systematize(code.G, excluded=deleted)
+    g_new, order = systematize(generator(code), excluded=deleted)
     inv = np.empty(code.n, dtype=np.int64)
     inv[order] = np.arange(code.n)
     return g_new, code.info_perm[order], np.sort(inv[deleted])

@@ -176,6 +176,15 @@ class TestChooseParams:
         params = analysis.choose_params(dist, 0.0, [(1, 0), (2, 1)])
         assert (params.w, params.N) == (2, 1)
 
+    def test_skips_n_or_w_beyond_32_bits(self):
+        """SigningParams rejects w or N of 2**32; the grid goes on past them."""
+        dist = self.synthetic({2: 1}, t=1)
+        for grid in ([(3, 2**32)], [(2**32, 1)]):
+            with pytest.raises(analysis.NoFeasibleParams):
+                analysis.choose_params(dist, 0.9, grid)
+        params = analysis.choose_params(dist, 0.9, [(3, 2**32), (4, 5)])
+        assert (params.w, params.N) == (4, 5)
+
     def test_infeasible(self):
         dist = self.synthetic({9: 1})
         with pytest.raises(analysis.NoFeasibleParams):

@@ -14,6 +14,7 @@ from reference import (
     aligned_parent,
     coset_leader_weights,
     enumerate_codewords,
+    generator,
     hadamard_decode,
     int_to_bits,
     punctured_check,
@@ -43,14 +44,14 @@ class TestDecodeClosest:
         rng = np.random.default_rng(m * 10 + r)
         for _ in range(20):
             msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-            word_sys = gf2.mat_mul(code.G.T, msg)
+            word_sys = gf2.mat_mul(generator(code).T, msg)
             word_eval = to_eval_order(code, word_sys)
             got = decoder.decode_closest(m, r, decoder.to_soft(word_eval))
             assert np.array_equal(got, word_eval)
 
     def test_rm31_all_hard_inputs_are_ml(self, rm31):
         # Brute force: distance to the nearest of the 16 codewords.
-        eval_words = [to_eval_order(rm31, c) for c in enumerate_codewords(rm31.G)]
+        eval_words = [to_eval_order(rm31, c) for c in enumerate_codewords(generator(rm31))]
         for v_int in range(256):
             v = int_to_bits(v_int, 8)
             got = decoder.decode_closest(3, 1, decoder.to_soft(v))
@@ -93,6 +94,10 @@ class TestDecodeClosest:
             decoder.decode_closest(3, 1, np.ones((1, 1, 8), dtype=np.int8))
         with pytest.raises(ValueError, match=r"shape \(1, 1, 4\)"):
             decoder.coset_leaders(rmcode.build(3, 1), np.zeros((1, 1, 4), dtype=np.uint8))
+        # An order outside 0..m names no RM code.
+        for r in (-1, 4):
+            with pytest.raises(ValueError, match="0 <= r <= m"):
+                decoder.decode_closest(3, r, np.ones(8, dtype=np.int8))
         # Values outside {-1, 0, +1} in any dtype, including ones that an
         # int8 cast would wrap (256 -> 0, 255 -> -1) or truncate (0.5 -> 0).
         soft = np.array([1, -1, 0, 1, 1, -1, 0, 1])

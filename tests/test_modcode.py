@@ -8,9 +8,10 @@ import pytest
 from rmsig import gf2, modcode, rmcode
 
 from reference import (
-    aligned_parent,
     eliminated_alignment,
+    eliminated_with_perm,
     enumerate_codewords,
+    generator,
     min_weight_of_span,
     modified_check,
     modified_generator,
@@ -80,7 +81,7 @@ class TestPuncturePlan:
             sx = rmcode.supp(plan.x)
             assert not (plan.y > plan.x).any()
             assert int(plan.y.sum()) == 1 << max(m - 2 * r, 0)
-            projected = code.G[:, sx]
+            projected = generator(code)[:, sx]
             assert len(gf2.rref(projected)[1]) == dim
             assert len(gf2.rref(np.vstack([projected, plan.y[sx]]))[1]) == dim
             if dim <= 16:
@@ -203,7 +204,7 @@ class TestBuildModified:
         mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
         assert mod.p == 0
         assert np.array_equal(mod.H, rm41.H)
-        assert np.array_equal(modified_generator(mod), rm41.G)
+        assert np.array_equal(modified_generator(mod), generator(rm41))
 
     def test_block_shapes(self):
         code = rmcode.build(4, 1)
@@ -241,7 +242,8 @@ class TestBuildModified:
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # The parent's generator without the deleted columns is orthogonal
             # to H_m's punctured block.
-            g_p = np.delete(aligned_parent(mod).G, mod.deleted, axis=1)
+            parent = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
+            g_p = np.delete(parent, mod.deleted, axis=1)
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
@@ -297,7 +299,8 @@ class TestBuildModified:
         aligned, deleted = modcode.align_information_set(rm41, plan.deleted)
         mod = modcode.build_modified(aligned, deleted, rng)
         keep = np.setdiff1d(np.arange(mod.n), mod.deleted)
-        parent = {tuple(c[keep]) for c in enumerate_codewords(aligned_parent(mod).G)}
+        g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
+        parent = {tuple(c[keep]) for c in enumerate_codewords(g)}
         p_kept = punctured_check(mod)[:, : mod.k].T
         g_p = np.concatenate([gf2.identity(mod.k), p_kept], axis=1)
         punctured = {tuple(c) for c in enumerate_codewords(g_p)}

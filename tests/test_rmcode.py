@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ from rmsig import gf2, rmcode
 from reference import (
     eliminated_code,
     enumerate_codewords,
+    generator,
     min_distance,
     monomial_generator,
     same_row_space,
@@ -36,7 +38,7 @@ def test_build_parameter_table(m, r, n, k, d):
 def test_build_full_space_m2_r2():
     code = rmcode.build(2, 2)
     assert (code.n, code.k, code.d) == (4, 4, 1)
-    assert same_row_space(code.G, gf2.identity(4))
+    assert same_row_space(generator(code), gf2.identity(4))
 
 
 def test_build_rm31(rm31):
@@ -48,14 +50,14 @@ def test_build_shares_one_read_only_code_while_referenced():
     # No fixture holds RM(7,2), so this test's references are the only ones.
     code = rmcode.build(7, 2)
     assert rmcode.build(7, 2) is code
-    for arr in (code.G, code.info_perm, code.H):
+    for arr in (code.packed_PT, code.info_perm, code.H):
         assert not arr.flags.writeable
-    g, ref = code.G.copy(), weakref.ref(code)
+    packed, ref = code.packed_PT.copy(), weakref.ref(code)
     del code
     gc.collect()
     assert ref() is None
     again = rmcode.build(7, 2)
-    assert np.array_equal(again.G, g)
+    assert np.array_equal(again.packed_PT, packed)
     assert rmcode.build(7, 2) is again
 
 
@@ -66,24 +68,24 @@ def test_packed_parity_block_unpacks_to_p_transposed(m, r):
     assert packed.shape == (code.n - code.k, (code.k + 7) // 8)
     assert not packed.flags.writeable and code.packed_PT is packed
     bits = np.unpackbits(packed, axis=1, count=code.k, bitorder="little")
-    assert np.array_equal(bits, code.G[:, code.k :].T)
+    assert np.array_equal(bits, generator(code)[:, code.k :].T)
 
 
 def test_threads_building_one_code_get_equal_codes():
     # Each build drops its code at once, so codes are built and freed
     # while other threads look them up; two threads may build one code
     # twice, but never get a wrong or missing one.
-    expected = rmcode.build(8, 3).G.copy()
+    expected = rmcode.build(8, 3).packed_PT.copy()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            futures = [pool.submit(lambda: rmcode.build(8, 3).G.copy()) for _ in range(64)]
-            generators = [future.result(timeout=60) for future in futures]
+            futures = [pool.submit(lambda: rmcode.build(8, 3).packed_PT.copy()) for _ in range(64)]
+            blocks = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for g in generators:
-        assert np.array_equal(g, expected)
+    for packed in blocks:
+        assert np.array_equal(packed, expected)
 
 
 def test_build_rejects_bad_params():
@@ -98,21 +100,22 @@ def test_build_rejects_bad_params():
 @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (10, 5)])
 def test_generator_check_orthogonal(m, r):
     code = rmcode.build(m, r)
-    assert not gf2.mat_mul(code.G, code.H.T).any()
-    assert (code.G.sum(axis=1) >= code.d).all()
+    g = generator(code)
+    assert not gf2.mat_mul(g, code.H.T).any()
+    assert (g.sum(axis=1) >= code.d).all()
 
 
 def test_systematic_row_space_matches_monomials(rm31):
     raw = monomial_generator(3, 1)
     eval_order = np.empty((rm31.k, rm31.n), dtype=np.uint8)
-    eval_order[:, rm31.info_perm] = rm31.G
+    eval_order[:, rm31.info_perm] = generator(rm31)
     assert same_row_space(eval_order, raw)
 
 
 @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (3, 2), (4, 2)])
 def test_exhaustive_min_distance(m, r):
     code = rmcode.build(m, r)
-    assert min_distance(code.G) == code.d
+    assert min_distance(generator(code)) == code.d
 
 
 class TestMinWeightCodeword:
@@ -122,7 +125,7 @@ class TestMinWeightCodeword:
         assert w.sum() == 8 and (w == 1).all()
 
     def test_rm31_member(self, rm31):
-        codewords = {tuple(c) for c in enumerate_codewords(rm31.G)}
+        codewords = {tuple(c) for c in enumerate_codewords(generator(rm31))}
         for seed in range(10):
             x = rmcode.min_weight_codeword(rm31, np.random.default_rng(seed))
             assert int(x.sum()) == 4
@@ -161,7 +164,7 @@ class TestProj:
         # Enumerating all 16 codewords and projecting them is the oracle.
         x = rmcode.min_weight_codeword(rm31, np.random.default_rng(1))
         sx = rmcode.supp(x)
-        projected = {tuple(c[sx]) for c in enumerate_codewords(rm31.G)}
+        projected = {tuple(c[sx]) for c in enumerate_codewords(generator(rm31))}
         weights = sorted(sum(c) for c in projected if any(c))
         assert weights[0] == 2
         assert np.log2(len(projected)) == 3
@@ -169,7 +172,7 @@ class TestProj:
     def test_rm41_onto_min_weight_support(self, rm41):
         x = rmcode.min_weight_codeword(rm41, np.random.default_rng(2))
         sx = rmcode.supp(x)
-        projected = {tuple(c[sx]) for c in enumerate_codewords(rm41.G)}
+        projected = {tuple(c[sx]) for c in enumerate_codewords(generator(rm41))}
         assert min(sum(c) for c in projected if any(c)) == 4
 
 
@@ -186,8 +189,24 @@ def test_build_matches_elimination(m, r):
     monomial generator gives, information set included."""
     code = rmcode.build(m, r)
     g, perm = eliminated_code(m, r)
-    assert np.array_equal(code.G, g)
+    packed = np.packbits(g[:, code.k :].T, axis=1, bitorder="little")
+    assert np.array_equal(code.packed_PT, packed)
+    assert np.array_equal(code.rows(np.arange(code.k)), g)
     assert np.array_equal(code.info_perm, perm)
+
+
+def test_build_forms_no_generator():
+    """A fresh RM(6,12) build peaks below half the bytes of a k x n uint8
+    generator, and above the packed block it keeps, so it was built
+    while traced."""
+    gc.collect()  # no other test's RM(6,12) is left to share
+    tracemalloc.start()
+    try:
+        code = rmcode.build(12, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.packed_PT.nbytes < peak < code.k * code.n // 2
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (6, 3), (8, 4)])
