@@ -400,6 +400,6 @@ def check_leaders(mod: ModifiedCode, e_primes: np.ndarray, s_primes: np.ndarray)
     gf2 product made under a public decoder function as this check, so
     it stays one (see scheme._trials).
     """
-    got = gf2.mat_mul(np.atleast_2d(e_primes), mod.H.T, mod.H_T_table)
+    got = gf2.mat_mul(np.atleast_2d(e_primes), mod.H_T_table)
     if not np.array_equal(got, np.atleast_2d(s_primes)):
         raise AssertionError("decoded error violates H_m e' = s'")

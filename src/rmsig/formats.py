@@ -33,6 +33,10 @@ stores the counter big-endian, mirroring its role as hash input:
     magic "RMSS", version u16, n u32, i u64 BIG-endian, packed e, crc32.
 
 A matrix packs row-major, each row padded to whole bytes, MSB first.
+Every padding bit must be zero, so every file that loads saves back to
+the same bytes.  H' and H_m are held in this layout (PublicKey,
+ModifiedCode), so they are written, read and hashed with no pack or
+unpack pass.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import zlib
 import numpy as np
 
 from . import gf2
-from .modcode import align_information_set, assemble_modified
+from .modcode import ModifiedCode, align_information_set, assemble_modified
 from .rmcode import build, code_dims
 from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams, check_signature
 
@@ -104,7 +108,7 @@ def _u32_list(values: np.ndarray) -> bytes:
 def save_public_key(pub: PublicKey) -> bytes:
     body = _header(ROLE_PUBLIC, pub.m, pub.r, 0, pub.params)
     body += struct.pack("<I", 0)
-    body += gf2.pack_bits(pub.H)
+    body += pub.packed_H.tobytes()
     return _with_crc(body)
 
 
@@ -116,8 +120,29 @@ def save_private_key(priv: PrivateKey) -> bytes:
     body += _u32_list(priv.sigma)
     body += gf2.pack_bits(mod.R) if mod.p else b""
     body += _u32_list(mod.info_perm)
-    body += hashlib.sha256(body + gf2.pack_bits(mod.H)).digest()
+    body += _digest(body, mod)
     return _with_crc(body)
+
+
+def _digest(body: bytes, mod: ModifiedCode) -> bytes:
+    """SHA-256 of body followed by H_m's packed rows."""
+    digest = hashlib.sha256(body)
+    digest.update(mod.packed_H)
+    return digest.digest()
+
+
+def _packed(rd: _Reader, rows: int, cols: int, what: str) -> np.ndarray:
+    """The next rows x cols packed matrix, as read-only rows of bytes.
+
+    Raises:
+        FormatError: if a padding bit is set; such a file would not save
+            back to its own bytes.
+    """
+    row_bytes = (cols + 7) // 8
+    packed = np.frombuffer(rd.take(rows * row_bytes), dtype=np.uint8).reshape(rows, row_bytes)
+    if cols % 8 and (packed[:, -1] & (0xFF >> cols % 8)).any():
+        raise FormatError(f"{what} has nonzero padding bits")
+    return packed
 
 
 def _parse_header(rd: _Reader, expect_role: int):
@@ -148,10 +173,9 @@ def load_public_key(raw: bytes) -> PublicKey:
     m, r, n, k, p, params, deleted = _parse_header(rd, ROLE_PUBLIC)
     if p or deleted.size:
         raise FormatError("a public key stores p = 0 and no deleted columns")
-    h_pub = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n)), n - k, n)
+    h_pub = _packed(rd, n - k, n, "the public check matrix")
     rd.done()
-    h_pub.flags.writeable = False
-    return PublicKey(m=m, r=r, H=h_pub, params=params)
+    return PublicKey(m=m, r=r, packed_H=h_pub, params=params)
 
 
 def load_private_key(raw: bytes) -> PrivateKey:
@@ -161,13 +185,14 @@ def load_private_key(raw: bytes) -> PrivateKey:
         raise FormatError("deleted column list does not match p")
     if p and (deleted[0] < k or deleted[-1] >= n or (np.diff(deleted) <= 0).any()):
         raise FormatError(f"deleted columns must increase strictly within [{k}, {n})")
-    factors = gf2.unpack_matrix(rd.take(gf2.packed_size(n - k, n - k)), n - k, n - k)
+    packed_factors = _packed(rd, n - k, n - k, "the S^-1 factor matrix")
+    factors = np.unpackbits(packed_factors, axis=1, count=n - k)
     if np.diagonal(factors).any():
         raise FormatError("the S^-1 factor matrix has a nonzero diagonal")
     sigma = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise FormatError("sigma is not a permutation of the column indices")
-    r_block = gf2.unpack_matrix(rd.take(gf2.packed_size(p, n - p)), p, n - p)
+    r_block = np.unpackbits(_packed(rd, p, n - p, "the R block"), axis=1, count=n - p)
     info_perm = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     stored_digest = rd.take(32)
     rd.done()
@@ -185,7 +210,7 @@ def load_private_key(raw: bytes) -> PrivateKey:
         raise FormatError("info_perm is not the column order keygen writes")
     mod = assemble_modified(aligned, deleted, r_block)
     del code, aligned  # H_m is all the key keeps of them
-    if hashlib.sha256(rd.buf[:-32] + gf2.pack_bits(mod.H)).digest() != stored_digest:
+    if _digest(rd.buf[:-32], mod) != stored_digest:
         raise FormatError("private key digest mismatch")
     for arr in (factors, sigma):
         arr.flags.writeable = False
@@ -230,11 +255,9 @@ def load_signature(raw: bytes) -> Signature:
     if version != VERSION:
         raise FormatError(f"unsupported signature file version {version}")
     (counter,) = struct.unpack(">Q", rd.take(8))
-    packed = rd.take(gf2.packed_size(1, n))
+    packed = _packed(rd, 1, n, "signature vector")
     rd.done()
-    if n % 8 and packed[-1] & (0xFF >> n % 8):
-        raise FormatError("signature vector has nonzero padding bits")
-    sig = Signature(e=gf2.unpack_word(packed, n), i=counter)
+    sig = Signature(e=np.unpackbits(packed[0], count=n), i=counter)
     try:
         check_signature(sig, n)
     except ValueError as err:

@@ -14,14 +14,19 @@ every time, XORs its columns packed into uint64 words instead
 signing path's S^-1, and H_m^T for the check of decoded errors) read a
 precomputed Four-Russians table of packed uint64 rows (ProductTable).
 Such a table packs its matrix, and a product its operand, where it
-lies: by rows or, for a transposed view such as S^-1.T, H_m.T or a
+lies: by rows or, for a transposed view such as S^-1.T or a
 column-major batch of errors, by columns, so neither makes a
 transposing copy (_packed_rows); a product then gathers the table rows
 with take into one reused buffer, a block of rows at a time, and skips
 the groups that no row of a block selects, such as the zero triangle
 of keygen's and the key load's triangular factors.  One routine,
 _packbits_axis0, packs by columns, for these and for the matrix of a
-ColumnTable.  mat_mul
+ColumnTable.  The keys hold H' and H_m as packed rows in the layout
+below, and each table also has a constructor from packed lines
+(from_packed): pack_columns packs a packed matrix's columns from a few
+of its rows unpacked at a time, and lsb_first repacks the head of its
+rows by a byte lookup, so no table of a key unpacks the key's matrix.
+A table stands in place of its matrix in mat_mul.  mat_mul
 builds a product table for a one-off product too when both matrices
 are large (see mat_mul), and sends any other matrix product through
 float32 BLAS, which is exact below 2**24 terms.
@@ -67,20 +72,17 @@ class ProductTable:
     j, one XOR per j.  A product then reads one table row per group of
     four bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod
     and Faradzev; Albrecht and Bard's M4RI).  The table takes
-    16 * 2*ceil(k/8) * ceil(c/64) words: 88 KB for a 386 x 386 b, and
-    3.3 MB for RM(12,6)'s 4096 x 1586 H_m^T.
+    16 * 2*ceil(k/8) * ceil(c/64) words.
 
-    The table packs b, and a product packs a, where it lies
-    (_packed_rows): a transposed view by columns, anything else by rows.
-    b is such a view for the signing path's S^-1.T and for H_m.T, by
-    which decoder.check_leaders multiplies decoded errors, and a for
-    every batch of those errors, a view of the decoder's (n, rows)
-    columns.  256 rows of 638 columns of a pack in 26-28 us against
-    146-147 us after a transposing copy.  On RM(12,6) the tables of
-    S^-1.T and H_m.T take 1.1-1.2 and 2.4-3.0 ms, and that of keygen's 1586 x
-    2510 H_m[:, :k] 0.95-1.6 ms, against 1.6-2.6, 5.1-6.2 and 2.2-2.8 ms
-    when each subset was XORed from its rows (key seed 1, one BLAS
-    thread, best and median in three processes per version).
+    ProductTable(b) packs b where it lies (_packed_rows): a transposed
+    view by columns, anything else by rows; a product packs a the same
+    way.  a is a view of the decoder's (n, rows) columns for every batch
+    of decoded errors, so it is packed without a transposing copy.
+    from_packed takes b's rows already packed: the table of H_m^T, by
+    which decoder.check_leaders multiplies decoded errors, is built from
+    H_m's packed columns (pack_columns), and keygen's table of
+    H_m[:, :k] from H_m's packed rows (lsb_first).  Both constructors
+    meet in _init_packed.
 
     A product takes a's rows _ROW_BLOCK at a time.  For each block it
     gathers only the groups from the block's first to its last nonzero
@@ -91,25 +93,31 @@ class ProductTable:
     skip the zero triangle with no flag from their callers.  The table
     rows are gathered with take, into one buffer of at most _GATHER_WORDS
     words that every block and chunk of groups reuses, and XORed chunk
-    by chunk.  On RM(12,6) (same runs) L @ U takes 7.9-9.0 ms against
-    17.6-25.0 ms over all rows at once, and keygen's S @ H_m[:, :k]
-    20.6-25.2 ms against 25.5-43.9 ms, since a block of 128 rows fits
-    more groups into one gather.  The signing path's S^-1 product
-    takes 170-184 us at 16 rows and 1.8-2.0 ms at 256 rows against
-    170-285 us and 2.1-3.1 ms; on RM(10,5) the blocks' span tests cost
-    about 6 us a call: 32-34 against 26-28 us at 16 rows, 201-255
-    against 200-221 us at 256, where float32 BLAS took 821-838 and
-    162-167 us.
+    by chunk; a block of 128 rows fits more groups into one gather than
+    a single row does.
     """
+
+    ndim = 2  # stands in for its matrix in mat_mul's shape checks
 
     def __init__(self, b: np.ndarray) -> None:
         b = np.asarray(b, dtype=np.uint8)
         if b.ndim != 2:
             raise ValueError(f"product table needs a matrix, got shape {b.shape}")
-        k, c = b.shape
+        self._init_packed(_packed_rows(b), b.shape[1])
+
+    @classmethod
+    def from_packed(cls, rows: np.ndarray, c: int) -> ProductTable:
+        """The table of the k x c matrix b whose rows `rows` holds packed
+        LSB-first, np.packbits(b, axis=1, bitorder="little")'s layout."""
+        table = cls.__new__(cls)
+        table._init_packed(rows, c)
+        return table
+
+    def _init_packed(self, rows: np.ndarray, c: int) -> None:
+        k = rows.shape[0]
         k_bytes, words = (k + 7) // 8, (c + 63) // 64
         packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
-        packed[:k, : (c + 7) // 8] = _packed_rows(b)
+        packed[:k, : (c + 7) // 8] = rows
         quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
         # Subset s + 2**j of a group is subset s with row j added.
         table = np.empty((2 * k_bytes, 16, words), dtype=np.uint64)
@@ -201,28 +209,39 @@ class ColumnTable:
 
     Column j of a is row j of the table, ceil(rows/64) uint64 words with
     bit i in word i // 64; a @ v is then the XOR of the table rows at the
-    support of v.  The table takes cols * ceil(rows/64) words: 57 KB for
-    a 386 x 1024 a.  It is built by packing a by columns with
-    _packbits_axis0 and transposing the packed bytes, an eighth as many
-    as a's.  On one thread that takes 0.07-0.08 ms for RM(10,5)'s
-    386 x 1024 H' and 1.4-1.6 ms for RM(12,6)'s 1586 x 4096 (best and
-    median of 21).
+    support of v.  The table takes cols * ceil(rows/64) words, an eighth
+    of a's bytes.  ColumnTable(a) packs a by columns with
+    _packbits_axis0; from_packed takes the columns already packed, as
+    pack_columns writes them from the public key's packed rows.  Both
+    constructors meet in _init_packed.
 
-    A product finds v's support, gathers those table rows with take and
-    XORs them.  For a signature of key seed 1 it takes 12.1 us on
-    RM(10,5) at w = 99 and 25.3 us on RM(12,6) at w = 530, against 17.6
-    and 40.7 us with np.flatnonzero on uint8 and bitwise_xor.reduce
-    (one BLAS thread, medians of 200 rounds alternating with that code
-    in one process).
+    A product finds v's support on a bool view, gathers those table rows
+    with take and XORs them with one segment of reduceat, which is
+    faster than np.flatnonzero on uint8 and bitwise_xor.reduce.
     """
+
+    ndim = 2  # stands in for its matrix in mat_mul's shape checks
 
     def __init__(self, a: np.ndarray) -> None:
         a = np.ascontiguousarray(a, dtype=np.uint8)
         if a.ndim != 2:
             raise ValueError(f"column table needs a matrix, got shape {a.shape}")
-        rows, cols = a.shape
+        self._init_packed(_packbits_axis0(a).T, a.shape[0])
+
+    @classmethod
+    def from_packed(cls, columns: np.ndarray, rows: int) -> ColumnTable:
+        """The table of the rows x cols matrix a whose columns `columns`
+        holds packed LSB-first, one per row:
+        np.packbits(a.T, axis=1, bitorder="little")'s layout, which
+        pack_columns writes."""
+        table = cls.__new__(cls)
+        table._init_packed(columns, rows)
+        return table
+
+    def _init_packed(self, columns: np.ndarray, rows: int) -> None:
+        cols = columns.shape[0]
         packed = np.zeros((cols, 8 * ((rows + 63) // 64)), dtype=np.uint8)
-        packed[:, : (rows + 7) // 8] = _packbits_axis0(a).T
+        packed[:, : (rows + 7) // 8] = columns
         packed.flags.writeable = False
         self.shape = (rows, cols)
         self._columns = packed.view(np.uint64)
@@ -249,35 +268,47 @@ _TABLE_MIN = 256
 
 
 def mat_mul(
-    a: np.ndarray, b: np.ndarray, table: ProductTable | ColumnTable | None = None
+    a: np.ndarray | ColumnTable,
+    b: np.ndarray | ProductTable,
+    table: ProductTable | ColumnTable | None = None,
 ) -> np.ndarray:
     """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
 
     With table, the product reads the table instead of multiplying: a
     ColumnTable built from a for a 1-D b, a ProductTable built from b
-    for a matrix b.  Without one, a product of an a with at least
-    _TABLE_MIN rows by a b with at least _TABLE_MIN columns builds a
-    ProductTable for the call, which holds no float copies and, on one
-    BLAS thread, is 1.5x faster than BLAS for a 1000 x 386 by 386 x 386
-    product and 3.7x for 1586 x 1586 by 1586 x 1024 (key generation's
+    for a matrix b.  Such a table may also stand in place of its matrix,
+    as a or b, so a caller that keeps a matrix packed (the public key's
+    H', the modified code's H_m) never unpacks it.  Without one, a
+    product of an a with at least _TABLE_MIN rows by a b with at least
+    _TABLE_MIN columns builds a ProductTable for the call, which holds
+    no float copies and beats BLAS for such sizes (key generation's
     S @ H_m on RM(12,6) is 1586 x 1586 by 1586 x 4096).  Other products
-    go through BLAS, which beats building a table when a has few rows:
-    by 1.9-8.6x for 4 to 64 rows by a 386 x 128 b, as for a signing
-    batch by the one- or two-column R block.  BLAS runs in float32,
-    whose sums are exact below 2**24 terms, so its copies of the
-    operands take half the bytes of float64 ones: the R block of a
-    256-row RM(10,5) batch takes 50 us instead of 181 us.
+    go through BLAS, which beats building a table when a has few rows,
+    as for a signing batch by the one- or two-column R block.  BLAS runs
+    in float32, whose sums are exact below 2**24 terms, so its copies of
+    the operands take half the bytes of float64 ones.
     """
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
+    tables = (ColumnTable, ProductTable)
+    if isinstance(a, tables):
+        table = a if table is None else table
+    else:
+        a = np.asarray(a, dtype=np.uint8)
+    if isinstance(b, tables):
+        table = b if table is None else table
+    else:
+        b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {b.shape}")
     if table is not None:
-        kind, built_from = (ColumnTable, a) if b.ndim == 1 else (ProductTable, b)
-        if not isinstance(table, kind) or table.shape != built_from.shape:
+        kind, built_from, operand = (ColumnTable, a, b) if b.ndim == 1 else (ProductTable, b, a)
+        if (
+            not isinstance(table, kind)
+            or table.shape != built_from.shape
+            or isinstance(operand, tables)
+        ):
             name = type(table).__name__
             raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
-        return table.product(b if b.ndim == 1 else a)
+        return table.product(operand)
     if b.ndim == 1:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
@@ -447,23 +478,45 @@ def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray
     return lo, up
 
 
+_COLUMN_BLOCK_CELLS = 1 << 18
+"""Largest block of rows that pack_columns unpacks at once, in bits (256 KB)."""
+
+
+def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
+    """The columns of the matrix a whose rows packed holds in pack_bits'
+    layout, packed as the tables take them:
+    np.packbits(a.T, axis=1, bitorder="little"), row j being column j.
+
+    a is unpacked a block of whole bytes of rows at a time, and each
+    block is packed by columns with _packbits_axis0, so a is never whole.
+    """
+    rows = packed.shape[0]
+    out = np.empty(((rows + 7) // 8, cols), dtype=np.uint8)
+    step = max(8, _COLUMN_BLOCK_CELLS // cols // 8 * 8)
+    for lo in range(0, rows, step):
+        bits = np.unpackbits(packed[lo : lo + step], axis=1, count=cols)
+        out[lo // 8 : (lo + bits.shape[0] + 7) // 8] = _packbits_axis0(bits)
+    return np.ascontiguousarray(out.T)
+
+
+_BIT_REVERSED = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+)[:, 0]
+
+
+def lsb_first(packed: np.ndarray, cols: int) -> np.ndarray:
+    """The first cols columns of the matrix a whose rows packed holds in
+    pack_bits' layout, repacked LSB-first, as ProductTable.from_packed
+    takes them: np.packbits(a[:, :cols], axis=1, bitorder="little").
+    Each byte is bit-reversed by lookup, so a is never unpacked."""
+    rows = _BIT_REVERSED[packed[:, : (cols + 7) // 8]]
+    if cols % 8:  # the columns from cols on share the last byte
+        rows[:, -1] &= (1 << cols % 8) - 1
+    return rows
+
+
 def pack_bits(a: np.ndarray) -> bytes:
     """Pack a vector or matrix row-major, each row byte-padded, MSB first."""
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     return np.packbits(a, axis=1).tobytes()
 
-
-def unpack_matrix(buf: bytes, rows: int, cols: int) -> np.ndarray:
-    row_bytes = (cols + 7) // 8
-    if len(buf) != rows * row_bytes:
-        raise ValueError(f"expected {rows * row_bytes} packed bytes, got {len(buf)}")
-    flat = np.frombuffer(buf, dtype=np.uint8).reshape(rows, row_bytes)
-    return np.unpackbits(flat, axis=1, count=cols)
-
-
-def unpack_word(buf: bytes, n: int) -> np.ndarray:
-    return unpack_matrix(buf, 1, n)[0]
-
-
-def packed_size(rows: int, cols: int) -> int:
-    return rows * ((cols + 7) // 8)

@@ -16,11 +16,11 @@ where P' is P minus the deleted columns and R is a uniform random p x
 reduced rows that move (Alignment), and P'^T is written from the
 parent's packed P^T and those rows, so neither keygen nor a key load
 forms the generator of the aligned order.  Signing and verification
-need only H_m, so a ModifiedCode keeps only H_m, with P'^T and R as
-views of its blocks, and of the parent only the column order the
-decoder reads.  Its generator G_m = [I_k | P' | R_1^T + P' R_2^T], with
-R = [R_1 | R_2] split after column k, is derived by the test oracle
-(tests/reference.py), which checks G_m @ H_m.T = 0.
+need only H_m, so a ModifiedCode keeps only H_m's packed rows, the
+private key file's own layout, and of the parent only the column order
+the decoder reads.  Its generator G_m = [I_k | P' | R_1^T + P' R_2^T],
+with R = [R_1 | R_2] split after column k, is derived by the test
+oracle (tests/reference.py), which checks G_m @ H_m.T = 0.
 """
 
 from __future__ import annotations
@@ -65,29 +65,32 @@ class Alignment(NamedTuple):
         return self.code.info_perm[self.order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModifiedCode:
     """Punctured-plus-inserted code built over an aligned parent.
 
     Column order: k information positions, then the n-k-p kept parity
     positions of the parent, then the p inserted positions.  H_m is the
-    only matrix stored; n, k, p and t follow from the fields.  The check
-    of decoded errors caches a product table of H_m^T on first use.
+    only matrix stored, as packed rows in gf2.pack_bits' layout, an
+    eighth of its unpacked size; n, k, p and t follow from m and the
+    fields.  R and the product table of H_m^T, by which decoded errors
+    are checked, are cached on first use; so is the unpacked H, which
+    only tests read.  Equality is identity.
     """
 
     m: int
     r: int
     info_perm: np.ndarray  # the aligned parent's systematic column order
     deleted: np.ndarray  # parent parity columns removed, sorted, all >= k
-    H: np.ndarray  # modified parity check, (n-k) x n
+    packed_H: np.ndarray  # modified parity check, (n-k) x ceil(n/8) packed rows
 
     @property
     def n(self) -> int:
-        return self.H.shape[1]
+        return 1 << self.m
 
     @property
     def k(self) -> int:
-        return self.H.shape[1] - self.H.shape[0]
+        return self.n - self.packed_H.shape[0]
 
     @property
     def p(self) -> int:
@@ -98,10 +101,20 @@ class ModifiedCode:
         """The parent's error correctability floor((d-1)/2)."""
         return ((1 << (self.m - self.r)) - 1) // 2
 
-    @property
+    @cached_property
+    def H(self) -> np.ndarray:
+        """H_m, (n-k) x n, unpacked from packed_H on first read."""
+        h = np.unpackbits(self.packed_H, axis=1, count=self.n)
+        h.flags.writeable = False
+        return h
+
+    @cached_property
     def R(self) -> np.ndarray:
-        """The inserted rows' left block, p x (n-p): a view of H_m."""
-        return self.H[self.n - self.k - self.p :, : self.n - self.p]
+        """The inserted rows' left block, p x (n-p), unpacked from packed_H."""
+        top, cols = self.n - self.k - self.p, self.n - self.p
+        r_block = np.unpackbits(self.packed_H[top:], axis=1, count=cols)
+        r_block.flags.writeable = False
+        return r_block
 
     @cached_property
     def kept_cols(self) -> np.ndarray:
@@ -111,29 +124,35 @@ class ModifiedCode:
     @cached_property
     def H_T_table(self) -> gf2.ProductTable:
         """Product table of H.T, for the check e' @ H.T = s' of one
-        error or a batch (decoder.check_leaders): 3.3 MB on RM(12,6)."""
-        return gf2.ProductTable(self.H.T)
+        error or a batch (decoder.check_leaders).  Its rows, H_m's
+        columns, are packed from a few rows of H_m unpacked at a time
+        (gf2.pack_columns)."""
+        columns = gf2.pack_columns(self.packed_H, self.n)
+        return gf2.ProductTable.from_packed(columns, self.n - self.k)
 
-    def left_product(self, out: np.ndarray, columns: np.ndarray) -> None:
-        """Overwrite out, whose last n-k columns hold a binary s, with the
-        columns `columns` of s @ H: keygen's S @ H_m @ Q, in one array.
+    def left_product(self, s: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The columns `columns` of s @ H_m for a binary s of n-k columns,
+        as packed rows in gf2.pack_bits' layout: keygen's S @ H_m @ Q.
 
-        H's last n-k columns are the identity plus R's right block R_2
+        H_m's last n-k columns are the identity plus R's right block R_2
         under the kept parity columns, so only the first k columns take
-        a full product; the rest are s plus s's last p columns times R_2.
-        The rows are formed a block at a time beside out, then gathered
-        into their own rows of out, which that block's s no longer needs.
+        a full product, by a table read from packed_H's first k columns
+        (gf2.lsb_first); the rest are s plus s's last p columns times
+        R_2.  The rows are formed, permuted and packed a block at a time.
         """
         k, top = self.k, self.n - self.k - self.p
-        table = gf2.ProductTable(self.H[:, :k])
-        block = np.empty((min(_LEFT_BLOCK_ROWS, out.shape[0]), self.n), dtype=np.uint8)
-        for lo in range(0, out.shape[0], _LEFT_BLOCK_ROWS):
-            rows = out[lo : lo + _LEFT_BLOCK_ROWS]
-            s, got = rows[:, k:], block[: rows.shape[0]]
-            got[:, :k] = gf2.mat_mul(s, self.H[:, :k], table)
-            got[:, k:] = s
-            got[:, k : k + top] ^= gf2.mat_mul(s[:, top:], self.R[:, k:])
-            np.take(got, columns, axis=1, out=rows, mode="clip")  # "raise" would buffer
+        table = gf2.ProductTable.from_packed(gf2.lsb_first(self.packed_H, k), k)
+        out = np.empty((s.shape[0], (self.n + 7) // 8), dtype=np.uint8)
+        block = np.empty((2, min(_LEFT_BLOCK_ROWS, s.shape[0]), self.n), dtype=np.uint8)
+        for lo in range(0, s.shape[0], _LEFT_BLOCK_ROWS):
+            rows = s[lo : lo + _LEFT_BLOCK_ROWS]
+            got, picked = block[:, : rows.shape[0]]
+            got[:, :k] = gf2.mat_mul(rows, table)
+            got[:, k:] = rows
+            got[:, k : k + top] ^= gf2.mat_mul(rows[:, top:], self.R[:, k:])
+            np.take(got, columns, axis=1, out=picked, mode="clip")  # "raise" would buffer
+            out[lo : lo + rows.shape[0]] = np.packbits(picked, axis=1)
+        return out
 
 
 _LEFT_BLOCK_ROWS = 256
@@ -223,7 +242,7 @@ def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]
 
 
 _UNPACK_BLOCK_BYTES = 1 << 16
-"""Largest block of H_m's top rows that assemble_modified unpacks at once."""
+"""Largest slab of H_m's top rows that assemble_modified unpacks at once."""
 
 
 def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> ModifiedCode:
@@ -237,7 +256,9 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     column), read at G's kept information rows, followed by the moved
     rows' bits at x.  So the rows are gathered from the parent's packed
     P^T (RmCode.packed_PT), take one packed XOR per moved row, and are
-    unpacked a block at a time without the leaving rows' bits.
+    unpacked a slab at a time, the leaving rows' bits dropped and the
+    moved rows' bits placed, and packed into H_m's rows; R is packed
+    whole, and the identity is set on the packed rows.
     """
     code, order, moved = aligned
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
@@ -253,7 +274,7 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     for row, entering in zip(moved, order[k - q : k]):
         rows[row[kept] == 1] ^= code.packed_PT[entering - k]
     top = n - k - p
-    h_mod = np.zeros((n - k, n), dtype=np.uint8)
+    packed_h = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)
     # G's information rows in G' order: the kept ones, run by run
     # between the leaving rows, then the moved rows.
     leaving = order[k : k + q]
@@ -261,18 +282,23 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     step = max(1, _UNPACK_BLOCK_BYTES // k)
     for start in range(0, top, step):
         bits = np.unpackbits(rows[start : start + step], axis=1, count=k, bitorder="little")
-        dst, at = h_mod[start : start + bits.shape[0]], 0
+        stop, at = start + bits.shape[0], 0
+        slab = np.empty_like(bits)
         for lo, hi in runs:
-            dst[:, at : at + hi - lo] = bits[:, lo:hi]
+            slab[:, at : at + hi - lo] = bits[:, lo:hi]
             at += hi - lo
-    h_mod[:top, k - q : k] = moved[:, kept].T
-    h_mod[top:, : n - p] = r_block
+        slab[:, k - q :] = moved[:, kept[start:stop]].T
+        packed_h[start:stop, : (k + 7) // 8] = np.packbits(slab, axis=1)
+    packed_h[top:, : (n - p + 7) // 8] = np.packbits(r_block, axis=1)
+    # The identity on the last n-k columns: bit k + i of row i.
     diag = np.arange(k, n)
-    h_mod[diag - k, diag] = 1
+    packed_h[diag - k, diag >> 3] |= (128 >> (diag & 7)).astype(np.uint8)
 
-    for arr in (deleted, h_mod):
+    for arr in (deleted, packed_h):
         arr.flags.writeable = False
-    return ModifiedCode(m=code.m, r=code.r, info_perm=aligned.info_perm, deleted=deleted, H=h_mod)
+    return ModifiedCode(
+        m=code.m, r=code.r, info_perm=aligned.info_perm, deleted=deleted, packed_H=packed_h
+    )
 
 
 def build_modified(aligned: Alignment, deleted, rng: np.random.Generator) -> ModifiedCode:

@@ -46,9 +46,11 @@ held.  Moving the information set off punctured columns eliminates only
 the rows of the columns that leave it (modcode.align_information_set),
 read with RmCode.rows; keygen does this once, and a private-key load
 replays the same move from the closed form.  The modified parity check
-is read from packed_PT and the moved rows.  The parity check H is
-unpacked from packed_PT on first read; only tests and the benchmark's
-oracle read it.
+is read from packed_PT and the moved rows, and kept as packed rows too
+(modcode.ModifiedCode), as is the public key's H' (scheme.PublicKey).
+The parity check H is unpacked from packed_PT on first read; only
+tests and the benchmark's oracle read it.  The keys' H is unpacked the
+same way, for those readers and analysis.naive_forgery_attack.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from . import gf2
 MAX_M = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmCode:
     """A systematic RM(r, m) code, generator G = [I_k | P].
 

@@ -6,6 +6,10 @@ matrix form has its 1 in column sigma[i]) and the modified code.  The
 public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
 so signing, which reads S^-1 = U^-1 @ L^-1 alone, never inverts S.
+Both check matrices, H' and H_m, are held as packed rows, the layout of
+their key files (gf2.pack_bits): keygen writes them packed a block of
+rows at a time, and sign, verify and the check of decoded errors read
+them through tables packed from them, so no program path unpacks one.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(SHAKE256(M, 32 bytes) || i as 8-byte
@@ -49,23 +53,37 @@ class SigningParams:
             raise ValueError(f"w and N must be at most 2**32 - 1 = {_U32_MAX}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicKey:
+    """The public check matrix H', (n-k) x n, as its packed rows: the
+    public key file's body, n(n-k) bits.  verify reads its columns
+    through a ColumnTable packed from those rows; the unpacked H, which
+    only tests and analysis.naive_forgery_attack read, is cached on first
+    read.  Equality is identity."""
+
     m: int
     r: int
-    H: np.ndarray  # public check matrix, (n-k) x n
+    packed_H: np.ndarray  # public check matrix, (n-k) x ceil(n/8) packed rows
     params: SigningParams
 
     @property
     def n(self) -> int:
-        return self.H.shape[1]
+        return 1 << self.m
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """H', unpacked from packed_H on first read."""
+        h = np.unpackbits(self.packed_H, axis=1, count=self.n)
+        h.flags.writeable = False
+        return h
 
     @cached_property
     def _H_table(self) -> gf2.ColumnTable:
-        return gf2.ColumnTable(self.H)
+        columns = gf2.pack_columns(self.packed_H, self.n)
+        return gf2.ColumnTable.from_packed(columns, self.packed_H.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivateKey:
     # S^-1 = U^-1 @ L^-1 in one (n-k) x (n-k) matrix F with a zero
     # diagonal: L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1).
@@ -113,7 +131,7 @@ class KeyPair:
     private: PrivateKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signature:
     e: np.ndarray
     i: int
@@ -181,16 +199,13 @@ def keygen(
     factors = gf2.invert(lower) ^ gf2.invert(upper)  # the unit diagonals cancel
     scrambler = gf2.mat_mul(lower, upper)
     del lower, upper
-    # H' = S H_m Q is written over S in one array: S goes in its last
-    # n-k columns, and left_product overwrites it row block by row block.
-    h_pub = np.empty((n - k, n), dtype=np.uint8)
-    h_pub[:, k:] = scrambler
+    # H' = S H_m Q, packed a row block at a time.
+    h_pub = mod.left_product(scrambler, np.argsort(sigma))
     del scrambler
-    mod.left_product(h_pub, np.argsort(sigma))
     for arr in (factors, sigma, h_pub):
         arr.flags.writeable = False
 
-    public = PublicKey(m=m, r=r, H=h_pub, params=params)
+    public = PublicKey(m=m, r=r, packed_H=h_pub, params=params)
     private = PrivateKey(S_inv_factors=factors, sigma=sigma, mod=mod, params=params)
     return KeyPair(public=public, private=private)
 
@@ -337,6 +352,6 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
         return False
     if gf2.weight(e) > pub.params.w:
         return False
-    expected = hash_to_syndrome(message, i, pub.H.shape[0])
+    expected = hash_to_syndrome(message, i, pub.packed_H.shape[0])
     # Both are uint8 vectors of n-k bits, so equal bytes mean equal syndromes.
-    return gf2.mat_mul(pub.H, e, pub._H_table).tobytes() == expected.tobytes()
+    return gf2.mat_mul(pub._H_table, e).tobytes() == expected.tobytes()

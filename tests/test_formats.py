@@ -446,6 +446,90 @@ class TestHostileFiles:
         assert time.monotonic() - start < 1.0
 
 
+def _resealed(raw: bytes, offset: int, mask: int, mod=None) -> bytes:
+    """raw with byte offset XORed by mask, then the private digest (when
+    mod is given, over the bytes before it and mod's packed H_m) and the
+    CRC recomputed, so only the content checks can reject it."""
+    import hashlib
+
+    body = bytearray(raw[:-4])
+    body[offset] ^= mask
+    if mod is not None:
+        body[-32:] = hashlib.sha256(bytes(body[:-32]) + mod.packed_H.tobytes()).digest()
+    return _patched(bytes(body) + raw[-4:], 0, b"")
+
+
+class TestPaddingBits:
+    """Every key loader rejects a set padding bit in each packed matrix it
+    reads, so every key file that loads saves back to its own bytes."""
+
+    def test_public_matrix(self):
+        # n = 4 for m = 2: each row of H' fills half a byte.
+        params = scheme.SigningParams(w=1, N=10, t=0)
+        pub = scheme.keygen(2, 1, params, np.random.default_rng(0)).public
+        raw = formats.save_public_key(pub)
+        assert formats.save_public_key(formats.load_public_key(raw)) == raw
+        body = len(raw) - 4 - pub.packed_H.size  # H' is the whole body
+        for pad in (1, 2, 4, 8):
+            with pytest.raises(formats.FormatError, match="padding"):
+                formats.load_public_key(_resealed(raw, body, pad))
+
+    def test_private_matrices(self, toy_keypair):
+        # RM(1,4): F is 11 x 11 and R is 6 x 10, so the second byte of
+        # each row of both holds padding, below masks 0x20 and 0x40.
+        priv = toy_keypair.private
+        mod = priv.mod
+        n, k, p = mod.n, mod.k, mod.p
+        assert (n - k) % 8 == 3 and (n - p) % 8 == 2
+        raw = formats.save_private_key(priv)
+        assert formats.save_private_key(formats.load_private_key(raw)) == raw
+        f_at = formats._HEADER.size + 4 + 4 * p
+        r_at = f_at + 2 * (n - k) + 4 * n
+        hostile = {
+            "F, first row": (f_at + 1, 1),
+            "F, last row": (f_at + 2 * (n - k) - 1, 0x10),
+            "R, first row": (r_at + 1, 1),
+            "R, last row": (r_at + 2 * p - 1, 0x20),
+        }
+        for label, (offset, mask) in hostile.items():
+            with pytest.raises(formats.FormatError, match="padding"):
+                formats.load_private_key(_resealed(raw, offset, mask, mod))
+        # A flipped data bit beside them passes the padding checks and fails
+        # only later: R's bits are part of H_m, which the digest covers.
+        with pytest.raises(formats.FormatError, match="digest"):
+            formats.load_private_key(_resealed(raw, r_at + 1, 0x40, mod))
+
+
+class TestPackedKeys:
+    """A loaded key pair holds H' and H_m as packed rows, as their files do."""
+
+    def test_loaded_pair_holds_packed_rows(self):
+        # With the caller holding RM(10,5), a loaded pair keeps packed H'
+        # and H_m, (n-k) ceil(n/8) bytes each, the unpacked F, (n-k)^2,
+        # and n-vectors of int64: sigma and the code's column order.
+        # An unpacked H' or H_m alone would add 7/8 of (n-k) n, more than
+        # twice the margin.
+        code = rmcode.build(10, 5)
+        n, k = code.n, code.k
+        params = scheme.SigningParams(w=code.t, N=10, t=code.t)
+        kp = scheme.keygen(10, 5, params, np.random.default_rng(1))
+        pub_raw, sec_raw = formats.save_public_key(kp.public), formats.save_private_key(kp.private)
+        del kp
+        packed = (n - k) * ((n + 7) // 8)
+        held = 2 * packed + (n - k) ** 2 + 2 * 8 * n
+        margin = 16 * 1024
+        assert 7 * (n - k) * n // 8 > 2 * margin
+        tracemalloc.start()
+        try:
+            pub = formats.load_public_key(pub_raw)
+            priv = formats.load_private_key(sec_raw)
+            current, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pub.packed_H.nbytes == priv.mod.packed_H.nbytes == packed
+        assert held <= current < held + margin
+
+
 def _stored_orders(code, rng):
     """(kind, order) pairs of column orders other than the code's own:
     random orders, near-systematic ones (a few head and tail columns
@@ -481,7 +565,8 @@ def _in_order(mod, order):
         g = eliminated_with_perm(mod.m, mod.r, order)
     except gf2.RankError:
         return dataclasses.replace(mod, info_perm=order)
-    return dataclasses.replace(mod, info_perm=order, H=modified_check(g, mod.deleted, mod.R))
+    packed = np.packbits(modified_check(g, mod.deleted, mod.R), axis=1)
+    return dataclasses.replace(mod, info_perm=order, packed_H=packed)
 
 
 def _keygen_private(m, r, seed):
@@ -502,7 +587,7 @@ class TestColumnOrder:
         for kind, order in _stored_orders(priv.mod, rng):
             assert not np.array_equal(order, priv.mod.info_perm), kind
             mod = _in_order(priv.mod, order)
-            rebuilt += mod.H is not priv.mod.H
+            rebuilt += mod.packed_H is not priv.mod.packed_H
             # Saved through save_private_key, so the digest and CRC are valid.
             raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
             start = time.monotonic()

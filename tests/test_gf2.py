@@ -284,6 +284,68 @@ class TestColumnTable:
         assert not table._columns.flags.writeable
 
 
+class TestPackedForms:
+    """Tables built from a matrix's packed rows, as the keys hold them."""
+
+    SHAPES = [(1, 1), (7, 9), (8, 16), (13, 70), (64, 33), (130, 12), (386, 129)]
+
+    @pytest.mark.parametrize("cells", [64, 1 << 18])
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_pack_columns(self, monkeypatch, cells, rows, cols):
+        # 64 cells make blocks of 8 rows, so every shape spans several.
+        monkeypatch.setattr(gf2, "_COLUMN_BLOCK_CELLS", cells)
+        a = rand_mat(np.random.default_rng(rows * cols), rows, cols)
+        got = gf2.pack_columns(np.packbits(a, axis=1), cols)
+        assert np.array_equal(got, np.packbits(a.T, axis=1, bitorder="little"))
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_lsb_first(self, rows, cols):
+        a = rand_mat(np.random.default_rng(rows + cols), rows, cols)
+        packed = np.packbits(a, axis=1)
+        for head in {1, 7, 8, cols // 2 + 1, cols}:
+            if head <= cols:
+                expected = np.packbits(a[:, :head], axis=1, bitorder="little")
+                assert np.array_equal(gf2.lsb_first(packed, head), expected), head
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_tables_from_packed_rows(self, rows, cols):
+        """A table built from packed rows is the table of the matrix, and
+        stands in place of it in mat_mul."""
+        rng = np.random.default_rng(rows * 7 + cols)
+        a = rand_mat(rng, rows, cols)
+        packed = np.packbits(a, axis=1)
+        columns = gf2.ColumnTable.from_packed(gf2.pack_columns(packed, cols), rows)
+        assert columns.shape == (rows, cols)
+        assert np.array_equal(columns._columns, gf2.ColumnTable(a)._columns)
+        at = gf2.ProductTable.from_packed(gf2.pack_columns(packed, cols), rows)
+        head = gf2.ProductTable.from_packed(gf2.lsb_first(packed, cols), cols)
+        for table, matrix in ((at, a.T), (head, a)):
+            assert table.shape == matrix.shape
+            assert np.array_equal(table._table, gf2.ProductTable(matrix)._table)
+        for _ in range(3):
+            v = rand_mat(rng, 1, cols)[0]
+            assert np.array_equal(gf2.mat_mul(columns, v), naive_mat_mul(a, v[:, None])[:, 0])
+            e = rand_mat(rng, 5, cols)
+            assert np.array_equal(gf2.mat_mul(e, at), naive_mat_mul(e, a.T))
+            s = rand_mat(rng, 4, rows)
+            assert np.array_equal(gf2.mat_mul(s, head), naive_mat_mul(s, a))
+
+    def test_wrong_table_operand_rejected(self):
+        rng = np.random.default_rng(10)
+        a = rand_mat(rng, 9, 5)
+        columns, product = gf2.ColumnTable(a), gf2.ProductTable(a)
+        square = gf2.ProductTable(rand_mat(rng, 4, 4))
+        for left, right in (
+            (columns, rand_mat(rng, 1, 4)[0]),  # a vector of the wrong length
+            (columns, rand_mat(rng, 5, 2)),  # a column table for a matrix product
+            (rand_mat(rng, 2, 8), product),  # a product table of the wrong height
+            (product, rand_mat(rng, 1, 5)[0]),  # a product table on the left
+            (square, square),  # two tables
+        ):
+            with pytest.raises(ValueError):
+                gf2.mat_mul(left, right)
+
+
 class TestXorGroupLaws:
     def test_self_inverse_and_identity(self):
         rng = np.random.default_rng(5)
@@ -530,8 +592,9 @@ class TestPacking:
             rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 30))
             a = rand_mat(rng, rows, cols)
             buf = gf2.pack_bits(a)
-            assert len(buf) == gf2.packed_size(rows, cols)
-            assert np.array_equal(gf2.unpack_matrix(buf, rows, cols), a)
+            assert len(buf) == rows * ((cols + 7) // 8)
+            packed = np.frombuffer(buf, dtype=np.uint8).reshape(rows, -1)
+            assert np.array_equal(np.unpackbits(packed, axis=1, count=cols), a)
 
     def test_msb_first(self):
         # Bit j of a row sits in byte j//8 at mask 128 >> (j % 8).

@@ -216,11 +216,14 @@ class TestBuildModified:
         assert mod.H.shape == (n - k, n)
         assert modified_generator(mod).shape == (k, n)
         assert mod.R.shape == (p, n - p)
-        # H_m is the only matrix stored: R and P'^T are views of its blocks,
-        # and no field holds the parent code.
-        assert np.shares_memory(mod.R, mod.H)
-        assert np.shares_memory(punctured_check(mod)[:, :k], mod.H)
+        # H_m's packed rows are the only matrix stored: R and P'^T are read
+        # from its blocks, and no field holds the parent code.
         fields = [getattr(mod, f.name) for f in dataclasses.fields(mod)]
+        matrices = [value for value in fields if np.ndim(value) == 2]
+        assert len(matrices) == 1 and matrices[0] is mod.packed_H
+        bits = np.unpackbits(mod.packed_H, axis=1, count=n)
+        assert np.array_equal(mod.R, bits[n - k - p :, : n - p])
+        assert np.array_equal(punctured_check(mod)[:, :k], bits[: n - k - p, :k])
         assert not any(isinstance(value, rmcode.RmCode) for value in fields)
         assert np.array_equal(mod.H[n - k - p :, n - p :], gf2.identity(p))
         assert not mod.H[: n - k - p, n - p :].any()
@@ -249,16 +252,18 @@ class TestBuildModified:
 
     @staticmethod
     def _left_product(mod, s, columns):
-        out = np.zeros((s.shape[0], mod.n), dtype=np.uint8)
-        out[:, mod.k :] = s
-        mod.left_product(out, columns)
+        """left_product's packed rows, unpacked once their layout, padding
+        included, is checked to be gf2.pack_bits'."""
+        packed = mod.left_product(s, columns)
+        out = np.unpackbits(packed, axis=1, count=mod.n)
+        assert packed.tobytes() == gf2.pack_bits(out)
         return out
 
     @pytest.mark.parametrize("m,r,seed", [(4, 1, 1), (5, 2, 0), (6, 3, 2), (8, 4, 1), (10, 5, 1)])
     def test_left_product_matches_mat_mul(self, m, r, seed):
         """keygen's S @ H_m @ Q, read from H_m's identity columns and
-        written over S, against the plain product; for rows of S, for a
-        rectangular block and across row blocks."""
+        packed a row block at a time, against the plain product; for rows
+        of S, for a rectangular block and across row blocks."""
         code = rmcode.build(m, r)
         rng = np.random.default_rng(seed)
         plan = modcode.puncture_plan(code, rng)

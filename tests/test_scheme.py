@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rmsig import analysis, formats, gf2, modcode, rmcode, scheme
+from rmsig import analysis, decoder, formats, gf2, modcode, rmcode, scheme
 
 from reference import modified_generator, perm_matrix
 
@@ -186,19 +187,24 @@ class TestKeygen:
 
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
-    """RmCode.H is built from G on first read.  Keygen, save/load, sign,
-    verify and calibrate never read it; only tests and the benchmark's
-    oracle do.  The parent codes of keygen and of a load are not kept,
-    so every read of RmCode.H is counted while they run."""
-    built, reads = rmcode.RmCode.H, []
+    """RmCode.H is built from G on first read, and the keys' H' and H_m
+    are unpacked from their packed rows the same way.  Keygen, save/load,
+    sign, verify and calibrate never read any of them; only tests and the
+    benchmark's oracle do.  The parent codes of keygen and of a load are
+    not kept, so every read of an H is counted while they run."""
+    reads = []
 
-    def counted(code):
-        reads.append(code)
-        return built.func(code)
+    def counted(built):
+        def read(holder):
+            reads.append(holder)
+            return built.func(holder)
+
+        return property(read)
 
     plain = rmcode.build(5, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(rmcode.RmCode, "H", property(counted))
+        for cls in (rmcode.RmCode, modcode.ModifiedCode, scheme.PublicKey):
+            patch.setattr(cls, "H", counted(cls.H))
         params = scheme.SigningParams(w=12, N=100, t=3)
         kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
         pub = formats.load_public_key(formats.save_public_key(kp.public))
@@ -211,6 +217,70 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
         assert reads == []
         assert plain.H.shape == (plain.n - plain.k, plain.n) and reads == [plain]
     assert plain.H is plain.H and "H" in vars(plain)
+
+
+class TestPackedCheckMatrices:
+    """Keys hold H' and H_m as packed rows, as their files do; H unpacks
+    them for tests, and no signing or verifying path reads it."""
+
+    def test_H_is_the_read_only_unpacking(self, toy_keypair):
+        pub, priv = toy_keypair.public, toy_keypair.private
+        loaded_pub = formats.load_public_key(formats.save_public_key(pub))
+        loaded = formats.load_private_key(formats.save_private_key(priv))
+        for holder in (pub, priv.mod, loaded_pub, loaded.mod):
+            packed, h = holder.packed_H, holder.H
+            assert packed.shape == (holder.n - 5, (holder.n + 7) // 8)  # k = 5
+            assert np.array_equal(h, np.unpackbits(packed, axis=1, count=holder.n))
+            assert h is holder.H
+            assert not h.flags.writeable and not packed.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                h[0, 0] ^= 1
+
+    def test_hot_paths_allocate_less_than_one_packed_matrix(self):
+        """verify and the check of one decoded error, after a first
+        signature built their tables, on RM(10,5): less than the 49 KB
+        of one packed check matrix, so neither unpacks one (395 KB)."""
+        params = scheme.SigningParams(w=99, N=10_000, t=15)
+        kp = scheme.keygen(10, 5, params, np.random.default_rng(1))
+        pub, priv = kp.public, kp.private
+        message = b"packed rows"
+        sig = scheme.sign(priv, message)
+        assert scheme.verify(pub, message, sig)
+        e_prime = sig.e[priv.sigma]
+        syndrome = scheme.hash_to_syndrome(message, sig.i, priv.mod.n - priv.mod.k)
+        s_prime = gf2.mat_mul(priv.S_inv, syndrome)
+        calls = {
+            "verify": lambda: scheme.verify(pub, message, sig),
+            "check_leaders": lambda: decoder.check_leaders(priv.mod, e_prime, s_prime),
+        }
+        allocated = {}
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                allocated[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert max(allocated.values()) < pub.packed_H.nbytes == priv.mod.packed_H.nbytes, allocated
+        assert "H" not in vars(pub) and "H" not in vars(priv.mod)
+
+
+class TestIdentityEquality:
+    """The classes that hold arrays compare and hash by identity: a
+    field-wise == would raise on two equal but distinct objects, and
+    hash on any."""
+
+    def test_equal_copies_are_distinct_and_hash(self, toy_keypair):
+        pub, priv = toy_keypair.public, toy_keypair.private
+        sig = scheme.sign(priv, b"identity")
+        for obj in (rmcode.build(4, 1), priv.mod, pub, priv, sig):
+            twin = dataclasses.replace(obj)
+            assert obj == obj and not obj != obj
+            assert obj != twin and not obj == twin
+            assert hash(obj) == hash(obj)
+            assert len({obj, twin, obj}) == 2
 
 
 class TestSignVerify:
@@ -568,14 +638,15 @@ class TestSignChecksItsOutput:
         params = scheme.SigningParams(w=64, N=1, t=3)
         priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
         assert isinstance(scheme.sign(priv, b"warm up"), scheme.Signature)
-        built, real_init = [], gf2.ProductTable.__init__
+        built, real_init = [], gf2.ProductTable._init_packed
 
-        def counting(table, b):
-            built.append(np.shape(b))
-            real_init(table, b)
+        def counting(table, rows, c):
+            built.append((rows.shape[0], c))
+            real_init(table, rows, c)
 
-        # Patched in place: the warmed-up tables stay instances of the class.
-        monkeypatch.setattr(gf2.ProductTable, "__init__", counting)
+        # Patched in place, where the matrix and the packed constructor
+        # meet: the warmed-up tables stay instances of the class.
+        monkeypatch.setattr(gf2.ProductTable, "_init_packed", counting)
         assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
         analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
         assert built == []
