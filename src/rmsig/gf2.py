@@ -24,16 +24,19 @@ _packbits_axis0, packs by columns, for these and for the matrix of a
 ColumnTable.  The keys hold H' and H_m as packed rows in the layout
 below, and each table also has a constructor from packed lines
 (from_packed): pack_columns packs a packed matrix's columns from a few
-of its rows unpacked at a time, and lsb_first repacks the head of its
-rows by a byte lookup, so no table of a key unpacks the key's matrix.
-A table stands in place of its matrix in mat_mul.  mat_mul
+of its rows unpacked at a time, and a table of the head of a matrix
+reads the head of its packed rows as they are, so no table of a key
+unpacks the key's matrix.  A table stands in place of its matrix in
+mat_mul, and mat_vec returns a ColumnTable's product packed.  mat_mul
 builds a product table for a one-off product too when both matrices
 are large (see mat_mul), and sends any other matrix product through
 float32 BLAS, which is exact below 2**24 terms.
 
-Bit packing convention, fixed for all serialized forms: row-major, each
-row padded to a whole number of bytes, MSB-first within a byte (bit j of
-a row lives in byte j//8 at mask 128 >> (j % 8)).
+Bit packing convention, fixed for all serialized forms, the tables and
+mat_vec's products alike: row-major, each row padded to a whole number
+of bytes, MSB-first within a byte (bit j of a row lives in byte j//8 at
+mask 128 >> (j % 8)).  A SHAKE digest read as a bit string MSB-first
+(scheme.hash_to_syndrome) has the same layout.
 """
 
 from __future__ import annotations
@@ -68,11 +71,11 @@ class ProductTable:
 
     The k rows of b are packed into uint64 words and split into groups
     of four; the table holds, for every group, the XOR of each of its 16
-    row subsets, built by doubling: subset s + 2**j is subset s XOR row
-    j, one XOR per j.  A product then reads one table row per group of
-    four bits of a and XORs them (the method of Arlazarov, Dinic, Kronrod
-    and Faradzev; Albrecht and Bard's M4RI).  The table takes
-    16 * 2*ceil(k/8) * ceil(c/64) words.
+    row subsets, built by doubling: the subsets with one more row are
+    those without it XOR that row.  A product then reads one table row
+    per group of four bits of a and XORs them (the method of Arlazarov,
+    Dinic, Kronrod and Faradzev; Albrecht and Bard's M4RI).  The table
+    takes 16 * 2*ceil(k/8) * ceil(c/64) words.
 
     ProductTable(b) packs b where it lies (_packed_rows): a transposed
     view by columns, anything else by rows; a product packs a the same
@@ -81,8 +84,10 @@ class ProductTable:
     from_packed takes b's rows already packed: the table of H_m^T, by
     which decoder.check_leaders multiplies decoded errors, is built from
     H_m's packed columns (pack_columns), and keygen's table of
-    H_m[:, :k] from H_m's packed rows (lsb_first).  Both constructors
-    meet in _init_packed.
+    H_m[:, :k] from the head of H_m's packed rows.  Both constructors
+    meet in _init_packed.  Rows are packed MSB-first, so group 2j is
+    selected by the high nibble of a's packed byte j, whose high bit
+    selects the group's first row, and group 2j + 1 by the low nibble.
 
     A product takes a's rows _ROW_BLOCK at a time.  For each block it
     gathers only the groups from the block's first to its last nonzero
@@ -108,7 +113,8 @@ class ProductTable:
     @classmethod
     def from_packed(cls, rows: np.ndarray, c: int) -> ProductTable:
         """The table of the k x c matrix b whose rows `rows` holds packed
-        LSB-first, np.packbits(b, axis=1, bitorder="little")'s layout."""
+        in pack_bits' layout.  Bits of the last byte past column c need
+        not be zero: they reach only product columns the unpack drops."""
         table = cls.__new__(cls)
         table._init_packed(rows, c)
         return table
@@ -119,11 +125,11 @@ class ProductTable:
         packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
         packed[:k, : (c + 7) // 8] = rows
         quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
-        # Subset s + 2**j of a group is subset s with row j added.
+        # Subset s + 2**j of a group is subset s with row 3 - j added.
         table = np.empty((2 * k_bytes, 16, words), dtype=np.uint64)
         table[:, 0] = 0
         for j in range(4):
-            np.bitwise_xor(table[:, : 1 << j], quads[:, j, None], out=table[:, 1 << j : 2 << j])
+            np.bitwise_xor(table[:, : 1 << j], quads[:, 3 - j, None], out=table[:, 1 << j : 2 << j])
         table.flags.writeable = False
         self.shape = (k, c)
         self._table = table.reshape(32 * k_bytes, words)
@@ -150,10 +156,10 @@ class ProductTable:
             last = k_bytes - int(live[::-1].argmax())
             span, count = part[first:last], part.shape[1]
             # Table row per (group of four columns of a, row of a): group 2j
-            # reads the low nibble of packed byte j, group 2j+1 the high one.
+            # reads the high nibble of packed byte j, group 2j+1 the low one.
             picks = picks_buffer[: 2 * span.size].reshape(span.shape[0], 2, count)
-            np.bitwise_and(span, 15, out=picks[:, 0])
-            np.right_shift(span, 4, out=picks[:, 1])
+            np.right_shift(span, 4, out=picks[:, 0])
+            np.bitwise_and(span, 15, out=picks[:, 1])
             picks = picks.reshape(-1, count)
             picks += self._group_base[2 * first : 2 * last]
             out = acc[lo : lo + count]
@@ -163,24 +169,21 @@ class ProductTable:
                 # Every index is in range; mode="raise" would buffer the output.
                 self._table.take(chunk, axis=0, out=got, mode="clip")
                 out ^= np.bitwise_xor.reduce(got, axis=0)
-        return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1], bitorder="little")
+        return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1])
 
 
-_BIT_WEIGHTS = {size: np.left_shift(1, np.arange(8)).astype(f"u{size}") for size in (1, 2, 4, 8)}
+_BIT_WEIGHTS = {size: np.right_shift(128, np.arange(8)).astype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
 def _packbits_axis0(at: np.ndarray) -> np.ndarray:
-    """np.packbits(at, axis=0, bitorder="little") for a binary (k, rows)
-    array with contiguous rows, without packbits' strided reads along
-    axis 0.
+    """np.packbits(at, axis=0) for a binary (k, rows) array with
+    contiguous rows, without packbits' strided reads along axis 0.
 
-    Byte j of column r is the sum of at[8j + i, r] << i over i < 8.  A
-    bit shifted by i < 8 stays inside its byte, so uint64 words carry 8
-    columns at once, and one integer matmul by the weights 1, 2, ...,
-    128 packs them all; the last rows % 8 columns take the widest word
-    that divides their number.  RM(12,6)'s 1586 x 4096 H_m, for the table
-    of H_m^T, packs in 0.69-0.75 ms, against 2.7-3.0 ms in uint16 words
-    throughout (best and median of 21).
+    Byte j of column r is the sum of at[8j + i, r] << (7 - i) over i < 8.
+    A bit shifted by at most 7 stays inside its byte, so uint64 words
+    carry 8 columns at once, and one integer matmul by the weights 128,
+    64, ..., 1 packs them all; the last rows % 8 columns take the widest
+    word that divides their number, since the widest words pack fastest.
     """
     k, rows = at.shape
     full, wide = k // 8, rows - rows % 8
@@ -196,28 +199,25 @@ def _packbits_axis0(at: np.ndarray) -> np.ndarray:
 
 
 def _packed_rows(a: np.ndarray) -> np.ndarray:
-    """np.packbits(a, axis=1, bitorder="little"), without a transposing
-    copy of a transposed view a, whose columns _packbits_axis0 packs."""
+    """np.packbits(a, axis=1), without a transposing copy of a
+    transposed view a, whose columns _packbits_axis0 packs."""
     if a.strides[0] == 1 and not a.flags.c_contiguous:
         return _packbits_axis0(a.T).T
-    return np.packbits(a, axis=1, bitorder="little")
+    return np.packbits(a, axis=1)
 
 
 class ColumnTable:
     """The columns of one fixed matrix a, packed for products a @ v: the
     public key's H', by which verification multiplies.
 
-    Column j of a is row j of the table, ceil(rows/64) uint64 words with
-    bit i in word i // 64; a @ v is then the XOR of the table rows at the
-    support of v.  The table takes cols * ceil(rows/64) words, an eighth
-    of a's bytes.  ColumnTable(a) packs a by columns with
-    _packbits_axis0; from_packed takes the columns already packed, as
-    pack_columns writes them from the public key's packed rows.  Both
-    constructors meet in _init_packed.
-
-    A product finds v's support on a bool view, gathers those table rows
-    with take and XORs them with one segment of reduceat, which is
-    faster than np.flatnonzero on uint8 and bitwise_xor.reduce.
+    Column j of a is row j of the table, packed MSB-first as pack_bits
+    packs a row and zero-padded to ceil(rows/64) uint64 words; a @ v is
+    then the XOR of the table rows at the support of v (mat_vec).  The
+    table takes cols * ceil(rows/64) words, an eighth of a's bytes.
+    ColumnTable(a) packs a by columns with _packbits_axis0; from_packed
+    takes the columns already packed, as pack_columns writes them from
+    the public key's packed rows.  Both constructors meet in
+    _init_packed.
     """
 
     ndim = 2  # stands in for its matrix in mat_mul's shape checks
@@ -231,9 +231,8 @@ class ColumnTable:
     @classmethod
     def from_packed(cls, columns: np.ndarray, rows: int) -> ColumnTable:
         """The table of the rows x cols matrix a whose columns `columns`
-        holds packed LSB-first, one per row:
-        np.packbits(a.T, axis=1, bitorder="little")'s layout, which
-        pack_columns writes."""
+        holds packed, one per row: np.packbits(a.T, axis=1)'s layout,
+        which pack_columns writes."""
         table = cls.__new__(cls)
         table._init_packed(columns, rows)
         return table
@@ -246,22 +245,24 @@ class ColumnTable:
         self.shape = (rows, cols)
         self._columns = packed.view(np.uint64)
 
-    def product(self, v: np.ndarray) -> np.ndarray:
-        """a @ v for a uint8 vector v of length cols, as mat_mul passes it.
 
-        An entry counts by its least significant bit, as in mat_mul's
-        untabled product; v & 1 holds only 0 and 1, so its bool view
-        finds the support, in about half the time np.flatnonzero takes
-        on uint8.
-        """
-        support = (v & 1).view(np.bool_).nonzero()[0]
-        if support.size == 0:  # reduceat below needs a row
-            return np.zeros(self.shape[0], dtype=np.uint8)
-        picked = self._columns.take(support, axis=0)
-        # One segment of reduceat XORs RM(12,6)'s 515 rows of 25 words
-        # in 7.8-13.7 us, reduce in 15.7-18.0 us (best of 9 x 3000).
-        acc = np.bitwise_xor.reduceat(picked, [0], axis=0)[0]
-        return np.unpackbits(acc.view(np.uint8), count=self.shape[0], bitorder="little")
+def mat_vec(table: ColumnTable, support: np.ndarray) -> np.ndarray:
+    """a @ v for the matrix a of table and the binary v whose 1s lie at
+    the indices support, as ceil(rows/8) bytes packed MSB-first with zero
+    pad bits: pack_bits' layout of one row, and a SHAKE digest's.
+
+    The table rows at support are gathered with take and XORed by one
+    segment of reduceat, which is faster than bitwise_xor.reduce.
+    """
+    size = (table.shape[0] + 7) // 8
+    if support.size == 0:  # reduceat below needs a row
+        return np.zeros(size, dtype=np.uint8)
+    picked = table._columns.take(support, axis=0)
+    return np.bitwise_xor.reduceat(picked, _ONE_SEGMENT, axis=0)[0].view(np.uint8)[:size]
+
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+"""reduceat's indices for one segment from row 0, made once, not per product."""
 
 
 _TABLE_MIN = 256
@@ -308,6 +309,8 @@ def mat_mul(
         ):
             name = type(table).__name__
             raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
+        if kind is ColumnTable:  # an entry counts by its least significant bit
+            return np.unpackbits(mat_vec(table, np.flatnonzero(b & 1)), count=a.shape[0])
         return table.product(operand)
     if b.ndim == 1:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
@@ -484,8 +487,8 @@ _COLUMN_BLOCK_CELLS = 1 << 18
 
 def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
     """The columns of the matrix a whose rows packed holds in pack_bits'
-    layout, packed as the tables take them:
-    np.packbits(a.T, axis=1, bitorder="little"), row j being column j.
+    layout, packed as the tables take them: np.packbits(a.T, axis=1),
+    row j being column j.
 
     a is unpacked a block of whole bytes of rows at a time, and each
     block is packed by columns with _packbits_axis0, so a is never whole.
@@ -497,22 +500,6 @@ def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
         bits = np.unpackbits(packed[lo : lo + step], axis=1, count=cols)
         out[lo // 8 : (lo + bits.shape[0] + 7) // 8] = _packbits_axis0(bits)
     return np.ascontiguousarray(out.T)
-
-
-_BIT_REVERSED = np.packbits(
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
-)[:, 0]
-
-
-def lsb_first(packed: np.ndarray, cols: int) -> np.ndarray:
-    """The first cols columns of the matrix a whose rows packed holds in
-    pack_bits' layout, repacked LSB-first, as ProductTable.from_packed
-    takes them: np.packbits(a[:, :cols], axis=1, bitorder="little").
-    Each byte is bit-reversed by lookup, so a is never unpacked."""
-    rows = _BIT_REVERSED[packed[:, : (cols + 7) // 8]]
-    if cols % 8:  # the columns from cols on share the last byte
-        rows[:, -1] &= (1 << cols % 8) - 1
-    return rows
 
 
 def pack_bits(a: np.ndarray) -> bytes:

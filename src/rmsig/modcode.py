@@ -136,12 +136,12 @@ class ModifiedCode:
 
         H_m's last n-k columns are the identity plus R's right block R_2
         under the kept parity columns, so only the first k columns take
-        a full product, by a table read from packed_H's first k columns
-        (gf2.lsb_first); the rest are s plus s's last p columns times
+        a full product, by a table read from packed_H's first ceil(k/8)
+        bytes as they are; the rest are s plus s's last p columns times
         R_2.  The rows are formed, permuted and packed a block at a time.
         """
         k, top = self.k, self.n - self.k - self.p
-        table = gf2.ProductTable.from_packed(gf2.lsb_first(self.packed_H, k), k)
+        table = gf2.ProductTable.from_packed(self.packed_H[:, : (k + 7) // 8], k)
         out = np.empty((s.shape[0], (self.n + 7) // 8), dtype=np.uint8)
         block = np.empty((2, min(_LEFT_BLOCK_ROWS, s.shape[0]), self.n), dtype=np.uint8)
         for lo in range(0, s.shape[0], _LEFT_BLOCK_ROWS):

@@ -146,19 +146,26 @@ class SigningExhausted:
 
 
 def hash_to_syndrome(message: bytes, i: int, out_bits: int) -> np.ndarray:
-    """Map (message, counter) to a syndrome of exactly out_bits bits.
-
-    The row _syndrome_from_digest gives for i, hashed without that
-    batch path: 5.7 against 8.0 us for RM(12,6)'s 1586 bits.
+    """Map (message, counter) to a syndrome of exactly out_bits bits: the
+    unpacking of _packed_syndrome, and the row _syndrome_from_digest
+    gives for i.
 
     Raises:
         ValueError: unless 1 <= i < 2**64 (the counter is hashed as 8 bytes).
     """
+    packed = np.frombuffer(_packed_syndrome(message, i, out_bits), dtype=np.uint8)
+    return np.unpackbits(packed, count=out_bits)
+
+
+def _packed_syndrome(message: bytes, i: int, out_bits: int) -> bytearray:
+    """h(h(M)|i) packed as gf2.pack_bits packs a row: the first
+    ceil(out_bits/8) digest bytes, with the pad bits after out_bits zero."""
     if not 1 <= i < 1 << 64:
         raise ValueError("counter must satisfy 1 <= i < 2**64")
     inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
-    digest = hashlib.shake_256(inner + i.to_bytes(8, "big")).digest((out_bits + 7) // 8)
-    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8), count=out_bits)
+    packed = bytearray(hashlib.shake_256(inner + i.to_bytes(8, "big")).digest((out_bits + 7) // 8))
+    packed[-1] &= 0xFF << -out_bits % 8 & 0xFF
+    return packed
 
 
 def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -> np.ndarray:
@@ -337,21 +344,19 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     """ACCEPT iff e is binary of length n, wt(e) <= w and H' e = h(h(M)|i).
 
     Total over signatures: a signature outside the domain of
-    check_signature is REJECT, never an exception.  Beyond the domain
-    and weight tests, a verify makes two SHAKE256 digests, one
-    ColumnTable product and a byte compare.  It takes 28.9 us on
-    RM(10,5) at w = 99 and 39.1 us on RM(12,6) at w = 530 for a
-    signature of key seed 1, against 42.6 and 61.2 us when the hash took
-    the signing path's batch code, the product np.flatnonzero and
-    bitwise_xor.reduce, and the compare np.array_equal (one BLAS thread,
-    medians of 200 rounds alternating with that code in one process).
+    check_signature is REJECT, never an exception.  Inside it, the
+    support of e is read from a bool view of e (a wider dtype is compared
+    to 0), its size is the weight, and H' e is formed packed
+    (gf2.mat_vec) and compared with the packed digest byte for byte, so
+    nothing is unpacked.
     """
     try:
         e, i = check_signature(sig, pub.n)
     except ValueError:
         return False
-    if gf2.weight(e) > pub.params.w:
+    # check_signature leaves only 0 and 1, so a one-byte e views as bool.
+    support = (e.view(np.bool_) if e.itemsize == 1 else e != 0).nonzero()[0]
+    if support.size > pub.params.w:
         return False
-    expected = hash_to_syndrome(message, i, pub.packed_H.shape[0])
-    # Both are uint8 vectors of n-k bits, so equal bytes mean equal syndromes.
-    return gf2.mat_mul(pub._H_table, e).tobytes() == expected.tobytes()
+    expected = _packed_syndrome(message, i, pub.packed_H.shape[0])
+    return gf2.mat_vec(pub._H_table, support).tobytes() == expected

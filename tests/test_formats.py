@@ -1,10 +1,14 @@
 import dataclasses
+import hashlib
+import struct
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
@@ -717,3 +721,73 @@ class TestMutationFuzzRm10:
         raw = _patched(saved, s_byte, bytes([saved[s_byte] ^ 0x10]))
         with pytest.raises(formats.FormatError, match="digest"):
             load(raw)
+
+
+# Header fields (offset, struct format) that a mutation sets to an extreme
+# value: key files as in _HEADER, then the deleted-column count; signature
+# files: version, n and the big-endian counter.
+KEY_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H"), (9, "<H"), (11, "<I"), (15, "<I"), (19, "<I"),
+              (23, "<I")]
+SIG_FIELDS = [(4, "<H"), (6, "<I"), (10, ">Q")]
+
+
+@st.composite
+def _mutated_body(draw, body: bytes, fields):
+    """(what, offset, body) after one bit flip, one header field set to an
+    extreme value of its width, or a truncation of the CRC-less body."""
+    what = draw(st.sampled_from(["flip", "field", "truncate"]))
+    out = bytearray(body)
+    if what == "flip":
+        offset = draw(st.integers(0, len(out) - 1))
+        out[offset] ^= 1 << draw(st.integers(0, 7))
+    elif what == "field":
+        offset, fmt = draw(st.sampled_from(fields))
+        top = 1 << 8 * struct.calcsize(fmt)
+        value = draw(st.sampled_from([0, 1, top // 2 - 1, top // 2, top - 2, top - 1]))
+        out[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    else:
+        offset = draw(st.integers(0, len(out) - 1))
+        del out[offset:]
+    return what, offset, bytes(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files():
+    """(file, load, save, fields, H_m) for each file of one key per code."""
+    files = {}
+    for m, r in [(4, 1), (5, 2), (6, 3)]:
+        n, _k, t = rmcode.code_dims(m, r)
+        params = scheme.SigningParams(w=n // 2, N=1000, t=t)
+        kp = scheme.keygen(m, r, params, np.random.default_rng(m + r))
+        sig = scheme.sign(kp.private, b"property fuzz")
+        files[m, r, "public"] = (formats.save_public_key(kp.public), formats.load_public_key,
+                                 formats.save_public_key, KEY_FIELDS, None)
+        files[m, r, "private"] = (formats.save_private_key(kp.private), formats.load_private_key,
+                                  formats.save_private_key, KEY_FIELDS, kp.private.mod.packed_H)
+        files[m, r, "signature"] = (formats.save_signature(sig, n), formats.load_signature,
+                                    lambda s: formats.save_signature(s, s.e.size), SIG_FIELDS,
+                                    None)
+    return files
+
+
+class TestLoaderProperty:
+    """Any file one mutation away from a saved one, with the CRC (and, for
+    a private key, the digest of every byte before it and H_m) recomputed
+    so the content checks decide: the loader raises FormatError or loads a
+    value that saves back to exactly the mutated bytes."""
+
+    @pytest.mark.parametrize("kind", ["public", "private", "signature"])
+    @pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 3)])
+    @settings(derandomize=True, database=None, max_examples=150, deadline=1000)
+    @given(data=st.data())
+    def test_mutated_file_raises_or_saves_back(self, fuzz_files, m, r, kind, data):
+        raw, load, save, fields, packed_h = fuzz_files[m, r, kind]
+        what, offset, body = data.draw(_mutated_body(raw[:-4], fields))
+        if packed_h is not None and what != "truncate" and offset < len(body) - 32:
+            body = body[:-32] + hashlib.sha256(body[:-32] + packed_h.tobytes()).digest()
+        mutated = body + struct.pack("<I", zlib.crc32(body))
+        try:
+            loaded = load(mutated)
+        except formats.FormatError:
+            return
+        assert save(loaded) == mutated, (what, offset)

@@ -201,7 +201,7 @@ class TestProductTable:
                 wide = rand_mat(rng, k, rows + 7)
                 for at in (np.ascontiguousarray(wide[:, 3 : 3 + rows]), wide[:, 3 : 3 + rows]):
                     got = gf2._packbits_axis0(at)
-                    expected = np.packbits(at, axis=0, bitorder="little")
+                    expected = np.packbits(at, axis=0)
                     assert np.array_equal(got, expected), (k, rows, at.flags.c_contiguous)
 
     def test_wrong_table_rejected(self):
@@ -231,6 +231,9 @@ class TestColumnTable:
         vectors += [rand_mat(rng, 1, cols)[0] for _ in range(3)]
         for v in vectors:
             expected = naive_mat_mul(a, v[:, None])[:, 0]
+            # mat_vec's product is packed as np.packbits packs it: zero pad bits.
+            packed = gf2.mat_vec(table, np.flatnonzero(v))
+            assert packed.dtype == np.uint8 and np.array_equal(packed, np.packbits(expected))
             for form in (v, v.astype(bool), v.astype(np.int64)):
                 got = gf2.mat_mul(a, form, table)
                 assert got.shape == (rows,) and got.dtype == np.uint8
@@ -296,16 +299,26 @@ class TestPackedForms:
         monkeypatch.setattr(gf2, "_COLUMN_BLOCK_CELLS", cells)
         a = rand_mat(np.random.default_rng(rows * cols), rows, cols)
         got = gf2.pack_columns(np.packbits(a, axis=1), cols)
-        assert np.array_equal(got, np.packbits(a.T, axis=1, bitorder="little"))
+        assert np.array_equal(got, np.packbits(a.T, axis=1))
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
-    def test_lsb_first(self, rows, cols):
-        a = rand_mat(np.random.default_rng(rows + cols), rows, cols)
-        packed = np.packbits(a, axis=1)
+    def test_table_of_packed_head(self, rows, cols):
+        """The table of a's first head columns, read from the first
+        ceil(head/8) bytes of a's packed rows as they are, as keygen reads
+        H_m's head (ModifiedCode.left_product).  The columns after head
+        share the last byte; they are all set here, and reach only product
+        columns the unpack drops."""
+        rng = np.random.default_rng(rows + cols)
+        a = rand_mat(rng, rows, cols)
         for head in {1, 7, 8, cols // 2 + 1, cols}:
             if head <= cols:
-                expected = np.packbits(a[:, :head], axis=1, bitorder="little")
-                assert np.array_equal(gf2.lsb_first(packed, head), expected), head
+                tail_set = a.copy()
+                tail_set[:, head:] = 1
+                packed_head = np.packbits(tail_set, axis=1)[:, : (head + 7) // 8]
+                table = gf2.ProductTable.from_packed(packed_head, head)
+                assert table.shape == (rows, head)
+                s = rand_mat(rng, 4, rows)
+                assert np.array_equal(gf2.mat_mul(s, table), naive_mat_mul(s, a[:, :head])), head
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
     def test_tables_from_packed_rows(self, rows, cols):
@@ -318,7 +331,7 @@ class TestPackedForms:
         assert columns.shape == (rows, cols)
         assert np.array_equal(columns._columns, gf2.ColumnTable(a)._columns)
         at = gf2.ProductTable.from_packed(gf2.pack_columns(packed, cols), rows)
-        head = gf2.ProductTable.from_packed(gf2.lsb_first(packed, cols), cols)
+        head = gf2.ProductTable.from_packed(packed, cols)
         for table, matrix in ((at, a.T), (head, a)):
             assert table.shape == matrix.shape
             assert np.array_equal(table._table, gf2.ProductTable(matrix)._table)

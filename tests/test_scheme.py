@@ -698,6 +698,62 @@ class TestVerifyMatchesNaivePredicate:
         assert verdicts[True] >= 20 and verdicts[False] >= 20
 
 
+@pytest.fixture(scope="module")
+def rm10_keypair():
+    """The RM(10,5) key at w = 99 of the benchmark's sign-rm10 workload."""
+    params = scheme.SigningParams(w=99, N=10_000, t=15)
+    return scheme.keygen(10, 5, params, np.random.default_rng(1))
+
+
+class TestVerifyPartialLastByte:
+    """n-k = 11 on RM(4,1) and 386 on RM(10,5): the packed syndrome's last
+    byte holds n-k mod 8 bits and pad bits, which verify masks off the
+    digest."""
+
+    @pytest.mark.parametrize("key", ["toy_keypair", "rm10_keypair"])
+    def test_flip_in_the_last_row_rejects(self, key, request):
+        kp = request.getfixturevalue(key)
+        pub, message = kp.public, b"last byte"
+        sig = scheme.sign(kp.private, message)
+        assert pub.packed_H.shape[0] % 8 and scheme.verify(pub, message, sig)
+        support = np.flatnonzero(sig.e)
+        product = gf2.mat_vec(pub._H_table, support)
+        for j in support[:3]:
+            packed = pub.packed_H.copy()
+            packed[-1, j >> 3] ^= 128 >> (j & 7)
+            tampered = dataclasses.replace(pub, packed_H=packed)
+            # H'e changes in its last bit alone, so only the last byte differs.
+            changed = np.flatnonzero(gf2.mat_vec(tampered._H_table, support) != product)
+            assert changed.tolist() == [product.size - 1]
+            assert not scheme.verify(tampered, message, sig)
+            assert not naive_verify(tampered, message, sig.e, sig.i)
+
+    def test_rm10_near_a_signature_matches_naive(self, rm10_keypair):
+        pub, w = rm10_keypair.public, rm10_keypair.public.params.w
+        rng = np.random.default_rng(10)
+        sig = scheme.sign(rm10_keypair.private, b"near")
+        ones, zeros = np.flatnonzero(sig.e), np.flatnonzero(sig.e == 0)
+        vectors = [sig.e]
+        for weight in (w - 1, w, w + 1):
+            e = sig.e.copy()
+            if weight >= ones.size:
+                e[rng.choice(zeros, weight - ones.size, replace=False)] = 1
+            else:
+                e[rng.choice(ones, ones.size - weight, replace=False)] = 0
+            vectors.append(e)
+        verdicts = set()
+        for e in vectors:
+            for dtype in (bool, np.uint8, np.int8, np.int64):
+                strided = np.zeros(2 * pub.n, dtype=dtype)
+                strided[::2] = e
+                for form in (e.astype(dtype), strided[::2]):
+                    for message, i in ((b"near", sig.i), (b"near", sig.i + 1), (b"far", sig.i)):
+                        got = scheme.verify(pub, message, scheme.Signature(e=form, i=i))
+                        assert got is naive_verify(pub, message, form, i)
+                        verdicts.add(got)
+        assert verdicts == {True, False}
+
+
 HYP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 VERIFY_MESSAGE = b"property"
 
