@@ -193,7 +193,7 @@ def systematic_attack_transform(h_pub: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Returns (T, cols) with (T @ H')[:, cols] = I, cols in pivot order.
     """
     n_k, n = h_pub.shape
-    aug = np.concatenate([h_pub, gf2.identity(n_k)], axis=1)
+    aug = np.concatenate([h_pub, np.eye(n_k, dtype=np.uint8)], axis=1)
     # Scan parity-block columns first, then the rest, then the augmented part.
     order = list(range(n - n_k, n)) + list(range(n - n_k)) + list(range(n, n + n_k))
     red, piv = gf2.rref(aug[:, order])
@@ -218,15 +218,16 @@ def naive_forgery_attack(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    transform, cols = systematic_attack_transform(pub.H)
-    assert np.array_equal(gf2.mat_mul(transform, pub.H[:, cols]), gf2.identity(len(cols)))
+    h_pub = np.unpackbits(pub.packed_H, axis=1, count=pub.n)
+    transform, cols = systematic_attack_transform(h_pub)
+    assert np.array_equal(gf2.mat_mul(transform, h_pub[:, cols]), np.eye(len(cols), dtype=np.uint8))
     successes = 0
-    n_k = pub.H.shape[0]
+    n_k = h_pub.shape[0]
     for _ in range(trials):
         i = int(rng.integers(1, 2**62))
         s = hash_to_syndrome(message, i, n_k)
         z_red = gf2.mat_mul(transform, s)
-        if gf2.weight(z_red) <= pub.params.w:
+        if np.count_nonzero(z_red) <= pub.params.w:
             z = np.zeros(pub.n, dtype=np.uint8)
             z[cols] = z_red
             if not verify(pub, message, Signature(e=z, i=i)):

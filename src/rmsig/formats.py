@@ -34,9 +34,9 @@ stores the counter big-endian, mirroring its role as hash input:
 
 A matrix packs row-major, each row padded to whole bytes, MSB first.
 Every padding bit must be zero, so every file that loads saves back to
-the same bytes.  H' and H_m are held in this layout (PublicKey,
-ModifiedCode), so they are written, read and hashed with no pack or
-unpack pass.
+the same bytes.  H', F and H_m are held in this layout (PublicKey,
+PrivateKey, ModifiedCode), so they are written, read and hashed with no
+pack or unpack pass.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def save_private_key(priv: PrivateKey) -> bytes:
     mod = priv.mod
     body = _header(ROLE_PRIVATE, mod.m, mod.r, mod.p, priv.params)
     body += struct.pack("<I", mod.p) + _u32_list(mod.deleted)
-    body += gf2.pack_bits(priv.S_inv_factors)
+    body += priv.packed_F.tobytes()
     body += _u32_list(priv.sigma)
     body += gf2.pack_bits(mod.R) if mod.p else b""
     body += _u32_list(mod.info_perm)
@@ -185,9 +185,9 @@ def load_private_key(raw: bytes) -> PrivateKey:
         raise FormatError("deleted column list does not match p")
     if p and (deleted[0] < k or deleted[-1] >= n or (np.diff(deleted) <= 0).any()):
         raise FormatError(f"deleted columns must increase strictly within [{k}, {n})")
-    packed_factors = _packed(rd, n - k, n - k, "the S^-1 factor matrix")
-    factors = np.unpackbits(packed_factors, axis=1, count=n - k)
-    if np.diagonal(factors).any():
+    packed_f = _packed(rd, n - k, n - k, "the S^-1 factor matrix")
+    diag = np.arange(n - k)
+    if (packed_f[diag, diag >> 3] & (128 >> (diag & 7))).any():
         raise FormatError("the S^-1 factor matrix has a nonzero diagonal")
     sigma = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     if not np.array_equal(np.sort(sigma), np.arange(n)):
@@ -212,9 +212,8 @@ def load_private_key(raw: bytes) -> PrivateKey:
     del code, aligned  # H_m is all the key keeps of them
     if _digest(rd.buf[:-32], mod) != stored_digest:
         raise FormatError("private key digest mismatch")
-    for arr in (factors, sigma):
-        arr.flags.writeable = False
-    return PrivateKey(S_inv_factors=factors, sigma=sigma, mod=mod, params=params)
+    sigma.flags.writeable = False
+    return PrivateKey(packed_F=packed_f, sigma=sigma, mod=mod, params=params)
 
 
 def save_keypair(kp: KeyPair, out_prefix: str) -> tuple[str, str]:

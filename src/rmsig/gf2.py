@@ -1,41 +1,31 @@
 """Dense GF(2) linear algebra on numpy uint8 arrays.
 
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
-addition is XOR.  Gaussian elimination runs on bit-packed rows; it
-reduces the few rows of a generator whose information columns move,
-and tests the rank of a minimum-weight codeword's affine forms (no
-generator is row-reduced whole: see rmcode).  The one inverse the scheme takes, of
-keygen's unit triangular factors of the scrambler S, is a block
-recursion on products instead (invert).  A matrix-vector
-product adds up the columns the vector selects, so it never copies the
-whole matrix; verification, which multiplies by the same public matrix
-every time, XORs its columns packed into uint64 words instead
-(ColumnTable).  Products by a matrix that is used many times (the
-signing path's S^-1, and H_m^T for the check of decoded errors) read a
-precomputed Four-Russians table of packed uint64 rows (ProductTable).
-Such a table packs its matrix, and a product its operand, where it
-lies: by rows or, for a transposed view such as S^-1.T or a
-column-major batch of errors, by columns, so neither makes a
-transposing copy (_packed_rows); a product then gathers the table rows
-with take into one reused buffer, a block of rows at a time, and skips
-the groups that no row of a block selects, such as the zero triangle
-of keygen's and the key load's triangular factors.  One routine,
-_packbits_axis0, packs by columns, for these and for the matrix of a
-ColumnTable.  The keys hold H' and H_m as packed rows in the layout
-below, and each table also has a constructor from packed lines
-(from_packed): pack_columns packs a packed matrix's columns from a few
-of its rows unpacked at a time, and a table of the head of a matrix
-reads the head of its packed rows as they are, so no table of a key
-unpacks the key's matrix.  A table stands in place of its matrix in
-mat_mul, and mat_vec returns a ColumnTable's product packed.  mat_mul
-builds a product table for a one-off product too when both matrices
-are large (see mat_mul), and sends any other matrix product through
-float32 BLAS, which is exact below 2**24 terms.
+addition is XOR.  Gaussian elimination (rref) runs on bit-packed rows.
+The one inverse the scheme takes, of keygen's unit triangular factors of
+the scrambler S, is a block recursion on products (invert).
 
-Bit packing convention, fixed for all serialized forms, the tables and
-mat_vec's products alike: row-major, each row padded to a whole number
-of bytes, MSB-first within a byte (bit j of a row lives in byte j//8 at
-mask 128 >> (j % 8)).  A SHAKE digest read as a bit string MSB-first
+A matrix used for many products is read through a table of its packed
+lines.  A ProductTable is a Four-Russians table of packed uint64 rows
+for a @ b by a fixed b (the signing path's S^-1, H_m^T for the check of
+decoded errors), and stands in place of b in mat_mul.  A ColumnTable
+holds the packed columns of a fixed a (the public key's H'), and mat_vec
+returns its product by a vector packed.  Each table is built from its
+matrix's packed lines: pack_columns packs the columns of a packed
+matrix from a few of its rows unpacked at a time, and a table of the
+head of a matrix reads the head of its packed rows as they are, so no
+table of a key unpacks the key's matrix.  A table, and a product by one,
+packs a matrix or operand where it lies, by rows or, for a transposed
+view, by columns (_packed_rows, _packbits_axis0), so neither makes a
+transposing copy.  Any other product goes through mat_mul, which builds
+a ProductTable for the call when both matrices are large and otherwise
+multiplies in float32 BLAS, exact below 2**24 terms.
+
+Bit packing convention, the one layout of every packed matrix (the key
+files, the keys' and codes' packed fields, the tables and mat_vec's
+products): row-major, each row padded to a whole number of bytes,
+MSB-first within a byte (bit j of a row lives in byte j//8 at mask
+128 >> (j % 8)).  A SHAKE digest read as a bit string MSB-first
 (scheme.hash_to_syndrome) has the same layout.
 """
 
@@ -48,15 +38,6 @@ import numpy as np
 
 class RankError(ValueError):
     """Requested pivot columns are linearly dependent."""
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.uint8)
-
-
-def weight(v: np.ndarray) -> int:
-    """Hamming weight (number of set positions)."""
-    return int(np.count_nonzero(v))
 
 
 _GATHER_WORDS = 1 << 17
@@ -210,39 +191,18 @@ class ColumnTable:
     """The columns of one fixed matrix a, packed for products a @ v: the
     public key's H', by which verification multiplies.
 
-    Column j of a is row j of the table, packed MSB-first as pack_bits
-    packs a row and zero-padded to ceil(rows/64) uint64 words; a @ v is
-    then the XOR of the table rows at the support of v (mat_vec).  The
-    table takes cols * ceil(rows/64) words, an eighth of a's bytes.
-    ColumnTable(a) packs a by columns with _packbits_axis0; from_packed
-    takes the columns already packed, as pack_columns writes them from
-    the public key's packed rows.  Both constructors meet in
-    _init_packed.
+    ColumnTable(columns, rows) takes the columns of the rows x cols
+    matrix a packed, one per row, in np.packbits(a.T, axis=1)'s layout,
+    as pack_columns writes them from a's packed rows.  Each is
+    zero-padded to ceil(rows/64) uint64 words, and a @ v is the XOR of
+    the table rows at the support of v (mat_vec).
     """
 
-    ndim = 2  # stands in for its matrix in mat_mul's shape checks
-
-    def __init__(self, a: np.ndarray) -> None:
-        a = np.ascontiguousarray(a, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValueError(f"column table needs a matrix, got shape {a.shape}")
-        self._init_packed(_packbits_axis0(a).T, a.shape[0])
-
-    @classmethod
-    def from_packed(cls, columns: np.ndarray, rows: int) -> ColumnTable:
-        """The table of the rows x cols matrix a whose columns `columns`
-        holds packed, one per row: np.packbits(a.T, axis=1)'s layout,
-        which pack_columns writes."""
-        table = cls.__new__(cls)
-        table._init_packed(columns, rows)
-        return table
-
-    def _init_packed(self, columns: np.ndarray, rows: int) -> None:
-        cols = columns.shape[0]
-        packed = np.zeros((cols, 8 * ((rows + 63) // 64)), dtype=np.uint8)
+    def __init__(self, columns: np.ndarray, rows: int) -> None:
+        packed = np.zeros((columns.shape[0], 8 * ((rows + 63) // 64)), dtype=np.uint8)
         packed[:, : (rows + 7) // 8] = columns
         packed.flags.writeable = False
-        self.shape = (rows, cols)
+        self.shape = (rows, columns.shape[0])
         self._columns = packed.view(np.uint64)
 
 
@@ -269,49 +229,35 @@ _TABLE_MIN = 256
 
 
 def mat_mul(
-    a: np.ndarray | ColumnTable,
-    b: np.ndarray | ProductTable,
-    table: ProductTable | ColumnTable | None = None,
+    a: np.ndarray, b: np.ndarray | ProductTable, table: ProductTable | None = None
 ) -> np.ndarray:
     """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
 
-    With table, the product reads the table instead of multiplying: a
-    ColumnTable built from a for a 1-D b, a ProductTable built from b
-    for a matrix b.  Such a table may also stand in place of its matrix,
-    as a or b, so a caller that keeps a matrix packed (the public key's
-    H', the modified code's H_m) never unpacks it.  Without one, a
-    product of an a with at least _TABLE_MIN rows by a b with at least
-    _TABLE_MIN columns builds a ProductTable for the call, which holds
-    no float copies and beats BLAS for such sizes (key generation's
-    S @ H_m on RM(12,6) is 1586 x 1586 by 1586 x 4096).  Other products
-    go through BLAS, which beats building a table when a has few rows,
-    as for a signing batch by the one- or two-column R block.  BLAS runs
-    in float32, whose sums are exact below 2**24 terms, so its copies of
-    the operands take half the bytes of float64 ones.
+    With table, a ProductTable built from the matrix b, the product reads
+    the table instead of multiplying; such a table may also stand in
+    place of b, so a caller that keeps b packed never unpacks it.
+    Without one, a product of an a with at least _TABLE_MIN rows by a b
+    with at least _TABLE_MIN columns builds a ProductTable for the call,
+    which holds no float copies and beats BLAS at such sizes.  Other
+    products go through BLAS, which beats building a table when a has
+    few rows.  BLAS runs in float32, whose sums are exact below 2**24
+    terms, so its copies of the operands take half the bytes of float64
+    ones.  An entry counts by its least significant bit.
     """
-    tables = (ColumnTable, ProductTable)
-    if isinstance(a, tables):
-        table = a if table is None else table
-    else:
-        a = np.asarray(a, dtype=np.uint8)
-    if isinstance(b, tables):
+    if isinstance(a, ProductTable):
+        raise ValueError("a product table stands in for the right operand only")
+    a = np.asarray(a, dtype=np.uint8)
+    if isinstance(b, ProductTable):
         table = b if table is None else table
     else:
         b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {b.shape}")
     if table is not None:
-        kind, built_from, operand = (ColumnTable, a, b) if b.ndim == 1 else (ProductTable, b, a)
-        if (
-            not isinstance(table, kind)
-            or table.shape != built_from.shape
-            or isinstance(operand, tables)
-        ):
+        if not isinstance(table, ProductTable) or table.shape != b.shape:
             name = type(table).__name__
             raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
-        if kind is ColumnTable:  # an entry counts by its least significant bit
-            return np.unpackbits(mat_vec(table, np.flatnonzero(b & 1)), count=a.shape[0])
-        return table.product(operand)
+        return table.product(a)
     if b.ndim == 1:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)

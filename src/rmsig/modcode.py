@@ -74,8 +74,7 @@ class ModifiedCode:
     only matrix stored, as packed rows in gf2.pack_bits' layout, an
     eighth of its unpacked size; n, k, p and t follow from m and the
     fields.  R and the product table of H_m^T, by which decoded errors
-    are checked, are cached on first use; so is the unpacked H, which
-    only tests read.  Equality is identity.
+    are checked, are cached on first use.  Equality is identity.
     """
 
     m: int
@@ -100,13 +99,6 @@ class ModifiedCode:
     def t(self) -> int:
         """The parent's error correctability floor((d-1)/2)."""
         return ((1 << (self.m - self.r)) - 1) // 2
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """H_m, (n-k) x n, unpacked from packed_H on first read."""
-        h = np.unpackbits(self.packed_H, axis=1, count=self.n)
-        h.flags.writeable = False
-        return h
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -164,7 +156,11 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
 
     When 2r < m, y is supp(x) cut by r more random affine forms and
     constants, redrawn until they keep exactly 2**(m-2r) of its points,
-    so y is a uniformly random (m-2r)-flat inside supp(x).
+    so y is a uniformly random (m-2r)-flat inside supp(x).  When 2r >= m,
+    y is the first point of supp(x) in systematic order: a function of
+    x, not a uniform draw among its points (a known deviation; see the
+    README).  Systematic order puts the information points first, so
+    that y is an information column whenever supp(x) holds one.
     """
     m, r = code.m, code.r
     if not 1 <= r < m:
@@ -281,7 +277,7 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     runs = list(zip(np.concatenate([[0], leaving + 1]), np.concatenate([leaving, [k]])))
     step = max(1, _UNPACK_BLOCK_BYTES // k)
     for start in range(0, top, step):
-        bits = np.unpackbits(rows[start : start + step], axis=1, count=k, bitorder="little")
+        bits = np.unpackbits(rows[start : start + step], axis=1, count=k)
         stop, at = start + bits.shape[0], 0
         slab = np.empty_like(bits)
         for lo, hi in runs:

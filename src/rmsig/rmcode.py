@@ -37,20 +37,19 @@ words are the single points when 2r >= m and the (m-2r)-subflats
 otherwise, so a puncture plan draws its y in closed form too
 (modcode.puncture_plan); no minimum-weight search is run.
 
-A code stores only its parity block P^T, packed (packed_PT) and
-written straight from the closed form, and ``info_perm``, the
-evaluation position each systematic column came from, which the
-recursive decoder needs; no program path forms a generator.
-build shares one read-only code per (m, r) while any reference to it is
-held.  Moving the information set off punctured columns eliminates only
-the rows of the columns that leave it (modcode.align_information_set),
-read with RmCode.rows; keygen does this once, and a private-key load
-replays the same move from the closed form.  The modified parity check
-is read from packed_PT and the moved rows, and kept as packed rows too
-(modcode.ModifiedCode), as is the public key's H' (scheme.PublicKey).
-The parity check H is unpacked from packed_PT on first read; only
-tests and the benchmark's oracle read it.  The keys' H is unpacked the
-same way, for those readers and analysis.naive_forgery_attack.
+A code stores only its parity block P^T, packed (packed_PT) in the
+layout of every packed matrix (gf2) and written straight from the
+closed form, and ``info_perm``, the evaluation position each systematic
+column came from, which the recursive decoder needs; no program path
+forms a generator.  build shares one read-only code per (m, r) while any
+reference to it is held.  Moving the information set off punctured
+columns eliminates only the rows of the columns that leave it
+(modcode.align_information_set), read with RmCode.rows; keygen does
+this once, and a private-key load replays the same move from the closed
+form.  The modified parity check is read from packed_PT and the moved
+rows, and kept as packed rows too (modcode.ModifiedCode).  The parity
+check H is unpacked from packed_PT on first read, for the benchmark's
+oracle and tests; no program path reads it.
 """
 
 from __future__ import annotations
@@ -72,9 +71,9 @@ class RmCode:
     """A systematic RM(r, m) code, generator G = [I_k | P].
 
     Only P^T is stored, packed: row j of packed_PT holds column k + j of
-    G, its k bits in ceil(k/8) bytes, bit i of byte b being row 8b + i
-    (little-endian bit order).  Column j of G is evaluation position
-    info_perm[j] of the raw monomial code.
+    G, its k bits packed as gf2.pack_bits packs a row, so row i of G is
+    bit 128 >> (i % 8) of byte i // 8.  Column j of G is evaluation
+    position info_perm[j] of the raw monomial code.
     """
 
     m: int
@@ -96,14 +95,14 @@ class RmCode:
         index = np.asarray(index, dtype=np.int64)
         g = np.zeros((index.size, self.n), dtype=np.uint8)
         g[np.arange(index.size), index] = 1
-        g[:, self.k :] = ((self.packed_PT[:, index >> 3] >> (index & 7)) & 1).T
+        g[:, self.k :] = ((self.packed_PT[:, index >> 3] >> (7 - (index & 7))) & 1).T
         return g
 
     @cached_property
     def H(self) -> np.ndarray:
         """H = [P^T | I_{n-k}], so G @ H.T = 0; unpacked on first read."""
-        bits = np.unpackbits(self.packed_PT, axis=1, count=self.k, bitorder="little")
-        h = np.concatenate([bits, gf2.identity(self.n - self.k)], axis=1)
+        bits = np.unpackbits(self.packed_PT, axis=1, count=self.k)
+        h = np.concatenate([bits, np.eye(self.n - self.k, dtype=np.uint8)], axis=1)
         h.flags.writeable = False
         return h
 
@@ -162,7 +161,7 @@ def _systematic(m: int, r: int) -> RmCode:
     rows = max(1, _CLOSED_FORM_CELLS // k)
     for start in range(0, n - k, rows):
         cells = mask[start : start + rows, None] & key
-        packed[start : start + rows] = np.packbits(cells == 0, axis=1, bitorder="little")
+        packed[start : start + rows] = np.packbits(cells == 0, axis=1)
     for a in (packed, info_perm):
         a.flags.writeable = False
     return RmCode(m=m, r=r, n=n, k=k, d=1 << (m - r), packed_PT=packed, info_perm=info_perm)

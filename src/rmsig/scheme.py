@@ -5,15 +5,17 @@ permutation (stored as an index vector sigma, meaning row i of the
 matrix form has its 1 in column sigma[i]) and the modified code.  The
 public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
-so signing, which reads S^-1 = U^-1 @ L^-1 alone, never inverts S.
-Both check matrices, H' and H_m, are held as packed rows, the layout of
-their key files (gf2.pack_bits): keygen writes them packed a block of
-rows at a time, and sign, verify and the check of decoded errors read
-them through tables packed from them, so no program path unpacks one.
+as one matrix F, so signing, which reads S^-1 = U^-1 @ L^-1 alone, never
+inverts S.  F and both check matrices, H' and H_m, are held as packed
+rows, the layout of their key files (gf2.pack_bits).  Sign, verify and
+the check of decoded errors read H' and H_m through tables packed from
+them, so no program path unpacks either; F is unpacked once, to form
+S^-1.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
-the first n-k bits of SHAKE256(SHAKE256(M, 32 bytes) || i as 8-byte
-big-endian), bits taken MSB-first within each byte.
+the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
+h(M) is SHAKE256(M, 32 bytes), bits taken MSB-first within each byte.
+_syndrome_from_digest is the one place that states it.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ class SigningParams:
 class PublicKey:
     """The public check matrix H', (n-k) x n, as its packed rows: the
     public key file's body, n(n-k) bits.  verify reads its columns
-    through a ColumnTable packed from those rows; the unpacked H, which
-    only tests and analysis.naive_forgery_attack read, is cached on first
-    read.  Equality is identity."""
+    through a ColumnTable packed from those rows.  The unpacked H is
+    cached on first read, for the benchmark's oracle and tests; no
+    program path reads it.  Equality is identity."""
 
     m: int
     r: int
@@ -79,32 +81,34 @@ class PublicKey:
 
     @cached_property
     def _H_table(self) -> gf2.ColumnTable:
-        columns = gf2.pack_columns(self.packed_H, self.n)
-        return gf2.ColumnTable.from_packed(columns, self.packed_H.shape[0])
+        return gf2.ColumnTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
 class PrivateKey:
     # S^-1 = U^-1 @ L^-1 in one (n-k) x (n-k) matrix F with a zero
-    # diagonal: L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1).
-    S_inv_factors: np.ndarray
+    # diagonal, L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1), as the
+    # private key file stores it: (n-k) x ceil((n-k)/8) packed rows.
+    packed_F: np.ndarray
     sigma: np.ndarray  # permutation indices; Q[i, sigma[i]] = 1
     mod: ModifiedCode
     params: SigningParams
 
     @cached_property
     def S_inv(self) -> np.ndarray:
-        # L^-1 is F cut below its diagonal in place, row by row, and the
-        # XOR leaves U^-1 with F's diagonal, which the fill overwrites:
-        # 4.2-5.5 ms against 10.9-16.2 ms with np.triu and np.tril on
-        # RM(12,6) (best and median of 21, three runs; see
-        # gf2.random_unit_triangular for why not a mask).  The product
-        # skips the zero triangle of U^-1 (gf2.ProductTable).
-        n = self.S_inv_factors.shape[0]
-        lower_inv = self.S_inv_factors.copy()
+        """S^-1 = U^-1 @ L^-1, from F unpacked once.
+
+        L^-1 is a copy of F cut below its diagonal in place, row by row,
+        which allocates no mask, and F XOR L^-1 leaves U^-1; each gets its
+        unit diagonal.  The product skips the zero triangle of U^-1
+        (gf2.ProductTable).
+        """
+        n = self.packed_F.shape[0]
+        upper_inv = np.unpackbits(self.packed_F, axis=1, count=n)
+        lower_inv = upper_inv.copy()
         for i in range(n):
             lower_inv[i, i:] = 0
-        upper_inv = self.S_inv_factors ^ lower_inv
+        upper_inv ^= lower_inv
         np.fill_diagonal(upper_inv, 1)
         np.fill_diagonal(lower_inv, 1)
         return gf2.mat_mul(upper_inv, lower_inv)
@@ -145,38 +149,35 @@ class SigningExhausted:
     best_weight: int
 
 
+def _message_digest(message: bytes) -> bytes:
+    """h(M), the first 32 bytes of SHAKE256(M)."""
+    return hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
+
+
 def hash_to_syndrome(message: bytes, i: int, out_bits: int) -> np.ndarray:
     """Map (message, counter) to a syndrome of exactly out_bits bits: the
-    unpacking of _packed_syndrome, and the row _syndrome_from_digest
-    gives for i.
+    row _syndrome_from_digest gives for h(M) and i, unpacked.
 
     Raises:
         ValueError: unless 1 <= i < 2**64 (the counter is hashed as 8 bytes).
     """
-    packed = np.frombuffer(_packed_syndrome(message, i, out_bits), dtype=np.uint8)
-    return np.unpackbits(packed, count=out_bits)
-
-
-def _packed_syndrome(message: bytes, i: int, out_bits: int) -> bytearray:
-    """h(h(M)|i) packed as gf2.pack_bits packs a row: the first
-    ceil(out_bits/8) digest bytes, with the pad bits after out_bits zero."""
     if not 1 <= i < 1 << 64:
         raise ValueError("counter must satisfy 1 <= i < 2**64")
-    inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
-    packed = bytearray(hashlib.shake_256(inner + i.to_bytes(8, "big")).digest((out_bits + 7) // 8))
-    packed[-1] &= 0xFF << -out_bits % 8 & 0xFF
-    return packed
+    packed = _syndrome_from_digest(_message_digest(message), i, 1, out_bits)
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=out_bits)
 
 
-def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -> np.ndarray:
-    """Syndrome rows h(inner|i) for the counters first..first+count-1."""
+def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -> bytearray:
+    """The hash rule: the syndromes h(inner | i) of the counters
+    first..first+count-1, inner being h(M) and i hashed as 8 bytes
+    big-endian, one after another.  Each is the first ceil(out_bits/8)
+    bytes of its digest, read MSB-first as gf2.pack_bits packs a row; the
+    bits after out_bits are the digest's, not cleared."""
     nbytes = (out_bits + 7) // 8
-    stream = b"".join(
+    return bytearray().join([
         hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(nbytes)
         for i in range(first, first + count)
-    )
-    rows = np.frombuffer(stream, dtype=np.uint8).reshape(count, nbytes)
-    return np.unpackbits(rows, axis=1, count=out_bits)
+    ])
 
 
 def keygen(
@@ -203,17 +204,18 @@ def keygen(
     n, k = mod.n, mod.k
     lower, upper = gf2.random_unit_triangular(n - k, rng)
     sigma = rng.permutation(n)
-    factors = gf2.invert(lower) ^ gf2.invert(upper)  # the unit diagonals cancel
+    # F, packed once; the unit diagonals cancel.
+    packed_f = np.packbits(gf2.invert(lower) ^ gf2.invert(upper), axis=1)
     scrambler = gf2.mat_mul(lower, upper)
     del lower, upper
     # H' = S H_m Q, packed a row block at a time.
     h_pub = mod.left_product(scrambler, np.argsort(sigma))
     del scrambler
-    for arr in (factors, sigma, h_pub):
+    for arr in (packed_f, sigma, h_pub):
         arr.flags.writeable = False
 
     public = PublicKey(m=m, r=r, packed_H=h_pub, params=params)
-    private = PrivateKey(S_inv_factors=factors, sigma=sigma, mod=mod, params=params)
+    private = PrivateKey(packed_F=packed_f, sigma=sigma, mod=mod, params=params)
     return KeyPair(public=public, private=private)
 
 
@@ -270,7 +272,9 @@ def _trials(
     # Plain calibration must call decoder.coset_leaders.  Moving one of
     # these calls makes a per-layer metric read None, and
     # tests/test_perfbench.py then fails.
-    synd = _syndrome_from_digest(inner, first, count, priv.mod.n - priv.mod.k)
+    out_bits = priv.mod.n - priv.mod.k
+    packed = np.frombuffer(_syndrome_from_digest(inner, first, count, out_bits), dtype=np.uint8)
+    synd = np.unpackbits(packed.reshape(count, -1), axis=1, count=out_bits)
     s_primes = gf2.mat_mul(synd, priv.S_inv.T, priv._S_inv_T_table)
     return s_primes, _modified_coset_leaders(priv.mod, s_primes)
 
@@ -286,7 +290,7 @@ def sign(priv: PrivateKey, message: bytes) -> Union[Signature, SigningExhausted]
     up to the returned one is evaluated, so the result never depends on
     them.
     """
-    inner = hashlib.shake_256(message).digest(_INNER_DIGEST_BYTES)
+    inner = _message_digest(message)
     limit = priv.params.N
     best = priv.mod.n + 1
     history = priv._sign_history
@@ -358,5 +362,7 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     support = (e.view(np.bool_) if e.itemsize == 1 else e != 0).nonzero()[0]
     if support.size > pub.params.w:
         return False
-    expected = _packed_syndrome(message, i, pub.packed_H.shape[0])
+    rows = pub.packed_H.shape[0]
+    expected = _syndrome_from_digest(_message_digest(message), i, 1, rows)
+    expected[-1] &= 0xFF << -rows % 8 & 0xFF  # H' e has zero pad bits
     return gf2.mat_vec(pub._H_table, support).tobytes() == expected

@@ -7,7 +7,9 @@ oracle for whole RM generators (systematize and the functions built on
 it) and the Gauss-Jordan inverse (invert), which reduce with gf2.rref
 because a 2510 x 4096 generator, or a few hundred rows of an inverse,
 is out of reach of python loops; gf2.rref is itself checked against
-naive_rref.
+naive_rref.  The unpacked and table forms that only tests use
+(check_matrix, column_table, column_product) live here too, so that
+the package keeps one packed form of each matrix.
 """
 
 import itertools
@@ -27,6 +29,38 @@ def naive_mat_mul(a, b):
                 acc ^= int(a[i, t]) & int(b[t, j])
             out[i, j] = acc
     return out
+
+
+def identity(n):
+    return np.eye(n, dtype=np.uint8)
+
+
+def check_matrix(mod):
+    """H_m of a modified code, (n-k) x n, unpacked from its packed rows."""
+    return np.unpackbits(mod.packed_H, axis=1, count=mod.n)
+
+
+def column_table(a):
+    """The gf2.ColumnTable of a binary matrix a, built as a public key
+    builds its table: from a's packed rows, row-major as pack_bits packs
+    them, through gf2.pack_columns."""
+    a = np.asarray(a, dtype=np.uint8)
+    rows, cols = a.shape
+    packed = np.ascontiguousarray(np.packbits(a, axis=1))
+    return gf2.ColumnTable(gf2.pack_columns(packed, cols), rows)
+
+
+def column_product(table, v):
+    """a @ v for the matrix a of a ColumnTable, through gf2.mat_vec and
+    unpacked; an entry of v counts by its least significant bit.
+
+    Raises:
+        ValueError: unless v is a vector of a's width.
+    """
+    v = np.asarray(v)
+    if v.shape != (table.shape[1],):
+        raise ValueError(f"column table of shape {table.shape} used for {v.shape}")
+    return np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v & 1)), count=table.shape[0])
 
 
 def naive_rref(a):
@@ -111,7 +145,7 @@ def invert(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
     n = a.shape[0]
-    red, pivots = gf2.rref(np.concatenate([a, gf2.identity(n)], axis=1))
+    red, pivots = gf2.rref(np.concatenate([a, identity(n)], axis=1))
     if pivots[:n] != list(range(n)):
         raise ValueError(f"{n}x{n} matrix is singular over GF(2)")
     return np.ascontiguousarray(red[:, n:])
@@ -161,7 +195,7 @@ def aligned_parent(mod):
     code's stored column order: the eliminated generator's P^T, packed."""
     g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
     k, n = g.shape
-    packed = np.packbits(g[:, k:].T, axis=1, bitorder="little")
+    packed = np.packbits(g[:, k:].T, axis=1)
     return rmcode.RmCode(mod.m, mod.r, n, k, 1 << (mod.m - mod.r), packed, mod.info_perm)
 
 
@@ -259,7 +293,7 @@ def modified_generator(mod):
 def punctured_check(mod):
     """Parity check [P'^T | I] of the plain punctured code under mod."""
     top = mod.n - mod.k - mod.p
-    return mod.H[:top, : mod.n - mod.p]
+    return check_matrix(mod)[:top, : mod.n - mod.p]
 
 
 def to_hard(soft):

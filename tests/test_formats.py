@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
-from reference import eliminated_with_perm, modified_check, modified_generator, perm_matrix
+from reference import (
+    check_matrix,
+    eliminated_with_perm,
+    modified_check,
+    modified_generator,
+    perm_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +83,15 @@ class TestPrivateKeyFile:
     def test_round_trip_bit_exact(self, keypair):
         raw = formats.save_private_key(keypair.private)
         priv = formats.load_private_key(raw)
-        assert np.array_equal(priv.S_inv_factors, keypair.private.S_inv_factors)
+        assert np.array_equal(priv.packed_F, keypair.private.packed_F)
         # The loaded S^-1 undoes keygen's S: S^-1 @ H' = H_m @ Q.
         q = perm_matrix(priv.sigma)
         descrambled = gf2.mat_mul(priv.S_inv, keypair.public.H)
-        assert np.array_equal(descrambled, gf2.mat_mul(priv.mod.H, q))
+        assert np.array_equal(descrambled, gf2.mat_mul(check_matrix(priv.mod), q))
         assert np.array_equal(priv.sigma, keypair.private.sigma)
         assert np.array_equal(priv.mod.R, keypair.private.mod.R)
         assert np.array_equal(priv.mod.deleted, keypair.private.mod.deleted)
-        assert np.array_equal(priv.mod.H, keypair.private.mod.H)
+        assert np.array_equal(check_matrix(priv.mod), check_matrix(keypair.private.mod))
         assert np.array_equal(modified_generator(priv.mod), modified_generator(keypair.private.mod))
         assert np.array_equal(priv.mod.info_perm, keypair.private.mod.info_perm)
         assert priv.params == keypair.private.params
@@ -430,16 +436,39 @@ class TestHostileFiles:
             with pytest.raises(formats.FormatError, match="trailing bytes"):
                 load(raw)
 
-    def test_private_key_with_singular_s(self, keypair):
+    def test_private_key_with_singular_s(self, keypair, toy_keypair):
         """Every F with a zero diagonal stores an invertible S^-1, so a
         singular S cannot be written.  The nearest file sets one diagonal
         bit of F, saved through save_private_key so the digest and CRC
-        are valid: only the diagonal check can reject it."""
-        f = keypair.private.S_inv_factors.copy()
-        f[1, 1] = 1
-        raw = formats.save_private_key(dataclasses.replace(keypair.private, S_inv_factors=f))
-        with pytest.raises(formats.FormatError, match="nonzero diagonal"):
-            formats.load_private_key(raw)
+        are valid: only the diagonal check, which reads F's packed rows,
+        can reject it.  RM(4,1) has n - k = 11, so its last diagonal bit
+        lies in the pad byte of its row; the bit beside a diagonal one is
+        no diagonal bit, and loads."""
+        for priv, at in ((keypair.private, 1), (toy_keypair.private, 10)):
+            size = priv.packed_F.shape[0]
+            for row, col, loads in ((at, at, False), (at, at - 1, True)):
+                f = np.unpackbits(priv.packed_F, axis=1, count=size)
+                f[row, col] = 1
+                packed_f = np.packbits(f, axis=1)
+                raw = formats.save_private_key(dataclasses.replace(priv, packed_F=packed_f))
+                if loads:
+                    assert np.array_equal(formats.load_private_key(raw).packed_F, packed_f)
+                    continue
+                with pytest.raises(formats.FormatError, match="nonzero diagonal"):
+                    formats.load_private_key(raw)
+
+    @pytest.mark.parametrize("m,r,w,shape", [(4, 1, 10, (11, 2)), (12, 6, 530, (1586, 199))])
+    def test_loaded_F_is_held_as_its_file_stores_it(self, m, r, w, shape):
+        """A loaded key holds F as (n-k) x ceil((n-k)/8) read-only packed
+        rows, the rows keygen packed, and saves them back as they are."""
+        params = scheme.SigningParams(w=w, N=100, t=rmcode.build(m, r).t)
+        priv = scheme.keygen(m, r, params, np.random.default_rng(1)).private
+        raw = formats.save_private_key(priv)
+        loaded = formats.load_private_key(raw)
+        assert loaded.packed_F.shape == shape and loaded.packed_F.dtype == np.uint8
+        assert not loaded.packed_F.flags.writeable and not priv.packed_F.flags.writeable
+        assert np.array_equal(loaded.packed_F, priv.packed_F)
+        assert formats.save_private_key(loaded) == raw
 
     def test_signature_with_huge_length(self, keypair):
         sig = scheme.sign(keypair.private, b"message")
@@ -509,7 +538,7 @@ class TestPackedKeys:
 
     def test_loaded_pair_holds_packed_rows(self):
         # With the caller holding RM(10,5), a loaded pair keeps packed H'
-        # and H_m, (n-k) ceil(n/8) bytes each, the unpacked F, (n-k)^2,
+        # and H_m, (n-k) ceil(n/8) bytes each, packed F, (n-k) ceil((n-k)/8),
         # and n-vectors of int64: sigma and the code's column order.
         # An unpacked H' or H_m alone would add 7/8 of (n-k) n, more than
         # twice the margin.
@@ -520,7 +549,7 @@ class TestPackedKeys:
         pub_raw, sec_raw = formats.save_public_key(kp.public), formats.save_private_key(kp.private)
         del kp
         packed = (n - k) * ((n + 7) // 8)
-        held = 2 * packed + (n - k) ** 2 + 2 * 8 * n
+        held = 2 * packed + (n - k) * ((n - k + 7) // 8) + 2 * 8 * n
         margin = 16 * 1024
         assert 7 * (n - k) * n // 8 > 2 * margin
         tracemalloc.start()
@@ -614,7 +643,7 @@ class TestColumnOrder:
         rref_shapes.clear()
         loaded = formats.load_private_key(raw)
         assert rref_shapes == expected
-        assert np.array_equal(loaded.mod.H, priv.mod.H)
+        assert np.array_equal(check_matrix(loaded.mod), check_matrix(priv.mod))
 
 
 def _mutants(raw: bytes, seed: int):

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from rmsig import analysis, decoder, formats, gf2, modcode, rmcode, scheme
 
-from reference import modified_generator, perm_matrix
+from reference import check_matrix, modified_generator, perm_matrix
 
 
 def trials(priv, message, limit):
@@ -66,7 +66,13 @@ class TestHashToSyndrome:
             stream = hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(2 + out_bits // 8)
             return np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:out_bits]
 
-        rows = scheme._syndrome_from_digest(inner, 5, 300, out_bits)
+        def unpacked(first, count):
+            stream = scheme._syndrome_from_digest(inner, first, count, out_bits)
+            assert len(stream) == count * ((out_bits + 7) // 8)
+            packed = np.frombuffer(stream, dtype=np.uint8).reshape(count, -1)
+            return np.unpackbits(packed, axis=1, count=out_bits)
+
+        rows = unpacked(5, 300)
         assert rows.shape == (300, out_bits) and rows.dtype == np.uint8
         for j, i in enumerate(range(5, 305)):
             assert np.array_equal(rows[j], spelled_out(i))
@@ -75,7 +81,7 @@ class TestHashToSyndrome:
             got = scheme.hash_to_syndrome(b"range", i, out_bits)
             assert got.shape == (out_bits,) and got.dtype == np.uint8
             assert np.array_equal(got, expect)
-            assert np.array_equal(scheme._syndrome_from_digest(inner, i, 1, out_bits)[0], expect)
+            assert np.array_equal(unpacked(i, 1)[0], expect)
 
 
 class TestSigningParams:
@@ -106,14 +112,14 @@ class TestKeygen:
         q = perm_matrix(kp.private.sigma)
         # H' = S @ H_m @ Q, checked as S^-1 @ H' = H_m @ Q.
         descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
-        assert np.array_equal(descrambled, gf2.mat_mul(kp.private.mod.H, q))
+        assert np.array_equal(descrambled, gf2.mat_mul(check_matrix(kp.private.mod), q))
 
     def test_deterministic(self):
         params = scheme.SigningParams(w=8, N=50, t=3)
         a = scheme.keygen(4, 1, params, np.random.default_rng(3))
         b = scheme.keygen(4, 1, params, np.random.default_rng(3))
         assert np.array_equal(a.public.H, b.public.H)
-        assert np.array_equal(a.private.S_inv_factors, b.private.S_inv_factors)
+        assert np.array_equal(a.private.packed_F, b.private.packed_F)
         assert np.array_equal(a.private.sigma, b.private.sigma)
         assert np.array_equal(a.private.mod.R, b.private.mod.R)
 
@@ -180,18 +186,19 @@ class TestKeygen:
         for seed in range(5):
             kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
             mod = kp.private.mod
-            assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
+            assert not gf2.mat_mul(modified_generator(mod), check_matrix(mod).T).any()
             q = perm_matrix(kp.private.sigma)
             descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
-            assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
+            assert np.array_equal(descrambled, gf2.mat_mul(check_matrix(mod), q))
 
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
-    """RmCode.H is built from G on first read, and the keys' H' and H_m
-    are unpacked from their packed rows the same way.  Keygen, save/load,
-    sign, verify and calibrate never read any of them; only tests and the
-    benchmark's oracle do.  The parent codes of keygen and of a load are
-    not kept, so every read of an H is counted while they run."""
+    """RmCode.H is unpacked from its packed parity block on first read,
+    and the public key's H' from its packed rows; H_m has no unpacked
+    accessor.  Keygen, save/load, sign, verify and calibrate never read
+    an H; only tests and the benchmark's oracle do.  The parent codes of
+    keygen and of a load are not kept, so every read of an H is counted
+    while they run."""
     reads = []
 
     def counted(built):
@@ -203,7 +210,7 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
 
     plain = rmcode.build(5, 2)
     with monkeypatch.context() as patch:
-        for cls in (rmcode.RmCode, modcode.ModifiedCode, scheme.PublicKey):
+        for cls in (rmcode.RmCode, scheme.PublicKey):
             patch.setattr(cls, "H", counted(cls.H))
         params = scheme.SigningParams(w=12, N=100, t=3)
         kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
@@ -217,22 +224,27 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
         assert reads == []
         assert plain.H.shape == (plain.n - plain.k, plain.n) and reads == [plain]
     assert plain.H is plain.H and "H" in vars(plain)
+    assert not hasattr(modcode.ModifiedCode, "H")
 
 
 class TestPackedCheckMatrices:
-    """Keys hold H' and H_m as packed rows, as their files do; H unpacks
-    them for tests, and no signing or verifying path reads it."""
+    """Keys hold H' and H_m as packed rows, as their files do; the public
+    key's H unpacks H' for the benchmark's oracle and tests, and no
+    signing or verifying path reads it."""
 
     def test_H_is_the_read_only_unpacking(self, toy_keypair):
         pub, priv = toy_keypair.public, toy_keypair.private
         loaded_pub = formats.load_public_key(formats.save_public_key(pub))
         loaded = formats.load_private_key(formats.save_private_key(priv))
         for holder in (pub, priv.mod, loaded_pub, loaded.mod):
-            packed, h = holder.packed_H, holder.H
+            packed = holder.packed_H
             assert packed.shape == (holder.n - 5, (holder.n + 7) // 8)  # k = 5
-            assert np.array_equal(h, np.unpackbits(packed, axis=1, count=holder.n))
+            assert not packed.flags.writeable
+        for holder in (pub, loaded_pub):
+            h = holder.H
+            assert np.array_equal(h, np.unpackbits(holder.packed_H, axis=1, count=holder.n))
             assert h is holder.H
-            assert not h.flags.writeable and not packed.flags.writeable
+            assert not h.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 h[0, 0] ^= 1
 
@@ -320,7 +332,7 @@ class TestSignVerify:
         # Every trial, successful or not, satisfies H_m e' = s'.
         priv = toy_keypair.private
         for i, s_prime, e_prime in trials(priv, b"trials", 20):
-            assert np.array_equal(gf2.mat_mul(priv.mod.H, e_prime), s_prime)
+            assert np.array_equal(gf2.mat_mul(check_matrix(priv.mod), e_prime), s_prime)
 
     def test_batch_matches_reference_trials(self, toy_keypair):
         priv = toy_keypair.private
