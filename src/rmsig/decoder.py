@@ -9,22 +9,30 @@ The recursion follows the (u | u+v) split over the last variable.  The
 v half is decoded first from the componentwise product of the two
 halves (sign = XOR estimate, zero propagates erasure), then the u half
 from the componentwise sum y1 + y2 (1 - 2v) of the first half and the
-v-corrected second half.  Two rules quantize an input back to its
-sign, {-1, 0, +1} (hard decision, a zero becomes an erasure): a u-branch
-sum that goes into a further split of length SOFT_BLOCK or more, and the
-input of both leaves of a length-32 node, RM(1, 4) and RM(3, 4).  Every
-sub-block of length SOFT_BLOCK therefore receives values in {-1, 0, +1}.
-Every other u sum and v product is passed down exact in int8, and its
-magnitude stays at most 16 (see SOFT_BLOCK).
+v-corrected second half.  To quantize an input is to take it back to
+its sign, {-1, 0, +1} (hard decision, a zero becomes an erasure), and
+the entry point selects one of two rules for where the decoder does it:
 
-Where the decoder quantizes sets its tail, and one schedule serves both
-the signing path and the plain code.  On RM(10, 5) this one gives a
-signing-path P(weight <= 99) of 2.2e-3 (key seed 1) and a plain-code
-P(weight <= 97) of about 7.5e-4, under the 1e-3 that acceptance
-criterion 6 allows.  A soft block of 64 that kept the length-16 leaf
-inputs exact would reach 5.1e-3 on the signing path but 1.9e-3 on the
-plain code, and a soft block of 32 with exact length-16 leaf inputs
-1.4e-3 and 5.3e-4.
+* The plain rule (decode_closest, coset_leaders) quantizes a u-branch
+  sum that goes into a further split of length SOFT_BLOCK or more, and
+  the input of both leaves of a length-32 node, RM(1, 4) and RM(3, 4).
+* The signing rule (punctured_coset_leaders, so sign and the
+  calibration of a modified code) quantizes the same inputs but one:
+  each length-32 RM(3, 5) node passes its exact u sum y1 + y2 v, at most
+  4 in magnitude, to its RM(3, 4) leaf.
+
+Under both rules every sub-block of length SOFT_BLOCK receives values
+in {-1, 0, +1}, and every other u sum and v product is passed down
+exact in int8, its magnitude at most 16 (see SOFT_BLOCK).
+
+Where the decoder quantizes sets its tail, and the two paths need
+different tails.  Signing takes about 1/P(weight <= w) trials per
+signature, and exact RM(3, 4) inputs about halve the trials per RM(10, 5) signature at
+w = 99.  The plain code's tail is the one acceptance criterion 6
+bounds, P(weight <= 97) <= 1e-3 on RM(10, 5), and exact RM(3, 4) inputs
+would push it past that bound, so the plain path keeps their signs.
+CHANGES.md holds the measured tails of both rules and ROADMAP item 9
+the rules tried and rejected.
 
 Base cases, checked in this order: order 0 decodes by a
 signed sum (majority vote weighted by the soft magnitudes, erasures
@@ -84,9 +92,10 @@ SOFT_BLOCK = 64
 
 A node of length 64 receives values in {-1, 0, +1}.  Below it each u
 sum at most doubles the bound and each v product squares it, so a
-length-32 node receives at most 2.  Both leaves of a length-32 node,
-RM(1, 4) and RM(3, 4), decode the sign of their input, and its other
-child, the length-16 node RM(2, 4), receives at most 4.  That node
+length-32 node receives at most 2.  Its RM(1, 4) leaf decodes the sign
+of its input, and its RM(3, 4) leaf the sign under the plain rule and
+the exact u sum, at most 4, under the signing rule (see the module
+docstring); its length-16 node RM(2, 4) receives at most 4.  That node
 passes 16 to its order-1 leaf RM(1, 3) and 8 to its single-parity-check
 leaf RM(2, 3): the largest magnitudes of a decode.  A leaf of length 32
 or more receives at most 2, the u sum of a node whose inputs reach 1.
@@ -228,7 +237,7 @@ def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
         return
     # The keys |y| n + index are distinct within a word, so each column's
     # minimum marks exactly its weakest position.  |y| n is at most 64 at
-    # length 8, n at length 16 and 2n above (see SOFT_BLOCK), so int16
+    # length 8, 4n at length 16 and 2n above (see SOFT_BLOCK), so int16
     # holds the keys.
     keys = np.abs(soft, dtype=np.int16)
     keys *= n
@@ -237,10 +246,14 @@ def _decode_spc(soft: np.ndarray, out: np.ndarray) -> None:
     out ^= (keys == keys.min(axis=0)) * parity
 
 
-def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, levels: list) -> None:
+def _plotkin(
+    m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, levels: list, signing: bool
+) -> None:
     """One (u | u+v) node of RM(r, m), 1 < r < m - 1, on the halves y1, y2 of
     its input; the +-1 codewords go to out.  levels[m] holds the node's
-    scratch for its children's inputs and that scratch's two halves."""
+    scratch for its children's inputs and that scratch's two halves.
+    signing selects the signing rule: an RM(3, 4) leaf decodes its exact
+    input, not its sign."""
     half = 1 << (m - 1)
     u, v = out[:half], out[half:]
     work, w1, w2 = levels[m]
@@ -250,27 +263,27 @@ def _plotkin(m: int, r: int, y1: np.ndarray, y2: np.ndarray, out: np.ndarray, le
             np.sign(work, work)
         _decode_order1(m - 1, work, v)
     else:
-        _plotkin(m - 1, r - 1, w1, w2, v, levels)
+        _plotkin(m - 1, r - 1, w1, w2, v, levels, signing)
     # u-branch input y1 + y2 v, in the v input's memory.
     np.multiply(y2, v, work)
     work += y1
     if r == m - 2:  # the single-parity-check leaf
-        if half == 16:  # RM(3, 4) decodes signs
+        if half == 16 and not signing:  # RM(3, 4) decodes signs
             np.sign(work, work)
         _decode_spc(work, u)
     else:
         if half >= SOFT_BLOCK:
             np.sign(work, work)
-        _plotkin(m - 1, r, w1, w2, u, levels)
+        _plotkin(m - 1, r, w1, w2, u, levels, signing)
     v *= u  # the right half u + v
 
 
-def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
+def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray, signing: bool = False) -> None:
     """Decode RM(r, m) words held column-wise: soft is int8 of shape
     (2**m, rows), one word per column, and the codewords go to out as
     +-1 int8 words of the same shape.  Both halves of every (u | u+v)
     split are then contiguous slices, whatever the number of rows.
-    soft is only read."""
+    soft is only read.  signing selects the signing rule (see _plotkin)."""
     if r == 0:
         out[...] = np.where(soft.sum(axis=0, dtype=np.int64) < 0, -1, 1)
     elif r == m:
@@ -285,7 +298,7 @@ def _decode(m: int, r: int, soft: np.ndarray, out: np.ndarray) -> None:
             work = np.empty((1 << (k - 1), soft.shape[1]), dtype=np.int8)
             levels[k] = (work, work[: 1 << (k - 2)], work[1 << (k - 2) :])
         half = 1 << (m - 1)
-        _plotkin(m, r, soft[:half], soft[half:], out, levels)
+        _plotkin(m, r, soft[:half], soft[half:], out, levels, signing)
 
 
 def _input_rows(values, length: int, name: str, low: int) -> np.ndarray:
@@ -330,13 +343,15 @@ def decode_closest(m: int, r: int, soft: np.ndarray) -> np.ndarray:
     return bits[:, 0] if np.ndim(soft) == 1 else bits.T
 
 
-def _closest_errors(code, syndromes: np.ndarray, cols: np.ndarray, erased) -> np.ndarray:
+def _closest_errors(
+    code, syndromes: np.ndarray, cols: np.ndarray, erased, signing: bool
+) -> np.ndarray:
     """Coset leaders of the syndrome rows placed on the parity columns cols
     of an RmCode, or of a ModifiedCode's parent.
 
     v holds each syndrome on cols (systematic order) and zeros elsewhere;
     c is the codeword decoded from v with the columns in erased marked as
-    erasures.  Returns the rows of e = v + c on the columns [0, k) + cols,
+    erasures, under the signing path's rule if signing is set.  Returns the rows of e = v + c on the columns [0, k) + cols,
     as the transpose of a take along axis 0 of the decoder's (n, rows)
     words.  On that layout take beats fancy indexing: a row permutation
     of 1024 x 1024 takes 95 against 107 us, of 1024 x 16 3 against 25 us
@@ -347,7 +362,7 @@ def _closest_errors(code, syndromes: np.ndarray, cols: np.ndarray, erased) -> np
     soft[perm[cols]] = to_soft(syndromes.T)
     soft[perm[erased]] = 0
     word = np.empty(soft.shape, dtype=np.int8)
-    _decode(code.m, code.r, soft, word)
+    _decode(code.m, code.r, soft, word, signing)
     # e = v + c is 1 where the +-1 words differ.  An erased column differs
     # everywhere, but it is never gathered.
     err = np.not_equal(word, soft, out=word.view(bool)).view(np.uint8)
@@ -365,7 +380,7 @@ def coset_leaders(code: RmCode, syndromes: np.ndarray) -> np.ndarray:
     the decoder is ML for the code.
     """
     rows = _input_rows(syndromes, code.n - code.k, "n-k", 0)
-    err = _closest_errors(code, rows, np.arange(code.k, code.n), [])
+    err = _closest_errors(code, rows, np.arange(code.k, code.n), [], signing=False)
     return err[0] if np.ndim(syndromes) == 1 else err
 
 
@@ -375,13 +390,14 @@ def punctured_coset_leaders(mod: ModifiedCode, s_tops: np.ndarray) -> np.ndarray
     Each s_top (one, or a batch of rows) is a syndrome of the punctured
     parity check [P'^T | I]; any other shape, or a value outside {0, 1},
     raises ValueError.  The deleted positions enter the parent decode as
-    erasures; each returned error covers the n-p unpunctured positions
-    and satisfies H_p e = s_top by construction: e = v + c, where v
-    carries s_top and c is a parent codeword.  Nothing here checks it;
+    erasures, under the signing rule (see the module docstring); each
+    returned error covers the n-p unpunctured positions and satisfies
+    H_p e = s_top by construction: e = v + c, where v carries s_top and
+    c is a parent codeword.  Nothing here checks it;
     the rows a caller outputs go through check_leaders instead.
     """
     rows = _input_rows(s_tops, mod.n - mod.k - mod.p, "n-k-p", 0)
-    err = _closest_errors(mod, rows, mod.kept_cols, mod.deleted)
+    err = _closest_errors(mod, rows, mod.kept_cols, mod.deleted, signing=True)
     return err[0] if np.ndim(s_tops) == 1 else err
 
 

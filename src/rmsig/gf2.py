@@ -438,7 +438,10 @@ def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
 
     a is unpacked a block of whole bytes of rows at a time, and each
     block is packed by columns with _packbits_axis0, so a is never whole.
+    Rows that are not C-ordered are packed from a contiguous copy, since
+    _packbits_axis0 reads its blocks by contiguous rows.
     """
+    packed = np.ascontiguousarray(packed)
     rows = packed.shape[0]
     out = np.empty(((rows + 7) // 8, cols), dtype=np.uint8)
     step = max(8, _COLUMN_BLOCK_CELLS // cols // 8 * 8)

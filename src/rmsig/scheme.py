@@ -225,19 +225,21 @@ SIGN_BATCH_MAX = 256
 history, else the smallest of 1, 4, 16, ... at least the mean counter of
 the key's past signatures (PrivateKey._sign_history), capped at
 SIGN_BATCH_MAX; the batch quadruples after each miss, up to
-SIGN_BATCH_MAX.  Most of a _trials call is a fixed per-call cost: 4.3,
-4.7 and 5.8 ms at 1, 4 and 16 rows on RM(12,6), 1.4, 1.7, 2.5 and 5.3 ms
-at 1, 16, 64 and 256 rows on RM(10,5) (key seed 1, one BLAS thread,
-medians of 41 calls with the widths interleaved).  The mean counter
-ranges from about 1.2 (RM(12,6) at w = 530) to about 460 (RM(10,5) at
-w = 99), so no fixed first batch suits both ends: RM(12,6) starts at 4
-instead of paying for 16 rows to use about 1.2, and RM(10,5) at w = 99
-at 256 instead of first making a 16- and a 64-row call that succeed 3.5%
-and 13% of the time.  A start of 1 lasts only while every past counter
-was 1: once one is 2 or more the mean stays above 1, so RM(10,5) at
-w = 132 (about 1.006 trials per signature) starts at 4 from then on.  A
-key with no history (a fresh keygen or a load, so every one-shot
-`rmsig sign`) starts at 16.  Batch sizes never change a result."""
+SIGN_BATCH_MAX.  Most of a _trials call is a fixed per-call cost, and
+the mean counter ranges from about 1.3 (RM(12,6) at w = 530) to about
+240 (RM(10,5) at w = 99), so no fixed first batch suits both ends:
+RM(12,6) starts at 4 instead of paying for 16 rows to use about 1.3,
+and RM(10,5) at w = 99 at 256 instead of first making a 16- and a
+64-row call that mostly miss.  At a mean of about 240 the cap of 256
+still gives the cheapest signatures: a 256-row call succeeds about two
+times in three, and a 1024-row call would cost more than the 256-row
+calls it saves, while a cap of 64 would make about four calls a
+signature (CHANGES.md has the per-call times).  A start of 1 lasts only
+while every past counter was 1: once one is 2 or more the mean stays
+above 1, so RM(10,5) at w = 132 (about 1.001 trials per signature)
+starts at 4 from then on.  A key with no history (a fresh keygen or a
+load, so every one-shot `rmsig sign`) starts at 16.  Batch sizes never
+change a result."""
 
 
 def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarray:

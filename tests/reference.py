@@ -46,7 +46,7 @@ def column_table(a):
     them, through gf2.pack_columns."""
     a = np.asarray(a, dtype=np.uint8)
     rows, cols = a.shape
-    packed = np.ascontiguousarray(np.packbits(a, axis=1))
+    packed = np.packbits(a, axis=1)
     return gf2.ColumnTable(gf2.pack_columns(packed, cols), rows)
 
 
@@ -375,17 +375,20 @@ def wagner_decode(soft):
     return words
 
 
-def reference_decode(m, r, soft):
+def reference_decode(m, r, soft, signing=False):
     """Codewords (evaluation order) for the soft rows, RM(r, m).
 
-    The arithmetic runs in int64, wider than the kernel's int8, so an
-    int8 wrap in the kernel shows up as a mismatch instead of repeating
-    here."""
+    signing selects the signing path's rule, under which an RM(3, 4)
+    leaf decodes its input as it is.  The arithmetic runs in int64, wider
+    than the kernel's int8, so an int8 wrap in the kernel shows up as a
+    mismatch instead of repeating here."""
     soft = np.asarray(soft, dtype=np.int64)
     # Two kinds of step decode the sign of their input: a (u | u+v) node
-    # of length REF_SOFT_BLOCK or more, and a length-16 leaf, RM(1, 4) or
-    # RM(3, 4).  Every other step decodes its input as it is.
-    if (m == 4 and r in (1, 3)) or (1 < r < m - 1 and (1 << m) >= REF_SOFT_BLOCK):
+    # of length REF_SOFT_BLOCK or more, and a length-16 leaf, RM(1, 4)
+    # or, on the plain path, RM(3, 4).  Every other step decodes its
+    # input as it is.
+    signed_leaves = (1,) if signing else (1, 3)
+    if (m == 4 and r in signed_leaves) or (1 < r < m - 1 and (1 << m) >= REF_SOFT_BLOCK):
         soft = np.sign(soft)
     if r == 0:
         totals = soft.sum(axis=1, dtype=np.int64)
@@ -399,7 +402,7 @@ def reference_decode(m, r, soft):
         return wagner_decode(soft)
     half = 1 << (m - 1)
     y1, y2 = soft[:, :half], soft[:, half:]
-    v = reference_decode(m - 1, r - 1, y1 * y2)
+    v = reference_decode(m - 1, r - 1, y1 * y2, signing)
     flip = 1 - 2 * v.astype(np.int64)
-    u = reference_decode(m - 1, r, y1 + y2 * flip)
+    u = reference_decode(m - 1, r, y1 + y2 * flip, signing)
     return np.concatenate([u, u ^ v], axis=1)

@@ -269,6 +269,20 @@ class TestNaiveForgeryAttack:
         assert np.count_nonzero(cols < h_pub.shape[1] - 5) == 1
 
 
+def test_signing_path_tail():
+    """The signing path's tail on key seed 1 of RM(10,5) at w = 99: its
+    RM(3, 4) leaves decode exact u sums, which puts P(wt <= w) near
+    4.4e-3 (1/p about 225).  Decoding their signs reads about 2.3e-3 on
+    these 65,536 syndromes.  The bound lies more than 4 binomial standard
+    deviations from both."""
+    samples, w = 65_536, 99
+    code = rmcode.build(10, 5)
+    params = scheme.SigningParams(w=w, N=30_000, t=code.t)
+    priv = scheme.keygen(10, 5, params, np.random.default_rng(1)).private
+    dist = analysis.calibrate(priv.mod, samples, np.random.default_rng(2))
+    assert 1 - dist.prob_gt(w) >= 3.2e-3
+
+
 @pytest.mark.slow
 def test_calibration_predicts_signing():
     """Calibrating the signing path predicts the counters that signing

@@ -193,13 +193,45 @@ class TestMatchesReferenceDecoder:
         self.check(m, 1, 16, seed=m)
 
 
-@pytest.mark.parametrize("m,r", [(10, 5), (12, 6)])
-def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
+class TestSigningPathMatchesReference:
+    """punctured_coset_leaders decodes under the signing path's rule, the
+    reference's with signing set: e = v + c, where v carries s_top on the
+    kept parity columns and erasures on the deleted ones, and c is the
+    reference codeword for v.  Both keys' codes have length-32 RM(3, 5)
+    nodes, so RM(3, 4) leaves decode exact sums up to 4; 1 and 16 rows
+    take the leaves' argmax forms, 256 rows their keys forms."""
+
+    @pytest.mark.parametrize("rows", [1, 16, decoder._KEYS_ROWS])
+    @pytest.mark.parametrize("m,r,seed", [(6, 3, 13), (8, 4, 7)])
+    def test_punctured_coset_leaders(self, m, r, seed, rows):
+        mod = _modified(m, r, seed)
+        top = mod.n - mod.k - mod.p
+        s_tops = np.random.default_rng(rows).integers(0, 2, size=(rows, top), dtype=np.uint8)
+        kept = np.concatenate([np.arange(mod.k), mod.kept_cols])
+        v_sys = np.ones((rows, mod.n), dtype=np.int64)
+        v_sys[:, mod.kept_cols] = 1 - 2 * s_tops.astype(np.int64)
+        v_sys[:, mod.deleted] = 0
+        v = np.array([to_eval_order(mod, row) for row in v_sys])
+        c = reference_decode(m, r, v, signing=True)
+        expected = (to_hard(v) ^ c)[:, mod.info_perm][:, kept]
+        got = decoder.punctured_coset_leaders(mod, s_tops)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(decoder.punctured_coset_leaders(mod, s_tops[-1]), expected[-1])
+
+
+@pytest.mark.parametrize(
+    "m,r,signing",
+    [(10, 5, False), (12, 6, False), (10, 5, True), (12, 6, True)],
+    ids=["10-5", "12-6", "10-5-signing", "12-6-signing"],
+)
+def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r, signing):
     """On an all-(+1) batch every u sum doubles and every v product
     squares, so the leaves meet the bounds stated in SOFT_BLOCK's
     docstring: a length-16 node whose inputs reach 4 passes 16 to its
-    order-1 leaf and 8 to its single-parity-check leaf, the length-16
-    leaves decode signs, and a longer leaf receives at most 2."""
+    order-1 leaf and 8 to its single-parity-check leaf, the RM(1, 4)
+    leaves decode signs, the RM(3, 4) leaves signs on the plain path and
+    the exact u sum, 4, on the signing path, and a longer leaf receives
+    at most 2."""
     peaks = {}
 
     def spy(name, leaf):
@@ -213,11 +245,16 @@ def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r):
 
     monkeypatch.setattr(decoder, "_decode_order1", spy("order1", decoder._decode_order1))
     monkeypatch.setattr(decoder, "_decode_spc", spy("spc", decoder._decode_spc))
-    words = decoder.decode_closest(m, r, np.ones((16, 1 << m), dtype=np.int8))
-    assert not words.any()
+    if signing:  # the kernel under the rule punctured_coset_leaders selects
+        words = np.empty((1 << m, 16), dtype=np.int8)
+        decoder._decode(m, r, np.ones_like(words), words, signing=True)
+        assert (words == 1).all()
+    else:
+        words = decoder.decode_closest(m, r, np.ones((16, 1 << m), dtype=np.int8))
+        assert not words.any()
     assert peaks == {
         ("order1", 8): 16, ("spc", 8): 8,
-        ("order1", 16): 1, ("spc", 16): 1,
+        ("order1", 16): 1, ("spc", 16): 4 if signing else 1,
         ("order1", 32): 1, ("spc", 32): 2,
     }
 
@@ -514,8 +551,8 @@ class TestPuncturedSyndromeDecode:
         flipped = mod.info_perm[mod.kept_cols[0]]
         kernel = decoder._decode
 
-        def broken(m, r, soft, out):
-            kernel(m, r, soft, out)
+        def broken(m, r, soft, out, signing=False):
+            kernel(m, r, soft, out, signing)
             out[flipped] *= -1
 
         monkeypatch.setattr(decoder, "_decode", broken)

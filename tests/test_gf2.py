@@ -305,6 +305,15 @@ class TestPackedForms:
         assert np.array_equal(got, np.packbits(a.T, axis=1))
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_pack_columns_of_f_ordered_rows(self, rows, cols):
+        # packbits of a transposed view returns F-ordered packed rows.
+        at = rand_mat(np.random.default_rng(rows + cols), cols, rows)
+        packed = np.packbits(at.T, axis=1)
+        assert packed.flags.f_contiguous
+        got = gf2.pack_columns(packed, cols)
+        assert np.array_equal(got, np.packbits(at, axis=1))
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
     def test_table_of_packed_head(self, rows, cols):
         """The table of a's first head columns, read from the first
         ceil(head/8) bytes of a's packed rows as they are, as keygen reads

@@ -4,12 +4,15 @@ Criterion 9 compares two runs of the same program.  These digests were
 recorded once and pin the outputs across refactors: a change that moves
 any of them changes what the scheme produces for a given seed, and must
 say so.  The weight bounds sit near t so that signing takes several
-trials.  The signing counters are pinned too: `sign` tries counters in
-batches of 16, 64, 256, 256, ..., so the boundaries fall after 16, 80,
-336 and 592 trials.  The RM(1,4) case signs all five messages inside
+trials.  The signing counters are pinned too.  A key with no signing
+history tries counters in batches of 16, 64, 256, 256, ..., so the
+boundaries fall after 16, 80, 336 and 592 trials (a key's later
+signatures start from its past counters; see scheme.SIGN_BATCH).
+Against those boundaries the RM(1,4) case signs all five messages inside
 the first batch; RM(3,6) signs inside the first (1), the second (21,
 37, 48) and past the first three (347); and the RM(5,10) case (m = 10,
-r = 5) signs inside the second (30, 38) and the third (206, 232, 258).
+r = 5) signs inside the second (30, 38), the third (206, 232) and
+past the first three (445).
 """
 
 import hashlib
@@ -49,20 +52,20 @@ GOLDEN = {
         "sig3": "c2b735e4e4dd19d625f8fd3429fbafd0bbc7ba12ad5e81b11aca31ff873aaca3",
         "sig4": "98f35fe72dd6a476eac3959893ac86fbb019f58344142572dacf27e3b646fa59",
         "csv_plain": "ef0aa1ad663bf820e0867c7b1f3e603e0215cf10d187760db459854f4d91a0cf",
-        "csv_modified": "d27e300b8808708790b9b7ef55435cd470e6c3505c31b881451b5eacd7933a18",
+        "csv_modified": "59e34f776e6bf99e4691f4919e8df1f11d6b55e83084ba1e107745ba2d2be649",
         "counters": [347, 1, 48, 21, 37],
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
         "private": "5e127e0b92affc4706305f8135289c189e7dba2982fbf1bd343bfab25d3175ac",
-        "sig0": "b9be0986202fbe8103cc7f44744f1cd0aa37ea76aaf5d0593842e168ce5a3b61",
+        "sig0": "4c2deda70ed1734e341659dfec4e412db66f71e08e19925efb267d7deaf84a00",
         "sig1": "7d044d59a06d961b3b88aef9260c05ff453f6b165bb2f132e418807b38e5987c",
-        "sig2": "b84ff4b2cd07833ba6e6ccb38d2444ce34a66f9563bf06ac35e52ea6258301e2",
+        "sig2": "859e95d51f00360ce7a2cd7696405d67d2dfa30baac7f6d0d96907fc00212cef",
         "sig3": "a84abeb9192cf042ef212d9d32d41d4242b038f3acbb45a1320c6d6f06ee8f20",
         "sig4": "966a9a4b9d032b3cbde8b385e5096eeb7d2fd8147674c423612611f0bbfe9216",
         "csv_plain": "2109ad1b0876b9b89dabb104a6ed0741f6b9a656665169969e7d17819dba5b2c",
-        "csv_modified": "b04dabbfe70903d96d39ffd9258b71b59cc596824fe9829cd4dfecb4cba1d572",
-        "counters": [38, 206, 258, 232, 30],
+        "csv_modified": "c37905fecbb6dd4a847d7850053a167047a1d0d3af278837f06be0ef5a0563da",
+        "counters": [38, 206, 445, 232, 30],
     },
 }
 
