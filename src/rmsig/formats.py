@@ -118,7 +118,7 @@ def save_private_key(priv: PrivateKey) -> bytes:
     body += struct.pack("<I", mod.p) + _u32_list(mod.deleted)
     body += priv.packed_F.tobytes()
     body += _u32_list(priv.sigma)
-    body += gf2.pack_bits(mod.R) if mod.p else b""
+    body += gf2.pack_rows(mod.R).tobytes()
     body += _u32_list(mod.info_perm)
     body += _digest(body, mod)
     return _with_crc(body)
@@ -148,8 +148,8 @@ def _packed(rd: _Reader, rows: int, cols: int, what: str) -> np.ndarray:
 def _parse_header(rd: _Reader, expect_role: int):
     """Read and check the header; returns (m, r, n, k, p, params, deleted).
 
-    m and r are checked against the supported range before anything is
-    sized from them.
+    m and r are checked against the range keygen makes keys for, 1 <= r
+    < m <= rmcode.MAX_M, before anything is sized from them.
     """
     magic, version, role, m, r, p, w, n_trials = _HEADER.unpack(rd.take(_HEADER.size))
     if magic != KEY_MAGIC:
@@ -159,6 +159,8 @@ def _parse_header(rd: _Reader, expect_role: int):
     if version != _KEY_VERSION[role]:
         raise FormatError(f"unsupported {rd.kind} file version {version}")
     try:
+        if not 1 <= r < m:
+            raise ValueError(f"need 1 <= r < m, got r={r}, m={m}")
         n, k, t = code_dims(m, r)
         params = SigningParams(w=w, N=n_trials, t=t)
     except ValueError as err:
@@ -234,7 +236,7 @@ def save_signature(sig: Signature, n: int) -> bytes:
     e, i = check_signature(sig, n)
     body = SIG_MAGIC + struct.pack("<HI", VERSION, n)
     body += struct.pack(">Q", i)
-    body += gf2.pack_bits(e)
+    body += np.packbits(e).tobytes()
     return _with_crc(body)
 
 

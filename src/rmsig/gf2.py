@@ -5,33 +5,33 @@ addition is XOR.  Gaussian elimination (rref) runs on bit-packed rows.
 The one inverse the scheme takes, of keygen's unit triangular factors of
 the scrambler S, is a block recursion on products (invert).
 
-A matrix used for many products is read through a table of its packed
-lines.  A ProductTable is a Four-Russians table of packed uint64 rows
-for a @ b by a fixed b (the signing path's S^-1, H_m^T for the check of
-decoded errors), and stands in place of b in mat_mul.  A ColumnTable
-holds the packed columns of a fixed a (the public key's H'), and mat_vec
-returns its product by a vector packed.  Each table is built from its
-matrix's packed lines: pack_columns packs the columns of a packed
-matrix from a few of its rows unpacked at a time, and a table of the
-head of a matrix reads the head of its packed rows as they are, so no
-table of a key unpacks the key's matrix.  A table, and a product by one,
-packs a matrix or operand where it lies, by rows or, for a transposed
-view, by columns (_packed_rows, _packbits_axis0), so neither makes a
-transposing copy.  Any other product goes through mat_mul, which builds
-a ProductTable for the call when both matrices are large and otherwise
-multiplies in float32 BLAS, exact below 2**24 terms.
+A matrix b used for many products is held in one table type, a
+ProductTable of b's packed rows.  mat_vec XORs the rows at a vector's
+support and returns the product packed: verify's H'e, with b = H'^T.
+mat_mul multiplies a matrix by a table standing in place of b, through
+a Four-Russians table built from the same rows on first use: signing's
+S^-1, the check of decoded errors by H_m^T and keygen's products.  A
+table is built from packed rows as the keys hold them: pack_rows packs
+an unpacked matrix where it lies, by rows or, for a transposed view, by
+columns (_packbits_axis0), with no transposing copy, and pack_columns
+packs the rows of the transpose of a packed matrix from a few of its
+rows unpacked at a time, so no table of a key unpacks the key's matrix.
+Any other product goes through mat_mul, which builds a table for the
+call when both matrices are large and otherwise multiplies in float32
+BLAS, exact below 2**24 terms.
 
 Bit packing convention, the one layout of every packed matrix (the key
 files, the keys' and codes' packed fields, the tables and mat_vec's
 products): row-major, each row padded to a whole number of bytes,
 MSB-first within a byte (bit j of a row lives in byte j//8 at mask
-128 >> (j % 8)).  A SHAKE digest read as a bit string MSB-first
-(scheme.hash_to_syndrome) has the same layout.
+128 >> (j % 8)), as pack_rows writes it.  A SHAKE digest read as a bit
+string MSB-first (scheme.hash_to_syndrome) has the same layout.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -48,79 +48,70 @@ _ROW_BLOCK = 128
 
 
 class ProductTable:
-    """Four-Russians table for products a @ b by one fixed matrix b.
+    """Products v @ b and a @ b by one fixed k x c matrix b.
 
-    The k rows of b are packed into uint64 words and split into groups
-    of four; the table holds, for every group, the XOR of each of its 16
-    row subsets, built by doubling: the subsets with one more row are
-    those without it XOR that row.  A product then reads one table row
-    per group of four bits of a and XORs them (the method of Arlazarov,
-    Dinic, Kronrod and Faradzev; Albrecht and Bard's M4RI).  The table
-    takes 16 * 2*ceil(k/8) * ceil(c/64) words.
+    ProductTable(rows, c) takes b's k rows packed in pack_rows' layout
+    and holds them zero-padded to whole uint64 words (_rows).  Bits of a
+    row's last byte past column c are kept: a product drops them, but
+    mat_vec returns them, so its tables are packed with zero pad bits, as
+    pack_columns writes them.
 
-    ProductTable(b) packs b where it lies (_packed_rows): a transposed
-    view by columns, anything else by rows; a product packs a the same
-    way.  a is a view of the decoder's (n, rows) columns for every batch
-    of decoded errors, so it is packed without a transposing copy.
-    from_packed takes b's rows already packed: the table of H_m^T, by
-    which decoder.check_leaders multiplies decoded errors, is built from
-    H_m's packed columns (pack_columns), and keygen's table of
-    H_m[:, :k] from the head of H_m's packed rows.  Both constructors
-    meet in _init_packed.  Rows are packed MSB-first, so group 2j is
-    selected by the high nibble of a's packed byte j, whose high bit
-    selects the group's first row, and group 2j + 1 by the low nibble.
+    mat_vec gathers the rows at a vector's support.  product reads the
+    Four-Russians table _subsets, built from the same rows on first use:
+    b's rows in groups of four and, for every group, the XOR of each of
+    its 16 row subsets, built by doubling: the subsets with one more row
+    are those without it XOR that row.  A product then reads one table
+    row per group of four bits of a and XORs them (the method of
+    Arlazarov, Dinic, Kronrod and Faradzev; Albrecht and Bard's M4RI).
+    The table takes 16 * 2*ceil(k/8) * ceil(c/64) words, four times the
+    rows.  Rows are packed MSB-first, so group 2j is selected by the high
+    nibble of a's packed byte j, whose high bit selects the group's first
+    row, and group 2j + 1 by the low nibble.
 
-    A product takes a's rows _ROW_BLOCK at a time.  For each block it
-    gathers only the groups from the block's first to its last nonzero
-    packed byte: any other group reads its zero row in every row of the
-    block.  A dense block spans every group, and a triangular a about
-    half of them, so the products with a triangle on the left (keygen's
-    L @ U, the key load's U^-1 @ L^-1 and invert's joins B^-1 (C A^-1))
-    skip the zero triangle with no flag from their callers.  The table
-    rows are gathered with take, into one buffer of at most _GATHER_WORDS
-    words that every block and chunk of groups reuses, and XORed chunk
-    by chunk; a block of 128 rows fits more groups into one gather than
-    a single row does.
+    A product packs a where it lies (pack_rows): a is a view of the
+    decoder's (n, rows) columns for every batch of decoded errors, so it
+    is packed without a transposing copy.  It takes a's rows _ROW_BLOCK
+    at a time.  For each block it gathers only the groups from the
+    block's first to its last nonzero packed byte: any other group reads
+    its zero row in every row of the block.  A dense block spans every
+    group, and a triangular a about half of them, so the products with a
+    triangle on the left (keygen's L @ U, the key load's U^-1 @ L^-1 and
+    invert's joins B^-1 (C A^-1)) skip the zero triangle with no flag
+    from their callers.  The table rows are gathered with take, into one
+    buffer of at most _GATHER_WORDS words that every block and chunk of
+    groups reuses, and XORed chunk by chunk; a block of 128 rows fits
+    more groups into one gather than a single row does.
     """
 
     ndim = 2  # stands in for its matrix in mat_mul's shape checks
 
-    def __init__(self, b: np.ndarray) -> None:
-        b = np.asarray(b, dtype=np.uint8)
-        if b.ndim != 2:
-            raise ValueError(f"product table needs a matrix, got shape {b.shape}")
-        self._init_packed(_packed_rows(b), b.shape[1])
-
-    @classmethod
-    def from_packed(cls, rows: np.ndarray, c: int) -> ProductTable:
-        """The table of the k x c matrix b whose rows `rows` holds packed
-        in pack_bits' layout.  Bits of the last byte past column c need
-        not be zero: they reach only product columns the unpack drops."""
-        table = cls.__new__(cls)
-        table._init_packed(rows, c)
-        return table
-
-    def _init_packed(self, rows: np.ndarray, c: int) -> None:
+    def __init__(self, rows: np.ndarray, c: int) -> None:
         k = rows.shape[0]
-        k_bytes, words = (k + 7) // 8, (c + 63) // 64
-        packed = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
-        packed[:k, : (c + 7) // 8] = rows
-        quads = packed.view(np.uint64).reshape(2 * k_bytes, 4, words)
+        padded = np.zeros((8 * ((k + 7) // 8), 8 * ((c + 63) // 64)), dtype=np.uint8)
+        padded[:k, : (c + 7) // 8] = rows
+        padded.flags.writeable = False
+        self.shape = (k, c)
+        self._rows = padded.view(np.uint64)
+
+    @cached_property
+    def _subsets(self) -> np.ndarray:
+        groups, words = self._rows.shape[0] // 4, self._rows.shape[1]
+        quads = self._rows.reshape(groups, 4, words)
         # Subset s + 2**j of a group is subset s with row 3 - j added.
-        table = np.empty((2 * k_bytes, 16, words), dtype=np.uint64)
+        table = np.empty((groups, 16, words), dtype=np.uint64)
         table[:, 0] = 0
         for j in range(4):
             np.bitwise_xor(table[:, : 1 << j], quads[:, 3 - j, None], out=table[:, 1 << j : 2 << j])
         table.flags.writeable = False
-        self.shape = (k, c)
-        self._table = table.reshape(32 * k_bytes, words)
-        self._group_base = np.arange(0, 32 * k_bytes, 16)[:, None]
+        return table.reshape(16 * groups, words)
 
     def product(self, a: np.ndarray) -> np.ndarray:
         """a @ b for the rows of a (binary, rows x k)."""
         rows = a.shape[0]
-        packed = _packed_rows(a).T
-        k_bytes, words = packed.shape[0], self._table.shape[1]
+        packed = pack_rows(a).T
+        table = self._subsets
+        k_bytes, words = packed.shape[0], table.shape[1]
+        group_base = np.arange(0, table.shape[0], 16)[:, None]
         block = min(rows, _ROW_BLOCK)
         step = max(1, _GATHER_WORDS // max(1, block * words))
         picks_buffer = np.empty(2 * k_bytes * block, dtype=np.intp)
@@ -142,13 +133,13 @@ class ProductTable:
             np.right_shift(span, 4, out=picks[:, 0])
             np.bitwise_and(span, 15, out=picks[:, 1])
             picks = picks.reshape(-1, count)
-            picks += self._group_base[2 * first : 2 * last]
+            picks += group_base[2 * first : 2 * last]
             out = acc[lo : lo + count]
             for start in range(0, picks.shape[0], step):
                 chunk = picks[start : start + step]
                 got = gathered[: chunk.size * words].reshape(chunk.shape[0], count, words)
                 # Every index is in range; mode="raise" would buffer the output.
-                self._table.take(chunk, axis=0, out=got, mode="clip")
+                table.take(chunk, axis=0, out=got, mode="clip")
                 out ^= np.bitwise_xor.reduce(got, axis=0)
         return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1])
 
@@ -179,7 +170,7 @@ def _packbits_axis0(at: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _packed_rows(a: np.ndarray) -> np.ndarray:
+def pack_rows(a: np.ndarray) -> np.ndarray:
     """np.packbits(a, axis=1), without a transposing copy of a
     transposed view a, whose columns _packbits_axis0 packs."""
     if a.strides[0] == 1 and not a.flags.c_contiguous:
@@ -187,37 +178,19 @@ def _packed_rows(a: np.ndarray) -> np.ndarray:
     return np.packbits(a, axis=1)
 
 
-class ColumnTable:
-    """The columns of one fixed matrix a, packed for products a @ v: the
-    public key's H', by which verification multiplies.
+def mat_vec(table: ProductTable, support: np.ndarray) -> np.ndarray:
+    """v @ b for the matrix b of table and the binary v whose 1s lie at
+    the indices support: the XOR of b's rows at support, as ceil(c/8)
+    bytes in pack_rows' layout, a SHAKE digest's.  verify's H'e is e @
+    H'^T, by a table of H'^T packed with zero pad bits (pack_columns).
 
-    ColumnTable(columns, rows) takes the columns of the rows x cols
-    matrix a packed, one per row, in np.packbits(a.T, axis=1)'s layout,
-    as pack_columns writes them from a's packed rows.  Each is
-    zero-padded to ceil(rows/64) uint64 words, and a @ v is the XOR of
-    the table rows at the support of v (mat_vec).
+    The rows at support are gathered with take and XORed by one segment
+    of reduceat, which is faster than bitwise_xor.reduce.
     """
-
-    def __init__(self, columns: np.ndarray, rows: int) -> None:
-        packed = np.zeros((columns.shape[0], 8 * ((rows + 63) // 64)), dtype=np.uint8)
-        packed[:, : (rows + 7) // 8] = columns
-        packed.flags.writeable = False
-        self.shape = (rows, columns.shape[0])
-        self._columns = packed.view(np.uint64)
-
-
-def mat_vec(table: ColumnTable, support: np.ndarray) -> np.ndarray:
-    """a @ v for the matrix a of table and the binary v whose 1s lie at
-    the indices support, as ceil(rows/8) bytes packed MSB-first with zero
-    pad bits: pack_bits' layout of one row, and a SHAKE digest's.
-
-    The table rows at support are gathered with take and XORed by one
-    segment of reduceat, which is faster than bitwise_xor.reduce.
-    """
-    size = (table.shape[0] + 7) // 8
+    size = (table.shape[1] + 7) // 8
     if support.size == 0:  # reduceat below needs a row
         return np.zeros(size, dtype=np.uint8)
-    picked = table._columns.take(support, axis=0)
+    picked = table._rows.take(support, axis=0)
     return np.bitwise_xor.reduceat(picked, _ONE_SEGMENT, axis=0)[0].view(np.uint8)[:size]
 
 
@@ -233,16 +206,16 @@ def mat_mul(
 ) -> np.ndarray:
     """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
 
-    With table, a ProductTable built from the matrix b, the product reads
-    the table instead of multiplying; such a table may also stand in
-    place of b, so a caller that keeps b packed never unpacks it.
-    Without one, a product of an a with at least _TABLE_MIN rows by a b
-    with at least _TABLE_MIN columns builds a ProductTable for the call,
-    which holds no float copies and beats BLAS at such sizes.  Other
-    products go through BLAS, which beats building a table when a has
-    few rows.  BLAS runs in float32, whose sums are exact below 2**24
-    terms, so its copies of the operands take half the bytes of float64
-    ones.  An entry counts by its least significant bit.
+    With table, a ProductTable of the matrix b, the product reads the
+    table instead of multiplying; such a table may also stand in place
+    of b, so a caller that keeps b packed never unpacks it.  Without one,
+    a product of an a with at least _TABLE_MIN rows by a b with at least
+    _TABLE_MIN columns builds a ProductTable of b's packed rows for the
+    call, which holds no float copies and beats BLAS at such sizes.
+    Other products go through BLAS, which beats building a table when a
+    has few rows.  BLAS runs in float32, whose sums are exact below 2**24
+    terms; no inner dimension comes near that (n <= 4096).  An entry
+    counts by its least significant bit.
     """
     if isinstance(a, ProductTable):
         raise ValueError("a product table stands in for the right operand only")
@@ -263,10 +236,8 @@ def mat_mul(
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
         return picked.sum(axis=1, dtype=np.uint8) & 1
     if a.shape[0] >= _TABLE_MIN and b.shape[1] >= _TABLE_MIN:
-        return ProductTable(b).product(a)
-    # float32 sums of 0/1 products are exact below 2**24 terms.
-    real = np.float32 if a.shape[1] < 1 << 24 else np.float64
-    prod = a.astype(real) @ b.astype(real)
+        return ProductTable(pack_rows(b), b.shape[1]).product(a)
+    prod = a.astype(np.float32) @ b.astype(np.float32)
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
@@ -317,12 +288,10 @@ def invert(a: np.ndarray) -> np.ndarray:
     Such a matrix is always invertible, and so is the product of two of
     them, which is how keygen draws the scrambler S (see
     random_unit_triangular); no program path inverts a general matrix.
-    An upper matrix is inverted as the transpose of a lower one.  On one
-    BLAS thread both 1586-row factors of an RM(12,6) scrambler take
-    26-28 ms (best and median of 9, in three processes), against 30-43 ms
-    when the join B^-1 (C A^-1) read every group of its triangular B^-1
-    (see ProductTable), and 193-204 ms, when last measured, for a
-    Gauss-Jordan inverse of their product.
+    An upper matrix is inverted as the transpose of a lower one.  A
+    block recursion on table products (_fill_below) beats a Gauss-Jordan
+    inverse of their product, and its joins skip the zero triangle of
+    their B^-1 (see ProductTable).
 
     Raises:
         ValueError: unless a is square and binary, with a unit diagonal
@@ -393,8 +362,7 @@ def random_bits(shape, rng: np.random.Generator) -> np.ndarray:
 
     That draw (Lemire's method) returns the top bit of one random byte
     per entry, so the bits are taken from a full-range byte draw, which
-    leaves rng in the same state: 3.1-3.4 against 6.8-7.2 ms for
-    1586 x 1586 bits (best and median of 21).
+    leaves rng in the same state and is faster.
     """
     bits = rng.integers(0, 256, size=shape, dtype=np.uint8)
     bits >>= 7
@@ -407,12 +375,8 @@ def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray
 
     Their product L @ U is invertible, so no rejection loop is needed,
     and so are both factors (see invert).  Each draw is cut to its
-    triangle in place, row by row, which allocates nothing: both factors
-    of an RM(12,6) scrambler take 10-17 ms against 30-40 ms with np.tril,
-    np.triu and integers(0, 2) (best and median of 21, three runs).  A
-    mask of the strict lower triangle, ANDed in place, was about as fast
-    but raised the benchmark's roundtrip-rm12 peak RSS from 152.2 to
-    155.1 MB (perfbench/run.py), where the row loop reads 151.5 MB.
+    triangle in place, row by row, which allocates nothing, unlike
+    np.tril and np.triu or a mask of the triangle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -432,9 +396,9 @@ _COLUMN_BLOCK_CELLS = 1 << 18
 
 
 def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
-    """The columns of the matrix a whose rows packed holds in pack_bits'
-    layout, packed as the tables take them: np.packbits(a.T, axis=1),
-    row j being column j.
+    """The columns of the matrix a whose rows packed holds in pack_rows'
+    layout, packed as rows of a.T: np.packbits(a.T, axis=1), row j being
+    column j, with zero pad bits.
 
     a is unpacked a block of whole bytes of rows at a time, and each
     block is packed by columns with _packbits_axis0, so a is never whole.
@@ -449,10 +413,4 @@ def pack_columns(packed: np.ndarray, cols: int) -> np.ndarray:
         bits = np.unpackbits(packed[lo : lo + step], axis=1, count=cols)
         out[lo // 8 : (lo + bits.shape[0] + 7) // 8] = _packbits_axis0(bits)
     return np.ascontiguousarray(out.T)
-
-
-def pack_bits(a: np.ndarray) -> bytes:
-    """Pack a vector or matrix row-major, each row byte-padded, MSB first."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    return np.packbits(a, axis=1).tobytes()
 

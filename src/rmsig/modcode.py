@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .rmcode import RmCode, min_weight_codeword, supp, variable_table
+from .rmcode import RmCode, min_weight_codeword, variable_table
 
 
 class PuncturePlan(NamedTuple):
@@ -71,10 +71,12 @@ class ModifiedCode:
 
     Column order: k information positions, then the n-k-p kept parity
     positions of the parent, then the p inserted positions.  H_m is the
-    only matrix stored, as packed rows in gf2.pack_bits' layout, an
+    only matrix stored, as packed rows in gf2.pack_rows' layout, an
     eighth of its unpacked size; n, k, p and t follow from m and the
-    fields.  R and the product table of H_m^T, by which decoded errors
-    are checked, are cached on first use.  Equality is identity.
+    fields.  R and the gf2.ProductTable of H_m^T, by which decoded errors
+    are checked, are cached on first use.  H_m has no unpacked accessor;
+    the parent RmCode's H is unpacked on every read.  Equality is
+    identity.
     """
 
     m: int
@@ -119,12 +121,11 @@ class ModifiedCode:
         error or a batch (decoder.check_leaders).  Its rows, H_m's
         columns, are packed from a few rows of H_m unpacked at a time
         (gf2.pack_columns)."""
-        columns = gf2.pack_columns(self.packed_H, self.n)
-        return gf2.ProductTable.from_packed(columns, self.n - self.k)
+        return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
     def left_product(self, s: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """The columns `columns` of s @ H_m for a binary s of n-k columns,
-        as packed rows in gf2.pack_bits' layout: keygen's S @ H_m @ Q.
+        as packed rows in gf2.pack_rows' layout: keygen's S @ H_m @ Q.
 
         H_m's last n-k columns are the identity plus R's right block R_2
         under the kept parity columns, so only the first k columns take
@@ -133,7 +134,7 @@ class ModifiedCode:
         R_2.  The rows are formed, permuted and packed a block at a time.
         """
         k, top = self.k, self.n - self.k - self.p
-        table = gf2.ProductTable.from_packed(self.packed_H[:, : (k + 7) // 8], k)
+        table = gf2.ProductTable(self.packed_H[:, : (k + 7) // 8], k)
         out = np.empty((s.shape[0], (self.n + 7) // 8), dtype=np.uint8)
         block = np.empty((2, min(_LEFT_BLOCK_ROWS, s.shape[0]), self.n), dtype=np.uint8)
         for lo in range(0, s.shape[0], _LEFT_BLOCK_ROWS):
@@ -166,7 +167,7 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     if not 1 <= r < m:
         raise ValueError(f"puncturing needs 1 <= r < m, got r={r}, m={m}")
     x = min_weight_codeword(code, rng)
-    sx = supp(x)
+    sx = np.flatnonzero(x)
     if 2 * r >= m:
         keep = sx[:1]
     else:
@@ -271,19 +272,13 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
         rows[row[kept] == 1] ^= code.packed_PT[entering - k]
     top = n - k - p
     packed_h = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)
-    # G's information rows in G' order: the kept ones, run by run
-    # between the leaving rows, then the moved rows.
     leaving = order[k : k + q]
-    runs = list(zip(np.concatenate([[0], leaving + 1]), np.concatenate([leaving, [k]])))
     step = max(1, _UNPACK_BLOCK_BYTES // k)
     for start in range(0, top, step):
         bits = np.unpackbits(rows[start : start + step], axis=1, count=k)
-        stop, at = start + bits.shape[0], 0
-        slab = np.empty_like(bits)
-        for lo, hi in runs:
-            slab[:, at : at + hi - lo] = bits[:, lo:hi]
-            at += hi - lo
-        slab[:, k - q :] = moved[:, kept[start:stop]].T
+        stop = start + bits.shape[0]
+        # G's information rows in G' order: the kept ones, then the moved rows.
+        slab = np.concatenate([np.delete(bits, leaving, axis=1), moved[:, kept[start:stop]].T], 1)
         packed_h[start:stop, : (k + 7) // 8] = np.packbits(slab, axis=1)
     packed_h[top:, : (n - p + 7) // 8] = np.packbits(r_block, axis=1)
     # The identity on the last n-k columns: bit k + i of row i.

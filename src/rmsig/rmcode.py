@@ -48,15 +48,14 @@ columns eliminates only the rows of the columns that leave it
 this once, and a private-key load replays the same move from the closed
 form.  The modified parity check is read from packed_PT and the moved
 rows, and kept as packed rows too (modcode.ModifiedCode).  The parity
-check H is unpacked from packed_PT on first read, for the benchmark's
-oracle and tests; no program path reads it.
+check H is unpacked from packed_PT on every read, for the benchmark's
+oracle and tests, so no code keeps it; no program path reads it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -71,7 +70,7 @@ class RmCode:
     """A systematic RM(r, m) code, generator G = [I_k | P].
 
     Only P^T is stored, packed: row j of packed_PT holds column k + j of
-    G, its k bits packed as gf2.pack_bits packs a row, so row i of G is
+    G, its k bits packed as gf2.pack_rows packs a row, so row i of G is
     bit 128 >> (i % 8) of byte i // 8.  Column j of G is evaluation
     position info_perm[j] of the raw monomial code.
     """
@@ -98,16 +97,11 @@ class RmCode:
         g[:, self.k :] = ((self.packed_PT[:, index >> 3] >> (7 - (index & 7))) & 1).T
         return g
 
-    @cached_property
+    @property
     def H(self) -> np.ndarray:
-        """H = [P^T | I_{n-k}], so G @ H.T = 0; unpacked on first read."""
+        """H = [P^T | I_{n-k}], so G @ H.T = 0; a fresh unpacking."""
         bits = np.unpackbits(self.packed_PT, axis=1, count=self.k)
-        h = np.concatenate([bits, np.eye(self.n - self.k, dtype=np.uint8)], axis=1)
-        h.flags.writeable = False
-        return h
-
-    def to_sys_order(self, word_eval: np.ndarray) -> np.ndarray:
-        return word_eval[self.info_perm]
+        return np.concatenate([bits, np.eye(self.n - self.k, dtype=np.uint8)], axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RmCode(m={self.m}, r={self.r}, n={self.n}, k={self.k}, d={self.d})"
@@ -189,11 +183,6 @@ def build(m: int, r: int) -> RmCode:
     return code
 
 
-def supp(c: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero positions, ascending."""
-    return np.flatnonzero(np.asarray(c))
-
-
 def min_weight_codeword(code: RmCode, rng: np.random.Generator) -> np.ndarray:
     """Random codeword of weight exactly d = 2**(m-r).
 
@@ -211,4 +200,4 @@ def min_weight_codeword(code: RmCode, rng: np.random.Generator) -> np.ndarray:
     consts = gf2.random_bits(r, rng)
     vals = gf2.mat_mul(forms, variable_table(m))
     word_eval = np.all(vals == consts[:, None], axis=0).astype(np.uint8)
-    return code.to_sys_order(word_eval)
+    return word_eval[code.info_perm]

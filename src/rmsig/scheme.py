@@ -7,10 +7,10 @@ public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
 as one matrix F, so signing, which reads S^-1 = U^-1 @ L^-1 alone, never
 inverts S.  F and both check matrices, H' and H_m, are held as packed
-rows, the layout of their key files (gf2.pack_bits).  Sign, verify and
-the check of decoded errors read H' and H_m through tables packed from
-them, so no program path unpacks either; F is unpacked once, to form
-S^-1.
+rows, the layout of their key files (gf2.pack_rows).  Sign, verify and
+the check of decoded errors read H' and H_m through product tables of
+their transposes, packed from those rows (gf2.ProductTable), so no
+program path unpacks either; F is unpacked once, to form S^-1.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -59,9 +59,10 @@ class SigningParams:
 class PublicKey:
     """The public check matrix H', (n-k) x n, as its packed rows: the
     public key file's body, n(n-k) bits.  verify reads its columns
-    through a ColumnTable packed from those rows.  The unpacked H is
-    cached on first read, for the benchmark's oracle and tests; no
-    program path reads it.  Equality is identity."""
+    through the gf2.ProductTable of H'^T packed from those rows.  H is
+    unpacked from them on every read, for the benchmark's oracle and
+    tests, so no key keeps it; no program path reads it.  Equality is
+    identity."""
 
     m: int
     r: int
@@ -72,16 +73,14 @@ class PublicKey:
     def n(self) -> int:
         return 1 << self.m
 
-    @cached_property
+    @property
     def H(self) -> np.ndarray:
-        """H', unpacked from packed_H on first read."""
-        h = np.unpackbits(self.packed_H, axis=1, count=self.n)
-        h.flags.writeable = False
-        return h
+        """H', a fresh unpacking of packed_H."""
+        return np.unpackbits(self.packed_H, axis=1, count=self.n)
 
     @cached_property
-    def _H_table(self) -> gf2.ColumnTable:
-        return gf2.ColumnTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
+    def _H_table(self) -> gf2.ProductTable:
+        return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +114,7 @@ class PrivateKey:
 
     @cached_property
     def _S_inv_T_table(self) -> gf2.ProductTable:
-        return gf2.ProductTable(self.S_inv.T)
+        return gf2.ProductTable(gf2.pack_rows(self.S_inv.T), self.S_inv.shape[0])
 
     @cached_property
     def _sign_history(self) -> list[int]:
@@ -171,7 +170,7 @@ def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -
     """The hash rule: the syndromes h(inner | i) of the counters
     first..first+count-1, inner being h(M) and i hashed as 8 bytes
     big-endian, one after another.  Each is the first ceil(out_bits/8)
-    bytes of its digest, read MSB-first as gf2.pack_bits packs a row; the
+    bytes of its digest, read MSB-first as gf2.pack_rows packs a row; the
     bits after out_bits are the digest's, not cleared."""
     nbytes = (out_bits + 7) // 8
     return bytearray().join([
@@ -366,5 +365,6 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
         return False
     rows = pub.packed_H.shape[0]
     expected = _syndrome_from_digest(_message_digest(message), i, 1, rows)
-    expected[-1] &= 0xFF << -rows % 8 & 0xFF  # H' e has zero pad bits
+    if rows % 8:  # H' e has zero pad bits
+        expected[-1] &= 0xFF << -rows % 8 & 0xFF
     return gf2.mat_vec(pub._H_table, support).tobytes() == expected

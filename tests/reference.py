@@ -8,8 +8,9 @@ it) and the Gauss-Jordan inverse (invert), which reduce with gf2.rref
 because a 2510 x 4096 generator, or a few hundred rows of an inverse,
 is out of reach of python loops; gf2.rref is itself checked against
 naive_rref.  The unpacked and table forms that only tests use
-(check_matrix, column_table, column_product) live here too, so that
-the package keeps one packed form of each matrix.
+(check_matrix, product_table, column_table, column_product) live here
+too, so that the package keeps one packed form of each matrix and one
+table constructor.
 """
 
 import itertools
@@ -40,27 +41,35 @@ def check_matrix(mod):
     return np.unpackbits(mod.packed_H, axis=1, count=mod.n)
 
 
+def product_table(b):
+    """The gf2.ProductTable of a binary matrix b, from b's rows packed
+    where they lie (gf2.pack_rows), as mat_mul builds one for a call."""
+    b = np.asarray(b, dtype=np.uint8)
+    return gf2.ProductTable(gf2.pack_rows(b), b.shape[1])
+
+
 def column_table(a):
-    """The gf2.ColumnTable of a binary matrix a, built as a public key
-    builds its table: from a's packed rows, row-major as pack_bits packs
-    them, through gf2.pack_columns."""
+    """The gf2.ProductTable of a.T for a binary matrix a, built as a
+    public key builds its table of H'^T: from a's packed rows,
+    row-major as np.packbits packs them, through gf2.pack_columns."""
     a = np.asarray(a, dtype=np.uint8)
     rows, cols = a.shape
     packed = np.packbits(a, axis=1)
-    return gf2.ColumnTable(gf2.pack_columns(packed, cols), rows)
+    return gf2.ProductTable(gf2.pack_columns(packed, cols), rows)
 
 
 def column_product(table, v):
-    """a @ v for the matrix a of a ColumnTable, through gf2.mat_vec and
-    unpacked; an entry of v counts by its least significant bit.
+    """a @ v for the matrix a of a column_table, which is v @ a.T,
+    through gf2.mat_vec and unpacked; an entry of v counts by its least
+    significant bit.
 
     Raises:
         ValueError: unless v is a vector of a's width.
     """
     v = np.asarray(v)
-    if v.shape != (table.shape[1],):
+    if v.shape != (table.shape[0],):
         raise ValueError(f"column table of shape {table.shape} used for {v.shape}")
-    return np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v & 1)), count=table.shape[0])
+    return np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v & 1)), count=table.shape[1])
 
 
 def naive_rref(a):

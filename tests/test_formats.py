@@ -398,6 +398,28 @@ class TestHostileFiles:
         with pytest.raises(formats.FormatError):
             formats.load_public_key(raw)
 
+    @pytest.mark.parametrize("role", ["public", "private"])
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_order_outside_what_keygen_makes(self, keypair, role, r):
+        """Keygen makes keys of order 1 <= r < m only (modcode.puncture_plan),
+        so a header of RM(0, 5) or RM(5, 5) is refused before the body."""
+        save, load = {
+            "public": (formats.save_public_key, formats.load_public_key),
+            "private": (formats.save_private_key, formats.load_private_key),
+        }[role]
+        key = keypair.public if role == "public" else keypair.private
+        raw = _patched(save(key), 9, struct.pack("<H", r))
+        with pytest.raises(formats.FormatError, match="1 <= r < m"):
+            load(raw)
+
+    def test_public_key_of_order_m_with_its_empty_body(self):
+        # RM(4, 4) has n - k = 0 parity rows, so its public body is empty.
+        header = formats._HEADER.pack(formats.KEY_MAGIC, formats.VERSION, formats.ROLE_PUBLIC,
+                                      4, 4, 0, 0, 1)
+        raw = _patched(header + struct.pack("<I", 0) + bytes(4), 0, b"")
+        with pytest.raises(formats.FormatError, match="1 <= r < m"):
+            formats.load_public_key(raw)
+
     def test_public_key_with_puncture_fields(self, keypair):
         import struct
 

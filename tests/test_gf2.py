@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmsig import gf2
 
@@ -11,6 +12,7 @@ from reference import (
     naive_mat_mul,
     naive_rank,
     naive_rref,
+    product_table,
     same_row_space,
     systematic_form,
     systematize,
@@ -81,9 +83,9 @@ class TestMatMul:
         built = []
 
         class Recording(gf2.ProductTable):
-            def __init__(self, b):
-                built.append(b.shape)
-                super().__init__(b)
+            def __init__(self, rows, c):
+                built.append((rows.shape[0], c))
+                super().__init__(rows, c)
 
         monkeypatch.setattr(gf2, "ProductTable", Recording)
         rng = np.random.default_rng(rows + cols)
@@ -101,7 +103,7 @@ class TestProductTable:
     def test_vs_naive(self, rows, k, c):
         rng = np.random.default_rng(rows * 1000 + k * 10 + c)
         a, b = rand_mat(rng, rows, k), rand_mat(rng, k, c)
-        table = gf2.ProductTable(b)
+        table = product_table(b)
         expected = naive_mat_mul(a, b)
         assert np.array_equal(gf2.mat_mul(a, b, table), expected)
         # Column-major and strided operands give the same product, and so
@@ -115,13 +117,13 @@ class TestProductTable:
         a_view, b_view = a_slice[:, 2 : 2 + rows].T, b_slice[:, 3 : 3 + k].T
         assert np.array_equal(gf2.mat_mul(a_view, b, table), expected)
         for view in (np.ascontiguousarray(b.T).T, b_view):
-            assert np.array_equal(gf2.mat_mul(a, view, gf2.ProductTable(view)), expected)
+            assert np.array_equal(gf2.mat_mul(a, view, product_table(view)), expected)
 
     @pytest.mark.parametrize("k,c", [(7, 9), (67, 129)])
     def test_all_ones(self, k, c):
         a = np.ones((4, k), dtype=np.uint8)
         b = np.ones((k, c), dtype=np.uint8)
-        got = gf2.mat_mul(a, b, gf2.ProductTable(b))
+        got = gf2.mat_mul(a, b, product_table(b))
         assert np.array_equal(got, np.full((4, c), k & 1, dtype=np.uint8))
         assert np.array_equal(got, naive_mat_mul(a, b))
 
@@ -130,7 +132,7 @@ class TestProductTable:
         # An RM(m-1, m) key punctures its only parity column, so P' is k x 0.
         rng = np.random.default_rng(k)
         a, b = rand_mat(rng, 3, k), np.zeros((k, 0), dtype=np.uint8)
-        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), naive_mat_mul(a, b))
+        assert np.array_equal(gf2.mat_mul(a, b, product_table(b)), naive_mat_mul(a, b))
 
     def test_chunked_gather_vs_blas(self):
         # 300 rows x 100 groups x 10 words exceeds one gather, so the XOR
@@ -138,7 +140,7 @@ class TestProductTable:
         rng = np.random.default_rng(5)
         a, b = rand_mat(rng, 300, 397), rand_mat(rng, 397, 630)
         assert 300 * 100 * 10 > gf2._GATHER_WORDS
-        assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
+        assert np.array_equal(gf2.mat_mul(a, b, product_table(b)), blas_mat_mul(a, b))
 
     @pytest.mark.parametrize("rows", [1, 6, 12, 16, 256])
     @pytest.mark.parametrize("k", [61, 64, 638])
@@ -147,7 +149,7 @@ class TestProductTable:
         # slice of the signing path's errors, column-major for p = 1.
         rng = np.random.default_rng(rows * 1000 + k)
         b = rand_mat(rng, k, 385)
-        table = gf2.ProductTable(b)
+        table = product_table(b)
         columns = rand_mat(rng, k + 11, rows)
         operands = {
             "c_contiguous": np.ascontiguousarray(columns[3 : 3 + k].T),
@@ -170,7 +172,7 @@ class TestProductTable:
         b = rand_mat(rng, 638, 385)
         columns = rand_mat(rng, 1023, rows)
         for a in (columns.T[:, :638], np.ascontiguousarray(columns.T[:, :638])):
-            assert np.array_equal(gf2.mat_mul(a, b, gf2.ProductTable(b)), blas_mat_mul(a, b))
+            assert np.array_equal(gf2.mat_mul(a, b, product_table(b)), blas_mat_mul(a, b))
 
     @pytest.mark.parametrize("rows", [gf2._ROW_BLOCK - 1, gf2._ROW_BLOCK, gf2._ROW_BLOCK + 1])
     def test_row_block_spans_vs_blas(self, rows):
@@ -182,7 +184,7 @@ class TestProductTable:
         gapped = rand_mat(rng, 3 * rows, rows)
         gapped[rows : 2 * rows] = 0
         b = rand_mat(rng, rows, 200)
-        table = gf2.ProductTable(b)
+        table = product_table(b)
         operands = {
             "lower": lower,
             "upper": upper,
@@ -211,11 +213,13 @@ class TestProductTable:
         rng = np.random.default_rng(6)
         a, b = rand_mat(rng, 2, 5), rand_mat(rng, 5, 4)
         with pytest.raises(ValueError):
-            gf2.mat_mul(a, b, gf2.ProductTable(b[:, :3]))
+            gf2.mat_mul(a, b, product_table(b[:, :3]))
 
 
 class TestColumnTable:
-    """Packed-column matrix-vector products against the naive triple loop."""
+    """Matrix-vector products a @ v by mat_vec on the ProductTable of a.T
+    packed from a's rows (reference.column_table), as verify reads H',
+    against the naive triple loop."""
 
     # The column counts reach every word size of _packbits_axis0: odd ones
     # uint8, 70 and 130 uint16, 12 and 20 uint32 (test_large_matrix uint64).
@@ -270,7 +274,7 @@ class TestColumnTable:
         a = rand_mat(rng, 70, 45).T
         assert not a.flags.c_contiguous
         table = column_table(a)
-        assert np.array_equal(table._columns, column_table(np.ascontiguousarray(a))._columns)
+        assert np.array_equal(table._rows, column_table(np.ascontiguousarray(a))._rows)
         for _ in range(5):
             v = rand_mat(rng, 1, 70)[0]
             assert np.array_equal(column_product(table, v), naive_mat_mul(a, v[:, None])[:, 0])
@@ -278,16 +282,18 @@ class TestColumnTable:
     def test_wrong_table_rejected(self):
         rng = np.random.default_rng(7)
         a, v = rand_mat(rng, 65, 9), rand_mat(rng, 1, 9)[0]
-        for wrong in (column_table(a[:64]), column_table(a.T), gf2.ProductTable(a)):
+        for wrong in (column_table(a[:64]), column_table(a.T), product_table(a)):
             with pytest.raises(ValueError):
                 gf2.mat_mul(a, v, wrong)
-        # A column table of a is not a product table for a matrix operand.
+        # A table of a.T is not a product table for a matrix operand of a's shape.
         with pytest.raises(ValueError):
             gf2.mat_mul(a, rand_mat(rng, 9, 2), column_table(a))
 
     def test_table_is_read_only(self):
         table = column_table(np.ones((3, 4), dtype=np.uint8))
-        assert not table._columns.flags.writeable
+        assert not table._rows.flags.writeable
+        gf2.mat_mul(np.ones((2, 4), dtype=np.uint8), table)
+        assert not table._subsets.flags.writeable
 
 
 class TestPackedForms:
@@ -327,7 +333,7 @@ class TestPackedForms:
                 tail_set = a.copy()
                 tail_set[:, head:] = 1
                 packed_head = np.packbits(tail_set, axis=1)[:, : (head + 7) // 8]
-                table = gf2.ProductTable.from_packed(packed_head, head)
+                table = gf2.ProductTable(packed_head, head)
                 assert table.shape == (rows, head)
                 s = rand_mat(rng, 4, rows)
                 assert np.array_equal(gf2.mat_mul(s, table), naive_mat_mul(s, a[:, :head])), head
@@ -339,30 +345,49 @@ class TestPackedForms:
         rng = np.random.default_rng(rows * 7 + cols)
         a = rand_mat(rng, rows, cols)
         packed = np.packbits(a, axis=1)
-        columns = gf2.ColumnTable(gf2.pack_columns(packed, cols), rows)
-        assert columns.shape == (rows, cols)
-        # Column j is row j, packed as np.packbits packs a row, zero-padded.
-        words = columns._columns.view(np.uint8)
-        assert np.array_equal(words[:, : (rows + 7) // 8], np.packbits(a.T, axis=1))
-        assert not words[:, (rows + 7) // 8 :].any()
-        at = gf2.ProductTable.from_packed(gf2.pack_columns(packed, cols), rows)
-        head = gf2.ProductTable.from_packed(packed, cols)
+        at = gf2.ProductTable(gf2.pack_columns(packed, cols), rows)
+        # Column j of a is row j, packed as np.packbits packs a row,
+        # zero-padded to whole words and to whole groups of eight rows.
+        words = at._rows.view(np.uint8)
+        assert np.array_equal(words[:cols, : (rows + 7) // 8], np.packbits(a.T, axis=1))
+        assert not words[:, (rows + 7) // 8 :].any() and not words[cols:].any()
+        head = gf2.ProductTable(packed, cols)
         for table, matrix in ((at, a.T), (head, a)):
             assert table.shape == matrix.shape
-            assert np.array_equal(table._table, gf2.ProductTable(matrix)._table)
+            assert np.array_equal(table._subsets, product_table(matrix)._subsets)
         for _ in range(3):
             v = rand_mat(rng, 1, cols)[0]
-            assert np.array_equal(column_product(columns, v), naive_mat_mul(a, v[:, None])[:, 0])
+            assert np.array_equal(column_product(at, v), naive_mat_mul(a, v[:, None])[:, 0])
             e = rand_mat(rng, 5, cols)
             assert np.array_equal(gf2.mat_mul(e, at), naive_mat_mul(e, a.T))
             s = rand_mat(rng, 4, rows)
             assert np.array_equal(gf2.mat_mul(s, head), naive_mat_mul(s, a))
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_mat_vec_matches_product_on_one_table(self, shape, seed):
+        """mat_vec reads the table's rows, and a product the subset table
+        built from them on first use: on one table both give v @ b,
+        before and after that build."""
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        b = rand_mat(rng, rows, cols)
+        table = gf2.ProductTable(np.packbits(b, axis=1), cols)
+        vectors = [np.zeros(rows, dtype=np.uint8)] + [rand_mat(rng, 1, rows)[0] for _ in range(3)]
+        before = [gf2.mat_vec(table, np.flatnonzero(v)) for v in vectors]
+        assert "_subsets" not in vars(table)
+        products = [np.packbits(gf2.mat_mul(v[None], table)) for v in vectors]
+        assert "_subsets" in vars(table)
+        for v, packed, product in zip(vectors, before, products):
+            assert np.array_equal(packed, product)
+            assert np.array_equal(gf2.mat_vec(table, np.flatnonzero(v)), product)
+            assert np.array_equal(product, np.packbits(naive_mat_mul(v[None], b)))
+
     def test_wrong_table_operand_rejected(self):
         rng = np.random.default_rng(10)
         a = rand_mat(rng, 9, 5)
-        columns, product = column_table(a), gf2.ProductTable(a)
-        square = gf2.ProductTable(rand_mat(rng, 4, 4))
+        columns, product = column_table(a), product_table(a)
+        square = product_table(rand_mat(rng, 4, 4))
         for operand in (
             rand_mat(rng, 1, 4)[0],  # a vector of the wrong length
             rand_mat(rng, 5, 2),  # a column table for a matrix product
@@ -623,7 +648,7 @@ class TestPacking:
         for _ in range(20):
             rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 30))
             a = rand_mat(rng, rows, cols)
-            buf = gf2.pack_bits(a)
+            buf = gf2.pack_rows(a).tobytes()
             assert len(buf) == rows * ((cols + 7) // 8)
             packed = np.frombuffer(buf, dtype=np.uint8).reshape(rows, -1)
             assert np.array_equal(np.unpackbits(packed, axis=1, count=cols), a)
@@ -633,4 +658,4 @@ class TestPacking:
         v = np.zeros(10, dtype=np.uint8)
         v[0] = 1
         v[9] = 1
-        assert gf2.pack_bits(v) == bytes([0b10000000, 0b01000000])
+        assert gf2.pack_rows(v[None]).tobytes() == bytes([0b10000000, 0b01000000])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import sys
 import tracemalloc
@@ -193,25 +194,22 @@ class TestKeygen:
 
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
-    """RmCode.H is unpacked from its packed parity block on first read,
+    """RmCode.H is unpacked from its packed parity block on every read,
     and the public key's H' from its packed rows; H_m has no unpacked
-    accessor.  Keygen, save/load, sign, verify and calibrate never read
-    an H; only tests and the benchmark's oracle do.  The parent codes of
-    keygen and of a load are not kept, so every read of an H is counted
-    while they run."""
+    accessor.  With both H properties raising, keygen, save/load, sign,
+    verify and calibrate run: only tests and the benchmark's oracle read
+    an H.  Each read is also recorded, in case a caller catches the
+    error."""
     reads = []
 
-    def counted(built):
-        def read(holder):
-            reads.append(holder)
-            return built.func(holder)
-
-        return property(read)
+    def unread(holder):
+        reads.append(holder)
+        raise AssertionError(f"{type(holder).__name__}.H read")
 
     plain = rmcode.build(5, 2)
     with monkeypatch.context() as patch:
         for cls in (rmcode.RmCode, scheme.PublicKey):
-            patch.setattr(cls, "H", counted(cls.H))
+            patch.setattr(cls, "H", property(unread))
         params = scheme.SigningParams(w=12, N=100, t=3)
         kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
         pub = formats.load_public_key(formats.save_public_key(kp.public))
@@ -222,17 +220,19 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
             analysis.calibrate(priv.mod, 2000, np.random.default_rng(0))
         analysis.calibrate(plain, 2000, np.random.default_rng(1))
         assert reads == []
-        assert plain.H.shape == (plain.n - plain.k, plain.n) and reads == [plain]
-    assert plain.H is plain.H and "H" in vars(plain)
+        with pytest.raises(AssertionError, match="RmCode.H read"):
+            plain.H
+        assert reads == [plain]
+    assert plain.H.shape == (plain.n - plain.k, plain.n) and "H" not in vars(plain)
     assert not hasattr(modcode.ModifiedCode, "H")
 
 
 class TestPackedCheckMatrices:
     """Keys hold H' and H_m as packed rows, as their files do; the public
-    key's H unpacks H' for the benchmark's oracle and tests, and no
-    signing or verifying path reads it."""
+    key's H unpacks H' on every read, for the benchmark's oracle and
+    tests, and no signing or verifying path reads it."""
 
-    def test_H_is_the_read_only_unpacking(self, toy_keypair):
+    def test_H_is_a_fresh_unpacking(self, toy_keypair):
         pub, priv = toy_keypair.public, toy_keypair.private
         loaded_pub = formats.load_public_key(formats.save_public_key(pub))
         loaded = formats.load_private_key(formats.save_private_key(priv))
@@ -241,12 +241,13 @@ class TestPackedCheckMatrices:
             assert packed.shape == (holder.n - 5, (holder.n + 7) // 8)  # k = 5
             assert not packed.flags.writeable
         for holder in (pub, loaded_pub):
-            h = holder.H
-            assert np.array_equal(h, np.unpackbits(holder.packed_H, axis=1, count=holder.n))
-            assert h is holder.H
-            assert not h.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                h[0, 0] ^= 1
+            h, packed = holder.H, holder.packed_H.copy()
+            assert np.array_equal(h, np.unpackbits(packed, axis=1, count=holder.n))
+            assert np.array_equal(h, holder.H) and h is not holder.H
+            # A write to one read reaches neither packed_H nor the next read.
+            h[0, 0] ^= 1
+            assert np.array_equal(holder.packed_H, packed)
+            assert holder.H[0, 0] != h[0, 0]
 
     def test_hot_paths_allocate_less_than_one_packed_matrix(self):
         """verify and the check of one decoded error, after a first
@@ -650,15 +651,18 @@ class TestSignChecksItsOutput:
         params = scheme.SigningParams(w=64, N=1, t=3)
         priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
         assert isinstance(scheme.sign(priv, b"warm up"), scheme.Signature)
-        built, real_init = [], gf2.ProductTable._init_packed
+        built, real_build = [], gf2.ProductTable._subsets.func
 
-        def counting(table, rows, c):
-            built.append((rows.shape[0], c))
-            real_init(table, rows, c)
+        def counting(table):
+            built.append(table.shape)
+            return real_build(table)
 
-        # Patched in place, where the matrix and the packed constructor
-        # meet: the warmed-up tables stay instances of the class.
-        monkeypatch.setattr(gf2.ProductTable, "_init_packed", counting)
+        # Patched in place, where a table builds its subsets on first use:
+        # the warmed-up tables stay instances of the class, and a table
+        # made by mat_mul for one call builds them too.
+        subsets = functools.cached_property(counting)
+        subsets.__set_name__(gf2.ProductTable, "_subsets")
+        monkeypatch.setattr(gf2.ProductTable, "_subsets", subsets)
         assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
         analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
         assert built == []
@@ -720,7 +724,19 @@ def rm10_keypair():
 class TestVerifyPartialLastByte:
     """n-k = 11 on RM(4,1) and 386 on RM(10,5): the packed syndrome's last
     byte holds n-k mod 8 bits and pad bits, which verify masks off the
-    digest."""
+    digest.  With n-k = 0 there is no byte to mask."""
+
+    def test_key_with_no_parity_rows_gives_a_verdict(self):
+        """No keygen or loader makes a key of order r = m, whose H' has no
+        rows, but verify on one is total: every e of weight at most w has
+        H'e equal to the empty syndrome."""
+        params = scheme.SigningParams(w=3, N=1, t=0)
+        packed = np.zeros((0, 2), dtype=np.uint8)
+        pub = scheme.PublicKey(m=4, r=4, packed_H=packed, params=params)
+        e = np.zeros(pub.n, dtype=np.uint8)
+        for weight, accepted in ((0, True), (3, True), (4, False)):
+            e[:weight] = 1
+            assert scheme.verify(pub, b"no rows", scheme.Signature(e=e, i=1)) is accepted
 
     @pytest.mark.parametrize("key", ["toy_keypair", "rm10_keypair"])
     def test_flip_in_the_last_row_rejects(self, key, request):
