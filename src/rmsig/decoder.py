@@ -351,11 +351,11 @@ def _closest_errors(
 
     v holds each syndrome on cols (systematic order) and zeros elsewhere;
     c is the codeword decoded from v with the columns in erased marked as
-    erasures, under the signing path's rule if signing is set.  Returns the rows of e = v + c on the columns [0, k) + cols,
-    as the transpose of a take along axis 0 of the decoder's (n, rows)
-    words.  On that layout take beats fancy indexing: a row permutation
-    of 1024 x 1024 takes 95 against 107 us, of 1024 x 16 3 against 25 us
-    (best of 7 x 50 on a shared 2-vCPU x86-64 host).
+    erasures, under the signing path's rule if signing is set.  Returns
+    the rows of e = v + c on the columns [0, k) + cols, as the transpose
+    of a take along axis 0 of the decoder's (n, rows) words, since on
+    that layout take beats fancy indexing at calibration's and signing's
+    batch widths.
     """
     perm = code.info_perm
     soft = np.ones((code.n, syndromes.shape[0]), dtype=np.int8)
@@ -408,13 +408,11 @@ def check_leaders(mod: ModifiedCode, e_primes: np.ndarray, s_primes: np.ndarray)
     This checks the whole modified code: the punctured decode's top
     block, P'^T e_info + e_kept = s_top, and the inserted block, R e_np +
     e_p = s_bot, which no other step checks.  One row or a batch is one
-    product e' @ H_m^T by the code's cached table (mod.H_T_table), which
-    packs a column-major batch without a copy.  Right after a 16-row
-    signing batch one row takes 40-103 us on RM(10,5) and 164-277 us on
-    RM(12,6); 1024 rows take 3.0-3.7 and 25-35 ms (key seed 1, one BLAS
-    thread, medians in six processes).  The benchmark's trace counts a
-    gf2 product made under a public decoder function as this check, so
-    it stays one (see scheme._trials).
+    product e' @ H_m^T by the code's cached table (mod.H_T_table): one
+    row gathers the table's rows, and a batch, packed without a copy
+    when column-major, reads its Four-Russians table.  The benchmark's
+    trace counts a gf2 product made under a public decoder function as
+    this check, so it stays one (see scheme._trials).
     """
     got = gf2.mat_mul(np.atleast_2d(e_primes), mod.H_T_table)
     if not np.array_equal(got, np.atleast_2d(s_primes)):

@@ -8,14 +8,16 @@ the scrambler S, is a block recursion on products (invert).
 A matrix b used for many products is held in one table type, a
 ProductTable of b's packed rows.  mat_vec XORs the rows at a vector's
 support and returns the product packed: verify's H'e, with b = H'^T.
-mat_mul multiplies a matrix by a table standing in place of b, through
-a Four-Russians table built from the same rows on first use: signing's
-S^-1, the check of decoded errors by H_m^T and keygen's products.  A
-table is built from packed rows as the keys hold them: pack_rows packs
-an unpacked matrix where it lies, by rows or, for a transposed view, by
-columns (_packbits_axis0), with no transposing copy, and pack_columns
-packs the rows of the transpose of a packed matrix from a few of its
-rows unpacked at a time, so no table of a key unpacks the key's matrix.
+mat_mul multiplies a matrix by a table standing in place of b: a single
+row by mat_vec's gather, unpacked, and two or more rows through a
+Four-Russians table built from the same rows with the table's first
+such product: signing's S^-1, the check of decoded errors by H_m^T and
+keygen's products.  A table is built from packed rows as the keys hold
+them: pack_rows packs an unpacked matrix where it lies, by rows or, for
+a transposed view, by columns (_packbits_axis0), with no transposing
+copy, and pack_columns packs the rows of the transpose of a packed
+matrix from a few of its rows unpacked at a time, so no table of a key
+unpacks the key's matrix.
 Any other product goes through mat_mul, which builds a table for the
 call when both matrices are large and otherwise multiplies in float32
 BLAS, exact below 2**24 terms.
@@ -56,13 +58,16 @@ class ProductTable:
     mat_vec returns them, so its tables are packed with zero pad bits, as
     pack_columns writes them.
 
-    mat_vec gathers the rows at a vector's support.  product reads the
-    Four-Russians table _subsets, built from the same rows on first use:
-    b's rows in groups of four and, for every group, the XOR of each of
-    its 16 row subsets, built by doubling: the subsets with one more row
-    are those without it XOR that row.  A product then reads one table
-    row per group of four bits of a and XORs them (the method of
-    Arlazarov, Dinic, Kronrod and Faradzev; Albrecht and Bard's M4RI).
+    mat_vec gathers the rows at a vector's support, and product does so
+    for a single row of a, so a table used only one row at a time, as
+    signing uses H_m^T, never builds more.  From two rows on, where it
+    beats the gather, a product reads the Four-Russians table _subsets,
+    built from the same rows with the first such product: b's rows in
+    groups of four and, for every group, the XOR of each of its 16 row
+    subsets, built by doubling: the subsets with one more row are those
+    without it XOR that row.  A product then reads one table row per
+    group of four bits of a and XORs them (the method of Arlazarov,
+    Dinic, Kronrod and Faradzev; Albrecht and Bard's M4RI).
     The table takes 16 * 2*ceil(k/8) * ceil(c/64) words, four times the
     rows.  Rows are packed MSB-first, so group 2j is selected by the high
     nibble of a's packed byte j, whose high bit selects the group's first
@@ -73,8 +78,10 @@ class ProductTable:
     is packed without a transposing copy.  It takes a's rows _ROW_BLOCK
     at a time.  For each block it gathers only the groups from the
     block's first to its last nonzero packed byte: any other group reads
-    its zero row in every row of the block.  A dense block spans every
-    group, and a triangular a about half of them, so the products with a
+    its zero row in every row of the block.  A block whose first and
+    last packed bytes are nonzero spans every group, which is taken
+    without scanning the bytes between, as for a dense block; a
+    triangular a spans about half of them, so the products with a
     triangle on the left (keygen's L @ U, the key load's U^-1 @ L^-1 and
     invert's joins B^-1 (C A^-1)) skip the zero triangle with no flag
     from their callers.  The table rows are gathered with take, into one
@@ -106,8 +113,11 @@ class ProductTable:
         return table.reshape(16 * groups, words)
 
     def product(self, a: np.ndarray) -> np.ndarray:
-        """a @ b for the rows of a (binary, rows x k)."""
+        """a @ b for the rows of a (binary, rows x k); one row is the
+        XOR of b's rows at its support (mat_vec)."""
         rows = a.shape[0]
+        if rows == 1:
+            return np.unpackbits(mat_vec(self, np.flatnonzero(a[0])), count=self.shape[1])[None]
         packed = pack_rows(a).T
         table = self._subsets
         k_bytes, words = packed.shape[0], table.shape[1]
@@ -119,13 +129,15 @@ class ProductTable:
         acc = np.zeros((rows, words), dtype=np.uint64)
         for lo in range(0, rows, _ROW_BLOCK):
             part = packed[:, lo : lo + _ROW_BLOCK]
-            # A byte outside [first, last) is zero in every row of the
-            # block, so its two groups would read their zero rows.
-            live = part.any(axis=1)
-            first = int(live.argmax())
-            if not live[first]:
-                continue
-            last = k_bytes - int(live[::-1].argmax())
+            first, last = 0, k_bytes
+            if not (np.count_nonzero(part[0]) and np.count_nonzero(part[-1])):
+                # A byte outside [first, last) is zero in every row of the
+                # block, so its two groups would read their zero rows.
+                live = part.any(axis=1)
+                first = int(live.argmax())
+                if not live[first]:
+                    continue
+                last = k_bytes - int(live[::-1].argmax())
             span, count = part[first:last], part.shape[1]
             # Table row per (group of four columns of a, row of a): group 2j
             # reads the high nibble of packed byte j, group 2j+1 the low one.
@@ -183,6 +195,7 @@ def mat_vec(table: ProductTable, support: np.ndarray) -> np.ndarray:
     the indices support: the XOR of b's rows at support, as ceil(c/8)
     bytes in pack_rows' layout, a SHAKE digest's.  verify's H'e is e @
     H'^T, by a table of H'^T packed with zero pad bits (pack_columns).
+    ProductTable.product multiplies a single row by the same gather.
 
     The rows at support are gathered with take and XORed by one segment
     of reduceat, which is faster than bitwise_xor.reduce.
@@ -204,18 +217,21 @@ _TABLE_MIN = 256
 def mat_mul(
     a: np.ndarray, b: np.ndarray | ProductTable, table: ProductTable | None = None
 ) -> np.ndarray:
-    """GF(2) product a @ b; a 1-D b gives the matrix-vector product.
+    """GF(2) product a @ b of binary operands; a 1-D b gives the
+    matrix-vector product.  An entry outside {0, 1} is not checked for,
+    and the paths below read it differently.
 
     With table, a ProductTable of the matrix b, the product reads the
-    table instead of multiplying; such a table may also stand in place
-    of b, so a caller that keeps b packed never unpacks it.  Without one,
-    a product of an a with at least _TABLE_MIN rows by a b with at least
-    _TABLE_MIN columns builds a ProductTable of b's packed rows for the
-    call, which holds no float copies and beats BLAS at such sizes.
-    Other products go through BLAS, which beats building a table when a
-    has few rows.  BLAS runs in float32, whose sums are exact below 2**24
-    terms; no inner dimension comes near that (n <= 4096).  An entry
-    counts by its least significant bit.
+    table instead of multiplying (ProductTable.product: a single row of
+    a by a gather of b's rows, more rows by the Four-Russians table);
+    such a table may also stand in place of b, so a caller that keeps b
+    packed never unpacks it.  Without one, a product of an a with at
+    least _TABLE_MIN rows by a b with at least _TABLE_MIN columns builds
+    a ProductTable of b's packed rows for the call, which holds no float
+    copies and beats BLAS at such sizes.  Other products go through
+    BLAS, which beats building a table when a has few rows.  BLAS runs
+    in float32, whose sums are exact below 2**24 terms; no inner
+    dimension comes near that (n <= 4096).
     """
     if isinstance(a, ProductTable):
         raise ValueError("a product table stands in for the right operand only")

@@ -120,7 +120,9 @@ class ModifiedCode:
         """Product table of H.T, for the check e' @ H.T = s' of one
         error or a batch (decoder.check_leaders).  Its rows, H_m's
         columns, are packed from a few rows of H_m unpacked at a time
-        (gf2.pack_columns)."""
+        (gf2.pack_columns).  A signature's one error is checked by a
+        gather of these rows; the table's Four-Russians subsets come
+        with its first batch, in calibration."""
         return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
     def left_product(self, s: np.ndarray, columns: np.ndarray) -> np.ndarray:

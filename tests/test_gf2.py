@@ -78,6 +78,26 @@ class TestMatMul:
         with pytest.raises(ValueError):
             gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
 
+    def test_paths_agree_on_binary_operands(self):
+        """Each product path at its threshold gives a @ b for binary
+        operands: BLAS below _TABLE_MIN rows, a table built for the call
+        from it, a table passed in or standing in for b, a one-row gather
+        and a 1-D b.  A zero row and an all-ones row are among a's rows."""
+        rng = np.random.default_rng(12)
+        a = rand_mat(rng, gf2._TABLE_MIN, 301)
+        a[0], a[-1] = 0, 1
+        b = rand_mat(rng, 301, gf2._TABLE_MIN + 3)
+        expected = blas_mat_mul(a, b)
+        table = product_table(b)
+        assert np.array_equal(gf2.mat_mul(a[:-1], b), expected[:-1])  # BLAS
+        assert np.array_equal(gf2.mat_mul(a, b), expected)  # a table for the call
+        assert np.array_equal(gf2.mat_mul(a, b, table), expected)
+        assert np.array_equal(gf2.mat_mul(a, table), expected)
+        for i in (0, 1, gf2._TABLE_MIN - 1):
+            assert np.array_equal(gf2.mat_mul(a[i : i + 1], table), expected[i : i + 1])
+        for j in (0, 5, b.shape[1] - 1):
+            assert np.array_equal(gf2.mat_mul(a, b[:, j]), expected[:, j])
+
     @pytest.mark.parametrize("rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255)])
     def test_table_only_for_large_products(self, monkeypatch, rows, cols):
         built = []
@@ -366,9 +386,9 @@ class TestPackedForms:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
     def test_mat_vec_matches_product_on_one_table(self, shape, seed):
-        """mat_vec reads the table's rows, and a product the subset table
-        built from them on first use: on one table both give v @ b,
-        before and after that build."""
+        """mat_vec reads the table's rows, and a product of two or more
+        rows the subset table built from them on first use: on one table
+        both give v @ b, before and after that build."""
         rows, cols = shape
         rng = np.random.default_rng(seed)
         b = rand_mat(rng, rows, cols)
@@ -376,12 +396,36 @@ class TestPackedForms:
         vectors = [np.zeros(rows, dtype=np.uint8)] + [rand_mat(rng, 1, rows)[0] for _ in range(3)]
         before = [gf2.mat_vec(table, np.flatnonzero(v)) for v in vectors]
         assert "_subsets" not in vars(table)
-        products = [np.packbits(gf2.mat_mul(v[None], table)) for v in vectors]
+        pairs = [gf2.mat_mul(np.stack([v, v]), table) for v in vectors]
         assert "_subsets" in vars(table)
+        assert all(np.array_equal(first, second) for first, second in pairs)
+        products = [np.packbits(first) for first, _ in pairs]
         for v, packed, product in zip(vectors, before, products):
             assert np.array_equal(packed, product)
             assert np.array_equal(gf2.mat_vec(table, np.flatnonzero(v)), product)
             assert np.array_equal(product, np.packbits(naive_mat_mul(v[None], b)))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_one_row_product_is_a_gather(self, shape, seed):
+        """A product of one row is mat_vec's gather of the table's rows,
+        unpacked: it equals v @ b before and after the subset table
+        exists, and does not build it."""
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        b = rand_mat(rng, rows, cols)
+        table = gf2.ProductTable(np.packbits(b, axis=1), cols)
+        vectors = [np.zeros(rows, dtype=np.uint8), np.ones(rows, dtype=np.uint8)]
+        vectors += [rand_mat(rng, 1, rows)[0] for _ in range(3)]
+        for subsets_built in (False, True):
+            for v in vectors:
+                got = gf2.mat_mul(v[None], table)
+                assert got.shape == (1, cols) and got.dtype == np.uint8
+                gathered = np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v)), count=cols)
+                assert np.array_equal(got[0], gathered)
+                assert np.array_equal(got, naive_mat_mul(v[None], b))
+            assert ("_subsets" in vars(table)) is subsets_built
+            gf2.mat_mul(np.stack(vectors[:2]), table)  # two rows build it
 
     def test_wrong_table_operand_rejected(self):
         rng = np.random.default_rng(10)

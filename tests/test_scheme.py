@@ -646,11 +646,11 @@ class TestSignChecksItsOutput:
         assert exhausted >= 1
 
     def test_checks_build_no_table_after_the_first(self, monkeypatch):
-        # Once a key has signed, neither a signature's check nor a
-        # calibration chunk's builds a product table.
+        # A signature's check is one row, which builds no table at all;
+        # the first calibration chunk's check builds H_m^T's table once,
+        # and nothing builds one after that.
         params = scheme.SigningParams(w=64, N=1, t=3)
         priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
-        assert isinstance(scheme.sign(priv, b"warm up"), scheme.Signature)
         built, real_build = [], gf2.ProductTable._subsets.func
 
         def counting(table):
@@ -658,14 +658,30 @@ class TestSignChecksItsOutput:
             return real_build(table)
 
         # Patched in place, where a table builds its subsets on first use:
-        # the warmed-up tables stay instances of the class, and a table
-        # made by mat_mul for one call builds them too.
+        # the key's tables stay instances of the class, and a table made
+        # by mat_mul for one call builds them too.
         subsets = functools.cached_property(counting)
         subsets.__set_name__(gf2.ProductTable, "_subsets")
         monkeypatch.setattr(gf2.ProductTable, "_subsets", subsets)
+        # N = 1: each signature is one row, its S^-1 product included.
+        assert isinstance(scheme.sign(priv, b"first"), scheme.Signature)
         assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
-        analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
         assert built == []
+        analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
+        assert built == [priv.mod.H_T_table.shape]
+        analysis.calibrate(priv.mod, 1024, np.random.default_rng(1))
+        assert isinstance(scheme.sign(priv, b"third"), scheme.Signature)
+        assert built == [priv.mod.H_T_table.shape]
+
+    def test_signing_leaves_the_check_table_unbuilt(self):
+        # Keygen, signing and verifying multiply by H_m^T one row at a
+        # time, by a gather of its rows, so its subset table is never built.
+        params = scheme.SigningParams(w=12, N=200, t=3)
+        kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
+        for message in (b"one", b"two", b"three"):
+            sig = scheme.sign(kp.private, message)
+            assert isinstance(sig, scheme.Signature) and scheme.verify(kp.public, message, sig)
+        assert "_subsets" not in vars(kp.private.mod.H_T_table)
 
     def test_rejects_a_wrong_inserted_block(self, monkeypatch):
         # An inserted bit e_p that misses s'_bot: nothing in the decode
