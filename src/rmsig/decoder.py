@@ -129,16 +129,12 @@ _KEYS_ROWS = 256
 A narrower batch finds each word's codeword (order 1) or weakest
 position (order m-1) by an argmax or argmin that numpy runs word by
 word, so its cost grows fastest with the width; the keys form makes a
-few more numpy calls, all of them vectorised.  Both leaves cross over
-between 128 and 256 rows.  Whole decodes of random words, one thread,
-medians of 41 runs with the forms interleaved, one leaf's other form
--> its keys form at 128, 256 and 1024 rows: order 1 on RM(10,5) 1.90
--> 2.06, 2.66 -> 2.56 and 6.68 -> 5.09 ms, on RM(12,6) 7.24 -> 7.80,
-10.6 -> 10.2 and 31.4 -> 22.5 ms; order m-1 on RM(10,5) 1.96 -> 2.04,
-2.86 -> 2.66 and 6.73 -> 5.04 ms, on RM(12,6) 7.62 -> 7.78, 11.9 ->
-10.8 and 31.6 -> 24.5 ms.  Signing batches have 1, 4, 16, 64 or 256
-rows (scheme.SIGN_BATCH) and calibration chunks 1024, or fewer when
-fewer syndromes are asked for.
+few more numpy calls, all of them vectorised.  In whole decodes of
+random words on RM(10,5) and RM(12,6), both leaves are slower in the
+keys form at 128 rows and faster from 256 rows on (CHANGES.md, PR 15,
+has the timings).  Signing batches have 1, 4, 16, 64 or 256 rows
+(scheme.SIGN_BATCH) and calibration chunks 1024, or fewer when fewer
+syndromes are asked for.
 """
 
 

@@ -6,24 +6,26 @@ The one inverse the scheme takes, of keygen's unit triangular factors of
 the scrambler S, is a block recursion on products (invert).
 
 A matrix b used for many products is held in one table type, a
-ProductTable of b's packed rows.  mat_vec XORs the rows at a vector's
-support and returns the product packed: verify's H'e, with b = H'^T.
-mat_mul multiplies a matrix by a table standing in place of b: a single
-row by mat_vec's gather, unpacked, and two or more rows through a
-Four-Russians table built from the same rows with the table's first
-such product: signing's S^-1, the check of decoded errors by H_m^T and
-keygen's products.  A table is built from packed rows as the keys hold
-them: pack_rows packs an unpacked matrix where it lies, by rows or, for
-a transposed view, by columns (_packbits_axis0), with no transposing
-copy, and pack_columns packs the rows of the transpose of a packed
-matrix from a few of its rows unpacked at a time, so no table of a key
-unpacks the key's matrix.
+ProductTable of b's packed rows, and every product of a table is packed
+rows too.  mat_vec XORs the rows at a vector's support: verify's H'e,
+with b = H'^T.  ProductTable.product multiplies a matrix: a single row
+by mat_vec's gather, and two or more rows through a Four-Russians table
+built from the same rows with the table's first such product.  Keygen
+forms H' = L (U (H_m Q)) by two such products and keeps their packed
+rows.  mat_mul, which takes and returns unpacked matrices, is the one
+place that unpacks a table product: signing's S^-1 and the check of
+decoded errors by H_m^T pass it a table standing in place of b.  A
+table is built from packed rows as the keys hold them: pack_rows packs
+an unpacked matrix where it lies, by rows or, for a transposed view, by
+columns (_packbits_axis0), with no transposing copy, and pack_columns
+packs the rows of the transpose of a packed matrix from a few of its
+rows unpacked at a time, so no table of a key unpacks the key's matrix.
 Any other product goes through mat_mul, which builds a table for the
 call when both matrices are large and otherwise multiplies in float32
 BLAS, exact below 2**24 terms.
 
 Bit packing convention, the one layout of every packed matrix (the key
-files, the keys' and codes' packed fields, the tables and mat_vec's
+files, the keys' and codes' packed fields, the tables and their
 products): row-major, each row padded to a whole number of bytes,
 MSB-first within a byte (bit j of a row lives in byte j//8 at mask
 128 >> (j % 8)), as pack_rows writes it.  A SHAKE digest read as a bit
@@ -53,10 +55,12 @@ class ProductTable:
     """Products v @ b and a @ b by one fixed k x c matrix b.
 
     ProductTable(rows, c) takes b's k rows packed in pack_rows' layout
-    and holds them zero-padded to whole uint64 words (_rows).  Bits of a
-    row's last byte past column c are kept: a product drops them, but
-    mat_vec returns them, so its tables are packed with zero pad bits, as
-    pack_columns writes them.
+    and holds them zero-padded to whole uint64 words (_rows).  A product
+    is packed rows in the same layout, and the bits of a row's last byte
+    past column c are kept: a product's pad bits are the XOR of the pad
+    bits of the table rows it adds.  Every table the package builds has
+    zero pad bits, as pack_rows, pack_columns and np.packbits write
+    them, and so has every product of one.
 
     mat_vec gathers the rows at a vector's support, and product does so
     for a single row of a, so a table used only one row at a time, as
@@ -82,12 +86,12 @@ class ProductTable:
     last packed bytes are nonzero spans every group, which is taken
     without scanning the bytes between, as for a dense block; a
     triangular a spans about half of them, so the products with a
-    triangle on the left (keygen's L @ U, the key load's U^-1 @ L^-1 and
-    invert's joins B^-1 (C A^-1)) skip the zero triangle with no flag
-    from their callers.  The table rows are gathered with take, into one
-    buffer of at most _GATHER_WORDS words that every block and chunk of
-    groups reuses, and XORed chunk by chunk; a block of 128 rows fits
-    more groups into one gather than a single row does.
+    triangle on the left (keygen's L (U (H_m Q)), the key load's
+    U^-1 @ L^-1 and invert's joins B^-1 (C A^-1)) skip the zero triangle
+    with no flag from their callers.  The table rows are gathered with
+    take, into one buffer of at most _GATHER_WORDS words that every block
+    and chunk of groups reuses, and XORed chunk by chunk; a block of 128
+    rows fits more groups into one gather than a single row does.
     """
 
     ndim = 2  # stands in for its matrix in mat_mul's shape checks
@@ -113,11 +117,14 @@ class ProductTable:
         return table.reshape(16 * groups, words)
 
     def product(self, a: np.ndarray) -> np.ndarray:
-        """a @ b for the rows of a (binary, rows x k); one row is the
-        XOR of b's rows at its support (mat_vec)."""
-        rows = a.shape[0]
+        """a @ b for the rows of a (binary, rows x k), as rows x ceil(c/8)
+        packed rows in pack_rows' layout; one row is the XOR of b's rows
+        at its support (mat_vec)."""
+        rows, size = a.shape[0], (self.shape[1] + 7) // 8
         if rows == 1:
-            return np.unpackbits(mat_vec(self, np.flatnonzero(a[0])), count=self.shape[1])[None]
+            return mat_vec(self, np.flatnonzero(a[0]))[None]
+        if not self.shape[0]:  # an empty sum; the block scan below needs a byte
+            return np.zeros((rows, size), dtype=np.uint8)
         packed = pack_rows(a).T
         table = self._subsets
         k_bytes, words = packed.shape[0], table.shape[1]
@@ -153,7 +160,7 @@ class ProductTable:
                 # Every index is in range; mode="raise" would buffer the output.
                 table.take(chunk, axis=0, out=got, mode="clip")
                 out ^= np.bitwise_xor.reduce(got, axis=0)
-        return np.unpackbits(acc.view(np.uint8), axis=1, count=self.shape[1])
+        return np.ascontiguousarray(acc.view(np.uint8)[:, :size])
 
 
 _BIT_WEIGHTS = {size: np.right_shift(128, np.arange(8)).astype(f"u{size}") for size in (1, 2, 4, 8)}
@@ -193,9 +200,10 @@ def pack_rows(a: np.ndarray) -> np.ndarray:
 def mat_vec(table: ProductTable, support: np.ndarray) -> np.ndarray:
     """v @ b for the matrix b of table and the binary v whose 1s lie at
     the indices support: the XOR of b's rows at support, as ceil(c/8)
-    bytes in pack_rows' layout, a SHAKE digest's.  verify's H'e is e @
-    H'^T, by a table of H'^T packed with zero pad bits (pack_columns).
-    ProductTable.product multiplies a single row by the same gather.
+    bytes in pack_rows' layout, a SHAKE digest's, as each row of a
+    ProductTable.product is.  verify's H'e is e @ H'^T, by a table of
+    H'^T packed with zero pad bits (pack_columns), so H'e has zero pad
+    bits.  ProductTable.product multiplies a single row by this gather.
 
     The rows at support are gathered with take and XORed by one segment
     of reduceat, which is faster than bitwise_xor.reduce.
@@ -223,9 +231,10 @@ def mat_mul(
 
     With table, a ProductTable of the matrix b, the product reads the
     table instead of multiplying (ProductTable.product: a single row of
-    a by a gather of b's rows, more rows by the Four-Russians table);
-    such a table may also stand in place of b, so a caller that keeps b
-    packed never unpacks it.  Without one, a product of an a with at
+    a by a gather of b's rows, more rows by the Four-Russians table) and
+    unpacks its packed rows, the only unpacking of a table product; such
+    a table may also stand in place of b, so a caller that keeps b
+    packed never unpacks b.  Without one, a product of an a with at
     least _TABLE_MIN rows by a b with at least _TABLE_MIN columns builds
     a ProductTable of b's packed rows for the call, which holds no float
     copies and beats BLAS at such sizes.  Other products go through
@@ -246,15 +255,16 @@ def mat_mul(
         if not isinstance(table, ProductTable) or table.shape != b.shape:
             name = type(table).__name__
             raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
-        return table.product(a)
-    if b.ndim == 1:
+    elif b.ndim == 1:
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
         return picked.sum(axis=1, dtype=np.uint8) & 1
-    if a.shape[0] >= _TABLE_MIN and b.shape[1] >= _TABLE_MIN:
-        return ProductTable(pack_rows(b), b.shape[1]).product(a)
-    prod = a.astype(np.float32) @ b.astype(np.float32)
-    return (prod.astype(np.int64) & 1).astype(np.uint8)
+    elif a.shape[0] >= _TABLE_MIN and b.shape[1] >= _TABLE_MIN:
+        table = ProductTable(pack_rows(b), b.shape[1])
+    else:
+        prod = a.astype(np.float32) @ b.astype(np.float32)
+        return (prod.astype(np.int64) & 1).astype(np.uint8)
+    return np.unpackbits(table.product(a), axis=1, count=table.shape[1])
 
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:

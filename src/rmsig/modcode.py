@@ -73,10 +73,11 @@ class ModifiedCode:
     positions of the parent, then the p inserted positions.  H_m is the
     only matrix stored, as packed rows in gf2.pack_rows' layout, an
     eighth of its unpacked size; n, k, p and t follow from m and the
-    fields.  R and the gf2.ProductTable of H_m^T, by which decoded errors
-    are checked, are cached on first use.  H_m has no unpacked accessor;
-    the parent RmCode's H is unpacked on every read.  Equality is
-    identity.
+    fields.  Keygen reads these rows for H' = L U H_m Q, permuting H_m's
+    columns as the packed rows of H_m^T (scheme.keygen).  R and the
+    gf2.ProductTable of H_m^T, by which decoded errors are checked, are
+    cached on first use.  H_m has no unpacked accessor; the parent
+    RmCode's H is unpacked on every read.  Equality is identity.
     """
 
     m: int
@@ -124,34 +125,6 @@ class ModifiedCode:
         gather of these rows; the table's Four-Russians subsets come
         with its first batch, in calibration."""
         return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
-
-    def left_product(self, s: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """The columns `columns` of s @ H_m for a binary s of n-k columns,
-        as packed rows in gf2.pack_rows' layout: keygen's S @ H_m @ Q.
-
-        H_m's last n-k columns are the identity plus R's right block R_2
-        under the kept parity columns, so only the first k columns take
-        a full product, by a table read from packed_H's first ceil(k/8)
-        bytes as they are; the rest are s plus s's last p columns times
-        R_2.  The rows are formed, permuted and packed a block at a time.
-        """
-        k, top = self.k, self.n - self.k - self.p
-        table = gf2.ProductTable(self.packed_H[:, : (k + 7) // 8], k)
-        out = np.empty((s.shape[0], (self.n + 7) // 8), dtype=np.uint8)
-        block = np.empty((2, min(_LEFT_BLOCK_ROWS, s.shape[0]), self.n), dtype=np.uint8)
-        for lo in range(0, s.shape[0], _LEFT_BLOCK_ROWS):
-            rows = s[lo : lo + _LEFT_BLOCK_ROWS]
-            got, picked = block[:, : rows.shape[0]]
-            got[:, :k] = gf2.mat_mul(rows, table)
-            got[:, k:] = rows
-            got[:, k : k + top] ^= gf2.mat_mul(rows[:, top:], self.R[:, k:])
-            np.take(got, columns, axis=1, out=picked, mode="clip")  # "raise" would buffer
-            out[lo : lo + rows.shape[0]] = np.packbits(picked, axis=1)
-        return out
-
-
-_LEFT_BLOCK_ROWS = 256
-"""Rows of keygen's S @ H_m that ModifiedCode.left_product forms at once."""
 
 
 def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:

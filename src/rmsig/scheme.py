@@ -6,11 +6,14 @@ matrix form has its 1 in column sigma[i]) and the modified code.  The
 public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
 as one matrix F, so signing, which reads S^-1 = U^-1 @ L^-1 alone, never
-inverts S.  F and both check matrices, H' and H_m, are held as packed
-rows, the layout of their key files (gf2.pack_rows).  Sign, verify and
-the check of decoded errors read H' and H_m through product tables of
-their transposes, packed from those rows (gf2.ProductTable), so no
-program path unpacks either; F is unpacked once, to form S^-1.
+inverts S.  Keygen does not form S either: H' = L @ (U @ (H_m @ Q)) is
+two table products of packed rows, H_m @ Q being H_m with its columns
+permuted as the packed rows of H_m^T.  F and both check matrices, H' and
+H_m, are held as packed rows, the layout of their key files
+(gf2.pack_rows).  Sign, verify and the check of decoded errors read H'
+and H_m through product tables of their transposes, packed from those
+rows (gf2.ProductTable), so no program path unpacks either; F is
+unpacked once, to form S^-1.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -205,11 +208,16 @@ def keygen(
     sigma = rng.permutation(n)
     # F, packed once; the unit diagonals cancel.
     packed_f = np.packbits(gf2.invert(lower) ^ gf2.invert(upper), axis=1)
-    scrambler = gf2.mat_mul(lower, upper)
-    del lower, upper
-    # H' = S H_m Q, packed a row block at a time.
-    h_pub = mod.left_product(scrambler, np.argsort(sigma))
-    del scrambler
+    # H' = L (U (H_m Q)) by two table products of packed rows, which skip
+    # the zero triangles of U and L.  H_m Q is H_m with its columns
+    # permuted, moved as the packed rows of H_m^T.  U is freed before the
+    # second product builds its table, so that product's temporaries
+    # never sit beside both factors.
+    h_pub = gf2.pack_columns(gf2.pack_columns(mod.packed_H, n)[np.argsort(sigma)], n - k)
+    h_pub = gf2.ProductTable(h_pub, n).product(upper)
+    del upper
+    h_pub = gf2.ProductTable(h_pub, n).product(lower)
+    del lower
     for arr in (packed_f, sigma, h_pub):
         arr.flags.writeable = False
 

@@ -82,21 +82,23 @@ class TestMatMul:
         """Each product path at its threshold gives a @ b for binary
         operands: BLAS below _TABLE_MIN rows, a table built for the call
         from it, a table passed in or standing in for b, a one-row gather
-        and a 1-D b.  A zero row and an all-ones row are among a's rows."""
+        and a 1-D b.  A zero row and an all-ones row are among a's rows.
+        An inner dimension of 0, a table with no rows, gives zeros."""
         rng = np.random.default_rng(12)
-        a = rand_mat(rng, gf2._TABLE_MIN, 301)
-        a[0], a[-1] = 0, 1
-        b = rand_mat(rng, 301, gf2._TABLE_MIN + 3)
-        expected = blas_mat_mul(a, b)
-        table = product_table(b)
-        assert np.array_equal(gf2.mat_mul(a[:-1], b), expected[:-1])  # BLAS
-        assert np.array_equal(gf2.mat_mul(a, b), expected)  # a table for the call
-        assert np.array_equal(gf2.mat_mul(a, b, table), expected)
-        assert np.array_equal(gf2.mat_mul(a, table), expected)
-        for i in (0, 1, gf2._TABLE_MIN - 1):
-            assert np.array_equal(gf2.mat_mul(a[i : i + 1], table), expected[i : i + 1])
-        for j in (0, 5, b.shape[1] - 1):
-            assert np.array_equal(gf2.mat_mul(a, b[:, j]), expected[:, j])
+        for inner in (301, 0):
+            a = rand_mat(rng, gf2._TABLE_MIN, inner)
+            a[0], a[-1] = 0, 1
+            b = rand_mat(rng, inner, gf2._TABLE_MIN + 3)
+            expected = blas_mat_mul(a, b)
+            table = product_table(b)
+            assert np.array_equal(gf2.mat_mul(a[:-1], b), expected[:-1])  # BLAS
+            assert np.array_equal(gf2.mat_mul(a, b), expected)  # a table for the call
+            assert np.array_equal(gf2.mat_mul(a, b, table), expected)
+            assert np.array_equal(gf2.mat_mul(a, table), expected)
+            for i in (0, 1, gf2._TABLE_MIN - 1):
+                assert np.array_equal(gf2.mat_mul(a[i : i + 1], table), expected[i : i + 1])
+            for j in (0, 5, b.shape[1] - 1):
+                assert np.array_equal(gf2.mat_mul(a, b[:, j]), expected[:, j])
 
     @pytest.mark.parametrize("rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255)])
     def test_table_only_for_large_products(self, monkeypatch, rows, cols):
@@ -342,10 +344,9 @@ class TestPackedForms:
     @pytest.mark.parametrize("rows,cols", SHAPES)
     def test_table_of_packed_head(self, rows, cols):
         """The table of a's first head columns, read from the first
-        ceil(head/8) bytes of a's packed rows as they are, as keygen reads
-        H_m's head (ModifiedCode.left_product).  The columns after head
-        share the last byte; they are all set here, and reach only product
-        columns the unpack drops."""
+        ceil(head/8) bytes of a's packed rows as they are.  The columns
+        after head share the last byte; they are all set here, and reach
+        only the product's pad bits, which mat_mul's unpack drops."""
         rng = np.random.default_rng(rows + cols)
         a = rand_mat(rng, rows, cols)
         for head in {1, 7, 8, cols // 2 + 1, cols}:
@@ -382,6 +383,22 @@ class TestPackedForms:
             assert np.array_equal(gf2.mat_mul(e, at), naive_mat_mul(e, a.T))
             s = rand_mat(rng, 4, rows)
             assert np.array_equal(gf2.mat_mul(s, head), naive_mat_mul(s, a))
+
+    @pytest.mark.parametrize("c", [9, 70, 128, 130])
+    @pytest.mark.parametrize("rows", [1, 2, 129, 257])
+    def test_product_is_packed(self, rows, c):
+        """ProductTable.product returns a @ b as np.packbits packs it,
+        zero pad bits included, for a square a that is random, unit lower
+        or unit upper triangular; a triangle's row blocks read only part
+        of the groups."""
+        rng = np.random.default_rng(rows * 1000 + c)
+        b = rand_mat(rng, rows, c)
+        table = gf2.ProductTable(np.packbits(b, axis=1), c)
+        for a in (rand_mat(rng, rows, rows), *gf2.random_unit_triangular(rows, rng)):
+            got = table.product(a)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            expected = np.packbits(blas_mat_mul(a, b).astype(np.uint8), axis=1)
+            assert np.array_equal(got, expected)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))

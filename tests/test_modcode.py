@@ -252,41 +252,6 @@ class TestBuildModified:
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
-    @staticmethod
-    def _left_product(mod, s, columns):
-        """left_product's packed rows, unpacked once their layout, padding
-        included, is checked to be gf2.pack_rows'."""
-        packed = mod.left_product(s, columns)
-        out = np.unpackbits(packed, axis=1, count=mod.n)
-        assert np.array_equal(packed, gf2.pack_rows(out))
-        return out
-
-    @pytest.mark.parametrize("m,r,seed", [(4, 1, 1), (5, 2, 0), (6, 3, 2), (8, 4, 1), (10, 5, 1)])
-    def test_left_product_matches_mat_mul(self, m, r, seed):
-        """keygen's S @ H_m @ Q, read from H_m's identity columns and
-        packed a row block at a time, against the plain product; for rows
-        of S, for a rectangular block and across row blocks."""
-        code = rmcode.build(m, r)
-        rng = np.random.default_rng(seed)
-        plan = modcode.puncture_plan(code, rng)
-        aligned, deleted = modcode.align_information_set(code, plan.deleted)
-        mod = modcode.build_modified(aligned, deleted, rng)
-        assert mod.p >= 1
-        for rows in (mod.n - mod.k, 3, modcode._LEFT_BLOCK_ROWS + 1):
-            s = rng.integers(0, 2, size=(rows, mod.n - mod.k), dtype=np.uint8)
-            product = gf2.mat_mul(s, check_matrix(mod))
-            assert np.array_equal(self._left_product(mod, s, np.arange(mod.n)), product)
-            columns = rng.permutation(mod.n)
-            assert np.array_equal(self._left_product(mod, s, columns), product[:, columns])
-
-    def test_left_product_without_inserted_rows(self, rm41):
-        unaligned = modcode.align_information_set(rm41, [])
-        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
-        s = np.random.default_rng(1).integers(0, 2, size=(11, 11), dtype=np.uint8)
-        columns = np.random.default_rng(2).permutation(mod.n)
-        expected = gf2.mat_mul(s, check_matrix(mod))[:, columns]
-        assert np.array_equal(self._left_product(mod, s, columns), expected)
-
     def test_unaligned_deletions_rejected(self, rm31):
         unaligned, _ = modcode.align_information_set(rm31, [])
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """The project's pytest configuration reports a failing test as a failure.
 
-Each test writes a deliberately failing test file to a temporary
-directory and runs pytest on it in a subprocess, with this project's
-pyproject.toml as its configuration.
+Each test writes a deliberately failing test file, or a mistyped copy of
+the configuration, to a temporary directory and runs pytest on it in a
+subprocess, with this project's pyproject.toml or that copy as its
+configuration.
 """
 
 import subprocess
@@ -31,10 +32,16 @@ def test_marked():
 """
 
 
-def _run_pytest(tmp_path, source):
+PASSING = """
+def test_passes():
+    pass
+"""
+
+
+def _run_pytest(tmp_path, source, config=PYPROJECT):
     test_file = tmp_path / "test_subject.py"
     test_file.write_text(source)
-    command = [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path)]
+    command = [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path)]
     command += ["-p", "no:cacheprovider", "-q", str(test_file)]
     result = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     return result.returncode, result.stdout + result.stderr
@@ -57,3 +64,16 @@ def test_mistyped_marker_is_a_collection_error(tmp_path):
     code, output = _run_pytest(tmp_path, MISTYPED_MARKER)
     assert code == 2, output
     assert "'slwo' not found in `markers` configuration option" in output
+
+
+def test_mistyped_ini_key_stops_the_run(tmp_path):
+    """strict_config: an ini key pytest does not know, here `testpath`
+    for `testpaths`, stops pytest before any test runs, instead of
+    warning and running with the setting ignored."""
+    text = PYPROJECT.read_text()
+    assert "\ntestpaths = " in text
+    config = tmp_path / "pyproject.toml"
+    config.write_text(text.replace("\ntestpaths = ", "\ntestpath = "))
+    code, output = _run_pytest(tmp_path, PASSING, config)
+    assert code == 4, output
+    assert "Unknown config option: testpath" in output and "1 passed" not in output

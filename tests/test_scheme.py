@@ -180,7 +180,7 @@ class TestKeygen:
         )
         assert digests == self.RESAMPLED[seed]
 
-    @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (6, 3), (8, 4), (10, 5), (10, 4)])
     def test_small_keygens_consistent(self, m, r):
         code_t = ((1 << (m - r)) - 1) // 2
         params = scheme.SigningParams(w=1 << m, N=10, t=code_t)
