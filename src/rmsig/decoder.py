@@ -38,15 +38,17 @@ Base cases, checked in this order: order 0 decodes by a
 signed sum (majority vote weighted by the soft magnitudes, erasures
 count nothing), order m by componentwise hard decision, and order 1 and
 order m-1 by exact maximum likelihood.  Order 1 takes, up to length
-2**LEAF_TABLE_M, one float32 product with a cached +h_a/-h_a Hadamard
-matrix and a lookup in its cached codeword table, above it a fast
+2**LEAF_TABLE_M, one float32 product with a cached table of its
+codewords and a lookup of the winning codeword, above it a fast
 Hadamard transform.  Order m-1, the even-weight code, takes Wagner's
 rule (the single-parity-check node of fast polar decoders): the hard
 decision, with the least reliable position flipped in each word of odd
 weight.  From _KEYS_ROWS words, both leaves find each word's codeword
 or weakest position by a column minimum of keys that carry its index,
-instead of numpy's word-by-word argmax or argmin.  Every Plotkin node
-therefore has 1 < r < m-1, and none has an order-m child.
+instead of numpy's word-by-word argmax or argmin; order 1 reads the
+keys of all its codewords, +h_a and -h_a, from one product with one
+key table.  Every Plotkin node therefore has 1 < r < m-1, and none has
+an order-m child.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
 peaks go to the zero codeword, equal Hadamard magnitudes go to the
@@ -118,9 +120,10 @@ LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 
 Such a leaf costs one float32 product with the 2**m x 2**(m+1)
-correlators of _leaf_tables (128 KB at m = 7) or its half as wide keys
-matrix, one maximum or minimum and one codeword lookup; longer leaves use
-the fast Hadamard transform, whose work grows as m 2**m instead of 4**m.
+correlators of _leaf_tables (128 KB at m = 7), or with its keys table,
+the same codewords as 2**(m+1) rows plus an index column, then one
+maximum or minimum and one codeword lookup; longer leaves use the fast
+Hadamard transform, whose work grows as m 2**m instead of 4**m.
 """
 
 _KEYS_ROWS = 256
@@ -139,16 +142,15 @@ syndromes are asked for.
 
 
 @functools.cache
-def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(correlators, words, hadamard, flip) for RM(1, m), as +-1 words
-    (+1 for bit 0), with n = 2**m.
+def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(correlators, words, keys) for RM(1, m), as +-1 words (+1 for bit
+    0), with n = 2**m.
     Column 2a of correlators is the linear form <a, x> over the
     evaluation points x and column 2a+1 its complement, in float32, so
     soft @ correlators correlates a soft word with every codeword, h_a
     before -h_a; row j of words is the int8 codeword of column j.
-    For the keys form, row a of hadamard is [-2n h_a | 2a] in float32 and
-    flip_a = 4a+1, so hadamard @ [soft; 1] and flip minus it are the keys
-    -2n <soft, +-h_a> + j of codeword columns j = 2a (h_a) and 2a+1 (-h_a).
+    Row j of keys is [-2n w_j | j] in float32 for that codeword w_j, so
+    keys @ [soft; 1] is every codeword's key -2n <soft, w_j> + j at once.
     A key's low m+1 bits are j, also for a negative key in two's
     complement, so they index words."""
     n = 1 << m
@@ -159,11 +161,10 @@ def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     words[:, 1::2] = -linear
     correlators = words.astype(np.float32)
     words = np.ascontiguousarray(words.T)
-    hadamard = np.empty((n, n + 1), dtype=np.float32)
-    hadamard[:, :n] = correlators[:, 0::2].T * (-2 * n)
-    hadamard[:, n] = 2 * points
-    flip = (4 * points + 1).astype(np.float32)[:, None]
-    tables = (correlators, words, hadamard, flip)
+    keys = np.empty((2 * n, n + 1), dtype=np.float32)
+    keys[:, :n] = correlators.T * (-2 * n)
+    keys[:, n] = np.arange(2 * n)
+    tables = (correlators, words, keys)
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -173,25 +174,21 @@ def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(1, m): the codeword of largest correlation.  The first
     # maximum wins, which is the smallest a of largest |<soft, h_a>|,
     # taken as h_a before its complement; all-zero gives the zero word.
-    # A wide batch takes the keys -2n <soft, +-h_a> + j of codeword
-    # column j (see _leaf_tables): distinct within a word, smaller for a
-    # larger correlation and then for a smaller j, so each column's
-    # smallest key is its first maximum, found without a word-by-word
-    # argmax.  They stay exact in float32: |<soft, h_a>| is at most 128
-    # (8 terms of at most 16 at length 8, n terms of at most 1 above; see
-    # SOFT_BLOCK), so |key| <= 2n 128 + 2n.
+    # A wide batch takes every codeword's key -2n <soft, w_j> + j from one
+    # product with the keys table (see _leaf_tables): distinct within a
+    # word, smaller for a larger correlation and then for a smaller j, so
+    # each column's smallest key is its first maximum, found without a
+    # word-by-word argmax.  They stay exact in float32: |<soft, h_a>| is
+    # at most 128 (8 terms of at most 16 at length 8, n terms of at most 1
+    # above; see SOFT_BLOCK), so |key| <= 2n 128 + 2n.
     n, rows = soft.shape
     if m <= LEAF_TABLE_M:
-        correlators, words, hadamard, flip = _leaf_tables(m)
+        correlators, words, keys = _leaf_tables(m)
         if rows >= _KEYS_ROWS:
             augmented = np.empty((n + 1, rows), dtype=np.float32)
             augmented[:n] = soft
             augmented[n] = 1
-            keys = hadamard @ augmented  # the h_a keys
-            best = keys.min(axis=0)
-            np.subtract(flip, keys, out=keys)  # the -h_a keys
-            np.minimum(best, keys.min(axis=0), out=best)
-            best = best.astype(np.int32) & (2 * n - 1)
+            best = (keys @ augmented).min(axis=0).astype(np.int32) & (2 * n - 1)
         else:
             # The correlations, at most 128 in magnitude, are exact in float32.
             best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)

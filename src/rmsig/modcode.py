@@ -74,10 +74,11 @@ class ModifiedCode:
     only matrix stored, as packed rows in gf2.pack_rows' layout, an
     eighth of its unpacked size; n, k, p and t follow from m and the
     fields.  Keygen reads these rows for H' = L U H_m Q, permuting H_m's
-    columns as the packed rows of H_m^T (scheme.keygen).  R and the
-    gf2.ProductTable of H_m^T, by which decoded errors are checked, are
-    cached on first use.  H_m has no unpacked accessor; the parent
-    RmCode's H is unpacked on every read.  Equality is identity.
+    columns as the packed rows of H_m^T (scheme.keygen).  The
+    gf2.ProductTable of H_m^T, by which decoded errors are checked, is
+    cached on first use.  R is unpacked from H_m's rows on every read,
+    as the parent RmCode's H is, and H_m has no unpacked accessor.
+    Equality is identity.
     """
 
     m: int
@@ -103,13 +104,11 @@ class ModifiedCode:
         """The parent's error correctability floor((d-1)/2)."""
         return ((1 << (self.m - self.r)) - 1) // 2
 
-    @cached_property
+    @property
     def R(self) -> np.ndarray:
-        """The inserted rows' left block, p x (n-p), unpacked from packed_H."""
-        top, cols = self.n - self.k - self.p, self.n - self.p
-        r_block = np.unpackbits(self.packed_H[top:], axis=1, count=cols)
-        r_block.flags.writeable = False
-        return r_block
+        """The inserted rows' left block, p x (n-p), a fresh unpacking of packed_H."""
+        top = self.n - self.k - self.p
+        return np.unpackbits(self.packed_H[top:], axis=1, count=self.n - self.p)
 
     @cached_property
     def kept_cols(self) -> np.ndarray:

@@ -262,15 +262,18 @@ def test_leaf_inputs_reach_the_soft_block_bound(monkeypatch, m, r, signing):
 class TestOrder1Leaf:
     """The RM(1, m) leaf, called directly on tie-laden words whose values
     reach the bound of 16 met inside the soft blocks.  A batch of
-    _KEYS_ROWS words takes the keys form, its 16-word slices the argmax
-    form; both give the reference's Hadamard-transform words."""
+    _KEYS_ROWS words, or of 1024 (a calibration chunk), takes the keys
+    form, its 16-word slices the argmax form; both give the reference's
+    Hadamard-transform words.  m runs over every table leaf, from the
+    whole codes RM(1, 1) and RM(1, 2) (a decode takes RM(1, 1) as order
+    m, so only a direct call reaches its leaf) to LEAF_TABLE_M."""
 
     @staticmethod
-    def soft_words(m, rng):
+    def soft_words(m, rows, rng):
         n = 1 << m
         points = np.arange(n)
         h = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1)
-        soft = rng.integers(-16, 17, size=(decoder._KEYS_ROWS, n))
+        soft = rng.integers(-16, 17, size=(rows, n))
         soft[:8] = 0  # all-zero words: every correlation ties at 0
         for row in range(8, 200):
             a, b = rng.choice(n, size=2, replace=False)
@@ -292,9 +295,17 @@ class TestOrder1Leaf:
         decoder._decode_order1(m, np.ascontiguousarray(soft.T), out)
         return (out.T < 0).view(np.uint8)
 
-    @pytest.mark.parametrize("m", range(3, decoder.LEAF_TABLE_M + 1))
-    def test_forms_agree_on_ties(self, m):
-        soft = self.soft_words(m, np.random.default_rng(m))
+    # A _KEYS_ROWS case keeps m alone as its id.
+    @pytest.mark.parametrize(
+        "m,rows",
+        [
+            pytest.param(m, rows, id=str(m) if rows == decoder._KEYS_ROWS else f"{m}-{rows}")
+            for m in range(1, decoder.LEAF_TABLE_M + 1)
+            for rows in (decoder._KEYS_ROWS, 1024)
+        ],
+    )
+    def test_forms_agree_on_ties(self, m, rows):
+        soft = self.soft_words(m, rows, np.random.default_rng(m))
         keys_form = self.leaf(m, soft)
         argmax_form = np.concatenate([self.leaf(m, part) for part in np.split(soft, len(soft) // 16)])
         assert np.array_equal(keys_form, argmax_form)

@@ -249,6 +249,21 @@ class TestPackedCheckMatrices:
             assert np.array_equal(holder.packed_H, packed)
             assert holder.H[0, 0] != h[0, 0]
 
+    def test_R_is_a_fresh_unpacking(self, toy_keypair):
+        priv = toy_keypair.private
+        loaded = formats.load_private_key(formats.save_private_key(priv))
+        for mod in (priv.mod, loaded.mod):
+            n, k, p = mod.n, mod.k, mod.p
+            block, packed = mod.R, mod.packed_H.copy()
+            bits = np.unpackbits(packed, axis=1, count=n)
+            assert np.array_equal(block, bits[n - k - p :, : n - p])
+            assert np.array_equal(block, mod.R) and block is not mod.R
+            assert "R" not in vars(mod)
+            # A write to one read reaches neither packed_H nor the next read.
+            block[0, 0] ^= 1
+            assert np.array_equal(mod.packed_H, packed)
+            assert mod.R[0, 0] != block[0, 0]
+
     def test_hot_paths_allocate_less_than_one_packed_matrix(self):
         """verify and the check of one decoded error, after a first
         signature built their tables, on RM(10,5): less than the 49 KB
