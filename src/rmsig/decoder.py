@@ -31,7 +31,7 @@ signature, and exact RM(3, 4) inputs about halve the trials per RM(10, 5) signat
 w = 99.  The plain code's tail is the one acceptance criterion 6
 bounds, P(weight <= 97) <= 1e-3 on RM(10, 5), and exact RM(3, 4) inputs
 would push it past that bound, so the plain path keeps their signs.
-CHANGES.md holds the measured tails of both rules and ROADMAP item 9
+CHANGES.md holds the measured tails of both rules and ROADMAP item 10
 the rules tried and rejected.
 
 Base cases, checked in this order: order 0 decodes by a
@@ -45,10 +45,10 @@ rule (the single-parity-check node of fast polar decoders): the hard
 decision, with the least reliable position flipped in each word of odd
 weight.  From _KEYS_ROWS words, both leaves find each word's codeword
 or weakest position by a column minimum of keys that carry its index,
-instead of numpy's word-by-word argmax or argmin; order 1 reads the
-keys of all its codewords, +h_a and -h_a, from one product with one
-key table.  Every Plotkin node therefore has 1 < r < m-1, and none has
-an order-m child.
+instead of numpy's word-by-word argmin; order 1 reads the keys of all
+its codewords, +h_a and -h_a, from one product with its one table of
+codewords, whose first 2**m rows a narrower batch multiplies.  Every
+Plotkin node therefore has 1 < r < m-1, and none has an order-m child.
 
 Every tie breaks deterministically: majority ties and zero Hadamard
 peaks go to the zero codeword, equal Hadamard magnitudes go to the
@@ -119,20 +119,20 @@ _ONE.flags.writeable = False
 LEAF_TABLE_M = 7
 """Largest m whose RM(1, m) leaves are decoded by table.
 
-Such a leaf costs one float32 product with the 2**m x 2**(m+1)
-correlators of _leaf_tables (128 KB at m = 7), or with its keys table,
-the same codewords as 2**(m+1) rows plus an index column, then one
-maximum or minimum and one codeword lookup; longer leaves use the fast
-Hadamard transform, whose work grows as m 2**m instead of 4**m.
+Such a leaf costs one float32 product with the keys table of
+_leaf_tables, its 2**(m+1) codewords as columns over 2**m rows plus an
+index row (about 129 KB at m = 7), then one minimum and one codeword
+lookup; longer leaves use the fast Hadamard transform, whose work grows
+as m 2**m instead of 4**m.
 """
 
 _KEYS_ROWS = 256
 """Batch width from which both kinds of leaf take their keys form.
 
 A narrower batch finds each word's codeword (order 1) or weakest
-position (order m-1) by an argmax or argmin that numpy runs word by
-word, so its cost grows fastest with the width; the keys form makes a
-few more numpy calls, all of them vectorised.  In whole decodes of
+position (order m-1) by an argmin that numpy runs word by word, so
+its cost grows fastest with the width; the keys form makes a few more
+numpy calls, all of them vectorised.  In whole decodes of
 random words on RM(10,5) and RM(12,6), both leaves are slower in the
 keys form at 128 rows and faster from 256 rows on (CHANGES.md, PR 15,
 has the timings).  Signing batches have 1, 4, 16, 64 or 256 rows
@@ -142,56 +142,50 @@ syndromes are asked for.
 
 
 @functools.cache
-def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(correlators, words, keys) for RM(1, m), as +-1 words (+1 for bit
-    0), with n = 2**m.
-    Column 2a of correlators is the linear form <a, x> over the
-    evaluation points x and column 2a+1 its complement, in float32, so
-    soft @ correlators correlates a soft word with every codeword, h_a
-    before -h_a; row j of words is the int8 codeword of column j.
-    Row j of keys is [-2n w_j | j] in float32 for that codeword w_j, so
-    keys @ [soft; 1] is every codeword's key -2n <soft, w_j> + j at once.
-    A key's low m+1 bits are j, also for a negative key in two's
+def _leaf_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, keys) for RM(1, m), with n = 2**m.
+    Row j of words is the int8 +-1 codeword w_j (+1 for bit 0): h_a, the
+    linear form <a, x> over the evaluation points x, at j = 2a and its
+    complement -h_a at j = 2a+1.  keys is float32 of shape (n+1, 2n):
+    column j holds -2n w_j in rows 0..n-1 and j in row n, so
+    soft^T @ keys[:n] is every codeword's -2n <soft, w_j> and
+    keys^T @ [soft; 1] every codeword's key -2n <soft, w_j> + j.  A
+    key's low m+1 bits are j, also for a negative key in two's
     complement, so they index words."""
     n = 1 << m
     points = np.arange(n, dtype=np.uint32)
     linear = 1 - 2 * (np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.int8)
-    words = np.empty((n, 2 * n), dtype=np.int8)
-    words[:, 0::2] = linear
-    words[:, 1::2] = -linear
-    correlators = words.astype(np.float32)
-    words = np.ascontiguousarray(words.T)
-    keys = np.empty((2 * n, n + 1), dtype=np.float32)
-    keys[:, :n] = correlators.T * (-2 * n)
-    keys[:, n] = np.arange(2 * n)
-    tables = (correlators, words, keys)
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+    words = np.empty((2 * n, n), dtype=np.int8)
+    words[0::2] = linear
+    words[1::2] = -linear
+    keys = np.empty((n + 1, 2 * n), dtype=np.float32)
+    keys[:n] = words.T * np.float32(-2 * n)
+    keys[n] = np.arange(2 * n)
+    words.flags.writeable = keys.flags.writeable = False
+    return words, keys
 
 
 def _decode_order1(m: int, soft: np.ndarray, out: np.ndarray) -> None:
     # ML for RM(1, m): the codeword of largest correlation.  The first
     # maximum wins, which is the smallest a of largest |<soft, h_a>|,
     # taken as h_a before its complement; all-zero gives the zero word.
-    # A wide batch takes every codeword's key -2n <soft, w_j> + j from one
-    # product with the keys table (see _leaf_tables): distinct within a
-    # word, smaller for a larger correlation and then for a smaller j, so
-    # each column's smallest key is its first maximum, found without a
-    # word-by-word argmax.  They stay exact in float32: |<soft, h_a>| is
-    # at most 128 (8 terms of at most 16 at length 8, n terms of at most 1
+    # Both forms read keys (see _leaf_tables): a narrow batch the first
+    # minimum of -2n <soft, w_j> word by word, from keys[:n], a contiguous
+    # block; a wide batch each column's minimum key -2n <soft, w_j> + j,
+    # smaller for a larger correlation and then for a smaller j, so again
+    # the first maximum.  Both are exact in float32: |<soft, h_a>| is at
+    # most 128 (8 terms of at most 16 at length 8, n terms of at most 1
     # above; see SOFT_BLOCK), so |key| <= 2n 128 + 2n.
     n, rows = soft.shape
     if m <= LEAF_TABLE_M:
-        correlators, words, keys = _leaf_tables(m)
+        words, keys = _leaf_tables(m)
         if rows >= _KEYS_ROWS:
             augmented = np.empty((n + 1, rows), dtype=np.float32)
             augmented[:n] = soft
             augmented[n] = 1
-            best = (keys @ augmented).min(axis=0).astype(np.int32) & (2 * n - 1)
+            best = (keys.T @ augmented).min(axis=0).astype(np.int32) & (2 * n - 1)
         else:
-            # The correlations, at most 128 in magnitude, are exact in float32.
-            best = (soft.T.astype(np.float32) @ correlators).argmax(axis=1)
+            best = (soft.T.astype(np.float32) @ keys[:n]).argmin(axis=1)
         np.copyto(out, words.take(best, axis=0).T)
         return
     # Fast Hadamard transform, exact in int32, with the same tie-breaks.

@@ -13,8 +13,9 @@ by mat_vec's gather, and two or more rows through a Four-Russians table
 built from the same rows with the table's first such product.  Keygen
 forms H' = L (U (H_m Q)) by two such products and keeps their packed
 rows.  mat_mul, which takes and returns unpacked matrices, is the one
-place that unpacks a table product: signing's S^-1 and the check of
-decoded errors by H_m^T pass it a table standing in place of b.  A
+place that unpacks a table product: signing's S^-1 product passes it
+b = S^-1 transposed and that matrix's table as table=, and the check of
+decoded errors by H_m^T passes a table standing in place of b.  A
 table is built from packed rows as the keys hold them: pack_rows packs
 an unpacked matrix where it lies, by rows or, for a transposed view, by
 columns (_packbits_axis0), with no transposing copy, and pack_columns
@@ -29,7 +30,8 @@ files, the keys' and codes' packed fields, the tables and their
 products): row-major, each row padded to a whole number of bytes,
 MSB-first within a byte (bit j of a row lives in byte j//8 at mask
 128 >> (j % 8)), as pack_rows writes it.  A SHAKE digest read as a bit
-string MSB-first (scheme.hash_to_syndrome) has the same layout.
+string MSB-first (scheme._syndrome_from_digest) has the same layout, and
+its pad bits are cleared too.
 """
 
 from __future__ import annotations

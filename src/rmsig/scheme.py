@@ -39,6 +39,8 @@ from .rmcode import build
 _INNER_DIGEST_BYTES = 32
 KEYGEN_PLAN_RETRIES = 32
 _U32_MAX = (1 << 32) - 1  # w and N are u32 fields of a key file (formats)
+# bytes.translate tables, cheaper than a numpy op: _PAD_CLEARED[z] clears a byte's z low bits.
+_PAD_CLEARED = [bytes(b & -(1 << z) for b in range(256)) for z in range(8)]
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,17 @@ def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -
     """The hash rule: the syndromes h(inner | i) of the counters
     first..first+count-1, inner being h(M) and i hashed as 8 bytes
     big-endian, one after another.  Each is the first ceil(out_bits/8)
-    bytes of its digest, read MSB-first as gf2.pack_rows packs a row; the
-    bits after out_bits are the digest's, not cleared."""
+    bytes of its digest, read MSB-first as gf2.pack_rows packs a row, with
+    its pad bits after out_bits cleared, as in every packed row."""
     nbytes = (out_bits + 7) // 8
-    return bytearray().join([
+    packed = bytearray().join([
         hashlib.shake_256(inner + i.to_bytes(8, "big")).digest(nbytes)
         for i in range(first, first + count)
     ])
+    if out_bits % 8:
+        last = slice(nbytes - 1, None, nbytes)  # each row's last byte
+        packed[last] = packed[last].translate(_PAD_CLEARED[-out_bits % 8])
+    return packed
 
 
 def keygen(
@@ -361,7 +367,7 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     support of e is read from a bool view of e (a wider dtype is compared
     to 0), its size is the weight, and H' e is formed packed
     (gf2.mat_vec) and compared with the packed digest byte for byte, so
-    nothing is unpacked.
+    nothing is unpacked; both have zero pad bits (_syndrome_from_digest).
     """
     try:
         e, i = check_signature(sig, pub.n)
@@ -371,8 +377,5 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     support = (e.view(np.bool_) if e.itemsize == 1 else e != 0).nonzero()[0]
     if support.size > pub.params.w:
         return False
-    rows = pub.packed_H.shape[0]
-    expected = _syndrome_from_digest(_message_digest(message), i, 1, rows)
-    if rows % 8:  # H' e has zero pad bits
-        expected[-1] &= 0xFF << -rows % 8 & 0xFF
+    expected = _syndrome_from_digest(_message_digest(message), i, 1, pub.packed_H.shape[0])
     return gf2.mat_vec(pub._H_table, support).tobytes() == expected

@@ -199,7 +199,7 @@ class TestSigningPathMatchesReference:
     kept parity columns and erasures on the deleted ones, and c is the
     reference codeword for v.  Both keys' codes have length-32 RM(3, 5)
     nodes, so RM(3, 4) leaves decode exact sums up to 4; 1 and 16 rows
-    take the leaves' argmax forms, 256 rows their keys forms."""
+    take the leaves' narrow (argmin) forms, 256 rows their keys forms."""
 
     @pytest.mark.parametrize("rows", [1, 16, decoder._KEYS_ROWS])
     @pytest.mark.parametrize("m,r,seed", [(6, 3, 13), (8, 4, 7)])
@@ -263,7 +263,8 @@ class TestOrder1Leaf:
     """The RM(1, m) leaf, called directly on tie-laden words whose values
     reach the bound of 16 met inside the soft blocks.  A batch of
     _KEYS_ROWS words, or of 1024 (a calibration chunk), takes the keys
-    form, its 16-word slices the argmax form; both give the reference's
+    form, its 16-word slices the narrow (argmin) form; both read the one
+    keys table of _leaf_tables and give the reference's
     Hadamard-transform words.  m runs over every table leaf, from the
     whole codes RM(1, 1) and RM(1, 2) (a decode takes RM(1, 1) as order
     m, so only a direct call reaches its leaf) to LEAF_TABLE_M."""
@@ -307,8 +308,8 @@ class TestOrder1Leaf:
     def test_forms_agree_on_ties(self, m, rows):
         soft = self.soft_words(m, rows, np.random.default_rng(m))
         keys_form = self.leaf(m, soft)
-        argmax_form = np.concatenate([self.leaf(m, part) for part in np.split(soft, len(soft) // 16)])
-        assert np.array_equal(keys_form, argmax_form)
+        narrow_form = np.concatenate([self.leaf(m, part) for part in np.split(soft, len(soft) // 16)])
+        assert np.array_equal(keys_form, narrow_form)
         assert np.array_equal(keys_form, hadamard_decode(m, soft))
         assert not keys_form[:8].any()
 

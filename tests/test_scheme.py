@@ -71,6 +71,8 @@ class TestHashToSyndrome:
             stream = scheme._syndrome_from_digest(inner, first, count, out_bits)
             assert len(stream) == count * ((out_bits + 7) // 8)
             packed = np.frombuffer(stream, dtype=np.uint8).reshape(count, -1)
+            # Every row's pad bits, past out_bits, are zero.
+            assert not np.unpackbits(packed, axis=1)[:, out_bits:].any()
             return np.unpackbits(packed, axis=1, count=out_bits)
 
         rows = unpacked(5, 300)
@@ -754,8 +756,8 @@ def rm10_keypair():
 
 class TestVerifyPartialLastByte:
     """n-k = 11 on RM(4,1) and 386 on RM(10,5): the packed syndrome's last
-    byte holds n-k mod 8 bits and pad bits, which verify masks off the
-    digest.  With n-k = 0 there is no byte to mask."""
+    byte holds n-k mod 8 bits and pad bits, which _syndrome_from_digest
+    clears in the digest.  With n-k = 0 there is no byte to clear."""
 
     def test_key_with_no_parity_rows_gives_a_verdict(self):
         """No keygen or loader makes a key of order r = m, whose H' has no
