@@ -211,24 +211,28 @@ def naive_forgery_attack(
 ) -> float:
     """Empirical success rate of the zero-information-part forgery.
 
-    Each trial hashes a random counter, writes the reduced syndrome
+    Each trial hashes a random counter, writes the reduced syndrome T s
     into the identity columns and succeeds when the weight bound holds.
-    Every success is cross-checked through verify().
+    T s is formed packed, as verify forms H'e: the XOR of the rows of a
+    product table of T^T at the support of s (gf2.mat_vec), weighed by
+    its set bits and unpacked only on a success.  Every success is
+    cross-checked through verify().
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    h_pub = np.unpackbits(pub.packed_H, axis=1, count=pub.n)
+    h_pub = pub.H
     transform, cols = systematic_attack_transform(h_pub)
     assert np.array_equal(gf2.mat_mul(transform, h_pub[:, cols]), np.eye(len(cols), dtype=np.uint8))
-    successes = 0
     n_k = h_pub.shape[0]
+    table = gf2.ProductTable(gf2.pack_rows(transform.T), n_k)
+    successes = 0
     for _ in range(trials):
         i = int(rng.integers(1, 2**62))
         s = hash_to_syndrome(message, i, n_k)
-        z_red = gf2.mat_mul(transform, s)
-        if np.count_nonzero(z_red) <= pub.params.w:
+        z_red = gf2.mat_vec(table, np.flatnonzero(s))
+        if int(np.bitwise_count(z_red).sum()) <= pub.params.w:
             z = np.zeros(pub.n, dtype=np.uint8)
-            z[cols] = z_red
+            z[cols] = np.unpackbits(z_red, count=n_k)
             if not verify(pub, message, Signature(e=z, i=i)):
                 raise AssertionError("forged signature failed verification")
             successes += 1

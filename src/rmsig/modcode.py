@@ -14,10 +14,11 @@ parity part, the modified parity check is
 where P' is P minus the deleted columns and R is a uniform random p x
 (n-p) block.  The alignment is kept as a column order and the few
 reduced rows that move (Alignment), and P'^T is written from the
-parent's packed P^T and those rows, so neither keygen nor a key load
-forms the generator of the aligned order.  Signing and verification
-need only H_m, so a ModifiedCode keeps only H_m's packed rows, the
-private key file's own layout, and of the parent only the column order
+P^T bits of the parent's packed parity check and those rows, so neither
+keygen nor a key load forms the generator of the aligned order.
+Signing and verification need only H_m, so a ModifiedCode is the
+rmcode.CheckMatrix of H_m's packed rows, the private key file's own
+layout, plus the deletion set and, of the parent, only the column order
 the decoder reads.  Its generator G_m = [I_k | P' | R_1^T + P' R_2^T],
 with R = [R_1 | R_2] split after column k, is derived by the test
 oracle (tests/reference.py), which checks G_m @ H_m.T = 0.
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .rmcode import RmCode, min_weight_codeword, variable_table
+from .rmcode import CheckMatrix, RmCode, min_weight_codeword, variable_table
 
 
 class PuncturePlan(NamedTuple):
@@ -66,43 +67,25 @@ class Alignment(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class ModifiedCode:
+class ModifiedCode(CheckMatrix):
     """Punctured-plus-inserted code built over an aligned parent.
 
     Column order: k information positions, then the n-k-p kept parity
     positions of the parent, then the p inserted positions.  H_m is the
-    only matrix stored, as packed rows in gf2.pack_rows' layout, an
-    eighth of its unpacked size; n, k, p and t follow from m and the
-    fields.  Keygen reads these rows for H' = L U H_m Q, permuting H_m's
-    columns as the packed rows of H_m^T (scheme.keygen).  The
-    gf2.ProductTable of H_m^T, by which decoded errors are checked, is
-    cached on first use.  R is unpacked from H_m's rows on every read,
-    as the parent RmCode's H is, and H_m has no unpacked accessor.
-    Equality is identity.
+    only matrix stored, as the CheckMatrix's packed rows, an eighth of
+    its unpacked size; n, k, t and H_m's product table come with them,
+    and p from the deletion set.  Keygen reads these rows for
+    H' = L U H_m Q, permuting H_m's columns as the packed rows of H_m^T
+    (scheme.keygen).  R is unpacked from H_m's rows on every read, as H
+    is.
     """
 
-    m: int
-    r: int
     info_perm: np.ndarray  # the aligned parent's systematic column order
     deleted: np.ndarray  # parent parity columns removed, sorted, all >= k
-    packed_H: np.ndarray  # modified parity check, (n-k) x ceil(n/8) packed rows
-
-    @property
-    def n(self) -> int:
-        return 1 << self.m
-
-    @property
-    def k(self) -> int:
-        return self.n - self.packed_H.shape[0]
 
     @property
     def p(self) -> int:
         return self.deleted.size
-
-    @property
-    def t(self) -> int:
-        """The parent's error correctability floor((d-1)/2)."""
-        return ((1 << (self.m - self.r)) - 1) // 2
 
     @property
     def R(self) -> np.ndarray:
@@ -114,16 +97,6 @@ class ModifiedCode:
     def kept_cols(self) -> np.ndarray:
         """Parent systematic columns that survive the puncturing (parity part)."""
         return np.delete(np.arange(self.k, self.n), self.deleted - self.k)
-
-    @cached_property
-    def H_T_table(self) -> gf2.ProductTable:
-        """Product table of H.T, for the check e' @ H.T = s' of one
-        error or a batch (decoder.check_leaders).  Its rows, H_m's
-        columns, are packed from a few rows of H_m unpacked at a time
-        (gf2.pack_columns).  A signature's one error is checked by a
-        gather of these rows; the table's Four-Russians subsets come
-        with its first batch, in calibration."""
-        return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
 
 def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
@@ -225,8 +198,9 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     generator G'.  That column is column x of the parent's G plus column
     e_j of G for each moved row j with a 1 at x (e_j the j-th entering
     column), read at G's kept information rows, followed by the moved
-    rows' bits at x.  So the rows are gathered from the parent's packed
-    P^T (RmCode.packed_PT), take one packed XOR per moved row, and are
+    rows' bits at x.  So the rows are gathered from the first k bits of
+    the parent's packed rows [P^T | I] (RmCode), take one packed XOR per
+    moved row, and are
     unpacked a slab at a time, the leaving rows' bits dropped and the
     moved rows' bits placed, and packed into H_m's rows; R is packed
     whole, and the identity is set on the packed rows.
@@ -241,9 +215,10 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     if (kept < k).any():
         raise ValueError("the deletion set does not hold every column the alignment moved")
 
-    rows = code.packed_PT[kept - k]
+    info_bytes = (k + 7) // 8
+    rows = code.packed_H[kept - k, :info_bytes]
     for row, entering in zip(moved, order[k - q : k]):
-        rows[row[kept] == 1] ^= code.packed_PT[entering - k]
+        rows[row[kept] == 1] ^= code.packed_H[entering - k, :info_bytes]
     top = n - k - p
     packed_h = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)
     leaving = order[k : k + q]
@@ -253,7 +228,7 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
         stop = start + bits.shape[0]
         # G's information rows in G' order: the kept ones, then the moved rows.
         slab = np.concatenate([np.delete(bits, leaving, axis=1), moved[:, kept[start:stop]].T], 1)
-        packed_h[start:stop, : (k + 7) // 8] = np.packbits(slab, axis=1)
+        packed_h[start:stop, :info_bytes] = np.packbits(slab, axis=1)
     packed_h[top:, : (n - p + 7) // 8] = np.packbits(r_block, axis=1)
     # The identity on the last n-k columns: bit k + i of row i.
     diag = np.arange(k, n)
@@ -262,7 +237,7 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     for arr in (deleted, packed_h):
         arr.flags.writeable = False
     return ModifiedCode(
-        m=code.m, r=code.r, info_perm=aligned.info_perm, deleted=deleted, packed_H=packed_h
+        m=code.m, r=code.r, packed_H=packed_h, info_perm=aligned.info_perm, deleted=deleted
     )
 
 

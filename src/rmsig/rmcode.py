@@ -37,25 +37,26 @@ words are the single points when 2r >= m and the (m-2r)-subflats
 otherwise, so a puncture plan draws its y in closed form too
 (modcode.puncture_plan); no minimum-weight search is run.
 
-A code stores only its parity block P^T, packed (packed_PT) in the
-layout of every packed matrix (gf2) and written straight from the
-closed form, and ``info_perm``, the evaluation position each systematic
-column came from, which the recursive decoder needs; no program path
-forms a generator.  build shares one read-only code per (m, r) while any
-reference to it is held.  Moving the information set off punctured
-columns eliminates only the rows of the columns that leave it
-(modcode.align_information_set), read with RmCode.rows; keygen does
-this once, and a private-key load replays the same move from the closed
-form.  The modified parity check is read from packed_PT and the moved
-rows, and kept as packed rows too (modcode.ModifiedCode).  The parity
-check H is unpacked from packed_PT on every read, for the benchmark's
-oracle and tests, so no code keeps it; no program path reads it.
+A code stores only its parity check H = [P^T | I_{n-k}], as packed
+rows (packed_H) in the layout of every packed matrix (gf2) and written
+straight from the closed form, and ``info_perm``, the evaluation
+position each systematic column came from, which the recursive decoder
+needs; no program path forms a generator.  build shares one read-only
+code per (m, r) while any reference to it is held.  Moving the
+information set off punctured columns eliminates only the rows of the
+columns that leave it (modcode.align_information_set), read with
+RmCode.rows; keygen does this once, and a private-key load replays the
+same move from the closed form.  The modified parity check is read from
+the first k bits of packed_H's rows and the moved rows, and kept as
+packed rows too (modcode.ModifiedCode).  Every parity check the scheme
+holds, the code's H, H_m and the public H', is one type, CheckMatrix.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -66,42 +67,73 @@ MAX_M = 12
 
 
 @dataclass(frozen=True, eq=False)
-class RmCode:
-    """A systematic RM(r, m) code, generator G = [I_k | P].
-
-    Only P^T is stored, packed: row j of packed_PT holds column k + j of
-    G, its k bits packed as gf2.pack_rows packs a row, so row i of G is
-    bit 128 >> (i % 8) of byte i // 8.  Column j of G is evaluation
-    position info_perm[j] of the raw monomial code.
+class CheckMatrix:
+    """A parity check H, (n-k) x n, of a code of length n = 2**m and
+    order r, held only as its packed rows in gf2.pack_rows' layout, with
+    zero pad bits: a code's H, a modified code's H_m or a public key's
+    H'.  H is unpacked from them on every read, for the benchmark's
+    oracle and tests, so no holder keeps it; no program path reads it.
+    The gf2.ProductTable of H^T, by which decoded errors are checked
+    (decoder.check_leaders) and signatures verified (scheme.verify), is
+    cached on first use.  Equality is identity.
     """
 
     m: int
     r: int
-    n: int
-    k: int
-    d: int
-    packed_PT: np.ndarray
-    info_perm: np.ndarray
+    packed_H: np.ndarray  # (n-k) x ceil(n/8) packed rows
+
+    @property
+    def n(self) -> int:
+        return 1 << self.m
+
+    @property
+    def k(self) -> int:
+        return self.n - self.packed_H.shape[0]
 
     @property
     def t(self) -> int:
-        """Guaranteed error correctability floor((d-1)/2)."""
-        return (self.d - 1) // 2
-
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Rows index of G: the identity bit, and P's bits read out of
-        packed_PT."""
-        index = np.asarray(index, dtype=np.int64)
-        g = np.zeros((index.size, self.n), dtype=np.uint8)
-        g[np.arange(index.size), index] = 1
-        g[:, self.k :] = ((self.packed_PT[:, index >> 3] >> (7 - (index & 7))) & 1).T
-        return g
+        """The RM(r, m) code's error correctability floor((d-1)/2)."""
+        return ((1 << (self.m - self.r)) - 1) // 2
 
     @property
     def H(self) -> np.ndarray:
-        """H = [P^T | I_{n-k}], so G @ H.T = 0; a fresh unpacking."""
-        bits = np.unpackbits(self.packed_PT, axis=1, count=self.k)
-        return np.concatenate([bits, np.eye(self.n - self.k, dtype=np.uint8)], axis=1)
+        """H, a fresh unpacking of packed_H."""
+        return np.unpackbits(self.packed_H, axis=1, count=self.n)
+
+    @cached_property
+    def H_T_table(self) -> gf2.ProductTable:
+        """Product table of H.T, for e @ H.T of one error (a gather of its
+        rows) or a batch; its rows, H's columns, are packed from a few
+        rows of H unpacked at a time (gf2.pack_columns)."""
+        return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class RmCode(CheckMatrix):
+    """A systematic RM(r, m) code, generator G = [I_k | P] and parity
+    check H = [P^T | I_{n-k}].
+
+    Row j of packed_H holds column k + j of G in its first k bits, so
+    row i of G is bit 128 >> (i % 8) of byte i // 8 of those bits, and
+    its identity bit k + j.  Column j of G is evaluation position
+    info_perm[j] of the raw monomial code.
+    """
+
+    info_perm: np.ndarray
+
+    @property
+    def d(self) -> int:
+        """Minimum distance 2**(m-r)."""
+        return 1 << (self.m - self.r)
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Rows index of G: the identity bit, and P's bits read out of
+        the first k bits of packed_H's rows."""
+        index = np.asarray(index, dtype=np.int64)
+        g = np.zeros((index.size, self.n), dtype=np.uint8)
+        g[np.arange(index.size), index] = 1
+        g[:, self.k :] = ((self.packed_H[:, index >> 3] >> (7 - (index & 7))) & 1).T
+        return g
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RmCode(m={self.m}, r={self.r}, n={self.n}, k={self.k}, d={self.d})"
@@ -135,8 +167,9 @@ _CLOSED_FORM_CELLS = 1 << 18
 
 
 def _systematic(m: int, r: int) -> RmCode:
-    """RM(r, m) from the closed form in the module docstring: packed_PT
-    written a block of its rows at a time, and info_perm."""
+    """RM(r, m) from the closed form in the module docstring: the rows
+    [P^T | I] of packed_H, P^T written a block of its rows at a time,
+    and info_perm."""
     n = 1 << m
     points = np.arange(n, dtype=np.uint32)
     weights = np.bitwise_count(points).astype(np.int64)
@@ -151,14 +184,17 @@ def _systematic(m: int, r: int) -> RmCode:
     key = (points[low] | (1 << (m + weights[low]))).astype(np.uint32)
     mask = (~points[~low] & (n - 1)) | (even_bits[weights[~low] - r - 1] << m)
     mask = mask.astype(np.uint32)
-    packed = np.empty((n - k, (k + 7) // 8), dtype=np.uint8)
+    packed = np.zeros((n - k, (n + 7) // 8), dtype=np.uint8)
     rows = max(1, _CLOSED_FORM_CELLS // k)
     for start in range(0, n - k, rows):
         cells = mask[start : start + rows, None] & key
-        packed[start : start + rows] = np.packbits(cells == 0, axis=1)
+        packed[start : start + rows, : (k + 7) // 8] = np.packbits(cells == 0, axis=1)
+    # The identity on the last n-k columns: bit k + i of row i.
+    diag = np.arange(k, n)
+    packed[diag - k, diag >> 3] |= (128 >> (diag & 7)).astype(np.uint8)
     for a in (packed, info_perm):
         a.flags.writeable = False
-    return RmCode(m=m, r=r, n=n, k=k, d=1 << (m - r), packed_PT=packed, info_perm=info_perm)
+    return RmCode(m=m, r=r, packed_H=packed, info_perm=info_perm)
 
 
 _built: weakref.WeakValueDictionary[tuple[int, int], RmCode] = weakref.WeakValueDictionary()
@@ -171,7 +207,7 @@ def build(m: int, r: int) -> RmCode:
     reference to RM(r, m) is held returns that object, whose arrays are
     read-only, and the code is freed with its last reference.  So a
     caller's code, keygen's parent and a key load's replay are one
-    packed parity block, and key set-up holds no other matrix of the
+    packed parity check, and key set-up holds no other matrix of the
     code beside it: the aligned column order is a permutation and a few
     moved rows (modcode.align_information_set).  Two threads building
     one new code may each build it; both results are equal.

@@ -10,9 +10,10 @@ inverts S.  Keygen does not form S either: H' = L @ (U @ (H_m @ Q)) is
 two table products of packed rows, H_m @ Q being H_m with its columns
 permuted as the packed rows of H_m^T.  F and both check matrices, H' and
 H_m, are held as packed rows, the layout of their key files
-(gf2.pack_rows).  Sign, verify and the check of decoded errors read H'
-and H_m through product tables of their transposes, packed from those
-rows (gf2.ProductTable), so no program path unpacks either; F is
+(gf2.pack_rows); a PublicKey, like a ModifiedCode, is an
+rmcode.CheckMatrix.  Sign, verify and the check of decoded errors read
+H' and H_m through the product tables of their transposes
+(CheckMatrix.H_T_table), so no program path unpacks either; F is
 unpacked once, to form S^-1.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
@@ -34,7 +35,7 @@ import numpy as np
 from . import gf2
 from .decoder import check_leaders, punctured_coset_leaders
 from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
-from .rmcode import build
+from .rmcode import CheckMatrix, build
 
 _INNER_DIGEST_BYTES = 32
 KEYGEN_PLAN_RETRIES = 32
@@ -61,31 +62,12 @@ class SigningParams:
 
 
 @dataclass(frozen=True, eq=False)
-class PublicKey:
+class PublicKey(CheckMatrix):
     """The public check matrix H', (n-k) x n, as its packed rows: the
     public key file's body, n(n-k) bits.  verify reads its columns
-    through the gf2.ProductTable of H'^T packed from those rows.  H is
-    unpacked from them on every read, for the benchmark's oracle and
-    tests, so no key keeps it; no program path reads it.  Equality is
-    identity."""
+    through the CheckMatrix's product table of H'^T."""
 
-    m: int
-    r: int
-    packed_H: np.ndarray  # public check matrix, (n-k) x ceil(n/8) packed rows
     params: SigningParams
-
-    @property
-    def n(self) -> int:
-        return 1 << self.m
-
-    @property
-    def H(self) -> np.ndarray:
-        """H', a fresh unpacking of packed_H."""
-        return np.unpackbits(self.packed_H, axis=1, count=self.n)
-
-    @cached_property
-    def _H_table(self) -> gf2.ProductTable:
-        return gf2.ProductTable(gf2.pack_columns(self.packed_H, self.n), self.packed_H.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,4 +360,4 @@ def verify(pub: PublicKey, message: bytes, sig: Signature) -> bool:
     if support.size > pub.params.w:
         return False
     expected = _syndrome_from_digest(_message_digest(message), i, 1, pub.packed_H.shape[0])
-    return gf2.mat_vec(pub._H_table, support).tobytes() == expected
+    return gf2.mat_vec(pub.H_T_table, support).tobytes() == expected

@@ -7,10 +7,10 @@ oracle for whole RM generators (systematize and the functions built on
 it) and the Gauss-Jordan inverse (invert), which reduce with gf2.rref
 because a 2510 x 4096 generator, or a few hundred rows of an inverse,
 is out of reach of python loops; gf2.rref is itself checked against
-naive_rref.  The unpacked and table forms that only tests use
-(check_matrix, product_table, column_table, column_product) live here
-too, so that the package keeps one packed form of each matrix and one
-table constructor.
+naive_rref.  The table forms that only tests use (product_table,
+column_table, column_product) live here too, so that the package keeps
+one packed form of each matrix and one table constructor; a check
+matrix's unpacked form is its own H (rmcode.CheckMatrix).
 """
 
 import itertools
@@ -34,11 +34,6 @@ def naive_mat_mul(a, b):
 
 def identity(n):
     return np.eye(n, dtype=np.uint8)
-
-
-def check_matrix(mod):
-    """H_m of a modified code, (n-k) x n, unpacked from its packed rows."""
-    return np.unpackbits(mod.packed_H, axis=1, count=mod.n)
 
 
 def product_table(b):
@@ -201,11 +196,12 @@ def generator(code):
 
 def aligned_parent(mod):
     """The parent RmCode of a modified code, eliminated afresh in the
-    code's stored column order: the eliminated generator's P^T, packed."""
+    code's stored column order: [P^T | I] of the eliminated generator
+    [I | P], packed."""
     g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
     k, n = g.shape
-    packed = np.packbits(g[:, k:].T, axis=1)
-    return rmcode.RmCode(mod.m, mod.r, n, k, 1 << (mod.m - mod.r), packed, mod.info_perm)
+    packed = np.packbits(np.concatenate([g[:, k:].T, identity(n - k)], axis=1), axis=1)
+    return rmcode.RmCode(m=mod.m, r=mod.r, packed_H=packed, info_perm=mod.info_perm)
 
 
 def eliminated_alignment(code, deleted):
@@ -302,7 +298,7 @@ def modified_generator(mod):
 def punctured_check(mod):
     """Parity check [P'^T | I] of the plain punctured code under mod."""
     top = mod.n - mod.k - mod.p
-    return check_matrix(mod)[:top, : mod.n - mod.p]
+    return mod.H[:top, : mod.n - mod.p]
 
 
 def to_hard(soft):

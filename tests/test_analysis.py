@@ -253,6 +253,16 @@ class TestNaiveForgeryAttack:
         se = (p * (1 - p) / trials) ** 0.5
         assert abs(rate - p) <= 3 * se
 
+    @pytest.mark.parametrize("seed,successes", [(0, 194), (1, 204)])
+    def test_success_count_is_pinned(self, toy_attack_key, seed, successes):
+        """The counts that forming T s unpacked, by a product with the
+        unpacked transform, gave for 1000 trials: forming it packed
+        forges on exactly the same counters."""
+        rate = analysis.naive_forgery_attack(
+            toy_attack_key.public, b"target", 1000, np.random.default_rng(seed)
+        )
+        assert round(rate * 1000) == successes
+
     def test_vacuous_weight_bound(self):
         params = scheme.SigningParams(w=5, N=10, t=1)
         kp = scheme.keygen(4, 2, params, np.random.default_rng(6))

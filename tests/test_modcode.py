@@ -8,7 +8,6 @@ import pytest
 from rmsig import gf2, modcode, rmcode
 
 from reference import (
-    check_matrix,
     eliminated_alignment,
     eliminated_with_perm,
     enumerate_codewords,
@@ -124,7 +123,7 @@ def assemble_both(code, deleted, seed=0):
     r_block = np.random.default_rng(seed).integers(0, 2, size=(p, code.n - p), dtype=np.uint8)
     mod = modcode.assemble_modified(aligned, new_deleted, r_block)
     assert np.array_equal(mod.info_perm, perm)
-    assert np.array_equal(check_matrix(mod), modified_check(g, expected, r_block))
+    assert np.array_equal(mod.H, modified_check(g, expected, r_block))
     return mod
 
 
@@ -158,7 +157,7 @@ class TestAlignInformationSet:
 
     def test_aligned_code_is_consistent(self, rm41):
         mod = assemble_both(rm41, [0, 1, rm41.k + 1])
-        assert not gf2.mat_mul(modified_generator(mod), check_matrix(mod).T).any()
+        assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
         assert_parent_words_satisfy(mod)
 
     def test_moving_columns_reduces_only_leaving_rows(self, rref_shapes):
@@ -205,7 +204,7 @@ class TestBuildModified:
         unaligned = modcode.align_information_set(rm41, [])
         mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
         assert mod.p == 0
-        assert np.array_equal(check_matrix(mod), rm41.H)
+        assert np.array_equal(mod.H, rm41.H)
         assert np.array_equal(modified_generator(mod), generator(rm41))
 
     def test_block_shapes(self):
@@ -215,7 +214,7 @@ class TestBuildModified:
         aligned, deleted = modcode.align_information_set(code, plan.deleted)
         mod = modcode.build_modified(aligned, deleted, rng)
         n, k, p = mod.n, mod.k, mod.p
-        assert check_matrix(mod).shape == (n - k, n)
+        assert mod.H.shape == (n - k, n)
         assert modified_generator(mod).shape == (k, n)
         assert mod.R.shape == (p, n - p)
         # H_m's packed rows are the only matrix stored: R and P'^T are read
@@ -227,8 +226,8 @@ class TestBuildModified:
         assert np.array_equal(mod.R, bits[n - k - p :, : n - p])
         assert np.array_equal(punctured_check(mod)[:, :k], bits[: n - k - p, :k])
         assert not any(isinstance(value, rmcode.RmCode) for value in fields)
-        assert np.array_equal(check_matrix(mod)[n - k - p :, n - p :], identity(p))
-        assert not check_matrix(mod)[: n - k - p, n - p :].any()
+        assert np.array_equal(mod.H[n - k - p :, n - p :], identity(p))
+        assert not mod.H[: n - k - p, n - p :].any()
 
     @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)])
     def test_orthogonality_every_seed(self, m, r):
@@ -244,7 +243,7 @@ class TestBuildModified:
                 continue
             mod = modcode.build_modified(aligned, deleted, rng)
             built += 1
-            assert not gf2.mat_mul(modified_generator(mod), check_matrix(mod).T).any()
+            assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # The parent's generator without the deleted columns is orthogonal
             # to H_m's punctured block.
             parent = eliminated_with_perm(mod.m, mod.r, mod.info_perm)

@@ -51,44 +51,47 @@ def test_build_shares_one_read_only_code_while_referenced():
     # No fixture holds RM(7,2), so this test's references are the only ones.
     code = rmcode.build(7, 2)
     assert rmcode.build(7, 2) is code
-    for arr in (code.packed_PT, code.info_perm):
+    for arr in (code.packed_H, code.info_perm):
         assert not arr.flags.writeable
-    packed, ref = code.packed_PT.copy(), weakref.ref(code)
+    packed, ref = code.packed_H.copy(), weakref.ref(code)
     # H is unpacked on every read: a write to one read reaches neither
     # the packed block nor the next read.
     h = code.H
     assert np.array_equal(h, code.H) and h is not code.H
     h ^= 1
-    assert np.array_equal(code.packed_PT, packed)
+    assert np.array_equal(code.packed_H, packed)
     assert np.array_equal(code.H, h ^ 1)
     del code
     gc.collect()
     assert ref() is None
     again = rmcode.build(7, 2)
-    assert np.array_equal(again.packed_PT, packed)
+    assert np.array_equal(again.packed_H, packed)
     assert rmcode.build(7, 2) is again
 
 
 @pytest.mark.parametrize("m,r", [(3, 0), (4, 1), (5, 2), (6, 3), (4, 4), (10, 5)])
 def test_packed_parity_block_unpacks_to_p_transposed(m, r):
+    """packed_H holds [P^T | I] with zero pad bits, and H unpacks it."""
     code = rmcode.build(m, r)
-    packed = code.packed_PT
-    assert packed.shape == (code.n - code.k, (code.k + 7) // 8)
-    assert not packed.flags.writeable and code.packed_PT is packed
-    bits = np.unpackbits(packed, axis=1, count=code.k)
-    assert np.array_equal(bits, generator(code)[:, code.k :].T)
+    n, k = code.n, code.k
+    packed = code.packed_H
+    assert packed.shape == (n - k, (n + 7) // 8)
+    assert not packed.flags.writeable and code.packed_H is packed
+    expected = np.concatenate([generator(code)[:, k:].T, identity(n - k)], axis=1)
+    assert np.array_equal(packed, np.packbits(expected, axis=1))
+    assert np.array_equal(code.H, expected)
 
 
 def test_threads_building_one_code_get_equal_codes():
     # Each build drops its code at once, so codes are built and freed
     # while other threads look them up; two threads may build one code
     # twice, but never get a wrong or missing one.
-    expected = rmcode.build(8, 3).packed_PT.copy()
+    expected = rmcode.build(8, 3).packed_H.copy()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            futures = [pool.submit(lambda: rmcode.build(8, 3).packed_PT.copy()) for _ in range(64)]
+            futures = [pool.submit(lambda: rmcode.build(8, 3).packed_H.copy()) for _ in range(64)]
             blocks = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -185,16 +188,16 @@ def test_build_matches_elimination(m, r):
     monomial generator gives, information set included."""
     code = rmcode.build(m, r)
     g, perm = eliminated_code(m, r)
-    packed = np.packbits(g[:, code.k :].T, axis=1)
-    assert np.array_equal(code.packed_PT, packed)
+    h = np.concatenate([g[:, code.k :].T, identity(code.n - code.k)], axis=1)
+    assert np.array_equal(code.packed_H, np.packbits(h, axis=1))
     assert np.array_equal(code.rows(np.arange(code.k)), g)
     assert np.array_equal(code.info_perm, perm)
 
 
 def test_build_forms_no_generator():
     """A fresh RM(6,12) build peaks below half the bytes of a k x n uint8
-    generator, and above the packed block it keeps, so it was built
-    while traced."""
+    generator, and above the packed parity check it keeps, so it was
+    built while traced."""
     gc.collect()  # no other test's RM(6,12) is left to share
     tracemalloc.start()
     try:
@@ -202,7 +205,7 @@ def test_build_forms_no_generator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code.packed_PT.nbytes < peak < code.k * code.n // 2
+    assert code.packed_H.nbytes < peak < code.k * code.n // 2
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (6, 3), (8, 4)])

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rmsig import analysis, decoder, formats, gf2, modcode, rmcode, scheme
 
-from reference import check_matrix, modified_generator, perm_matrix
+from reference import modified_generator, perm_matrix
 
 
 def trials(priv, message, limit):
@@ -115,7 +115,7 @@ class TestKeygen:
         q = perm_matrix(kp.private.sigma)
         # H' = S @ H_m @ Q, checked as S^-1 @ H' = H_m @ Q.
         descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
-        assert np.array_equal(descrambled, gf2.mat_mul(check_matrix(kp.private.mod), q))
+        assert np.array_equal(descrambled, gf2.mat_mul(kp.private.mod.H, q))
 
     def test_deterministic(self):
         params = scheme.SigningParams(w=8, N=50, t=3)
@@ -189,19 +189,18 @@ class TestKeygen:
         for seed in range(5):
             kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
             mod = kp.private.mod
-            assert not gf2.mat_mul(modified_generator(mod), check_matrix(mod).T).any()
+            assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             q = perm_matrix(kp.private.sigma)
             descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
-            assert np.array_equal(descrambled, gf2.mat_mul(check_matrix(mod), q))
+            assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
 
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
-    """RmCode.H is unpacked from its packed parity block on every read,
-    and the public key's H' from its packed rows; H_m has no unpacked
-    accessor.  With both H properties raising, keygen, save/load, sign,
-    verify and calibrate run: only tests and the benchmark's oracle read
-    an H.  Each read is also recorded, in case a caller catches the
-    error."""
+    """Every check matrix, the code's H, H_m and the public key's H', is
+    unpacked from its packed rows on every read (rmcode.CheckMatrix).
+    With CheckMatrix.H raising, keygen, save/load, sign, verify and
+    calibrate run: only tests and the benchmark's oracle read an H.
+    Each read is also recorded, in case a caller catches the error."""
     reads = []
 
     def unread(holder):
@@ -210,8 +209,7 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
 
     plain = rmcode.build(5, 2)
     with monkeypatch.context() as patch:
-        for cls in (rmcode.RmCode, scheme.PublicKey):
-            patch.setattr(cls, "H", property(unread))
+        patch.setattr(rmcode.CheckMatrix, "H", property(unread))
         params = scheme.SigningParams(w=12, N=100, t=3)
         kp = scheme.keygen(5, 2, params, np.random.default_rng(21))
         pub = formats.load_public_key(formats.save_public_key(kp.public))
@@ -226,13 +224,12 @@ def test_no_program_path_builds_the_parity_check(monkeypatch):
             plain.H
         assert reads == [plain]
     assert plain.H.shape == (plain.n - plain.k, plain.n) and "H" not in vars(plain)
-    assert not hasattr(modcode.ModifiedCode, "H")
 
 
 class TestPackedCheckMatrices:
-    """Keys hold H' and H_m as packed rows, as their files do; the public
-    key's H unpacks H' on every read, for the benchmark's oracle and
-    tests, and no signing or verifying path reads it."""
+    """Keys hold H' and H_m as packed rows, as their files do; their H
+    unpacks them on every read, for the benchmark's oracle and tests,
+    and no signing or verifying path reads it."""
 
     def test_H_is_a_fresh_unpacking(self, toy_keypair):
         pub, priv = toy_keypair.public, toy_keypair.private
@@ -242,7 +239,7 @@ class TestPackedCheckMatrices:
             packed = holder.packed_H
             assert packed.shape == (holder.n - 5, (holder.n + 7) // 8)  # k = 5
             assert not packed.flags.writeable
-        for holder in (pub, loaded_pub):
+        for holder in (pub, priv.mod, loaded_pub, loaded.mod):
             h, packed = holder.H, holder.packed_H.copy()
             assert np.array_equal(h, np.unpackbits(packed, axis=1, count=holder.n))
             assert np.array_equal(h, holder.H) and h is not holder.H
@@ -295,6 +292,23 @@ class TestPackedCheckMatrices:
             tracemalloc.stop()
         assert max(allocated.values()) < pub.packed_H.nbytes == priv.mod.packed_H.nbytes, allocated
         assert "H" not in vars(pub) and "H" not in vars(priv.mod)
+
+    def test_reading_H_allocates_only_H(self):
+        """Reading H on an RM(6,12) code, its modified code and its public
+        key peaks below 1.1 times H's own bytes (6.5 MB): one unpacking
+        of the packed rows, with no temporary beside it."""
+        code = rmcode.build(12, 6)
+        params = scheme.SigningParams(w=530, N=10, t=code.t)
+        kp = scheme.keygen(12, 6, params, np.random.default_rng(1))
+        for holder in (code, kp.private.mod, kp.public):
+            tracemalloc.start()
+            try:
+                h = holder.H
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.shape == (holder.n - holder.k, holder.n) == (1586, 4096)
+            assert peak < 1.1 * h.nbytes, (type(holder).__name__, peak)
 
 
 class TestIdentityEquality:
@@ -350,7 +364,7 @@ class TestSignVerify:
         # Every trial, successful or not, satisfies H_m e' = s'.
         priv = toy_keypair.private
         for i, s_prime, e_prime in trials(priv, b"trials", 20):
-            assert np.array_equal(gf2.mat_mul(check_matrix(priv.mod), e_prime), s_prime)
+            assert np.array_equal(gf2.mat_mul(priv.mod.H, e_prime), s_prime)
 
     def test_batch_matches_reference_trials(self, toy_keypair):
         priv = toy_keypair.private
@@ -778,13 +792,13 @@ class TestVerifyPartialLastByte:
         sig = scheme.sign(kp.private, message)
         assert pub.packed_H.shape[0] % 8 and scheme.verify(pub, message, sig)
         support = np.flatnonzero(sig.e)
-        product = gf2.mat_vec(pub._H_table, support)
+        product = gf2.mat_vec(pub.H_T_table, support)
         for j in support[:3]:
             packed = pub.packed_H.copy()
             packed[-1, j >> 3] ^= 128 >> (j & 7)
             tampered = dataclasses.replace(pub, packed_H=packed)
             # H'e changes in its last bit alone, so only the last byte differs.
-            changed = np.flatnonzero(gf2.mat_vec(tampered._H_table, support) != product)
+            changed = np.flatnonzero(gf2.mat_vec(tampered.H_T_table, support) != product)
             assert changed.tolist() == [product.size - 1]
             assert not scheme.verify(tampered, message, sig)
             assert not naive_verify(tampered, message, sig.e, sig.i)
