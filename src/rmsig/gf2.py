@@ -21,9 +21,9 @@ an unpacked matrix where it lies, by rows or, for a transposed view, by
 columns (_packbits_axis0), with no transposing copy, and pack_columns
 packs the rows of the transpose of a packed matrix from a few of its
 rows unpacked at a time, so no table of a key unpacks the key's matrix.
-Any other product goes through mat_mul, which builds a table for the
-call when both matrices are large and otherwise multiplies in float32
-BLAS, exact below 2**24 terms.
+Any other product goes through mat_mul, which builds a table of b for
+the call when b has at least _TABLE_MIN columns, whatever a's height,
+and otherwise multiplies in float32 BLAS, exact below 2**24 terms.
 
 Bit packing convention, the one layout of every packed matrix (the key
 files, the keys' and codes' packed fields, the tables and their
@@ -222,6 +222,8 @@ _ONE_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 _TABLE_MIN = 256
+"""The narrowest b for which mat_mul builds a ProductTable rather than
+multiplying in float32 BLAS; a's height plays no part."""
 
 
 def mat_mul(
@@ -236,13 +238,13 @@ def mat_mul(
     a by a gather of b's rows, more rows by the Four-Russians table) and
     unpacks its packed rows, the only unpacking of a table product; such
     a table may also stand in place of b, so a caller that keeps b
-    packed never unpacks b.  Without one, a product of an a with at
-    least _TABLE_MIN rows by a b with at least _TABLE_MIN columns builds
-    a ProductTable of b's packed rows for the call, which holds no float
-    copies and beats BLAS at such sizes.  Other products go through
-    BLAS, which beats building a table when a has few rows.  BLAS runs
-    in float32, whose sums are exact below 2**24 terms; no inner
-    dimension comes near that (n <= 4096).
+    packed never unpacks b.  Without one, a product by a b with at least
+    _TABLE_MIN columns builds a ProductTable of b's packed rows for the
+    call, whatever a's height, and so holds no float copy of either
+    operand: a single row of a, as R e_np is for a key with p = 1, is a
+    gather of b's rows.  A narrower b goes through BLAS in float32,
+    whose sums are exact below 2**24 terms; no inner dimension comes
+    near that (n <= 4096).
     """
     if isinstance(a, ProductTable):
         raise ValueError("a product table stands in for the right operand only")
@@ -261,7 +263,7 @@ def mat_mul(
         # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
         picked = np.take(a, np.flatnonzero(b & 1), axis=1)
         return picked.sum(axis=1, dtype=np.uint8) & 1
-    elif a.shape[0] >= _TABLE_MIN and b.shape[1] >= _TABLE_MIN:
+    elif b.shape[1] >= _TABLE_MIN:
         table = ProductTable(pack_rows(b), b.shape[1])
     else:
         prod = a.astype(np.float32) @ b.astype(np.float32)

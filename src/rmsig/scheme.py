@@ -241,9 +241,12 @@ def _modified_coset_leaders(mod: ModifiedCode, s_primes: np.ndarray) -> np.ndarr
     """Rows e' = [e_np | e_p] with H_m e' = s' for each row s' of s_primes.
 
     e_np is the punctured coset leader of the top n-k-p syndrome bits;
-    the inserted block then fixes e_p = s'_bot + R e_np.  The rows are a
-    view of (n, rows) columns, the decoder's own layout, so the batch is
-    column-major for every p.
+    the inserted block then fixes e_p = s'_bot + R e_np.  R e_np is a
+    product by the batch's (n-p, rows) columns, so from gf2._TABLE_MIN
+    rows on mat_mul reads a table of the batch's packed columns: a
+    gather for p = 1, a Four-Russians product for p >= 2, and no float
+    copy of the batch.  The rows are a view of (n, rows) columns, the
+    decoder's own layout, so the batch is column-major for every p.
     """
     top = mod.n - mod.k - mod.p
     e_np_cols = punctured_coset_leaders(mod, s_primes[:, :top]).T

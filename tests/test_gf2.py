@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,10 +82,11 @@ class TestMatMul:
 
     def test_paths_agree_on_binary_operands(self):
         """Each product path at its threshold gives a @ b for binary
-        operands: BLAS below _TABLE_MIN rows, a table built for the call
-        from it, a table passed in or standing in for b, a one-row gather
-        and a 1-D b.  A zero row and an all-ones row are among a's rows.
-        An inner dimension of 0, a table with no rows, gives zeros."""
+        operands: BLAS for a b of _TABLE_MIN - 1 columns, a table built
+        for the call from _TABLE_MIN columns on, a table passed in or
+        standing in for b, a one-row gather and a 1-D b.  A zero row and
+        an all-ones row are among a's rows.  An inner dimension of 0, a
+        table with no rows, gives zeros."""
         rng = np.random.default_rng(12)
         for inner in (301, 0):
             a = rand_mat(rng, gf2._TABLE_MIN, inner)
@@ -91,7 +94,8 @@ class TestMatMul:
             b = rand_mat(rng, inner, gf2._TABLE_MIN + 3)
             expected = blas_mat_mul(a, b)
             table = product_table(b)
-            assert np.array_equal(gf2.mat_mul(a[:-1], b), expected[:-1])  # BLAS
+            narrow = gf2._TABLE_MIN - 1
+            assert np.array_equal(gf2.mat_mul(a, b[:, :narrow]), expected[:, :narrow])  # BLAS
             assert np.array_equal(gf2.mat_mul(a, b), expected)  # a table for the call
             assert np.array_equal(gf2.mat_mul(a, b, table), expected)
             assert np.array_equal(gf2.mat_mul(a, table), expected)
@@ -100,8 +104,12 @@ class TestMatMul:
             for j in (0, 5, b.shape[1] - 1):
                 assert np.array_equal(gf2.mat_mul(a, b[:, j]), expected[:, j])
 
-    @pytest.mark.parametrize("rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255)])
+    @pytest.mark.parametrize(
+        "rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255), (1, 1024), (2, 300)]
+    )
     def test_table_only_for_large_products(self, monkeypatch, rows, cols):
+        """mat_mul builds a table for a call iff b has at least
+        _TABLE_MIN columns, whatever a's height."""
         built = []
 
         class Recording(gf2.ProductTable):
@@ -113,8 +121,26 @@ class TestMatMul:
         rng = np.random.default_rng(rows + cols)
         a, b = rand_mat(rng, rows, 301), rand_mat(rng, 301, cols)
         assert np.array_equal(gf2.mat_mul(a, b), blas_mat_mul(a, b))
-        large = rows >= gf2._TABLE_MIN and cols >= gf2._TABLE_MIN
-        assert built == ([(301, cols)] if large else [])
+        assert built == ([(301, cols)] if cols >= gf2._TABLE_MIN else [])
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_few_rows_by_wide_b_make_no_float_copy(self, rows):
+        """A product of one or two rows by a wide b, as R e_np is for a
+        batch of decoded errors, reads a table of b's packed rows: it
+        allocates less than b itself, where a float32 copy of b would
+        take four times as much."""
+        rng = np.random.default_rng(rows)
+        a, b = rand_mat(rng, rows, 1023), rand_mat(rng, 1023, 1024)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = gf2.mat_mul(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, blas_mat_mul(a, b))
+        assert peak < b.nbytes, peak
 
 
 class TestProductTable:

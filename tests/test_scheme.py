@@ -679,13 +679,16 @@ class TestSignChecksItsOutput:
     def test_checks_build_no_table_after_the_first(self, monkeypatch):
         # A signature's check is one row, which builds no table at all;
         # the first calibration chunk's check builds H_m^T's table once,
-        # and nothing builds one after that.
+        # and no check builds one after that.  The only other tables are
+        # the ones mat_mul makes for one call: each chunk's R e_np, with
+        # p = 2 rows of R here, reads a table of the chunk's decoded
+        # errors, (n - p) x 1024, built before the chunk's check.
         params = scheme.SigningParams(w=64, N=1, t=3)
         priv = scheme.keygen(6, 3, params, np.random.default_rng(5)).private
         built, real_build = [], gf2.ProductTable._subsets.func
 
         def counting(table):
-            built.append(table.shape)
+            built.append("H_m^T" if table is priv.mod.H_T_table else table.shape)
             return real_build(table)
 
         # Patched in place, where a table builds its subsets on first use:
@@ -698,11 +701,13 @@ class TestSignChecksItsOutput:
         assert isinstance(scheme.sign(priv, b"first"), scheme.Signature)
         assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
         assert built == []
+        assert priv.mod.p == 2
+        r_block = (priv.mod.n - priv.mod.p, 1024)
         analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
-        assert built == [priv.mod.H_T_table.shape]
+        assert built == [r_block, "H_m^T", r_block, r_block]
         analysis.calibrate(priv.mod, 1024, np.random.default_rng(1))
         assert isinstance(scheme.sign(priv, b"third"), scheme.Signature)
-        assert built == [priv.mod.H_T_table.shape]
+        assert built == [r_block, "H_m^T", r_block, r_block, r_block]
 
     def test_signing_leaves_the_check_table_unbuilt(self):
         # Keygen, signing and verifying multiply by H_m^T one row at a
