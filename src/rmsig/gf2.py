@@ -2,8 +2,9 @@
 
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination (rref) runs on bit-packed rows.
-The one inverse the scheme takes, of keygen's unit triangular factors of
-the scrambler S, is a block recursion on products (invert).
+The one inverse the scheme takes, of a unit lower-triangular matrix
+(keygen's factors L and U^T of the scrambler S), is a block recursion on
+products (invert).  cut_unit_lower cuts every unit triangle.
 
 A matrix b used for many products is held in one table type, a
 ProductTable of b's packed rows, and every product of a table is packed
@@ -315,19 +316,22 @@ _INVERT_BLOCK = 64
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of a unit lower- or unit upper-triangular GF(2) matrix.
+    """Inverse of a unit lower-triangular GF(2) matrix.
 
-    Such a matrix is always invertible, and so is the product of two of
-    them, which is how keygen draws the scrambler S (see
-    random_unit_triangular); no program path inverts a general matrix.
-    An upper matrix is inverted as the transpose of a lower one.  A
-    block recursion on table products (_fill_below) beats a Gauss-Jordan
-    inverse of their product, and its joins skip the zero triangle of
-    their B^-1 (see ProductTable).
+    Keygen draws the scrambler S = L U (random_unit_triangular) and
+    passes L and U^T here, since U^-1 = ((U^T)^-1)^T; no program path
+    inverts any other matrix.  A block recursion on table products
+    (_fill_below) beats a Gauss-Jordan inverse of their product, and its
+    joins skip the zero triangle of their B^-1 (see ProductTable).
+
+    The diagonal blocks of _INVERT_BLOCK rows are inverted together: each
+    is I + N with N strictly lower, so N^64 = 0 and (I + N)^-1 = I + N +
+    ... + N^63 = prod_j (I + N^(2^j)) over j < 6, ten stacked float32
+    products whose sums stay below 66.  _fill_below then joins them.
 
     Raises:
         ValueError: unless a is square and binary, with a unit diagonal
-            and zeros on one side of it.
+            and zeros above it; a unit upper matrix is rejected.
     """
     a = np.asarray(a, dtype=np.uint8)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -335,25 +339,10 @@ def invert(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n == 0 or a.max() > 1:
         raise ValueError("matrix is empty or not binary")
-    # The first 1 of every row on the diagonal makes a unit upper matrix,
-    # the last 1 a unit lower one.  argmax stops at the first True.
-    bits, diagonal = a.view(np.bool_), np.arange(n)
-    if np.array_equal(bits.argmax(axis=1), diagonal):
-        return np.ascontiguousarray(_invert_unit_lower(a.T).T)
-    if np.array_equal(bits[:, ::-1].argmax(axis=1), diagonal[::-1]):
-        return _invert_unit_lower(a)
-    raise ValueError("matrix is not unit lower or unit upper triangular")
-
-
-def _invert_unit_lower(a: np.ndarray) -> np.ndarray:
-    """Inverse of a unit lower-triangular a.
-
-    The diagonal blocks of _INVERT_BLOCK rows are inverted together: each
-    is I + N with N strictly lower, so N^64 = 0 and (I + N)^-1 = I + N +
-    ... + N^63 = prod_j (I + N^(2^j)) over j < 6, ten stacked float32
-    products whose sums stay below 66.  _fill_below then joins them.
-    """
-    n = a.shape[0]
+    # The first 1 of every column on the diagonal makes a unit lower
+    # matrix.  argmax stops at the first True.
+    if not np.array_equal(a.view(np.bool_).argmax(axis=0), np.arange(n)):
+        raise ValueError("matrix is not unit lower triangular")
     starts = range(0, n, _INVERT_BLOCK)
     blocks = np.zeros((len(starts), _INVERT_BLOCK, _INVERT_BLOCK), dtype=np.float32)
     blocks[:] = np.eye(_INVERT_BLOCK, dtype=np.float32)  # pads the last block
@@ -406,21 +395,33 @@ def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray
     deterministic per rng state.
 
     Their product L @ U is invertible, so no rejection loop is needed,
-    and so are both factors (see invert).  Each draw is cut to its
-    triangle in place, row by row, which allocates nothing, unlike
-    np.tril and np.triu or a mask of the triangle.
+    and so are both factors (see invert).  Each is a draw of random bits
+    cut in place (cut_unit_lower), U through its transposed view.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo = random_bits((n, n), rng)
-    for i in range(n):
-        lo[i, i:] = 0
-    up = random_bits((n, n), rng)
-    for i in range(n):
-        up[i, :i] = 0
-    np.fill_diagonal(lo, 1)
-    np.fill_diagonal(up, 1)
-    return lo, up
+    lower = cut_unit_lower(random_bits((n, n), rng))
+    upper = cut_unit_lower(random_bits((n, n), rng).T).T
+    return lower, upper
+
+
+def cut_unit_lower(a: np.ndarray) -> np.ndarray:
+    """Cut the square binary a in place to np.tril(a, -1) plus the
+    identity, and return a.  Cutting x.T, a transposed view, leaves x as
+    np.triu(x, 1) plus the identity, a unit upper triangle.
+
+    It takes _INVERT_BLOCK rows at a time, clearing the columns right of
+    the block and masking the block's diagonal square, so it makes no
+    n x n temporary, as np.tril and np.triu or a mask of the triangle do.
+    """
+    n = a.shape[0]
+    below = np.tri(_INVERT_BLOCK, k=-1, dtype=np.uint8)
+    for lo in range(0, n, _INVERT_BLOCK):
+        hi = min(lo + _INVERT_BLOCK, n)
+        a[lo:hi, hi:] = 0
+        a[lo:hi, lo:hi] &= below[: hi - lo, : hi - lo]
+    np.fill_diagonal(a, 1)
+    return a
 
 
 _COLUMN_BLOCK_CELLS = 1 << 18

@@ -14,7 +14,7 @@ H_m, are held as packed rows, the layout of their key files
 rmcode.CheckMatrix.  Sign, verify and the check of decoded errors read
 H' and H_m through the product tables of their transposes
 (CheckMatrix.H_T_table), so no program path unpacks either; F is
-unpacked once, to form S^-1.
+unpacked only to form S^-1, once for each of its triangles.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -82,21 +82,15 @@ class PrivateKey:
 
     @cached_property
     def S_inv(self) -> np.ndarray:
-        """S^-1 = U^-1 @ L^-1, from F unpacked once.
+        """S^-1 = U^-1 @ L^-1, from two unpackings of F.
 
-        L^-1 is a copy of F cut below its diagonal in place, row by row,
-        which allocates no mask, and F XOR L^-1 leaves U^-1; each gets its
-        unit diagonal.  The product skips the zero triangle of U^-1
-        (gf2.ProductTable).
+        gf2.cut_unit_lower cuts one to L^-1 in place and the other,
+        through its transposed view, to U^-1.  The product skips the zero
+        triangle of U^-1 (gf2.ProductTable).
         """
         n = self.packed_F.shape[0]
-        upper_inv = np.unpackbits(self.packed_F, axis=1, count=n)
-        lower_inv = upper_inv.copy()
-        for i in range(n):
-            lower_inv[i, i:] = 0
-        upper_inv ^= lower_inv
-        np.fill_diagonal(upper_inv, 1)
-        np.fill_diagonal(lower_inv, 1)
+        upper_inv = gf2.cut_unit_lower(np.unpackbits(self.packed_F, axis=1, count=n).T).T
+        lower_inv = gf2.cut_unit_lower(np.unpackbits(self.packed_F, axis=1, count=n))
         return gf2.mat_mul(upper_inv, lower_inv)
 
     @cached_property
@@ -194,8 +188,9 @@ def keygen(
     n, k = mod.n, mod.k
     lower, upper = gf2.random_unit_triangular(n - k, rng)
     sigma = rng.permutation(n)
-    # F, packed once; the unit diagonals cancel.
-    packed_f = np.packbits(gf2.invert(lower) ^ gf2.invert(upper), axis=1)
+    # F = L^-1 XOR U^-1, XORed packed; the unit diagonals cancel.  U^-1 =
+    # ((U^T)^-1)^T is packed where it lies, with no transposing copy.
+    packed_f = np.packbits(gf2.invert(lower), axis=1) ^ gf2.pack_rows(gf2.invert(upper.T).T)
     # H' = L (U (H_m Q)) by two table products of packed rows, which skip
     # the zero triangles of U and L.  H_m Q is H_m with its columns
     # permuted, moved as the packed rows of H_m^T.  U is freed before the

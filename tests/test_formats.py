@@ -95,6 +95,19 @@ class TestPrivateKeyFile:
         assert np.array_equal(priv.mod.info_perm, keypair.private.mod.info_perm)
         assert priv.params == keypair.private.params
 
+    @pytest.mark.parametrize("m,r", [(8, 4), (10, 5)])
+    def test_s_inv_is_the_product_of_f_triangles(self, m, r):
+        """S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), formed here with
+        numpy's masks and a float64 product, for a key and its reload."""
+        priv = _keygen_private(m, r, m)
+        size = priv.packed_F.shape[0]
+        f = np.unpackbits(priv.packed_F, axis=1, count=size).astype(np.float64)
+        eye = np.eye(size)
+        expected = ((eye + np.triu(f, 1)) @ (eye + np.tril(f, -1))).astype(np.int64) & 1
+        loaded = formats.load_private_key(formats.save_private_key(priv))
+        for key in (priv, loaded):
+            assert key.S_inv.dtype == np.uint8 and np.array_equal(key.S_inv, expected)
+
     def test_reloaded_key_signs_identically(self, keypair):
         raw = formats.save_private_key(keypair.private)
         priv = formats.load_private_key(raw)

@@ -508,8 +508,9 @@ class TestXorGroupLaws:
 
 
 class TestInvert:
-    """gf2.invert takes unit triangular matrices only; the Gauss-Jordan
-    oracle (reference.invert) takes any square one and checks it."""
+    """gf2.invert takes unit lower-triangular matrices only; the
+    Gauss-Jordan oracle (reference.invert) takes any square one and
+    checks it."""
 
     def test_identity(self):
         assert np.array_equal(reference.invert(identity(4)), identity(4))
@@ -533,18 +534,24 @@ class TestInvert:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 163, 386])
     def test_unit_triangular_matches_oracle(self, n):
+        """Keygen's L, and its U as the transposed view U^T."""
         lower, upper = gf2.random_unit_triangular(n, np.random.default_rng(n))
-        for a in (lower, upper):
+        for a in (lower, upper.T):
             inv = gf2.invert(a)
             assert inv.dtype == np.uint8 and inv.flags.c_contiguous
             assert np.array_equal(inv, reference.invert(a))
 
     def test_dense_triangles_and_views(self):
-        """All-ones triangles, and a transposed view of each factor."""
+        """All-ones triangles, and a transposed view of each: the lower
+        ones are inverted, and a unit upper matrix is rejected in either
+        layout."""
         ones = np.ones((130, 130), np.uint8)
         lower, upper = np.tril(ones), np.triu(ones)
-        for a in (lower, upper, lower.T, upper.T):
+        for a in (lower, upper.T):
             assert np.array_equal(gf2.invert(a), reference.invert(a))
+        for a in (upper, lower.T):
+            with pytest.raises(ValueError, match="not unit lower triangular"):
+                gf2.invert(a)
 
     @pytest.mark.parametrize(
         "a",
@@ -705,9 +712,25 @@ class TestRandomMatrices:
         for seed in range(20):
             lower, upper = gf2.random_unit_triangular(8, np.random.default_rng(seed))
             assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
-            # S = L @ U is invertible, with inverse U^-1 @ L^-1.
-            s_inv = gf2.mat_mul(gf2.invert(upper), gf2.invert(lower))
+            # S = L @ U is invertible, with inverse U^-1 @ L^-1, where
+            # U^-1 is the transpose of (U^T)^-1.
+            s_inv = gf2.mat_mul(gf2.invert(upper.T).T, gf2.invert(lower))
             assert np.array_equal(gf2.mat_mul(gf2.mat_mul(lower, upper), s_inv), identity(8))
+
+    def test_draw_is_two_masked_byte_draws(self):
+        """The factors are the top bits of two full-range byte draws, cut
+        by np.tril and np.triu with a unit diagonal, and the generator is
+        left where those draws leave it; keys depend on both."""
+        for seed in range(20):
+            n = 1 + 7 * seed  # 1 to 134 rows, across the 64-row blocks
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            lower, upper = gf2.random_unit_triangular(n, ours)
+            lo = theirs.integers(0, 256, size=(n, n), dtype=np.uint8) >> 7
+            up = theirs.integers(0, 256, size=(n, n), dtype=np.uint8) >> 7
+            assert np.array_equal(lower, np.tril(lo, -1) | identity(n))
+            assert np.array_equal(upper, np.triu(up, 1) | identity(n))
+            assert lower.flags.c_contiguous and upper.flags.c_contiguous
+            assert np.array_equal(ours.integers(0, 256, 9), theirs.integers(0, 256, 9))
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("shape", [(1586, 1586), (999, 197), (3, 5), (13,), 7, (2, 3, 5)])
@@ -727,6 +750,37 @@ class TestRandomMatrices:
         assert got.dtype == np.uint8 and np.array_equal(got, expected), why
         assert np.array_equal(ours.permutation(101), theirs.permutation(101)), why
         assert np.array_equal(gf2.random_bits(9, ours), theirs.integers(0, 2, 9, np.uint8)), why
+
+
+class TestCutUnitLower:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_matches_tril_and_triu(self, n):
+        """A C-ordered matrix is cut to np.tril plus the identity, and a
+        transposed view leaves its base as np.triu plus the identity, in
+        place."""
+        a = rand_mat(np.random.default_rng(n), n, n)
+        expected = np.tril(a, -1) | identity(n)
+        assert gf2.cut_unit_lower(a) is a
+        assert np.array_equal(a, expected)
+        base = rand_mat(np.random.default_rng(n + 1), n, n)
+        expected = np.triu(base, 1) | identity(n)
+        view = base.T
+        assert gf2.cut_unit_lower(view) is view
+        assert np.array_equal(base, expected)
+
+    def test_no_square_temporary(self):
+        """RM(12,6)'s factors are 1586 x 1586; a cut of either layout
+        allocates less than one such matrix, as np.tril would."""
+        n = 1586
+        base = rand_mat(np.random.default_rng(3), n, n)
+        for a in (base, base.T):
+            tracemalloc.start()
+            try:
+                gf2.cut_unit_lower(a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n
 
 
 class TestPacking:
