@@ -2,31 +2,32 @@
 
 Key file ("RMSG"):
     magic      4s   "RMSG"
-    version    u16  1 for a public key, 3 for a private key
+    version    u16  1 for a public key, 4 for a private key
     role       u8   0 = public, 1 = private
     m, r       u16, u16
     p          u32  punctured column count
     w          u32  error weight bound
     N          u32  maximum signing trials
-    n_deleted  u32  followed by n_deleted * u32 deleted column indices
-                    (private files only; public files store 0 entries)
+    n_points   u32  followed by n_points * u32 punctured evaluation points,
+                    ascending (private files only; public files store 0)
     body       role specific, see below
     crc32      u32  zlib CRC of every preceding byte
 
 Public body:  packed H', (n-k) rows of ceil(n/8) bytes.
-Private body: packed F, sigma as n * u32, packed R, info_perm as n * u32,
-              then the 32-byte SHA-256 of every preceding byte (header
-              included) followed by the packed H_m rebuilt from info_perm,
-              the deleted columns and R.
-              info_perm is the column order of keygen's aligned parent: a
-              load replays keygen's alignment of the closed-form code off
-              the deleted columns, and rejects any info_perm it does not
-              give.
+Private body: packed F, sigma as n * u32, packed R, then the 32-byte
+              SHA-256 of every preceding byte (header included) followed
+              by the packed H_m rebuilt from the points and R.
+              The points are the evaluation positions keygen punctured.
+              A load reads them as columns of the closed-form code and
+              replays keygen's alignment off them, which gives the
+              aligned parent's column order and the deleted columns in
+              it; a point set that leaves no information set is rejected.
               F is the (n-k) x (n-k) matrix of the scrambler's inverse
               factors, S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), and
               its diagonal must be zero; any such F is a valid scrambler.
-              Version 2 stored S instead, which a load had to invert;
-              version 1 also stored P'.
+              Version 3 also stored the aligned column order and its
+              deleted columns in place of the points; version 2 stored S,
+              which a load had to invert; version 1 also stored P'.
 
 All header integers are little-endian.  The signature file ("RMSS")
 stores the counter big-endian, mirroring its role as hash input:
@@ -57,7 +58,7 @@ SIG_MAGIC = b"RMSS"
 VERSION = 1
 ROLE_PUBLIC = 0
 ROLE_PRIVATE = 1
-_KEY_VERSION = {ROLE_PUBLIC: VERSION, ROLE_PRIVATE: 3}
+_KEY_VERSION = {ROLE_PUBLIC: VERSION, ROLE_PRIVATE: 4}
 
 _HEADER = struct.Struct("<4sHBHHIII")
 
@@ -115,11 +116,10 @@ def save_public_key(pub: PublicKey) -> bytes:
 def save_private_key(priv: PrivateKey) -> bytes:
     mod = priv.mod
     body = _header(ROLE_PRIVATE, mod.m, mod.r, mod.p, priv.params)
-    body += struct.pack("<I", mod.p) + _u32_list(mod.deleted)
+    body += struct.pack("<I", mod.p) + _u32_list(np.sort(mod.info_perm[mod.deleted]))
     body += priv.packed_F.tobytes()
     body += _u32_list(priv.sigma)
     body += gf2.pack_rows(mod.R).tobytes()
-    body += _u32_list(mod.info_perm)
     body += _digest(body, mod)
     return _with_crc(body)
 
@@ -146,7 +146,7 @@ def _packed(rd: _Reader, rows: int, cols: int, what: str) -> np.ndarray:
 
 
 def _parse_header(rd: _Reader, expect_role: int):
-    """Read and check the header; returns (m, r, n, k, p, params, deleted).
+    """Read and check the header; returns (m, r, n, k, p, params, points).
 
     m and r are checked against the range keygen makes keys for, 1 <= r
     < m <= rmcode.MAX_M, before anything is sized from them.
@@ -166,15 +166,15 @@ def _parse_header(rd: _Reader, expect_role: int):
     except ValueError as err:
         raise FormatError(f"invalid key header: {err}") from None
     (count,) = struct.unpack("<I", rd.take(4))
-    deleted = np.frombuffer(rd.take(4 * count), dtype="<u4").astype(np.int64)
-    return m, r, n, k, p, params, deleted
+    points = np.frombuffer(rd.take(4 * count), dtype="<u4").astype(np.int64)
+    return m, r, n, k, p, params, points
 
 
 def load_public_key(raw: bytes) -> PublicKey:
     rd = _Reader(_check_crc(raw, "public key"), "public key")
-    m, r, n, k, p, params, deleted = _parse_header(rd, ROLE_PUBLIC)
-    if p or deleted.size:
-        raise FormatError("a public key stores p = 0 and no deleted columns")
+    m, r, n, k, p, params, points = _parse_header(rd, ROLE_PUBLIC)
+    if p or points.size:
+        raise FormatError("a public key stores p = 0 and no punctured points")
     h_pub = _packed(rd, n - k, n, "the public check matrix")
     rd.done()
     return PublicKey(m=m, r=r, packed_H=h_pub, params=params)
@@ -182,11 +182,11 @@ def load_public_key(raw: bytes) -> PublicKey:
 
 def load_private_key(raw: bytes) -> PrivateKey:
     rd = _Reader(_check_crc(raw, "private key"), "private key")
-    m, r, n, k, p, params, deleted = _parse_header(rd, ROLE_PRIVATE)
-    if deleted.size != p:
-        raise FormatError("deleted column list does not match p")
-    if p and (deleted[0] < k or deleted[-1] >= n or (np.diff(deleted) <= 0).any()):
-        raise FormatError(f"deleted columns must increase strictly within [{k}, {n})")
+    m, r, n, k, p, params, points = _parse_header(rd, ROLE_PRIVATE)
+    if points.size != p:
+        raise FormatError("punctured point list does not match p")
+    if p and (points[-1] >= n or (np.diff(points) <= 0).any()):
+        raise FormatError(f"punctured points must increase strictly below n = {n}")
     packed_f = _packed(rd, n - k, n - k, "the S^-1 factor matrix")
     diag = np.arange(n - k)
     if (packed_f[diag, diag >> 3] & (128 >> (diag & 7))).any():
@@ -195,21 +195,16 @@ def load_private_key(raw: bytes) -> PrivateKey:
     if not np.array_equal(np.sort(sigma), np.arange(n)):
         raise FormatError("sigma is not a permutation of the column indices")
     r_block = np.unpackbits(_packed(rd, p, n - p, "the R block"), axis=1, count=n - p)
-    info_perm = np.frombuffer(rd.take(4 * n), dtype="<u4").astype(np.int64)
     stored_digest = rd.take(32)
     rd.done()
 
-    if not np.array_equal(np.sort(info_perm), np.arange(n)):
-        raise FormatError("info_perm is not a permutation of the column indices")
-    # Replay keygen's alignment: the stored deleted columns, read back as
-    # columns of the closed-form code, are the plan keygen aligned.
+    # Replay keygen's alignment: the points, read as columns of the
+    # closed-form code, are the plan keygen aligned.
     code = build(m, r)
     try:
-        aligned, _ = align_information_set(code, np.argsort(code.info_perm)[info_perm[deleted]])
+        aligned, deleted = align_information_set(code, np.argsort(code.info_perm)[points])
     except gf2.RankError:
-        raise FormatError("info_perm leaves no information set off the deleted columns") from None
-    if not np.array_equal(aligned.info_perm, info_perm):
-        raise FormatError("info_perm is not the column order keygen writes")
+        raise FormatError("the punctured points leave no information set") from None
     mod = assemble_modified(aligned, deleted, r_block)
     del code, aligned  # H_m is all the key keeps of them
     if _digest(rd.buf[:-32], mod) != stored_digest:

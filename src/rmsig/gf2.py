@@ -232,9 +232,8 @@ trials about 19% slower (ROADMAP item 12)."""
 def mat_mul(
     a: np.ndarray, b: np.ndarray | ProductTable, table: ProductTable | None = None
 ) -> np.ndarray:
-    """GF(2) product a @ b of binary operands; a 1-D b gives the
-    matrix-vector product.  An entry outside {0, 1} is not checked for,
-    and the paths below read it differently.
+    """GF(2) product a @ b of binary matrices.  An entry outside {0, 1}
+    is not checked for, and the paths below read it differently.
 
     With table, a ProductTable of the matrix b, the product reads the
     table instead of multiplying (ProductTable.product: a single row of
@@ -256,16 +255,12 @@ def mat_mul(
         table = b if table is None else table
     else:
         b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch for GF(2) product: {a.shape} x {b.shape}")
     if table is not None:
         if not isinstance(table, ProductTable) or table.shape != b.shape:
             name = type(table).__name__
             raise ValueError(f"{name} of shape {table.shape} used for {a.shape} x {b.shape}")
-    elif b.ndim == 1:
-        # Parity of the selected columns; uint8 sums wrap mod 256, parity survives.
-        picked = np.take(a, np.flatnonzero(b & 1), axis=1)
-        return picked.sum(axis=1, dtype=np.uint8) & 1
     elif b.shape[1] >= _TABLE_MIN:
         table = ProductTable(pack_rows(b), b.shape[1])
     else:

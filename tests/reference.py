@@ -32,6 +32,16 @@ def naive_mat_mul(a, b):
     return out
 
 
+def vec_product(a, v):
+    """a @ v over GF(2) for a binary matrix a and a vector v: the parity
+    of the columns of a that v selects.  An entry of v counts by its
+    least significant bit after a cast to uint8.  The tests' H e
+    reference, which gf2.mat_mul (matrices only) does not share."""
+    v = np.asarray(v, dtype=np.uint8)
+    picked = np.asarray(a, dtype=np.uint8)[:, np.flatnonzero(v & 1)]
+    return (picked.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+
+
 def identity(n):
     return np.eye(n, dtype=np.uint8)
 

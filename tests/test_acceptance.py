@@ -22,6 +22,7 @@ from reference import (
     int_to_bits,
     modified_generator,
     perm_matrix,
+    vec_product,
 )
 
 CLI = [sys.executable, "-m", "rmsig"]
@@ -108,7 +109,7 @@ def test_criterion_4_algebraic_identities():
             assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
             s_primes, e_primes = scheme._trials(kp.private, c4_inner, 1, 5)
             for s_prime, e_prime in zip(s_primes, e_primes):
-                assert np.array_equal(gf2.mat_mul(mod.H, e_prime), s_prime)
+                assert np.array_equal(vec_product(mod.H, e_prime), s_prime)
     assert keygens >= 50
     print(f"criterion 4: PASS identities hold over {keygens} keygens, 5 trials each")
 

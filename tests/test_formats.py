@@ -12,12 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmsig import formats, gf2, modcode, rmcode, scheme
 
-from reference import (
-    eliminated_with_perm,
-    modified_check,
-    modified_generator,
-    perm_matrix,
-)
+from reference import modified_generator, perm_matrix
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +123,14 @@ class TestPrivateKeyFile:
             formats.load_private_key(raw)
 
     def test_layout(self, keypair):
-        # Header and deleted list, F, sigma, R, info_perm, digest, CRC; no P'.
+        # Header and punctured points, F, sigma, R, digest, CRC; no P' and
+        # no column order.
         mod = keypair.private.mod
         n, k, p = mod.n, mod.k, mod.p
         raw = formats.save_private_key(keypair.private)
         rows = (n - k) * ((n - k + 7) // 8) + p * ((n - p + 7) // 8)
-        assert len(raw) == 27 + 4 * p + rows + 4 * n + 4 * n + 32 + 4
-        assert raw[4:6] == b"\x03\x00"
+        assert len(raw) == 27 + 4 * p + rows + 4 * n + 32 + 4
+        assert raw[4:6] == b"\x04\x00"
 
     def test_version_1_rejected_by_name(self, keypair):
         # Version 1 stored P' and digested H_m alone; there is no v1 loader.
@@ -317,12 +313,23 @@ class TestSignatureFile:
 # The RM(1,4) key pair of key seed 11 (w = 3, N = 2000) as keygen wrote
 # it while a puncture plan's y was found by a minimum-weight search.  For
 # this 2r < m code keygen now draws another y, so a new key differs, but
-# a load replays the stored deletion set and never draws a plan.
+# a load replays the stored punctured points and never draws a plan.  The
+# private key is written as version 4; SEARCHED_RM41_PRIVATE_V3 is the
+# version 3 file keygen wrote, which stored the aligned column order and
+# its deleted columns in place of the points.
 SEARCHED_RM41_PUBLIC = bytes.fromhex(
     "524d5347010000040001000000000003000000d00700000000000072ad2c2653671e0935"
     "f80239c0c5dcc10e70bfd6139de93fad86"
 )
 SEARCHED_RM41_PRIVATE = bytes.fromhex(
+    "524d5347040001040001000700000003000000d007000007000000000000000100000004"
+    "0000000500000008000000090000000c0000001b809ea00f60062096a0eb002c406c2032"
+    "201fa0e700050000000f000000000000000e00000008000000060000000d0000000b0000"
+    "000c00000001000000040000000200000003000000070000000a00000009000000ca0056"
+    "804080e2807f00b2000280c0682daa5300ad91c28cc669775f0b991df0d727ccc068e8e6"
+    "8468d3a35b25895d76e743"
+)
+SEARCHED_RM41_PRIVATE_V3 = bytes.fromhex(
     "524d5347030001040001000700000003000000d007000007000000050000000600000007"
     "00000008000000090000000b0000000d0000001b809ea00f60062096a0eb002c406c2032"
     "201fa0e700050000000f000000000000000e00000008000000060000000d0000000b0000"
@@ -372,26 +379,18 @@ def _hostile_private_keys(keypair):
     f_row = (n - k + 7) // 8
     sigma_at = f_at + (n - k) * f_row
     sigma = keypair.private.sigma
-    perm_at = sigma_at + 4 * n + p * ((n - p + 7) // 8)
-    info_perm = keypair.private.mod.info_perm
+    points = np.frombuffer(raw[deleted_at:f_at], dtype="<u4")
     return {
         "huge m and r": _patched(raw, *HUGE_CODE),
         "r above m": _patched(raw, 7, struct.pack("<HH", 5, 6)),
         "w below t": _patched(raw, 15, struct.pack("<I", 1)),
         "N of zero": _patched(raw, 19, struct.pack("<I", 0)),
-        "deleted column in the information part": _patched(
-            raw, deleted_at, struct.pack("<I", k - 1)),
-        "deleted columns out of order": _patched(
-            raw, deleted_at, struct.pack("<II", mod.deleted[1], mod.deleted[0])),
-        "deleted column past n": _patched(
-            raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
+        "points out of order": _patched(
+            raw, deleted_at, struct.pack("<II", points[1], points[0])),
+        "point past n": _patched(raw, deleted_at + 4 * (p - 1), struct.pack("<I", n)),
         "sigma repeats an index": _patched(raw, sigma_at + 4, struct.pack("<I", sigma[0])),
         "F has two equal rows": _patched(raw, f_at + f_row, raw[f_at : f_at + f_row]),
         "F has a diagonal bit set": _patched(raw, f_at, bytes([raw[f_at] | 0x80])),
-        "info_perm repeats an index": _patched(raw, perm_at + 4, struct.pack("<I", info_perm[0])),
-        # On RM(2,5) the first k = 16 points span only RM(2,4), of dimension 11.
-        "info_perm head is no information set": _patched(
-            raw, perm_at, np.arange(n, dtype="<u4").tobytes()),
     }
 
 
@@ -597,45 +596,6 @@ class TestPackedKeys:
         assert held <= current < held + margin
 
 
-def _stored_orders(code, rng):
-    """(kind, order) pairs of column orders other than the code's own:
-    random orders, near-systematic ones (a few head and tail columns
-    swapped, the head shuffled or not) and two whose head is no
-    information set.  For m >= r + 2 the points that vanish on every
-    variable above r form the support of a word of the dual code
-    RM(m - r - 1, m), so no head that holds them is one: the first k
-    points, and those points with a shuffled rest."""
-    n, k, r = code.n, code.k, code.r
-    for _ in range(6):
-        yield "random", rng.permutation(n)
-    for swaps in (1, 2, 3, k // 2):
-        for shuffle in (False, True):
-            order = code.info_perm.copy()
-            head = rng.choice(k, size=min(swaps, n - k), replace=False)
-            tail = k + rng.choice(n - k, size=head.size, replace=False)
-            order[head], order[tail] = order[tail], order[head].copy()
-            if shuffle:
-                order[:k] = rng.permutation(order[:k])
-            yield "near-systematic", order
-    yield "first points", np.arange(n)
-    cube = np.arange(1 << (r + 1))
-    order = np.concatenate([cube, rng.permutation(np.arange(cube.size, n))])
-    order[:k] = rng.permutation(order[:k])
-    yield "dependent head", order
-
-
-def _in_order(mod, order):
-    """mod with its parent in another column order: H_m is assembled from
-    the parent eliminated afresh in that order.  An order whose head is no
-    information set has no such parent, so H_m is kept as it was."""
-    try:
-        g = eliminated_with_perm(mod.m, mod.r, order)
-    except gf2.RankError:
-        return dataclasses.replace(mod, info_perm=order)
-    packed = np.packbits(modified_check(g, mod.deleted, mod.R), axis=1)
-    return dataclasses.replace(mod, info_perm=order, packed_H=packed)
-
-
 def _keygen_private(m, r, seed):
     t = rmcode.code_dims(m, r)[2]
     params = scheme.SigningParams(w=t, N=1, t=t)
@@ -643,25 +603,8 @@ def _keygen_private(m, r, seed):
 
 
 class TestColumnOrder:
-    """A load rebuilds the parent by replaying keygen's alignment, so the
-    only column order it accepts is the one keygen writes."""
-
-    @pytest.mark.parametrize("m,r", [(4, 1), (5, 2), (6, 2), (6, 3), (7, 3), (10, 5)])
-    def test_every_other_order_rejected(self, m, r):
-        priv = _keygen_private(m, r, 100 * m + r)
-        rng = np.random.default_rng(m + r)
-        rebuilt = 0
-        for kind, order in _stored_orders(priv.mod, rng):
-            assert not np.array_equal(order, priv.mod.info_perm), kind
-            mod = _in_order(priv.mod, order)
-            rebuilt += mod.packed_H is not priv.mod.packed_H
-            # Saved through save_private_key, so the digest and CRC are valid.
-            raw = formats.save_private_key(dataclasses.replace(priv, mod=mod))
-            start = time.monotonic()
-            with pytest.raises(formats.FormatError, match="info_perm"):
-                formats.load_private_key(raw)
-            assert time.monotonic() - start < 1.0, kind
-        assert rebuilt
+    """A load derives the aligned column order by replaying keygen's
+    alignment off the stored punctured points; no file stores it."""
 
     @pytest.mark.parametrize("m,r,seed", [(6, 3, 0), (8, 4, 0), (10, 5, 7)])
     def test_load_makes_keygen_eliminations(self, m, r, seed, rref_shapes):
@@ -678,6 +621,80 @@ class TestColumnOrder:
         loaded = formats.load_private_key(raw)
         assert rref_shapes == expected
         assert np.array_equal(loaded.mod.H, priv.mod.H)
+
+
+# Bytes of the key seed 1 private file of each code, by (m, r), as in the README.
+SEED_1_PRIVATE_SIZES = {(8, 4): 2_239, (10, 5): 23_205, (12, 6): 333_093}
+
+
+def _with_points(raw: bytes, points, p=None) -> bytes:
+    """The private file raw with its point list replaced by points and p
+    set to p (the number of points by default): R becomes p zero rows,
+    the digest 32 zero bytes and the CRC is recomputed.  The fields
+    after the points are sized from the header, so the file is complete."""
+    m, r, old_p = struct.unpack("<HHI", raw[7:15])
+    n, k, _t = rmcode.code_dims(m, r)
+    p = len(points) if p is None else p
+    f_at = 27 + 4 * old_p
+    f_and_sigma = raw[f_at : f_at + (n - k) * ((n - k + 7) // 8) + 4 * n]
+    body = raw[:11] + struct.pack("<I", p) + raw[15:23] + struct.pack("<I", len(points))
+    body += np.asarray(points, dtype="<u4").tobytes() + f_and_sigma
+    body += bytes(p * ((n - p + 7) // 8)) + bytes(32)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestPuncturedPoints:
+    """The private header lists the punctured evaluation points, sorted;
+    a load replays keygen's alignment off them."""
+
+    def test_hostile_point_lists(self, keypair):
+        """Each file raises FormatError, naming its fault, within 1 s."""
+        raw = formats.save_private_key(keypair.private)
+        mod = keypair.private.mod
+        n, p = mod.n, mod.p
+        points = np.sort(mod.info_perm[mod.deleted])
+        assert (mod.m, mod.r) == (5, 2) and p >= 2
+        repeated, swapped, at_n, above_n = (points.copy() for _ in range(4))
+        repeated[1] = repeated[0]
+        swapped[[0, 1]] = swapped[[1, 0]]
+        at_n[-1], above_n[-1] = n, n + 5
+        hostile = {
+            "a repeated point": (_with_points(raw, repeated), "increase strictly"),
+            "points out of order": (_with_points(raw, swapped), "increase strictly"),
+            "a point at n": (_with_points(raw, at_n), "increase strictly"),
+            "a point above n": (_with_points(raw, above_n), "increase strictly"),
+            "one point more than p": (_with_points(raw, points, p - 1), "does not match p"),
+            "one point fewer than p": (_with_points(raw, points[1:], p), "does not match p"),
+            # RM(2,5) is self-dual, so the support of one of its minimum-
+            # weight words, the 3-flat of points 0-7, holds a dual word:
+            # the other 24 columns hold no information set.
+            "a 3-flat": (_with_points(raw, np.arange(8)), "no information set"),
+            "a version 3 file": (SEARCHED_RM41_PRIVATE_V3, "private key file version 3"),
+        }
+        for label, (file, fault) in hostile.items():
+            start = time.monotonic()
+            with pytest.raises(formats.FormatError, match=fault):
+                formats.load_private_key(file)
+            assert time.monotonic() - start < 1.0, label
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("m,r", sorted(SEED_1_PRIVATE_SIZES))
+    def test_round_trip(self, m, r, seed):
+        """The file stores keygen's points, sorted, and no column order; a
+        load of it replays keygen's column order, deletion set and H_m, and
+        saves back to the same bytes."""
+        priv = _keygen_private(m, r, seed)
+        mod = priv.mod
+        raw = formats.save_private_key(priv)
+        stored = np.frombuffer(raw[27 : 27 + 4 * mod.p], dtype="<u4")
+        assert np.array_equal(stored, np.sort(mod.info_perm[mod.deleted]))
+        if seed == 1:
+            assert len(raw) == SEED_1_PRIVATE_SIZES[m, r]
+        loaded = formats.load_private_key(raw)
+        assert formats.save_private_key(loaded) == raw
+        assert np.array_equal(loaded.mod.info_perm, mod.info_perm)
+        assert np.array_equal(loaded.mod.deleted, mod.deleted)
+        assert np.array_equal(loaded.mod.packed_H, mod.packed_H)
 
 
 def _mutants(raw: bytes, seed: int):

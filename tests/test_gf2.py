@@ -18,6 +18,7 @@ from reference import (
     same_row_space,
     systematic_form,
     systematize,
+    vec_product,
 )
 
 
@@ -56,8 +57,8 @@ class TestMatMul:
             a = rand_mat(rng, rng.integers(1, 8), rng.integers(1, 8))
             b = rand_mat(rng, a.shape[1], rng.integers(1, 8))
             assert np.array_equal(gf2.mat_mul(a, b), naive_mat_mul(a, b))
-            # A 1-D right operand gives the matrix-vector product.
-            assert np.array_equal(gf2.mat_mul(a, b[:, 0]), naive_mat_mul(a, b[:, :1])[:, 0])
+            # The tests' matrix-vector reference agrees with the loops.
+            assert np.array_equal(vec_product(a, b[:, 0]), naive_mat_mul(a, b[:, :1])[:, 0])
 
     def test_associative(self):
         rng = np.random.default_rng(3)
@@ -79,12 +80,15 @@ class TestMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
+        # A vector is no right operand: tests take H e from vec_product.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
     def test_paths_agree_on_binary_operands(self):
         """Each product path at its threshold gives a @ b for binary
         operands: BLAS for a b of _TABLE_MIN - 1 columns, a table built
         for the call from _TABLE_MIN columns on, a table passed in or
-        standing in for b, a one-row gather and a 1-D b.  A zero row and
+        standing in for b, and a one-row gather.  A zero row and
         an all-ones row are among a's rows.  An inner dimension of 0, a
         table with no rows, gives zeros."""
         rng = np.random.default_rng(12)
@@ -101,8 +105,6 @@ class TestMatMul:
             assert np.array_equal(gf2.mat_mul(a, table), expected)
             for i in (0, 1, gf2._TABLE_MIN - 1):
                 assert np.array_equal(gf2.mat_mul(a[i : i + 1], table), expected[i : i + 1])
-            for j in (0, 5, b.shape[1] - 1):
-                assert np.array_equal(gf2.mat_mul(a, b[:, j]), expected[:, j])
 
     @pytest.mark.parametrize(
         "rows, cols", [(256, 256), (300, 700), (255, 700), (700, 255), (1, 1024), (2, 300)]
@@ -293,7 +295,7 @@ class TestColumnTable:
                 got = column_product(table, form)
                 assert got.shape == (rows,) and got.dtype == np.uint8
                 assert np.array_equal(got, expected)
-                assert np.array_equal(gf2.mat_mul(a, form), expected)
+                assert np.array_equal(vec_product(a, form), expected)
 
     @pytest.mark.parametrize("rows,cols", [(11, 9), (386, 130)])
     def test_least_significant_bit_rule(self, rows, cols):
@@ -305,7 +307,7 @@ class TestColumnTable:
         for values in ((2,), (3,), (255,), (0, 1, 2, 3, 255)):
             v = rng.choice(np.array(values, dtype=np.uint8), size=cols)
             got = column_product(table, v)
-            assert np.array_equal(got, gf2.mat_mul(a, v))
+            assert np.array_equal(got, vec_product(a, v))
             assert np.array_equal(got, naive_mat_mul(a, (v & 1)[:, None])[:, 0])
 
     def test_large_matrix(self):
@@ -314,7 +316,7 @@ class TestColumnTable:
         table = column_table(a)
         for _ in range(5):
             v = rand_mat(rng, 1, 520)[0]
-            assert np.array_equal(column_product(table, v), gf2.mat_mul(a, v))
+            assert np.array_equal(column_product(table, v), vec_product(a, v))
 
     def test_transposed_view(self):
         # A non-contiguous a: the table is that of its contiguous copy.

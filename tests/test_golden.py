@@ -27,13 +27,13 @@ MESSAGES = [b"golden message %d" % j for j in range(5)]
 CALIB_SAMPLES = 3000  # three calibration chunks, the last one partial
 
 # (m, r, w, N, key seed) -> SHA-256 of: public key, private key (file
-# version 3, which stores the inverse factors of S), the five signature
-# files, the plain-code CSV and the modified-code CSV; and the five
-# signing counters.
+# version 4, which stores the inverse factors of S and the punctured
+# points), the five signature files, the plain-code CSV and the
+# modified-code CSV; and the five signing counters.
 GOLDEN = {
     (4, 1, 3, 2000, 11): {
         "public": "758b99219582ade06549fe1672eecf5ca1fef9131323eb13e7a787b4954ee7c9",
-        "private": "495e77a04b7781b3f1cd2135602ea98e6b57aa1ba7a74a687b91ff4b6aa18e14",
+        "private": "29e25448f3c3d1853f7e29c56630eec134c366fc962090d4fb44c8f222e0ecd4",
         "sig0": "2c47482552d3c100f839aa658cb132d68524d4fcd9f4b4f98a6bd4aac69b37af",
         "sig1": "eeebe1d8fc07671ac17b8b49e2b9161f8ba7358bf469962b5532736c58fd7b53",
         "sig2": "44f51b43e7fa7f92ac7aafb7befae5175551b35ce7fbd420423285efec29ecbb",
@@ -45,7 +45,7 @@ GOLDEN = {
     },
     (6, 3, 3, 4000, 13): {
         "public": "5bc90393509e03e23578790f1b4e3d61525030fa1746e5f46725b7c177b4c60a",
-        "private": "96b4e24562275bda108c676e6fcdccf8197025ad3eacd0d9de3bbaa46f05af3c",
+        "private": "fec8dc5977051928e14581b8011cd2cd971841af41460a5612a3cf5693b17f9a",
         "sig0": "e2bada91308d9f6cf4b5fc07e7d844ae0ba1943e84bbb4a8257846f14a0cd563",
         "sig1": "611f64b353d6df1911101b57c18c7b1a21ff0c9124faea657a0e0276390dfb50",
         "sig2": "1635372eb0bf35b3b8cb975c96686b23904ba293acc9ac1773be3162fe938f44",
@@ -57,7 +57,7 @@ GOLDEN = {
     },
     (10, 5, 99, 30000, 23): {
         "public": "77676b8d83aa870fe41bdd65b6063cb7aacdef8ea3716e1e91ca9261c967017f",
-        "private": "5e127e0b92affc4706305f8135289c189e7dba2982fbf1bd343bfab25d3175ac",
+        "private": "a5fd6f0b51e1d7b682ad1bf1583aac21771f1782bbf1ebfd492bbb5976fb035d",
         "sig0": "4c2deda70ed1734e341659dfec4e412db66f71e08e19925efb267d7deaf84a00",
         "sig1": "7d044d59a06d961b3b88aef9260c05ff453f6b165bb2f132e418807b38e5987c",
         "sig2": "859e95d51f00360ce7a2cd7696405d67d2dfa30baac7f6d0d96907fc00212cef",
@@ -94,11 +94,11 @@ PLANS = {
 # SHA-256 of the public and private key files of the benchmark's
 # largest key: m = 12, r = 6, w = 530, N = 30000, key seed 1.  Building
 # it moves the information set of the largest code, and loading the
-# private key rebuilds it from the stored column order.
+# private key moves it again, off the stored punctured points.
 LARGEST = (12, 6, 530, 30000, 1)
 LARGEST_KEYS = {
     "public": "a76dfd67cc8b90eb236b5dc58bb3adc4a3f98c16387137411a494842dd055327",
-    "private": "02b095612367b5c7ff4f9059c0dac9e73241cbde3199164e096e42b4f6e190cb",
+    "private": "ce0196e036d7948301731a46292c92c3ae8cead297cb4fbdfd16fa52766bb80b",
 }
 
 
