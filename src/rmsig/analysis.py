@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, log2, prod
 from typing import Union
 
 import numpy as np
@@ -161,14 +161,6 @@ def choose_params(dist: WeightDistribution, target_success: float, candidates):
     )
 
 
-def _exact_log2(numer: int, denom_bits: int) -> float:
-    # log2 of numer / 2^denom_bits without ever forming a float overflow.
-    bits = numer.bit_length()
-    top = numer >> max(bits - 64, 0) if bits > 64 else numer
-    frac = np.log2(float(top)) + max(bits - 64, 0)
-    return float(frac - denom_bits)
-
-
 def forgery_probability(n: int, k: int, w: int) -> SecurityEstimate:
     """Exact probability that a uniform syndrome has weight <= w."""
     n_k = n - k
@@ -180,7 +172,7 @@ def forgery_probability(n: int, k: int, w: int) -> SecurityEstimate:
         k=k,
         w=w,
         prob=Fraction(total, 1 << n_k),
-        log2_prob=_exact_log2(total, n_k),
+        log2_prob=log2(total) - n_k,
     )
 
 

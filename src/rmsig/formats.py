@@ -202,10 +202,10 @@ def load_private_key(raw: bytes) -> PrivateKey:
     # closed-form code, are the plan keygen aligned.
     code = build(m, r)
     try:
-        aligned, deleted = align_information_set(code, np.argsort(code.info_perm)[points])
+        aligned = align_information_set(code, np.argsort(code.info_perm)[points])
     except gf2.RankError:
         raise FormatError("the punctured points leave no information set") from None
-    mod = assemble_modified(aligned, deleted, r_block)
+    mod = assemble_modified(aligned, r_block)
     del code, aligned  # H_m is all the key keeps of them
     if _digest(rd.buf[:-32], mod) != stored_digest:
         raise FormatError("private key digest mismatch")

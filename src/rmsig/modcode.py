@@ -12,10 +12,11 @@ parity part, the modified parity check is
           [ R               I_p ]
 
 where P' is P minus the deleted columns and R is a uniform random p x
-(n-p) block.  The alignment is kept as a column order and the few
-reduced rows that move (Alignment), and P'^T is written from the
-P^T bits of the parent's packed parity check and those rows, so neither
-keygen nor a key load forms the generator of the aligned order.
+(n-p) block.  The alignment is kept as a column order, the few reduced
+rows that move and the deletion set in that order (Alignment), one value
+from which H_m is assembled.  P'^T is written from the P^T bits of the
+parent's packed parity check and those rows, so neither keygen nor a key
+load forms the generator of the aligned order.
 Signing and verification need only H_m, so a ModifiedCode is the
 rmcode.CheckMatrix of H_m's packed rows, the private key file's own
 layout, plus the deletion set and, of the parent, only the column order
@@ -44,21 +45,24 @@ class PuncturePlan(NamedTuple):
 
 
 class Alignment(NamedTuple):
-    """A parent code's information set moved off some columns, written
-    as the new column order and the q moved rows, not as a generator.
+    """A parent code's information set moved off a deletion set, written
+    as the new column order, the q moved rows and the deletion set in
+    the new order, not as a generator.
 
     Column j of the aligned code is column order[j] of the parent: the
     kept information columns, the q entering ones, the q leaving ones
     and the other parity columns, each ascending.  Row j of moved is the
     parent's generator row of the j-th leaving column (RmCode.rows),
     reduced to the identity on the entering columns, in the parent's
-    column order.
-    q = 0 leaves the parent's order.
+    column order.  q = 0 leaves the parent's order.  Every leaving column
+    is deleted and no entering one is, so deleted, sorted and read-only,
+    lies in the parity part and starts with k, k+1, ..., k+q-1.
     """
 
     code: RmCode
     order: np.ndarray
     moved: np.ndarray  # q x n
+    deleted: np.ndarray  # p positions of the new order, sorted, all >= k
 
     @property
     def info_perm(self) -> np.ndarray:
@@ -138,7 +142,7 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     return PuncturePlan(x=x, y=y, p=p, deleted=deleted)
 
 
-def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]:
+def align_information_set(code: RmCode, deleted) -> Alignment:
     """Move the information set so every deleted column lands in the parity part.
 
     Keeps the current column order wherever possible: the deleted
@@ -147,9 +151,8 @@ def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]
     so a deletion set already inside the parity part leaves the order
     unchanged.  One q x n Gauss-Jordan elimination of the q leaving rows
     finds the entering columns and makes those rows the identity on
-    them; no generator is written for the new order (see Alignment).
-    Returns the alignment and the deletion set re-expressed in its
-    column order.
+    them; no generator is written for the new order (see Alignment),
+    which carries the deletion set in that order.
 
     Raises:
         gf2.RankError: if the non-deleted columns hold no information set.
@@ -160,7 +163,8 @@ def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]
     allowed[deleted] = False
     leaving = np.flatnonzero(~allowed[:k])
     if leaving.size == 0:
-        return Alignment(code, np.arange(n), np.zeros((0, n), dtype=np.uint8)), deleted
+        deleted.flags.writeable = False
+        return Alignment(code, np.arange(n), np.zeros((0, n), dtype=np.uint8), deleted)
     allowed[:k] = False
     candidates = np.flatnonzero(allowed)
     # The candidates first, so the pivots pick the first independent ones.
@@ -182,16 +186,17 @@ def align_information_set(code: RmCode, deleted) -> tuple[Alignment, np.ndarray]
     # Positions of the old columns inside the new order.
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.arange(n)
-    return Alignment(code, order, moved), np.sort(inv[deleted])
+    deleted = np.sort(inv[deleted])
+    deleted.flags.writeable = False
+    return Alignment(code, order, moved, deleted)
 
 
 _UNPACK_BLOCK_BYTES = 1 << 16
 """Largest slab of H_m's top rows that assemble_modified unpacks at once."""
 
 
-def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> ModifiedCode:
-    """Assemble H_m from an alignment, its deletion set and the p x (n-p)
-    block R.
+def assemble_modified(aligned: Alignment, r_block: np.ndarray) -> ModifiedCode:
+    """Assemble H_m from an alignment and the p x (n-p) block R.
 
     H_m is [P'^T 0; R] plus an identity on its last n-k columns.  The
     row of P'^T for a kept parity column x is column x of the aligned
@@ -200,20 +205,15 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     column), read at G's kept information rows, followed by the moved
     rows' bits at x.  So the rows are gathered from the first k bits of
     the parent's packed rows [P^T | I] (RmCode), take one packed XOR per
-    moved row, and are
-    unpacked a slab at a time, the leaving rows' bits dropped and the
-    moved rows' bits placed, and packed into H_m's rows; R is packed
-    whole, and the identity is set on the packed rows.
+    moved row, and are unpacked a slab at a time, the leaving rows' bits
+    dropped and the moved rows' bits placed, and packed into H_m's rows;
+    R is packed whole, and the identity is set on the packed rows.  The
+    kept parity columns are those the alignment's deletion set leaves.
     """
-    code, order, moved = aligned
-    deleted = np.asarray(sorted(deleted), dtype=np.int64)
+    code, order, moved, deleted = aligned
     n, k = code.n, code.k
     p, q = deleted.size, moved.shape[0]
-    if p and deleted.min() < k:
-        raise ValueError("deletion set must lie in the parity part; align first")
     kept = order[np.delete(np.arange(k, n), deleted - k)]
-    if (kept < k).any():
-        raise ValueError("the deletion set does not hold every column the alignment moved")
 
     info_bytes = (k + 7) // 8
     rows = code.packed_H[kept - k, :info_bytes]
@@ -234,14 +234,13 @@ def assemble_modified(aligned: Alignment, deleted, r_block: np.ndarray) -> Modif
     diag = np.arange(k, n)
     packed_h[diag - k, diag >> 3] |= (128 >> (diag & 7)).astype(np.uint8)
 
-    for arr in (deleted, packed_h):
-        arr.flags.writeable = False
+    packed_h.flags.writeable = False
     return ModifiedCode(
         m=code.m, r=code.r, packed_H=packed_h, info_perm=aligned.info_perm, deleted=deleted
     )
 
 
-def build_modified(aligned: Alignment, deleted, rng: np.random.Generator) -> ModifiedCode:
+def build_modified(aligned: Alignment, rng: np.random.Generator) -> ModifiedCode:
     """Draw a uniform R and assemble the modified pair for an alignment."""
-    p = len(deleted)
-    return assemble_modified(aligned, deleted, gf2.random_bits((p, aligned.code.n - p), rng))
+    p = aligned.deleted.size
+    return assemble_modified(aligned, gf2.random_bits((p, aligned.code.n - p), rng))

@@ -71,8 +71,9 @@ class CheckMatrix:
     """A parity check H, (n-k) x n, of a code of length n = 2**m and
     order r, held only as its packed rows in gf2.pack_rows' layout, with
     zero pad bits: a code's H, a modified code's H_m or a public key's
-    H'.  H is unpacked from them on every read, for the benchmark's
-    oracle and tests, so no holder keeps it; no program path reads it.
+    H'.  H is unpacked from them on every read, so no holder keeps it;
+    the naive forgery attack (analysis), the benchmark's oracle and
+    tests read it, and no signing, verifying or key path does.
     The gf2.ProductTable of H^T, by which decoded errors are checked
     (decoder.check_leaders) and signatures verified (scheme.verify), is
     cached on first use.  Equality is identity.

@@ -175,14 +175,14 @@ def keygen(
     for _ in range(KEYGEN_PLAN_RETRIES):
         plan = puncture_plan(code, rng)
         try:
-            aligned, deleted = align_information_set(code, plan.deleted)
+            aligned = align_information_set(code, plan.deleted)
         except gf2.RankError as err:  # re-sample the plan
             last_err = err
             continue
         break
     else:
         raise gf2.RankError(f"no alignable puncture plan found: {last_err}")
-    mod = build_modified(aligned, deleted, rng)
+    mod = build_modified(aligned, rng)
     del code, aligned  # H_m is all keygen needs of the codes
 
     n, k = mod.n, mod.k

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from test_acceptance import SECURITY_TABLE
+
 CLI = [sys.executable, "-m", "rmsig"]
 
 
@@ -146,13 +148,23 @@ class TestSignVerifyCommands:
         assert out.returncode == 1
 
 
+# What `rmsig estimate` prints for each security table row.
+ESTIMATES = {
+    (1024, 386, 192): "-79.061741",
+    (1024, 638, 98): "-74.322263",
+    (2048, 1024, 306): "-127.432409",
+    (4096, 1586, 855): "-192.027670",
+    (4096, 2510, 458): "-215.473663",
+}
+
+
 class TestAnalysisCommands:
-    def test_estimate_matches_table_row(self):
-        out = run_cli("estimate", "--n", 1024, "--k", 386, "--w", 192)
+    @pytest.mark.parametrize("n,k,w,bound_bits", SECURITY_TABLE)
+    def test_estimate_matches_table_row(self, n, k, w, bound_bits):
+        out = run_cli("estimate", "--n", n, "--k", k, "--w", w)
         assert out.returncode == 0
-        lines = out.stdout.strip().split("\n")
-        assert lines[0] == "log2_prob"
-        assert float(lines[1]) <= -74
+        assert out.stdout == f"log2_prob\n{ESTIMATES[n, k, w]}\n"
+        assert float(ESTIMATES[n, k, w]) <= -bound_bits
 
     def test_calibrate_exhaustive_rm31(self, tmp_path):
         csv = tmp_path / "hist.csv"

@@ -511,8 +511,8 @@ def modified_rm41_with_p4():
         rng = np.random.default_rng(seed)
         plan = modcode.puncture_plan(code, rng)
         if plan.p == 4:
-            aligned, deleted = modcode.align_information_set(code, plan.deleted)
-            return modcode.build_modified(aligned, deleted, rng)
+            aligned = modcode.align_information_set(code, plan.deleted)
+            return modcode.build_modified(aligned, rng)
     raise AssertionError("no seed produced p=4")
 
 
@@ -525,7 +525,7 @@ class TestPuncturedSyndromeDecode:
 
     def test_degenerate_no_puncture_matches_plain(self, rm41):
         unaligned = modcode.align_information_set(rm41, [])
-        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
+        mod = modcode.build_modified(unaligned, np.random.default_rng(0))
         rng = np.random.default_rng(31)
         for _ in range(30):
             s = rng.integers(0, 2, size=rm41.n - rm41.k, dtype=np.uint8)
@@ -586,7 +586,7 @@ class TestCheckLeaders:
     def _key(key):
         if key == "rm41_p0":
             unaligned = modcode.align_information_set(rmcode.build(4, 1), [])
-            return modcode.build_modified(*unaligned, np.random.default_rng(0))
+            return modcode.build_modified(unaligned, np.random.default_rng(0))
         if key == "rm41_p4":
             return modified_rm41_with_p4()
         return _modified(6, 3, 2 if key == "rm63_p1" else 13)

@@ -614,9 +614,10 @@ class TestColumnOrder:
         raw = formats.save_private_key(priv)
         plan = modcode.puncture_plan(rmcode.build(m, r), np.random.default_rng(seed))
         rref_shapes.clear()
-        aligned, _ = modcode.align_information_set(rmcode.build(m, r), plan.deleted)
+        aligned = modcode.align_information_set(rmcode.build(m, r), plan.deleted)
         expected = list(rref_shapes)
         assert expected and np.array_equal(aligned.info_perm, priv.mod.info_perm)
+        assert np.array_equal(aligned.deleted, priv.mod.deleted)
         rref_shapes.clear()
         loaded = formats.load_private_key(raw)
         assert rref_shapes == expected

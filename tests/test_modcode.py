@@ -116,12 +116,18 @@ def assemble_both(code, deleted, seed=0):
         with pytest.raises(gf2.RankError):
             modcode.align_information_set(code, deleted)
         raise
-    aligned, new_deleted = modcode.align_information_set(code, deleted)
-    assert np.array_equal(new_deleted, expected)
+    aligned = modcode.align_information_set(code, deleted)
+    assert np.array_equal(aligned.deleted, expected)
     assert np.array_equal(aligned.info_perm, perm)
-    p = new_deleted.size
+    # The deletion set lies in the parity part, strictly increasing, and
+    # starts with the q leaving columns, which the alignment put at k.
+    q, p = aligned.moved.shape[0], aligned.deleted.size
+    assert (np.diff(aligned.deleted) > 0).all()
+    assert ((code.k <= aligned.deleted) & (aligned.deleted < code.n)).all()
+    assert np.array_equal(aligned.deleted[:q], np.arange(code.k, code.k + q))
+    assert not aligned.deleted.flags.writeable
     r_block = np.random.default_rng(seed).integers(0, 2, size=(p, code.n - p), dtype=np.uint8)
-    mod = modcode.assemble_modified(aligned, new_deleted, r_block)
+    mod = modcode.assemble_modified(aligned, r_block)
     assert np.array_equal(mod.info_perm, perm)
     assert np.array_equal(mod.H, modified_check(g, expected, r_block))
     return mod
@@ -140,11 +146,11 @@ def assert_parent_words_satisfy(mod):
 class TestAlignInformationSet:
     def test_already_parity_is_unchanged(self, rm31):
         deleted = [rm31.k, rm31.k + 2]
-        aligned, new_deleted = modcode.align_information_set(rm31, deleted)
+        aligned = modcode.align_information_set(rm31, deleted)
         assert aligned.code is rm31
         assert np.array_equal(aligned.order, np.arange(rm31.n))
         assert aligned.moved.shape == (0, rm31.n)
-        assert np.array_equal(new_deleted, deleted)
+        assert np.array_equal(aligned.deleted, deleted)
         assert np.array_equal(assemble_both(rm31, deleted).info_perm, rm31.info_perm)
 
     def test_info_column_moves_row_space_preserved(self, rm31):
@@ -163,7 +169,7 @@ class TestAlignInformationSet:
     def test_moving_columns_reduces_only_leaving_rows(self, rref_shapes):
         code = rmcode.build(8, 4)
         deleted = [0, 5, code.k + 3]
-        aligned, _ = modcode.align_information_set(code, deleted)
+        aligned = modcode.align_information_set(code, deleted)
         assert not np.array_equal(aligned.info_perm, code.info_perm)
         assert rref_shapes == [(2, code.n)]
 
@@ -202,7 +208,7 @@ class TestAlignInformationSet:
 class TestBuildModified:
     def test_degenerate_p0(self, rm41):
         unaligned = modcode.align_information_set(rm41, [])
-        mod = modcode.build_modified(*unaligned, np.random.default_rng(0))
+        mod = modcode.build_modified(unaligned, np.random.default_rng(0))
         assert mod.p == 0
         assert np.array_equal(mod.H, rm41.H)
         assert np.array_equal(modified_generator(mod), generator(rm41))
@@ -211,8 +217,8 @@ class TestBuildModified:
         code = rmcode.build(4, 1)
         rng = np.random.default_rng(1)
         plan = modcode.puncture_plan(code, rng)
-        aligned, deleted = modcode.align_information_set(code, plan.deleted)
-        mod = modcode.build_modified(aligned, deleted, rng)
+        aligned = modcode.align_information_set(code, plan.deleted)
+        mod = modcode.build_modified(aligned, rng)
         n, k, p = mod.n, mod.k, mod.p
         assert mod.H.shape == (n - k, n)
         assert modified_generator(mod).shape == (k, n)
@@ -238,10 +244,10 @@ class TestBuildModified:
             rng = np.random.default_rng(seed)
             plan = modcode.puncture_plan(code, rng)
             try:
-                aligned, deleted = modcode.align_information_set(code, plan.deleted)
+                aligned = modcode.align_information_set(code, plan.deleted)
             except gf2.RankError:
                 continue
-            mod = modcode.build_modified(aligned, deleted, rng)
+            mod = modcode.build_modified(aligned, rng)
             built += 1
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # The parent's generator without the deleted columns is orthogonal
@@ -251,24 +257,13 @@ class TestBuildModified:
             assert not gf2.mat_mul(g_p, punctured_check(mod).T).any()
         assert built >= 4
 
-    def test_unaligned_deletions_rejected(self, rm31):
-        unaligned, _ = modcode.align_information_set(rm31, [])
-        with pytest.raises(ValueError):
-            modcode.build_modified(unaligned, [0], np.random.default_rng(0))
-        # An alignment that moved column 0 out, to position k, needs it in
-        # the deletion set.
-        aligned, deleted = modcode.align_information_set(rm31, [0, rm31.k])
-        assert deleted[0] == rm31.k
-        with pytest.raises(ValueError, match="moved"):
-            modcode.build_modified(aligned, deleted[1:], np.random.default_rng(0))
-
     def test_punctured_row_space(self, rm41):
         # Rows of the punctured generator are parent codewords with the
         # deleted columns dropped.
         rng = np.random.default_rng(3)
         plan = modcode.puncture_plan(rm41, rng)
-        aligned, deleted = modcode.align_information_set(rm41, plan.deleted)
-        mod = modcode.build_modified(aligned, deleted, rng)
+        aligned = modcode.align_information_set(rm41, plan.deleted)
+        mod = modcode.build_modified(aligned, rng)
         keep = np.setdiff1d(np.arange(mod.n), mod.deleted)
         g = eliminated_with_perm(mod.m, mod.r, mod.info_perm)
         parent = {tuple(c[keep]) for c in enumerate_codewords(g)}
