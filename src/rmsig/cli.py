@@ -21,10 +21,6 @@ EXIT_USAGE = 2
 DEFAULT_ATTACK_MESSAGE = b"rmsig naive forgery target"
 
 
-def _rng(seed: int | None) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -33,7 +29,7 @@ def _read(path: str) -> bytes:
 def cmd_keygen(args: argparse.Namespace) -> int:
     _n, _k, t = rmcode.code_dims(args.m, args.r)
     params = scheme.SigningParams(w=args.w, N=args.n_trials, t=t)
-    kp = scheme.keygen(args.m, args.r, params, _rng(args.seed))
+    kp = scheme.keygen(args.m, args.r, params, np.random.default_rng(args.seed))
     pub_path, sec_path = formats.save_keypair(kp, args.out_prefix)
     print(f"wrote {pub_path} and {sec_path}")
     return EXIT_OK
@@ -78,9 +74,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         code = rmcode.build(args.m, args.r)
     if args.samples == "exhaustive":
-        dist = analysis.calibrate(code, 0, _rng(args.seed), exhaustive=True)
+        dist = analysis.calibrate(code, 0, np.random.default_rng(args.seed), exhaustive=True)
     else:
-        dist = analysis.calibrate(code, int(args.samples), _rng(args.seed))
+        dist = analysis.calibrate(code, int(args.samples), np.random.default_rng(args.seed))
     csv = dist.to_csv()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -100,7 +96,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     pub = formats.load_public_key(_read(args.pubkey))
     message = _read(args.message_file) if args.message_file else DEFAULT_ATTACK_MESSAGE
-    rate = analysis.naive_forgery_attack(pub, message, args.trials, _rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    rate = analysis.naive_forgery_attack(pub, message, args.trials, rng)
     successes = round(rate * args.trials)
     print("successes,trials,rate")
     print(f"{successes},{args.trials},{rate:.6f}")

@@ -113,6 +113,9 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
     x, not a uniform draw among its points (a known deviation; see the
     README).  Systematic order puts the information points first, so
     that y is an information column whenever supp(x) holds one.
+
+    p ranges over [wt(y), 2 wt(y)] as in the paper, so for r = 1 or m-1
+    the plan may delete all of supp(x), which has no alignment.
     """
     m, r = code.m, code.r
     if not 1 <= r < m:
@@ -155,22 +158,21 @@ def align_information_set(code: RmCode, deleted) -> Alignment:
     which carries the deletion set in that order.
 
     Raises:
-        gf2.RankError: if the non-deleted columns hold no information set.
+        gf2.RankError: if the non-deleted columns hold no information set,
+            which only a loaded or hand-made deletion set can cause: keygen
+            passes only plans of p < d columns, which always align.
     """
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k
     allowed = np.ones(n, dtype=bool)
     allowed[deleted] = False
     leaving = np.flatnonzero(~allowed[:k])
-    if leaving.size == 0:
-        deleted.flags.writeable = False
-        return Alignment(code, np.arange(n), np.zeros((0, n), dtype=np.uint8), deleted)
     allowed[:k] = False
     candidates = np.flatnonzero(allowed)
     # The candidates first, so the pivots pick the first independent ones.
     cols = np.concatenate([candidates, np.flatnonzero(~allowed)])
     red, pivots = gf2.rref(np.take(code.rows(leaving), cols, axis=1))
-    if pivots[-1] >= candidates.size:
+    if pivots and pivots[-1] >= candidates.size:
         raise gf2.RankError(
             f"the candidate columns do not complete an information set of size k={k}"
         )

@@ -224,12 +224,10 @@ def min_weight_codeword(code: RmCode, rng: np.random.Generator) -> np.ndarray:
     """Random codeword of weight exactly d = 2**(m-r).
 
     Sampled constructively as the indicator of a random (m-r)-flat: the
-    product of r independent affine linear forms.  Returned in the
-    code's systematic column order.
+    product of r independent affine linear forms (none at r = 0, the
+    all-ones word).  Returned in the code's systematic column order.
     """
     m, r = code.m, code.r
-    if r == 0:
-        return np.ones(code.n, dtype=np.uint8)
     while True:
         forms = gf2.random_bits((r, m), rng)
         if len(gf2.rref(forms)[1]) == r:

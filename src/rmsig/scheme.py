@@ -38,7 +38,6 @@ from .modcode import ModifiedCode, align_information_set, build_modified, punctu
 from .rmcode import CheckMatrix, build
 
 _INNER_DIGEST_BYTES = 32
-KEYGEN_PLAN_RETRIES = 32
 _U32_MAX = (1 << 32) - 1  # w and N are u32 fields of a key file (formats)
 # bytes.translate tables, cheaper than a numpy op: _PAD_CLEARED[z] clears a byte's z low bits.
 _PAD_CLEARED = [bytes(b & -(1 << z) for b in range(256)) for z in range(8)]
@@ -167,23 +166,22 @@ def _syndrome_from_digest(inner: bytes, first: int, count: int, out_bits: int) -
 def keygen(
     m: int, r: int, params: SigningParams, rng: np.random.Generator
 ) -> KeyPair:
-    """Generate a key pair for RM(r, m), deterministic per rng state."""
+    """Generate a key pair for RM(r, m), deterministic per rng state.
+
+    It redraws only a plan that deletes all of supp(x), which occurs for
+    r = 1 at p = 2 wt(y) and for r = m-1 at p = 2; every other plan
+    aligns, so no plan makes keygen fail.
+    """
     code = build(m, r)
     if params.t != code.t:
         raise ValueError(f"params.t={params.t} != code correctability {code.t}")
-    last_err: Exception | None = None
-    for _ in range(KEYGEN_PLAN_RETRIES):
+    plan = puncture_plan(code, rng)
+    # Only a deletion set holding a nonzero codeword, of weight >= d, leaves
+    # no information set; p <= d, so only p = d, all of supp(x), does.
+    while plan.p == code.d:
         plan = puncture_plan(code, rng)
-        try:
-            aligned = align_information_set(code, plan.deleted)
-        except gf2.RankError as err:  # re-sample the plan
-            last_err = err
-            continue
-        break
-    else:
-        raise gf2.RankError(f"no alignable puncture plan found: {last_err}")
-    mod = build_modified(aligned, rng)
-    del code, aligned  # H_m is all keygen needs of the codes
+    mod = build_modified(align_information_set(code, plan.deleted), rng)
+    del code  # H_m is all keygen needs of the code
 
     n, k = mod.n, mod.k
     lower, upper = gf2.random_unit_triangular(n - k, rng)

@@ -200,6 +200,31 @@ class TestAlignInformationSet:
         assert mod.n - mod.k - mod.p == 0
         assert_parent_words_satisfy(mod)
 
+    def test_only_whole_support_plans_fail_to_align(self):
+        """A plan's deleted columns hold a nonzero codeword, and so leave
+        no information set, exactly when p = d: a codeword has weight >= d
+        and p <= d, so the deletion set is then all of supp(x), which
+        happens only for r = 1 or m-1.  Over 8 seeds x 4 plans of every
+        code, such plans occur on RM(1, m) for m <= 7 and on RM(m-1, m)."""
+        whole_support = set()
+        for m in range(2, 11):
+            for r in range(1, m):
+                code = rmcode.build(m, r)
+                for seed in range(8):
+                    rng = np.random.default_rng(seed)
+                    for _ in range(4):
+                        plan = modcode.puncture_plan(code, rng)
+                        if plan.p < code.d:
+                            modcode.align_information_set(code, plan.deleted)
+                            continue
+                        with pytest.raises(gf2.RankError):
+                            modcode.align_information_set(code, plan.deleted)
+                        assert np.array_equal(plan.deleted, np.flatnonzero(plan.x))
+                        assert r in (1, m - 1)
+                        whole_support.add((m, r))
+        expected = {(m, 1) for m in range(2, 8)} | {(m, m - 1) for m in range(2, 11)}
+        assert whole_support == expected
+
     def test_too_many_deletions(self, rm31):
         with pytest.raises(gf2.RankError):
             modcode.align_information_set(rm31, range(5))
@@ -237,17 +262,14 @@ class TestBuildModified:
 
     @pytest.mark.parametrize("m,r", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)])
     def test_orthogonality_every_seed(self, m, r):
-        # Tiny codes can produce unalignable plans; resample like keygen does.
         code = rmcode.build(m, r)
         built = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
             plan = modcode.puncture_plan(code, rng)
-            try:
-                aligned = modcode.align_information_set(code, plan.deleted)
-            except gf2.RankError:
+            if plan.p == code.d:
                 continue
-            mod = modcode.build_modified(aligned, rng)
+            mod = modcode.build_modified(modcode.align_information_set(code, plan.deleted), rng)
             built += 1
             assert not gf2.mat_mul(modified_generator(mod), mod.H.T).any()
             # The parent's generator without the deleted columns is orthogonal

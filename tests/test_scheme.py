@@ -151,36 +151,78 @@ class TestKeygen:
         with pytest.raises(ValueError):
             scheme.keygen(4, 1, scheme.SigningParams(w=8, N=50, t=2), np.random.default_rng(0))
 
-    # SHA-256 of the public and private key files of RM(1,4) keys (w = 3,
-    # N = 100) whose first puncture plans have no information set off
-    # their deleted columns: one plan at key seed 4, three at seed 22.
+    # SHA-256 of the public and private key files (w = max(t, 2), N = 100)
+    # of keys (m, r, seed) whose first `redraws` puncture plans delete all
+    # of supp(x), recorded while keygen still caught the RankError of such
+    # plans.
     RESAMPLED = {
-        4: (
+        (4, 1, 4, 1): (
             "2a380bc5daf862d935758523628afea250b02107293a98cc9edf3f60fa7aa39c",
             "ee41e07bcd59d8ee5b62b2c4854da0d4fe2b37518d68feae5c392160da4f4f38",
         ),
-        22: (
+        (4, 1, 22, 3): (
             "81f6cb2e153c2640308bdd8971ba4f18467cde554382ab36307cdfe4b30dcc01",
             "9028959ee282d5ed21e00f57e767e8c92f28bb0575985d008c83ccfd08ad7c0a",
         ),
+        (4, 3, 10, 7): (
+            "d71afcc249e35ebb35c4aba259f6a33defec80e774502774732a01b1c5ee003e",
+            "fc10a76561a08b3fc840c8223cbbf665c947a0ac025af2723d7dbbda2eaa22cb",
+        ),
+        (4, 3, 27, 10): (
+            "017ac07872180b8abb2a18b3ec76b78aff40ad033abba2be20581e39f69ab397",
+            "c80f4d62507fa9c3871f0a7eff29c2e51c77bcae903b688f55ac979b76a14828",
+        ),
+        (5, 4, 8, 5): (
+            "e64e3b828a1e302fa5c88694c7e8a94861eebfb7dfb0b6af4d94322783de5067",
+            "a8eb8bd55b8289c123c6b5cdc79b6adc3324628089d043001ed2688cc88c4c6b",
+        ),
     }
 
-    @pytest.mark.parametrize("seed,failures", [(4, 1), (22, 3)])
-    def test_resampled_plan_gives_the_same_key(self, seed, failures):
-        """Keygen draws a new plan after a RankError and draws R only once
-        a plan aligns, so the key files keep their recorded bytes."""
-        code = rmcode.build(4, 1)
+    @pytest.mark.parametrize("m,r,seed,redraws", list(RESAMPLED))
+    def test_resampled_plan_gives_the_same_key(self, m, r, seed, redraws):
+        """Keygen redraws each plan with p = d, which alone has no
+        alignment, and draws R only after the first plan with p < d, so
+        the key files keep their recorded bytes."""
+        code = rmcode.build(m, r)
         rng = np.random.default_rng(seed)
-        for _ in range(failures):
+        for _ in range(redraws):
+            plan = modcode.puncture_plan(code, rng)
+            assert plan.p == code.d
             with pytest.raises(gf2.RankError):
-                modcode.align_information_set(code, modcode.puncture_plan(code, rng).deleted)
-        modcode.align_information_set(code, modcode.puncture_plan(code, rng).deleted)
-        kp = scheme.keygen(4, 1, scheme.SigningParams(w=3, N=100, t=3), np.random.default_rng(seed))
+                modcode.align_information_set(code, plan.deleted)
+        plan = modcode.puncture_plan(code, rng)
+        assert plan.p < code.d
+        modcode.align_information_set(code, plan.deleted)
+        params = scheme.SigningParams(w=max(code.t, 2), N=100, t=code.t)
+        kp = scheme.keygen(m, r, params, np.random.default_rng(seed))
         digests = tuple(
             hashlib.sha256(raw).hexdigest()
             for raw in (formats.save_public_key(kp.public), formats.save_private_key(kp.private))
         )
-        assert digests == self.RESAMPLED[seed]
+        assert digests == self.RESAMPLED[m, r, seed, redraws]
+
+    def test_survives_forty_whole_support_plans(self, monkeypatch):
+        """Keygen has no cap on redraws: after 40 plans that delete all of
+        supp(x) it takes the next, and the key is the one its rng gives
+        with no such plan in the way."""
+        code = rmcode.build(4, 3)
+        whole = modcode.puncture_plan(code, np.random.default_rng(4))
+        assert whole.p == code.d
+        calls = []
+
+        def whole_first(code, rng):
+            calls.append(code)
+            if len(calls) <= 40:
+                return whole
+            return modcode.puncture_plan(code, rng)
+
+        params = scheme.SigningParams(w=2, N=100, t=0)
+        expected = scheme.keygen(4, 3, params, np.random.default_rng(5))
+        monkeypatch.setattr(scheme, "puncture_plan", whole_first)
+        kp = scheme.keygen(4, 3, params, np.random.default_rng(5))
+        assert len(calls) == 41
+        assert formats.save_public_key(kp.public) == formats.save_public_key(expected.public)
+        assert formats.save_private_key(kp.private) == formats.save_private_key(expected.private)
 
     @pytest.mark.parametrize("m,r", [(3, 1), (4, 2), (5, 2), (6, 3), (8, 4), (10, 5), (10, 4)])
     def test_small_keygens_consistent(self, m, r):
