@@ -72,15 +72,8 @@ def _code_id(code: Union[RmCode, ModifiedCode]) -> str:
 
 def _random_bytes(seed, shape) -> np.ndarray:
     """default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8),
-    drawn as PCG64's raw 64-bit words read little-endian.
-
-    numpy fills a full-range uint8 draw from the 32-bit halves of each
-    64-bit word, low half first, so the bytes are the same, and reading
-    the words whole skips that split (CHANGES.md, PR 25, has the timings).
-    """
-    size = prod(shape)
-    words = np.random.default_rng(seed).bit_generator.random_raw(-(-size // 8))
-    return words.astype("<u8", copy=False).view(np.uint8)[:size].reshape(shape)
+    drawn from PCG64's raw words (gf2.random_bytes)."""
+    return gf2.random_bytes(prod(shape), np.random.default_rng(seed)).reshape(shape)
 
 
 def calibrate(

@@ -2,22 +2,26 @@
 
 Vectors are 1-D and matrices 2-D uint8 arrays with entries in {0, 1};
 addition is XOR.  Gaussian elimination (rref) runs on bit-packed rows.
-The one inverse the scheme takes, of a unit lower-triangular matrix
-(keygen's factors L and U^T of the scrambler S), is a block recursion on
-products (invert).  cut_unit_lower cuts every unit triangle.
+Key set-up works on packed rows throughout: random_unit_triangular
+draws the scrambler's factors from the generator's raw words
+(random_bytes) and cuts them with a packed mask (cut_unit_triangles),
+and the one inverse the scheme takes, of a unit lower-triangular matrix
+(keygen's factors L and U^T of the scrambler S), is a block recursion
+whose joins are table products of packed rows (invert).
 
 A matrix b used for many products is held in one table type, a
-ProductTable of b's packed rows, and every product of a table is packed
-rows too.  mat_vec XORs the rows at a vector's support: verify's H'e,
-with b = H'^T.  ProductTable.product multiplies a matrix: a single row
-by mat_vec's gather, and two or more rows through a Four-Russians table
-built from the same rows with the table's first such product.  Keygen
-forms H' = L (U (H_m Q)) by two such products and keeps their packed
-rows.  mat_mul, which takes and returns unpacked matrices, is the one
-place that unpacks a table product: signing's S^-1 product passes it
-b = S^-1 transposed and that matrix's table as table=, and the check of
-decoded errors by H_m^T passes a table standing in place of b.  A
-table is built from packed rows as the keys hold them: pack_rows packs
+ProductTable of b's packed rows.  Its products take and return packed
+rows.  mat_vec XORs the rows at a vector's support: verify's H'e, with
+b = H'^T.  ProductTable.product multiplies the packed rows of a matrix:
+a single row by mat_vec's gather, and two or more rows through a
+Four-Russians table built from the same rows with the table's first
+such product.  Keygen forms U A and H' = L (U H_m Q) by such products,
+invert joins its blocks by them and a key forms S^-1 = U^-1 L^-1 by one.
+mat_mul, which takes and returns unpacked matrices, packs its a and is
+the one place that unpacks a table product: signing's S^-1 product
+passes it b = S^-1 transposed and that matrix's table as table=, and the
+check of decoded errors by H_m^T passes a table standing in place of b.
+A table is built from packed rows as the keys hold them: pack_rows packs
 an unpacked matrix where it lies, by rows or, for a transposed view, by
 columns (_packbits_axis0), with no transposing copy, and pack_columns
 packs the rows of the transpose of a packed matrix from a few of its
@@ -80,21 +84,22 @@ class ProductTable:
     nibble of a's packed byte j, whose high bit selects the group's first
     row, and group 2j + 1 by the low nibble.
 
-    A product packs a where it lies (pack_rows): a is a view of the
-    decoder's (n, rows) columns for every batch of decoded errors, so it
-    is packed without a transposing copy.  It takes a's rows _ROW_BLOCK
-    at a time.  For each block it gathers only the groups from the
-    block's first to its last nonzero packed byte: any other group reads
-    its zero row in every row of the block.  A block whose first and
-    last packed bytes are nonzero spans every group, which is taken
-    without scanning the bytes between, as for a dense block; a
-    triangular a spans about half of them, so the products with a
-    triangle on the left (keygen's L (U (H_m Q)), the key load's
-    U^-1 @ L^-1 and invert's joins B^-1 (C A^-1)) skip the zero triangle
-    with no flag from their callers.  The table rows are gathered with
-    take, into one buffer of at most _GATHER_WORDS words that every block
-    and chunk of groups reuses, and XORed chunk by chunk; a block of 128
-    rows fits more groups into one gather than a single row does.
+    A product takes a's packed rows, which may be a strided view: mat_mul
+    packs an unpacked a where it lies (pack_rows), as for the view of the
+    decoder's (n, rows) columns that every batch of decoded errors is.
+    It takes a's rows _ROW_BLOCK at a time.  For each block it gathers
+    only the groups from the block's first to its last nonzero packed
+    byte: any other group reads its zero row in every row of the block.
+    A block whose first and last packed bytes are nonzero spans every
+    group, which is taken without scanning the bytes between, as for a
+    dense block; a triangular a spans about half of them, so the
+    products with a triangle on the left (keygen's U A and L (U H_m Q),
+    a key's U^-1 @ L^-1 and invert's joins B^-1 (C A^-1)) skip the zero
+    triangle with no flag from their callers.  The table rows are
+    gathered with take, into one buffer of at most _GATHER_WORDS words
+    that every block and chunk of groups reuses, and XORed chunk by
+    chunk; a block of 128 rows fits more groups into one gather than a
+    single row does.
     """
 
     ndim = 2  # stands in for its matrix in mat_mul's shape checks
@@ -120,15 +125,19 @@ class ProductTable:
         return table.reshape(16 * groups, words)
 
     def product(self, a: np.ndarray) -> np.ndarray:
-        """a @ b for the rows of a (binary, rows x k), as rows x ceil(c/8)
-        packed rows in pack_rows' layout; one row is the XOR of b's rows
-        at its support (mat_vec)."""
+        """a @ b for the packed rows of a (rows x ceil(k/8) bytes in
+        pack_rows' layout), as rows x ceil(c/8) packed rows in the same
+        layout.  a's pad bits select the zero rows that pad the table, so
+        they are not read.  One row is the XOR of b's rows at its support
+        (mat_vec)."""
         rows, size = a.shape[0], (self.shape[1] + 7) // 8
+        if a.ndim != 2 or a.shape[1] != (self.shape[0] + 7) // 8:
+            raise ValueError(f"packed rows of shape {a.shape} for a table of shape {self.shape}")
         if rows == 1:
-            return mat_vec(self, np.flatnonzero(a[0]))[None]
+            return mat_vec(self, np.flatnonzero(np.unpackbits(a[0], count=self.shape[0])))[None]
         if not self.shape[0]:  # an empty sum; the block scan below needs a byte
             return np.zeros((rows, size), dtype=np.uint8)
-        packed = pack_rows(a).T
+        packed = a.T
         table = self._subsets
         k_bytes, words = packed.shape[0], table.shape[1]
         group_base = np.arange(0, table.shape[0], 16)[:, None]
@@ -235,18 +244,18 @@ def mat_mul(
     """GF(2) product a @ b of binary matrices.  An entry outside {0, 1}
     is not checked for, and the paths below read it differently.
 
-    With table, a ProductTable of the matrix b, the product reads the
-    table instead of multiplying (ProductTable.product: a single row of
-    a by a gather of b's rows, more rows by the Four-Russians table) and
-    unpacks its packed rows, the only unpacking of a table product; such
-    a table may also stand in place of b, so a caller that keeps b
-    packed never unpacks b.  Without one, a product by a b with at least
-    _TABLE_MIN columns builds a ProductTable of b's packed rows for the
-    call, whatever a's height, and so holds no float copy of either
-    operand: a single row of a, as R e_np is for a key with p = 1, is a
-    gather of b's rows.  A narrower b goes through BLAS in float32,
-    whose sums are exact below 2**24 terms; no inner dimension comes
-    near that (n <= 4096).
+    With table, a ProductTable of the matrix b, the product packs a
+    (pack_rows), reads the table instead of multiplying
+    (ProductTable.product: a single row of a by a gather of b's rows,
+    more rows by the Four-Russians table) and unpacks its packed rows,
+    the only unpacking of a table product; such a table may also stand
+    in place of b, so a caller that keeps b packed never unpacks b.
+    Without one, a product by a b with at least _TABLE_MIN columns
+    builds a ProductTable of b's packed rows for the call, whatever a's
+    height, and so holds no float copy of either operand: a single row
+    of a, as R e_np is for a key with p = 1, is a gather of b's rows.  A
+    narrower b goes through BLAS in float32, whose sums are exact below
+    2**24 terms; no inner dimension comes near that (n <= 4096).
     """
     if isinstance(a, ProductTable):
         raise ValueError("a product table stands in for the right operand only")
@@ -266,7 +275,7 @@ def mat_mul(
     else:
         prod = a.astype(np.float32) @ b.astype(np.float32)
         return (prod.astype(np.int64) & 1).astype(np.uint8)
-    return np.unpackbits(table.product(a), axis=1, count=table.shape[1])
+    return np.unpackbits(table.product(pack_rows(a)), axis=1, count=table.shape[1])
 
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -307,59 +316,78 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
-_INVERT_BLOCK = 64
+_INVERT_BLOCK = 128
 
 
-def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of a unit lower-triangular GF(2) matrix.
+def invert(packed: np.ndarray) -> np.ndarray:
+    """Inverse of a unit lower-triangular GF(2) matrix, as packed rows in
+    pack_rows' layout, given its packed rows.
 
     Keygen draws the scrambler S = L U (random_unit_triangular) and
     passes L and U^T here, since U^-1 = ((U^T)^-1)^T; no program path
-    inverts any other matrix.  A block recursion on table products
-    (_fill_below) beats a Gauss-Jordan inverse of their product, and its
-    joins skip the zero triangle of their B^-1 (see ProductTable).
+    inverts any other matrix.  The inverse is a block recursion,
 
-    The diagonal blocks of _INVERT_BLOCK rows are inverted together: each
-    is I + N with N strictly lower, so N^64 = 0 and (I + N)^-1 = I + N +
-    ... + N^63 = prod_j (I + N^(2^j)) over j < 6, ten stacked float32
-    products whose sums stay below 66.  _fill_below then joins them.
+        [[A, 0], [C, B]]^-1 = [[A^-1, 0], [B^-1 C A^-1, B^-1]],
+
+    which beats a Gauss-Jordan inverse of S.  The matrix is padded with
+    an identity to a whole number of diagonal blocks of _INVERT_BLOCK
+    rows, and the recursion runs in two parts.  Inside the blocks it
+    runs in float32, whose sums stay below _INVERT_BLOCK, on all blocks
+    at once (_invert_blocks).  Above them its joins are table products
+    of packed rows (_fill_below), which skip the zero triangle of their
+    B^-1 (see ProductTable).
 
     Raises:
-        ValueError: unless a is square and binary, with a unit diagonal
-            and zeros above it; a unit upper matrix is rejected.
+        ValueError: unless packed is uint8 of shape (n, ceil(n/8)) for
+            some n >= 1 and holds a unit diagonal, zeros above it and zero
+            pad bits; a unit upper matrix is rejected.
     """
-    a = np.asarray(a, dtype=np.uint8)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is not square: {a.shape}")
-    n = a.shape[0]
-    if n == 0 or a.max() > 1:
-        raise ValueError("matrix is empty or not binary")
-    # The first 1 of every column on the diagonal makes a unit lower
-    # matrix.  argmax stops at the first True.
-    if not np.array_equal(a.view(np.bool_).argmax(axis=0), np.arange(n)):
+    packed = np.asarray(packed)
+    n = packed.shape[0] if packed.ndim == 2 else 0
+    if not n or packed.dtype != np.uint8 or packed.shape[1] != (n + 7) // 8:
+        raise ValueError(f"not the packed rows of a nonempty square matrix: {packed.shape}")
+    if not np.array_equal(cut_unit_triangles(packed)[0], packed):
         raise ValueError("matrix is not unit lower triangular")
-    starts = range(0, n, _INVERT_BLOCK)
-    blocks = np.zeros((len(starts), _INVERT_BLOCK, _INVERT_BLOCK), dtype=np.float32)
-    blocks[:] = np.eye(_INVERT_BLOCK, dtype=np.float32)  # pads the last block
-    for block, lo in zip(blocks, starts):
-        size = min(_INVERT_BLOCK, n - lo)
-        block[:size, :size] = a[lo : lo + size, lo : lo + size]
-    power = blocks - np.eye(_INVERT_BLOCK, dtype=np.float32)
-    inv = blocks
-    for _ in range(1, (_INVERT_BLOCK - 1).bit_length()):
-        power = ((power @ power).astype(np.uint8) & 1).astype(np.float32)
-        inv = ((inv + inv @ power).astype(np.uint8) & 1).astype(np.float32)
-    out = np.zeros((n, n), dtype=np.uint8)
-    for block, lo in zip(inv, starts):
-        size = min(_INVERT_BLOCK, n - lo)
-        out[lo : lo + size, lo : lo + size] = block[:size, :size]
-    _fill_below(a, out, 0, n)
-    return out
+    blocks = -(-n // _INVERT_BLOCK)
+    size = blocks * _INVERT_BLOCK
+    a = np.zeros((size, size // 8), dtype=np.uint8)
+    a[:n, : packed.shape[1]] = packed
+    pad = np.arange(n, size)
+    a[pad, pad >> 3] = _BIT_WEIGHTS[1][pad & 7]
+    diagonal = np.arange(blocks)
+    square = (blocks, _INVERT_BLOCK, blocks, _INVERT_BLOCK // 8)
+    inv = _invert_blocks(np.unpackbits(a.reshape(square)[diagonal, :, diagonal], axis=2))
+    out = np.zeros_like(a)
+    out.reshape(square)[diagonal, :, diagonal] = np.packbits(inv, axis=2)
+    _fill_below(a, out, 0, size)
+    return np.ascontiguousarray(out[:n, : packed.shape[1]])
+
+
+def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of unit lower-triangular binary matrices
+    of _INVERT_BLOCK rows, by the block recursion in float32: from the
+    1 x 1 diagonal blocks, each level joins every pair of diagonal blocks
+    in every matrix at once, by two stacked products."""
+    count = blocks.shape[0]
+    bits = blocks.astype(np.float32)
+    inv = np.zeros_like(bits)
+    inv[:] = np.eye(_INVERT_BLOCK, dtype=np.float32)
+    half = 1
+    while half < _INVERT_BLOCK:
+        pairs = np.arange(_INVERT_BLOCK // (2 * half))
+        split = (count, pairs.size, 2, half, pairs.size, 2, half)
+        a_inv, b_inv = (inv.reshape(split)[:, pairs, j, :, pairs, j] for j in (0, 1))
+        c_a_inv = (bits.reshape(split)[:, pairs, 1, :, pairs, 0] @ a_inv).astype(np.uint8) & 1
+        join = (b_inv @ c_a_inv.astype(np.float32)).astype(np.uint8) & 1
+        inv.reshape(split)[:, pairs, 1, :, pairs, 0] = join
+        half *= 2
+    return inv.astype(np.uint8)
 
 
 def _fill_below(a: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
     """Complete out[lo:hi, lo:hi] to the inverse of a[lo:hi, lo:hi], given
-    its inverted diagonal blocks.
+    its inverted diagonal blocks; both are packed rows, and lo and hi are
+    multiples of _INVERT_BLOCK, so each block is whole bytes.
 
     [[A, 0], [C, B]]^-1 = [[A^-1, 0], [B^-1 C A^-1, B^-1]] over GF(2),
     split at a multiple of _INVERT_BLOCK rows.
@@ -369,54 +397,99 @@ def _fill_below(a: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
     mid = lo + _INVERT_BLOCK * ((hi - lo + 2 * _INVERT_BLOCK - 1) // (2 * _INVERT_BLOCK))
     _fill_below(a, out, lo, mid)
     _fill_below(a, out, mid, hi)
-    c_a_inv = mat_mul(a[mid:hi, lo:mid], out[lo:mid, lo:mid])
-    out[mid:hi, lo:mid] = mat_mul(out[mid:hi, mid:hi], c_a_inv)
+    left, right = slice(lo // 8, mid // 8), slice(mid // 8, hi // 8)
+    c_a_inv = ProductTable(out[lo:mid, left], mid - lo).product(a[mid:hi, left])
+    out[mid:hi, left] = ProductTable(c_a_inv, mid - lo).product(out[mid:hi, right])
+
+
+def random_bytes(size: int, rng: np.random.Generator) -> np.ndarray:
+    """The bytes rng.integers(0, 256, size, np.uint8) draws, from rng's
+    raw words, leaving rng in the state that draw leaves it.
+
+    numpy fills a full-range uint8 draw from 32-bit values, four bytes
+    each, low byte first, and drops the unused bytes of the last one.  A
+    64-bit bit generator gives the low half of a word as a 32-bit value
+    and keeps the high half pending for the next one (has_uint32 and
+    uinteger in its state); MT19937's raw words are 32 bits.  So the
+    bytes are a pending half, if any, then the raw words read
+    little-endian, and a draw that ends on a low half leaves the high
+    half pending.  Reading whole words skips numpy's per-byte loop.  The
+    state is written back only when the pending flag changes or a new
+    half is left pending: otherwise uinteger keeps a value that numpy's
+    loop would overwrite, and no draw reads it while nothing is pending.
+    """
+    halves = -(-size // 4)
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.MT19937):
+        return bitgen.random_raw(halves).astype("<u4").view(np.uint8)[:size]
+    state = bitgen.state
+    first = min(state["has_uint32"], halves)
+    rest = halves - first
+    raw = bitgen.random_raw(-(-rest // 2))
+    drawn = raw.astype("<u8", copy=False).view(np.uint8)
+    if first:
+        head = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        drawn = np.concatenate([head, drawn[: size - 4]])
+    if first or rest % 2:
+        state = bitgen.state
+        state["has_uint32"] = rest % 2
+        if raw.size:  # numpy's last 32-bit value kept the word's high half
+            state["uinteger"] = int(raw[-1] >> 32)
+        bitgen.state = state
+    return drawn[:size]
 
 
 def random_bits(shape, rng: np.random.Generator) -> np.ndarray:
     """Uniform bits, the ones rng.integers(0, 2, shape, np.uint8) draws.
 
     That draw (Lemire's method) returns the top bit of one random byte
-    per entry, so the bits are taken from a full-range byte draw, which
-    leaves rng in the same state and is faster.
+    per entry, so the bits are taken from a full-range byte draw
+    (random_bytes), which leaves rng in the same state and is faster.
     """
-    bits = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    bits = random_bytes(math.prod(shape) if np.iterable(shape) else shape, rng).reshape(shape)
     bits >>= 7
     return bits
 
 
 def random_unit_triangular(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random unit lower- and unit upper-triangular n x n factors (L, U),
-    deterministic per rng state.
+    as packed rows in pack_rows' layout, deterministic per rng state.
 
     Their product L @ U is invertible, so no rejection loop is needed,
-    and so are both factors (see invert).  Each is a draw of random bits
-    cut in place (cut_unit_lower), U through its transposed view.
+    and so are both factors (see invert).  Each is a draw of n x n random
+    bits (random_bits), packed and cut by a packed mask
+    (cut_unit_triangles): L is np.tril of the first draw with a unit
+    diagonal, and U np.triu of the second.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lower = cut_unit_lower(random_bits((n, n), rng))
-    upper = cut_unit_lower(random_bits((n, n), rng).T).T
+    lower = cut_unit_triangles(np.packbits(random_bits((n, n), rng), axis=1))[0]
+    upper = cut_unit_triangles(np.packbits(random_bits((n, n), rng), axis=1))[1]
     return lower, upper
 
 
-def cut_unit_lower(a: np.ndarray) -> np.ndarray:
-    """Cut the square binary a in place to np.tril(a, -1) plus the
-    identity, and return a.  Cutting x.T, a transposed view, leaves x as
-    np.triu(x, 1) plus the identity, a unit upper triangle.
+def cut_unit_triangles(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril(a, -1) and np.triu(a, 1), each plus the identity, as packed
+    rows, for the square binary a whose packed rows are packed.
 
-    It takes _INVERT_BLOCK rows at a time, clearing the columns right of
-    the block and masking the block's diagonal square, so it makes no
-    n x n temporary, as np.tril and np.triu or a mask of the triangle do.
+    The mask of the strict lower triangle is built on packed bytes: the
+    bytes left of a row's diagonal byte are 0xFF, a byte triangle
+    repeated for each of a byte's eight rows, and the diagonal byte has
+    its bits left of the diagonal set.  So neither cut makes an n x n
+    temporary.  The upper cut is a XOR the lower cut with its diagonal
+    set again, and holds a's pad bits.
     """
-    n = a.shape[0]
-    below = np.tri(_INVERT_BLOCK, k=-1, dtype=np.uint8)
-    for lo in range(0, n, _INVERT_BLOCK):
-        hi = min(lo + _INVERT_BLOCK, n)
-        a[lo:hi, hi:] = 0
-        a[lo:hi, lo:hi] &= below[: hi - lo, : hi - lo]
-    np.fill_diagonal(a, 1)
-    return a
+    rows = np.arange(packed.shape[0])
+    full = np.tri(packed.shape[1], k=-1, dtype=np.uint8)
+    full *= 0xFF
+    lower = np.repeat(full, 8, axis=0)[: rows.size]
+    lower[rows, rows >> 3] = np.right_shift(0xFF00, rows & 7).astype(np.uint8)  # low byte
+    lower &= packed
+    upper = packed ^ lower
+    diagonal, bits = (rows, rows >> 3), _BIT_WEIGHTS[1][rows & 7]
+    lower[diagonal] |= bits
+    upper[diagonal] |= bits
+    return lower, upper
 
 
 _COLUMN_BLOCK_CELLS = 1 << 18

@@ -6,15 +6,19 @@ matrix form has its 1 in column sigma[i]) and the modified code.  The
 public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
 as one matrix F, so signing, which reads S^-1 = U^-1 @ L^-1 alone, never
-inverts S.  Keygen does not form S either: H' = L @ (U @ (H_m @ Q)) is
-two table products of packed rows, H_m @ Q being H_m with its columns
-permuted as the packed rows of H_m^T.  F and both check matrices, H' and
-H_m, are held as packed rows, the layout of their key files
-(gf2.pack_rows); a PublicKey, like a ModifiedCode, is an
-rmcode.CheckMatrix.  Sign, verify and the check of decoded errors read
-H' and H_m through the product tables of their transposes
-(CheckMatrix.H_T_table), so no program path unpacks either; F is
-unpacked only to form S^-1, once for each of its triangles.
+inverts S.  Keygen does not form S either.  H_m = [A | B], where B, on
+H_m's last n-k columns, is an identity plus the p rows of R below it,
+so H' = L @ [U @ A | U @ B] @ Q: U @ A is a table product k columns
+wide, U @ B is U plus a rank-p correction, Q permutes the columns, moved
+as packed rows of the transpose, and L is applied by a second table
+product.  Every step, from the draw of the factors to F and H', works
+on packed rows.  F and both check matrices, H' and H_m, are held as
+packed rows, the layout of their key files (gf2.pack_rows); a
+PublicKey, like a ModifiedCode, is an rmcode.CheckMatrix.  Sign, verify
+and the check of decoded errors read H' and H_m through the product
+tables of their transposes (CheckMatrix.H_T_table), so no program path
+unpacks either; S^-1 is formed from F packed, and its one unpacking is
+PrivateKey.S_inv, which signing reads.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -80,21 +84,23 @@ class PrivateKey:
     params: SigningParams
 
     @cached_property
-    def S_inv(self) -> np.ndarray:
-        """S^-1 = U^-1 @ L^-1, from two unpackings of F.
+    def _packed_S_inv(self) -> np.ndarray:
+        """S^-1 = U^-1 @ L^-1 as packed rows, by one table product of the
+        two triangles of F cut with a packed mask (gf2.cut_unit_triangles).
+        The product skips the zero triangle of U^-1 (gf2.ProductTable)."""
+        lower_inv, upper_inv = gf2.cut_unit_triangles(self.packed_F)
+        return gf2.ProductTable(lower_inv, self.packed_F.shape[0]).product(upper_inv)
 
-        gf2.cut_unit_lower cuts one to L^-1 in place and the other,
-        through its transposed view, to U^-1.  The product skips the zero
-        triangle of U^-1 (gf2.ProductTable).
-        """
-        n = self.packed_F.shape[0]
-        upper_inv = gf2.cut_unit_lower(np.unpackbits(self.packed_F, axis=1, count=n).T).T
-        lower_inv = gf2.cut_unit_lower(np.unpackbits(self.packed_F, axis=1, count=n))
-        return gf2.mat_mul(upper_inv, lower_inv)
+    @cached_property
+    def S_inv(self) -> np.ndarray:
+        """S^-1, unpacked from its packed rows: the only (n-k) x (n-k)
+        matrix that keygen, a key load or signing unpacks."""
+        return np.unpackbits(self._packed_S_inv, axis=1, count=self.packed_F.shape[0])
 
     @cached_property
     def _S_inv_T_table(self) -> gf2.ProductTable:
-        return gf2.ProductTable(gf2.pack_rows(self.S_inv.T), self.S_inv.shape[0])
+        n = self.packed_F.shape[0]
+        return gf2.ProductTable(gf2.pack_columns(self._packed_S_inv, n), n)
 
     @cached_property
     def _sign_history(self) -> list[int]:
@@ -170,7 +176,9 @@ def keygen(
 
     It redraws only a plan that deletes all of supp(x), which occurs for
     r = 1 at p = 2 wt(y) and for r = m-1 at p = 2; every other plan
-    aligns, so no plan makes keygen fail.
+    aligns, so no plan makes keygen fail.  The factors L and U, their
+    inverses, F and H' = L @ [U @ A | U @ B] @ Q are all packed rows
+    (see the module docstring), and none is unpacked.
     """
     code = build(m, r)
     if params.t != code.t:
@@ -184,19 +192,30 @@ def keygen(
     del code  # H_m is all keygen needs of the code
 
     n, k = mod.n, mod.k
+    top = n - k - mod.p
     lower, upper = gf2.random_unit_triangular(n - k, rng)
     sigma = rng.permutation(n)
-    # F = L^-1 XOR U^-1, XORed packed; the unit diagonals cancel.  U^-1 =
-    # ((U^T)^-1)^T is packed where it lies, with no transposing copy.
-    packed_f = np.packbits(gf2.invert(lower), axis=1) ^ gf2.pack_rows(gf2.invert(upper.T).T)
-    # H' = L (U (H_m Q)) by two table products of packed rows, which skip
-    # the zero triangles of U and L.  H_m Q is H_m with its columns
-    # permuted, moved as the packed rows of H_m^T.  U is freed before the
-    # second product builds its table, so that product's temporaries
-    # never sit beside both factors.
-    h_pub = gf2.pack_columns(gf2.pack_columns(mod.packed_H, n)[np.argsort(sigma)], n - k)
-    h_pub = gf2.ProductTable(h_pub, n).product(upper)
-    del upper
+    upper_t = gf2.pack_columns(upper, n - k)  # U^T, unit lower as invert takes it
+    # F = L^-1 XOR U^-1: one XOR of packed rows; the unit diagonals cancel.
+    packed_f = gf2.invert(lower) ^ gf2.pack_columns(gf2.invert(upper_t), n - k)
+    # H_m = [A | B] with B = [[I, 0], [R_2, I_p]], so U H_m = [U A | U B]
+    # and U B = U + U[:, top:] R_2 on B's first top columns.  Only U A, k
+    # columns wide, is a table product, which skips U's zero triangle.
+    # Columns are moved as the packed rows of (U H_m)^T: U A's transpose,
+    # then (U B)^T = U^T plus R_2^T U^T[top:] on its first top rows.
+    a_rows = mod.packed_H[:, : (k + 7) // 8].copy()
+    a_rows[:, -1] &= 0xFF << (-k % 8) & 0xFF  # B's columns that share A's last byte
+    columns = np.empty((n, (n - k + 7) // 8), dtype=np.uint8)
+    columns[:k] = gf2.pack_columns(gf2.ProductTable(a_rows, k).product(upper), k)
+    del a_rows, upper
+    r2_t = gf2.pack_rows(np.unpackbits(mod.packed_H[top:], axis=1, count=n)[:, k : k + top].T)
+    columns[k:] = upper_t
+    columns[k : k + top] ^= gf2.ProductTable(upper_t[top:], n - k).product(r2_t)
+    del upper_t, r2_t
+    # H_m Q permutes the columns, so (U H_m Q)^T permutes these rows; then
+    # H' = L (U H_m Q) by a table product that skips L's zero triangle.
+    h_pub = gf2.pack_columns(columns[np.argsort(sigma)], n - k)
+    del columns
     h_pub = gf2.ProductTable(h_pub, n).product(lower)
     del lower
     for arr in (packed_f, sigma, h_pub):

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from rmsig import gf2, rmcode
+from rmsig import gf2, modcode, rmcode
 
 
 def naive_mat_mul(a, b):
@@ -167,7 +167,41 @@ def invert(a):
 
 def random_invertible(n, rng):
     """A random invertible n x n matrix: the product of keygen's factors."""
-    return gf2.mat_mul(*gf2.random_unit_triangular(n, rng))
+    lower, upper = (np.unpackbits(t, axis=1, count=n) for t in gf2.random_unit_triangular(n, rng))
+    return gf2.mat_mul(lower, upper)
+
+
+def keygen(m, r, rng):
+    """scheme.keygen written the straightforward, unpacked way, from the
+    same draws: (H_m's code, H', F, sigma), each matrix unpacked.
+
+    The scrambler's factors are the bits of integers(0, 2) draws cut with
+    np.tril and np.triu, F = L^-1 XOR U^-1 is formed by Gauss-Jordan
+    (invert), and H' = L U H_m Q by three products of unpacked matrices
+    (gf2.mat_mul), Q being sigma's permutation matrix.
+    """
+    code = rmcode.build(m, r)
+    plan = modcode.puncture_plan(code, rng)
+    while plan.p == code.d:
+        plan = modcode.puncture_plan(code, rng)
+    mod = modcode.build_modified(modcode.align_information_set(code, plan.deleted), rng)
+    n_k = mod.n - mod.k
+    lower = np.tril(rng.integers(0, 2, (n_k, n_k), dtype=np.uint8), -1) | identity(n_k)
+    upper = np.triu(rng.integers(0, 2, (n_k, n_k), dtype=np.uint8), 1) | identity(n_k)
+    sigma = rng.permutation(mod.n)
+    f = invert(lower) ^ invert(upper)
+    h_pub = gf2.mat_mul(gf2.mat_mul(gf2.mat_mul(lower, upper), mod.H), perm_matrix(sigma))
+    return mod, h_pub, f, sigma
+
+
+def generator_state(rng):
+    """rng's bit generator state, without the 32-bit half uinteger when
+    none is pending (has_uint32 = 0): no draw reads it then, and numpy's
+    draws and gf2.random_bytes may leave different values there."""
+    state = dict(rng.bit_generator.state)
+    if not state.get("has_uint32", 1):
+        del state["uinteger"]
+    return state
 
 
 def monomial_generator(m, r):

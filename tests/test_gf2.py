@@ -26,6 +26,16 @@ def rand_mat(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
+def unpack(packed, n=None):
+    """The binary matrix whose packed rows are packed, n columns wide
+    (square by default)."""
+    return np.unpackbits(packed, axis=1, count=packed.shape[0] if n is None else n)
+
+
+def pack(a):
+    return np.packbits(a, axis=1)
+
+
 def blas_mat_mul(a, b):
     """a @ b mod 2 through float64 BLAS, exact while sums stay below 2**52."""
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1
@@ -230,7 +240,7 @@ class TestProductTable:
         # first and last nonzero packed byte: a triangle leaves a different
         # span per block, and a zero block none.
         rng = np.random.default_rng(rows)
-        lower, upper = gf2.random_unit_triangular(rows, rng)
+        lower, upper = map(unpack, gf2.random_unit_triangular(rows, rng))
         gapped = rand_mat(rng, 3 * rows, rows)
         gapped[rows : 2 * rows] = 0
         b = rand_mat(rng, rows, 200)
@@ -415,18 +425,33 @@ class TestPackedForms:
     @pytest.mark.parametrize("c", [9, 70, 128, 130])
     @pytest.mark.parametrize("rows", [1, 2, 129, 257])
     def test_product_is_packed(self, rows, c):
-        """ProductTable.product returns a @ b as np.packbits packs it,
-        zero pad bits included, for a square a that is random, unit lower
-        or unit upper triangular; a triangle's row blocks read only part
-        of the groups."""
+        """ProductTable.product takes a's packed rows and returns a @ b as
+        np.packbits packs it, zero pad bits included, for a square a that
+        is random, unit lower or unit upper triangular; a triangle's row
+        blocks read only part of the groups.  a's pad bits are not read,
+        and a's packed rows may be a strided view."""
         rng = np.random.default_rng(rows * 1000 + c)
         b = rand_mat(rng, rows, c)
         table = gf2.ProductTable(np.packbits(b, axis=1), c)
-        for a in (rand_mat(rng, rows, rows), *gf2.random_unit_triangular(rows, rng)):
-            got = table.product(a)
-            assert got.dtype == np.uint8 and got.flags.c_contiguous
+        for packed in (pack(rand_mat(rng, rows, rows)), *gf2.random_unit_triangular(rows, rng)):
+            a = unpack(packed)
             expected = np.packbits(blas_mat_mul(a, b).astype(np.uint8), axis=1)
+            got = table.product(packed)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
             assert np.array_equal(got, expected)
+            padded = packed.copy()
+            if rows % 8:
+                padded[:, -1] |= 0xFF >> rows % 8
+            wide = np.zeros((rows, packed.shape[1] + 3), dtype=np.uint8)
+            wide[:, 1:-2] = padded
+            assert np.array_equal(table.product(padded), expected)
+            assert np.array_equal(table.product(wide[:, 1:-2]), expected)
+
+    def test_product_rejects_unpacked_rows(self):
+        table = gf2.ProductTable(np.packbits(np.ones((9, 5), dtype=np.uint8), axis=1), 5)
+        for a in (np.ones((3, 9), dtype=np.uint8), np.ones((3, 1), dtype=np.uint8), np.ones(2)):
+            with pytest.raises(ValueError):
+                table.product(a)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
@@ -510,13 +535,13 @@ class TestXorGroupLaws:
 
 
 class TestInvert:
-    """gf2.invert takes unit lower-triangular matrices only; the
-    Gauss-Jordan oracle (reference.invert) takes any square one and
-    checks it."""
+    """gf2.invert takes the packed rows of a unit lower-triangular matrix
+    only and returns packed rows; the Gauss-Jordan oracle
+    (reference.invert) takes any square binary matrix and checks it."""
 
     def test_identity(self):
         assert np.array_equal(reference.invert(identity(4)), identity(4))
-        assert np.array_equal(gf2.invert(identity(4)), identity(4))
+        assert np.array_equal(gf2.invert(pack(identity(4))), pack(identity(4)))
 
     def test_singular(self):
         with pytest.raises(ValueError, match="singular"):
@@ -530,39 +555,47 @@ class TestInvert:
             assert np.array_equal(gf2.mat_mul(a, reference.invert(a)), identity(n))
 
     def test_not_square(self):
-        for invert in (reference.invert, gf2.invert):
-            with pytest.raises(ValueError):
-                invert(np.zeros((2, 3), dtype=np.uint8))
+        """Not the packed rows of a square matrix: (n, ceil(n/8)) is the
+        one shape gf2.invert takes."""
+        with pytest.raises(ValueError):
+            reference.invert(np.zeros((2, 3), dtype=np.uint8))
+        for shape in [(2, 3), (2, 2), (9, 1), (9, 3), (8, 2), (1, 0), (16,)]:
+            with pytest.raises(ValueError, match="not the packed rows"):
+                gf2.invert(np.zeros(shape, dtype=np.uint8))
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 163, 386])
     def test_unit_triangular_matches_oracle(self, n):
-        """Keygen's L, and its U as the transposed view U^T."""
+        """Keygen's L, and its U as the U^T that keygen passes."""
         lower, upper = gf2.random_unit_triangular(n, np.random.default_rng(n))
-        for a in (lower, upper.T):
+        for a in (lower, gf2.pack_columns(upper, n)):
             inv = gf2.invert(a)
             assert inv.dtype == np.uint8 and inv.flags.c_contiguous
-            assert np.array_equal(inv, reference.invert(a))
+            assert np.array_equal(inv, pack(reference.invert(unpack(a))))
 
     def test_dense_triangles_and_views(self):
-        """All-ones triangles, and a transposed view of each: the lower
-        ones are inverted, and a unit upper matrix is rejected in either
-        layout."""
+        """All-ones triangles, and a transposed view of each, packed: the
+        lower ones are inverted, from C- or F-ordered packed rows, and a
+        unit upper matrix is rejected in either layout."""
         ones = np.ones((130, 130), np.uint8)
         lower, upper = np.tril(ones), np.triu(ones)
         for a in (lower, upper.T):
-            assert np.array_equal(gf2.invert(a), reference.invert(a))
+            expected = pack(reference.invert(a))
+            assert np.array_equal(gf2.invert(pack(a)), expected)
+            f_ordered = np.packbits(np.ascontiguousarray(a.T).T, axis=1)
+            assert f_ordered.flags.f_contiguous
+            assert np.array_equal(gf2.invert(f_ordered), expected)
         for a in (upper, lower.T):
             with pytest.raises(ValueError, match="not unit lower triangular"):
-                gf2.invert(a)
+                gf2.invert(pack(a))
 
     @pytest.mark.parametrize(
         "a",
         [
-            np.array([[1, 1], [1, 1]]),  # 1s on both sides of the diagonal
-            np.array([[1, 0], [1, 0]]),  # lower, but a 0 on the diagonal
-            np.array([[0, 1], [0, 1]]),  # upper, but a 0 on the diagonal
-            np.array([[1, 0], [2, 1]]),  # not binary
-            np.zeros((0, 0)),
+            pack(np.array([[1, 1], [1, 1]], dtype=np.uint8)),  # 1s on both sides of the diagonal
+            pack(np.array([[1, 0], [1, 0]], dtype=np.uint8)),  # lower, but a 0 on the diagonal
+            pack(np.array([[0, 1], [0, 1]], dtype=np.uint8)),  # upper, but a 0 on the diagonal
+            np.array([[128], [448]]),  # not bytes
+            np.zeros((0, 0), dtype=np.uint8),
         ],
         ids=["both-sides", "lower-zero-diagonal", "upper-zero-diagonal", "non-binary", "empty"],
     )
@@ -575,11 +608,47 @@ class TestInvert:
         each diagonal block, the block above them, and its transpose."""
         base = np.tril(np.random.default_rng(4).integers(0, 2, (130, 130), dtype=np.uint8), -1)
         base |= identity(130)
-        for i, j in [(0, 1), (62, 63), (64, 65), (128, 129), (0, 129), (63, 64)]:
+        for i, j in [(0, 1), (62, 63), (64, 65), (128, 129), (0, 129), (63, 64), (127, 128)]:
             a = base.copy()
             a[i, j] = 1
             for bad in (a, a.T):
                 with pytest.raises(ValueError, match="triangular"):
+                    gf2.invert(pack(bad))
+
+    @pytest.mark.parametrize("n", [*range(1, 201), 386, 638, 1586])
+    def test_packed_inverse_matches_oracle(self, n):
+        """gf2.invert(pack(a)) is pack(reference.invert(a)) for a random
+        unit lower a and for the U^T that keygen passes, at every size
+        up to 200 and at RM(10,5)'s, RM(11,5)'s and RM(12,6)'s n - k."""
+        rng = np.random.default_rng(n)
+        lower = np.tril(rand_mat(rng, n, n), -1) | identity(n)
+        upper_t = unpack(gf2.pack_columns(gf2.random_unit_triangular(n, rng)[1], n))
+        for a in (lower, upper_t):
+            assert np.array_equal(gf2.invert(pack(a)), pack(reference.invert(a)))
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 130, 386])
+    def test_every_defect_rejected(self, n):
+        """A set pad bit, a zero diagonal bit and a bit above the diagonal
+        each raise ValueError, in every row that can hold one."""
+        rng = np.random.default_rng(n)
+        good = pack(np.tril(rand_mat(rng, n, n), -1) | identity(n))
+        gf2.invert(good)
+        for i in range(n):
+            defects = []
+            if n % 8:
+                pad = good.copy()
+                pad[i, -1] |= 1
+                defects.append(pad)
+            diagonal = good.copy()
+            diagonal[i, i >> 3] ^= 128 >> (i & 7)
+            defects.append(diagonal)
+            if i + 1 < n:
+                j = int(rng.integers(i + 1, n))
+                above = good.copy()
+                above[i, j >> 3] |= 128 >> (j & 7)
+                defects.append(above)
+            for bad in defects:
+                with pytest.raises(ValueError, match="not unit lower triangular"):
                     gf2.invert(bad)
 
 
@@ -703,7 +772,7 @@ class TestRandomMatrices:
     def test_invertible_n1(self):
         rng = np.random.default_rng(9)
         lower, upper = gf2.random_unit_triangular(1, rng)
-        assert np.array_equal(lower, [[1]]) and np.array_equal(upper, [[1]])
+        assert np.array_equal(unpack(lower), [[1]]) and np.array_equal(unpack(upper), [[1]])
 
     def test_invertible_deterministic(self):
         a = gf2.random_unit_triangular(8, np.random.default_rng(42))
@@ -712,25 +781,27 @@ class TestRandomMatrices:
 
     def test_invertible_any_seed(self):
         for seed in range(20):
-            lower, upper = gf2.random_unit_triangular(8, np.random.default_rng(seed))
+            lower, upper = map(unpack, gf2.random_unit_triangular(8, np.random.default_rng(seed)))
             assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
             # S = L @ U is invertible, with inverse U^-1 @ L^-1, where
             # U^-1 is the transpose of (U^T)^-1.
-            s_inv = gf2.mat_mul(gf2.invert(upper.T).T, gf2.invert(lower))
+            upper_inv = unpack(gf2.invert(pack(upper.T))).T
+            s_inv = gf2.mat_mul(upper_inv, unpack(gf2.invert(pack(lower))))
             assert np.array_equal(gf2.mat_mul(gf2.mat_mul(lower, upper), s_inv), identity(8))
 
     def test_draw_is_two_masked_byte_draws(self):
         """The factors are the top bits of two full-range byte draws, cut
-        by np.tril and np.triu with a unit diagonal, and the generator is
-        left where those draws leave it; keys depend on both."""
+        by np.tril and np.triu with a unit diagonal and packed, and the
+        generator is left where those draws leave it; keys depend on
+        both."""
         for seed in range(20):
-            n = 1 + 7 * seed  # 1 to 134 rows, across the 64-row blocks
+            n = 1 + 7 * seed  # 1 to 134 rows, most with pad bits
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             lower, upper = gf2.random_unit_triangular(n, ours)
             lo = theirs.integers(0, 256, size=(n, n), dtype=np.uint8) >> 7
             up = theirs.integers(0, 256, size=(n, n), dtype=np.uint8) >> 7
-            assert np.array_equal(lower, np.tril(lo, -1) | identity(n))
-            assert np.array_equal(upper, np.triu(up, 1) | identity(n))
+            assert np.array_equal(lower, pack(np.tril(lo, -1) | identity(n)))
+            assert np.array_equal(upper, pack(np.triu(up, 1) | identity(n)))
             assert lower.flags.c_contiguous and upper.flags.c_contiguous
             assert np.array_equal(ours.integers(0, 256, 9), theirs.integers(0, 256, 9))
 
@@ -753,36 +824,66 @@ class TestRandomMatrices:
         assert np.array_equal(ours.permutation(101), theirs.permutation(101)), why
         assert np.array_equal(gf2.random_bits(9, ours), theirs.integers(0, 2, 9, np.uint8)), why
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                          np.random.MT19937]
+    )
+    def test_random_bytes_are_integers_bytes(self, bit_generator):
+        """gf2.random_bytes, read from raw words, gives the bytes of
+        integers(0, 256, size, np.uint8) and leaves the generator in the
+        same state, a pending 32-bit half included (see
+        reference.generator_state): the next integers and permutation
+        draws agree, for every bit generator numpy has, after 0 to 3
+        one-byte draws (which leave a half pending or not)."""
+        for seed in (0, 1, 7, 2**40 + 3):
+            for prior in range(4):
+                for size in (1, 3, 4, 5, 7, 8, 9, 100, 4097, 386 * 386, 1586 * 1586):
+                    ours = np.random.Generator(bit_generator(seed))
+                    theirs = np.random.Generator(bit_generator(seed))
+                    for _ in range(prior):
+                        ours.integers(0, 256, size=1, dtype=np.uint8)
+                        theirs.integers(0, 256, size=1, dtype=np.uint8)
+                    got = gf2.random_bytes(size, ours)
+                    expected = theirs.integers(0, 256, size=size, dtype=np.uint8)
+                    where = (bit_generator.__name__, seed, prior, size)
+                    assert got.dtype == np.uint8 and np.array_equal(got, expected), where
+                    np.testing.assert_equal(
+                        reference.generator_state(ours), reference.generator_state(theirs)
+                    )
+                    assert np.array_equal(ours.integers(0, 1000, 5), theirs.integers(0, 1000, 5)), where
+                    assert np.array_equal(ours.permutation(33), theirs.permutation(33)), where
+
 
 class TestCutUnitLower:
+    """gf2.cut_unit_triangles cuts packed rows to the unit lower and unit
+    upper triangles."""
+
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_matches_tril_and_triu(self, n):
-        """A C-ordered matrix is cut to np.tril plus the identity, and a
-        transposed view leaves its base as np.triu plus the identity, in
-        place."""
+        """The cuts of a's packed rows, C- or F-ordered, are np.tril(a, -1)
+        and np.triu(a, 1) plus the identity, packed, and a is left as it
+        was."""
         a = rand_mat(np.random.default_rng(n), n, n)
-        expected = np.tril(a, -1) | identity(n)
-        assert gf2.cut_unit_lower(a) is a
-        assert np.array_equal(a, expected)
-        base = rand_mat(np.random.default_rng(n + 1), n, n)
-        expected = np.triu(base, 1) | identity(n)
-        view = base.T
-        assert gf2.cut_unit_lower(view) is view
-        assert np.array_equal(base, expected)
+        lower, upper = pack(np.tril(a, -1) | identity(n)), pack(np.triu(a, 1) | identity(n))
+        for packed in (pack(a), np.packbits(np.ascontiguousarray(a.T).T, axis=1)):
+            got = gf2.cut_unit_triangles(packed)
+            assert np.array_equal(got[0], lower) and np.array_equal(got[1], upper)
+            assert np.array_equal(packed, pack(a))
 
     def test_no_square_temporary(self):
-        """RM(12,6)'s factors are 1586 x 1586; a cut of either layout
-        allocates less than one such matrix, as np.tril would."""
+        """RM(12,6)'s factors are 1586 x 1586; cutting their packed rows
+        allocates less than one unpacked such matrix, as np.tril would,
+        and less than three packed ones: the two cuts and their mask."""
         n = 1586
-        base = rand_mat(np.random.default_rng(3), n, n)
-        for a in (base, base.T):
-            tracemalloc.start()
-            try:
-                gf2.cut_unit_lower(a)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * n
+        packed = pack(rand_mat(np.random.default_rng(3), n, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gf2.cut_unit_triangles(packed)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * packed.nbytes < n * n
 
 
 class TestPacking:

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rmsig import analysis, decoder, formats, gf2, modcode, rmcode, scheme
 
+import reference
 from reference import modified_generator, perm_matrix, vec_product
 
 
@@ -235,6 +236,69 @@ class TestKeygen:
             q = perm_matrix(kp.private.sigma)
             descrambled = gf2.mat_mul(kp.private.S_inv, kp.public.H)
             assert np.array_equal(descrambled, gf2.mat_mul(mod.H, q))
+
+
+    KEY_SIZES = [(m, r) for m in range(3, 9) for r in range(1, m)]
+    KEY_SEEDS = (1, 2, 3)
+
+    @pytest.mark.parametrize("m,r", KEY_SIZES)
+    def test_matches_reference_keygen(self, m, r):
+        """The key files are those of reference.keygen, which draws the
+        factors bit by bit, cuts them with np.tril and np.triu, inverts
+        them by Gauss-Jordan and forms H' = L U H_m Q unpacked, and the
+        generator ends in the same state, at every RM(r, m) with
+        3 <= m <= 8 and 1 <= r < m; H_m's identity block holds p rows of R."""
+        code_t = ((1 << (m - r)) - 1) // 2
+        params = scheme.SigningParams(w=max(code_t, 1), N=10, t=code_t)
+        for seed in self.KEY_SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            kp = scheme.keygen(m, r, params, ours)
+            mod, h_pub, f, sigma = reference.keygen(m, r, theirs)
+            public = scheme.PublicKey(m=m, r=r, packed_H=np.packbits(h_pub, axis=1), params=params)
+            private = scheme.PrivateKey(
+                packed_F=np.packbits(f, axis=1), sigma=sigma, mod=mod, params=params
+            )
+            assert formats.save_public_key(kp.public) == formats.save_public_key(public)
+            assert formats.save_private_key(kp.private) == formats.save_private_key(private)
+            np.testing.assert_equal(
+                reference.generator_state(ours), reference.generator_state(theirs)
+            )
+
+    def test_reference_keygen_covers_wide_corrections(self):
+        """The rank-p correction of U B runs with more than one row in
+        most keys of test_matches_reference_keygen: keygen's p is that of
+        its first puncture plan with p < d."""
+        ps = []
+        for m, r in self.KEY_SIZES:
+            code = rmcode.build(m, r)
+            for seed in self.KEY_SEEDS:
+                rng = np.random.default_rng(seed)
+                plan = modcode.puncture_plan(code, rng)
+                while plan.p == code.d:
+                    plan = modcode.puncture_plan(code, rng)
+                ps.append(plan.p)
+        assert sum(p >= 2 for p in ps) > len(ps) // 2 and max(ps) >= 16, ps
+
+    def test_keygen_and_s_inv_memory(self):
+        """On RM(6,12), keygen's traced peak stays below 10 MiB, and the
+        formation of S^-1, its unpacked 2.4 MiB included, below 6 MiB:
+        no step unpacks an (n-k) x (n-k) factor beside S_inv."""
+        code = rmcode.build(12, 6)
+        params = scheme.SigningParams(w=530, N=10, t=code.t)
+        scheme.keygen(12, 6, params, np.random.default_rng(1))  # builds the cached tables
+        tracemalloc.start()
+        try:
+            kp = scheme.keygen(12, 6, params, np.random.default_rng(1))
+            keygen_peak = tracemalloc.get_traced_memory()[1]
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            s_inv = kp.private.S_inv
+            s_inv_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert s_inv.shape == (1586, 1586)
+        assert keygen_peak < 10 * 2**20, keygen_peak
+        assert s_inv_peak < 6 * 2**20, s_inv_peak
 
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
@@ -739,10 +803,13 @@ class TestSignChecksItsOutput:
         subsets = functools.cached_property(counting)
         subsets.__set_name__(gf2.ProductTable, "_subsets")
         monkeypatch.setattr(gf2.ProductTable, "_subsets", subsets)
-        # N = 1: each signature is one row, its S^-1 product included.
+        # N = 1: each signature is one row, its S^-1 product included.  The
+        # first signature forms S^-1, by one product with a table of L^-1.
         assert isinstance(scheme.sign(priv, b"first"), scheme.Signature)
         assert isinstance(scheme.sign(priv, b"second"), scheme.Signature)
-        assert built == []
+        n_k = priv.mod.n - priv.mod.k
+        assert built == [(n_k, n_k)]
+        built.clear()
         assert priv.mod.p == 2
         r_block = (priv.mod.n - priv.mod.p, 1024)
         analysis.calibrate(priv.mod, 3 * 1024, np.random.default_rng(0))
