@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2, prod
+from math import comb, log2
 from typing import Union
 
 import numpy as np
@@ -70,12 +70,6 @@ def _code_id(code: Union[RmCode, ModifiedCode]) -> str:
     return f"{name}/p={code.p}" if isinstance(code, ModifiedCode) else name
 
 
-def _random_bytes(seed, shape) -> np.ndarray:
-    """default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8),
-    drawn from PCG64's raw words (gf2.random_bytes)."""
-    return gf2.random_bytes(prod(shape), np.random.default_rng(seed)).reshape(shape)
-
-
 def calibrate(
     code: Union[RmCode, ModifiedCode],
     samples: int,
@@ -91,9 +85,9 @@ def calibrate(
     way the syndromes are decoded _CHUNK rows at a time: a sampled chunk
     draws its rows from its own seed, drawn once from rng, and an
     exhaustive chunk enumerates its own index range, so memory stays
-    bounded however many syndromes there are.  A sampled bit is the top
-    bit of a byte from _random_bytes: the bit integers(0, 2,
-    dtype=np.uint8) draws.
+    bounded however many syndromes there are.  A sampled chunk's bits
+    are gf2.random_bits of a fresh default_rng of its seed, the bits
+    integers(0, 2, dtype=np.uint8) draws.
     """
     modified = isinstance(code, ModifiedCode)
     decode = _modified_coset_leaders if modified else coset_leaders
@@ -114,8 +108,7 @@ def calibrate(
             index = np.arange(start, start + count, dtype=np.uint32)
             synd = ((index[:, None] >> shifts) & 1).astype(np.uint8)
         else:
-            synd = _random_bytes(seeds[j], (count, n_k))
-            synd >>= 7
+            synd = gf2.random_bits((count, n_k), np.random.default_rng(seeds[j]))
         errors = decode(code, synd)
         if modified:
             check_leaders(code, errors, synd)

@@ -5,7 +5,7 @@ Key file ("RMSG"):
     version    u16  1 for a public key, 4 for a private key
     role       u8   0 = public, 1 = private
     m, r       u16, u16
-    p          u32  punctured column count
+    p          u32  punctured column count, one keygen makes (private)
     w          u32  error weight bound
     N          u32  maximum signing trials
     n_points   u32  followed by n_points * u32 punctured evaluation points,
@@ -21,7 +21,7 @@ Private body: packed F, sigma as n * u32, packed R, then the 32-byte
               A load reads them as columns of the closed-form code and
               replays keygen's alignment off them, which gives the
               aligned parent's column order and the deleted columns in
-              it; a point set that leaves no information set is rejected.
+              it; p < d, so the points always leave an information set.
               F is the (n-k) x (n-k) matrix of the scrambler's inverse
               factors, S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), and
               its diagonal must be zero; any such F is a valid scrambler.
@@ -183,6 +183,12 @@ def load_public_key(raw: bytes) -> PublicKey:
 def load_private_key(raw: bytes) -> PrivateKey:
     rd = _Reader(_check_crc(raw, "private key"), "private key")
     m, r, n, k, p, params, points = _parse_header(rd, ROLE_PRIVATE)
+    # Keygen deletes wt(y) to 2 wt(y) columns, never all d of supp(x)
+    # (modcode.puncture_plan, scheme.keygen).
+    low, d = 1 << max(m - 2 * r, 0), 1 << (m - r)
+    high = min(2 * low, d - 1)
+    if not low <= p <= high:
+        raise FormatError(f"p = {p} is outside [{low}, {high}], keygen's range for RM({r}, {m})")
     if points.size != p:
         raise FormatError("punctured point list does not match p")
     if p and (points[-1] >= n or (np.diff(points) <= 0).any()):
@@ -199,12 +205,9 @@ def load_private_key(raw: bytes) -> PrivateKey:
     rd.done()
 
     # Replay keygen's alignment: the points, read as columns of the
-    # closed-form code, are the plan keygen aligned.
+    # closed-form code, are the plan keygen aligned; p < d, so it aligns.
     code = build(m, r)
-    try:
-        aligned = align_information_set(code, np.argsort(code.info_perm)[points])
-    except gf2.RankError:
-        raise FormatError("the punctured points leave no information set") from None
+    aligned = align_information_set(code, np.argsort(code.info_perm)[points])
     mod = assemble_modified(aligned, r_block)
     del code, aligned  # H_m is all the key keeps of them
     if _digest(rd.buf[:-32], mod) != stored_digest:

@@ -10,22 +10,23 @@ and the one inverse the scheme takes, of a unit lower-triangular matrix
 whose joins are table products of packed rows (invert).
 
 A matrix b used for many products is held in one table type, a
-ProductTable of b's packed rows.  Its products take and return packed
-rows.  mat_vec XORs the rows at a vector's support: verify's H'e, with
-b = H'^T.  ProductTable.product multiplies the packed rows of a matrix:
-a single row by mat_vec's gather, and two or more rows through a
-Four-Russians table built from the same rows with the table's first
-such product.  Keygen forms U A and H' = L (U H_m Q) by such products,
-invert joins its blocks by them and a key forms S^-1 = U^-1 L^-1 by one.
-mat_mul, which takes and returns unpacked matrices, packs its a and is
-the one place that unpacks a table product: signing's S^-1 product
+ProductTable of b's packed rows.  mat_vec XORs the rows at a vector's
+support: verify's H'e, with b = H'^T.  ProductTable.product multiplies
+packed rows of any height through a Four-Russians table built from the
+same rows with the table's first product: keygen's U A and
+H' = L (U H_m Q), invert's joins and a key's S^-1 = U^-1 L^-1.  mat_mul,
+which takes and returns unpacked matrices, is the one place that
+unpacks a table product and the one place that treats a single row
+apart, as mat_vec's gather at its support, with no packing of the row;
+more rows are packed for ProductTable.product.  Signing's S^-1 product
 passes it b = S^-1 transposed and that matrix's table as table=, and the
 check of decoded errors by H_m^T passes a table standing in place of b.
-A table is built from packed rows as the keys hold them: pack_rows packs
-an unpacked matrix where it lies, by rows or, for a transposed view, by
-columns (_packbits_axis0), with no transposing copy, and pack_columns
-packs the rows of the transpose of a packed matrix from a few of its
-rows unpacked at a time, so no table of a key unpacks the key's matrix.
+A table is built from packed rows: pack_rows packs an unpacked matrix
+where it lies, by rows or, for a transposed view such as S^-1
+transposed, by columns (_packbits_axis0), with no transposing copy, and
+pack_columns packs the rows of the transpose of a packed matrix from a
+few of its rows unpacked at a time, so no table of a key unpacks a
+matrix the key holds packed.
 Any other product goes through mat_mul, which builds a table of b for
 the call when b has at least _TABLE_MIN columns, whatever a's height,
 and otherwise multiplies in float32 BLAS, exact below 2**24 terms.
@@ -69,11 +70,11 @@ class ProductTable:
     zero pad bits, as pack_rows, pack_columns and np.packbits write
     them, and so has every product of one.
 
-    mat_vec gathers the rows at a vector's support, and product does so
-    for a single row of a, so a table used only one row at a time, as
-    signing uses H_m^T, never builds more.  From two rows on, where it
-    beats the gather, a product reads the Four-Russians table _subsets,
-    built from the same rows with the first such product: b's rows in
+    mat_vec gathers the rows at a vector's support, as mat_mul does for
+    a single row of a, so a table used only one row at a time, as
+    signing uses H_m^T, never builds more.  product, for any number of
+    rows, reads the Four-Russians table _subsets, built from the same
+    rows with the first product: b's rows in
     groups of four and, for every group, the XOR of each of its 16 row
     subsets, built by doubling: the subsets with one more row are those
     without it XOR that row.  A product then reads one table row per
@@ -128,13 +129,11 @@ class ProductTable:
         """a @ b for the packed rows of a (rows x ceil(k/8) bytes in
         pack_rows' layout), as rows x ceil(c/8) packed rows in the same
         layout.  a's pad bits select the zero rows that pad the table, so
-        they are not read.  One row is the XOR of b's rows at its support
-        (mat_vec)."""
+        they are not read.  A single unpacked row is cheaper as mat_vec's
+        gather, which mat_mul takes for it."""
         rows, size = a.shape[0], (self.shape[1] + 7) // 8
         if a.ndim != 2 or a.shape[1] != (self.shape[0] + 7) // 8:
             raise ValueError(f"packed rows of shape {a.shape} for a table of shape {self.shape}")
-        if rows == 1:
-            return mat_vec(self, np.flatnonzero(np.unpackbits(a[0], count=self.shape[0])))[None]
         if not self.shape[0]:  # an empty sum; the block scan below needs a byte
             return np.zeros((rows, size), dtype=np.uint8)
         packed = a.T
@@ -215,7 +214,7 @@ def mat_vec(table: ProductTable, support: np.ndarray) -> np.ndarray:
     bytes in pack_rows' layout, a SHAKE digest's, as each row of a
     ProductTable.product is.  verify's H'e is e @ H'^T, by a table of
     H'^T packed with zero pad bits (pack_columns), so H'e has zero pad
-    bits.  ProductTable.product multiplies a single row by this gather.
+    bits.  mat_mul multiplies a single row by this gather.
 
     The rows at support are gathered with take and XORed by one segment
     of reduceat, which is faster than bitwise_xor.reduce.
@@ -244,16 +243,18 @@ def mat_mul(
     """GF(2) product a @ b of binary matrices.  An entry outside {0, 1}
     is not checked for, and the paths below read it differently.
 
-    With table, a ProductTable of the matrix b, the product packs a
-    (pack_rows), reads the table instead of multiplying
-    (ProductTable.product: a single row of a by a gather of b's rows,
-    more rows by the Four-Russians table) and unpacks its packed rows,
+    With table, a ProductTable of the matrix b, the product reads the
+    table instead of multiplying and unpacks the packed rows it gets,
     the only unpacking of a table product; such a table may also stand
-    in place of b, so a caller that keeps b packed never unpacks b.
-    Without one, a product by a b with at least _TABLE_MIN columns
-    builds a ProductTable of b's packed rows for the call, whatever a's
-    height, and so holds no float copy of either operand: a single row
-    of a, as R e_np is for a key with p = 1, is a gather of b's rows.  A
+    in place of b, so a caller that keeps b packed never unpacks b.  A
+    single row of a, as every signature's check H_m e' = s' is, is the
+    gather of b's rows at its support (mat_vec), so a is not packed;
+    more rows are packed where they lie (pack_rows) for
+    ProductTable.product's Four-Russians table.  Without a table, a
+    product by a b with at least _TABLE_MIN columns builds a
+    ProductTable of b's packed rows for the call, whatever a's height,
+    and so holds no float copy of either operand: a single row of a, as
+    R e_np is for a key with p = 1, is again a gather of b's rows.  A
     narrower b goes through BLAS in float32, whose sums are exact below
     2**24 terms; no inner dimension comes near that (n <= 4096).
     """
@@ -275,6 +276,8 @@ def mat_mul(
     else:
         prod = a.astype(np.float32) @ b.astype(np.float32)
         return (prod.astype(np.int64) & 1).astype(np.uint8)
+    if a.shape[0] == 1:
+        return np.unpackbits(mat_vec(table, np.flatnonzero(a[0])), count=table.shape[1])[None]
     return np.unpackbits(table.product(pack_rows(a)), axis=1, count=table.shape[1])
 
 

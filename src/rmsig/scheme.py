@@ -17,8 +17,8 @@ packed rows, the layout of their key files (gf2.pack_rows); a
 PublicKey, like a ModifiedCode, is an rmcode.CheckMatrix.  Sign, verify
 and the check of decoded errors read H' and H_m through the product
 tables of their transposes (CheckMatrix.H_T_table), so no program path
-unpacks either; S^-1 is formed from F packed, and its one unpacking is
-PrivateKey.S_inv, which signing reads.
+unpacks either; S^-1 is formed from F packed and cached once, unpacked,
+as PrivateKey.S_inv, which signing reads.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -75,32 +75,31 @@ class PublicKey(CheckMatrix):
 
 @dataclass(frozen=True, eq=False)
 class PrivateKey:
-    # S^-1 = U^-1 @ L^-1 in one (n-k) x (n-k) matrix F with a zero
-    # diagonal, L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1), as the
-    # private key file stores it: (n-k) x ceil((n-k)/8) packed rows.
+    """S^-1 = U^-1 @ L^-1 in one (n-k) x (n-k) matrix F with a zero
+    diagonal, L^-1 = I + tril(F, -1) and U^-1 = I + triu(F, 1), as the
+    private key file stores it: (n-k) x ceil((n-k)/8) packed rows.  S^-1
+    is cached once, unpacked (S_inv), beside the table of its transpose."""
+
     packed_F: np.ndarray
     sigma: np.ndarray  # permutation indices; Q[i, sigma[i]] = 1
     mod: ModifiedCode
     params: SigningParams
 
     @cached_property
-    def _packed_S_inv(self) -> np.ndarray:
-        """S^-1 = U^-1 @ L^-1 as packed rows, by one table product of the
-        two triangles of F cut with a packed mask (gf2.cut_unit_triangles).
-        The product skips the zero triangle of U^-1 (gf2.ProductTable)."""
-        lower_inv, upper_inv = gf2.cut_unit_triangles(self.packed_F)
-        return gf2.ProductTable(lower_inv, self.packed_F.shape[0]).product(upper_inv)
-
-    @cached_property
     def S_inv(self) -> np.ndarray:
-        """S^-1, unpacked from its packed rows: the only (n-k) x (n-k)
-        matrix that keygen, a key load or signing unpacks."""
-        return np.unpackbits(self._packed_S_inv, axis=1, count=self.packed_F.shape[0])
+        """S^-1, the one table product of F's triangles cut by a packed mask
+        (gf2.cut_unit_triangles), unpacked: the only (n-k) x (n-k) matrix
+        that keygen, a key load or signing unpacks.  Its rows are a multiple
+        of 8 bytes apart, so pack_rows packs S_inv.T by aligned words, uncopied."""
+        n = self.packed_F.shape[0]
+        lower_inv, upper_inv = gf2.cut_unit_triangles(self.packed_F)
+        return np.unpackbits(gf2.ProductTable(lower_inv, n).product(upper_inv), axis=1)[:, :n]
 
     @cached_property
     def _S_inv_T_table(self) -> gf2.ProductTable:
+        """Signing's table of S^-1 transposed, S_inv.T packed where it lies."""
         n = self.packed_F.shape[0]
-        return gf2.ProductTable(gf2.pack_columns(self._packed_S_inv, n), n)
+        return gf2.ProductTable(gf2.pack_rows(self.S_inv.T), n)
 
     @cached_property
     def _sign_history(self) -> list[int]:

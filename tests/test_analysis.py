@@ -37,8 +37,8 @@ class TestCalibrate:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7])
     @pytest.mark.parametrize("shape", [(1024, 386), (999, 197), (3, 5), (13,)])
     def test_byte_draw_gives_integers_bits(self, seed, shape):
-        # calibrate takes its syndrome bits as the top bits of the random
-        # bytes that analysis._random_bytes draws (pinned below).
+        # gf2.random_bits, which calibrate draws its syndromes with, takes
+        # its bits as the top bits of random bytes (pinned below).
         bytes_ = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
         bits = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
         assert np.array_equal(bytes_ >> 7, bits), (
@@ -50,13 +50,15 @@ class TestCalibrate:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 + 7])
     @pytest.mark.parametrize("shape", [(1024, 386), (999, 197), (3, 5), (13,)])
     def test_raw_words_give_integers_bytes(self, seed, shape):
-        # calibrate draws its random bytes as PCG64's raw 64-bit words read
+        # calibrate draws each chunk's bits with gf2.random_bits from a
+        # fresh default_rng, whose bytes are PCG64's raw 64-bit words read
         # as little-endian bytes.
-        raw = analysis._random_bytes(seed, shape)
-        bytes_ = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
-        assert np.array_equal(raw, bytes_), (
-            "the little-endian bytes of PCG64's raw words are no longer the bytes "
-            "integers(0, 256, dtype=np.uint8) draws; calibration CSVs would change"
+        raw = gf2.random_bits(shape, np.random.default_rng(seed))
+        bits = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
+        assert np.array_equal(raw, bits), (
+            "the top bits of PCG64's raw words, read as little-endian bytes, are "
+            "no longer the bits integers(0, 2, dtype=np.uint8) draws; calibration "
+            "CSVs would change"
         )
 
     def test_exhaustive_chunks_match_one_decode(self):

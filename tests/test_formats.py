@@ -380,7 +380,17 @@ def _hostile_private_keys(keypair):
     sigma_at = f_at + (n - k) * f_row
     sigma = keypair.private.sigma
     points = np.frombuffer(raw[deleted_at:f_at], dtype="<u4")
-    return {
+    # RM(2,5) keys puncture wt(y) = 2 to min(2 wt(y), d - 1) = 4 columns.
+    # A key of another count, saved whole so its digest and CRC hold,
+    # would load as another code: with p = 0, as the unpunctured one.
+    code = rmcode.build(mod.m, mod.r)
+    other_p = {}
+    for count in (0, 5):
+        aligned = modcode.align_information_set(code, np.arange(n - count, n))
+        other = modcode.assemble_modified(aligned, np.ones((count, n - count), dtype=np.uint8))
+        priv = dataclasses.replace(keypair.private, mod=other)
+        other_p[f"p = {count}"] = formats.save_private_key(priv)
+    return other_p | {
         "huge m and r": _patched(raw, *HUGE_CODE),
         "r above m": _patched(raw, 7, struct.pack("<HH", 5, 6)),
         "w below t": _patched(raw, 15, struct.pack("<I", 1)),
@@ -667,9 +677,9 @@ class TestPuncturedPoints:
             "one point more than p": (_with_points(raw, points, p - 1), "does not match p"),
             "one point fewer than p": (_with_points(raw, points[1:], p), "does not match p"),
             # RM(2,5) is self-dual, so the support of one of its minimum-
-            # weight words, the 3-flat of points 0-7, holds a dual word:
-            # the other 24 columns hold no information set.
-            "a 3-flat": (_with_points(raw, np.arange(8)), "no information set"),
+            # weight words, the 3-flat of points 0-7, holds a dual word and
+            # would leave no information set; its p = d = 8 is refused first.
+            "a 3-flat": (_with_points(raw, np.arange(8)), "p = 8 is outside"),
             "a version 3 file": (SEARCHED_RM41_PRIVATE_V3, "private key file version 3"),
         }
         for label, (file, fault) in hostile.items():

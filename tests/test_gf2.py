@@ -22,6 +22,10 @@ from reference import (
 )
 
 
+SHAPES = [(1, 1), (7, 9), (8, 16), (13, 70), (64, 33), (130, 12), (386, 129)]
+"""Table shapes (rows, cols) of the packed-form and one-row tests."""
+
+
 def rand_mat(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
@@ -154,6 +158,51 @@ class TestMatMul:
         assert np.array_equal(got, blas_mat_mul(a, b))
         assert peak < b.nbytes, peak
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_one_row_product_is_a_gather(self, shape, seed):
+        """mat_mul multiplies one row by mat_vec's gather of the table's
+        rows, unpacked: it equals v @ b before and after the subset table
+        exists, and does not build it."""
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        b = rand_mat(rng, rows, cols)
+        table = gf2.ProductTable(np.packbits(b, axis=1), cols)
+        vectors = [np.zeros(rows, dtype=np.uint8), np.ones(rows, dtype=np.uint8)]
+        vectors += [rand_mat(rng, 1, rows)[0] for _ in range(3)]
+        for subsets_built in (False, True):
+            for v in vectors:
+                got = gf2.mat_mul(v[None], table)
+                assert got.shape == (1, cols) and got.dtype == np.uint8
+                gathered = np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v)), count=cols)
+                assert np.array_equal(got[0], gathered)
+                assert np.array_equal(got, naive_mat_mul(v[None], b))
+            assert ("_subsets" in vars(table)) is subsets_built
+            gf2.mat_mul(np.stack(vectors[:2]), table)  # two rows build it
+
+    def test_one_row_packs_no_operand(self, monkeypatch):
+        """A one-row product packs no row of a (gf2.pack_rows), whether
+        its table is passed as table=, stands in for b or is built for a
+        wide b, whose rows are then the only ones packed."""
+        rng = np.random.default_rng(55)
+        b = rand_mat(rng, 301, gf2._TABLE_MIN + 3)
+        table = product_table(b)
+        packed, real = [], gf2.pack_rows
+
+        def recording(x):
+            packed.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(gf2, "pack_rows", recording)
+        for a in (np.zeros((1, 301), np.uint8), np.ones((1, 301), np.uint8), rand_mat(rng, 1, 301)):
+            expected = naive_mat_mul(a, b)
+            assert np.array_equal(gf2.mat_mul(a, b, table), expected)
+            assert np.array_equal(gf2.mat_mul(a, table), expected)
+            assert packed == []
+            assert np.array_equal(gf2.mat_mul(a, b), expected)
+            assert packed == [b.shape]
+            packed.clear()
+
 
 class TestProductTable:
     """Four-Russians products against the naive triple loop."""
@@ -178,6 +227,19 @@ class TestProductTable:
         assert np.array_equal(gf2.mat_mul(a_view, b, table), expected)
         for view in (np.ascontiguousarray(b.T).T, b_view):
             assert np.array_equal(gf2.mat_mul(a, view, product_table(view)), expected)
+
+    @pytest.mark.parametrize("k,c", [(5, 63), (13, 130), (301, 259)])
+    def test_one_packed_row_vs_naive(self, k, c):
+        """ProductTable.product of a single packed row, with pad bits in
+        its last byte and in the table's last word, is a @ b: one row
+        reads the Four-Russians table like any other height."""
+        rng = np.random.default_rng(k + c)
+        b = rand_mat(rng, k, c)
+        table = product_table(b)
+        for a in (np.zeros((1, k), np.uint8), np.ones((1, k), np.uint8), rand_mat(rng, 1, k)):
+            got = table.product(np.packbits(a, axis=1))
+            assert got.shape == (1, (c + 7) // 8)
+            assert np.array_equal(got, np.packbits(naive_mat_mul(a, b), axis=1))
 
     @pytest.mark.parametrize("k,c", [(7, 9), (67, 129)])
     def test_all_ones(self, k, c):
@@ -359,8 +421,6 @@ class TestColumnTable:
 class TestPackedForms:
     """Tables built from a matrix's packed rows, as the keys hold them."""
 
-    SHAPES = [(1, 1), (7, 9), (8, 16), (13, 70), (64, 33), (130, 12), (386, 129)]
-
     @pytest.mark.parametrize("cells", [64, 1 << 18])
     @pytest.mark.parametrize("rows,cols", SHAPES)
     def test_pack_columns(self, monkeypatch, cells, rows, cols):
@@ -474,28 +534,6 @@ class TestPackedForms:
             assert np.array_equal(packed, product)
             assert np.array_equal(gf2.mat_vec(table, np.flatnonzero(v)), product)
             assert np.array_equal(product, np.packbits(naive_mat_mul(v[None], b)))
-
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
-    def test_one_row_product_is_a_gather(self, shape, seed):
-        """A product of one row is mat_vec's gather of the table's rows,
-        unpacked: it equals v @ b before and after the subset table
-        exists, and does not build it."""
-        rows, cols = shape
-        rng = np.random.default_rng(seed)
-        b = rand_mat(rng, rows, cols)
-        table = gf2.ProductTable(np.packbits(b, axis=1), cols)
-        vectors = [np.zeros(rows, dtype=np.uint8), np.ones(rows, dtype=np.uint8)]
-        vectors += [rand_mat(rng, 1, rows)[0] for _ in range(3)]
-        for subsets_built in (False, True):
-            for v in vectors:
-                got = gf2.mat_mul(v[None], table)
-                assert got.shape == (1, cols) and got.dtype == np.uint8
-                gathered = np.unpackbits(gf2.mat_vec(table, np.flatnonzero(v)), count=cols)
-                assert np.array_equal(got[0], gathered)
-                assert np.array_equal(got, naive_mat_mul(v[None], b))
-            assert ("_subsets" in vars(table)) is subsets_built
-            gf2.mat_mul(np.stack(vectors[:2]), table)  # two rows build it
 
     def test_wrong_table_operand_rejected(self):
         rng = np.random.default_rng(10)

@@ -300,6 +300,21 @@ class TestKeygen:
         assert keygen_peak < 10 * 2**20, keygen_peak
         assert s_inv_peak < 6 * 2**20, s_inv_peak
 
+    def test_s_inv_is_cached_once(self):
+        """After a signature a private key caches S^-1 once, unpacked
+        (S_inv), beside the table of its transpose that signing reads,
+        packed from S_inv's columns; it keeps no packed copy of S^-1."""
+        params = scheme.SigningParams(w=12, N=200, t=3)
+        priv = scheme.keygen(5, 2, params, np.random.default_rng(21)).private
+        assert isinstance(scheme.sign(priv, b"message"), scheme.Signature)
+        fields = {field.name for field in dataclasses.fields(priv)}
+        assert set(vars(priv)) - fields == {"S_inv", "_S_inv_T_table", "_sign_history"}
+        n = priv.S_inv.shape[0]
+        rows = priv._S_inv_T_table._rows.view(np.uint8)
+        assert priv._S_inv_T_table.shape == (n, n)
+        assert np.array_equal(rows[:n, : (n + 7) // 8], np.packbits(priv.S_inv.T, axis=1))
+        assert not rows[n:].any() and not rows[:, (n + 7) // 8 :].any()
+
 
 def test_no_program_path_builds_the_parity_check(monkeypatch):
     """Every check matrix, the code's H, H_m and the public key's H', is
