@@ -21,7 +21,8 @@ from . import gf2
 from .decoder import check_leaders, coset_leaders
 from .modcode import ModifiedCode
 from .rmcode import RmCode
-from .scheme import PublicKey, Signature, SigningParams, hash_to_syndrome, verify
+from . import scheme
+from .scheme import PublicKey, Signature, SigningParams, verify
 from .scheme import _modified_coset_leaders
 
 _CHUNK = 1024
@@ -191,10 +192,11 @@ def naive_forgery_attack(
 
     Each trial hashes a random counter, writes the reduced syndrome T s
     into the identity columns and succeeds when the weight bound holds.
-    T s is formed packed, as verify forms H'e: the XOR of the rows of a
-    product table of T^T at the support of s (gf2.mat_vec), weighed by
-    its set bits and unpacked only on a success.  Every success is
-    cross-checked through verify().
+    h(M) is taken once, and each trial's syndrome s from it
+    (scheme._syndrome_from_digest).  T s is formed packed, as verify
+    forms H'e: the XOR of the rows of a product table of T^T at the
+    support of s (gf2.mat_vec), weighed by its set bits and unpacked
+    only on a success.  Every success is cross-checked through verify().
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -203,11 +205,12 @@ def naive_forgery_attack(
     assert np.array_equal(gf2.mat_mul(transform, h_pub[:, cols]), np.eye(len(cols), dtype=np.uint8))
     n_k = h_pub.shape[0]
     table = gf2.ProductTable(gf2.pack_rows(transform.T), n_k)
+    inner = scheme._message_digest(message)
     successes = 0
     for _ in range(trials):
         i = int(rng.integers(1, 2**62))
-        s = hash_to_syndrome(message, i, n_k)
-        z_red = gf2.mat_vec(table, np.flatnonzero(s))
+        s = np.frombuffer(scheme._syndrome_from_digest(inner, i, 1, n_k), dtype=np.uint8)
+        z_red = gf2.mat_vec(table, np.flatnonzero(np.unpackbits(s, count=n_k)))
         if int(np.bitwise_count(z_red).sum()) <= pub.params.w:
             z = np.zeros(pub.n, dtype=np.uint8)
             z[cols] = np.unpackbits(z_red, count=n_k)

@@ -5,7 +5,8 @@ Key file ("RMSG"):
     version    u16  1 for a public key, 4 for a private key
     role       u8   0 = public, 1 = private
     m, r       u16, u16
-    p          u32  punctured column count, one keygen makes (private)
+    p          u32  punctured column count, one of modcode.puncture_counts
+                    (private; public files store 0)
     w          u32  error weight bound
     N          u32  maximum signing trials
     n_points   u32  followed by n_points * u32 punctured evaluation points,
@@ -21,13 +22,13 @@ Private body: packed F, sigma as n * u32, packed R, then the 32-byte
               A load reads them as columns of the closed-form code and
               replays keygen's alignment off them, which gives the
               aligned parent's column order and the deleted columns in
-              it; p < d, so the points always leave an information set.
+              it; p is one of puncture_counts, so the points always
+              leave an information set.
               F is the (n-k) x (n-k) matrix of the scrambler's inverse
               factors, S^-1 = (I + triu(F, 1)) @ (I + tril(F, -1)), and
               its diagonal must be zero; any such F is a valid scrambler.
-              Version 3 also stored the aligned column order and its
-              deleted columns in place of the points; version 2 stored S,
-              which a load had to invert; version 1 also stored P'.
+              A private file of an older version is rejected; keygen is
+              deterministic per seed, so regenerate it with the same seed.
 
 All header integers are little-endian.  The signature file ("RMSS")
 stores the counter big-endian, mirroring its role as hash input:
@@ -49,7 +50,7 @@ import zlib
 import numpy as np
 
 from . import gf2
-from .modcode import ModifiedCode, align_information_set, assemble_modified
+from .modcode import ModifiedCode, align_information_set, assemble_modified, puncture_counts
 from .rmcode import build, code_dims
 from .scheme import KeyPair, PrivateKey, PublicKey, Signature, SigningParams, check_signature
 
@@ -148,8 +149,10 @@ def _packed(rd: _Reader, rows: int, cols: int, what: str) -> np.ndarray:
 def _parse_header(rd: _Reader, expect_role: int):
     """Read and check the header; returns (m, r, n, k, p, params, points).
 
-    m and r are checked against the range keygen makes keys for, 1 <= r
-    < m <= rmcode.MAX_M, before anything is sized from them.
+    m and r are checked against the codes keygen makes keys for
+    (modcode.puncture_counts, m <= rmcode.MAX_M), and a private key's p
+    against that code's puncture counts, before anything is sized from
+    them.  A public key stores p = 0.
     """
     magic, version, role, m, r, p, w, n_trials = _HEADER.unpack(rd.take(_HEADER.size))
     if magic != KEY_MAGIC:
@@ -159,12 +162,14 @@ def _parse_header(rd: _Reader, expect_role: int):
     if version != _KEY_VERSION[role]:
         raise FormatError(f"unsupported {rd.kind} file version {version}")
     try:
-        if not 1 <= r < m:
-            raise ValueError(f"need 1 <= r < m, got r={r}, m={m}")
+        counts = puncture_counts(m, r)
         n, k, t = code_dims(m, r)
         params = SigningParams(w=w, N=n_trials, t=t)
     except ValueError as err:
         raise FormatError(f"invalid key header: {err}") from None
+    if role == ROLE_PRIVATE and p not in counts:
+        span = f"[{counts.start}, {counts.stop - 1}]"
+        raise FormatError(f"p = {p} is outside {span}, keygen's range for RM({r}, {m})")
     (count,) = struct.unpack("<I", rd.take(4))
     points = np.frombuffer(rd.take(4 * count), dtype="<u4").astype(np.int64)
     return m, r, n, k, p, params, points
@@ -183,12 +188,6 @@ def load_public_key(raw: bytes) -> PublicKey:
 def load_private_key(raw: bytes) -> PrivateKey:
     rd = _Reader(_check_crc(raw, "private key"), "private key")
     m, r, n, k, p, params, points = _parse_header(rd, ROLE_PRIVATE)
-    # Keygen deletes wt(y) to 2 wt(y) columns, never all d of supp(x)
-    # (modcode.puncture_plan, scheme.keygen).
-    low, d = 1 << max(m - 2 * r, 0), 1 << (m - r)
-    high = min(2 * low, d - 1)
-    if not low <= p <= high:
-        raise FormatError(f"p = {p} is outside [{low}, {high}], keygen's range for RM({r}, {m})")
     if points.size != p:
         raise FormatError("punctured point list does not match p")
     if p and (points[-1] >= n or (np.diff(points) <= 0).any()):
@@ -205,7 +204,8 @@ def load_private_key(raw: bytes) -> PrivateKey:
     rd.done()
 
     # Replay keygen's alignment: the points, read as columns of the
-    # closed-form code, are the plan keygen aligned; p < d, so it aligns.
+    # closed-form code, are the plan keygen aligned; p is one of
+    # puncture_counts, so it aligns.
     code = build(m, r)
     aligned = align_information_set(code, np.argsort(code.info_perm)[points])
     mod = assemble_modified(aligned, r_block)

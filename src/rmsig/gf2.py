@@ -21,12 +21,14 @@ apart, as mat_vec's gather at its support, with no packing of the row;
 more rows are packed for ProductTable.product.  Signing's S^-1 product
 passes it b = S^-1 transposed and that matrix's table as table=, and the
 check of decoded errors by H_m^T passes a table standing in place of b.
-A table is built from packed rows: pack_rows packs an unpacked matrix
-where it lies, by rows or, for a transposed view such as S^-1
-transposed, by columns (_packbits_axis0), with no transposing copy, and
-pack_columns packs the rows of the transpose of a packed matrix from a
-few of its rows unpacked at a time, so no table of a key unpacks a
-matrix the key holds packed.
+A table is built from packed rows, and clears their bits past its
+last column, so its products and gathers have zero pad bits whatever
+bytes it was handed.  pack_rows packs an unpacked matrix where it
+lies, by rows or, for a transposed view such as S^-1 transposed, by
+columns (_packbits_axis0), with no transposing copy, and pack_columns
+packs the rows of the transpose of a packed matrix from a few of its
+rows unpacked at a time, so no table of a key unpacks a matrix the key
+holds packed.
 Any other product goes through mat_mul, which builds a table of b for
 the call when b has at least _TABLE_MIN columns, whatever a's height,
 and otherwise multiplies in float32 BLAS, exact below 2**24 terms.
@@ -63,12 +65,11 @@ class ProductTable:
     """Products v @ b and a @ b by one fixed k x c matrix b.
 
     ProductTable(rows, c) takes b's k rows packed in pack_rows' layout
-    and holds them zero-padded to whole uint64 words (_rows).  A product
-    is packed rows in the same layout, and the bits of a row's last byte
-    past column c are kept: a product's pad bits are the XOR of the pad
-    bits of the table rows it adds.  Every table the package builds has
-    zero pad bits, as pack_rows, pack_columns and np.packbits write
-    them, and so has every product of one.
+    and holds them zero-padded to whole uint64 words (_rows), the bits
+    of each row's last byte past column c cleared.  So a caller may hand
+    it rows whose last byte holds other columns, as keygen hands it the
+    first ceil(k/8) bytes of H_m's rows, and every product and every
+    mat_vec gather is packed rows in the same layout with zero pad bits.
 
     mat_vec gathers the rows at a vector's support, as mat_mul does for
     a single row of a, so a table used only one row at a time, as
@@ -109,6 +110,8 @@ class ProductTable:
         k = rows.shape[0]
         padded = np.zeros((8 * ((k + 7) // 8), 8 * ((c + 63) // 64)), dtype=np.uint8)
         padded[:k, : (c + 7) // 8] = rows
+        if c % 8:
+            padded[:k, c // 8] &= 0xFF << (-c % 8) & 0xFF
         padded.flags.writeable = False
         self.shape = (k, c)
         self._rows = padded.view(np.uint64)
@@ -128,9 +131,10 @@ class ProductTable:
     def product(self, a: np.ndarray) -> np.ndarray:
         """a @ b for the packed rows of a (rows x ceil(k/8) bytes in
         pack_rows' layout), as rows x ceil(c/8) packed rows in the same
-        layout.  a's pad bits select the zero rows that pad the table, so
-        they are not read.  A single unpacked row is cheaper as mat_vec's
-        gather, which mat_mul takes for it."""
+        layout, with zero pad bits, since the table's rows have them.
+        a's pad bits select the zero rows that pad the table, so they are
+        not read.  A single unpacked row is cheaper as mat_vec's gather,
+        which mat_mul takes for it."""
         rows, size = a.shape[0], (self.shape[1] + 7) // 8
         if a.ndim != 2 or a.shape[1] != (self.shape[0] + 7) // 8:
             raise ValueError(f"packed rows of shape {a.shape} for a table of shape {self.shape}")
@@ -212,9 +216,9 @@ def mat_vec(table: ProductTable, support: np.ndarray) -> np.ndarray:
     """v @ b for the matrix b of table and the binary v whose 1s lie at
     the indices support: the XOR of b's rows at support, as ceil(c/8)
     bytes in pack_rows' layout, a SHAKE digest's, as each row of a
-    ProductTable.product is.  verify's H'e is e @ H'^T, by a table of
-    H'^T packed with zero pad bits (pack_columns), so H'e has zero pad
-    bits.  mat_mul multiplies a single row by this gather.
+    ProductTable.product is, with zero pad bits, since the table clears
+    them.  verify's H'e is e @ H'^T, by a table of H'^T.  mat_mul
+    multiplies a single row by this gather.
 
     The rows at support are gathered with take and XORed by one segment
     of reduceat, which is faster than bitwise_xor.reduce.

@@ -1,12 +1,12 @@
 """Puncturing plan and parity-check modification with random insertion.
 
 The plan picks a minimum-weight codeword x, a minimum-weight word y of
-the code projected onto supp(x), a puncture count p between wt(y) and
-2*wt(y), and a deletion set of p columns containing supp(y) (extras
-drawn from supp(x)).  y is drawn in closed form (see rmcode): the first
-point of supp(x) when 2r >= m, else an (m-2r)-flat inside it.  After
-re-aligning the information set so every deleted column sits in the
-parity part, the modified parity check is
+the code projected onto supp(x), a puncture count p (puncture_counts)
+and a deletion set of p columns containing supp(y) (extras drawn from
+supp(x)).  y is drawn in closed form (see rmcode): the first point of
+supp(x) when 2r >= m, else an (m-2r)-flat inside it.  After re-aligning
+the information set so every deleted column sits in the parity part,
+the modified parity check is
 
     H_m = [ P'^T  I_{n-k-p}  0   ]
           [ R               I_p ]
@@ -81,7 +81,8 @@ class ModifiedCode(CheckMatrix):
     and p from the deletion set.  Keygen reads these rows for
     H' = L U H_m Q, permuting H_m's columns as the packed rows of H_m^T
     (scheme.keygen).  R is unpacked from H_m's rows on every read, as H
-    is.
+    is, and is the one reader of R's bits there: keygen's R_2, signing's
+    inserted block and the key file's R all read it.
     """
 
     info_perm: np.ndarray  # the aligned parent's systematic column order
@@ -103,23 +104,43 @@ class ModifiedCode(CheckMatrix):
         return np.delete(np.arange(self.k, self.n), self.deleted - self.k)
 
 
+def puncture_counts(m: int, r: int) -> range:
+    """The puncture counts p of a key of RM(r, m): wt(y) <= p <= min(2 wt(y), d-1),
+    with wt(y) = 2**max(m-2r, 0) and d = 2**(m-r).
+
+    The one statement of which codes can be punctured and by how many
+    columns: puncture_plan draws p from the paper's [wt(y), 2 wt(y)],
+    keygen redraws a plan whose p is not a count here, and a key load
+    refuses a header whose p is not.  2 wt(y) = d only for r = 1 or m-1;
+    a plan of p = d deletes all of supp(x), a codeword, and so leaves no
+    information set, while fewer than d columns hold no nonzero codeword,
+    so every count here aligns.
+
+    Raises:
+        ValueError: unless 1 <= r < m.
+    """
+    if not 1 <= r < m:
+        raise ValueError(f"puncturing needs 1 <= r < m, got r={r}, m={m}")
+    low = 1 << max(m - 2 * r, 0)
+    return range(low, min(2 * low, (1 << (m - r)) - 1) + 1)
+
+
 def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
-    """Choose the deletion set for a code of order 1 <= r < m.
+    """Choose the deletion set for a code puncture_counts accepts.
 
     When 2r < m, y is supp(x) cut by r more random affine forms and
-    constants, redrawn until they keep exactly 2**(m-2r) of its points,
-    so y is a uniformly random (m-2r)-flat inside supp(x).  When 2r >= m,
-    y is the first point of supp(x) in systematic order: a function of
-    x, not a uniform draw among its points (a known deviation; see the
+    constants, redrawn until they keep exactly wt(y) of its points, so y
+    is a uniformly random (m-2r)-flat inside supp(x).  When 2r >= m, y
+    is the first point of supp(x) in systematic order: a function of x,
+    not a uniform draw among its points (a known deviation; see the
     README).  Systematic order puts the information points first, so
     that y is an information column whenever supp(x) holds one.
 
-    p ranges over [wt(y), 2 wt(y)] as in the paper, so for r = 1 or m-1
-    the plan may delete all of supp(x), which has no alignment.
+    p is drawn from [wt(y), 2 wt(y)] as in the paper, so the plan may
+    delete all of supp(x), which has no alignment (see puncture_counts).
     """
     m, r = code.m, code.r
-    if not 1 <= r < m:
-        raise ValueError(f"puncturing needs 1 <= r < m, got r={r}, m={m}")
+    wy = puncture_counts(m, r).start
     x = min_weight_codeword(code, rng)
     sx = np.flatnonzero(x)
     if 2 * r >= m:
@@ -130,12 +151,11 @@ def puncture_plan(code: RmCode, rng: np.random.Generator) -> PuncturePlan:
             forms = gf2.random_bits((r, m), rng)
             consts = gf2.random_bits(r, rng)
             hit = np.all(gf2.mat_mul(forms, table) == consts[:, None], axis=0)
-            if np.count_nonzero(hit) == 1 << (m - 2 * r):
+            if np.count_nonzero(hit) == wy:
                 break
         keep = sx[hit]
     y = np.zeros(code.n, dtype=np.uint8)
     y[keep] = 1
-    wy = keep.size
     p = int(rng.integers(wy, 2 * wy + 1))
     # supp(y) lies in supp(x), so x > y marks supp(x) \ supp(y), of
     # 2**(m-r) - wy >= wy columns.
@@ -159,8 +179,8 @@ def align_information_set(code: RmCode, deleted) -> Alignment:
 
     Raises:
         gf2.RankError: if the non-deleted columns hold no information set,
-            which only a loaded or hand-made deletion set can cause: keygen
-            passes only plans of p < d columns, which always align.
+            which only a hand-made deletion set can cause: keygen and a key
+            load pass only counts of puncture_counts, which always align.
     """
     deleted = np.asarray(sorted(deleted), dtype=np.int64)
     n, k = code.n, code.k

@@ -6,19 +6,16 @@ matrix form has its 1 in column sigma[i]) and the modified code.  The
 public check matrix is H' = S @ H_m @ Q.  Keygen draws S = L @ U from
 unit lower- and upper-triangular factors and keeps only their inverses,
 as one matrix F, so signing, which reads S^-1 = U^-1 @ L^-1 alone, never
-inverts S.  Keygen does not form S either.  H_m = [A | B], where B, on
-H_m's last n-k columns, is an identity plus the p rows of R below it,
-so H' = L @ [U @ A | U @ B] @ Q: U @ A is a table product k columns
-wide, U @ B is U plus a rank-p correction, Q permutes the columns, moved
-as packed rows of the transpose, and L is applied by a second table
-product.  Every step, from the draw of the factors to F and H', works
-on packed rows.  F and both check matrices, H' and H_m, are held as
-packed rows, the layout of their key files (gf2.pack_rows); a
-PublicKey, like a ModifiedCode, is an rmcode.CheckMatrix.  Sign, verify
-and the check of decoded errors read H' and H_m through the product
-tables of their transposes (CheckMatrix.H_T_table), so no program path
-unpacks either; S^-1 is formed from F packed and cached once, unpacked,
-as PrivateKey.S_inv, which signing reads.
+inverts S.  Keygen does not form S either: it applies U and L to H_m by
+table products and a rank-p correction, as its comments set out.  Every
+step, from the draw of the factors to F and H', works on packed rows.
+F and both check matrices, H' and H_m, are held as packed rows, the
+layout of their key files (gf2.pack_rows); a PublicKey, like a
+ModifiedCode, is an rmcode.CheckMatrix.  Sign, verify and the check of
+decoded errors read H' and H_m through the product tables of their
+transposes (CheckMatrix.H_T_table), so no program path unpacks either;
+S^-1 is formed from F packed and cached once, unpacked, as
+PrivateKey.S_inv, which signing reads.
 
 Hashing a message to a syndrome is fixed bit-exactly: the syndrome is
 the first n-k bits of SHAKE256(h(M) || i as 8-byte big-endian), where
@@ -38,7 +35,8 @@ import numpy as np
 
 from . import gf2
 from .decoder import check_leaders, punctured_coset_leaders
-from .modcode import ModifiedCode, align_information_set, build_modified, puncture_plan
+from .modcode import ModifiedCode, align_information_set, build_modified
+from .modcode import puncture_counts, puncture_plan
 from .rmcode import CheckMatrix, build
 
 _INNER_DIGEST_BYTES = 32
@@ -49,13 +47,20 @@ _PAD_CLEARED = [bytes(b & -(1 << z) for b in range(256)) for z in range(8)]
 
 @dataclass(frozen=True)
 class SigningParams:
-    """Error weight bound w, trial limit N and correctability t."""
+    """Error weight bound w, trial limit N and correctability t, each
+    held as a Python int: any integer type, numpy's included, is taken
+    through operator.index, and anything else raises ValueError."""
 
     w: int
     N: int
     t: int
 
     def __post_init__(self) -> None:
+        for name in ("w", "N", "t"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.w < self.t:
             raise ValueError(f"w={self.w} below error correctability t={self.t}")
         if self.N < 1:
@@ -173,19 +178,16 @@ def keygen(
 ) -> KeyPair:
     """Generate a key pair for RM(r, m), deterministic per rng state.
 
-    It redraws only a plan that deletes all of supp(x), which occurs for
-    r = 1 at p = 2 wt(y) and for r = m-1 at p = 2; every other plan
-    aligns, so no plan makes keygen fail.  The factors L and U, their
-    inverses, F and H' = L @ [U @ A | U @ B] @ Q are all packed rows
-    (see the module docstring), and none is unpacked.
+    It redraws only a plan whose p is not one of puncture_counts, one
+    that deletes all of supp(x); every other plan aligns, so no plan
+    makes keygen fail.  The factors L and U, their inverses, F and H'
+    are all packed rows, and none is unpacked.
     """
     code = build(m, r)
     if params.t != code.t:
         raise ValueError(f"params.t={params.t} != code correctability {code.t}")
     plan = puncture_plan(code, rng)
-    # Only a deletion set holding a nonzero codeword, of weight >= d, leaves
-    # no information set; p <= d, so only p = d, all of supp(x), does.
-    while plan.p == code.d:
+    while plan.p not in puncture_counts(m, r):  # p = d, all of supp(x)
         plan = puncture_plan(code, rng)
     mod = build_modified(align_information_set(code, plan.deleted), rng)
     del code  # H_m is all keygen needs of the code
@@ -197,17 +199,18 @@ def keygen(
     upper_t = gf2.pack_columns(upper, n - k)  # U^T, unit lower as invert takes it
     # F = L^-1 XOR U^-1: one XOR of packed rows; the unit diagonals cancel.
     packed_f = gf2.invert(lower) ^ gf2.pack_columns(gf2.invert(upper_t), n - k)
-    # H_m = [A | B] with B = [[I, 0], [R_2, I_p]], so U H_m = [U A | U B]
+    # H' = L (U H_m) Q.  H_m = [A | B], A on its first k columns, and
+    # B = [[I, 0], [R_2, I_p]] with R = [R_1 | R_2], so U H_m = [U A | U B]
     # and U B = U + U[:, top:] R_2 on B's first top columns.  Only U A, k
     # columns wide, is a table product, which skips U's zero triangle.
     # Columns are moved as the packed rows of (U H_m)^T: U A's transpose,
     # then (U B)^T = U^T plus R_2^T U^T[top:] on its first top rows.
-    a_rows = mod.packed_H[:, : (k + 7) // 8].copy()
-    a_rows[:, -1] &= 0xFF << (-k % 8) & 0xFF  # B's columns that share A's last byte
+    # A's table clears the bits of B's columns in A's last byte (gf2.ProductTable).
+    a_table = gf2.ProductTable(mod.packed_H[:, : (k + 7) // 8], k)
     columns = np.empty((n, (n - k + 7) // 8), dtype=np.uint8)
-    columns[:k] = gf2.pack_columns(gf2.ProductTable(a_rows, k).product(upper), k)
-    del a_rows, upper
-    r2_t = gf2.pack_rows(np.unpackbits(mod.packed_H[top:], axis=1, count=n)[:, k : k + top].T)
+    columns[:k] = gf2.pack_columns(a_table.product(upper), k)
+    del a_table, upper
+    r2_t = gf2.pack_rows(mod.R[:, k:].T)
     columns[k:] = upper_t
     columns[k : k + top] ^= gf2.ProductTable(upper_t[top:], n - k).product(r2_t)
     del upper_t, r2_t

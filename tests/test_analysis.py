@@ -265,6 +265,23 @@ class TestNaiveForgeryAttack:
         )
         assert round(rate * 1000) == successes
 
+    def test_message_is_hashed_once_per_attack(self, toy_attack_key, monkeypatch):
+        """h(M) is taken once for all trials; verify's cross-check of each
+        success takes it once more."""
+        calls = []
+        real = scheme._message_digest
+
+        def counting(message):
+            calls.append(message)
+            return real(message)
+
+        monkeypatch.setattr(scheme, "_message_digest", counting)
+        rate = analysis.naive_forgery_attack(
+            toy_attack_key.public, b"target", 1000, np.random.default_rng(0)
+        )
+        assert round(rate * 1000) == 194
+        assert calls == [b"target"] * (1 + 194)
+
     def test_vacuous_weight_bound(self):
         params = scheme.SigningParams(w=5, N=10, t=1)
         kp = scheme.keygen(4, 2, params, np.random.default_rng(6))

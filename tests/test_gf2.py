@@ -241,6 +241,24 @@ class TestProductTable:
             assert got.shape == (1, (c + 7) // 8)
             assert np.array_equal(got, np.packbits(naive_mat_mul(a, b), axis=1))
 
+    @pytest.mark.parametrize("k,c", [(1, 1), (5, 3), (13, 63), (67, 130)])
+    def test_pad_bits_are_cleared(self, k, c):
+        """A table built from rows with every bit past column c set holds
+        zero bits there, and so do its products and mat_vec gathers, which
+        equal the products by b."""
+        rng = np.random.default_rng(k * 1000 + c)
+        b = rand_mat(rng, k, c)
+        rows = np.packbits(b, axis=1)
+        rows[:, -1] |= 0xFF >> c % 8
+        table = gf2.ProductTable(rows, c)
+        held = np.unpackbits(table._rows.view(np.uint8), axis=1)
+        assert np.array_equal(held[:k, :c], b) and not held[:, c:].any()
+        a = np.concatenate([np.ones((1, k), np.uint8), identity(k), rand_mat(rng, 5, k)])
+        expected = np.packbits(naive_mat_mul(a, b), axis=1)
+        assert np.array_equal(table.product(np.packbits(a, axis=1)), expected)
+        for row, want in zip(a, expected):
+            assert np.array_equal(gf2.mat_vec(table, np.flatnonzero(row)), want)
+
     @pytest.mark.parametrize("k,c", [(7, 9), (67, 129)])
     def test_all_ones(self, k, c):
         a = np.ones((4, k), dtype=np.uint8)

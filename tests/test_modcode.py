@@ -69,6 +69,18 @@ class TestPuncturePlan:
             modcode.puncture_plan(rmcode.build(m, m), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
+        "m,r,counts", [(3, 1, [2, 3]), (4, 1, [4, 5, 6, 7]), (5, 2, [2, 3, 4]),
+                       (4, 3, [1]), (10, 5, [1, 2]), (12, 6, [1, 2])])
+    def test_puncture_counts(self, m, r, counts):
+        """wt(y) to min(2 wt(y), d-1): all of [wt(y), 2 wt(y)] but d."""
+        assert list(modcode.puncture_counts(m, r)) == counts
+
+    @pytest.mark.parametrize("m,r", [(1, 1), (3, 0), (3, 3), (5, 6)])
+    def test_puncture_counts_need_an_order_below_m(self, m, r):
+        with pytest.raises(ValueError, match="1 <= r < m"):
+            modcode.puncture_counts(m, r)
+
+    @pytest.mark.parametrize(
         "m,r", [(m, r) for m in range(2, 11) for r in range(1, m)], ids=lambda v: str(v)
     )
     def test_y_is_a_minimum_weight_word_of_the_projection(self, m, r):
@@ -205,7 +217,8 @@ class TestAlignInformationSet:
         no information set, exactly when p = d: a codeword has weight >= d
         and p <= d, so the deletion set is then all of supp(x), which
         happens only for r = 1 or m-1.  Over 8 seeds x 4 plans of every
-        code, such plans occur on RM(1, m) for m <= 7 and on RM(m-1, m)."""
+        code, such plans occur on RM(1, m) for m <= 7 and on RM(m-1, m).
+        A plan aligns exactly when its p is one of puncture_counts."""
         whole_support = set()
         for m in range(2, 11):
             for r in range(1, m):
@@ -214,9 +227,12 @@ class TestAlignInformationSet:
                     rng = np.random.default_rng(seed)
                     for _ in range(4):
                         plan = modcode.puncture_plan(code, rng)
+                        counted = plan.p in modcode.puncture_counts(m, r)
                         if plan.p < code.d:
                             modcode.align_information_set(code, plan.deleted)
+                            assert counted
                             continue
+                        assert not counted
                         with pytest.raises(gf2.RankError):
                             modcode.align_information_set(code, plan.deleted)
                         assert np.array_equal(plan.deleted, np.flatnonzero(plan.x))

@@ -97,6 +97,24 @@ class TestSigningParams:
         with pytest.raises(ValueError):
             scheme.SigningParams(w=5, N=0, t=3)
 
+    @pytest.mark.parametrize("value", [12.5, "12", None])
+    @pytest.mark.parametrize("field", ["w", "N", "t"])
+    def test_non_integer_field_rejected(self, field, value):
+        """A float, a string or None is a ValueError, as the CLI maps to
+        exit 2, not a struct.error at save or a TypeError in sign."""
+        fields = {"w": 12, "N": 100, "t": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            scheme.SigningParams(**fields)
+
+    def test_numpy_integers_give_python_ints_and_the_same_key(self):
+        plain = scheme.SigningParams(w=12, N=100, t=3)
+        numpy_params = scheme.SigningParams(w=np.int64(12), N=np.uint32(100), t=np.int8(3))
+        assert numpy_params == plain
+        assert all(type(v) is int for v in dataclasses.astuple(numpy_params))
+        keys = [scheme.keygen(5, 2, p, np.random.default_rng(21)) for p in (plain, numpy_params)]
+        for save, role in ((formats.save_public_key, "public"), (formats.save_private_key, "private")):
+            assert save(getattr(keys[0], role)) == save(getattr(keys[1], role))
+
     def test_w_and_n_fit_the_key_files_u32(self):
         top = 2**32 - 1
         params = scheme.SigningParams(w=top, N=top, t=3)
@@ -618,15 +636,29 @@ def rm36_keypair():
     return scheme.keygen(6, 3, params, np.random.default_rng(5))
 
 
-# (m, r, w, t) at N = 300: mean counters of about 105 and 116, so 40
-# messages meet counters below 16 and above 256, and an exhausted run.
-BATCH_KEYS = {"rm36": (6, 3, 3, 3), "rm48": (8, 4, 19, 7)}
+# (m, r, t) of key seed 1 at N = 300, signing at batch_weight's w, whose
+# expected counter 1/P(wt <= w) is at least 100 (mean counters of about
+# 105 and 116), so 40 messages meet counters below 16 and above 256, and
+# an exhausted run.
+BATCH_KEYS = {"rm36": (6, 3, 3), "rm48": (8, 4, 7)}
 BATCH_MESSAGES = [b"first batch %d" % j for j in range(40)]
 
 
+@functools.cache
+def batch_weight(name):
+    """The largest w whose signing-path calibration of the key (2**15
+    syndromes, seed 0) gives 1/P(wt <= w) >= 100: w = 3 on rm36 (126.5;
+    w = 4 reads 15.0) and w = 19 on rm48 (264.3; w = 20 reads 78.6)."""
+    m, r, t = BATCH_KEYS[name]
+    params = scheme.SigningParams(w=t, N=300, t=t)
+    mod = scheme.keygen(m, r, params, np.random.default_rng(1)).private.mod
+    dist = analysis.calibrate(mod, 1 << 15, np.random.default_rng(0))
+    return max(w for w in range(mod.n + 1) if 100 * (1 - dist.prob_gt(w)) <= 1)
+
+
 def make_batch_key(name):
-    m, r, w, t = BATCH_KEYS[name]
-    params = scheme.SigningParams(w=w, N=300, t=t)
+    m, r, t = BATCH_KEYS[name]
+    params = scheme.SigningParams(w=batch_weight(name), N=300, t=t)
     return scheme.keygen(m, r, params, np.random.default_rng(1)).private
 
 
